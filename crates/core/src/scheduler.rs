@@ -143,6 +143,9 @@ where
     let mut hourly_load = Vec::new();
     let mut elapsed = 0.0f64;
 
+    // One policy-input buffer per run, refilled in place every step.
+    let mut input = PolicyInput::from_micro(micro);
+
     let resampled = trace.resampled(opts.max_dt_s);
     'outer: for p in resampled.points() {
         let _span = obs.span(sdb_observe::SpanName::TraceStep);
@@ -150,9 +153,9 @@ where
         // the per-device tick, and the plan/tick sub-phases plus the
         // nested micro step inherit its hot/cold decision.
         let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
-        let input = PolicyInput::from_micro(micro)
-            .with_load(p.load_w)
-            .with_external(p.external_w);
+        input.refill_from_micro(micro);
+        input.load_w = p.load_w;
+        input.external_w = p.external_w;
         if let Some(policy) = policy.as_deref_mut() {
             let _prof = sdb_prof::sub(sdb_prof::Phase::PolicyPlan);
             if let Some(plan) = policy.plan(elapsed, micro, &input) {
@@ -423,14 +426,16 @@ where
     // Force a status heartbeat on the very first point.
     let mut since_status_s = f64::INFINITY;
 
+    let mut input = PolicyInput::from_micro(link.micro());
+
     let resampled = trace.resampled(opts.sim.max_dt_s);
     'outer: for p in resampled.points() {
         let _span = obs.span(sdb_observe::SpanName::TraceStep);
         let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
         pre_step(elapsed, link);
-        let input = PolicyInput::from_micro(link.micro())
-            .with_load(p.load_w)
-            .with_external(p.external_w);
+        input.refill_from_micro(link.micro());
+        input.load_w = p.load_w;
+        input.external_w = p.external_w;
         if let Some(policy) = policy.as_deref_mut() {
             let _prof = sdb_prof::sub(sdb_prof::Phase::PolicyPlan);
             if let Some(plan) = policy.plan(elapsed, link.micro(), &input) {
@@ -653,6 +658,34 @@ mod tests {
         assert_eq!(result.hourly_load_j.len(), 3);
         let hourly_sum: f64 = result.hourly_loss_j.iter().sum();
         assert!((hourly_sum - result.total_loss_j()).abs() / result.total_loss_j() < 0.01);
+    }
+
+    #[test]
+    fn per_step_spans_are_sampled_and_counters_stay_exact() {
+        use sdb_observe::{Observer, SpanName, SAMPLE_EVERY};
+        let obs = Observer::new();
+        let mut m = pack(1.0);
+        m.set_observer(obs.clone());
+        let mut rt = SdbRuntime::new(2);
+        rt.set_observer(obs.clone());
+        // A 60 s update period at 60 s steps: every tick fires.
+        let steps = 2 * SAMPLE_EVERY + 1;
+        let trace = Trace::constant(1.0, steps as f64 * 60.0);
+        let _ = run_trace(&mut m, &mut rt, &trace, &SimOptions::default());
+        for _ in 0..steps {
+            drop(obs.span(SpanName::FleetDevice));
+        }
+        let text = obs.registry().unwrap().to_prometheus_text();
+        for line in [
+            "sdb_micro_step_ns_count 3",
+            "sdb_policy_eval_ns_count 3",
+            "sdb_trace_step_ns_count 3",
+            "sdb_micro_steps_total 257",
+            "sdb_policy_evals_total 257",
+            "sdb_fleet_device_ns_count 257",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line}:\n{text}");
+        }
     }
 
     #[test]

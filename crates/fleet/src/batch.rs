@@ -219,6 +219,8 @@ pub fn run_trace_soa(
     let mut elapsed = 0.0f64;
     let mut ff_ticks = 0u64;
 
+    let mut input = PolicyInput::from_micro(micro);
+
     let resampled = trace.resampled(opts.max_dt_s);
     let points = resampled.points();
     let mut i = 0usize;
@@ -228,9 +230,9 @@ pub fn run_trace_soa(
         let report = {
             let _span = obs.span(SpanName::TraceStep);
             let _prof = sdb_prof::step(sdb_prof::Phase::SoaStep);
-            let input = PolicyInput::from_micro(micro)
-                .with_load(p.load_w)
-                .with_external(p.external_w);
+            input.refill_from_micro(micro);
+            input.load_w = p.load_w;
+            input.external_w = p.external_w;
             {
                 let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
                 runtime

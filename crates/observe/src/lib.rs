@@ -49,7 +49,7 @@ pub use events::{
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricsRegistry, SampleValue};
 pub use sketch::QuantileSketch;
-pub use span::{SpanGuard, SpanName};
+pub use span::{SpanGuard, SpanName, SAMPLE_EVERY};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -63,6 +63,8 @@ struct Shared {
     registry: MetricsRegistry,
     /// Pre-registered latency histograms, indexed by [`SpanName::index`].
     spans: [Histogram; SpanName::ALL.len()],
+    /// Calls per span, indexed like `spans`: the sampling gate.
+    span_calls: [AtomicU64; SpanName::ALL.len()],
 }
 
 /// The handle instrumented code holds: either disabled (the default — all
@@ -115,6 +117,7 @@ impl Observer {
                 sinks: Mutex::new(Vec::new()),
                 registry,
                 spans,
+                span_calls: SpanName::ALL.map(|_| AtomicU64::new(0)),
             })),
         }
     }
@@ -219,12 +222,21 @@ impl Observer {
     }
 
     /// Starts a latency span for a well-known hot path; the guard records
-    /// on drop. Returns `None` (no timing, no clock read) when disabled.
+    /// on drop. Per-step spans (see [`SpanName`]) are timed on 1 call in
+    /// [`SAMPLE_EVERY`] per observer, the first included, so their
+    /// histograms hold a sample; exact step counts are in the counters.
+    /// Returns `None` (no timing, no clock read) when disabled or when the
+    /// call falls outside the sample.
     #[must_use]
     pub fn span(&self, name: SpanName) -> Option<SpanGuard> {
-        self.shared
-            .as_ref()
-            .map(|s| SpanGuard::new(s.spans[name.index()].clone()))
+        let s = self.shared.as_ref()?;
+        let i = name.index();
+        // `Relaxed`: the count only picks which calls are timed and
+        // publishes no other data.
+        if name.sampled() && s.span_calls[i].fetch_add(1, Ordering::Relaxed) % SAMPLE_EVERY != 0 {
+            return None;
+        }
+        Some(SpanGuard::new(s.spans[i].clone()))
     }
 }
 
@@ -292,6 +304,20 @@ mod tests {
         let text = obs.registry().unwrap().to_prometheus_text();
         assert!(text.contains("sdb_policy_eval_ns_count 1"));
         assert!(text.contains("sdb_micro_step_ns_count 0"));
+    }
+
+    #[test]
+    fn per_step_spans_time_one_call_in_sample_every() {
+        let obs = Observer::new();
+        for _ in 0..2 * SAMPLE_EVERY + 1 {
+            drop(obs.span(SpanName::MicroStep));
+            drop(obs.span(SpanName::FleetDevice));
+        }
+        // A second observer keeps its own gate.
+        drop(Observer::with_registry(obs.registry().unwrap().clone()).span(SpanName::MicroStep));
+        let text = obs.registry().unwrap().to_prometheus_text();
+        assert!(text.contains("sdb_micro_step_ns_count 4"), "{text}");
+        assert!(text.contains("sdb_fleet_device_ns_count 257"), "{text}");
     }
 
     #[test]

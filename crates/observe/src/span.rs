@@ -8,7 +8,19 @@
 use crate::metrics::Histogram;
 use std::time::Instant;
 
+/// Per-step spans time 1 call in `SAMPLE_EVERY` per observer, starting
+/// with the first. The phase profiler's sampling gate uses the same rate.
+pub const SAMPLE_EVERY: u64 = 128;
+
 /// The instrumented hot paths.
+///
+/// [`MicroStep`](SpanName::MicroStep), [`PolicyEval`](SpanName::PolicyEval)
+/// and [`TraceStep`](SpanName::TraceStep) fire once per simulated step, so
+/// timing every call would cost several clock reads per step. They are
+/// timed on a 1-in-[`SAMPLE_EVERY`] sample: their histograms' `_count` and
+/// `_sum` cover the timed calls only, and exact step counts are in the
+/// counters `sdb_micro_steps_total` and `sdb_policy_evals_total`.
+/// [`FleetDevice`](SpanName::FleetDevice) is timed on every call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanName {
     /// One `Microcontroller::step` call.
@@ -39,6 +51,12 @@ impl SpanName {
             SpanName::TraceStep => 2,
             SpanName::FleetDevice => 3,
         }
+    }
+
+    /// Whether this span fires once per simulated step and so is timed
+    /// on a 1-in-[`SAMPLE_EVERY`] sample rather than on every call.
+    pub(crate) fn sampled(self) -> bool {
+        !matches!(self, SpanName::FleetDevice)
     }
 
     /// The histogram metric name this span records into.

@@ -170,7 +170,14 @@ impl Trace {
     #[must_use]
     pub fn resampled(&self, max_dt_s: f64) -> Trace {
         assert!(max_dt_s > 0.0);
-        let mut out = Trace::new();
+        // Reserve the piece count up front so resampling allocates once.
+        let pieces = self
+            .points
+            .iter()
+            .map(|p| (p.dur_s / max_dt_s).ceil() as usize);
+        let mut out = Trace {
+            points: Vec::with_capacity(pieces.sum()),
+        };
         for p in &self.points {
             let mut remaining = p.dur_s;
             while remaining > 1e-9 {
