@@ -30,7 +30,7 @@ use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
 use sdb_observe::{Observer, SpanName};
-use sdb_workloads::traces::Trace;
+use sdb_workloads::traces::{Trace, TracePoint};
 
 /// Which per-device driver the fleet engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -224,6 +224,7 @@ pub fn run_trace_soa(
     let resampled = trace.resampled(opts.max_dt_s);
     let points = resampled.points();
     let mut i = 0usize;
+    let mut run_end = 0usize;
     'outer: while i < points.len() {
         let p = &points[i];
         // Scalar sync tick: the same instruction sequence as `run_trace`.
@@ -267,14 +268,7 @@ pub fn run_trace_soa(
         if p.external_w != 0.0 {
             continue;
         }
-        let run = points[i..]
-            .iter()
-            .take_while(|q| {
-                q.load_w.to_bits() == p.load_w.to_bits()
-                    && q.external_w == 0.0
-                    && q.dur_s.to_bits() == p.dur_s.to_bits()
-            })
-            .count();
+        let run = replay_run(points, i, &mut run_end);
         if run < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, &report, p.load_w, p.dur_s) {
             continue;
         }
@@ -326,6 +320,27 @@ pub fn run_trace_soa(
         final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
     };
     (result, ff_ticks)
+}
+
+/// How many of `points[i..]` replay `points[i - 1]` exactly: same load
+/// and step bits, no external power. `points[i - 1]` must carry no
+/// external power, and `i` must grow from call to call. `run_end` keeps
+/// the end of the last scan: every point before it replays the same
+/// point, so a cursor short of it needs no rescan, and finding runs
+/// costs O(points) per trace.
+fn replay_run(points: &[TracePoint], i: usize, run_end: &mut usize) -> usize {
+    if i >= *run_end {
+        let p = &points[i - 1];
+        *run_end = i + points[i..]
+            .iter()
+            .take_while(|q| {
+                q.load_w.to_bits() == p.load_w.to_bits()
+                    && q.external_w == 0.0
+                    && q.dur_s.to_bits() == p.dur_s.to_bits()
+            })
+            .count();
+    }
+    *run_end - i
 }
 
 /// Apportions a constant-rate span across the hour buckets it straddles
@@ -460,6 +475,58 @@ mod tests {
         // Fallback means the engines are the same code path: bit-identical.
         assert_eq!(scalar, soa);
         assert_eq!(scalar.to_json(), soa.to_json());
+    }
+
+    /// The reference run count: a fresh scan from every query.
+    fn rescan_run(points: &[TracePoint], i: usize) -> usize {
+        let p = &points[i - 1];
+        points[i..]
+            .iter()
+            .take_while(|q| {
+                q.load_w.to_bits() == p.load_w.to_bits()
+                    && q.external_w == 0.0
+                    && q.dur_s.to_bits() == p.dur_s.to_bits()
+            })
+            .count()
+    }
+
+    #[test]
+    fn replay_run_matches_a_fresh_rescan_at_every_query() {
+        sdb_testkit::check(512, 0x5db_f00d, |g| {
+            let max_dt_s = g.pick(&[60.0, 45.0, 7.5]);
+            // Few distinct loads, so adjacent segments often repeat one;
+            // durations off the `max_dt_s` grid leave remainder pieces.
+            let mut trace = Trace::new();
+            for _ in 0..g.usize_range(1, 10) {
+                let load_w = g.pick(&[0.05, 0.05, 0.3, 2.0]);
+                let external_w = if g.chance(0.2) { 5.0 } else { 0.0 };
+                let whole = g.usize_range(0, 120) as f64;
+                let dur_s = whole * max_dt_s + g.f64_range(0.5, max_dt_s);
+                trace.push(load_w, external_w, dur_s);
+            }
+            let resampled = trace.resampled(max_dt_s);
+            let points = resampled.points();
+            // Move the cursor as `run_trace_soa` does: one sync tick, a
+            // query unless the point has external power, then a stretch
+            // the classifier may refuse or a lane may leave mid-run.
+            let mut run_end = 0;
+            let mut i = 0;
+            while i < points.len() {
+                i += 1;
+                if points[i - 1].external_w != 0.0 {
+                    continue;
+                }
+                let run = replay_run(points, i, &mut run_end);
+                assert_eq!(run, rescan_run(points, i), "query at {i}");
+                if run >= MIN_STRETCH_POINTS && g.chance(0.8) {
+                    i += if g.chance(0.5) {
+                        run
+                    } else {
+                        g.usize_range(0, run)
+                    };
+                }
+            }
+        });
     }
 
     #[test]

@@ -154,7 +154,13 @@ impl Trace {
             } else {
                 0.0
             };
-            if !(dur_s.is_finite() && dur_s > 0.0 && load_w >= 0.0 && external_w >= 0.0) {
+            if !(dur_s.is_finite()
+                && dur_s > 0.0
+                && load_w.is_finite()
+                && load_w >= 0.0
+                && external_w.is_finite()
+                && external_w >= 0.0)
+            {
                 return Err(format!("line {}: values out of range", lineno + 1));
             }
             t.push(load_w, external_w, dur_s);
@@ -466,6 +472,13 @@ mod tests {
         assert!(Trace::from_csv("1,2,3,4")
             .unwrap_err()
             .contains("expected 2"));
+        // `f64::from_str` accepts `inf` and `NaN`; none may reach `push`.
+        for row in ["60,inf", "60,1.0,inf", "inf,1.0", "60,NaN", "60,1.0,NaN"] {
+            assert!(
+                Trace::from_csv(row).unwrap_err().contains("out of range"),
+                "{row}"
+            );
+        }
     }
 
     #[test]
