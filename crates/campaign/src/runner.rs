@@ -18,15 +18,11 @@ use crate::spec::{self, CampaignSpec, Cell, CellPolicy};
 use sdb_chaos::{FaultPlan, InvariantChecker, PlanExecutor};
 use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
-use sdb_core::scheduler::{
-    run_trace_linked_planned_with, run_trace_linked_with, run_trace_observed, run_trace_planned,
-    LinkedSimOptions, SimOptions, SimResult,
-};
+use sdb_core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
-use sdb_fleet::run_trace_soa;
 use sdb_fleet::spec::WorkloadSpec;
 use sdb_fleet::EngineKind;
 use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
@@ -218,21 +214,16 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
     Ok(CampaignRun::Complete(Box::new(report)))
 }
 
-/// The per-cell policy driver.
-enum PolicyDriver {
-    Greedy,
-    Planner(Box<Planner>),
-}
-
-fn make_policy(
+/// The cell's lookahead planner; `None` for the greedy policy.
+fn make_planner(
     cell: &Cell,
     scenario: &spec::Scenario,
     workload: &WorkloadSpec,
     seed: u64,
     trace: &std::sync::Arc<Trace>,
-) -> PolicyDriver {
+) -> Option<Planner> {
     match cell.policy {
-        CellPolicy::Greedy => PolicyDriver::Greedy,
+        CellPolicy::Greedy => None,
         CellPolicy::Planned => {
             let history: Vec<std::sync::Arc<Trace>> = (1..=PLANNER_HISTORY_DAYS)
                 .map(|k| workload.build(seed.wrapping_add(k.wrapping_mul(PLANNER_HISTORY_SALT))))
@@ -245,7 +236,7 @@ fn make_policy(
                 update_period_s: scenario.update_period_s,
                 ..PlannerConfig::default()
             };
-            PolicyDriver::Planner(Box::new(Planner::new(cfg, Box::new(forecaster))))
+            Some(Planner::new(cfg, Box::new(forecaster)))
         }
         CellPolicy::Oracle => {
             let cfg = PlannerConfig {
@@ -253,7 +244,7 @@ fn make_policy(
                 update_period_s: scenario.update_period_s,
                 ..PlannerConfig::default()
             };
-            PolicyDriver::Planner(Box::new(Planner::oracle(cfg, std::sync::Arc::clone(trace))))
+            Some(Planner::oracle(cfg, std::sync::Arc::clone(trace)))
         }
     }
 }
@@ -278,11 +269,11 @@ fn record_from(
     device: u64,
     result: &SimResult,
     micro: &Microcontroller,
-    violations: u64,
-    first_violation: Option<String>,
+    checker: InvariantChecker,
     faults_injected: u64,
     ff_ticks: u64,
 ) -> DeviceRecord {
+    let tally = checker.finish();
     let n = result.final_soc.len().max(1) as f64;
     DeviceRecord {
         cell: cell.index,
@@ -293,10 +284,10 @@ fn record_from(
         loss_j: result.total_loss_j(),
         mean_final_soc: result.final_soc.iter().sum::<f64>() / n,
         browned_out: result.first_brownout_s.is_some(),
-        violations,
+        violations: tally.violation_count,
         faults_injected,
         ff_ticks,
-        first_violation,
+        first_violation: tally.violations.first().map(ToString::to_string),
         snapshot: micro.snapshot().to_bytes(),
     }
 }
@@ -314,13 +305,13 @@ fn record_from(
 ///   fast-forward by construction, so the engines are digest-identical
 ///   here and the matrix records that fact instead of pretending the
 ///   axis doesn't exist.
-/// * **Fault-free greedy SoA cells** on a non-thermal pack take the
-///   hybrid [`run_trace_soa`] fast path (end-state invariant check; the
+/// * **Fault-free greedy SoA cells** on a non-thermal pack take the SoA
+///   fast-forward path of [`drive`] (end-state invariant check; the
 ///   fast-forward stretches have no step hook).
-/// * **Everything else** runs the scalar driver with per-step invariant
-///   checks; planner policies fall back to scalar under the SoA engine
-///   exactly as the fleet engine does, so those engine pairs are also
-///   digest-identical.
+/// * **Everything else**, greedy and planner cells alike, runs the scalar
+///   driver with per-step invariant checks; planner policies fall back to
+///   scalar under the SoA engine exactly as the fleet engine does, so
+///   those engine pairs are also digest-identical.
 ///
 /// # Errors
 ///
@@ -343,11 +334,15 @@ pub fn run_cell_device(
     let trace = workload.build(seed);
     let sim = SimOptions::default();
 
-    let micro = build_pack(&template);
+    let mut micro = build_pack(&template);
     let n = micro.battery_count();
     let mut runtime = SdbRuntime::new(n);
     runtime.set_update_period(scenario.update_period_s);
-    let mut policy = make_policy(cell, &scenario, &workload, seed, &trace);
+    let mut planner = make_planner(cell, &scenario, &workload, seed, &trace);
+    if planner.is_none() {
+        runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
+    }
+    let points = trace.resampled(sim.max_dt_s);
 
     if intensity > 0.0 {
         // Linked chaos driver (both engines; see dispatch docs above).
@@ -357,111 +352,77 @@ pub fn run_cell_device(
         let plan = FaultPlan::generate(derive_seed(seed, 2), trace.duration_s(), intensity, n);
         let mut exec = PlanExecutor::new(plan);
         let mut checker = InvariantChecker::for_micro(link.micro());
-        let opts = LinkedSimOptions {
-            sim,
-            status_period_s: STATUS_PERIOD_S,
+        let hooks = Hooks {
+            policy: planner.as_mut().map(|p| p as _),
+            ..Hooks::default()
         };
-        let result = match &mut policy {
-            PolicyDriver::Greedy => {
-                runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-                run_trace_linked_with(
-                    &mut link,
-                    &mut runtime,
-                    &trace,
-                    &opts,
-                    |t, l| exec.apply(t, l),
-                    |t, l, r| {
-                        checker.check_step(t, r);
-                        checker.check_micro(t, l.micro());
-                    },
-                )
-            }
-            PolicyDriver::Planner(planner) => run_trace_linked_planned_with(
-                &mut link,
-                &mut runtime,
-                &trace,
-                &opts,
-                planner.as_mut(),
-                |t, l| exec.apply(t, l),
-                |t, l, r| {
-                    checker.check_step(t, r);
-                    checker.check_micro(t, l.micro());
-                },
-            ),
-        };
-        let tally = checker.finish();
+        let result = drive(
+            &mut Linked::new(&mut link, STATUS_PERIOD_S),
+            &mut runtime,
+            points.points(),
+            &sim,
+            hooks,
+            |t, l| exec.apply(t, l.link),
+            |t, l, r| {
+                checker.check_step(t, r);
+                checker.check_micro(t, l.link.micro());
+            },
+        );
         return Ok(record_from(
             cell,
             device,
             &result,
             link.micro(),
-            tally.violation_count,
-            tally.violations.first().map(ToString::to_string),
+            checker,
             exec.injected(),
             0,
         ));
     }
 
-    let mut micro = micro;
-    let (result, violations, first_violation, ff_ticks) = match &mut policy {
-        PolicyDriver::Greedy if cell.engine == EngineKind::Soa && soa_eligible(&micro) => {
-            runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-            let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
-            let (result, ff) = run_trace_soa(&mut micro, &mut runtime, &trace, &sim, &mut soa);
-            // Fast-forwarded stretches have no step hook; the invariant
-            // surface here is the end state.
-            let mut checker = InvariantChecker::for_micro(&micro);
-            checker.check_micro(result.simulated_s, &micro);
-            let tally = checker.finish();
-            (
-                result,
-                tally.violation_count,
-                tally.violations.first().map(ToString::to_string),
-                ff,
-            )
-        }
-        PolicyDriver::Greedy => {
-            runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-            let mut checker = InvariantChecker::for_micro(&micro);
-            let result = run_trace_observed(&mut micro, &mut runtime, &trace, &sim, |t, r| {
-                checker.check_step(t, r);
-            });
-            checker.check_micro(result.simulated_s, &micro);
-            let tally = checker.finish();
-            (
-                result,
-                tally.violation_count,
-                tally.violations.first().map(ToString::to_string),
-                0,
-            )
-        }
-        PolicyDriver::Planner(planner) => {
-            // Planner cells run the scalar driver under either engine
-            // (the SoA fast path serves greedy policies only, as in the
-            // fleet engine) — their engine pairs are digest-identical.
-            let mut checker = InvariantChecker::for_micro(&micro);
-            let result =
-                run_trace_planned(&mut micro, &mut runtime, &trace, &sim, planner.as_mut());
-            checker.check_micro(result.simulated_s, &micro);
-            let tally = checker.finish();
-            (
-                result,
-                tally.violation_count,
-                tally.violations.first().map(ToString::to_string),
-                0,
-            )
-        }
+    if planner.is_none() && cell.engine == EngineKind::Soa && soa_eligible(&micro) {
+        let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
+        let hooks = Hooks {
+            soa: Some(&mut soa),
+            ..Hooks::default()
+        };
+        let result: SimResult = drive(
+            &mut micro,
+            &mut runtime,
+            points.points(),
+            &sim,
+            hooks,
+            |_, _| {},
+            |_, _, _| {},
+        );
+        // Fast-forwarded stretches have no step hook; the invariant
+        // surface here is the end state.
+        let mut checker = InvariantChecker::for_micro(&micro);
+        checker.check_micro(result.simulated_s, &micro);
+        let ff_ticks = soa.ticks_advanced();
+        return Ok(record_from(
+            cell, device, &result, &micro, checker, 0, ff_ticks,
+        ));
+    }
+
+    // Planner cells run this scalar driver under either engine (the SoA
+    // fast path serves greedy policies only, as in the fleet engine), so
+    // their engine pairs are digest-identical.
+    let mut checker = InvariantChecker::for_micro(&micro);
+    let hooks = Hooks {
+        policy: planner.as_mut().map(|p| p as _),
+        ..Hooks::default()
     };
-    Ok(record_from(
-        cell,
-        device,
-        &result,
-        &micro,
-        violations,
-        first_violation,
-        0,
-        ff_ticks,
-    ))
+    let result: SimResult = drive(
+        &mut micro,
+        &mut runtime,
+        points.points(),
+        &sim,
+        hooks,
+        |_, _| {},
+        |t, _, r| checker.check_step(t, r),
+    );
+    checker.check_micro(result.simulated_s, &micro);
+    Ok(record_from(cell, device, &result, &micro, checker, 0, 0))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use crate::plan::{FaultPlan, PlanExecutor, FAULT_CLASSES};
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
-use sdb_core::scheduler::{run_trace_linked_with, LinkedSimOptions, SimOptions};
+use sdb_core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb_emulator::link::Link;
 use sdb_emulator::pack::PackBuilder;
 use sdb_observe::{EventSink, MetricsRegistry, ObsEvent, Observer};
@@ -142,20 +142,18 @@ fn run_device(
     let mut exec = PlanExecutor::new(plan);
     let mut checker = InvariantChecker::for_micro(link.micro());
 
-    let trace = Trace::constant(spec.load_w, spec.horizon_s);
-    let opts = LinkedSimOptions {
-        sim: SimOptions::default(),
-        status_period_s: spec.status_period_s,
-    };
-    let result = run_trace_linked_with(
-        &mut link,
+    let opts = SimOptions::default();
+    let points = Trace::constant(spec.load_w, spec.horizon_s).resampled(opts.max_dt_s);
+    let result: SimResult = drive(
+        &mut Linked::new(&mut link, spec.status_period_s),
         &mut runtime,
-        &trace,
+        points.points(),
         &opts,
-        |t, link| exec.apply(t, link),
-        |t, link, report| {
+        Hooks::default(),
+        |t, l| exec.apply(t, l.link),
+        |t, l, report| {
             checker.check_step(t, report);
-            checker.check_micro(t, link.micro());
+            checker.check_micro(t, l.link.micro());
         },
     );
 

@@ -8,10 +8,7 @@
 
 use crate::invariant::InvariantChecker;
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{
-    run_charge_session, run_trace_linked_with, run_trace_observed, LinkedSimOptions, SimOptions,
-    SimResult,
-};
+use sdb_core::scheduler::{drive, run_charge_session, Hooks, Linked, SimOptions, SimResult};
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
 use sdb_workloads::traces::Trace;
@@ -30,9 +27,16 @@ pub fn checked_run_trace(
     opts: &SimOptions,
 ) -> SimResult {
     let mut checker = InvariantChecker::for_micro(micro);
-    let result = run_trace_observed(micro, runtime, trace, opts, |t, report| {
-        checker.check_step(t, report);
-    });
+    let points = trace.resampled(opts.max_dt_s);
+    let result: SimResult = drive(
+        micro,
+        runtime,
+        points.points(),
+        opts,
+        Hooks::default(),
+        |_, _| {},
+        |t, _, report| checker.check_step(t, report),
+    );
     checker.check_micro(result.simulated_s, micro);
     let report = checker.finish();
     assert!(report.is_clean(), "invariant violations:\n{report}");
@@ -62,8 +66,9 @@ pub fn checked_run_charge_session(
     reached
 }
 
-/// As [`sdb_core::scheduler::run_trace_linked`], with every invariant
-/// checked on every step.
+/// As [`sdb_core::scheduler::run_trace`] over the lossy link
+/// ([`Linked`], status heartbeat every `status_period_s` seconds), with
+/// every invariant checked on every step.
 ///
 /// # Panics
 ///
@@ -73,18 +78,21 @@ pub fn checked_run_trace_linked(
     link: &mut Link,
     runtime: &mut SdbRuntime,
     trace: &Trace,
-    opts: &LinkedSimOptions,
+    opts: &SimOptions,
+    status_period_s: f64,
 ) -> SimResult {
     let mut checker = InvariantChecker::for_micro(link.micro());
-    let result = run_trace_linked_with(
-        link,
+    let points = trace.resampled(opts.max_dt_s);
+    let result: SimResult = drive(
+        &mut Linked::new(link, status_period_s),
         runtime,
-        trace,
+        points.points(),
         opts,
+        Hooks::default(),
         |_, _| {},
-        |t, link, report| {
+        |t, l, report| {
             checker.check_step(t, report);
-            checker.check_micro(t, link.micro());
+            checker.check_micro(t, l.link.micro());
         },
     );
     let report = checker.finish();

@@ -354,7 +354,7 @@ mod tests {
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
     use sdb_core::runtime::SdbRuntime;
-    use sdb_core::scheduler::{run_trace_observed, SimOptions};
+    use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
     use sdb_emulator::pack::PackBuilder;
     use sdb_workloads::traces::Trace;
 
@@ -378,12 +378,15 @@ mod tests {
         let mut m = micro();
         let mut rt = SdbRuntime::new(2);
         let mut checker = InvariantChecker::for_micro(&m);
-        run_trace_observed(
+        let points = Trace::constant(4.0, 3600.0).resampled(60.0);
+        let _: SimResult = drive(
             &mut m,
             &mut rt,
-            &Trace::constant(4.0, 3600.0),
+            points.points(),
             &SimOptions::default(),
-            |t, rep| checker.check_step(t, rep),
+            Hooks::default(),
+            |_, _| {},
+            |t, _, rep| checker.check_step(t, rep),
         );
         checker.check_micro(3600.0, &m);
         let report = checker.finish();

@@ -243,7 +243,7 @@ impl FaultPlan {
 
 /// Applies a [`FaultPlan`] to a [`Link`] as simulated time advances:
 /// call [`PlanExecutor::apply`] from the `pre_step` hook of
-/// `run_trace_linked_with` (or any stepping loop).
+/// `sdb_core::scheduler::drive` (or any stepping loop).
 #[derive(Debug, Clone)]
 pub struct PlanExecutor {
     plan: FaultPlan,

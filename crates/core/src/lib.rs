@@ -96,8 +96,7 @@ pub use policy::{ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch
 pub use predict::UsagePredictor;
 pub use runtime::{ResilienceConfig, SdbRuntime};
 pub use scheduler::{
-    run_trace, run_trace_linked, run_trace_planned, run_trace_prepared, LinkedSimOptions,
-    PreparedResult, SimOptions, SimResult,
+    drive, run_trace, Bookkeeping, Hooks, Linked, PreparedResult, SimOptions, SimResult, Transport,
 };
 
 /// Compile-time guarantee that the whole simulation stack can be moved

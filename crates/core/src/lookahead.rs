@@ -7,8 +7,8 @@
 //! the future load. This module defines the seam between the two worlds:
 //! [`LookaheadPolicy`] is the planner-side trait (implemented by
 //! `sdb-policy`'s receding-horizon planner and oracle), [`PlanUpdate`] is
-//! the plan it commits, and [`crate::scheduler::run_trace_planned`] is
-//! the driver that threads a planner through an ordinary trace run.
+//! the plan it commits, and the `policy` hook of [`crate::scheduler::drive`]
+//! threads a planner through an ordinary trace run.
 //!
 //! The seam is deliberately thin: a plan is expressed in the same
 //! directive vocabulary the rest of the OS uses
@@ -40,7 +40,7 @@ pub struct PlanUpdate {
 
 /// A policy that periodically re-plans from observed load and pack state.
 ///
-/// [`crate::scheduler::run_trace_planned`] calls [`LookaheadPolicy::plan`]
+/// [`crate::scheduler::drive`] calls [`LookaheadPolicy::plan`]
 /// before every trace point; returning `Some` commits the plan to the
 /// runtime (via [`crate::runtime::SdbRuntime::commit_plan`]) and returning
 /// `None` leaves the current directives in force. After the step executes

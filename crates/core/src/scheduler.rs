@@ -4,12 +4,19 @@
 //! measured power traces are fed into the battery emulation while the SDB
 //! Runtime adjusts ratios, and the driver books energy, losses, and
 //! depletion times for the Section 5 analyses.
+//!
+//! One loop, [`drive`], replays every trace, over either [`Transport`]:
+//! the firmware itself or the lossy [`Link`] ([`Linked`]). Step hooks,
+//! [`Hooks`] and the result type ([`Bookkeeping`]) pick the rest.
 
 use crate::lookahead::LookaheadPolicy;
 use crate::policy::PolicyInput;
 use crate::runtime::SdbRuntime;
 use sdb_emulator::link::{Command, Link};
-use sdb_emulator::micro::Microcontroller;
+use sdb_emulator::micro::{Microcontroller, StepReport};
+use sdb_emulator::SoaCohort;
+use sdb_observe::SpanName;
+use sdb_prof::Phase;
 use sdb_workloads::traces::{Trace, TracePoint};
 
 /// Options for a simulation run.
@@ -31,7 +38,7 @@ impl Default for SimOptions {
 }
 
 /// Result of a simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimResult {
     /// Wall-clock simulated, seconds.
     pub simulated_s: f64,
@@ -72,159 +79,8 @@ impl SimResult {
     }
 }
 
-/// Runs `trace` against the pack, letting `runtime` steer the ratios.
-#[must_use]
-pub fn run_trace(
-    micro: &mut Microcontroller,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-) -> SimResult {
-    run_trace_observed(micro, runtime, trace, opts, |_, _| {})
-}
-
-/// As [`run_trace`], additionally invoking `observer` after every step
-/// with the elapsed time and the step report (telemetry capture, live
-/// plotting, custom bookkeeping).
-pub fn run_trace_observed<F>(
-    micro: &mut Microcontroller,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-    observer: F,
-) -> SimResult
-where
-    F: FnMut(f64, &sdb_emulator::micro::StepReport),
-{
-    run_trace_inner(micro, runtime, trace, opts, None, observer)
-}
-
-/// As [`run_trace`], with a [`LookaheadPolicy`] in the loop: before every
-/// trace point the policy may commit a [`crate::lookahead::PlanUpdate`]
-/// (applied via [`SdbRuntime::commit_plan`], which forces the runtime to
-/// re-evaluate immediately), and after every step the realized load is
-/// fed back through [`LookaheadPolicy::observe_step`]. With a policy that
-/// never plans this is byte-identical to [`run_trace`].
-#[must_use]
-pub fn run_trace_planned(
-    micro: &mut Microcontroller,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-    policy: &mut dyn LookaheadPolicy,
-) -> SimResult {
-    run_trace_inner(micro, runtime, trace, opts, Some(policy), |_, _| {})
-}
-
-/// Shared driver body: the greedy path (`policy == None`) executes exactly
-/// the instruction sequence the pre-planner driver did, preserving
-/// bit-identical results for every existing caller.
-fn run_trace_inner<F>(
-    micro: &mut Microcontroller,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-    mut policy: Option<&mut dyn LookaheadPolicy>,
-    mut observer: F,
-) -> SimResult
-where
-    F: FnMut(f64, &sdb_emulator::micro::StepReport),
-{
-    let n = micro.battery_count();
-    let start = micro.time_s();
-    let (d0, cl0, ch0, u0, e0) = micro.energy_totals_j();
-    // Clone of the runtime's observer handle for span timing (shares the
-    // same registry; cheap `Option<Arc>` clone).
-    let obs = runtime.observer().clone();
-
-    let mut first_brownout = None;
-    let mut battery_empty: Vec<Option<f64>> = vec![None; n];
-    let mut hourly_loss = Vec::new();
-    let mut hourly_load = Vec::new();
-    let mut elapsed = 0.0f64;
-
-    // One policy-input buffer per run, refilled in place every step.
-    let mut input = PolicyInput::from_micro(micro);
-
-    let resampled = trace.resampled(opts.max_dt_s);
-    'outer: for p in resampled.points() {
-        let _span = obs.span(sdb_observe::SpanName::TraceStep);
-        // The scheduler step is the profiler's sampling gate: it advances
-        // the per-device tick, and the plan/tick sub-phases plus the
-        // nested micro step inherit its hot/cold decision.
-        let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
-        input.refill_from_micro(micro);
-        input.load_w = p.load_w;
-        input.external_w = p.external_w;
-        if let Some(policy) = policy.as_deref_mut() {
-            let _prof = sdb_prof::sub(sdb_prof::Phase::PolicyPlan);
-            if let Some(plan) = policy.plan(elapsed, micro, &input) {
-                runtime.commit_plan(&plan);
-            }
-        }
-        {
-            // Runtime failures (hardware rejection) are fatal in
-            // simulation.
-            let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
-            runtime
-                .tick(micro, &input, p.dur_s)
-                .expect("runtime push rejected by emulated hardware");
-        }
-        let report = micro.step(p.load_w, p.external_w, p.dur_s);
-        if let Some(policy) = policy.as_deref_mut() {
-            policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
-        }
-
-        // Apportion the step's energy across hour buckets it straddles.
-        let loss_w = report.circuit_loss_w + report.cell_heat_w;
-        let mut t = elapsed;
-        let mut remaining = p.dur_s;
-        while remaining > 1e-9 {
-            let hour = (t / 3600.0) as usize;
-            let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-            if hourly_loss.len() <= hour {
-                hourly_loss.resize(hour + 1, 0.0);
-                hourly_load.resize(hour + 1, 0.0);
-            }
-            hourly_loss[hour] += loss_w * take;
-            hourly_load[hour] += report.load_w * take;
-            t += take;
-            remaining -= take;
-        }
-
-        elapsed += p.dur_s;
-        observer(elapsed, &report);
-        for (i, cell) in micro.cells().iter().enumerate() {
-            if battery_empty[i].is_none() && cell.is_empty() {
-                battery_empty[i] = Some(elapsed);
-            }
-        }
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.stop_on_brownout {
-                break 'outer;
-            }
-        }
-    }
-
-    let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
-    SimResult {
-        simulated_s: micro.time_s() - start,
-        supplied_j: d1 - d0,
-        unmet_j: u1 - u0,
-        circuit_loss_j: cl1 - cl0,
-        cell_heat_j: ch1 - ch0,
-        external_j: e1 - e0,
-        first_brownout_s: first_brownout,
-        battery_empty_s: battery_empty,
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
-    }
-}
-
 /// The scalar subset of [`SimResult`] that rollout scoring consumes —
-/// `Copy`, so [`run_trace_prepared`] returns without heap allocation.
+/// `Copy`, so a [`drive`] into it returns without heap allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PreparedResult {
     /// Wall-clock simulated, seconds.
@@ -257,54 +113,347 @@ impl PreparedResult {
     }
 }
 
-/// The allocation-free rollout driver: runs pre-resampled `points`
-/// against the pack, reusing the caller's [`PolicyInput`] buffer.
+/// What a [`drive`] run books besides the energy totals, picked by its
+/// result type. [`SimResult`] books hour buckets and per-battery empty
+/// times and opens a `TraceStep` observe span per step. The `Copy`
+/// [`PreparedResult`] books nothing and opens no span: the planner
+/// rollout mode, which allocates nothing.
+pub trait Bookkeeping: Default {
+    /// Whether each step opens a `TraceStep` observe span.
+    const OBSERVED: bool;
+    /// The empty record for a run over `micro`.
+    fn open(_micro: &Microcontroller) -> Self {
+        Self::default()
+    }
+    /// Books `dur_s` seconds from `start_s` at constant power.
+    fn book(&mut self, _start_s: f64, _dur_s: f64, _loss_w: f64, _load_w: f64) {}
+    /// Notes the batteries of `micro` that are empty at `t_s`.
+    fn note_empty(&mut self, _t_s: f64, _micro: &Microcontroller) {}
+    /// The finished record, from the run's `totals` and final `micro`.
+    fn close(self, totals: PreparedResult, micro: &Microcontroller) -> Self;
+}
+
+impl Bookkeeping for SimResult {
+    const OBSERVED: bool = true;
+
+    fn open(micro: &Microcontroller) -> Self {
+        Self {
+            battery_empty_s: vec![None; micro.battery_count()],
+            ..Self::default()
+        }
+    }
+
+    /// Apportions the span's energy across the hour buckets it straddles.
+    fn book(&mut self, start_s: f64, dur_s: f64, loss_w: f64, load_w: f64) {
+        let mut t = start_s;
+        let mut remaining = dur_s;
+        while remaining > 1e-9 {
+            let hour = (t / 3600.0) as usize;
+            let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
+            if self.hourly_loss_j.len() <= hour {
+                self.hourly_loss_j.resize(hour + 1, 0.0);
+                self.hourly_load_j.resize(hour + 1, 0.0);
+            }
+            self.hourly_loss_j[hour] += loss_w * take;
+            self.hourly_load_j[hour] += load_w * take;
+            t += take;
+            remaining -= take;
+        }
+    }
+
+    fn note_empty(&mut self, t_s: f64, micro: &Microcontroller) {
+        for (empty_s, cell) in self.battery_empty_s.iter_mut().zip(micro.cells()) {
+            if empty_s.is_none() && cell.is_empty() {
+                *empty_s = Some(t_s);
+            }
+        }
+    }
+
+    fn close(self, t: PreparedResult, micro: &Microcontroller) -> Self {
+        Self {
+            simulated_s: t.simulated_s,
+            supplied_j: t.supplied_j,
+            unmet_j: t.unmet_j,
+            circuit_loss_j: t.circuit_loss_j,
+            cell_heat_j: t.cell_heat_j,
+            external_j: t.external_j,
+            first_brownout_s: t.first_brownout_s,
+            final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
+            ..self
+        }
+    }
+}
+
+impl Bookkeeping for PreparedResult {
+    const OBSERVED: bool = false;
+
+    fn close(self, totals: PreparedResult, _micro: &Microcontroller) -> Self {
+        totals
+    }
+}
+
+/// How the runtime reaches the pack during a [`drive`].
+pub trait Transport {
+    /// The pack's ground truth.
+    fn micro(&self) -> &Microcontroller;
+    /// The pack, mutably (SoA lane entry and exit).
+    fn micro_mut(&mut self) -> &mut Microcontroller;
+    /// Lets `runtime` re-evaluate for the coming `dt_s` and push ratios.
+    /// Panics if a push fails: a hardware rejection is fatal in
+    /// simulation, and a link send is local and cannot fail.
+    fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64);
+    /// Steps the pack.
+    fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport;
+    /// Runs once after the last point.
+    fn finish(&mut self, _runtime: &mut SdbRuntime) {}
+}
+
+/// Direct transport: the runtime touches the firmware itself.
+impl Transport for Microcontroller {
+    fn micro(&self) -> &Microcontroller {
+        self
+    }
+
+    fn micro_mut(&mut self) -> &mut Microcontroller {
+        self
+    }
+
+    fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64) {
+        let _prof = sdb_prof::sub(Phase::RuntimeTick);
+        runtime
+            .tick(self, input, dt_s)
+            .expect("runtime push rejected by emulated hardware");
+    }
+
+    fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport {
+        Microcontroller::step(self, load_w, external_w, dt_s)
+    }
+}
+
+/// Linked transport: drives the pack through the lossy [`Link`], where
+/// commands can be dropped, delayed or duplicated and responses arrive
+/// asynchronously. Each tick drains the responses into the runtime's
+/// graceful-degradation layer ([`SdbRuntime::observe_responses`] /
+/// [`SdbRuntime::supervise`]) and sends the status heartbeat when due.
+pub struct Linked<'a> {
+    /// The link driven.
+    pub link: &'a mut Link,
+    status_period_s: f64,
+    since_status_s: f64,
+}
+
+impl<'a> Linked<'a> {
+    /// Drives `link`, with a status heartbeat every `status_period_s`
+    /// seconds, the first one on the first point.
+    pub fn new(link: &'a mut Link, status_period_s: f64) -> Self {
+        Self {
+            link,
+            status_period_s,
+            since_status_s: f64::INFINITY,
+        }
+    }
+}
+
+impl Transport for Linked<'_> {
+    fn micro(&self) -> &Microcontroller {
+        self.link.micro()
+    }
+
+    fn micro_mut(&mut self) -> &mut Microcontroller {
+        self.link.micro_mut()
+    }
+
+    fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64) {
+        let _prof = sdb_prof::sub(Phase::LinkStep);
+        runtime.observe_responses(&self.link.take_responses());
+        runtime
+            .tick(self.link, input, dt_s)
+            .expect("link send is local and infallible");
+        runtime
+            .supervise(self.link, dt_s)
+            .expect("link send is local and infallible");
+        self.since_status_s += dt_s;
+        if self.since_status_s >= self.status_period_s {
+            self.since_status_s = 0.0;
+            self.link.send(Command::QueryBatteryStatus);
+            runtime.note_command_sent();
+        }
+    }
+
+    fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport {
+        self.link.step(load_w, external_w, dt_s)
+    }
+
+    fn finish(&mut self, runtime: &mut SdbRuntime) {
+        runtime.observe_responses(&self.link.take_responses());
+    }
+}
+
+/// The optional parts of a [`drive`] run besides its step hooks.
+#[derive(Default)]
+pub struct Hooks<'a> {
+    /// A planner in the loop: before every point it may commit a
+    /// [`crate::lookahead::PlanUpdate`] (applied through
+    /// [`SdbRuntime::commit_plan`], which forces an immediate
+    /// re-evaluation), and after every step it sees the realized load
+    /// through [`LookaheadPolicy::observe_step`].
+    pub policy: Option<&'a mut dyn LookaheadPolicy>,
+    /// Fast-forward through lane 0 of this cohort: after a scalar sync
+    /// tick, the next four or more points that replay it advance in closed
+    /// form while the quiescence classifier allows, within the kernel's
+    /// documented bound. Skipped ticks stay counted in the pack, runtime
+    /// and cohort.
+    pub soa: Option<&'a mut SoaCohort>,
+    /// A policy-input buffer to refill instead of allocating one.
+    pub input: Option<&'a mut PolicyInput>,
+}
+
+/// Runs `trace` against the pack, letting `runtime` steer the ratios.
+#[must_use]
+pub fn run_trace(
+    micro: &mut Microcontroller,
+    runtime: &mut SdbRuntime,
+    trace: &Trace,
+    opts: &SimOptions,
+) -> SimResult {
+    let points = trace.resampled(opts.max_dt_s);
+    drive(
+        micro,
+        runtime,
+        points.points(),
+        opts,
+        Hooks::default(),
+        |_, _| {},
+        |_, _, _| {},
+    )
+}
+
+/// Replays `points` (a trace already resampled at `opts.max_dt_s`)
+/// against the pack behind `transport`. Per point: `pre_step` with
+/// mutable transport access (fault plans), input refill, planner, runtime
+/// tick, step, planner feedback, bookkeeping, `post_step` with the
+/// elapsed time, the transport and the step report (telemetry, invariant
+/// checks); then, with an SoA cohort, fast-forward. Stops early at the
+/// first brownout when `opts.stop_on_brownout`. Unused step hooks are
+/// no-op closures, which compile to nothing.
 ///
-/// Planner rollouts call this thousands of times per plan cycle; it
-/// executes the same `tick → step` instruction sequence as [`run_trace`]
-/// (so scores are bit-identical to a [`run_trace`] rollout over the same
-/// resampled points) but skips the per-call trace resample and all
-/// per-run bookkeeping vectors. The caller resamples once with
-/// `trace.resampled(opts.max_dt_s)` and reuses the points across
-/// candidates.
+/// Profiling: each point is a `TraceStep` gating step (`SoaStep` with an
+/// SoA cohort, each fast-forward its own `FastForward` step).
 ///
 /// # Panics
 ///
-/// Panics if the emulated hardware rejects a runtime push (fatal in
-/// simulation, as in [`run_trace`]).
-pub fn run_trace_prepared(
-    micro: &mut Microcontroller,
+/// Panics if the transport's tick fails (see [`Transport::tick`]).
+pub fn drive<T, R, Pre, Post>(
+    transport: &mut T,
     runtime: &mut SdbRuntime,
     points: &[TracePoint],
     opts: &SimOptions,
-    input: &mut PolicyInput,
-) -> PreparedResult {
-    let start = micro.time_s();
-    let (d0, cl0, ch0, u0, e0) = micro.energy_totals_j();
+    mut hooks: Hooks<'_>,
+    mut pre_step: Pre,
+    mut post_step: Post,
+) -> R
+where
+    T: Transport,
+    R: Bookkeeping,
+    Pre: FnMut(f64, &mut T),
+    Post: FnMut(f64, &T, &StepReport),
+{
+    let start = transport.micro().time_s();
+    let (d0, cl0, ch0, u0, e0) = transport.micro().energy_totals_j();
+    let mut own_input = None;
+    let input = match hooks.input {
+        Some(input) => input,
+        None => own_input.insert(PolicyInput::from_micro(transport.micro())),
+    };
+    let step_phase = if hooks.soa.is_some() {
+        Phase::SoaStep
+    } else {
+        Phase::TraceStep
+    };
+    let mut books = R::open(transport.micro());
     let mut first_brownout = None;
     let mut elapsed = 0.0f64;
-    for p in points {
-        let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
-        input.refill_from_micro(micro);
+    let mut i = 0;
+    let mut run_end = 0;
+    while let Some(p) = points.get(i) {
+        i += 1;
+        let span = R::OBSERVED.then(|| runtime.observer().span(SpanName::TraceStep));
+        // The scheduler step is the profiler's sampling gate: the plan/tick
+        // sub-phases and the nested micro step inherit its hot/cold
+        // decision.
+        let prof = sdb_prof::step(step_phase);
+        pre_step(elapsed, transport);
+        input.refill_from_micro(transport.micro());
         input.load_w = p.load_w;
         input.external_w = p.external_w;
-        {
-            let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
-            runtime
-                .tick(micro, input, p.dur_s)
-                .expect("runtime push rejected by emulated hardware");
+        if let Some(policy) = hooks.policy.as_deref_mut() {
+            let _prof = sdb_prof::sub(Phase::PolicyPlan);
+            if let Some(plan) = policy.plan(elapsed, transport.micro(), input) {
+                runtime.commit_plan(&plan);
+            }
         }
-        let report = micro.step(p.load_w, p.external_w, p.dur_s);
+        transport.tick(runtime, input, p.dur_s);
+        let report = transport.step(p.load_w, p.external_w, p.dur_s);
+        if let Some(policy) = hooks.policy.as_deref_mut() {
+            policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
+        }
+        let loss_w = report.circuit_loss_w + report.cell_heat_w;
+        books.book(elapsed, p.dur_s, loss_w, report.load_w);
         elapsed += p.dur_s;
+        post_step(elapsed, transport, &report);
+        books.note_empty(elapsed, transport.micro());
         if report.unmet_w > 1e-9 && first_brownout.is_none() {
             first_brownout = Some(elapsed);
             if opts.stop_on_brownout {
                 break;
             }
         }
+        // Fast-forward steps are siblings of the sync tick's step.
+        drop(prof);
+        drop(span);
+
+        // Fast-forward: how many upcoming points replay this one exactly?
+        let Some(soa) = hooks.soa.as_deref_mut() else {
+            continue;
+        };
+        if p.external_w != 0.0 {
+            continue;
+        }
+        let run = replay_run(points, i, &mut run_end);
+        let micro = transport.micro_mut();
+        if run < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, &report, p.load_w, p.dur_s) {
+            continue;
+        }
+        let mut remaining = u32::try_from(run).unwrap_or(u32::MAX);
+        let mut skipped = 0u64;
+        while remaining > 0 {
+            let k = soa.max_ticks(0, p.load_w, p.dur_s).min(remaining);
+            if k == 0 {
+                break;
+            }
+            let totals = {
+                let _prof = sdb_prof::step(Phase::FastForward);
+                soa.advance(0, p.load_w, p.dur_s, k)
+            };
+            let span_s = f64::from(k) * p.dur_s;
+            let loss_w = (totals.circuit_loss_j + totals.cell_heat_j) / span_s;
+            books.book(elapsed, span_s, loss_w, p.load_w);
+            elapsed += span_s;
+            runtime.note_fast_forward(p.dur_s, u64::from(k));
+            skipped += u64::from(k);
+            remaining -= k;
+            i += k as usize;
+        }
+        soa.exit(0, micro);
+        if skipped > 0 {
+            micro.credit_skipped_steps(skipped);
+        }
     }
+    transport.finish(runtime);
+
+    let micro = transport.micro();
     let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
-    PreparedResult {
+    let totals = PreparedResult {
         simulated_s: micro.time_s() - start,
         supplied_j: d1 - d0,
         unmet_j: u1 - u0,
@@ -312,205 +461,33 @@ pub fn run_trace_prepared(
         cell_heat_j: ch1 - ch0,
         external_j: e1 - e0,
         first_brownout_s: first_brownout,
+    };
+    books.close(totals, micro)
+}
+
+/// Minimum run of identical upcoming trace points worth the
+/// snapshot-in/snapshot-out cost of parking a lane.
+const MIN_STRETCH_POINTS: usize = 4;
+
+/// How many of `points[i..]` replay `points[i - 1]` exactly: same load
+/// and step bits, no external power. `points[i - 1]` must carry no
+/// external power, and `i` must grow from call to call. `run_end` keeps
+/// the end of the last scan: every point before it replays the same
+/// point, so a cursor short of it needs no rescan, and finding runs
+/// costs O(points) per trace.
+fn replay_run(points: &[TracePoint], i: usize, run_end: &mut usize) -> usize {
+    if i >= *run_end {
+        let p = &points[i - 1];
+        *run_end = i + points[i..]
+            .iter()
+            .take_while(|q| {
+                q.load_w.to_bits() == p.load_w.to_bits()
+                    && q.external_w == 0.0
+                    && q.dur_s.to_bits() == p.dur_s.to_bits()
+            })
+            .count();
     }
-}
-
-/// Options for a linked (lossy-transport) simulation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkedSimOptions {
-    /// The underlying simulation options.
-    pub sim: SimOptions,
-    /// Period of the status heartbeat (`QueryBatteryStatus`) the driver
-    /// sends over the link — the responses feed the runtime's watchdog and
-    /// stuck-gauge detector, seconds.
-    pub status_period_s: f64,
-}
-
-impl Default for LinkedSimOptions {
-    fn default() -> Self {
-        Self {
-            sim: SimOptions::default(),
-            status_period_s: 30.0,
-        }
-    }
-}
-
-/// As [`run_trace`], but driving the pack through the lossy [`Link`]
-/// instead of touching the firmware directly: commands can be dropped,
-/// delayed, or duplicated, responses arrive asynchronously and are fed
-/// back into the runtime's graceful-degradation layer
-/// ([`SdbRuntime::observe_responses`] / [`SdbRuntime::supervise`]).
-#[must_use]
-pub fn run_trace_linked(
-    link: &mut Link,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &LinkedSimOptions,
-) -> SimResult {
-    run_trace_linked_with(link, runtime, trace, opts, |_, _| {}, |_, _, _| {})
-}
-
-/// As [`run_trace_linked`], with two hooks: `pre_step` runs before each
-/// point (fault-plan application gets mutable link access), `on_step`
-/// after it with ground-truth link access (telemetry capture, invariant
-/// checking over the step report).
-pub fn run_trace_linked_with<P, F>(
-    link: &mut Link,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &LinkedSimOptions,
-    pre_step: P,
-    on_step: F,
-) -> SimResult
-where
-    P: FnMut(f64, &mut Link),
-    F: FnMut(f64, &Link, &sdb_emulator::micro::StepReport),
-{
-    run_trace_linked_inner(link, runtime, trace, opts, None, pre_step, on_step)
-}
-
-/// As [`run_trace_linked_with`], with a [`LookaheadPolicy`] in the loop —
-/// the linked counterpart of [`run_trace_planned`], so planner-steered
-/// runtimes can be exercised under lossy transport and fault injection
-/// (planner-aware chaos). Before every point the policy may commit a plan
-/// (committed host-side via [`SdbRuntime::commit_plan`]; the resulting
-/// directive still travels over the lossy link like any other push), and
-/// after every step the realized load is fed back through
-/// [`LookaheadPolicy::observe_step`]. With `policy == None` semantics this
-/// driver is [`run_trace_linked_with`]: the no-policy instruction sequence
-/// is preserved bit-for-bit.
-pub fn run_trace_linked_planned_with<P, F>(
-    link: &mut Link,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &LinkedSimOptions,
-    policy: &mut dyn LookaheadPolicy,
-    pre_step: P,
-    on_step: F,
-) -> SimResult
-where
-    P: FnMut(f64, &mut Link),
-    F: FnMut(f64, &Link, &sdb_emulator::micro::StepReport),
-{
-    run_trace_linked_inner(link, runtime, trace, opts, Some(policy), pre_step, on_step)
-}
-
-/// Shared linked-driver body. With `policy == None` this executes exactly
-/// the instruction sequence the pre-planner linked driver did (the policy
-/// input is a pure read of the micro, so hoisting its construction above
-/// the response drain does not change its value), preserving bit-identical
-/// results for every existing caller.
-fn run_trace_linked_inner<P, F>(
-    link: &mut Link,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &LinkedSimOptions,
-    mut policy: Option<&mut dyn LookaheadPolicy>,
-    mut pre_step: P,
-    mut on_step: F,
-) -> SimResult
-where
-    P: FnMut(f64, &mut Link),
-    F: FnMut(f64, &Link, &sdb_emulator::micro::StepReport),
-{
-    let n = link.micro().battery_count();
-    let start = link.micro().time_s();
-    let (d0, cl0, ch0, u0, e0) = link.micro().energy_totals_j();
-    let obs = runtime.observer().clone();
-
-    let mut first_brownout = None;
-    let mut battery_empty: Vec<Option<f64>> = vec![None; n];
-    let mut hourly_loss = Vec::new();
-    let mut hourly_load = Vec::new();
-    let mut elapsed = 0.0f64;
-    // Force a status heartbeat on the very first point.
-    let mut since_status_s = f64::INFINITY;
-
-    let mut input = PolicyInput::from_micro(link.micro());
-
-    let resampled = trace.resampled(opts.sim.max_dt_s);
-    'outer: for p in resampled.points() {
-        let _span = obs.span(sdb_observe::SpanName::TraceStep);
-        let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
-        pre_step(elapsed, link);
-        input.refill_from_micro(link.micro());
-        input.load_w = p.load_w;
-        input.external_w = p.external_w;
-        if let Some(policy) = policy.as_deref_mut() {
-            let _prof = sdb_prof::sub(sdb_prof::Phase::PolicyPlan);
-            if let Some(plan) = policy.plan(elapsed, link.micro(), &input) {
-                runtime.commit_plan(&plan);
-            }
-        }
-        {
-            // Link traffic: response drain, runtime tick + supervision
-            // over the lossy transport, and the status heartbeat.
-            let _prof = sdb_prof::sub(sdb_prof::Phase::LinkStep);
-            runtime.observe_responses(&link.take_responses());
-            runtime
-                .tick(link, &input, p.dur_s)
-                .expect("link send is local and infallible");
-            runtime
-                .supervise(link, p.dur_s)
-                .expect("link send is local and infallible");
-            since_status_s += p.dur_s;
-            if since_status_s >= opts.status_period_s {
-                since_status_s = 0.0;
-                link.send(Command::QueryBatteryStatus);
-                runtime.note_command_sent();
-            }
-        }
-        let report = link.step(p.load_w, p.external_w, p.dur_s);
-        if let Some(policy) = policy.as_deref_mut() {
-            policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
-        }
-
-        let loss_w = report.circuit_loss_w + report.cell_heat_w;
-        let mut t = elapsed;
-        let mut remaining = p.dur_s;
-        while remaining > 1e-9 {
-            let hour = (t / 3600.0) as usize;
-            let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-            if hourly_loss.len() <= hour {
-                hourly_loss.resize(hour + 1, 0.0);
-                hourly_load.resize(hour + 1, 0.0);
-            }
-            hourly_loss[hour] += loss_w * take;
-            hourly_load[hour] += report.load_w * take;
-            t += take;
-            remaining -= take;
-        }
-
-        elapsed += p.dur_s;
-        on_step(elapsed, &*link, &report);
-        for (i, cell) in link.micro().cells().iter().enumerate() {
-            if battery_empty[i].is_none() && cell.is_empty() {
-                battery_empty[i] = Some(elapsed);
-            }
-        }
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.sim.stop_on_brownout {
-                break 'outer;
-            }
-        }
-    }
-    runtime.observe_responses(&link.take_responses());
-
-    let (d1, cl1, ch1, u1, e1) = link.micro().energy_totals_j();
-    SimResult {
-        simulated_s: link.micro().time_s() - start,
-        supplied_j: d1 - d0,
-        unmet_j: u1 - u0,
-        circuit_loss_j: cl1 - cl0,
-        cell_heat_j: ch1 - ch0,
-        external_j: e1 - e0,
-        first_brownout_s: first_brownout,
-        battery_empty_s: battery_empty,
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: link.micro().cells().iter().map(|c| c.soc()).collect(),
-    }
+    *run_end - i
 }
 
 /// Charges the pack from `external_w` at idle until the pack's total
@@ -690,38 +667,99 @@ mod tests {
 
     #[test]
     fn prepared_matches_run_trace_bit_exactly() {
-        let trace = Trace::constant(6.0, 2.0 * 3600.0);
-        let opts = SimOptions {
-            stop_on_brownout: true,
-            ..SimOptions::default()
-        };
-        let mut m1 = pack(0.6);
-        let mut rt1 = SdbRuntime::new(2);
-        let full = run_trace(&mut m1, &mut rt1, &trace, &opts);
+        // Full bookkeeping and the rollout mode must agree bit for bit over
+        // varied traces: segment lengths off the `max_dt_s` grid, external
+        // power, and a closing overload that browns the pack out, with and
+        // without stopping there.
+        sdb_testkit::check(48, 0x5db_0b17, |g| {
+            let max_dt_s = g.pick(&[60.0, 45.0, 7.5]);
+            let mut trace = Trace::new();
+            for _ in 0..g.usize_range(1, 8) {
+                let load_w = g.pick(&[0.3, 2.0, 6.0, 12.0]);
+                let external_w = if g.chance(0.25) {
+                    g.f64_range(1.0, 15.0)
+                } else {
+                    0.0
+                };
+                let whole = g.usize_range(0, 20) as f64;
+                trace.push(
+                    load_w,
+                    external_w,
+                    whole * max_dt_s + g.f64_range(0.5, max_dt_s),
+                );
+            }
+            trace.push(40.0, 0.0, 2.0 * 3600.0);
+            let opts = SimOptions {
+                max_dt_s,
+                stop_on_brownout: g.chance(0.5),
+            };
+            let soc = g.f64_range(0.2, 0.9);
 
-        let mut m2 = pack(0.6);
-        let mut rt2 = SdbRuntime::new(2);
-        let resampled = trace.resampled(opts.max_dt_s);
-        let mut input = PolicyInput::from_micro(&m2);
-        let lean = run_trace_prepared(&mut m2, &mut rt2, resampled.points(), &opts, &mut input);
+            let mut m1 = pack(soc);
+            let mut rt1 = SdbRuntime::new(2);
+            let full = run_trace(&mut m1, &mut rt1, &trace, &opts);
+            assert!(
+                full.first_brownout_s.is_some(),
+                "the overload must brown out"
+            );
 
-        assert_eq!(full.simulated_s.to_bits(), lean.simulated_s.to_bits());
-        assert_eq!(full.supplied_j.to_bits(), lean.supplied_j.to_bits());
-        assert_eq!(full.unmet_j.to_bits(), lean.unmet_j.to_bits());
-        assert_eq!(full.circuit_loss_j.to_bits(), lean.circuit_loss_j.to_bits());
-        assert_eq!(full.cell_heat_j.to_bits(), lean.cell_heat_j.to_bits());
-        assert_eq!(full.first_brownout_s, lean.first_brownout_s);
-        // The packs themselves evolved identically.
-        assert_eq!(
-            m1.cells()
-                .iter()
-                .map(|c| c.soc().to_bits())
-                .collect::<Vec<_>>(),
-            m2.cells()
-                .iter()
-                .map(|c| c.soc().to_bits())
-                .collect::<Vec<_>>()
-        );
+            let mut m2 = pack(soc);
+            let mut rt2 = SdbRuntime::new(2);
+            let resampled = trace.resampled(opts.max_dt_s);
+            let mut input = PolicyInput::from_micro(&m2);
+            let hooks = Hooks {
+                input: Some(&mut input),
+                ..Hooks::default()
+            };
+            let lean: PreparedResult = drive(
+                &mut m2,
+                &mut rt2,
+                resampled.points(),
+                &opts,
+                hooks,
+                |_, _| {},
+                |_, _, _| {},
+            );
+
+            assert_eq!(full.simulated_s.to_bits(), lean.simulated_s.to_bits());
+            assert_eq!(full.supplied_j.to_bits(), lean.supplied_j.to_bits());
+            assert_eq!(full.unmet_j.to_bits(), lean.unmet_j.to_bits());
+            assert_eq!(full.circuit_loss_j.to_bits(), lean.circuit_loss_j.to_bits());
+            assert_eq!(full.cell_heat_j.to_bits(), lean.cell_heat_j.to_bits());
+            assert_eq!(full.external_j.to_bits(), lean.external_j.to_bits());
+            assert_eq!(full.first_brownout_s, lean.first_brownout_s);
+            // The packs themselves evolved identically.
+            let soc_bits = |m: &Microcontroller| {
+                m.cells()
+                    .iter()
+                    .map(|c| c.soc().to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(soc_bits(&m1), soc_bits(&m2));
+        });
+    }
+
+    /// `trace` over an ideal-or-lossy `link`, heartbeat every 30 s.
+    fn run_linked(
+        link: &mut Link,
+        rt: &mut SdbRuntime,
+        trace: &Trace,
+        policy: Option<&mut dyn LookaheadPolicy>,
+    ) -> SimResult {
+        let opts = SimOptions::default();
+        let points = trace.resampled(opts.max_dt_s);
+        drive(
+            &mut Linked::new(link, 30.0),
+            rt,
+            points.points(),
+            &opts,
+            Hooks {
+                policy,
+                ..Hooks::default()
+            },
+            |_, _| {},
+            |_, _, _| {},
+        )
     }
 
     #[test]
@@ -733,7 +771,7 @@ mod tests {
 
         let mut link = Link::ideal(pack(1.0));
         let mut rt2 = SdbRuntime::new(2);
-        let linked = run_trace_linked(&mut link, &mut rt2, &trace, &LinkedSimOptions::default());
+        let linked = run_linked(&mut link, &mut rt2, &trace, None);
         // A perfect zero-latency link is physically equivalent to driving
         // the firmware directly.
         assert!((direct.supplied_j - linked.supplied_j).abs() < 1e-9);
@@ -749,12 +787,7 @@ mod tests {
         link.set_fault_drop_per_mille(300);
         let mut rt = SdbRuntime::new(2);
         rt.enable_resilience(ResilienceConfig::default());
-        let result = run_trace_linked(
-            &mut link,
-            &mut rt,
-            &Trace::constant(4.0, 3600.0),
-            &LinkedSimOptions::default(),
-        );
+        let result = run_linked(&mut link, &mut rt, &Trace::constant(4.0, 3600.0), None);
         assert!((result.simulated_s - 3600.0).abs() < 1e-6);
         assert!(
             result.unmet_j < 1e-6,
@@ -766,7 +799,7 @@ mod tests {
 
     #[test]
     fn linked_planned_with_inert_policy_matches_plain_linked() {
-        use crate::lookahead::{LookaheadPolicy, PlanUpdate};
+        use crate::lookahead::PlanUpdate;
         struct Never;
         impl LookaheadPolicy for Never {
             fn plan(
@@ -782,23 +815,66 @@ mod tests {
         let trace = Trace::constant(4.0, 3600.0);
         let mut link = Link::ideal(pack(1.0));
         let mut rt = SdbRuntime::new(2);
-        let plain = run_trace_linked(&mut link, &mut rt, &trace, &LinkedSimOptions::default());
+        let plain = run_linked(&mut link, &mut rt, &trace, None);
 
         let mut link2 = Link::ideal(pack(1.0));
         let mut rt2 = SdbRuntime::new(2);
-        let mut policy = Never;
-        let planned = run_trace_linked_planned_with(
-            &mut link2,
-            &mut rt2,
-            &trace,
-            &LinkedSimOptions::default(),
-            &mut policy,
-            |_, _| {},
-            |_, _, _| {},
-        );
+        let planned = run_linked(&mut link2, &mut rt2, &trace, Some(&mut Never));
         // A policy that never plans leaves the linked instruction sequence
         // untouched: bit-identical results.
         assert_eq!(plain, planned);
+    }
+
+    /// The reference run count: a fresh scan from every query.
+    fn rescan_run(points: &[TracePoint], i: usize) -> usize {
+        let p = &points[i - 1];
+        points[i..]
+            .iter()
+            .take_while(|q| {
+                q.load_w.to_bits() == p.load_w.to_bits()
+                    && q.external_w == 0.0
+                    && q.dur_s.to_bits() == p.dur_s.to_bits()
+            })
+            .count()
+    }
+
+    #[test]
+    fn replay_run_matches_a_fresh_rescan_at_every_query() {
+        sdb_testkit::check(512, 0x5db_f00d, |g| {
+            let max_dt_s = g.pick(&[60.0, 45.0, 7.5]);
+            // Few distinct loads, so adjacent segments often repeat one;
+            // durations off the `max_dt_s` grid leave remainder pieces.
+            let mut trace = Trace::new();
+            for _ in 0..g.usize_range(1, 10) {
+                let load_w = g.pick(&[0.05, 0.05, 0.3, 2.0]);
+                let external_w = if g.chance(0.2) { 5.0 } else { 0.0 };
+                let whole = g.usize_range(0, 120) as f64;
+                let dur_s = whole * max_dt_s + g.f64_range(0.5, max_dt_s);
+                trace.push(load_w, external_w, dur_s);
+            }
+            let resampled = trace.resampled(max_dt_s);
+            let points = resampled.points();
+            // Move the cursor as `drive` does: one sync tick, a
+            // query unless the point has external power, then a stretch
+            // the classifier may refuse or a lane may leave mid-run.
+            let mut run_end = 0;
+            let mut i = 0;
+            while i < points.len() {
+                i += 1;
+                if points[i - 1].external_w != 0.0 {
+                    continue;
+                }
+                let run = replay_run(points, i, &mut run_end);
+                assert_eq!(run, rescan_run(points, i), "query at {i}");
+                if run >= MIN_STRETCH_POINTS && g.chance(0.8) {
+                    i += if g.chance(0.5) {
+                        run
+                    } else {
+                        g.usize_range(0, run)
+                    };
+                }
+            }
+        });
     }
 
     #[test]

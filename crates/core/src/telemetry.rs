@@ -4,8 +4,8 @@
 //! power-draw measurements" (Section 4.3); this module is the equivalent
 //! instrumentation for the emulation: a [`Telemetry`] recorder captures
 //! per-step rows — power, losses, per-battery SoC — exportable as CSV for
-//! plotting. It plugs in two ways: as the observer callback for
-//! [`crate::scheduler::run_trace_observed`], or as an
+//! plotting. It plugs in two ways: as the `post_step` hook of
+//! [`crate::scheduler::drive`], or as an
 //! [`sdb_observe::EventSink`] on the event bus (it records the
 //! [`ObsEvent::StepSample`] events the microcontroller emits and ignores
 //! everything else).
@@ -66,8 +66,7 @@ impl Telemetry {
         std::sync::Arc::new(std::sync::Mutex::new(Self::with_interval(min_interval_s)))
     }
 
-    /// The observer callback to hand to
-    /// [`crate::scheduler::run_trace_observed`].
+    /// The `post_step` hook to hand to [`crate::scheduler::drive`].
     pub fn observe(&mut self, t_s: f64, report: &StepReport) {
         if t_s - self.last_t_s < self.min_interval_s {
             return;
@@ -181,7 +180,7 @@ impl Default for Telemetry {
 mod tests {
     use super::*;
     use crate::runtime::SdbRuntime;
-    use crate::scheduler::{run_trace_observed, SimOptions};
+    use crate::scheduler::{drive, Hooks, SimOptions, SimResult};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
     use sdb_emulator::pack::PackBuilder;
@@ -202,12 +201,15 @@ mod tests {
             .build();
         let mut runtime = SdbRuntime::new(2);
         let mut telemetry = Telemetry::with_interval(interval_s);
-        let _ = run_trace_observed(
+        let points = Trace::constant(4.0, 1800.0).resampled(60.0);
+        let _: SimResult = drive(
             &mut micro,
             &mut runtime,
-            &Trace::constant(4.0, 1800.0),
+            points.points(),
             &SimOptions::default(),
-            |t, report| telemetry.observe(t, report),
+            Hooks::default(),
+            |_, _| {},
+            |t, _, report| telemetry.observe(t, report),
         );
         telemetry
     }

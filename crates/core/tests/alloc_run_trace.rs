@@ -1,18 +1,21 @@
-//! Proves `run_trace` allocates a fixed amount per run, not per step.
+//! Proves the trace driver allocates a fixed amount per run, not per
+//! step, in its direct mode and in its SoA fast-forward mode.
 //!
 //! The test binary installs [`sdb_testkit::CountingAllocator`] as the
 //! global allocator; its counters are thread-local, so parallel test
 //! threads measure independently. The same 24 h trace is run at two step
 //! sizes: a per-step allocation anywhere in the driver (policy input,
-//! runtime tick, micro step) would make the finer run allocate more.
+//! runtime tick, micro step, lane entry and exit) would make the finer
+//! run allocate more.
 
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{run_trace, SimOptions};
+use sdb_core::scheduler::{drive, run_trace, Hooks, SimOptions, SimResult};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
+use sdb_emulator::{QuiescenceConfig, SoaCohort};
 use sdb_testkit::alloc_counter;
 use sdb_testkit::CountingAllocator;
 use sdb_workloads::traces::Trace;
@@ -46,29 +49,59 @@ fn day() -> Trace {
     t
 }
 
-/// Heap allocations made by one `run_trace` over `trace` at `max_dt_s`
-/// (pack and runtime are built outside the count).
-fn allocs_of_run(trace: &Trace, max_dt_s: f64) -> u64 {
+/// A 24 h standby day: a phone idling at a constant trickle, which the
+/// SoA mode fast-forwards almost entirely.
+fn standby_day() -> Trace {
+    Trace::constant(0.05, 24.0 * 3600.0)
+}
+
+/// Heap allocations made by one run over `trace` at `max_dt_s`: through
+/// `run_trace`, or with `soa` through `drive` in its SoA fast-forward
+/// mode (pack, runtime and SoA cohort are built outside the count).
+fn allocs_of_run(trace: &Trace, max_dt_s: f64, soa: bool) -> u64 {
     let mut micro = pack();
     let mut runtime = SdbRuntime::new(2);
+    let mut cohort = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
     let opts = SimOptions {
         max_dt_s,
         ..SimOptions::default()
     };
     let before = alloc_counter::allocs();
-    let result = run_trace(&mut micro, &mut runtime, trace, &opts);
+    let result = if soa {
+        let points = trace.resampled(max_dt_s);
+        let hooks = Hooks {
+            soa: Some(&mut cohort),
+            ..Hooks::default()
+        };
+        let result: SimResult = drive(
+            &mut micro,
+            &mut runtime,
+            points.points(),
+            &opts,
+            hooks,
+            |_, _| {},
+            |_, _, _| {},
+        );
+        result
+    } else {
+        run_trace(&mut micro, &mut runtime, trace, &opts)
+    };
     let n = alloc_counter::allocs() - before;
     assert!((result.simulated_s - 24.0 * 3600.0).abs() < 1e-6);
     assert!(result.first_brownout_s.is_none());
+    assert_eq!(soa, cohort.ticks_advanced() > 0, "SoA mode fast-forwards");
     n
 }
 
 #[test]
 fn run_trace_allocations_do_not_grow_with_step_count() {
-    let trace = day();
-    // 1,440 and 5,760 steps over the same simulated day.
-    let coarse = allocs_of_run(&trace, 60.0);
-    let fine = allocs_of_run(&trace, 15.0);
-    assert_eq!(coarse, fine, "allocations grew with step count");
-    assert!(coarse <= 32, "run_trace made {coarse} allocations");
+    for soa in [false, true] {
+        for (name, trace) in [("busy", day()), ("standby", standby_day())] {
+            // 1,440 and 5,760 steps over the same simulated day.
+            let coarse = allocs_of_run(&trace, 60.0, soa);
+            let fine = allocs_of_run(&trace, 15.0, soa);
+            assert_eq!(coarse, fine, "{name} day, soa {soa}: allocations grew");
+            assert!(coarse <= 32, "{name} day, soa {soa}: {coarse} allocations");
+        }
+    }
 }

@@ -148,6 +148,7 @@ pub struct SoaCohort {
     g_disch_c: Vec<f64>,
     g_last_i: Vec<f64>,
     meta: Vec<LaneMeta>,
+    ticks_advanced: u64,
 }
 
 impl SoaCohort {
@@ -226,6 +227,7 @@ impl SoaCohort {
             g_disch_c: vec![0.0; ln],
             g_last_i: vec![0.0; ln],
             meta: (0..lanes).map(|_| LaneMeta::default()).collect(),
+            ticks_advanced: 0,
         }
     }
 
@@ -254,6 +256,13 @@ impl SoaCohort {
     #[must_use]
     pub fn lut_max_abs_error_v(&self) -> f64 {
         self.lut_err_v
+    }
+
+    /// Ticks [`SoaCohort::advance`] has fast-forwarded, over all lanes
+    /// and all devices since the cohort was built.
+    #[must_use]
+    pub fn ticks_advanced(&self) -> u64 {
+        self.ticks_advanced
     }
 
     /// Whether `lane` currently holds a parked device.
@@ -532,6 +541,7 @@ impl SoaCohort {
                 self.g_rest_s[idx] = 0.0;
             }
         }
+        self.ticks_advanced += u64::from(ticks);
         let meta = &mut self.meta[lane];
         meta.advanced = true;
         meta.stretch_ticks += ticks;

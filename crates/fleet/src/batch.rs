@@ -3,9 +3,9 @@
 //! The scalar engine ([`crate::engine`]) steps every device tick by tick.
 //! Fleet populations spend most of those ticks on devices that are doing
 //! nothing — a phone idling through the night at a fraction of a watt.
-//! This module drives such stretches through [`SoaCohort`]: after a real
-//! scalar tick establishes a sync point, the quiescence classifier parks
-//! the device's state in the cohort's structure-of-arrays lanes and the
+//! This module drives such stretches through [`SoaCohort`] (the `soa`
+//! hook of [`sdb_core::scheduler::drive`]): after a real scalar tick, the
+//! quiescence classifier parks the device in the cohort's lanes and the
 //! closed-form kernel fast-forwards whole runs of identical trace points
 //! in one call, re-syncing exactly at every boundary (load change,
 //! external power, drift budget, gauge recalibration crossing, SoC floor).
@@ -23,14 +23,13 @@
 
 use crate::engine::DeviceOutcome;
 use crate::spec::{CohortSpec, FleetSpec, PolicySpec};
-use sdb_core::policy::{DischargeDirective, PolicyInput, PreservePolicy};
+use sdb_core::policy::{DischargeDirective, PreservePolicy};
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{SimOptions, SimResult};
+use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
-use sdb_observe::{Observer, SpanName};
-use sdb_workloads::traces::{Trace, TracePoint};
+use sdb_observe::Observer;
 
 /// Which per-device driver the fleet engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,10 +66,6 @@ impl EngineKind {
         }
     }
 }
-
-/// Minimum run of identical upcoming trace points worth the
-/// snapshot-in/snapshot-out cost of parking a lane.
-const MIN_STRETCH_POINTS: usize = 4;
 
 /// One shard's lazily-built SoA lanes, one slot per cohort. Lanes are
 /// reused across the shard's devices, so array and snapshot buffers are
@@ -155,218 +150,43 @@ pub(crate) fn run_device_soa(
     let soa = scratch
         .lane(cohort_idx, cohort)
         .expect("slot was just Ready");
-    let (result, ff_ticks) = match cohort.policy {
-        PolicySpec::Blend(v) => {
-            runtime.set_discharge_directive(DischargeDirective::new(v));
-            run_trace_soa(&mut micro, &mut runtime, &trace, &spec.sim, soa)
-        }
+    match cohort.policy {
+        PolicySpec::Blend(v) => runtime.set_discharge_directive(DischargeDirective::new(v)),
         PolicySpec::Preserve {
             efficient,
             inefficient,
             threshold_w,
-        } => {
-            runtime.set_preserve(Some(PreservePolicy::new(
-                efficient,
-                inefficient,
-                threshold_w,
-            )));
-            run_trace_soa(&mut micro, &mut runtime, &trace, &spec.sim, soa)
-        }
+        } => runtime.set_preserve(Some(PreservePolicy::new(
+            efficient,
+            inefficient,
+            threshold_w,
+        ))),
         PolicySpec::Planned { .. } | PolicySpec::Oracle => {
             unreachable!("planner cohorts have no SoA lane")
         }
+    }
+    let ff_before = soa.ticks_advanced();
+    let points = trace.resampled(spec.sim.max_dt_s);
+    let hooks = Hooks {
+        soa: Some(&mut *soa),
+        ..Hooks::default()
     };
+    let result = drive(
+        &mut micro,
+        &mut runtime,
+        points.points(),
+        &spec.sim,
+        hooks,
+        |_, _| {},
+        |_, _, _| {},
+    );
+    let ff_ticks = soa.ticks_advanced() - ff_before;
     if ff_ticks > 0 {
         if let Some(reg) = obs.registry() {
             reg.counter("sdb_fleet_ff_ticks_total", &[]).add(ff_ticks);
         }
     }
     crate::engine::outcome_from(&micro, device, cohort_idx, &result)
-}
-
-/// The hybrid trace driver: scalar sync ticks interleaved with SoA
-/// fast-forward over runs of identical quiescent trace points. Returns
-/// the run result and the number of fast-forwarded ticks.
-///
-/// The scalar ticks execute the exact `tick → step` instruction sequence
-/// of [`sdb_core::scheduler::run_trace`]; only the fast-forwarded
-/// stretches deviate, within the documented kernel bound. Skipped work
-/// stays accounted: the pack's step counter and the runtime's policy-eval
-/// clock are credited for every fast-forwarded tick
-/// ([`Microcontroller::credit_skipped_steps`] /
-/// [`SdbRuntime::note_fast_forward`]).
-///
-/// # Panics
-///
-/// Panics if the emulated hardware rejects a runtime push (fatal in
-/// simulation, as in `run_trace`).
-pub fn run_trace_soa(
-    micro: &mut Microcontroller,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-    soa: &mut SoaCohort,
-) -> (SimResult, u64) {
-    let n = micro.battery_count();
-    let start = micro.time_s();
-    let (d0, cl0, ch0, u0, e0) = micro.energy_totals_j();
-    let obs = runtime.observer().clone();
-
-    let mut first_brownout = None;
-    let mut battery_empty: Vec<Option<f64>> = vec![None; n];
-    let mut hourly_loss = Vec::new();
-    let mut hourly_load = Vec::new();
-    let mut elapsed = 0.0f64;
-    let mut ff_ticks = 0u64;
-
-    let mut input = PolicyInput::from_micro(micro);
-
-    let resampled = trace.resampled(opts.max_dt_s);
-    let points = resampled.points();
-    let mut i = 0usize;
-    let mut run_end = 0usize;
-    'outer: while i < points.len() {
-        let p = &points[i];
-        // Scalar sync tick: the same instruction sequence as `run_trace`.
-        let report = {
-            let _span = obs.span(SpanName::TraceStep);
-            let _prof = sdb_prof::step(sdb_prof::Phase::SoaStep);
-            input.refill_from_micro(micro);
-            input.load_w = p.load_w;
-            input.external_w = p.external_w;
-            {
-                let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
-                runtime
-                    .tick(micro, &input, p.dur_s)
-                    .expect("runtime push rejected by emulated hardware");
-            }
-            micro.step(p.load_w, p.external_w, p.dur_s)
-        };
-        bucket(
-            &mut hourly_loss,
-            &mut hourly_load,
-            elapsed,
-            p.dur_s,
-            report.circuit_loss_w + report.cell_heat_w,
-            report.load_w,
-        );
-        elapsed += p.dur_s;
-        for (ci, cell) in micro.cells().iter().enumerate() {
-            if battery_empty[ci].is_none() && cell.is_empty() {
-                battery_empty[ci] = Some(elapsed);
-            }
-        }
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.stop_on_brownout {
-                break 'outer;
-            }
-        }
-        i += 1;
-
-        // Fast-forward: how many upcoming points replay this one exactly?
-        if p.external_w != 0.0 {
-            continue;
-        }
-        let run = replay_run(points, i, &mut run_end);
-        if run < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, &report, p.load_w, p.dur_s) {
-            continue;
-        }
-        let mut remaining = u32::try_from(run).unwrap_or(u32::MAX);
-        let mut skipped = 0u64;
-        while remaining > 0 {
-            let k = soa.max_ticks(0, p.load_w, p.dur_s).min(remaining);
-            if k == 0 {
-                break;
-            }
-            let totals = {
-                let _prof = sdb_prof::step(sdb_prof::Phase::FastForward);
-                soa.advance(0, p.load_w, p.dur_s, k)
-            };
-            let span_s = f64::from(k) * p.dur_s;
-            bucket(
-                &mut hourly_loss,
-                &mut hourly_load,
-                elapsed,
-                span_s,
-                (totals.circuit_loss_j + totals.cell_heat_j) / span_s,
-                p.load_w,
-            );
-            elapsed += span_s;
-            runtime.note_fast_forward(p.dur_s, u64::from(k));
-            skipped += u64::from(k);
-            remaining -= k;
-            i += k as usize;
-        }
-        soa.exit(0, micro);
-        if skipped > 0 {
-            micro.credit_skipped_steps(skipped);
-            ff_ticks += skipped;
-        }
-    }
-
-    let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
-    let result = SimResult {
-        simulated_s: micro.time_s() - start,
-        supplied_j: d1 - d0,
-        unmet_j: u1 - u0,
-        circuit_loss_j: cl1 - cl0,
-        cell_heat_j: ch1 - ch0,
-        external_j: e1 - e0,
-        first_brownout_s: first_brownout,
-        battery_empty_s: battery_empty,
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
-    };
-    (result, ff_ticks)
-}
-
-/// How many of `points[i..]` replay `points[i - 1]` exactly: same load
-/// and step bits, no external power. `points[i - 1]` must carry no
-/// external power, and `i` must grow from call to call. `run_end` keeps
-/// the end of the last scan: every point before it replays the same
-/// point, so a cursor short of it needs no rescan, and finding runs
-/// costs O(points) per trace.
-fn replay_run(points: &[TracePoint], i: usize, run_end: &mut usize) -> usize {
-    if i >= *run_end {
-        let p = &points[i - 1];
-        *run_end = i + points[i..]
-            .iter()
-            .take_while(|q| {
-                q.load_w.to_bits() == p.load_w.to_bits()
-                    && q.external_w == 0.0
-                    && q.dur_s.to_bits() == p.dur_s.to_bits()
-            })
-            .count();
-    }
-    *run_end - i
-}
-
-/// Apportions a constant-rate span across the hour buckets it straddles
-/// (identical arithmetic to the scalar driver's inline loop).
-fn bucket(
-    hourly_loss: &mut Vec<f64>,
-    hourly_load: &mut Vec<f64>,
-    start_s: f64,
-    dur_s: f64,
-    loss_w: f64,
-    load_w: f64,
-) {
-    let mut t = start_s;
-    let mut remaining = dur_s;
-    while remaining > 1e-9 {
-        let hour = (t / 3600.0) as usize;
-        let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-        if hourly_loss.len() <= hour {
-            hourly_loss.resize(hour + 1, 0.0);
-            hourly_load.resize(hour + 1, 0.0);
-        }
-        hourly_loss[hour] += loss_w * take;
-        hourly_load[hour] += load_w * take;
-        t += take;
-        remaining -= take;
-    }
 }
 
 #[cfg(test)]
@@ -376,8 +196,9 @@ mod tests {
     use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
-    use sdb_core::scheduler::run_trace;
+    use sdb_core::scheduler::{run_trace, SimOptions, SimResult};
     use sdb_emulator::profile::ProfileKind;
+    use sdb_workloads::traces::Trace;
     use std::sync::Arc;
 
     fn idle_spec(devices: usize) -> FleetSpec {
@@ -477,58 +298,6 @@ mod tests {
         assert_eq!(scalar.to_json(), soa.to_json());
     }
 
-    /// The reference run count: a fresh scan from every query.
-    fn rescan_run(points: &[TracePoint], i: usize) -> usize {
-        let p = &points[i - 1];
-        points[i..]
-            .iter()
-            .take_while(|q| {
-                q.load_w.to_bits() == p.load_w.to_bits()
-                    && q.external_w == 0.0
-                    && q.dur_s.to_bits() == p.dur_s.to_bits()
-            })
-            .count()
-    }
-
-    #[test]
-    fn replay_run_matches_a_fresh_rescan_at_every_query() {
-        sdb_testkit::check(512, 0x5db_f00d, |g| {
-            let max_dt_s = g.pick(&[60.0, 45.0, 7.5]);
-            // Few distinct loads, so adjacent segments often repeat one;
-            // durations off the `max_dt_s` grid leave remainder pieces.
-            let mut trace = Trace::new();
-            for _ in 0..g.usize_range(1, 10) {
-                let load_w = g.pick(&[0.05, 0.05, 0.3, 2.0]);
-                let external_w = if g.chance(0.2) { 5.0 } else { 0.0 };
-                let whole = g.usize_range(0, 120) as f64;
-                let dur_s = whole * max_dt_s + g.f64_range(0.5, max_dt_s);
-                trace.push(load_w, external_w, dur_s);
-            }
-            let resampled = trace.resampled(max_dt_s);
-            let points = resampled.points();
-            // Move the cursor as `run_trace_soa` does: one sync tick, a
-            // query unless the point has external power, then a stretch
-            // the classifier may refuse or a lane may leave mid-run.
-            let mut run_end = 0;
-            let mut i = 0;
-            while i < points.len() {
-                i += 1;
-                if points[i - 1].external_w != 0.0 {
-                    continue;
-                }
-                let run = replay_run(points, i, &mut run_end);
-                assert_eq!(run, rescan_run(points, i), "query at {i}");
-                if run >= MIN_STRETCH_POINTS && g.chance(0.8) {
-                    i += if g.chance(0.5) {
-                        run
-                    } else {
-                        g.usize_range(0, run)
-                    };
-                }
-            }
-        });
-    }
-
     #[test]
     fn hybrid_driver_matches_run_trace_on_busy_traces() {
         // A trace that never qualifies for quiescence (heavy load) takes
@@ -548,8 +317,25 @@ mod tests {
         rt2.set_discharge_directive(DischargeDirective::new(0.5));
         rt2.set_update_period(60.0);
         let mut soa = SoaCohort::new(&m2, 1, QuiescenceConfig::default());
-        let (hybrid, ff) = run_trace_soa(&mut m2, &mut rt2, &trace, &opts, &mut soa);
-        assert_eq!(ff, 0, "an 8 W load must never fast-forward");
+        let hooks = Hooks {
+            soa: Some(&mut soa),
+            ..Hooks::default()
+        };
+        let points = trace.resampled(opts.max_dt_s);
+        let hybrid: SimResult = drive(
+            &mut m2,
+            &mut rt2,
+            points.points(),
+            &opts,
+            hooks,
+            |_, _| {},
+            |_, _, _| {},
+        );
+        assert_eq!(
+            soa.ticks_advanced(),
+            0,
+            "an 8 W load must never fast-forward"
+        );
         assert_eq!(full, hybrid);
     }
 }

@@ -17,7 +17,7 @@ use crate::spec::{FleetSpec, PolicySpec};
 use sdb_core::metrics::{ccb, wear_ratios};
 use sdb_core::policy::{DischargeDirective, PreservePolicy};
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{run_trace, run_trace_planned};
+use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_observe::{DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
@@ -107,10 +107,10 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
     // modes need it (the oracle plans over it, and both planners only
     // make sense relative to a concrete workload).
     let trace = cohort.workload.build(seed);
-    let result = match cohort.policy {
+    let mut planner = match cohort.policy {
         PolicySpec::Blend(v) => {
             runtime.set_discharge_directive(DischargeDirective::new(v));
-            run_trace(&mut micro, &mut runtime, &trace, &spec.sim)
+            None
         }
         PolicySpec::Preserve {
             efficient,
@@ -122,7 +122,7 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
                 inefficient,
                 threshold_w,
             )));
-            run_trace(&mut micro, &mut runtime, &trace, &spec.sim)
+            None
         }
         PolicySpec::Planned {
             horizon_s,
@@ -142,8 +142,7 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
                 update_period_s: cohort.update_period_s,
                 ..PlannerConfig::default()
             };
-            let mut planner = Planner::new(cfg, Box::new(forecaster));
-            run_trace_planned(&mut micro, &mut runtime, &trace, &spec.sim, &mut planner)
+            Some(Planner::new(cfg, Box::new(forecaster)))
         }
         PolicySpec::Oracle => {
             let cfg = PlannerConfig {
@@ -151,10 +150,23 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
                 update_period_s: cohort.update_period_s,
                 ..PlannerConfig::default()
             };
-            let mut planner = Planner::oracle(cfg, Arc::clone(&trace));
-            run_trace_planned(&mut micro, &mut runtime, &trace, &spec.sim, &mut planner)
+            Some(Planner::oracle(cfg, Arc::clone(&trace)))
         }
     };
+    let points = trace.resampled(spec.sim.max_dt_s);
+    let hooks = Hooks {
+        policy: planner.as_mut().map(|p| p as _),
+        ..Hooks::default()
+    };
+    let result = drive(
+        &mut micro,
+        &mut runtime,
+        points.points(),
+        &spec.sim,
+        hooks,
+        |_, _| {},
+        |_, _, _| {},
+    );
 
     outcome_from(&micro, device, cohort_idx, &result)
 }
@@ -450,7 +462,7 @@ mod tests {
     use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
-    use sdb_core::scheduler::SimOptions;
+    use sdb_core::scheduler::{run_trace, SimOptions};
     use sdb_emulator::profile::ProfileKind;
     use sdb_workloads::traces::Trace;
     use std::sync::Arc;

@@ -50,7 +50,7 @@ pub mod report;
 pub mod sketches;
 pub mod spec;
 
-pub use batch::{run_trace_soa, EngineKind};
+pub use batch::EngineKind;
 pub use engine::{
     run_fleet, run_fleet_captured, run_fleet_captured_with_engine, run_fleet_live,
     run_fleet_with_engine, DeviceOutcome, FleetRunStats,

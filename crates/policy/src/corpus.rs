@@ -19,7 +19,7 @@ use sdb_battery_model::{library, BatterySpec, Chemistry};
 use sdb_core::metrics::ccb;
 use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{run_trace, run_trace_planned, SimOptions, SimResult};
+use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
 use sdb_emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb_workloads::behavior::UserArchetype;
 use sdb_workloads::traces::{phone_day, tablet_session, watch_day};
@@ -348,10 +348,10 @@ pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
     let trace = s.build_trace(seed);
     let mut runtime = SdbRuntime::new(micro.battery_count());
     let opts = SimOptions::default();
-    let (result, replans, mae): (SimResult, u64, f64) = match mode {
+    let mut planner = match mode {
         PolicyMode::Greedy => {
             runtime.set_discharge_directive(DischargeDirective::new(s.greedy_directive));
-            (run_trace(&mut micro, &mut runtime, &trace, &opts), 0, 0.0)
+            None
         }
         PolicyMode::Planned => {
             // Warm-start from "previous days": the same workload
@@ -362,19 +362,34 @@ pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
                 .map(|k| s.build_trace(seed.wrapping_add(k.wrapping_mul(WARMUP_SEED_SALT))))
                 .collect();
             let forecaster = HistoryForecaster::from_history(&history, 0.3);
-            let mut planner = Planner::new(corpus_planner_config(), Box::new(forecaster));
-            let res = run_trace_planned(&mut micro, &mut runtime, &trace, &opts, &mut planner);
-            (res, planner.replans(), planner.forecast_mae_w())
+            Some(Planner::new(corpus_planner_config(), Box::new(forecaster)))
         }
         PolicyMode::Oracle => {
             let cfg = PlannerConfig {
                 candidates: 17,
                 ..corpus_planner_config()
             };
-            let mut planner = Planner::oracle(cfg, Arc::new(trace.clone()));
-            let res = run_trace_planned(&mut micro, &mut runtime, &trace, &opts, &mut planner);
-            (res, planner.replans(), 0.0)
+            Some(Planner::oracle(cfg, Arc::new(trace.clone())))
         }
+    };
+    let points = trace.resampled(opts.max_dt_s);
+    let hooks = Hooks {
+        policy: planner.as_mut().map(|p| p as _),
+        ..Hooks::default()
+    };
+    let result: SimResult = drive(
+        &mut micro,
+        &mut runtime,
+        points.points(),
+        &opts,
+        hooks,
+        |_, _| {},
+        |_, _, _| {},
+    );
+    let replans = planner.as_ref().map_or(0, Planner::replans);
+    let mae = match (&planner, mode) {
+        (Some(p), PolicyMode::Planned) => p.forecast_mae_w(),
+        _ => 0.0,
     };
     let wear: Vec<f64> = micro.cells().iter().map(|c| c.wear_ratio()).collect();
     RunOutcome {

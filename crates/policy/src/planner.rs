@@ -22,7 +22,7 @@ use crate::forecast::{Forecaster, HistoryForecaster, OracleForecaster};
 use crate::tuner::{forecast_stats, tuned_directive};
 use sdb_core::policy::{DischargeDirective, PolicyInput};
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{run_trace_prepared, SimOptions};
+use sdb_core::scheduler::{drive, Hooks, PreparedResult, SimOptions};
 use sdb_core::{LookaheadPolicy, PlanUpdate};
 use sdb_emulator::{Microcontroller, PackSnapshot};
 use sdb_observe::Observer;
@@ -132,7 +132,7 @@ impl RolloutScratch {
 }
 
 /// The receding-horizon planner. Implements [`LookaheadPolicy`]; drive it
-/// with [`sdb_core::scheduler::run_trace_planned`].
+/// as the `policy` hook of [`sdb_core::scheduler::drive`].
 pub struct Planner {
     cfg: PlannerConfig,
     forecaster: Box<dyn Forecaster>,
@@ -234,15 +234,22 @@ impl Planner {
         // A fresh runtime evaluates on its first tick; restore that state
         // so the reused runtime behaves identically to a per-candidate one.
         s.runtime.force_policy_refresh();
-        let res = run_trace_prepared(
+        let opts = SimOptions {
+            max_dt_s: self.cfg.plan_dt_s,
+            stop_on_brownout: true,
+        };
+        let hooks = Hooks {
+            input: Some(&mut s.input),
+            ..Hooks::default()
+        };
+        let res: PreparedResult = drive(
             &mut s.micro,
             &mut s.runtime,
             points,
-            &SimOptions {
-                max_dt_s: self.cfg.plan_dt_s,
-                stop_on_brownout: true,
-            },
-            &mut s.input,
+            &opts,
+            hooks,
+            |_, _| {},
+            |_, _, _| {},
         );
         Score {
             life_s: res.battery_life_s(),
@@ -284,8 +291,8 @@ impl LookaheadPolicy for Planner {
         if !cands.iter().any(|c| (c - self.current_d).abs() < 1e-12) {
             cands.push(self.current_d);
         }
-        // One resample shared by every candidate (run_trace would redo it
-        // per rollout); scores are bit-identical to run_trace rollouts.
+        // One resample shared by every candidate; scores are bit-identical
+        // to `run_trace` rollouts.
         let resampled = forecast.resampled(self.cfg.plan_dt_s);
         let scores: Vec<Score> = cands
             .iter()
@@ -341,8 +348,31 @@ impl LookaheadPolicy for Planner {
 mod tests {
     use super::*;
     use sdb_battery_model::{BatterySpec, Chemistry};
-    use sdb_core::scheduler::run_trace_planned;
+    use sdb_core::scheduler::SimResult;
     use sdb_emulator::{Microcontroller, PackBuilder, ProfileKind};
+
+    fn run_planned(
+        micro: &mut Microcontroller,
+        rt: &mut SdbRuntime,
+        trace: &Trace,
+        planner: &mut Planner,
+    ) -> SimResult {
+        let opts = SimOptions::default();
+        let points = trace.resampled(opts.max_dt_s);
+        let hooks = Hooks {
+            policy: Some(planner),
+            ..Hooks::default()
+        };
+        drive(
+            micro,
+            rt,
+            points.points(),
+            &opts,
+            hooks,
+            |_, _| {},
+            |_, _, _| {},
+        )
+    }
 
     fn hybrid_pack(soc: f64) -> Microcontroller {
         PackBuilder::new()
@@ -369,13 +399,7 @@ mod tests {
             ..PlannerConfig::default()
         };
         let mut planner = Planner::oracle(cfg, Arc::new(trace.clone()));
-        let res = run_trace_planned(
-            &mut micro,
-            &mut rt,
-            &trace,
-            &SimOptions::default(),
-            &mut planner,
-        );
+        let res = run_planned(&mut micro, &mut rt, &trace, &mut planner);
         assert_eq!(
             planner.replans(),
             1,
@@ -394,13 +418,7 @@ mod tests {
             let mut rt = SdbRuntime::new(micro.battery_count());
             let mut planner =
                 Planner::history(PlannerConfig::default(), &UserArchetype::commuter(), 7, 99);
-            let res = run_trace_planned(
-                &mut micro,
-                &mut rt,
-                &trace,
-                &SimOptions::default(),
-                &mut planner,
-            );
+            let res = run_planned(&mut micro, &mut rt, &trace, &mut planner);
             (res, planner.current_directive(), planner.replans())
         };
         assert_eq!(run(), run());

@@ -4,7 +4,7 @@
 use sdb_battery_model::{BatterySpec, Chemistry};
 use sdb_core::policy::{BatteryView, DischargeDirective, PolicyInput};
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{run_trace, run_trace_planned, SimOptions};
+use sdb_core::scheduler::{drive, run_trace, Hooks, SimOptions, SimResult};
 use sdb_core::LookaheadPolicy;
 use sdb_emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb_observe::{ObsEvent, Observer, TraceCollector};
@@ -12,6 +12,30 @@ use sdb_policy::{corpus, HistoryForecaster, Planner, PlannerConfig};
 use sdb_testkit::{check, Gen};
 use sdb_workloads::Trace;
 use std::sync::Arc;
+
+/// `run_trace` with `planner` in the loop.
+fn run_planned(
+    micro: &mut Microcontroller,
+    rt: &mut SdbRuntime,
+    trace: &Trace,
+    planner: &mut Planner,
+) -> SimResult {
+    let opts = SimOptions::default();
+    let hooks = Hooks {
+        policy: Some(planner),
+        ..Hooks::default()
+    };
+    let points = trace.resampled(opts.max_dt_s);
+    drive(
+        micro,
+        rt,
+        points.points(),
+        &opts,
+        hooks,
+        |_, _| {},
+        |_, _, _| {},
+    )
+}
 
 fn hybrid_pack(soc: f64) -> Microcontroller {
     PackBuilder::new()
@@ -82,13 +106,7 @@ fn planner_directives_stay_within_valid_ratio_bounds() {
             ..PlannerConfig::default()
         };
         let mut planner = Planner::new(cfg, Box::new(HistoryForecaster::from_history([&day], 0.3)));
-        let _ = run_trace_planned(
-            &mut micro,
-            &mut rt,
-            &day,
-            &SimOptions::default(),
-            &mut planner,
-        );
+        let _ = run_planned(&mut micro, &mut rt, &day, &mut planner);
         let events = shared.lock().expect("collector lock").drain();
         let committed: Vec<f64> = events
             .iter()
@@ -212,13 +230,7 @@ fn single_shot_oracle_never_underperforms_greedy_on_corpus() {
                 ..PlannerConfig::default()
             };
             let mut planner = Planner::oracle(cfg, Arc::new(trace.clone()));
-            let oracle = run_trace_planned(
-                &mut micro,
-                &mut rt,
-                &trace,
-                &SimOptions::default(),
-                &mut planner,
-            );
+            let oracle = run_planned(&mut micro, &mut rt, &trace, &mut planner);
             assert_eq!(planner.replans(), 1, "{}: single-shot plans once", s.name);
             assert!(
                 oracle.battery_life_s() >= greedy.battery_life_s() - 1e-6,

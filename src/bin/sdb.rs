@@ -38,8 +38,7 @@
 use sdb::battery_model::{library, BatterySpec, Chemistry};
 use sdb::core::policy::{ChargeDirective, DischargeDirective, PreservePolicy};
 use sdb::core::runtime::SdbRuntime;
-use sdb::core::scheduler::run_trace_planned;
-use sdb::core::scheduler::{run_charge_session, run_trace, SimOptions};
+use sdb::core::scheduler::{drive, run_charge_session, run_trace, Hooks, SimOptions, SimResult};
 use sdb::emulator::{acpi, Microcontroller, PackBuilder, ProfileKind};
 use sdb::fleet;
 use sdb::observe::{MetricsRegistry, Observer, TraceCollector};
@@ -351,10 +350,20 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
                 None
             }
         };
-    let result = match planner.as_mut() {
-        Some(p) => run_trace_planned(&mut micro, &mut runtime, &trace, &SimOptions::default(), p),
-        None => run_trace(&mut micro, &mut runtime, &trace, &SimOptions::default()),
+    let opts = SimOptions::default();
+    let hooks = Hooks {
+        policy: planner.as_mut().map(|p| p as _),
+        ..Hooks::default()
     };
+    let result: SimResult = drive(
+        &mut micro,
+        &mut runtime,
+        trace.resampled(opts.max_dt_s).points(),
+        &opts,
+        hooks,
+        |_, _| {},
+        |_, _, _| {},
+    );
     if let (Some(collector), Some(path)) = (collector, flags.get("events-out")) {
         let events = collector.lock().expect("collector lock").drain();
         let jsonl = sdbtrace::to_jsonl(&events);

@@ -6,8 +6,7 @@ use sdb::battery_model::{BatterySpec, Chemistry};
 use sdb::chaos::{run_campaign, CampaignSpec, InvariantChecker};
 use sdb::core::policy::DischargeDirective;
 use sdb::core::runtime::{ResilienceConfig, SdbRuntime};
-use sdb::core::scheduler::LinkedSimOptions;
-use sdb::core::scheduler::{run_trace_linked, SimOptions};
+use sdb::core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb::emulator::link::{Command, Link};
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::observe::{FlightRecorder, Flow, ObsEvent, Observer};
@@ -90,13 +89,24 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
         watchdog_timeout_s: 180.0,
         ..ResilienceConfig::default()
     });
-    let opts = LinkedSimOptions {
-        sim: SimOptions::default(),
-        status_period_s: 30.0,
+    // Drives `secs` of an 8 W load over the link, status heartbeat every
+    // 30 s.
+    let run_linked = |link: &mut Link, runtime: &mut SdbRuntime, secs: f64| {
+        let opts = SimOptions::default();
+        let points = Trace::constant(8.0, secs).resampled(opts.max_dt_s);
+        let _: SimResult = drive(
+            &mut Linked::new(link, 30.0),
+            runtime,
+            points.points(),
+            &opts,
+            Hooks::default(),
+            |_, _| {},
+            |_, _, _| {},
+        );
     };
 
     // Phase A: healthy link — the RBL policy lands non-uniform ratios.
-    let _ = run_trace_linked(&mut link, &mut runtime, &Trace::constant(8.0, 900.0), &opts);
+    run_linked(&mut link, &mut runtime, 900.0);
     assert!(!runtime.watchdog_engaged());
     let healthy = link.micro().discharge_ratios().to_vec();
     assert!(
@@ -106,19 +116,14 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
 
     // Phase B: the link goes dark (every command dropped, both ways).
     link.set_fault_drop_per_mille(1000);
-    let _ = run_trace_linked(
-        &mut link,
-        &mut runtime,
-        &Trace::constant(8.0, 1200.0),
-        &opts,
-    );
+    run_linked(&mut link, &mut runtime, 1200.0);
     assert!(runtime.watchdog_engaged(), "silent link must trip watchdog");
 
     // Phase C: restore the link. The engaged watchdog's uniform fallback
     // is the first command to land; its ack recovers the runtime, which
     // then re-pushes the policy ratios.
     link.set_fault_drop_per_mille(0);
-    let _ = run_trace_linked(&mut link, &mut runtime, &Trace::constant(8.0, 900.0), &opts);
+    run_linked(&mut link, &mut runtime, 900.0);
     assert!(!runtime.watchdog_engaged(), "restored link must recover");
     let recovered = link.micro().discharge_ratios().to_vec();
     assert!(

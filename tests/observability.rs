@@ -259,12 +259,15 @@ fn telemetry_sink_matches_callback_capture() {
 
     // A: classic callback capture.
     let mut callback_tel = Telemetry::new();
-    let _ = sdb::core::scheduler::run_trace_observed(
+    let points = Trace::constant(4.0, 1800.0).resampled(60.0);
+    let _: sdb::core::scheduler::SimResult = sdb::core::scheduler::drive(
         &mut micro_a,
         &mut rt_a,
-        &Trace::constant(4.0, 1800.0),
+        points.points(),
         &SimOptions::default(),
-        |t, report| callback_tel.observe(t, report),
+        sdb::core::scheduler::Hooks::default(),
+        |_, _| {},
+        |t, _, report| callback_tel.observe(t, report),
     );
 
     // B: event-bus sink capture.
