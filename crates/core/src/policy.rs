@@ -260,7 +260,9 @@ const RBL_HORIZON_H: f64 = 0.25;
 /// RBL-Discharge: the loss-minimizing current split. Iteratively solves
 /// for currents `yi ∝ Vi / (Ri + δ'i·yi)` (effective-resistance balance),
 /// where `δ'i` converts the DCIR slope into ohms-per-amp over the planning
-/// horizon, then converts currents to power ratios.
+/// horizon, then converts currents to power ratios. The fixed point runs
+/// at most 12 passes and stops early once a pass leaves every weight
+/// bit-identical.
 ///
 /// # Errors
 ///
@@ -332,13 +334,21 @@ pub fn rbl_discharge_into(
                 0.0
             };
         }
+        let mut moved = false;
         for i in 0..n {
-            out[i] = if input.batteries[i].empty {
+            let new = if input.batteries[i].empty {
                 0.0
             } else {
                 let r_eff = input.batteries[i].resistance_ohm + delta[i] * currents[i];
                 input.batteries[i].ocv_v / r_eff.max(1e-6)
             };
+            moved |= new.to_bits() != out[i].to_bits();
+            out[i] = new;
+        }
+        // Each pass is a pure function of the previous iterate, so once a
+        // pass changes no weight bit for bit, every later pass repeats it.
+        if !moved {
+            break;
         }
     }
     // Cap at per-battery current limits, shifting the excess.
@@ -847,5 +857,182 @@ mod tests {
         let p = PreservePolicy::new(0, 5, 0.15);
         let inp = input(vec![view(0.9, 0.05, 0.0), view(0.9, 0.5, 0.0)], 0.05);
         assert!(matches!(p.ratios(&inp), Err(SdbError::BadIndex { .. })));
+    }
+
+    /// Reference RBL-Discharge solver: the fixed point always runs all 12
+    /// passes, followed by the same current-cap redistribution. Also
+    /// returns how many passes the early-exit solver needs on this input
+    /// (the first pass that moves no weight, or 12).
+    fn rbl_discharge_12_passes(input: &PolicyInput) -> (Result<Vec<f64>, SdbError>, usize) {
+        let n = input.batteries.len();
+        let mut needed = 12;
+        let total_i: f64 = {
+            let (usable, v_sum) = input
+                .batteries
+                .iter()
+                .filter(|b| !b.empty)
+                .fold((0usize, 0.0f64), |(k, s), b| (k + 1, s + b.ocv_v));
+            if usable == 0 {
+                return (Err(SdbError::Infeasible("all batteries empty")), needed);
+            }
+            let mean_v = v_sum / usable as f64;
+            (input.load_w / mean_v).max(0.0)
+        };
+        let delta: Vec<f64> = input
+            .batteries
+            .iter()
+            .map(|b| b.dcir_slope * RBL_HORIZON_H / b.capacity_ah.max(1e-9))
+            .collect();
+        let mut currents = vec![0.0; n];
+        let mut out: Vec<f64> = input
+            .batteries
+            .iter()
+            .map(|b| {
+                if b.empty {
+                    0.0
+                } else {
+                    b.ocv_v / b.resistance_ohm.max(1e-6)
+                }
+            })
+            .collect();
+        for pass in 1..=12 {
+            let sum: f64 = out.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+            if sum <= 0.0 {
+                return (Err(SdbError::Infeasible("all batteries empty")), needed);
+            }
+            for i in 0..n {
+                currents[i] = if out[i] > 0.0 {
+                    out[i] / sum * total_i
+                } else {
+                    0.0
+                };
+            }
+            let before = out.clone();
+            for i in 0..n {
+                out[i] = if input.batteries[i].empty {
+                    0.0
+                } else {
+                    let r_eff = input.batteries[i].resistance_ohm + delta[i] * currents[i];
+                    input.batteries[i].ocv_v / r_eff.max(1e-6)
+                };
+            }
+            let still = before
+                .iter()
+                .zip(&out)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            if still && needed == 12 {
+                needed = pass;
+            }
+        }
+        if !normalize_in_place(&mut out) {
+            return (Err(SdbError::Infeasible("all batteries empty")), needed);
+        }
+        let mut ratios = out;
+        if total_i > 0.0 {
+            for _ in 0..n {
+                let mut excess = 0.0;
+                let mut headroom_sum = 0.0;
+                for (i, b) in input.batteries.iter().enumerate() {
+                    let want = ratios[i] * total_i;
+                    if want > b.max_discharge_a {
+                        excess += want - b.max_discharge_a;
+                        ratios[i] = b.max_discharge_a / total_i;
+                    } else if !b.empty {
+                        headroom_sum += b.max_discharge_a - want;
+                    }
+                }
+                if excess <= 1e-12 || headroom_sum <= 1e-12 {
+                    break;
+                }
+                for (i, b) in input.batteries.iter().enumerate() {
+                    let have = ratios[i] * total_i;
+                    if !b.empty && have < b.max_discharge_a {
+                        let add = excess * (b.max_discharge_a - have) / headroom_sum;
+                        ratios[i] = (have + add) / total_i;
+                    }
+                }
+            }
+            let total_cap: f64 = input
+                .batteries
+                .iter()
+                .map(|b| if b.empty { 0.0 } else { b.max_discharge_a })
+                .sum();
+            if total_i > total_cap && total_cap > 0.0 {
+                for (r, b) in ratios.iter_mut().zip(&input.batteries) {
+                    *r = if b.empty {
+                        0.0
+                    } else {
+                        b.max_discharge_a / total_cap
+                    };
+                }
+            } else {
+                let sum: f64 = ratios.iter().sum();
+                if sum > 0.0 {
+                    ratios.iter_mut().for_each(|r| *r /= sum);
+                }
+            }
+        }
+        (Ok(ratios), needed)
+    }
+
+    /// Stopping the fixed point at a bit-exact fixed point changes no
+    /// output bit: ratios and errors match the 12-pass solver on random
+    /// packs, including clamped resistances, steep DCIR slopes that need
+    /// every pass, loads past the pack's current cap and empty cells.
+    #[test]
+    fn rbl_discharge_early_exit_matches_12_passes_bit_for_bit() {
+        let (mut out, mut delta, mut currents) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut early, mut full) = (0u32, 0u32);
+        sdb_testkit::check(2500, 0x5DB_0F1D, |g| {
+            let n = g.usize_range(1, 11);
+            let all_empty = g.chance(0.05);
+            let batteries: Vec<BatteryView> = (0..n)
+                .map(|_| {
+                    let empty = all_empty || g.chance(0.15);
+                    let soc = if empty { 0.0 } else { g.f64_range(0.01, 1.0) };
+                    BatteryView {
+                        soc,
+                        ocv_v: g.f64_range(2.8, 4.4),
+                        resistance_ohm: 10f64.powf(g.f64_range(-7.0, 0.0)),
+                        dcir_slope: g.pick(&[0.0, 0.1, 0.5, 5.0]) * g.f64_range(0.0, 1.0),
+                        wear: g.f64_range(0.0, 1.0),
+                        capacity_ah: g.f64_range(0.05, 5.0),
+                        max_discharge_a: g.f64_range(0.05, 10.0),
+                        charge_acceptance_a: 1.0,
+                        empty,
+                        full: soc >= 1.0,
+                    }
+                })
+                .collect();
+            let cap_w: f64 = batteries
+                .iter()
+                .filter(|b| !b.empty)
+                .map(|b| b.max_discharge_a * b.ocv_v)
+                .sum();
+            let load_w = if g.chance(0.1) {
+                0.0
+            } else {
+                g.f64_range(0.0, 1.6) * cap_w.max(1.0)
+            };
+            let inp = input(batteries, load_w);
+            let (want, needed) = rbl_discharge_12_passes(&inp);
+            let got = rbl_discharge_into(&inp, &mut out, &mut delta, &mut currents);
+            match (&want, got) {
+                (Ok(w), Ok(())) => {
+                    let wb: Vec<u64> = w.iter().map(|x| x.to_bits()).collect();
+                    let gb: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(gb, wb, "ratios differ on {inp:?}");
+                    if needed < 12 {
+                        early += 1;
+                    } else {
+                        full += 1;
+                    }
+                }
+                (Err(w), Err(e)) => assert_eq!(&e, w),
+                (w, g) => panic!("12-pass gave {w:?}, early exit gave {g:?} on {inp:?}"),
+            }
+        });
+        assert!(early > 0, "no case stopped early");
+        assert!(full > 0, "no case needed all 12 passes");
     }
 }

@@ -9,7 +9,7 @@
 use crate::api::SdbApi;
 use crate::error::SdbError;
 use crate::policy::{
-    ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch, PreservePolicy,
+    BatteryView, ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch, PreservePolicy,
 };
 use sdb_emulator::link::Response;
 use sdb_fuel_gauge::gauge::BatteryStatus;
@@ -76,6 +76,8 @@ struct ResilienceState {
     stuck_counts: Vec<u32>,
     /// Per-battery degraded flags.
     degraded: Vec<bool>,
+    /// The safe uniform split the watchdog pushes while engaged.
+    uniform: Vec<f64>,
 }
 
 impl ResilienceState {
@@ -91,6 +93,7 @@ impl ResilienceState {
             last_soc_bits: Vec::new(),
             stuck_counts: Vec::new(),
             degraded: Vec::new(),
+            uniform: Vec::new(),
         }
     }
 }
@@ -281,6 +284,7 @@ impl SdbRuntime {
         st.last_soc_bits = vec![None; self.n];
         st.stuck_counts = vec![0; self.n];
         st.degraded = vec![false; self.n];
+        st.uniform = vec![1.0 / self.n as f64; self.n];
         self.resilience = Some(st);
     }
 
@@ -408,9 +412,8 @@ impl SdbRuntime {
             res.since_fallback_s += dt_s;
             if res.since_fallback_s >= res.cfg.ack_timeout_s {
                 res.since_fallback_s = 0.0;
-                let uniform = vec![1.0 / self.n as f64; self.n];
-                api.discharge(&uniform)?;
-                api.charge(&uniform)?;
+                api.discharge(&res.uniform)?;
+                api.charge(&res.uniform)?;
                 res.outstanding += 2;
             }
             return Ok(());
@@ -432,15 +435,12 @@ impl SdbRuntime {
                 res.since_send_s = 0.0;
                 let attempt = res.retries;
                 observer.emit(ObsEvent::CommandRetry { attempt, backoff_s });
-                let last_discharge = self.last_discharge.clone();
-                let last_charge = self.last_charge.clone();
-                let res = self.resilience.as_mut().expect("still enabled");
-                if !last_discharge.is_empty() {
-                    api.discharge(&last_discharge)?;
+                if !self.last_discharge.is_empty() {
+                    api.discharge(&self.last_discharge)?;
                     res.outstanding += 1;
                 }
-                if !last_charge.is_empty() {
-                    api.charge(&last_charge)?;
+                if !self.last_charge.is_empty() {
+                    api.charge(&self.last_charge)?;
                     res.outstanding += 1;
                 }
             }
@@ -501,8 +501,7 @@ impl SdbRuntime {
         };
         if discharge_ok {
             if let Some(g) = widen {
-                let usable: Vec<bool> = input.batteries.iter().map(|b| !b.empty).collect();
-                widen_toward_uniform(self.scratch.ratios_mut(), &usable, g);
+                widen_toward_uniform(self.scratch.ratios_mut(), &input.batteries, |b| !b.empty, g);
             }
             if materially_different(self.scratch.ratios(), &self.last_discharge) {
                 api.discharge(self.scratch.ratios())?;
@@ -526,12 +525,8 @@ impl SdbRuntime {
             .is_ok()
         {
             if let Some(g) = widen {
-                let usable: Vec<bool> = input
-                    .batteries
-                    .iter()
-                    .map(|b| !b.full && b.charge_acceptance_a > 0.0)
-                    .collect();
-                widen_toward_uniform(self.scratch.ratios_mut(), &usable, g);
+                let usable = |b: &BatteryView| !b.full && b.charge_acceptance_a > 0.0;
+                widen_toward_uniform(self.scratch.ratios_mut(), &input.batteries, usable, g);
             }
             if materially_different(self.scratch.ratios(), &self.last_charge) {
                 api.charge(self.scratch.ratios())?;
@@ -589,19 +584,24 @@ impl SdbRuntime {
 
 /// Blends `ratios` toward the uniform split over `usable` batteries with
 /// weight `g`, renormalizing so the result still sums to 1.
-fn widen_toward_uniform(ratios: &mut [f64], usable: &[bool], g: f64) {
+fn widen_toward_uniform(
+    ratios: &mut [f64],
+    batteries: &[BatteryView],
+    usable: fn(&BatteryView) -> bool,
+    g: f64,
+) {
     let g = g.clamp(0.0, 1.0);
-    let n_usable = usable.iter().filter(|u| **u).count();
+    let n_usable = batteries.iter().filter(|b| usable(b)).count();
     let mut sum = 0.0;
     for (i, r) in ratios.iter_mut().enumerate() {
         let uniform = if n_usable > 0 {
-            if usable.get(i).copied().unwrap_or(false) {
+            if batteries.get(i).is_some_and(usable) {
                 1.0 / n_usable as f64
             } else {
                 0.0
             }
         } else {
-            1.0 / usable.len().max(1) as f64
+            1.0 / batteries.len().max(1) as f64
         };
         *r = (1.0 - g) * *r + g * uniform;
         sum += *r;
