@@ -18,6 +18,8 @@
 //!   checkpointing: a killed campaign resumes mid-matrix and produces the
 //!   identical final report ([`runner::CampaignOptions::stop_after`]
 //!   makes the interruption point deterministic for the property test).
+//!   A unit whose [`runner::driver`] ignores the engine is simulated once
+//!   and its record shared across the engine axis.
 //! * [`report`] — device → cell → matrix digest folding plus text/JSON/
 //!   HTML renders.
 //! * [`baseline`] — committed golden digests and the differential

@@ -1,9 +1,9 @@
 //! The sharded, resumable campaign runner.
 //!
 //! Work distribution follows the sdb-fleet engine: one atomic index over
-//! the pending `(cell, device)` unit list, scoped worker threads, shard-
-//! local accumulation, and a post-join sort by `(cell, device)` — so the
-//! outcome matrix is byte-identical for any thread count.
+//! the pending `(cell, device)` units to simulate, scoped worker threads,
+//! shard-local accumulation, and a post-join sort by `(cell, device)` —
+//! so the outcome matrix is byte-identical for any thread count.
 //!
 //! Resume: with a checkpoint path, completed units are appended to the
 //! log as they finish (each line round-trips the device's end-state
@@ -11,6 +11,14 @@
 //! new run under the same spec parses the log, skips completed units,
 //! and merges old and new records before folding — producing the same
 //! report a straight-through run would.
+//!
+//! Sharing: a unit whose [`driver`] is not [`Driver::Soa`] never reads
+//! its cell's engine, and its seeds derive from the engine-free seed key,
+//! so it ends exactly where the same device of its *source* ends — the
+//! first cell in matrix order with the same seed key and a non-SoA
+//! driver. Such a unit is simulated once, in its source cell; every
+//! other cell of the engine axis clones that record and only re-labels
+//! its `cell` index.
 
 use crate::checkpoint;
 use crate::report::{CampaignReport, DeviceRecord};
@@ -28,7 +36,7 @@ use sdb_fleet::EngineKind;
 use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
 use sdb_rng::derive_seed;
 use sdb_workloads::traces::Trace;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,9 +69,9 @@ pub struct CampaignOptions {
     pub threads: usize,
     /// Checkpoint log to append to (and resume from, if it exists).
     pub checkpoint: Option<PathBuf>,
-    /// Stop claiming new units after this many *newly completed* device
-    /// simulations — the deterministic kill switch the resume property
-    /// test interrupts at every boundary.
+    /// Stop after this many *newly completed* units (simulated or shared
+    /// from their source) — the deterministic kill switch the resume
+    /// property test interrupts at every boundary.
     pub stop_after: Option<usize>,
 }
 
@@ -118,6 +126,17 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
         .flat_map(|c| (0..spec.devices_per_cell as u64).map(move |d| (c.index, d)))
         .filter(|unit| !done_set.contains(unit))
         .collect();
+    let claim_budget = opts.stop_after.unwrap_or(usize::MAX);
+    let prefix = &pending[..pending.len().min(claim_budget)];
+    // Workers simulate the prefix units that are their own source; the
+    // rest share a record that is resumed or simulated in this run (a
+    // source precedes its copies in matrix order, so it is done or in the
+    // prefix too).
+    let source = sources(&cells)?;
+    let (shared, work): (Vec<_>, Vec<_>) = prefix
+        .iter()
+        .copied()
+        .partition(|&(cell, _)| source[cell].is_some());
 
     let writer: Option<Mutex<std::fs::File>> = match &opts.checkpoint {
         Some(path) => {
@@ -139,12 +158,11 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
         None => None,
     };
 
-    let claim_budget = opts.stop_after.unwrap_or(usize::MAX);
     let threads = opts.threads.max(1);
     let next = AtomicUsize::new(0);
     let writer = writer.as_ref();
     let cells_ref = &cells;
-    let pending_ref = &pending;
+    let work_ref = &work;
 
     let shards: Vec<Vec<DeviceRecord>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -152,13 +170,13 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
                 let next = &next;
                 s.spawn(move || -> Result<Vec<DeviceRecord>, String> {
                     sdb_prof::set_shard(shard as u16);
-                    let mut out = Vec::with_capacity(pending_ref.len() / threads + 1);
+                    let mut out = Vec::with_capacity(work_ref.len() / threads + 1);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= pending_ref.len().min(claim_budget) {
+                        if i >= work_ref.len() {
                             break;
                         }
-                        let (cell_idx, device) = pending_ref[i];
+                        let (cell_idx, device) = work_ref[i];
                         let cell = &cells_ref[cell_idx];
                         let prof_dev = if sdb_prof::enabled() {
                             sdb_prof::device_scope(sdb_prof::cohort_id(&cell.seed_key()))
@@ -167,13 +185,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
                         };
                         let rec = run_cell_device(spec, cell, device)?;
                         drop(prof_dev);
-                        if let Some(w) = writer {
-                            let line = checkpoint::record_line(&rec);
-                            let mut f = w.lock().expect("checkpoint writer lock");
-                            f.write_all(line.as_bytes())
-                                .and_then(|()| f.flush())
-                                .map_err(|e| format!("append checkpoint: {e}"))?;
-                        }
+                        append(writer, &rec)?;
                         out.push(rec);
                     }
                     Ok(out)
@@ -189,21 +201,36 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
             .collect::<Result<Vec<_>, String>>()
     })?;
 
-    let fresh: usize = shards.iter().map(Vec::len).sum();
+    // Resumed + simulated records, sorted by unit: the index the shared
+    // units look their source up in.
+    let mut records = done;
+    records.extend(shards.into_iter().flatten());
+    records.sort_by_key(|r| (r.cell, r.device));
+    let mut copies = Vec::with_capacity(shared.len());
+    for (cell, device) in shared {
+        let src = source[cell].expect("partitioned on a source");
+        let i = records
+            .binary_search_by_key(&(src, device), |r| (r.cell, r.device))
+            .expect("a source unit is resumed or simulated before its copies");
+        let mut rec = records[i].clone();
+        rec.cell = cell;
+        append(writer, &rec)?;
+        copies.push(rec);
+    }
+
     if claim_budget < pending.len() {
         drop(prof_run);
         if sdb_prof::enabled() {
             sdb_prof::flush_thread();
         }
         return Ok(CampaignRun::Interrupted {
-            completed: done.len() + fresh,
+            completed: records.len() + copies.len(),
             total,
         });
     }
 
-    // Deterministic merge: resumed + fresh records, re-sorted by unit.
-    let mut records = done;
-    records.extend(shards.into_iter().flatten());
+    // Deterministic merge: every record, re-sorted by unit.
+    records.extend(copies);
     records.sort_by_key(|r| (r.cell, r.device));
     debug_assert_eq!(records.len(), total);
     let report = CampaignReport::from_records(spec, &cells, records);
@@ -212,6 +239,94 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
         sdb_prof::flush_thread();
     }
     Ok(CampaignRun::Complete(Box::new(report)))
+}
+
+/// Appends `rec`'s checkpoint line, if the run keeps a checkpoint.
+fn append(writer: Option<&Mutex<std::fs::File>>, rec: &DeviceRecord) -> Result<(), String> {
+    if let Some(w) = writer {
+        let line = checkpoint::record_line(rec);
+        let mut f = w.lock().expect("checkpoint writer lock");
+        f.write_all(line.as_bytes())
+            .and_then(|()| f.flush())
+            .map_err(|e| format!("append checkpoint: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Each cell's *source*: the earlier cell whose records its units share,
+/// or `None` if its units are simulated (the first non-SoA cell of its
+/// seed key, and every SoA-driven cell). One pass over the cells, with
+/// the first non-SoA cell of each seed key kept in a map.
+///
+/// # Errors
+///
+/// Returns an axis-resolution error (impossible after spec validation).
+fn sources(cells: &[Cell]) -> Result<Vec<Option<usize>>, String> {
+    let mut first: HashMap<String, usize> = HashMap::new();
+    cells
+        .iter()
+        .map(|cell| {
+            if driver(cell, &cell_pack(cell)?) == Driver::Soa {
+                return Ok(None);
+            }
+            let src = *first.entry(cell.seed_key()).or_insert(cell.index);
+            Ok((src != cell.index).then_some(src))
+        })
+        .collect()
+}
+
+/// The driver that runs a campaign unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// Faulted cells, under either engine: the linked chaos driver
+    /// (fault plan, plan executor, per-step invariant checks, resilience
+    /// enabled).
+    Linked,
+    /// Fault-free greedy cells of the SoA engine on a non-thermal pack:
+    /// [`drive`] with the SoA fast-forward hook.
+    Soa,
+    /// Everything else, greedy and planner cells under either engine:
+    /// [`drive`] over the direct transport with per-step invariant checks.
+    Scalar,
+}
+
+/// Which driver runs `cell`'s units on `pack` (the unit's freshly built
+/// pack). Only [`Driver::Soa`] depends on the cell's engine: active faults
+/// disqualify fast-forward by construction, and the SoA fast path serves
+/// greedy policies only, as in the fleet engine. [`run_cell_device`]
+/// dispatches on this function and [`run_campaign`]'s share rule reads
+/// it, so the two cannot drift apart.
+#[must_use]
+pub fn driver(cell: &Cell, pack: &Microcontroller) -> Driver {
+    if spec::fault_intensity(&cell.fault).is_ok_and(|i| i > 0.0) {
+        Driver::Linked
+    } else if cell.policy == CellPolicy::Greedy
+        && cell.engine == EngineKind::Soa
+        && soa_eligible(pack)
+    {
+        Driver::Soa
+    } else {
+        Driver::Scalar
+    }
+}
+
+/// The pack every unit of `cell` starts from (what [`driver`] reads).
+///
+/// # Errors
+///
+/// Returns an axis-resolution error on an unknown scenario or chemistry.
+pub fn cell_pack(cell: &Cell) -> Result<Microcontroller, String> {
+    pack_of(cell, &spec::scenario(&cell.scenario)?)
+}
+
+/// [`cell_pack`] with the cell's scenario already resolved.
+fn pack_of(cell: &Cell, scenario: &spec::Scenario) -> Result<Microcontroller, String> {
+    let chems = spec::chemistry_pair(&cell.chemistry)?;
+    let mut builder = PackBuilder::new();
+    for slot in &scenario.pack.with_chemistries(&chems).batteries {
+        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
+    }
+    Ok(builder.build())
 }
 
 /// The cell's lookahead planner; `None` for the greedy policy.
@@ -247,14 +362,6 @@ fn make_planner(
             Some(Planner::oracle(cfg, std::sync::Arc::clone(trace)))
         }
     }
-}
-
-fn build_pack(template: &sdb_fleet::PackTemplate) -> Microcontroller {
-    let mut builder = PackBuilder::new();
-    for slot in &template.batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    builder.build()
 }
 
 /// Whether the pack qualifies for the SoA fast path (no thermal cells —
@@ -297,21 +404,12 @@ fn record_from(
 /// holds. Public so the minimizer (and repro tooling) can re-run exactly
 /// one unit.
 ///
-/// Driver dispatch:
-///
-/// * **Faulted cells** (`fault != none`) run the linked chaos driver —
-///   fault plan, plan executor, per-step invariant checks, resilience
-///   enabled — for *both* engines: active faults disqualify SoA
-///   fast-forward by construction, so the engines are digest-identical
-///   here and the matrix records that fact instead of pretending the
-///   axis doesn't exist.
-/// * **Fault-free greedy SoA cells** on a non-thermal pack take the SoA
-///   fast-forward path of [`drive`] (end-state invariant check; the
-///   fast-forward stretches have no step hook).
-/// * **Everything else**, greedy and planner cells alike, runs the scalar
-///   driver with per-step invariant checks; planner policies fall back to
-///   scalar under the SoA engine exactly as the fleet engine does, so
-///   those engine pairs are also digest-identical.
+/// The driver is [`driver`]'s: faulted cells run the linked chaos driver
+/// under both engines, so those engine pairs are digest-identical and the
+/// matrix records that fact instead of pretending the axis doesn't exist;
+/// fault-free greedy SoA cells take the SoA fast-forward path (end-state
+/// invariant check; fast-forward stretches have no step hook); the rest
+/// run the scalar driver with per-step invariant checks.
 ///
 /// # Errors
 ///
@@ -323,9 +421,7 @@ pub fn run_cell_device(
 ) -> Result<DeviceRecord, String> {
     let _prof = sdb_prof::scope(sdb_prof::Phase::CampaignCell);
     let scenario = spec::scenario(&cell.scenario)?;
-    let chems = spec::chemistry_pair(&cell.chemistry)?;
     let intensity = spec::fault_intensity(&cell.fault)?;
-    let template = scenario.pack.with_chemistries(&chems);
     let seed = spec_.device_seed(cell, device);
     let workload = WorkloadSpec::Truncated {
         inner: Box::new(scenario.workload.clone()),
@@ -334,7 +430,7 @@ pub fn run_cell_device(
     let trace = workload.build(seed);
     let sim = SimOptions::default();
 
-    let mut micro = build_pack(&template);
+    let mut micro = pack_of(cell, &scenario)?;
     let n = micro.battery_count();
     let mut runtime = SdbRuntime::new(n);
     runtime.set_update_period(scenario.update_period_s);
@@ -344,85 +440,79 @@ pub fn run_cell_device(
     }
     let points = trace.resampled(sim.max_dt_s);
 
-    if intensity > 0.0 {
-        // Linked chaos driver (both engines; see dispatch docs above).
-        let mut link = Link::ideal(micro);
-        link.seed_faults(derive_seed(seed, 1));
-        runtime.enable_resilience(ResilienceConfig::default());
-        let plan = FaultPlan::generate(derive_seed(seed, 2), trace.duration_s(), intensity, n);
-        let mut exec = PlanExecutor::new(plan);
-        let mut checker = InvariantChecker::for_micro(link.micro());
-        let hooks = Hooks {
-            policy: planner.as_mut().map(|p| p as _),
-            ..Hooks::default()
-        };
-        let result = drive(
-            &mut Linked::new(&mut link, STATUS_PERIOD_S),
-            &mut runtime,
-            points.points(),
-            &sim,
-            hooks,
-            |t, l| exec.apply(t, l.link),
-            |t, l, r| {
-                checker.check_step(t, r);
-                checker.check_micro(t, l.link.micro());
-            },
-        );
-        return Ok(record_from(
-            cell,
-            device,
-            &result,
-            link.micro(),
-            checker,
-            exec.injected(),
-            0,
-        ));
-    }
-
-    if planner.is_none() && cell.engine == EngineKind::Soa && soa_eligible(&micro) {
-        let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
-        let hooks = Hooks {
-            soa: Some(&mut soa),
-            ..Hooks::default()
-        };
-        let result: SimResult = drive(
-            &mut micro,
-            &mut runtime,
-            points.points(),
-            &sim,
-            hooks,
-            |_, _| {},
-            |_, _, _| {},
-        );
-        // Fast-forwarded stretches have no step hook; the invariant
-        // surface here is the end state.
-        let mut checker = InvariantChecker::for_micro(&micro);
-        checker.check_micro(result.simulated_s, &micro);
-        let ff_ticks = soa.ticks_advanced();
-        return Ok(record_from(
-            cell, device, &result, &micro, checker, 0, ff_ticks,
-        ));
-    }
-
-    // Planner cells run this scalar driver under either engine (the SoA
-    // fast path serves greedy policies only, as in the fleet engine), so
-    // their engine pairs are digest-identical.
-    let mut checker = InvariantChecker::for_micro(&micro);
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
         ..Hooks::default()
     };
-    let result: SimResult = drive(
-        &mut micro,
-        &mut runtime,
-        points.points(),
-        &sim,
-        hooks,
-        |_, _| {},
-        |t, _, r| checker.check_step(t, r),
-    );
-    checker.check_micro(result.simulated_s, &micro);
-    Ok(record_from(cell, device, &result, &micro, checker, 0, 0))
+    match driver(cell, &micro) {
+        Driver::Linked => {
+            let mut link = Link::ideal(micro);
+            link.seed_faults(derive_seed(seed, 1));
+            runtime.enable_resilience(ResilienceConfig::default());
+            let plan = FaultPlan::generate(derive_seed(seed, 2), trace.duration_s(), intensity, n);
+            let mut exec = PlanExecutor::new(plan);
+            let mut checker = InvariantChecker::for_micro(link.micro());
+            let result = drive(
+                &mut Linked::new(&mut link, STATUS_PERIOD_S),
+                &mut runtime,
+                points.points(),
+                &sim,
+                hooks,
+                |t, l| exec.apply(t, l.link),
+                |t, l, r| {
+                    checker.check_step(t, r);
+                    checker.check_micro(t, l.link.micro());
+                },
+            );
+            Ok(record_from(
+                cell,
+                device,
+                &result,
+                link.micro(),
+                checker,
+                exec.injected(),
+                0,
+            ))
+        }
+        Driver::Soa => {
+            let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
+            let hooks = Hooks {
+                soa: Some(&mut soa),
+                ..hooks
+            };
+            let result: SimResult = drive(
+                &mut micro,
+                &mut runtime,
+                points.points(),
+                &sim,
+                hooks,
+                |_, _| {},
+                |_, _, _| {},
+            );
+            // Fast-forwarded stretches have no step hook; the invariant
+            // surface here is the end state.
+            let mut checker = InvariantChecker::for_micro(&micro);
+            checker.check_micro(result.simulated_s, &micro);
+            let ff_ticks = soa.ticks_advanced();
+            Ok(record_from(
+                cell, device, &result, &micro, checker, 0, ff_ticks,
+            ))
+        }
+        Driver::Scalar => {
+            let mut checker = InvariantChecker::for_micro(&micro);
+            let result: SimResult = drive(
+                &mut micro,
+                &mut runtime,
+                points.points(),
+                &sim,
+                hooks,
+                |_, _| {},
+                |t, _, r| checker.check_step(t, r),
+            );
+            checker.check_micro(result.simulated_s, &micro);
+            Ok(record_from(cell, device, &result, &micro, checker, 0, 0))
+        }
+    }
 }
 
 #[cfg(test)]

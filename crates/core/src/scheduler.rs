@@ -12,7 +12,7 @@
 use crate::lookahead::LookaheadPolicy;
 use crate::policy::PolicyInput;
 use crate::runtime::SdbRuntime;
-use sdb_emulator::link::{Command, Link};
+use sdb_emulator::link::{Command, Link, Response};
 use sdb_emulator::micro::{Microcontroller, StepReport};
 use sdb_emulator::SoaCohort;
 use sdb_observe::SpanName;
@@ -240,6 +240,8 @@ pub struct Linked<'a> {
     pub link: &'a mut Link,
     status_period_s: f64,
     since_status_s: f64,
+    /// Responses drained this tick; reused so draining does not allocate.
+    responses: Vec<Response>,
 }
 
 impl<'a> Linked<'a> {
@@ -250,7 +252,15 @@ impl<'a> Linked<'a> {
             link,
             status_period_s,
             since_status_s: f64::INFINITY,
+            responses: Vec::new(),
         }
+    }
+
+    /// Drains the link's pending responses into the runtime.
+    fn deliver_responses(&mut self, runtime: &mut SdbRuntime) {
+        self.responses.clear();
+        self.link.drain_responses_into(&mut self.responses);
+        runtime.observe_responses(&self.responses);
     }
 }
 
@@ -265,7 +275,7 @@ impl Transport for Linked<'_> {
 
     fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64) {
         let _prof = sdb_prof::sub(Phase::LinkStep);
-        runtime.observe_responses(&self.link.take_responses());
+        self.deliver_responses(runtime);
         runtime
             .tick(self.link, input, dt_s)
             .expect("link send is local and infallible");
@@ -285,7 +295,7 @@ impl Transport for Linked<'_> {
     }
 
     fn finish(&mut self, runtime: &mut SdbRuntime) {
-        runtime.observe_responses(&self.link.take_responses());
+        self.deliver_responses(runtime);
     }
 }
 

@@ -303,6 +303,13 @@ impl Link {
         self.responses.drain(..).collect()
     }
 
+    /// Drains pending responses onto the end of `out`, in order. A caller
+    /// that clears and reuses one buffer drains without allocating once
+    /// the buffer has grown to its working size.
+    pub fn drain_responses_into(&mut self, out: &mut Vec<Response>) {
+        out.extend(self.responses.drain(..));
+    }
+
     /// Traffic statistics.
     #[must_use]
     pub fn stats(&self) -> LinkStats {
@@ -357,6 +364,20 @@ mod tests {
         assert!(link.cells()[1].is_full());
         assert!(link.cells()[0].soc() < 1.0);
         assert_eq!(link.take_responses(), vec![Response::Ack]);
+    }
+
+    #[test]
+    fn drain_into_appends_in_order_and_empties_the_queue() {
+        let mut link = Link::ideal(pack());
+        link.send(Command::Discharge(vec![0.5, 0.5]));
+        link.send(Command::Discharge(vec![0.9, 0.9]));
+        link.step(1.0, 0.0, 1.0);
+        let mut out = vec![Response::Ack];
+        link.drain_responses_into(&mut out);
+        assert_eq!(out.len(), 3);
+        assert!(matches!(out[2], Response::Nack(_)));
+        link.drain_responses_into(&mut out);
+        assert_eq!(out.len(), 3, "queue was emptied");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! `sdb campaign` CLI surface end to end (including executing the repro
 //! command the minimizer prints).
 
+use sdb::campaign::runner::{cell_pack, driver, Driver};
 use sdb::campaign::{
-    compare, minimize, run_campaign, Baseline, CampaignOptions, CampaignReport, CampaignRun,
-    CampaignSpec,
+    compare, minimize, run_campaign, run_cell_device, Baseline, CampaignOptions, CampaignReport,
+    CampaignRun, CampaignSpec, DeviceRecord,
 };
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -98,6 +99,95 @@ fn killed_campaign_resumes_to_a_byte_identical_report_at_every_boundary() {
         assert_eq!(resumed.render_text(), reference.render_text());
         assert_eq!(resumed.to_json(), reference.to_json());
     }
+}
+
+/// The 8-unit matrix whose faulted SoA cell shares its records: 4 cells
+/// (fault none/moderate × engine scalar/soa) × 2 devices. Cell 3
+/// (`moderate/greedy/soa`) runs the linked driver, so it copies cell 2.
+fn shared_spec() -> CampaignSpec {
+    CampaignSpec {
+        engines: vec!["scalar".to_owned(), "soa".to_owned()],
+        ..tiny_spec()
+    }
+}
+
+/// Interrupts a run after `k` fresh units, checkpointing to `ck`.
+fn interrupt(spec: &CampaignSpec, ck: &Path, k: usize) {
+    let _ = std::fs::remove_file(ck);
+    let run = run_campaign(
+        spec,
+        &CampaignOptions {
+            checkpoint: Some(ck.to_owned()),
+            stop_after: Some(k),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
+    match run {
+        CampaignRun::Interrupted { completed, .. } => assert_eq!(completed, k),
+        CampaignRun::Complete(_) => panic!("budget {k} must interrupt"),
+    }
+    // Shared units are checkpointed like simulated ones: one line each.
+    let log = std::fs::read_to_string(ck).unwrap();
+    assert_eq!(log.lines().filter(|l| l.starts_with("dev ")).count(), k);
+}
+
+fn resume(spec: &CampaignSpec, ck: &Path) -> CampaignReport {
+    complete(
+        run_campaign(
+            spec,
+            &CampaignOptions {
+                checkpoint: Some(ck.to_owned()),
+                threads: 3,
+                ..CampaignOptions::default()
+            },
+        )
+        .unwrap(),
+    )
+}
+
+#[test]
+fn shared_units_resume_to_a_byte_identical_report_at_every_boundary() {
+    let spec = shared_spec();
+    let reference = complete(run_campaign(&spec, &CampaignOptions::default()).unwrap());
+    let total = 8;
+    let cells = spec.cells().unwrap();
+    assert_eq!(cells.len() * spec.devices_per_cell, total);
+    let copier = &cells[3];
+    assert_eq!(copier.key(), "standby/co/moderate/greedy/soa");
+    assert_eq!(driver(copier, &cell_pack(copier).unwrap()), Driver::Linked);
+
+    let check = |resumed: &CampaignReport, what: &str| {
+        assert_eq!(resumed, &reference, "{what} diverged");
+        assert_eq!(resumed.render_text(), reference.render_text(), "{what}");
+        assert_eq!(resumed.to_json(), reference.to_json(), "{what}");
+    };
+    for k in 0..total {
+        let ck = scratch(&format!("shared-resume-{k}")).join("checkpoint.log");
+        interrupt(&spec, &ck, k);
+        check(&resume(&spec, &ck), &format!("resume after {k} units"));
+    }
+
+    // A checkpoint holding only the source cell's units: the copies take
+    // their records from the resumed log while the cells before the
+    // source re-run.
+    let ck = scratch("shared-resume-sources").join("checkpoint.log");
+    interrupt(&spec, &ck, total - 1);
+    let log = std::fs::read_to_string(&ck).unwrap();
+    let sources_only: String = log
+        .lines()
+        .filter(|l| !l.starts_with("dev ") || l.starts_with("dev 2 "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        sources_only
+            .lines()
+            .filter(|l| l.starts_with("dev "))
+            .count(),
+        spec.devices_per_cell
+    );
+    std::fs::write(&ck, sources_only).unwrap();
+    check(&resume(&spec, &ck), "resume from source units only");
 }
 
 #[test]
@@ -233,6 +323,63 @@ fn cross_engine_pairs_agree_within_the_soa_bounds() {
         "no cell fast-forwarded:\n{}",
         report.render_text()
     );
+}
+
+#[test]
+fn engine_pairs_share_a_record_exactly_when_the_driver_is_not_soa() {
+    // The share rule's soundness at the unit level: run both cells of
+    // every engine pair directly, without the runner's sharing. No
+    // scenario builds a thermal pack, so `Soa` is decided by fault,
+    // policy and engine alone here.
+    let spec = CampaignSpec {
+        scenarios: vec!["standby".to_owned()],
+        chemistries: vec!["co".to_owned()],
+        faults: vec!["none".to_owned(), "moderate".to_owned()],
+        policies: vec![
+            "greedy".to_owned(),
+            "planned".to_owned(),
+            "oracle".to_owned(),
+        ],
+        engines: vec!["scalar".to_owned(), "soa".to_owned()],
+        master_seed: 0x5_4A2E,
+        hours: 0.5,
+        devices_per_cell: 1,
+    };
+    let cells = spec.cells().unwrap();
+    let report = complete(run_campaign(&spec, &CampaignOptions::default()).unwrap());
+
+    let mut soa_pairs = 0;
+    for pair in cells.chunks_exact(2) {
+        let (scalar, soa) = (&pair[0], &pair[1]);
+        assert_eq!(scalar.seed_key(), soa.seed_key());
+        let shares = driver(soa, &cell_pack(soa).unwrap()) != Driver::Soa;
+        assert_ne!(driver(scalar, &cell_pack(scalar).unwrap()), Driver::Soa);
+        let a = run_cell_device(&spec, scalar, 0).unwrap();
+        let b = run_cell_device(&spec, soa, 0).unwrap();
+        assert_eq!((a.cell, b.cell), (scalar.index, soa.index));
+        let relabelled = DeviceRecord {
+            cell: soa.index,
+            ..a.clone()
+        };
+        assert_eq!(relabelled == b, shares, "pair {}", soa.key());
+        if !shares {
+            soa_pairs += 1;
+            assert!(
+                b.ff_ticks > 0,
+                "{}: SoA unit fast-forwarded nothing",
+                soa.key()
+            );
+        }
+        // The record the runner handed the SoA cell is a fresh run's.
+        assert_eq!(report.cells[soa.index].devices, vec![b], "{}", soa.key());
+        assert_eq!(
+            report.cells[scalar.index].devices,
+            vec![a],
+            "{}",
+            scalar.key()
+        );
+    }
+    assert_eq!(soa_pairs, 1, "only none/greedy runs the SoA driver");
 }
 
 #[test]
