@@ -19,7 +19,9 @@
 //!   identical final report ([`runner::CampaignOptions::stop_after`]
 //!   makes the interruption point deterministic for the property test).
 //!   A unit whose [`runner::driver`] ignores the engine is simulated once
-//!   and its record shared across the engine axis.
+//!   and its record shared across the engine axis; a unit that ignores
+//!   its device seed as well shares device 0's record
+//!   ([`runner::Sources`]).
 //! * [`report`] — device → cell → matrix digest folding plus text/JSON/
 //!   HTML renders.
 //! * [`baseline`] — committed golden digests and the differential

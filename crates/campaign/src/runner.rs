@@ -12,13 +12,15 @@
 //! and merges old and new records before folding — producing the same
 //! report a straight-through run would.
 //!
-//! Sharing: a unit whose [`driver`] is not [`Driver::Soa`] never reads
-//! its cell's engine, and its seeds derive from the engine-free seed key,
-//! so it ends exactly where the same device of its *source* ends — the
-//! first cell in matrix order with the same seed key and a non-SoA
-//! driver. Such a unit is simulated once, in its source cell; every
-//! other cell of the engine axis clones that record and only re-labels
-//! its `cell` index.
+//! Sharing: some units end exactly where an earlier unit ends, so they
+//! clone its record and re-label it ([`Sources::unit_source`]). A unit
+//! whose [`driver`] is not [`Driver::Soa`] never reads its cell's engine,
+//! and its seeds derive from the engine-free seed key, so it shares the
+//! same device of its cell's engine-blind source — the first cell in
+//! matrix order with the same seed key and a non-SoA driver. A unit of a
+//! *seed-blind* cell (no fault plan, and a workload that ignores its
+//! seed) never reads its device seed, so every device of the cell shares
+//! device 0 of that source.
 
 use crate::checkpoint;
 use crate::report::{CampaignReport, DeviceRecord};
@@ -132,11 +134,11 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
     // rest share a record that is resumed or simulated in this run (a
     // source precedes its copies in matrix order, so it is done or in the
     // prefix too).
-    let source = sources(&cells)?;
+    let sources = Sources::new(&cells)?;
     let (shared, work): (Vec<_>, Vec<_>) = prefix
         .iter()
         .copied()
-        .partition(|&(cell, _)| source[cell].is_some());
+        .partition(|&(cell, device)| sources.unit_source(cell, device).is_some());
 
     let writer: Option<Mutex<std::fs::File>> = match &opts.checkpoint {
         Some(path) => {
@@ -208,12 +210,15 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
     records.sort_by_key(|r| (r.cell, r.device));
     let mut copies = Vec::with_capacity(shared.len());
     for (cell, device) in shared {
-        let src = source[cell].expect("partitioned on a source");
+        let src = sources
+            .unit_source(cell, device)
+            .expect("partitioned on a source");
         let i = records
-            .binary_search_by_key(&(src, device), |r| (r.cell, r.device))
+            .binary_search_by_key(&src, |r| (r.cell, r.device))
             .expect("a source unit is resumed or simulated before its copies");
         let mut rec = records[i].clone();
         rec.cell = cell;
+        rec.device = device;
         append(writer, &rec)?;
         copies.push(rec);
     }
@@ -253,26 +258,70 @@ fn append(writer: Option<&Mutex<std::fs::File>>, rec: &DeviceRecord) -> Result<(
     Ok(())
 }
 
-/// Each cell's *source*: the earlier cell whose records its units share,
-/// or `None` if its units are simulated (the first non-SoA cell of its
-/// seed key, and every SoA-driven cell). One pass over the cells, with
-/// the first non-SoA cell of each seed key kept in a map.
-///
-/// # Errors
-///
-/// Returns an axis-resolution error (impossible after spec validation).
-fn sources(cells: &[Cell]) -> Result<Vec<Option<usize>>, String> {
-    let mut first: HashMap<String, usize> = HashMap::new();
-    cells
-        .iter()
-        .map(|cell| {
-            if driver(cell, &cell_pack(cell)?) == Driver::Soa {
-                return Ok(None);
-            }
-            let src = *first.entry(cell.seed_key()).or_insert(cell.index);
-            Ok((src != cell.index).then_some(src))
-        })
-        .collect()
+/// Where each unit's record comes from: the share rule of
+/// [`run_campaign`], one entry per cell of the expanded matrix.
+#[derive(Debug)]
+pub struct Sources {
+    /// The cell's engine-blind source, when that is an earlier cell.
+    engine: Vec<Option<usize>>,
+    /// Whether the cell's units never read their device seed.
+    seed_blind: Vec<bool>,
+}
+
+impl Sources {
+    /// The share rule for `cells`, in one pass with the first non-SoA
+    /// cell of each seed key kept in a map.
+    ///
+    /// A cell's engine-blind source is the first cell in matrix order
+    /// with its seed key and a non-SoA [`driver`]; SoA-driven cells are
+    /// their own. A cell is seed-blind when its driver is not
+    /// [`Driver::Linked`] (no fault plan, link faults or link seed) and
+    /// its scenario's workload does not [read its
+    /// seed](WorkloadSpec::reads_seed): then neither the trace, the
+    /// planner's history days, the pack nor the driver depends on the
+    /// device seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an axis-resolution error (impossible after spec
+    /// validation).
+    pub fn new(cells: &[Cell]) -> Result<Self, String> {
+        let mut first: HashMap<String, usize> = HashMap::new();
+        let mut engine = Vec::with_capacity(cells.len());
+        let mut seed_blind = Vec::with_capacity(cells.len());
+        for cell in cells {
+            let drv = driver(cell, &cell_pack(cell)?);
+            engine.push(if drv == Driver::Soa {
+                None
+            } else {
+                let src = *first.entry(cell.seed_key()).or_insert(cell.index);
+                (src != cell.index).then_some(src)
+            });
+            seed_blind.push(
+                drv != Driver::Linked && !spec::scenario(&cell.scenario)?.workload.reads_seed(),
+            );
+        }
+        Ok(Self { engine, seed_blind })
+    }
+
+    /// Whether `cell`'s units all end where its device 0 ends.
+    #[must_use]
+    pub fn seed_blind(&self, cell: usize) -> bool {
+        self.seed_blind[cell]
+    }
+
+    /// The unit whose record `(cell, device)` clones (re-labelling both
+    /// `cell` and `device`), or `None` if the unit is simulated. With
+    /// `root` the cell's engine-blind source (or the cell itself), that
+    /// is `(root, 0)` for a seed-blind cell and `(root, device)`
+    /// otherwise. A source is always simulated, never itself a copy, and
+    /// precedes its copies in `(cell, device)` order.
+    #[must_use]
+    pub fn unit_source(&self, cell: usize, device: u64) -> Option<(usize, u64)> {
+        let root = self.engine[cell].unwrap_or(cell);
+        let src = (root, if self.seed_blind[cell] { 0 } else { device });
+        (src != (cell, device)).then_some(src)
+    }
 }
 
 /// The driver that runs a campaign unit.
@@ -294,8 +343,8 @@ pub enum Driver {
 /// pack). Only [`Driver::Soa`] depends on the cell's engine: active faults
 /// disqualify fast-forward by construction, and the SoA fast path serves
 /// greedy policies only, as in the fleet engine. [`run_cell_device`]
-/// dispatches on this function and [`run_campaign`]'s share rule reads
-/// it, so the two cannot drift apart.
+/// dispatches on this function and [`Sources`] reads it, so the two
+/// cannot drift apart.
 #[must_use]
 pub fn driver(cell: &Cell, pack: &Microcontroller) -> Driver {
     if spec::fault_intensity(&cell.fault).is_ok_and(|i| i > 0.0) {

@@ -204,7 +204,8 @@ impl FaultPlan {
         Self { events }
     }
 
-    /// The scheduled events, sorted by start time.
+    /// The scheduled events in plan order: sorted by start time for a
+    /// generated plan, as given for [`FaultPlan::from_events`].
     #[must_use]
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -243,11 +244,29 @@ impl FaultPlan {
 
 /// Applies a [`FaultPlan`] to a [`Link`] as simulated time advances:
 /// call [`PlanExecutor::apply`] from the `pre_step` hook of
-/// `sdb_core::scheduler::drive` (or any stepping loop).
+/// `sdb_core::scheduler::drive` (or any stepping loop) with a
+/// non-decreasing time.
+///
+/// The executor indexes the plan by start time once, then keeps a cursor
+/// into that order and the list of active events, so a step costs
+/// O(1) when no window opens or closes and O(transitions) otherwise,
+/// whatever the plan's length.
 #[derive(Debug, Clone)]
 pub struct PlanExecutor {
     plan: FaultPlan,
-    active: Vec<bool>,
+    /// Indices of the events with a non-empty window, by
+    /// `(start_s, index)`.
+    order: Vec<usize>,
+    /// Entries of `order` before this one have been reached.
+    cursor: usize,
+    /// Active events, ascending plan index.
+    live: Vec<usize>,
+    /// One step's `(index, on)` transitions (reused buffer).
+    changes: Vec<(usize, bool)>,
+    /// Earliest time at which a window opens or an active one closes.
+    next_change_s: f64,
+    /// The previous call's time.
+    last_t_s: f64,
     injected: u64,
     per_class: [u64; FAULT_CLASSES.len()],
 }
@@ -256,30 +275,90 @@ impl PlanExecutor {
     /// An executor over `plan` with every fault initially inactive.
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
-        let n = plan.len();
+        // An event is active while `start_s <= t < end_s`, so one whose
+        // window is empty (or NaN) can never fire.
+        let mut order: Vec<usize> = (0..plan.len())
+            .filter(|&i| plan.events[i].start_s < plan.events[i].end_s)
+            .collect();
+        order.sort_by(|&a, &b| {
+            plan.events[a]
+                .start_s
+                .total_cmp(&plan.events[b].start_s)
+                .then(a.cmp(&b))
+        });
+        let next_change_s = order
+            .first()
+            .map_or(f64::INFINITY, |&i| plan.events[i].start_s);
         Self {
             plan,
-            active: vec![false; n],
+            order,
+            cursor: 0,
+            live: Vec::new(),
+            changes: Vec::new(),
+            next_change_s,
+            last_t_s: f64::NEG_INFINITY,
             injected: 0,
             per_class: [0; FAULT_CLASSES.len()],
         }
     }
 
     /// Activates / deactivates faults whose windows `t_s` has entered or
-    /// left. Idempotent per step; activation order is plan order.
+    /// left. Idempotent per step. One step's transitions are applied in
+    /// ascending plan index — the order a scan of every event would
+    /// apply them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_s` is NaN or less than the previous call's `t_s`.
     pub fn apply(&mut self, t_s: f64, link: &mut Link) {
-        for (i, ev) in self.plan.events.iter().enumerate() {
-            let should = t_s >= ev.start_s && t_s < ev.end_s;
-            if should == self.active[i] {
-                continue;
-            }
-            self.active[i] = should;
-            if should {
-                self.injected += 1;
-                self.per_class[ev.kind.class_index()] += 1;
-            }
-            Self::set(link, ev.kind, should);
+        assert!(
+            t_s >= self.last_t_s,
+            "fault plan time went backwards: {t_s} after {}",
+            self.last_t_s
+        );
+        self.last_t_s = t_s;
+        if t_s < self.next_change_s {
+            return;
         }
+        let events = &self.plan.events;
+        let changes = &mut self.changes;
+        changes.clear();
+        self.live.retain(|&i| {
+            let on = t_s < events[i].end_s;
+            if !on {
+                changes.push((i, false));
+            }
+            on
+        });
+        while let Some(&i) = self.order.get(self.cursor) {
+            if events[i].start_s > t_s {
+                break;
+            }
+            self.cursor += 1;
+            // A window `t_s` jumped over entirely never fires.
+            if t_s < events[i].end_s {
+                changes.push((i, true));
+                self.live.push(i);
+            }
+        }
+        self.live.sort_unstable();
+        changes.sort_unstable_by_key(|&(i, _)| i);
+        for &(i, on) in changes.iter() {
+            let kind = events[i].kind;
+            if on {
+                self.injected += 1;
+                self.per_class[kind.class_index()] += 1;
+            }
+            Self::set(link, kind, on);
+        }
+        let next_start = self
+            .order
+            .get(self.cursor)
+            .map_or(f64::INFINITY, |&i| events[i].start_s);
+        self.next_change_s = self
+            .live
+            .iter()
+            .fold(next_start, |t, &i| t.min(events[i].end_s));
     }
 
     /// Total fault activations so far.
@@ -357,6 +436,7 @@ mod tests {
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
     use sdb_emulator::pack::PackBuilder;
+    use sdb_testkit::{check, Gen};
 
     #[test]
     fn generation_is_deterministic() {
@@ -424,5 +504,222 @@ mod tests {
         assert!(!link.stale_status_active());
         assert_eq!(exec.injected(), 1, "clearing is not an injection");
         assert_eq!(exec.injected_per_class()[3], 1);
+    }
+
+    /// The executor before it was indexed: every event checked on every
+    /// step, transitions applied in plan order. The reference the indexed
+    /// executor must match call for call.
+    struct ScanExecutor {
+        events: Vec<FaultEvent>,
+        active: Vec<bool>,
+        injected: u64,
+        per_class: [u64; FAULT_CLASSES.len()],
+    }
+
+    impl ScanExecutor {
+        fn new(plan: &FaultPlan) -> Self {
+            Self {
+                events: plan.events().to_vec(),
+                active: vec![false; plan.len()],
+                injected: 0,
+                per_class: [0; FAULT_CLASSES.len()],
+            }
+        }
+
+        fn apply(&mut self, t_s: f64, link: &mut Link) {
+            for (i, ev) in self.events.iter().enumerate() {
+                let should = t_s >= ev.start_s && t_s < ev.end_s;
+                if should == self.active[i] {
+                    continue;
+                }
+                self.active[i] = should;
+                if should {
+                    self.injected += 1;
+                    self.per_class[ev.kind.class_index()] += 1;
+                }
+                PlanExecutor::set(link, ev.kind, should);
+            }
+        }
+    }
+
+    fn link_with(n: usize) -> Link {
+        let mut builder = PackBuilder::new();
+        for i in 0..n {
+            let chem = if i % 2 == 0 {
+                Chemistry::Type2CoStandard
+            } else {
+                Chemistry::Type3CoPower
+            };
+            builder = builder.battery(BatterySpec::from_chemistry("b", chem, 2.0));
+        }
+        Link::ideal(builder.build())
+    }
+
+    /// Every piece of state a fault hook can touch, plus the whole pack.
+    fn fault_state(link: &Link) -> String {
+        let micro = link.micro();
+        let per_battery: Vec<_> = (0..micro.battery_count())
+            .map(|b| {
+                (
+                    micro.gauge_fault(b),
+                    micro.cells()[b].fault_resistance_mult().to_bits(),
+                    micro.battery_present(b),
+                )
+            })
+            .collect();
+        format!(
+            "drop={} dup={} latency={:?} stale={:?} batteries={per_battery:?} \
+             throttle={:?} pack={:?}",
+            link.fault_drop_per_mille(),
+            link.fault_dup_per_mille(),
+            link.fault_latency(),
+            link.stale_status(),
+            micro.thermal_throttle(),
+            micro.snapshot().to_bytes(),
+        )
+    }
+
+    /// Drives the indexed executor and the scan against two identical
+    /// links over a time grid of `dt_s` steps from `t0_s` (with repeated
+    /// times mixed in) and compares them after every `apply`.
+    fn assert_matches_scan(g: &mut Gen, plan: &FaultPlan, n: usize, horizon_s: f64) {
+        let dt_s = g.pick(&[15.0, 60.0, 317.0]);
+        let t0_s = g.pick(&[0.0, 50.0]);
+        let mut exec = PlanExecutor::new(plan.clone());
+        let mut scan = ScanExecutor::new(plan);
+        let (mut a, mut b) = (link_with(n), link_with(n));
+        let mut t_s = t0_s;
+        let mut step = 0;
+        while t_s <= horizon_s + dt_s {
+            exec.apply(t_s, &mut a);
+            scan.apply(t_s, &mut b);
+            assert_eq!(exec.injected(), scan.injected, "step {step} t={t_s}");
+            assert_eq!(exec.injected_per_class(), scan.per_class, "t={t_s}");
+            assert_eq!(fault_state(&a), fault_state(&b), "t={t_s}");
+            if !g.chance(0.2) {
+                a.step(0.3, 0.0, dt_s);
+                b.step(0.3, 0.0, dt_s);
+                t_s += dt_s;
+            }
+            step += 1;
+        }
+    }
+
+    /// A random event on one of few targets: overlapping windows on the
+    /// same target, `start_s` ties (minute grid), windows shorter than a
+    /// step, empty or inverted windows and windows before the first step.
+    fn random_event(g: &mut Gen, n: usize, horizon_s: f64) -> FaultEvent {
+        let start_s = (g.f64_range(-600.0, horizon_s) / 60.0).floor() * 60.0;
+        let dur_s = match g.below(4) {
+            0 => g.f64_range(0.0, 20.0),
+            1 => -g.f64_range(0.0, 60.0),
+            _ => g.f64_range(0.0, horizon_s / 3.0),
+        };
+        let battery = g.usize_range(0, n);
+        let kind = match g.below(10) {
+            0 => FaultKind::LinkDrop {
+                per_mille: g.u32_range(100, 800),
+            },
+            1 => FaultKind::LinkLatency {
+                ticks: g.u32_range(1, 6),
+            },
+            2 => FaultKind::LinkDuplicate {
+                per_mille: g.u32_range(100, 600),
+            },
+            3 => FaultKind::StaleStatus,
+            4 => FaultKind::GaugeStuck { battery },
+            5 => FaultKind::GaugeBiasRamp {
+                battery,
+                amps_per_hour: g.f64_range(0.1, 1.0),
+            },
+            6 => FaultKind::GaugeQuantization {
+                battery,
+                lsb_scale: g.f64_range(10.0, 200.0),
+            },
+            7 => FaultKind::DcirGrowth {
+                battery,
+                mult: g.f64_range(1.5, 4.0),
+            },
+            8 => FaultKind::Detach { battery },
+            _ => FaultKind::ThermalTrip {
+                limit_c: g.f64_range(25.0, 35.0),
+            },
+        };
+        FaultEvent {
+            start_s,
+            end_s: start_s + dur_s,
+            kind,
+        }
+    }
+
+    #[test]
+    fn indexed_executor_matches_the_scan_on_generated_plans() {
+        check(48, 0x91A7, |g| {
+            let n = g.usize_range(1, 4);
+            let horizon_s = g.f64_range(1.0, 6.0) * 3600.0;
+            let intensity = g.f64_range(0.1, 1.0);
+            let plan = FaultPlan::generate(g.below(u64::MAX), horizon_s, intensity, n);
+            assert_matches_scan(g, &plan, n, horizon_s);
+        });
+    }
+
+    #[test]
+    fn indexed_executor_matches_the_scan_on_unsorted_and_subset_plans() {
+        check(48, 0x5C4E, |g| {
+            let n = g.usize_range(1, 4);
+            let horizon_s = g.f64_range(0.5, 3.0) * 3600.0;
+            let plan = if g.chance(0.5) {
+                let events = g.vec_with(0..40, |g| random_event(g, n, horizon_s));
+                FaultPlan::from_events(events)
+            } else {
+                let full = FaultPlan::generate(g.below(u64::MAX), horizon_s, 1.0, n);
+                let keep: Vec<bool> = (0..full.len()).map(|_| g.chance(0.6)).collect();
+                full.subset(&keep)
+            };
+            assert_matches_scan(g, &plan, n, horizon_s);
+        });
+    }
+
+    #[test]
+    fn same_step_transitions_apply_in_plan_order() {
+        // Two gauge faults on one battery, listed out of start order: at
+        // t = 60 the first one ends and the second is already live, so
+        // the end of event 0 clears event 1's fault (the same `set` calls
+        // a full scan makes).
+        let plan = FaultPlan::from_events(vec![
+            FaultEvent {
+                start_s: 0.0,
+                end_s: 60.0,
+                kind: FaultKind::GaugeStuck { battery: 0 },
+            },
+            FaultEvent {
+                start_s: 30.0,
+                end_s: 120.0,
+                kind: FaultKind::GaugeBiasRamp {
+                    battery: 0,
+                    amps_per_hour: 0.5,
+                },
+            },
+        ]);
+        let mut link = link_with(2);
+        let mut exec = PlanExecutor::new(plan);
+        exec.apply(30.0, &mut link);
+        assert!(matches!(
+            link.micro().gauge_fault(0),
+            Some(GaugeFault::BiasRamp { .. })
+        ));
+        exec.apply(60.0, &mut link);
+        assert_eq!(link.micro().gauge_fault(0), None);
+        assert_eq!(exec.injected(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "backwards")]
+    fn decreasing_time_panics() {
+        let plan = FaultPlan::generate(3, 3600.0, 1.0, 2);
+        let mut link = link_with(2);
+        let mut exec = PlanExecutor::new(plan);
+        exec.apply(120.0, &mut link);
+        exec.apply(60.0, &mut link);
     }
 }

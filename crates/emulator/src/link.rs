@@ -189,6 +189,30 @@ impl Link {
         self.faults.stale_status.is_some()
     }
 
+    /// The active drop fault's per-mille rate (0 = none).
+    #[must_use]
+    pub fn fault_drop_per_mille(&self) -> u32 {
+        self.faults.drop_per_mille
+    }
+
+    /// The active duplication fault's per-mille rate (0 = none).
+    #[must_use]
+    pub fn fault_dup_per_mille(&self) -> u32 {
+        self.faults.dup_per_mille
+    }
+
+    /// The active latency fault's override, in ticks.
+    #[must_use]
+    pub fn fault_latency(&self) -> Option<u32> {
+        self.faults.latency_override
+    }
+
+    /// The snapshot a stale-status fault serves, frozen at activation.
+    #[must_use]
+    pub fn stale_status(&self) -> Option<&[BatteryStatus]> {
+        self.faults.stale_status.as_deref()
+    }
+
     /// Counts a fault at its injection site (unconditionally — the stats
     /// must not depend on whether anyone is watching), then reports it to
     /// the observer if one is attached.

@@ -581,6 +581,12 @@ impl Microcontroller {
         }
     }
 
+    /// The installed thermal throttle, if any.
+    #[must_use]
+    pub fn thermal_throttle(&self) -> Option<ThermalThrottle> {
+        self.thermal_throttle
+    }
+
     /// Whether a battery's charging is currently thermally throttled.
     ///
     /// # Panics

@@ -212,6 +212,19 @@ impl WorkloadSpec {
             }
         }
     }
+
+    /// Whether [`WorkloadSpec::build`] reads its seed. When it does not,
+    /// every seed builds the same trace.
+    #[must_use]
+    pub fn reads_seed(&self) -> bool {
+        match self {
+            WorkloadSpec::Shared(_) => false,
+            WorkloadSpec::WatchDay { .. }
+            | WorkloadSpec::PhoneDay
+            | WorkloadSpec::TabletMixed { .. } => true,
+            WorkloadSpec::Truncated { inner, .. } => inner.reads_seed(),
+        }
+    }
 }
 
 /// The policy a cohort's runtime applies.
@@ -428,6 +441,32 @@ impl FleetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_workload_ignores_its_seed_exactly_when_it_does_not_read_it() {
+        let shared = WorkloadSpec::Shared(Arc::new(Trace::constant(0.05, 3600.0)));
+        for w in [
+            shared,
+            WorkloadSpec::WatchDay {
+                run_hour: Some(9.0),
+            },
+            WorkloadSpec::PhoneDay,
+            WorkloadSpec::TabletMixed {
+                segment_s: 300.0,
+                total_s: 3600.0,
+            },
+        ] {
+            assert_eq!(w.reads_seed(), w.build(1) != w.build(2), "{w:?}");
+            let clipped = WorkloadSpec::Truncated {
+                inner: Box::new(w.clone()),
+                max_s: 1800.0,
+            };
+            assert_eq!(clipped.reads_seed(), w.reads_seed(), "{w:?}");
+            if !clipped.reads_seed() {
+                assert_eq!(clipped.build(1), clipped.build(2));
+            }
+        }
+    }
 
     #[test]
     fn default_population_validates() {

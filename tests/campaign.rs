@@ -4,7 +4,7 @@
 //! `sdb campaign` CLI surface end to end (including executing the repro
 //! command the minimizer prints).
 
-use sdb::campaign::runner::{cell_pack, driver, Driver};
+use sdb::campaign::runner::{cell_pack, driver, Driver, Sources};
 use sdb::campaign::{
     compare, minimize, run_campaign, run_cell_device, Baseline, CampaignOptions, CampaignReport,
     CampaignRun, CampaignSpec, DeviceRecord,
@@ -188,6 +188,72 @@ fn shared_units_resume_to_a_byte_identical_report_at_every_boundary() {
     );
     std::fs::write(&ck, sources_only).unwrap();
     check(&resume(&spec, &ck), "resume from source units only");
+}
+
+/// The 12-unit matrix with seed-blind cells: 4 cells (fault
+/// none/moderate × engine scalar/soa) × 3 devices. The standby workload
+/// ignores its seed, so cells 0 (`none/greedy/scalar`) and 1
+/// (`none/greedy/soa`, the SoA driver) simulate only device 0; cell 3
+/// copies cell 2 device by device.
+fn seed_blind_spec() -> CampaignSpec {
+    CampaignSpec {
+        devices_per_cell: 3,
+        ..shared_spec()
+    }
+}
+
+#[test]
+fn seed_blind_units_resume_to_a_byte_identical_report_at_every_boundary() {
+    let spec = seed_blind_spec();
+    let reference = complete(run_campaign(&spec, &CampaignOptions::default()).unwrap());
+    let cells = spec.cells().unwrap();
+    let total = cells.len() * spec.devices_per_cell;
+    assert_eq!(total, 12);
+    let sources = Sources::new(&cells).unwrap();
+    let blind: Vec<usize> = (0..cells.len())
+        .filter(|&c| sources.seed_blind(c))
+        .collect();
+    assert_eq!(blind, [0, 1]);
+    assert_eq!(sources.unit_source(1, 2), Some((1, 0)));
+    assert_eq!(sources.unit_source(3, 2), Some((2, 2)));
+
+    let check = |resumed: &CampaignReport, what: &str| {
+        assert_eq!(resumed, &reference, "{what} diverged");
+        assert_eq!(resumed.render_text(), reference.render_text(), "{what}");
+        assert_eq!(resumed.to_json(), reference.to_json(), "{what}");
+    };
+    for k in 0..total {
+        let ck = scratch(&format!("blind-resume-{k}")).join("checkpoint.log");
+        interrupt(&spec, &ck, k);
+        check(&resume(&spec, &ck), &format!("resume after {k} units"));
+    }
+
+    // A checkpoint holding only device 0 of one seed-blind cell: the
+    // cell's other devices copy the resumed record, everything else
+    // re-runs.
+    for cell in blind {
+        let ck = scratch(&format!("blind-resume-only-{cell}")).join("checkpoint.log");
+        interrupt(&spec, &ck, total - 1);
+        let log = std::fs::read_to_string(&ck).unwrap();
+        let source_line = format!("dev {cell} 0 ");
+        let source_only: String = log
+            .lines()
+            .filter(|l| !l.starts_with("dev ") || l.starts_with(&source_line))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            source_only
+                .lines()
+                .filter(|l| l.starts_with("dev "))
+                .count(),
+            1
+        );
+        std::fs::write(&ck, source_only).unwrap();
+        check(
+            &resume(&spec, &ck),
+            &format!("resume from device 0 of cell {cell} only"),
+        );
+    }
 }
 
 #[test]
@@ -380,6 +446,80 @@ fn engine_pairs_share_a_record_exactly_when_the_driver_is_not_soa() {
         );
     }
     assert_eq!(soa_pairs, 1, "only none/greedy runs the SoA driver");
+}
+
+#[test]
+fn units_share_a_record_exactly_when_their_source_rule_says_so() {
+    // The unit-level share rule's soundness: run every unit directly,
+    // without the runner's sharing, and compare each with the unit
+    // `unit_source` names. Devices of a cell differ exactly when the
+    // cell is not seed-blind.
+    let spec = CampaignSpec {
+        scenarios: ["standby", "phone-day", "watch-day", "tablet-mixed"]
+            .map(str::to_owned)
+            .to_vec(),
+        chemistries: vec!["co".to_owned()],
+        faults: vec!["none".to_owned(), "light".to_owned()],
+        policies: ["greedy", "planned", "oracle"].map(str::to_owned).to_vec(),
+        engines: vec!["scalar".to_owned(), "soa".to_owned()],
+        master_seed: 0xB11D,
+        // Long enough that every `light` plan holds at least two faults
+        // (0.35 per 10 min), so no faulted unit runs fault-free.
+        hours: 1.0,
+        devices_per_cell: 3,
+    };
+    let cells = spec.cells().unwrap();
+    let sources = Sources::new(&cells).unwrap();
+    let devices = spec.devices_per_cell as u64;
+    let records: Vec<Vec<DeviceRecord>> = cells
+        .iter()
+        .map(|c| {
+            (0..devices)
+                .map(|d| run_cell_device(&spec, c, d).unwrap())
+                .collect()
+        })
+        .collect();
+    let relabel = |rec: &DeviceRecord, cell: usize, device: u64| DeviceRecord {
+        cell,
+        device,
+        ..rec.clone()
+    };
+
+    let mut blind_cells = 0;
+    for cell in &cells {
+        let c = cell.index;
+        let blind = sources.seed_blind(c);
+        let expect_blind = cell.scenario == "standby" && cell.fault == "none";
+        assert_eq!(blind, expect_blind, "{}", cell.key());
+        blind_cells += usize::from(blind);
+        for d in 0..devices {
+            let rec = &records[c][d as usize];
+            assert_eq!((rec.cell, rec.device), (c, d));
+            if d > 0 {
+                let same_as_device_0 = relabel(&records[c][0], c, d) == *rec;
+                assert_eq!(same_as_device_0, blind, "{} device {d}", cell.key());
+            }
+            let source = sources.unit_source(c, d);
+            assert_eq!(
+                source.is_some_and(|(_, sd)| sd != d),
+                blind && d > 0,
+                "{} device {d}",
+                cell.key()
+            );
+            if let Some((sc, sd)) = source {
+                assert!((sc, sd) < (c, d), "a source precedes its copies");
+                assert_eq!(sources.unit_source(sc, sd), None, "sources are simulated");
+                assert_eq!(
+                    relabel(&records[sc][sd as usize], c, d),
+                    *rec,
+                    "{} device {d} != its source {sc}/{sd}",
+                    cell.key()
+                );
+            }
+        }
+    }
+    // standby/none × 3 policies × 2 engines.
+    assert_eq!(blind_cells, 6);
 }
 
 #[test]
