@@ -36,11 +36,12 @@ pub struct CurveCursor {
     seg: Cell<usize>,
     /// Cached monotonicity classification for `invert_cached`.
     mono: Cell<u8>,
-    /// Bit pattern of the last `eval_cached` query (NaN sentinel = none);
-    /// a repeat query at the identical `x` returns the memoized value
+    /// Bit pattern of the last `eval_cached` or interior
+    /// `value_and_slope_cached` query (NaN sentinel = none); a repeat
+    /// `eval_cached` at the identical `x` returns the memoized value
     /// without touching the curve at all.
     x_bits: Cell<u64>,
-    /// The value `eval_cached` computed for the `x` above.
+    /// The value computed for the `x` above.
     y_memo: Cell<f64>,
 }
 
@@ -326,7 +327,9 @@ impl Curve {
 
     /// [`Curve::value_and_slope`] with a [`CurveCursor`] memo.
     /// Bit-identical to the uncached form (and hence to the separate
-    /// `eval` + `slope` calls).
+    /// `eval` + `slope` calls). An interior query also fills the value
+    /// memo, so a following [`Curve::eval_cached`] at the same `x` (a
+    /// cell's resistance right after its DCIR slope) is two loads.
     #[must_use]
     pub fn value_and_slope_cached(&self, cursor: &CurveCursor, x: f64) -> (f64, f64) {
         let pts = &self.points;
@@ -354,6 +357,10 @@ impl Curve {
         } else {
             y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         };
+        // The same bits `eval_cached_cold` computes: the segment is
+        // unique off the knots, and a knot returns its own y.
+        cursor.x_bits.set(x.to_bits());
+        cursor.y_memo.set(value);
         (value, slope)
     }
 
@@ -796,6 +803,31 @@ mod tests {
             let (vc, sc) = c.value_and_slope_cached(&cur, x);
             assert_eq!(vc.to_bits(), v.to_bits());
             assert_eq!(sc.to_bits(), s.to_bits());
+        }
+    }
+
+    #[test]
+    fn value_and_slope_fills_the_value_memo_exactly() {
+        let c = Curve::new(vec![(0.0, 1.0), (0.3, 2.0), (0.5, 10.0), (1.0, 3.0)]).unwrap();
+        // Interior knots, both ends, beyond both ends, and interior points
+        // on either side of each knot.
+        for &x in &[
+            0.0, 0.3, 0.5, 1.0, -0.5, 1.5, 0.1, 0.29, 0.31, 0.4999, 0.5001, 0.77,
+        ] {
+            let cur = CurveCursor::new();
+            let _ = c.value_and_slope_cached(&cur, x);
+            assert_eq!(
+                c.eval_cached(&cur, x).to_bits(),
+                c.eval(x).to_bits(),
+                "x={x}"
+            );
+            // A stale memo from another point must not leak into this one.
+            let _ = c.value_and_slope_cached(&cur, 0.42);
+            assert_eq!(
+                c.eval_cached(&cur, x).to_bits(),
+                c.eval(x).to_bits(),
+                "x={x}"
+            );
         }
     }
 

@@ -487,7 +487,10 @@ impl DischargeDirective {
     }
 
     /// Allocation-free [`DischargeDirective::ratios`]: the result lands
-    /// in [`PolicyScratch::ratios`].
+    /// in [`PolicyScratch::ratios`]. Both policies run at every
+    /// directive, 0 and 1 included: RBL-Discharge can reject an input
+    /// CCB-Discharge accepts (a usable view with `ocv_v <= 0`), and the
+    /// blend keeps that verdict.
     ///
     /// # Errors
     ///
@@ -807,6 +810,18 @@ mod tests {
         assert!(DischargeDirective::try_new(1.2).is_err());
         assert!(ChargeDirective::try_new(f64::NAN).is_err());
         assert!(ChargeDirective::try_new(0.5).is_ok());
+    }
+
+    #[test]
+    fn pure_ccb_directive_keeps_rbl_infeasibility() {
+        let dead = BatteryView {
+            ocv_v: 0.0,
+            ..view(0.5, 0.05, 0.2)
+        };
+        let inp = input(vec![dead, dead], 1.0);
+        assert!(ccb_discharge(&inp).is_ok());
+        assert!(rbl_discharge(&inp).is_err());
+        assert!(DischargeDirective::new(0.0).ratios(&inp).is_err());
     }
 
     #[test]

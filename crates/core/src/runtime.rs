@@ -134,6 +134,8 @@ pub struct SdbRuntime {
     /// Reusable policy-evaluation buffers, keeping the tick path
     /// allocation-free (planner rollouts hammer this).
     scratch: PolicyScratch,
+    /// Whether [`SdbRuntime::tick`] evaluates and pushes charge ratios.
+    charge_evaluation: bool,
 }
 
 impl SdbRuntime {
@@ -160,6 +162,7 @@ impl SdbRuntime {
             metrics: None,
             resilience: None,
             scratch: PolicyScratch::new(),
+            charge_evaluation: true,
         };
         rt.set_observer(sdb_observe::global());
         rt
@@ -220,6 +223,19 @@ impl SdbRuntime {
     pub fn set_update_period(&mut self, period_s: f64) {
         assert!(period_s > 0.0, "period must be positive");
         self.update_period_s = period_s;
+    }
+
+    /// Turns the charge side of [`SdbRuntime::tick`] on (the default) or
+    /// off. With it off, a tick skips CCB-Charge, RBL-Charge, the blend
+    /// and the charge push. The pack reads charge ratios only while
+    /// external power exceeds the load, so a run whose trace carries no
+    /// external power evolves bit-identically either way. Only for a
+    /// disposable runtime whose pushes, events and `last_charge` nobody
+    /// observes (the planner's rollout scratch): in a live run the
+    /// charge ratios appear in snapshots, events and metrics, and the
+    /// last pushed charge split feeds later push decisions.
+    pub fn set_charge_evaluation(&mut self, on: bool) {
+        self.charge_evaluation = on;
     }
 
     /// The charging directive currently in force.
@@ -519,10 +535,11 @@ impl SdbRuntime {
             }
         }
 
-        if self
-            .charge_directive
-            .ratios_into(input, &mut self.scratch)
-            .is_ok()
+        if self.charge_evaluation
+            && self
+                .charge_directive
+                .ratios_into(input, &mut self.scratch)
+                .is_ok()
         {
             if let Some(g) = widen {
                 let usable = |b: &BatteryView| !b.full && b.charge_acceptance_a > 0.0;
@@ -682,6 +699,27 @@ mod tests {
         // Same input again after the period: ratios identical, no push.
         assert!(!rt.tick(&mut m, &input, 2.0).unwrap());
         assert_eq!(rt.pushes(), pushes);
+    }
+
+    #[test]
+    fn charge_evaluation_off_pushes_the_same_discharge_split_only() {
+        let half = || {
+            let mut m = micro();
+            m.step(8.0, 0.0, 1800.0);
+            m
+        };
+        let input = PolicyInput::from_micro(&half())
+            .with_load(4.0)
+            .with_external(10.0);
+        let (mut on, mut off) = (half(), half());
+        let mut rt_on = SdbRuntime::new(2);
+        let mut rt_off = SdbRuntime::new(2);
+        rt_off.set_charge_evaluation(false);
+        rt_on.tick(&mut on, &input, 1.0).unwrap();
+        rt_off.tick(&mut off, &input, 1.0).unwrap();
+        assert_eq!(on.discharge_ratios(), off.discharge_ratios());
+        assert_eq!(off.charge_ratios(), half().charge_ratios());
+        assert_eq!((rt_on.pushes(), rt_off.pushes()), (2, 1));
     }
 
     #[test]

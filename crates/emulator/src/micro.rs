@@ -278,6 +278,9 @@ pub struct Microcontroller {
     metrics: Option<MicroMetrics>,
     /// Reusable step working buffers (see [`StepScratch`]).
     scratch: StepScratch,
+    /// Whether each step samples the fuel gauges (configuration, like the
+    /// observer: kept by `clone`, outside [`PackSnapshot`]).
+    gauge_sampling: bool,
 }
 
 impl Microcontroller {
@@ -338,6 +341,7 @@ impl Microcontroller {
             observer: Observer::disabled(),
             metrics: None,
             scratch: StepScratch::with_capacity(n),
+            gauge_sampling: true,
         };
         micro.set_observer(sdb_observe::global());
         micro
@@ -365,6 +369,18 @@ impl Microcontroller {
     #[must_use]
     pub fn observer(&self) -> &Observer {
         &self.observer
+    }
+
+    /// Turns per-step fuel-gauge sampling on (the default) or off. With
+    /// it off, [`Microcontroller::step`] still relaxes idle cells but
+    /// leaves the gauges where they are. Gauges feed nothing back into
+    /// the physics, so the cells, ratios, energy totals and transfer
+    /// evolve bit-identically either way. For a disposable pack that
+    /// reloads its gauges from a [`PackSnapshot`] before each use and
+    /// never reads them in between (the planner's rollout scratch).
+    /// [`Microcontroller::restore_from`] leaves the setting alone.
+    pub fn set_gauge_sampling(&mut self, on: bool) {
+        self.gauge_sampling = on;
     }
 
     /// Number of batteries in the pack.
@@ -1054,7 +1070,8 @@ impl Microcontroller {
             self.observer.emit_staged(&mut scratch.events);
         }
 
-        // 5. Idle cells relax; gauges sample every cell.
+        // 5. Idle cells relax; gauges sample every cell (unless sampling
+        // is off).
         {
             let _prof_gauge = prof_step.hot_sub(sdb_prof::Phase::GaugeUpdate);
             for i in 0..n {
@@ -1063,7 +1080,9 @@ impl Microcontroller {
                     info[i].terminal_v = self.cells[i].terminal_voltage(0.0);
                     info[i].soc = self.cells[i].soc();
                 }
-                self.gauges[i].sample(info[i].terminal_v, info[i].current_a, dt_s);
+                if self.gauge_sampling {
+                    self.gauges[i].sample(info[i].terminal_v, info[i].current_a, dt_s);
+                }
             }
         }
 
@@ -1907,5 +1926,120 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The snapshot without its gauges: everything gauge sampling must
+    /// leave untouched.
+    fn physics(m: &Microcontroller) -> PackSnapshot {
+        PackSnapshot {
+            gauges: Vec::new(),
+            ..m.snapshot()
+        }
+    }
+
+    #[test]
+    fn gauge_sampling_off_leaves_the_physics_bit_identical() {
+        let chems = [
+            Chemistry::Type1LfpPower,
+            Chemistry::Type2CoStandard,
+            Chemistry::Type3CoPower,
+            Chemistry::Type4Bendable,
+            Chemistry::OtherNmc,
+            Chemistry::OtherLto,
+        ];
+        let unit_sum = |mut v: Vec<f64>| {
+            let sum: f64 = v.iter().sum();
+            v.iter_mut().for_each(|x| *x /= sum);
+            v
+        };
+        sdb_testkit::check(48, 0xE1_0001, |g| {
+            let mut b = PackBuilder::new();
+            let n = g.usize_range(2, 4);
+            for i in 0..n {
+                // Some cells start nearly empty so they run dry mid-trace.
+                let soc = if g.chance(0.4) {
+                    g.f64_range(0.0, 0.05)
+                } else {
+                    g.f64_range(0.1, 1.0)
+                };
+                let spec = BatterySpec::from_chemistry(
+                    &format!("b{i}"),
+                    g.pick(&chems),
+                    g.f64_range(0.2, 3.0),
+                );
+                b = b.battery_at(
+                    spec,
+                    soc,
+                    g.pick(&[ProfileKind::Standard, ProfileKind::Fast]),
+                );
+            }
+            let mut on = b.build();
+            on.set_observer(Observer::disabled());
+            let mut off = on.clone();
+            off.set_gauge_sampling(false);
+            for _ in 0..g.usize_range(20, 120) {
+                if g.chance(0.1) {
+                    let ratios = unit_sum(g.vec_f64(0.01, 1.0, n..n + 1));
+                    on.set_discharge_ratios(&ratios).unwrap();
+                    off.set_discharge_ratios(&ratios).unwrap();
+                }
+                if g.chance(0.1) {
+                    let ratios = unit_sum(g.vec_f64(0.01, 1.0, n..n + 1));
+                    on.set_charge_ratios(&ratios).unwrap();
+                    off.set_charge_ratios(&ratios).unwrap();
+                }
+                if g.chance(0.05) {
+                    let (from, to) = (g.usize_range(0, n), g.usize_range(0, n));
+                    let (w, s) = (g.f64_range(0.1, 5.0), g.f64_range(30.0, 1800.0));
+                    assert_eq!(
+                        on.charge_one_from_another(from, to, w, s).is_ok(),
+                        off.charge_one_from_another(from, to, w, s).is_ok()
+                    );
+                }
+                let load_w = g.f64_range(0.0, 12.0);
+                let external_w = if g.chance(0.3) {
+                    g.f64_range(0.0, 15.0)
+                } else {
+                    0.0
+                };
+                let dt_s = g.f64_range(1.0, 120.0);
+                let r_on = on.step(load_w, external_w, dt_s);
+                let r_off = off.step(load_w, external_w, dt_s);
+                assert_eq!(r_on, r_off);
+                assert_eq!(physics(&on), physics(&off));
+            }
+            // The gauges really were left alone: the pack that sampled
+            // moved its gauges, the other kept its initial ones.
+            assert_ne!(on.snapshot().gauges, off.snapshot().gauges);
+        });
+    }
+
+    #[test]
+    fn gauge_sampling_is_configuration_not_state() {
+        let mut live = PackBuilder::new()
+            .battery(BatterySpec::from_chemistry(
+                "a",
+                Chemistry::Type2CoStandard,
+                2.0,
+            ))
+            .battery(BatterySpec::from_chemistry(
+                "b",
+                Chemistry::Type3CoPower,
+                1.0,
+            ))
+            .build();
+        let mut quiet = live.clone();
+        quiet.set_gauge_sampling(false);
+        live.step(2.0, 0.0, 60.0);
+        // A restore reloads the gauges but keeps sampling off, and a
+        // clone keeps the setting too.
+        quiet.restore_from(&live.snapshot()).unwrap();
+        assert_eq!(quiet.snapshot(), live.snapshot());
+        let mut copy = quiet.clone();
+        let gauges = quiet.snapshot().gauges;
+        quiet.step(2.0, 0.0, 60.0);
+        copy.step(2.0, 0.0, 60.0);
+        assert_eq!(quiet.snapshot().gauges, gauges);
+        assert_eq!(copy.snapshot().gauges, gauges);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! At a configurable re-plan cadence the planner asks its [`Forecaster`]
 //! for the coming load, then *shoots*: for each candidate discharge
-//! directive on a discretized grid it clones the live pack, rolls the
-//! forecast forward through a disposable runtime + emulator pair, and
-//! scores the rollout lexicographically — battery life first, then
-//! unserved energy, then conversion losses. The winner is committed
-//! through the [`sdb_core::LookaheadPolicy`] seam as an ordinary
-//! [`DischargeDirective`], so downstream (the four paper APIs, the push
-//! rate-limit, the observability surface) nothing knows or cares that a
-//! planner is steering.
+//! directive on a discretized grid it restores a snapshot of the live
+//! pack, rolls the forecast forward through a disposable runtime +
+//! emulator pair, and scores the rollout lexicographically — battery
+//! life first, then unserved energy, then conversion losses. The winner
+//! is committed through the [`sdb_core::LookaheadPolicy`] seam as an
+//! ordinary [`DischargeDirective`], so downstream (the four paper APIs,
+//! the push rate-limit, the observability surface) nothing knows or
+//! cares that a planner is steering.
 //!
 //! Determinism: rollouts are pure functions of `(pack state, forecast,
 //! candidate)`; ties break toward the currently committed directive and
@@ -108,6 +108,13 @@ fn loss_tol(loss_j: f64) -> f64 {
 /// every candidate, entered through snapshot/restore instead of a
 /// per-candidate pack clone. After the first rollout warms the buffers,
 /// a full candidate sweep performs zero heap allocations.
+///
+/// A rollout computes only what its [`Score`] reads: the scratch pack
+/// does not sample its fuel gauges (every rollout reloads them from the
+/// live snapshot, and nothing inside a rollout reads them), and the
+/// scratch runtime skips the charge side of each tick when the forecast
+/// carries no external power (the pack then never reads charge ratios).
+/// Both cuts leave every score bit-identical.
 struct RolloutScratch {
     micro: Microcontroller,
     runtime: SdbRuntime,
@@ -119,6 +126,7 @@ impl RolloutScratch {
     fn new(live: &Microcontroller) -> Self {
         let mut micro = live.clone();
         micro.set_observer(Observer::disabled());
+        micro.set_gauge_sampling(false);
         let mut runtime = SdbRuntime::new(micro.battery_count());
         runtime.set_observer(Observer::disabled());
         let input = PolicyInput::from_micro(&micro);
@@ -127,6 +135,57 @@ impl RolloutScratch {
             runtime,
             snap: PackSnapshot::default(),
             input,
+        }
+    }
+
+    /// Prepares one re-plan: captures the live pack, which every
+    /// candidate's rollout restores, and evaluates the charge side only
+    /// if some forecast point brings external power.
+    fn load(&mut self, live: &Microcontroller, points: &[TracePoint]) {
+        live.snapshot_into(&mut self.snap);
+        self.runtime
+            .set_charge_evaluation(points.iter().any(|p| p.external_w > 0.0));
+    }
+
+    /// Rolls pre-resampled forecast `points` forward from the loaded
+    /// snapshot under a fixed directive `d` and scores the outcome.
+    /// Rollouts run fully unobserved so planning leaves no trace in
+    /// metrics or event streams.
+    fn rollout(&mut self, cfg: &PlannerConfig, d: f64, points: &[TracePoint]) -> Score {
+        // Nested profiler scope: the rollout's own trace/micro steps land
+        // under planner_rollout in the phase tree, separated from the
+        // live simulation's steps.
+        let _prof = sdb_prof::sub(sdb_prof::Phase::PlannerRollout);
+        self.micro
+            .restore_from(&self.snap)
+            .expect("scratch pack matches the live pack's shape");
+        self.runtime.set_update_period(cfg.update_period_s);
+        self.runtime
+            .set_discharge_directive(DischargeDirective::new(d));
+        // A fresh runtime evaluates on its first tick; restore that state
+        // so the reused runtime behaves identically to a per-candidate one.
+        self.runtime.force_policy_refresh();
+        let opts = SimOptions {
+            max_dt_s: cfg.plan_dt_s,
+            stop_on_brownout: true,
+        };
+        let hooks = Hooks {
+            input: Some(&mut self.input),
+            ..Hooks::default()
+        };
+        let res: PreparedResult = drive(
+            &mut self.micro,
+            &mut self.runtime,
+            points,
+            &opts,
+            hooks,
+            |_, _| {},
+            |_, _, _| {},
+        );
+        Score {
+            life_s: res.battery_life_s(),
+            unmet_j: res.unmet_j,
+            loss_j: res.total_loss_j(),
         }
     }
 }
@@ -204,67 +263,36 @@ impl Planner {
         self.forecaster.mae_w()
     }
 
-    /// Rolls pre-resampled forecast `points` forward from a snapshot of
-    /// `micro` under a fixed directive `d` and scores the outcome.
-    /// Rollouts run fully unobserved so planning leaves no trace in
-    /// metrics or event streams, and reuse one scratch emulator/runtime
-    /// pair restored through [`PackSnapshot`] instead of cloning the
-    /// pack per candidate — zero heap allocations per rollout once the
-    /// scratch is warm.
-    fn rollout(&mut self, micro: &Microcontroller, d: f64, points: &[TracePoint]) -> Score {
-        // Nested profiler scope: the rollout's own trace/micro steps land
-        // under planner_rollout in the phase tree, separated from the
-        // live simulation's steps.
-        let _prof = sdb_prof::sub(sdb_prof::Phase::PlannerRollout);
+    /// Scores every candidate directive over `points` through the rollout
+    /// scratch, snapshotting `live` once for the whole sweep.
+    fn scratch_scores(
+        &mut self,
+        live: &Microcontroller,
+        cands: &[f64],
+        points: &[TracePoint],
+    ) -> Vec<Score> {
         let stale = self
             .scratch
             .as_ref()
-            .is_none_or(|s| s.micro.battery_count() != micro.battery_count());
+            .is_none_or(|s| s.micro.battery_count() != live.battery_count());
         if stale {
-            self.scratch = Some(RolloutScratch::new(micro));
+            self.scratch = Some(RolloutScratch::new(live));
         }
         let s = self.scratch.as_mut().expect("just ensured");
-        micro.snapshot_into(&mut s.snap);
-        s.micro
-            .restore_from(&s.snap)
-            .expect("scratch pack matches the live pack's shape");
-        s.runtime.set_update_period(self.cfg.update_period_s);
-        s.runtime
-            .set_discharge_directive(DischargeDirective::new(d));
-        // A fresh runtime evaluates on its first tick; restore that state
-        // so the reused runtime behaves identically to a per-candidate one.
-        s.runtime.force_policy_refresh();
-        let opts = SimOptions {
-            max_dt_s: self.cfg.plan_dt_s,
-            stop_on_brownout: true,
-        };
-        let hooks = Hooks {
-            input: Some(&mut s.input),
-            ..Hooks::default()
-        };
-        let res: PreparedResult = drive(
-            &mut s.micro,
-            &mut s.runtime,
-            points,
-            &opts,
-            hooks,
-            |_, _| {},
-            |_, _, _| {},
-        );
-        Score {
-            life_s: res.battery_life_s(),
-            unmet_j: res.unmet_j,
-            loss_j: res.total_loss_j(),
-        }
+        s.load(live, points);
+        cands
+            .iter()
+            .map(|&d| s.rollout(&self.cfg, d, points))
+            .collect()
     }
-}
 
-impl LookaheadPolicy for Planner {
-    fn plan(
+    /// [`LookaheadPolicy::plan`], scoring each re-plan's candidates with
+    /// `score`: the rollout scratch, or a reference scorer in tests.
+    fn plan_with(
         &mut self,
         t_s: f64,
-        micro: &sdb_emulator::Microcontroller,
-        _input: &PolicyInput,
+        micro: &Microcontroller,
+        score: fn(&mut Self, &Microcontroller, &[f64], &[TracePoint]) -> Vec<Score>,
     ) -> Option<PlanUpdate> {
         if self.planned_once && self.since_plan_s < self.cfg.replan_period_s {
             return None;
@@ -294,10 +322,7 @@ impl LookaheadPolicy for Planner {
         // One resample shared by every candidate; scores are bit-identical
         // to `run_trace` rollouts.
         let resampled = forecast.resampled(self.cfg.plan_dt_s);
-        let scores: Vec<Score> = cands
-            .iter()
-            .map(|&d| self.rollout(micro, d, resampled.points()))
-            .collect();
+        let scores = score(self, micro, &cands, resampled.points());
         let cur_idx = cands
             .iter()
             .position(|c| (c - self.current_d).abs() < 1e-12)
@@ -337,6 +362,17 @@ impl LookaheadPolicy for Planner {
             forecast_mae_w: self.forecaster.mae_w(),
         })
     }
+}
+
+impl LookaheadPolicy for Planner {
+    fn plan(
+        &mut self,
+        t_s: f64,
+        micro: &Microcontroller,
+        _input: &PolicyInput,
+    ) -> Option<PlanUpdate> {
+        self.plan_with(t_s, micro, Self::scratch_scores)
+    }
 
     fn observe_step(&mut self, t_s: f64, dt_s: f64, load_w: f64) {
         self.since_plan_s += dt_s;
@@ -349,13 +385,14 @@ mod tests {
     use super::*;
     use sdb_battery_model::{BatterySpec, Chemistry};
     use sdb_core::scheduler::SimResult;
-    use sdb_emulator::{Microcontroller, PackBuilder, ProfileKind};
+    use sdb_emulator::{PackBuilder, ProfileKind};
+    use sdb_testkit::{check, Gen};
 
     fn run_planned(
         micro: &mut Microcontroller,
         rt: &mut SdbRuntime,
         trace: &Trace,
-        planner: &mut Planner,
+        planner: &mut dyn LookaheadPolicy,
     ) -> SimResult {
         let opts = SimOptions::default();
         let points = trace.resampled(opts.max_dt_s);
@@ -424,21 +461,221 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Scores candidate `d` the way a per-candidate clone would, with
+    /// gauge sampling and charge evaluation both on: the reference every
+    /// scratch rollout must match bit for bit.
+    fn reference_rollout(
+        cfg: &PlannerConfig,
+        live: &Microcontroller,
+        d: f64,
+        points: &[TracePoint],
+    ) -> Score {
+        let mut micro = live.clone();
+        micro.set_observer(Observer::disabled());
+        let mut rt = SdbRuntime::new(micro.battery_count());
+        rt.set_observer(Observer::disabled());
+        rt.set_update_period(cfg.update_period_s);
+        rt.set_discharge_directive(DischargeDirective::new(d));
+        let opts = SimOptions {
+            max_dt_s: cfg.plan_dt_s,
+            stop_on_brownout: true,
+        };
+        let res: PreparedResult = drive(
+            &mut micro,
+            &mut rt,
+            points,
+            &opts,
+            Hooks::default(),
+            |_, _| {},
+            |_, _, _| {},
+        );
+        Score {
+            life_s: res.battery_life_s(),
+            unmet_j: res.unmet_j,
+            loss_j: res.total_loss_j(),
+        }
+    }
+
+    fn reference_scores(
+        planner: &mut Planner,
+        live: &Microcontroller,
+        cands: &[f64],
+        points: &[TracePoint],
+    ) -> Vec<Score> {
+        cands
+            .iter()
+            .map(|&d| reference_rollout(&planner.cfg, live, d, points))
+            .collect()
+    }
+
+    fn bits(scores: &[Score]) -> Vec<[u64; 3]> {
+        scores
+            .iter()
+            .map(|s| [s.life_s.to_bits(), s.unmet_j.to_bits(), s.loss_j.to_bits()])
+            .collect()
+    }
+
+    /// A 2–3-cell pack of drawn chemistries, capacities and charge levels
+    /// (some near empty), worn in for a few drawn steps, with external
+    /// power and sometimes a battery-to-battery transfer still running, so
+    /// its gauges, RC state and transfer are all non-trivial.
+    fn arb_live_pack(g: &mut Gen) -> Microcontroller {
+        let chems = [
+            Chemistry::Type1LfpPower,
+            Chemistry::Type2CoStandard,
+            Chemistry::Type3CoPower,
+            Chemistry::Type4Bendable,
+            Chemistry::OtherNmc,
+            Chemistry::OtherLto,
+        ];
+        let mut b = PackBuilder::new();
+        for i in 0..g.usize_range(2, 4) {
+            let soc = if g.chance(0.3) {
+                g.f64_range(0.01, 0.08)
+            } else {
+                g.f64_range(0.1, 1.0)
+            };
+            let kind = g.pick(&[ProfileKind::Standard, ProfileKind::Fast]);
+            let spec = BatterySpec::from_chemistry(
+                &format!("b{i}"),
+                g.pick(&chems),
+                g.f64_range(0.3, 3.0),
+            );
+            b = b.battery_at(spec, soc, kind);
+        }
+        let mut micro = b.build();
+        micro.set_observer(Observer::disabled());
+        if g.chance(0.5) {
+            let to = micro.battery_count() - 1;
+            let _ = micro.charge_one_from_another(0, to, g.f64_range(0.5, 3.0), 7200.0);
+        }
+        for _ in 0..g.usize_range(1, 6) {
+            let external_w = if g.chance(0.3) {
+                g.f64_range(0.0, 8.0)
+            } else {
+                0.0
+            };
+            micro.step(g.f64_range(0.0, 4.0), external_w, 60.0);
+        }
+        micro
+    }
+
+    /// A drawn 2–8 h trace; with `external`, some segments bring external
+    /// power above or below the load.
+    fn arb_trace(g: &mut Gen, external: bool) -> Trace {
+        let mut t = Trace::new();
+        for _ in 0..g.usize_range(2, 8) {
+            let load_w = g.f64_range(0.05, 5.0);
+            let external_w = if external && g.chance(0.4) {
+                g.f64_range(0.5, 10.0)
+            } else {
+                0.0
+            };
+            t.push(load_w, external_w, g.f64_range(900.0, 3600.0));
+        }
+        t
+    }
+
+    #[test]
+    fn scratch_scores_match_reference_rollouts_bit_for_bit() {
+        check(24, 0xD0_0101, |g| {
+            let live = arb_live_pack(g);
+            let cfg = PlannerConfig {
+                horizon_s: 4.0 * 3600.0,
+                ..PlannerConfig::default()
+            };
+            let forecaster = HistoryForecaster::from_history([&arb_trace(g, false)], 0.3);
+            let history = forecaster
+                .forecast(g.f64_range(0.0, 86_400.0), cfg.horizon_s, cfg.plan_dt_s)
+                .resampled(cfg.plan_dt_s);
+            assert!(history.points().iter().all(|p| p.external_w == 0.0));
+            let oracle = OracleForecaster::new(Arc::new(arb_trace(g, true)))
+                .forecast(0.0, f64::INFINITY, cfg.plan_dt_s)
+                .resampled(cfg.plan_dt_s);
+            let mut planner = Planner::new(cfg, Box::new(forecaster));
+            let cands: Vec<f64> = (0..9).map(|i| f64::from(i) / 8.0).collect();
+            // History, oracle, then history again through one scratch: the
+            // charge side switches off, on and off between re-plans.
+            for points in [&history, &oracle, &history] {
+                let fast = planner.scratch_scores(&live, &cands, points.points());
+                let reference = reference_scores(&mut planner, &live, &cands, points.points());
+                assert_eq!(bits(&fast), bits(&reference));
+            }
+        });
+    }
+
+    /// A recording planner: commits the same way as [`Planner`], scoring
+    /// through the rollout scratch or through reference rollouts.
+    struct Recording {
+        planner: Planner,
+        reference: bool,
+        commits: Vec<f64>,
+    }
+
+    impl LookaheadPolicy for Recording {
+        fn plan(
+            &mut self,
+            t_s: f64,
+            micro: &Microcontroller,
+            _: &PolicyInput,
+        ) -> Option<PlanUpdate> {
+            let score: fn(&mut Planner, &Microcontroller, &[f64], &[TracePoint]) -> Vec<Score> =
+                if self.reference {
+                    reference_scores
+                } else {
+                    Planner::scratch_scores
+                };
+            let plan = self.planner.plan_with(t_s, micro, score);
+            if let Some(p) = &plan {
+                self.commits.push(p.discharge.value());
+            }
+            plan
+        }
+
+        fn observe_step(&mut self, t_s: f64, dt_s: f64, load_w: f64) {
+            self.planner.observe_step(t_s, dt_s, load_w);
+        }
+    }
+
+    #[test]
+    fn history_planned_day_commits_the_same_directives_as_reference_rollouts() {
+        // A phone day with an evening charge: the live run charges while
+        // history forecasts (no external power) turn the charge side of
+        // every rollout off.
+        let mut day = sdb_workloads::traces::phone_day(11);
+        day.push(0.3, 12.0, 3600.0);
+        let run = |reference: bool| {
+            let mut micro = hybrid_pack(0.7);
+            let mut rt = SdbRuntime::new(micro.battery_count());
+            let cfg = PlannerConfig {
+                horizon_s: 8.0 * 3600.0,
+                ..PlannerConfig::default()
+            };
+            let mut rec = Recording {
+                planner: Planner::history(cfg, &UserArchetype::commuter(), 3, 1),
+                reference,
+                commits: Vec::new(),
+            };
+            let res = run_planned(&mut micro, &mut rt, &day, &mut rec);
+            (rec.commits, res, micro.snapshot())
+        };
+        let (commits, res, snap) = run(false);
+        assert!(commits.len() > 1, "the day re-plans: {commits:?}");
+        assert_eq!((commits, res, snap), run(true));
+    }
+
     #[test]
     fn rollouts_leave_live_state_untouched() {
-        let micro = hybrid_pack(1.0);
-        let before = micro.cells().iter().map(|c| c.soc()).collect::<Vec<_>>();
+        let mut micro = hybrid_pack(1.0);
+        micro.step(1.5, 0.0, 60.0);
+        let before = micro.snapshot();
         let mut planner = Planner::oracle(
             PlannerConfig::default(),
             Arc::new(Trace::constant(2.0, 600.0)),
         );
         let points = Trace::constant(2.0, 600.0).resampled(60.0);
-        let _ = planner.rollout(&micro, 0.5, points.points());
-        let after = micro.cells().iter().map(|c| c.soc()).collect::<Vec<_>>();
-        assert_eq!(before, after);
-        // And the live runtime push counter is unaffected by planning.
-        let rt = SdbRuntime::new(micro.battery_count());
-        assert_eq!(rt.pushes(), 0);
+        let _ = planner.scratch_scores(&micro, &[0.0, 0.5, 1.0], points.points());
+        assert_eq!(before, micro.snapshot(), "gauges included");
     }
 
     #[test]
@@ -451,12 +688,9 @@ mod tests {
             Arc::new(Trace::constant(4.0, 3600.0)),
         );
         let points = Trace::constant(4.0, 3600.0).resampled(60.0);
-        let a = planner.rollout(&micro, 0.7, points.points());
-        let b = planner.rollout(&micro, 0.2, points.points());
-        let a2 = planner.rollout(&micro, 0.7, points.points());
-        let b2 = planner.rollout(&micro, 0.2, points.points());
-        assert_eq!(a, a2, "rollout leaked state between candidates");
-        assert_eq!(b, b2);
-        assert_ne!(a, b, "distinct directives should score differently");
+        let s = planner.scratch_scores(&micro, &[0.7, 0.2, 0.7, 0.2], points.points());
+        assert_eq!(s[0], s[2], "rollout leaked state between candidates");
+        assert_eq!(s[1], s[3]);
+        assert_ne!(s[0], s[1], "distinct directives should score differently");
     }
 }
