@@ -19,7 +19,7 @@ use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
 use sdb_fleet::spec::{CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
-use sdb_fleet::{run_fleet, run_fleet_with_engine, EngineKind, FleetReport};
+use sdb_fleet::{run_fleet, EngineKind, FleetReport, RunOptions};
 use sdb_workloads::Trace;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -93,7 +93,8 @@ fn bench_fleet_scaling(quick: bool) {
         let mut best: Option<(f64, f64)> = None;
         let runs = if quick { 1 } else { 3 };
         for _ in 0..runs {
-            let (report, stats) = run_fleet(&spec, threads).expect("fleet run");
+            let (report, stats, _) =
+                run_fleet(&spec, &RunOptions::new(threads)).expect("fleet run");
             let json = report.to_json();
             match &baseline_json {
                 None => baseline_json = Some(json),
@@ -186,12 +187,26 @@ fn engine_best(
     engine: EngineKind,
     runs: usize,
 ) -> (f64, FleetReport) {
-    let (single, _) = run_fleet_with_engine(spec, 1, engine).expect("fleet run (1 thread)");
+    let (single, _, _) = run_fleet(
+        spec,
+        &RunOptions {
+            engine,
+            ..RunOptions::new(1)
+        },
+    )
+    .expect("fleet run (1 thread)");
     let baseline = single.to_json();
     let mut best_dps = 0.0f64;
     let mut report = None;
     for _ in 0..runs {
-        let (r, stats) = run_fleet_with_engine(spec, threads, engine).expect("fleet run");
+        let (r, stats, _) = run_fleet(
+            spec,
+            &RunOptions {
+                engine,
+                ..RunOptions::new(threads)
+            },
+        )
+        .expect("fleet run");
         assert_eq!(
             baseline,
             r.to_json(),

@@ -1,8 +1,7 @@
 //! The sharded, resumable campaign runner.
 //!
-//! Work distribution follows the sdb-fleet engine: one atomic index over
-//! the pending `(cell, device)` units to simulate, scoped worker threads,
-//! shard-local accumulation, and a post-join sort by `(cell, device)` —
+//! The pending `(cell, device)` units to simulate are spread over workers
+//! by [`sdb_prof::shard_map`], which returns their records in unit order,
 //! so the outcome matrix is byte-identical for any thread count.
 //!
 //! Resume: with a checkpoint path, completed units are appended to the
@@ -41,7 +40,6 @@ use sdb_workloads::traces::Trace;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The greedy policy's fixed discharge-directive blend.
@@ -160,53 +158,30 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
         None => None,
     };
 
-    let threads = opts.threads.max(1);
-    let next = AtomicUsize::new(0);
     let writer = writer.as_ref();
-    let cells_ref = &cells;
-    let work_ref = &work;
-
-    let shards: Vec<Vec<DeviceRecord>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let next = &next;
-                s.spawn(move || -> Result<Vec<DeviceRecord>, String> {
-                    sdb_prof::set_shard(shard as u16);
-                    let mut out = Vec::with_capacity(work_ref.len() / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= work_ref.len() {
-                            break;
-                        }
-                        let (cell_idx, device) = work_ref[i];
-                        let cell = &cells_ref[cell_idx];
-                        let prof_dev = if sdb_prof::enabled() {
-                            sdb_prof::device_scope(sdb_prof::cohort_id(&cell.seed_key()))
-                        } else {
-                            sdb_prof::device_scope(0)
-                        };
-                        let rec = run_cell_device(spec, cell, device)?;
-                        drop(prof_dev);
-                        append(writer, &rec)?;
-                        out.push(rec);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "campaign worker panicked".to_owned())?
-            })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
+    let (_, simulated) = sdb_prof::shard_map(
+        opts.threads,
+        work.len(),
+        |_| (),
+        |(), i| {
+            let (cell_idx, device) = work[i];
+            let cell = &cells[cell_idx];
+            let prof_dev = if sdb_prof::enabled() {
+                sdb_prof::device_scope(sdb_prof::cohort_id(&cell.seed_key()))
+            } else {
+                sdb_prof::device_scope(0)
+            };
+            let rec = run_cell_device(spec, cell, device)?;
+            drop(prof_dev);
+            append(writer, &rec)?;
+            Ok(rec)
+        },
+    )?;
 
     // Resumed + simulated records, sorted by unit: the index the shared
     // units look their source up in.
     let mut records = done;
-    records.extend(shards.into_iter().flatten());
+    records.extend(simulated);
     records.sort_by_key(|r| (r.cell, r.device));
     let mut copies = Vec::with_capacity(shared.len());
     for (cell, device) in shared {

@@ -3,10 +3,10 @@
 //! A campaign runs `devices` independent chaos simulations — each a pure
 //! function of `(spec, device index)`: the device's fault plan, link
 //! fault RNG, and workload all derive from `derive_seed(master_seed,
-//! device)`. Work distribution follows the sdb-fleet engine (one atomic
-//! work index, scoped worker threads, shard-local accumulation, merge
-//! sorted by device), so the report — text and JSON — is byte-identical
-//! for any thread count.
+//! device)`. Devices are spread over workers by
+//! [`sdb_prof::shard_map`], which returns their outcomes in device order,
+//! so the report — text and JSON — is byte-identical for any thread
+//! count.
 
 use crate::invariant::InvariantChecker;
 use crate::plan::{FaultPlan, PlanExecutor, FAULT_CLASSES};
@@ -20,7 +20,6 @@ use sdb_observe::{EventSink, MetricsRegistry, ObsEvent, Observer};
 use sdb_rng::derive_seed;
 use sdb_workloads::traces::Trace;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Parameters of one chaos campaign.
@@ -357,35 +356,19 @@ impl CampaignReport {
     }
 }
 
-/// Runs the campaign across `threads` workers.
+/// Runs the campaign on [`sdb_prof::shard_map`] across `threads`
+/// workers. With a `registry`, every device observer registers into it,
+/// so campaign counters (fault injections via events, span timings,
+/// `sdb_dropped_events_total` from any attached recorder) are scrapeable
+/// while the campaign runs. Counter totals are commutative atomic sums,
+/// so the [`CampaignReport`] stays byte-identical at any thread count
+/// either way.
 ///
 /// # Errors
 ///
 /// Returns an error for an empty campaign, invalid intensity/horizon, or
 /// if a worker panicked.
-pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Result<CampaignReport, String> {
-    run_campaign_inner(spec, threads, None)
-}
-
-/// [`run_campaign`] with a caller-supplied live metrics registry: every
-/// device observer registers into it, so campaign counters (fault
-/// injections via events, span timings, `sdb_dropped_events_total` from
-/// any attached recorder) are scrapeable while the campaign runs. Counter
-/// totals are commutative atomic sums, so the [`CampaignReport`] stays
-/// byte-identical at any thread count.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`].
-pub fn run_campaign_observed(
-    spec: &CampaignSpec,
-    threads: usize,
-    registry: &MetricsRegistry,
-) -> Result<CampaignReport, String> {
-    run_campaign_inner(spec, threads, Some(registry))
-}
-
-fn run_campaign_inner(
+pub fn run_campaign(
     spec: &CampaignSpec,
     threads: usize,
     registry: Option<&MetricsRegistry>,
@@ -399,38 +382,16 @@ fn run_campaign_inner(
     if spec.horizon_s <= 0.0 || spec.horizon_s.is_nan() {
         return Err(format!("horizon {} s must be positive", spec.horizon_s));
     }
-    let threads = threads.max(1);
     let prof_run = sdb_prof::scope(sdb_prof::Phase::ChaosRun);
-    let next = AtomicUsize::new(0);
-    let shards: Vec<Vec<ChaosOutcome>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let next = &next;
-                s.spawn(move || {
-                    sdb_prof::set_shard(shard as u16);
-                    let prof_cohort = sdb_prof::enabled().then(|| sdb_prof::cohort_id("chaos"));
-                    let mut outcomes = Vec::with_capacity(spec.devices / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= spec.devices {
-                            break;
-                        }
-                        let prof_dev = sdb_prof::device_scope(prof_cohort.unwrap_or(0));
-                        outcomes.push(run_device(spec, i as u64, registry));
-                        drop(prof_dev);
-                    }
-                    outcomes
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "chaos worker panicked".to_owned()))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-
-    let mut outcomes: Vec<ChaosOutcome> = shards.into_iter().flatten().collect();
-    outcomes.sort_unstable_by_key(|o| o.device);
+    let (_, outcomes) = sdb_prof::shard_map(
+        threads,
+        spec.devices,
+        |_| sdb_prof::enabled().then(|| sdb_prof::cohort_id("chaos")),
+        |prof_cohort, i| {
+            let _prof_dev = sdb_prof::device_scope(prof_cohort.unwrap_or(0));
+            Ok(run_device(spec, i as u64, registry))
+        },
+    )?;
     let report = CampaignReport::from_outcomes(spec, outcomes);
     drop(prof_run);
     if sdb_prof::enabled() {
@@ -455,8 +416,8 @@ mod tests {
     #[test]
     fn campaign_is_thread_count_invariant() {
         let spec = tiny();
-        let r1 = run_campaign(&spec, 1).unwrap();
-        let r3 = run_campaign(&spec, 3).unwrap();
+        let r1 = run_campaign(&spec, 1, None).unwrap();
+        let r3 = run_campaign(&spec, 3, None).unwrap();
         assert_eq!(r1, r3);
         assert_eq!(r1.render_text(), r3.render_text());
         assert_eq!(r1.to_json(), r3.to_json());
@@ -464,7 +425,7 @@ mod tests {
 
     #[test]
     fn campaign_injects_faults_and_upholds_invariants() {
-        let report = run_campaign(&tiny(), 2).unwrap();
+        let report = run_campaign(&tiny(), 2, None).unwrap();
         assert_eq!(report.devices, 6);
         assert!(report.total_faults > 0, "full intensity must inject");
         assert_eq!(
@@ -480,9 +441,9 @@ mod tests {
     #[test]
     fn observed_campaign_matches_and_populates_the_registry() {
         let spec = tiny();
-        let plain = run_campaign(&spec, 2).unwrap();
+        let plain = run_campaign(&spec, 2, None).unwrap();
         let registry = MetricsRegistry::new();
-        let observed = run_campaign_observed(&spec, 2, &registry).unwrap();
+        let observed = run_campaign(&spec, 2, Some(&registry)).unwrap();
         assert_eq!(plain, observed);
         assert_eq!(plain.to_json(), observed.to_json());
         // The shared registry accumulated counters across all devices.
@@ -493,7 +454,7 @@ mod tests {
         );
         // Counter totals are thread-count invariant too.
         let reg1 = MetricsRegistry::new();
-        run_campaign_observed(&spec, 1, &reg1).unwrap();
+        run_campaign(&spec, 1, Some(&reg1)).unwrap();
         assert_eq!(reg1.counter_totals(), registry.counter_totals());
     }
 
@@ -501,9 +462,9 @@ mod tests {
     fn invalid_specs_rejected() {
         let mut s = tiny();
         s.devices = 0;
-        assert!(run_campaign(&s, 1).is_err());
+        assert!(run_campaign(&s, 1, None).is_err());
         let mut s = tiny();
         s.intensity = 1.5;
-        assert!(run_campaign(&s, 1).is_err());
+        assert!(run_campaign(&s, 1, None).is_err());
     }
 }

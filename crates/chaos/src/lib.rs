@@ -21,7 +21,7 @@
 //! use sdb_chaos::{run_campaign, CampaignSpec};
 //!
 //! let spec = CampaignSpec { devices: 3, horizon_s: 900.0, ..CampaignSpec::default() };
-//! let report = run_campaign(&spec, 2).unwrap();
+//! let report = run_campaign(&spec, 2, None).unwrap();
 //! assert_eq!(report.total_violations, 0, "{}", report.render_text());
 //! ```
 
@@ -30,9 +30,7 @@ pub mod harness;
 pub mod invariant;
 pub mod plan;
 
-pub use campaign::{
-    run_campaign, run_campaign_observed, CampaignReport, CampaignSpec, ChaosOutcome, ClassRow,
-};
+pub use campaign::{run_campaign, CampaignReport, CampaignSpec, ChaosOutcome, ClassRow};
 pub use harness::{checked_run_charge_session, checked_run_trace, checked_run_trace_linked};
 pub use invariant::{InvariantChecker, InvariantConfig, InvariantReport, Violation};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanExecutor, FAULT_CLASSES};

@@ -192,7 +192,7 @@ pub(crate) fn run_device_soa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_fleet, run_fleet_with_engine};
+    use crate::engine::{run_fleet, RunOptions};
     use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
@@ -239,15 +239,36 @@ mod tests {
     #[test]
     fn soa_report_is_thread_invariant() {
         let spec = FleetSpec::default_population(16, 42).with_hours(3.0);
-        let (r1, _) = run_fleet_with_engine(&spec, 1, EngineKind::Soa).unwrap();
-        let (r4, _) = run_fleet_with_engine(&spec, 4, EngineKind::Soa).unwrap();
+        let (r1, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(1)
+            },
+        )
+        .unwrap();
+        let (r4, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(4)
+            },
+        )
+        .unwrap();
         assert_eq!(r1, r4);
         assert_eq!(r1.to_json(), r4.to_json());
     }
 
     #[test]
     fn soa_fast_forwards_idle_fleets() {
-        let (_, stats) = run_fleet_with_engine(&idle_spec(6), 2, EngineKind::Soa).unwrap();
+        let (_, stats, _) = run_fleet(
+            &idle_spec(6),
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(2)
+            },
+        )
+        .unwrap();
         let totals = stats.registry.counter_totals();
         let ff = totals
             .iter()
@@ -261,8 +282,15 @@ mod tests {
     #[test]
     fn soa_matches_scalar_within_bounds() {
         let spec = idle_spec(5);
-        let (scalar, _) = run_fleet(&spec, 2).unwrap();
-        let (soa, _) = run_fleet_with_engine(&spec, 2, EngineKind::Soa).unwrap();
+        let (scalar, _, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
+        let (soa, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(2)
+            },
+        )
+        .unwrap();
         assert_eq!(scalar.devices, soa.devices);
         assert_eq!(scalar.brownout_rate, soa.brownout_rate);
         // No brownout on an idle fleet: life equals the full span exactly.
@@ -291,8 +319,15 @@ mod tests {
             }],
             ..idle_spec(4)
         };
-        let (scalar, _) = run_fleet(&spec, 2).unwrap();
-        let (soa, _) = run_fleet_with_engine(&spec, 2, EngineKind::Soa).unwrap();
+        let (scalar, _, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
+        let (soa, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(2)
+            },
+        )
+        .unwrap();
         // Fallback means the engines are the same code path: bit-identical.
         assert_eq!(scalar, soa);
         assert_eq!(scalar.to_json(), soa.to_json());

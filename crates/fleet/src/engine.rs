@@ -1,14 +1,12 @@
 //! The parallel fleet driver.
 //!
-//! Work distribution is a single atomic index over `0..devices`: each
-//! `std::thread::scope` worker claims the next device, runs its full
-//! simulation, and appends the outcome to a shard-local vector. Nothing is
-//! shared between shards on the hot path — each shard has its own
-//! [`Observer`] (metrics registry + span histograms), merged only after
-//! join. Because every device outcome is a pure function of
-//! `(FleetSpec, device index)` and the merge re-orders outcomes by device
-//! index, the resulting [`FleetReport`] is bit-identical for any worker
-//! count, including 1.
+//! Devices are spread over workers by [`sdb_prof::shard_map`], which
+//! hands back their outcomes in device order. Nothing is shared between
+//! shards on the hot path — each shard has its own [`Observer`] (metrics
+//! registry + span histograms), merged only after join. Because every
+//! device outcome is a pure function of `(FleetSpec, device index)`, the
+//! resulting [`FleetReport`] is bit-identical for any worker count,
+//! including 1.
 
 use crate::batch::{EngineKind, SoaScratch};
 use crate::report::FleetReport;
@@ -20,11 +18,10 @@ use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
-use sdb_observe::{DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
+use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
 use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
 use sdb_workloads::traces::Trace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Seed offset separating a planned cohort's forecast warm-up days from
@@ -201,112 +198,101 @@ pub(crate) fn outcome_from(
     }
 }
 
-/// Runs the fleet across `threads` workers and merges the outcomes into a
-/// deterministic [`FleetReport`] plus wall-clock [`FleetRunStats`].
-///
-/// # Errors
-///
-/// Returns the spec validation error, or a message if a worker panicked.
-pub fn run_fleet(spec: &FleetSpec, threads: usize) -> Result<(FleetReport, FleetRunStats), String> {
-    let (report, stats, _) = run_fleet_captured(spec, threads, false)?;
-    Ok((report, stats))
+/// How [`run_fleet`] runs a fleet. Only `engine` can change the
+/// [`FleetReport`]; the rest change wall time and what else is returned.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Worker threads (0 and 1 both mean one).
+    pub threads: usize,
+    /// The tick-by-tick scalar reference, or the SoA fast path
+    /// ([`crate::batch`]) that fast-forwards quiescent devices within a
+    /// documented bound. Either engine's report is bit-identical at any
+    /// thread count.
+    pub engine: EngineKind,
+    /// Capture the full device-tagged event stream. Every shard observer
+    /// gets a [`TraceCollector`] sink; each device's events are tagged
+    /// `(device, seq)` and the merged stream is returned sorted by that
+    /// key, so the serialized trace is byte-identical for any thread
+    /// count. Capture keeps every event in memory: budget roughly one
+    /// `StepSample` per simulation step per device. It requires the
+    /// scalar engine, since fast-forwarded ticks emit no step events.
+    pub capture_events: bool,
+    /// A **live** metrics registry every shard registers into directly,
+    /// so counters (devices completed, ratio pushes, dropped events) are
+    /// visible to concurrent scrapers — the `sdb serve` `/metrics`
+    /// endpoint — while the run progresses, instead of only after the
+    /// post-join merge. The report embeds only counter totals, which are
+    /// commutative sums of atomic increments, so it stays bit-identical
+    /// at any thread count. Gauges become last-write-wins across shards;
+    /// they stay quarantined in [`FleetRunStats`], never in the report.
+    pub live: Option<MetricsRegistry>,
 }
 
-/// [`run_fleet`] with an explicit engine choice: the tick-by-tick scalar
-/// reference, or the SoA fast path ([`crate::batch`]) that fast-forwards
-/// quiescent devices within a documented bound. Either engine's report is
-/// bit-identical at any thread count.
+impl RunOptions {
+    /// Scalar engine, no capture, no live registry, on `threads` workers.
+    #[must_use]
+    pub fn new(threads: usize) -> Self {
+        Self {
+            threads,
+            ..Self::default()
+        }
+    }
+}
+
+/// [`run_fleet`] with only a thread count and an engine, returning the
+/// report and stats. Kept as a one-line wrapper for callers built
+/// against this signature.
 ///
 /// # Errors
 ///
-/// Returns the spec validation error, or a message if a worker panicked.
+/// As [`run_fleet`].
 pub fn run_fleet_with_engine(
     spec: &FleetSpec,
     threads: usize,
     engine: EngineKind,
 ) -> Result<(FleetReport, FleetRunStats), String> {
-    let (report, stats, _) = run_fleet_inner_with(spec, threads, false, None, engine)?;
-    Ok((report, stats))
+    run_fleet(
+        spec,
+        &RunOptions {
+            engine,
+            ..RunOptions::new(threads)
+        },
+    )
+    .map(|(r, s, _)| (r, s))
 }
 
-/// [`run_fleet_captured`] with an explicit engine choice.
+/// One worker's state: its observer (with the event collector, if
+/// capturing), its devices-done counter, its sketches, and its SoA lane
+/// arrays, reused across the shard's devices.
+struct Shard {
+    obs: Observer,
+    collector: Option<Arc<Mutex<TraceCollector>>>,
+    devices_done: Counter,
+    sketches: FleetSketches,
+    soa_scratch: Option<SoaScratch>,
+}
+
+/// Runs the fleet on [`sdb_prof::shard_map`] and merges the outcomes into
+/// a deterministic [`FleetReport`] plus wall-clock [`FleetRunStats`], and
+/// the captured event stream if [`RunOptions::capture_events`] is set.
+/// Every device outcome is a pure function of `(spec, device index)` and
+/// the shards' observers and sketches merge commutatively, so the report
+/// is bit-identical for any worker count, including 1.
 ///
 /// # Errors
 ///
-/// As [`run_fleet_with_engine`]; additionally, event capture requires the
-/// scalar engine (fast-forwarded ticks emit no step events, so a captured
-/// SoA stream would be silently incomplete).
-pub fn run_fleet_captured_with_engine(
+/// Returns the spec validation error, a message if event capture is asked
+/// of the SoA engine, or a message if a worker panicked.
+pub fn run_fleet(
     spec: &FleetSpec,
-    threads: usize,
-    capture_events: bool,
-    engine: EngineKind,
+    opts: &RunOptions,
 ) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner_with(spec, threads, capture_events, None, engine)
-}
-
-/// [`run_fleet`], optionally capturing the full device-tagged event stream.
-///
-/// With `capture_events`, every shard observer gets a [`TraceCollector`]
-/// sink; each device's events are tagged `(device, seq)` and the merged
-/// stream is returned sorted by that key — so the serialized trace is
-/// byte-identical for any thread count. Capture retains every event in
-/// memory; budget roughly one `StepSample` per simulation step per device.
-///
-/// # Errors
-///
-/// Returns the spec validation error, or a message if a worker panicked.
-pub fn run_fleet_captured(
-    spec: &FleetSpec,
-    threads: usize,
-    capture_events: bool,
-) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner(spec, threads, capture_events, None)
-}
-
-/// [`run_fleet_captured`] with a caller-supplied **live** metrics
-/// registry: every shard registers into `live` directly, so counters
-/// (devices completed, ratio pushes, dropped events) are visible to
-/// concurrent scrapers — the `sdb serve` `/metrics` endpoint — while the
-/// run progresses, instead of appearing only after the post-join merge.
-///
-/// Determinism: the [`FleetReport`] embeds only counter totals and those
-/// are sums of atomic increments — commutative, so sharing one registry
-/// across shards yields exactly the totals the per-shard merge would.
-/// Span histograms likewise add commutatively. Gauges become
-/// last-write-wins across shards (the merge's max-rule doesn't apply);
-/// they are wall-clock-adjacent live views and stay quarantined in
-/// [`FleetRunStats`], never in the report — which therefore remains
-/// bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns the spec validation error, or a message if a worker panicked.
-pub fn run_fleet_live(
-    spec: &FleetSpec,
-    threads: usize,
-    capture_events: bool,
-    live: &MetricsRegistry,
-) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner(spec, threads, capture_events, Some(live))
-}
-
-fn run_fleet_inner(
-    spec: &FleetSpec,
-    threads: usize,
-    capture_events: bool,
-    live: Option<&MetricsRegistry>,
-) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner_with(spec, threads, capture_events, live, EngineKind::Scalar)
-}
-
-fn run_fleet_inner_with(
-    spec: &FleetSpec,
-    threads: usize,
-    capture_events: bool,
-    live: Option<&MetricsRegistry>,
-    engine: EngineKind,
-) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
+    let RunOptions {
+        threads,
+        engine,
+        capture_events,
+        ref live,
+    } = *opts;
     spec.validate()?;
     if capture_events && engine == EngineKind::Soa {
         return Err(
@@ -321,123 +307,81 @@ fn run_fleet_inner_with(
     // same global aggregate as sibling roots (device work is parallel to
     // the orchestrator, not "inside" its wall time).
     let prof_run = sdb_prof::scope(sdb_prof::Phase::FleetRun);
-    let next = AtomicUsize::new(0);
 
-    type Shard = (
-        Vec<DeviceOutcome>,
-        Observer,
-        FleetSketches,
-        Option<Vec<DeviceEvent>>,
-    );
-    let shards: Vec<Shard> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let next = &next;
-                s.spawn(move || {
-                    // Shard attribution is wall-clock-quarantined: the
-                    // shard → device assignment depends on the thread
-                    // count and scheduling.
-                    sdb_prof::set_shard(shard as u16);
-                    let obs = match live {
-                        Some(registry) => Observer::with_registry(registry.clone()),
-                        None => Observer::new(),
-                    };
-                    let collector = if capture_events {
-                        let shared = TraceCollector::shared();
-                        obs.add_sink(Box::new(shared.clone()));
-                        Some(shared)
-                    } else {
-                        None
-                    };
-                    let devices_done = obs
-                        .registry()
-                        .expect("fresh observer has a registry")
-                        .counter("sdb_fleet_devices_total", &[]);
-                    let mut sketches = FleetSketches::new();
-                    // SoA lane arrays are shard-local and reused across
-                    // the shard's devices.
-                    let mut soa_scratch =
-                        (engine == EngineKind::Soa).then(|| SoaScratch::new(spec.cohorts.len()));
-                    // Pre-size for the even-split case; the queue handles skew.
-                    let mut outcomes = Vec::with_capacity(spec.devices / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= spec.devices {
-                            break;
-                        }
-                        if let Some(c) = &collector {
-                            c.lock().expect("collector lock").set_device(i as u64);
-                        }
-                        // The observer is shared across this shard's devices;
-                        // reset the sim clock so a device's pre-step events
-                        // (t = 0 ratio pushes) aren't stamped with the
-                        // previous device's end time — which would differ by
-                        // shard layout and break trace determinism.
-                        obs.set_clock(0.0);
-                        let span = obs.span(SpanName::FleetDevice);
-                        // The device scope resets the sampling gate (hot
-                        // ticks are a function of the device, not the
-                        // worker) and flushes this device's phase tree on
-                        // drop, tagged with shard + cohort.
-                        let prof_dev = if sdb_prof::enabled() {
-                            let name = &spec.cohorts[spec.cohort_of(i as u64)].name;
-                            sdb_prof::device_scope(sdb_prof::cohort_id(name))
-                        } else {
-                            sdb_prof::device_scope(0)
-                        };
-                        let outcome = match soa_scratch.as_mut() {
-                            Some(scratch) => {
-                                crate::batch::run_device_soa(spec, i as u64, &obs, scratch)
-                            }
-                            None => run_device(spec, i as u64, &obs),
-                        };
-                        drop(prof_dev);
-                        drop(span);
-                        sketches.observe(&outcome);
-                        outcomes.push(outcome);
-                        devices_done.inc();
-                    }
-                    let events = collector.map(|c| c.lock().expect("collector lock").drain());
-                    (outcomes, obs, sketches, events)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "fleet worker panicked".to_owned()))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
+    let new_shard = |_| {
+        let obs = match live {
+            Some(registry) => Observer::with_registry(registry.clone()),
+            None => Observer::new(),
+        };
+        let collector = capture_events.then(|| {
+            let shared = TraceCollector::shared();
+            obs.add_sink(Box::new(shared.clone()));
+            shared
+        });
+        let devices_done = obs
+            .registry()
+            .expect("fresh observer has a registry")
+            .counter("sdb_fleet_devices_total", &[]);
+        Shard {
+            obs,
+            collector,
+            devices_done,
+            sketches: FleetSketches::new(),
+            soa_scratch: (engine == EngineKind::Soa).then(|| SoaScratch::new(spec.cohorts.len())),
+        }
+    };
+    let run_one = |shard: &mut Shard, i: usize| {
+        if let Some(c) = &shard.collector {
+            c.lock().expect("collector lock").set_device(i as u64);
+        }
+        // The observer is shared across this shard's devices; reset the
+        // sim clock so a device's pre-step events (t = 0 ratio pushes)
+        // aren't stamped with the previous device's end time — which
+        // would differ by shard layout and break trace determinism.
+        shard.obs.set_clock(0.0);
+        let span = shard.obs.span(SpanName::FleetDevice);
+        // The device scope resets the sampling gate (hot ticks are a
+        // function of the device, not the worker) and flushes this
+        // device's phase tree on drop, tagged with shard + cohort.
+        let prof_dev = if sdb_prof::enabled() {
+            let name = &spec.cohorts[spec.cohort_of(i as u64)].name;
+            sdb_prof::device_scope(sdb_prof::cohort_id(name))
+        } else {
+            sdb_prof::device_scope(0)
+        };
+        let outcome = match shard.soa_scratch.as_mut() {
+            Some(scratch) => crate::batch::run_device_soa(spec, i as u64, &shard.obs, scratch),
+            None => run_device(spec, i as u64, &shard.obs),
+        };
+        drop(prof_dev);
+        drop(span);
+        shard.sketches.observe(&outcome);
+        shard.devices_done.inc();
+        let events = shard
+            .collector
+            .as_ref()
+            .map_or_else(Vec::new, |c| c.lock().expect("collector lock").drain());
+        Ok((outcome, events))
+    };
+    let (shards, results) = sdb_prof::shard_map(threads, spec.devices, new_shard, run_one)?;
 
-    // Deterministic merge: shard order and shard contents depend on
-    // scheduling, so re-establish device order before any aggregation.
-    // Sketches merge commutatively, so shard order is irrelevant there.
+    // Deterministic merge: outcomes and each device's events come back in
+    // device order; sketches and registries merge commutatively.
     let prof_merge = sdb_prof::scope(sdb_prof::Phase::ReportMerge);
-    let mut outcomes: Vec<DeviceOutcome> = Vec::with_capacity(spec.devices);
     // In live mode every shard already wrote into the shared registry, so
     // "merging" it per shard would double-count; just adopt the handle.
-    let merged = live.map_or_else(MetricsRegistry::new, MetricsRegistry::clone);
+    let merged = live.clone().unwrap_or_default();
     let mut sketches = FleetSketches::new();
-    let mut events: Option<Vec<DeviceEvent>> = capture_events.then(Vec::new);
-    for (shard_outcomes, obs, shard_sketches, shard_events) in shards {
-        outcomes.extend(shard_outcomes);
+    for shard in shards {
         if live.is_none() {
-            if let Some(reg) = obs.registry() {
+            if let Some(reg) = shard.obs.registry() {
                 merged.merge_from(reg);
             }
         }
-        sketches.merge_from(&shard_sketches);
-        if let (Some(all), Some(shard)) = (events.as_mut(), shard_events) {
-            all.extend(shard);
-        }
+        sketches.merge_from(&shard.sketches);
     }
-    outcomes.sort_unstable_by_key(|o| o.device);
-    debug_assert!(outcomes
-        .iter()
-        .enumerate()
-        .all(|(i, o)| o.device == i as u64));
-    if let Some(all) = events.as_mut() {
-        all.sort_by_key(|e| (e.device, e.seq));
-    }
+    let (outcomes, device_events): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let events = capture_events.then(|| device_events.into_iter().flatten().collect());
 
     let report = FleetReport::from_outcomes(spec, &outcomes, &merged);
     drop(prof_merge);
@@ -496,7 +440,7 @@ mod tests {
 
     #[test]
     fn engine_runs_every_device_exactly_once() {
-        let (report, stats) = run_fleet(&tiny_spec(17), 4).unwrap();
+        let (report, stats, _) = run_fleet(&tiny_spec(17), &RunOptions::new(4)).unwrap();
         assert_eq!(report.devices, 17);
         assert_eq!(stats.threads, 4);
         // The merged fleet counter saw each device once.
@@ -510,14 +454,14 @@ mod tests {
 
     #[test]
     fn zero_devices_is_an_error() {
-        assert!(run_fleet(&tiny_spec(0), 2).is_err());
+        assert!(run_fleet(&tiny_spec(0), &RunOptions::new(2)).is_err());
     }
 
     #[test]
     fn thread_count_does_not_change_outcomes() {
         let spec = tiny_spec(12);
-        let (r1, _) = run_fleet(&spec, 1).unwrap();
-        let (r3, _) = run_fleet(&spec, 3).unwrap();
+        let (r1, _, _) = run_fleet(&spec, &RunOptions::new(1)).unwrap();
+        let (r3, _, _) = run_fleet(&spec, &RunOptions::new(3)).unwrap();
         assert_eq!(r1, r3);
         assert_eq!(r1.to_json(), r3.to_json());
     }
@@ -535,8 +479,22 @@ mod tests {
             PolicySpec::Oracle,
         ] {
             let spec = tiny_spec(8).with_policy(policy);
-            let (r1, _, e1) = run_fleet_captured(&spec, 1, true).unwrap();
-            let (r4, _, e4) = run_fleet_captured(&spec, 4, true).unwrap();
+            let (r1, _, e1) = run_fleet(
+                &spec,
+                &RunOptions {
+                    capture_events: true,
+                    ..RunOptions::new(1)
+                },
+            )
+            .unwrap();
+            let (r4, _, e4) = run_fleet(
+                &spec,
+                &RunOptions {
+                    capture_events: true,
+                    ..RunOptions::new(4)
+                },
+            )
+            .unwrap();
             assert_eq!(r1, r4);
             assert_eq!(r1.to_json(), r4.to_json());
             assert_eq!(e1, e4);
@@ -553,8 +511,22 @@ mod tests {
     #[test]
     fn captured_events_are_device_sorted_and_thread_invariant() {
         let spec = tiny_spec(9);
-        let (_, _, e1) = run_fleet_captured(&spec, 1, true).unwrap();
-        let (_, _, e4) = run_fleet_captured(&spec, 4, true).unwrap();
+        let (_, _, e1) = run_fleet(
+            &spec,
+            &RunOptions {
+                capture_events: true,
+                ..RunOptions::new(1)
+            },
+        )
+        .unwrap();
+        let (_, _, e4) = run_fleet(
+            &spec,
+            &RunOptions {
+                capture_events: true,
+                ..RunOptions::new(4)
+            },
+        )
+        .unwrap();
         let e1 = e1.unwrap();
         let e4 = e4.unwrap();
         assert!(!e1.is_empty());
@@ -566,16 +538,23 @@ mod tests {
         let devices: std::collections::BTreeSet<u64> = e1.iter().map(|e| e.device).collect();
         assert_eq!(devices.len(), 9);
         // Without capture, no events and no collector overhead.
-        let (_, _, none) = run_fleet_captured(&spec, 2, false).unwrap();
+        let (_, _, none) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
         assert!(none.is_none());
     }
 
     #[test]
     fn live_registry_matches_merged_counters_and_keeps_the_report_identical() {
         let spec = tiny_spec(12);
-        let (r_merged, s_merged, _) = run_fleet_captured(&spec, 3, false).unwrap();
+        let (r_merged, s_merged, _) = run_fleet(&spec, &RunOptions::new(3)).unwrap();
         let live = MetricsRegistry::new();
-        let (r_live, s_live, _) = run_fleet_live(&spec, 3, false, &live).unwrap();
+        let (r_live, s_live, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                live: Some(live.clone()),
+                ..RunOptions::new(3)
+            },
+        )
+        .unwrap();
         assert_eq!(r_merged, r_live);
         assert_eq!(r_merged.to_json(), r_live.to_json());
         // The stats registry is the caller's live registry, and its
@@ -583,14 +562,21 @@ mod tests {
         assert_eq!(s_live.registry.counter_totals(), live.counter_totals());
         assert_eq!(s_merged.registry.counter_totals(), live.counter_totals());
         // Thread count still doesn't change the report in live mode.
-        let (r1, _, _) = run_fleet_live(&spec, 1, false, &MetricsRegistry::new()).unwrap();
+        let (r1, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                live: Some(MetricsRegistry::new()),
+                ..RunOptions::new(1)
+            },
+        )
+        .unwrap();
         assert_eq!(r1, r_live);
     }
 
     #[test]
     fn stats_sketches_track_the_exact_report_percentiles() {
         let spec = tiny_spec(40);
-        let (report, stats, _) = run_fleet_captured(&spec, 3, false).unwrap();
+        let (report, stats, _) = run_fleet(&spec, &RunOptions::new(3)).unwrap();
         assert_eq!(stats.sketches.count(), 40);
         for d in stats.sketches.deltas(&report) {
             assert!(
@@ -609,7 +595,7 @@ mod tests {
     fn outcomes_match_a_direct_single_device_run() {
         // Fleet of one, shared trace: identical to calling run_trace directly.
         let spec = tiny_spec(1);
-        let (report, _) = run_fleet(&spec, 2).unwrap();
+        let (report, _, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
 
         let cohort = &spec.cohorts[0];
         let mut builder = PackBuilder::new();

@@ -9,12 +9,12 @@
 //! * [`spec`] — declarative fleet populations: weighted [`CohortSpec`]s
 //!   (pack template × workload × policy) sampled deterministically per
 //!   device from a master seed via SplitMix64 stream derivation.
-//! * [`engine`] — the parallel driver: device indices are handed out from
-//!   an atomic work queue to `std::thread::scope` workers, each running
-//!   the full `run_trace` simulation independently with a per-shard
-//!   metrics registry (no cross-thread contention on the hot path).
-//! * [`report`] — the deterministic merge: outcomes are re-ordered by
-//!   device index and aggregated into a [`FleetReport`] (depletion-time
+//! * [`engine`] — the parallel driver, [`run_fleet`]: devices are spread
+//!   over workers by [`sdb_prof::shard_map`], each running the full
+//!   simulation independently with a per-shard metrics registry (no
+//!   cross-thread contention on the hot path).
+//! * [`report`] — the deterministic merge: outcomes, in device order,
+//!   are aggregated into a [`FleetReport`] (depletion-time
 //!   percentiles, brownout rate, loss and wear distributions, per-cohort
 //!   breakdowns, merged counter totals) that is **bit-identical for any
 //!   thread count**.
@@ -22,7 +22,7 @@
 //!   shard and merged commutatively after join: O(1)-memory fleet
 //!   percentiles, cross-checked against the exact nearest-rank numbers in
 //!   the report. The engine can also capture the full device-tagged event
-//!   stream ([`engine::run_fleet_captured`]) for serialization by
+//!   stream ([`RunOptions::capture_events`]) for serialization by
 //!   `sdb-trace`.
 //!
 //! Determinism contract: `FleetReport` (and its JSON rendering) is a pure
@@ -33,14 +33,14 @@
 //! # Example
 //!
 //! ```
-//! use sdb_fleet::{engine::run_fleet, spec::FleetSpec};
+//! use sdb_fleet::{run_fleet, spec::FleetSpec, RunOptions};
 //!
 //! let spec = FleetSpec::default_population(64, 42).with_hours(2.0);
-//! let (report, stats) = run_fleet(&spec, 2).unwrap();
+//! let (report, stats, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
 //! assert_eq!(report.devices, 64);
 //! assert!(stats.wall_s >= 0.0);
 //! // Same spec, different shard count: bit-identical report.
-//! let (again, _) = run_fleet(&spec, 1).unwrap();
+//! let (again, _, _) = run_fleet(&spec, &RunOptions::new(1)).unwrap();
 //! assert_eq!(report.to_json(), again.to_json());
 //! ```
 
@@ -51,10 +51,7 @@ pub mod sketches;
 pub mod spec;
 
 pub use batch::EngineKind;
-pub use engine::{
-    run_fleet, run_fleet_captured, run_fleet_captured_with_engine, run_fleet_live,
-    run_fleet_with_engine, DeviceOutcome, FleetRunStats,
-};
+pub use engine::{run_fleet, run_fleet_with_engine, DeviceOutcome, FleetRunStats, RunOptions};
 pub use report::{CohortReport, DistSummary, FleetReport};
 pub use sketches::{
     render_deltas_json, render_deltas_text, FleetSketches, SketchDelta, FLEET_SKETCH_ALPHA,

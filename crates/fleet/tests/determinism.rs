@@ -8,8 +8,8 @@ use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::run_trace;
 use sdb_emulator::pack::PackBuilder;
-use sdb_fleet::run_fleet;
 use sdb_fleet::spec::{FleetSpec, PolicySpec};
+use sdb_fleet::{run_fleet, RunOptions};
 
 /// A real heterogeneous population (all three cohorts, seeded per-device
 /// traces), big enough that every thread count actually interleaves work.
@@ -20,11 +20,11 @@ fn population() -> FleetSpec {
 #[test]
 fn report_is_bit_identical_across_thread_counts() {
     let spec = population();
-    let (baseline, stats1) = run_fleet(&spec, 1).unwrap();
+    let (baseline, stats1, _) = run_fleet(&spec, &RunOptions::new(1)).unwrap();
     assert_eq!(stats1.threads, 1);
     let json = baseline.to_json();
     for threads in [2usize, 3, 8] {
-        let (report, stats) = run_fleet(&spec, threads).unwrap();
+        let (report, stats, _) = run_fleet(&spec, &RunOptions::new(threads)).unwrap();
         assert_eq!(stats.threads, threads);
         // Structural equality covers every f64 via PartialEq…
         assert_eq!(baseline, report, "report diverged at {threads} threads");
@@ -36,15 +36,23 @@ fn report_is_bit_identical_across_thread_counts() {
 #[test]
 fn repeated_runs_are_bit_identical() {
     let spec = population();
-    let (a, _) = run_fleet(&spec, 4).unwrap();
-    let (b, _) = run_fleet(&spec, 4).unwrap();
+    let (a, _, _) = run_fleet(&spec, &RunOptions::new(4)).unwrap();
+    let (b, _, _) = run_fleet(&spec, &RunOptions::new(4)).unwrap();
     assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn different_master_seeds_give_different_fleets() {
-    let (a, _) = run_fleet(&FleetSpec::default_population(32, 1).with_hours(0.5), 2).unwrap();
-    let (b, _) = run_fleet(&FleetSpec::default_population(32, 2).with_hours(0.5), 2).unwrap();
+    let (a, _, _) = run_fleet(
+        &FleetSpec::default_population(32, 1).with_hours(0.5),
+        &RunOptions::new(2),
+    )
+    .unwrap();
+    let (b, _, _) = run_fleet(
+        &FleetSpec::default_population(32, 2).with_hours(0.5),
+        &RunOptions::new(2),
+    )
+    .unwrap();
     assert_ne!(a.to_json(), b.to_json());
 }
 
@@ -58,7 +66,7 @@ fn fleet_of_one_matches_a_direct_run_trace() {
         PolicySpec::Blend(v) => v,
         _ => unreachable!("cohort 0 is the blend phone cohort"),
     };
-    let (report, _) = run_fleet(&spec, 2).unwrap();
+    let (report, _, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
 
     let cohort = &spec.cohorts[0];
     let mut builder = PackBuilder::new();
@@ -91,7 +99,7 @@ fn fleet_of_one_matches_a_direct_run_trace() {
 fn wall_clock_facts_stay_out_of_the_report() {
     // The JSON must not mention threads or wall-clock time: those live in
     // FleetRunStats only.
-    let (report, stats) = run_fleet(&population(), 2).unwrap();
+    let (report, stats, _) = run_fleet(&population(), &RunOptions::new(2)).unwrap();
     let json = report.to_json();
     assert!(!json.contains("threads"));
     assert!(!json.contains("wall"));

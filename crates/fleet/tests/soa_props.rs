@@ -8,7 +8,7 @@ use sdb_battery_model::spec::BatterySpec;
 use sdb_core::scheduler::SimOptions;
 use sdb_emulator::profile::ProfileKind;
 use sdb_fleet::spec::{CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
-use sdb_fleet::{run_fleet_with_engine, EngineKind};
+use sdb_fleet::{run_fleet, EngineKind, RunOptions};
 use sdb_testkit::{check, Gen};
 use sdb_workloads::Trace;
 use std::sync::Arc;
@@ -65,8 +65,22 @@ fn soa_reports_are_thread_invariant_on_random_specs() {
     check(12, 0x50A_0001, |g| {
         let spec = arb_standby_spec(g);
         let threads = g.pick(&[2usize, 3, 4]);
-        let (r1, _) = run_fleet_with_engine(&spec, 1, EngineKind::Soa).expect("1-thread run");
-        let (rn, _) = run_fleet_with_engine(&spec, threads, EngineKind::Soa).expect("n-thread run");
+        let (r1, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(1)
+            },
+        )
+        .expect("1-thread run");
+        let (rn, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(threads)
+            },
+        )
+        .expect("n-thread run");
         assert_eq!(r1.to_json(), rn.to_json(), "report depends on thread count");
     });
 }
@@ -79,8 +93,22 @@ fn soa_reports_are_thread_invariant_on_random_specs() {
 fn soa_engine_stays_within_error_bound_of_scalar() {
     check(12, 0x50A_0002, |g| {
         let spec = arb_standby_spec(g);
-        let (scalar, _) = run_fleet_with_engine(&spec, 2, EngineKind::Scalar).expect("scalar run");
-        let (soa, _) = run_fleet_with_engine(&spec, 2, EngineKind::Soa).expect("soa run");
+        let (scalar, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Scalar,
+                ..RunOptions::new(2)
+            },
+        )
+        .expect("scalar run");
+        let (soa, _, _) = run_fleet(
+            &spec,
+            &RunOptions {
+                engine: EngineKind::Soa,
+                ..RunOptions::new(2)
+            },
+        )
+        .expect("soa run");
         assert_eq!(
             scalar.brownout_rate, soa.brownout_rate,
             "brownouts diverged"

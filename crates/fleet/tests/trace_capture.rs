@@ -9,7 +9,7 @@ use sdb_battery_model::spec::BatterySpec;
 use sdb_core::scheduler::SimOptions;
 use sdb_emulator::profile::ProfileKind;
 use sdb_fleet::spec::{CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
-use sdb_fleet::{run_fleet_captured, FLEET_SKETCH_ALPHA};
+use sdb_fleet::{run_fleet, RunOptions, FLEET_SKETCH_ALPHA};
 use sdb_trace::{analyze, analyze_jsonl, default_rules, to_chrome, to_jsonl};
 use sdb_workloads::traces::Trace;
 use std::sync::Arc;
@@ -51,13 +51,27 @@ fn overloaded_spec(devices: usize) -> FleetSpec {
 #[test]
 fn serialized_trace_is_byte_identical_across_thread_counts() {
     let spec = population(24);
-    let (_, _, events1) = run_fleet_captured(&spec, 1, true).unwrap();
+    let (_, _, events1) = run_fleet(
+        &spec,
+        &RunOptions {
+            capture_events: true,
+            ..RunOptions::new(1)
+        },
+    )
+    .unwrap();
     let events1 = events1.unwrap();
     let jsonl = to_jsonl(&events1);
     let chrome = to_chrome(&events1);
     assert!(!jsonl.is_empty());
     for threads in [2usize, 5] {
-        let (_, _, events) = run_fleet_captured(&spec, threads, true).unwrap();
+        let (_, _, events) = run_fleet(
+            &spec,
+            &RunOptions {
+                capture_events: true,
+                ..RunOptions::new(threads)
+            },
+        )
+        .unwrap();
         let events = events.unwrap();
         assert_eq!(
             jsonl,
@@ -75,7 +89,14 @@ fn serialized_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn replayed_trace_reproduces_the_analysis() {
     let spec = overloaded_spec(6);
-    let (_, _, events) = run_fleet_captured(&spec, 3, true).unwrap();
+    let (_, _, events) = run_fleet(
+        &spec,
+        &RunOptions {
+            capture_events: true,
+            ..RunOptions::new(3)
+        },
+    )
+    .unwrap();
     let events = events.unwrap();
     let direct = analyze(&events, default_rules());
     let replayed = analyze_jsonl(&to_jsonl(&events), default_rules()).unwrap();
@@ -86,7 +107,14 @@ fn replayed_trace_reproduces_the_analysis() {
 #[test]
 fn rule_engine_flags_a_failing_population() {
     let spec = overloaded_spec(8);
-    let (report, _, events) = run_fleet_captured(&spec, 2, true).unwrap();
+    let (report, _, events) = run_fleet(
+        &spec,
+        &RunOptions {
+            capture_events: true,
+            ..RunOptions::new(2)
+        },
+    )
+    .unwrap();
     assert!(
         report.brownout_rate > 0.0,
         "spec should brown out; rate {}",
@@ -107,7 +135,7 @@ fn rule_engine_flags_a_failing_population() {
 #[test]
 fn sketch_percentiles_match_exact_report_percentiles() {
     let spec = population(64);
-    let (report, stats, _) = run_fleet_captured(&spec, 4, false).unwrap();
+    let (report, stats, _) = run_fleet(&spec, &RunOptions::new(4)).unwrap();
     assert_eq!(stats.sketches.count(), 64);
     for d in stats.sketches.deltas(&report) {
         assert!(

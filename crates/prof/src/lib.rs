@@ -30,13 +30,19 @@
 //! into a process-global aggregate tagged with shard and cohort, and
 //! tree merges add counts/durations node-wise — any completion order
 //! yields the identical aggregate.
+//!
+//! The crate also owns [`shard_map`], the ordered work-queue runner the
+//! sharded drivers (fleet, chaos, campaign) share, since it is what tags
+//! each worker thread with its shard.
 
 mod phase;
 mod render;
+mod shard;
 mod table;
 
 pub use phase::{Phase, ALL_PHASES, PHASE_COUNT};
 pub use render::{PhaseNode, Snapshot};
+pub use shard::shard_map;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -16,7 +16,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Phase {
-    /// A whole `run_fleet_*` invocation (main thread: orchestration).
+    /// A whole `run_fleet` invocation (main thread: orchestration).
     FleetRun = 0,
     /// A whole chaos campaign invocation.
     ChaosRun = 1,

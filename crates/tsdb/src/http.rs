@@ -23,6 +23,7 @@
 use crate::query::{self, Query, QueryKind};
 use crate::store::{Tier, TsdbStore};
 use sdb_observe::MetricsRegistry;
+use sdb_trace::writer::esc;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -68,15 +69,11 @@ impl BuildInfo {
     pub fn healthz_json(&self) -> String {
         format!(
             "{{\"status\":\"ok\",\"version\":\"{}\",\"git_hash\":\"{}\",\"rustc\":\"{}\"}}\n",
-            escape_json(&self.version),
-            escape_json(&self.git_hash),
-            escape_json(&self.rustc)
+            esc(&self.version),
+            esc(&self.git_hash),
+            esc(&self.rustc)
         )
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Options for [`serve`].
@@ -481,6 +478,21 @@ mod tests {
         let handle = serve(&ServeOptions::default(), registry.clone(), store.clone())
             .expect("bind loopback");
         (handle, registry, store)
+    }
+
+    #[test]
+    fn healthz_json_escapes_control_characters() {
+        let rustc = "rustc 1.80\n\t(\u{1}\"\\)";
+        let build = BuildInfo {
+            rustc: rustc.to_owned(),
+            ..BuildInfo::default()
+        };
+        let body = build.healthz_json();
+        let line = body.strip_suffix('\n').expect("newline-terminated");
+        assert!(line.bytes().all(|b| b >= 0x20), "{line:?}");
+        let parsed = sdb_trace::json::parse(&body).expect("valid JSON");
+        assert_eq!(parsed.get("rustc").and_then(|v| v.as_str()), Some(rustc));
+        assert_eq!(parsed.get("status").and_then(|v| v.as_str()), Some("ok"));
     }
 
     #[test]

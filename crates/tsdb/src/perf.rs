@@ -14,7 +14,9 @@
 //! quarantined exactly like `FleetRunStats` wall-clock facts — it never
 //! influences a comparison, only labels history lines for humans.
 
+use crate::query::fmt_json_f64;
 use sdb_trace::json::{self, Value};
+use sdb_trace::writer::esc;
 
 /// Which direction is better for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,7 +255,7 @@ impl HistoryEntry {
         let mut out = format!(
             "{{\"recorded_at_unix_s\":{},\"label\":\"{}\",\"metrics\":[",
             self.recorded_at_unix_s,
-            escape(&self.label)
+            esc(&self.label)
         );
         for (i, m) in self.metrics.iter().enumerate() {
             if i > 0 {
@@ -261,8 +263,8 @@ impl HistoryEntry {
             }
             out.push_str(&format!(
                 "{{\"key\":\"{}\",\"value\":{},\"dir\":\"{}\"}}",
-                escape(&m.key),
-                fmt_f64(m.value),
+                esc(&m.key),
+                fmt_json_f64(m.value),
                 match m.direction {
                     Direction::LowerIsBetter => "lower",
                     Direction::HigherIsBetter => "higher",
@@ -428,23 +430,6 @@ pub fn check(
         }
     }
     regressions
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]

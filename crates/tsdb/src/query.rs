@@ -15,6 +15,7 @@
 //! lives in [`crate::http`].
 
 use crate::store::{Tier, TsdbStore};
+use sdb_trace::writer::esc;
 
 /// What to compute over the selected series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,16 +91,16 @@ impl QueryResult {
                 out.push(',');
             }
             out.push_str("{\"name\":\"");
-            out.push_str(&escape(&s.name));
+            out.push_str(&esc(&s.name));
             out.push_str("\",\"labels\":{");
             for (j, (k, v)) in s.labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 out.push('"');
-                out.push_str(&escape(k));
+                out.push_str(&esc(k));
                 out.push_str("\":\"");
-                out.push_str(&escape(v));
+                out.push_str(&esc(v));
                 out.push('"');
             }
             out.push_str("},\"points\":[");
@@ -120,22 +121,10 @@ impl QueryResult {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// JSON has no NaN/Inf literals; spell them as null per common practice.
-fn fmt_json_f64(v: f64) -> String {
+/// Finite values always carry a `.` or an exponent. The one float
+/// formatter of this crate's JSON (query results and perf history).
+pub(crate) fn fmt_json_f64(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
         if s.contains('.') || s.contains('e') || s.contains('E') {

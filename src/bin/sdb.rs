@@ -48,8 +48,9 @@ use sdb::tsdb;
 use sdb::workloads::traces::{phone_day, tablet_session, watch_day, Trace};
 use sdb::workloads::Activity;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const PACKS: &[(&str, &str)] = &[
     (
@@ -219,15 +220,62 @@ fn write_metrics(registry: &MetricsRegistry, path: &str) -> Result<(), ()> {
     Ok(())
 }
 
+/// Reports a usage error and exits with status 1. Flag helpers call it
+/// before a subcommand starts work, so nothing is half written.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+/// Parses the value of `--key`, if given. A value that does not parse is
+/// a usage error naming the flag, never a silent default.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    let raw = flags.get(key)?;
+    match raw.parse() {
+        Ok(v) => Some(v),
+        Err(_) if raw.is_empty() => usage_error(&format!("--{key} needs a value")),
+        Err(e) => usage_error(&format!("invalid --{key} `{raw}`: {e}")),
+    }
+}
+
+/// [`flag`], or `default` when the flag is absent.
+fn flag_or<T: FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T
+where
+    T::Err: Display,
+{
+    flag(flags, key).unwrap_or(default)
+}
+
+/// The host's available parallelism: the `--threads` default.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Parses `--engine scalar|soa` (default scalar). Shared by `sdb fleet`
 /// and `sdb profile --scenario fleet`.
-fn parse_engine(flags: &HashMap<String, String>) -> Result<fleet::EngineKind, ExitCode> {
-    match flags.get("engine") {
-        None => Ok(fleet::EngineKind::Scalar),
-        Some(s) => fleet::EngineKind::parse(s).map_err(|e| {
-            eprintln!("{e}");
-            ExitCode::FAILURE
+fn engine_flag(flags: &HashMap<String, String>) -> fleet::EngineKind {
+    flags.get("engine").map_or(fleet::EngineKind::Scalar, |s| {
+        fleet::EngineKind::parse(s).unwrap_or_else(|e| usage_error(&e))
+    })
+}
+
+/// Parses `--policy greedy|planned|oracle` for a default-population
+/// fleet: `None` (absent or `greedy`) keeps the cohorts' own policies.
+/// Shared by `sdb fleet`, `sdb serve --telemetry` and `sdb profile`.
+fn fleet_policy_flag(flags: &HashMap<String, String>) -> Option<fleet::PolicySpec> {
+    match flags.get("policy").map(String::as_str) {
+        None | Some("greedy") => None,
+        Some("planned") => Some(fleet::PolicySpec::Planned {
+            horizon_s: 8.0 * 3600.0,
+            replan_s: 1800.0,
         }),
+        Some("oracle") => Some(fleet::PolicySpec::Oracle),
+        Some(other) => usage_error(&format!(
+            "unknown fleet policy `{other}` (expected greedy, planned, or oracle)"
+        )),
     }
 }
 
@@ -253,7 +301,7 @@ fn chrome_path(jsonl_path: &str) -> String {
 
 fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
     let pack_name = flags.get("pack").map(String::as_str).unwrap_or("watch");
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(13);
+    let seed: u64 = flag_or(flags, "seed", 13);
     let Some(mut micro) = build_pack(pack_name, 1.0) else {
         eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
         return ExitCode::FAILURE;
@@ -432,18 +480,9 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
         .get("pack")
         .map(String::as_str)
         .unwrap_or("tablet-hybrid");
-    let watts: f64 = flags
-        .get("watts")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(45.0);
-    let directive: f64 = flags
-        .get("directive")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    let target: f64 = flags
-        .get("target")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(80.0);
+    let watts: f64 = flag_or(flags, "watts", 45.0);
+    let directive: f64 = flag_or(flags, "directive", 1.0);
+    let target: f64 = flag_or(flags, "target", 80.0);
     let Some(mut micro) = build_pack(pack_name, 0.0) else {
         eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
         return ExitCode::FAILURE;
@@ -484,7 +523,7 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
 
 fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
     let pack_name = flags.get("pack").map(String::as_str).unwrap_or("phone");
-    let soc: f64 = flags.get("soc").and_then(|s| s.parse().ok()).unwrap_or(0.8);
+    let soc: f64 = flag_or(flags, "soc", 0.8);
     let Some(micro) = build_pack(pack_name, soc.clamp(0.0, 1.0)) else {
         eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
         return ExitCode::FAILURE;
@@ -530,56 +569,33 @@ fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
 /// `--json`). The report is a pure function of `--devices`/`--seed`/
 /// `--hours`; `--threads` only changes wall-clock time.
 fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
-    let devices: usize = flags
-        .get("devices")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let hours: f64 = flags
-        .get("hours")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4.0);
+    let devices: usize = flag_or(flags, "devices", 1000);
+    let threads: usize = flag_or(flags, "threads", host_threads());
+    let seed: u64 = flag_or(flags, "seed", 42);
+    let hours: f64 = flag_or(flags, "hours", 4.0);
 
     let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-    match flags.get("policy").map(String::as_str) {
-        None | Some("greedy") => {}
-        Some("planned") => {
-            spec = spec.with_policy(fleet::PolicySpec::Planned {
-                horizon_s: 8.0 * 3600.0,
-                replan_s: 1800.0,
-            });
-        }
-        Some("oracle") => {
-            spec = spec.with_policy(fleet::PolicySpec::Oracle);
-        }
-        Some(other) => {
-            eprintln!("unknown fleet policy `{other}` (expected greedy, planned, or oracle)");
-            return ExitCode::FAILURE;
-        }
+    if let Some(policy) = fleet_policy_flag(flags) {
+        spec = spec.with_policy(policy);
     }
-    let engine = match parse_engine(flags) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
-    let capture = flags.contains_key("trace-out") || flags.contains_key("events-out");
-    if capture && engine == fleet::EngineKind::Soa {
+    let engine = engine_flag(flags);
+    let capture_events = flags.contains_key("trace-out") || flags.contains_key("events-out");
+    if capture_events && engine == fleet::EngineKind::Soa {
         eprintln!("--events-out/--trace-out require --engine scalar (fast-forwarded ticks emit no step events)");
         return ExitCode::FAILURE;
     }
-    let (report, stats, events) =
-        match fleet::run_fleet_captured_with_engine(&spec, threads, capture, engine) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fleet run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let opts = fleet::RunOptions {
+        engine,
+        capture_events,
+        ..fleet::RunOptions::new(threads)
+    };
+    let (report, stats, events) = match fleet::run_fleet(&spec, &opts) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("fleet run failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if let Some(events) = &events {
         let jsonl = sdbtrace::to_jsonl(events);
@@ -643,10 +659,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
 /// cross-checks the streaming quantile sketches against the exact report
 /// percentiles.
 fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
-    let max_findings: usize = flags
-        .get("max-findings")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+    let max_findings: usize = flag_or(flags, "max-findings", 20);
     let json = flags.contains_key("json");
 
     if let Some(path) = flags.get("trace") {
@@ -701,23 +714,16 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
     }
 
     // Inline mode: run a fleet with event capture and analyze it in-process.
-    let devices: usize = flags
-        .get("devices")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let hours: f64 = flags
-        .get("hours")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let devices: usize = flag_or(flags, "devices", 200);
+    let threads: usize = flag_or(flags, "threads", host_threads());
+    let seed: u64 = flag_or(flags, "seed", 42);
+    let hours: f64 = flag_or(flags, "hours", 1.0);
     let spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-    let (report, stats, events) = match fleet::run_fleet_captured(&spec, threads, true) {
+    let opts = fleet::RunOptions {
+        capture_events: true,
+        ..fleet::RunOptions::new(threads)
+    };
+    let (report, stats, events) = match fleet::run_fleet(&spec, &opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("fleet run failed: {e}");
@@ -753,33 +759,18 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
 
 fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     let mut spec = sdb::chaos::CampaignSpec::default();
-    if let Some(v) = flags.get("devices").and_then(|s| s.parse().ok()) {
-        spec.devices = v;
+    spec.devices = flag_or(flags, "devices", spec.devices);
+    spec.master_seed = flag_or(flags, "seed", spec.master_seed);
+    spec.intensity = flag_or(flags, "intensity", spec.intensity);
+    if let Some(hours) = flag::<f64>(flags, "hours") {
+        spec.horizon_s = hours * 3600.0;
     }
-    if let Some(v) = flags.get("seed").and_then(|s| s.parse().ok()) {
-        spec.master_seed = v;
-    }
-    if let Some(v) = flags.get("intensity").and_then(|s| s.parse().ok()) {
-        spec.intensity = v;
-    }
-    if let Some(v) = flags.get("hours").and_then(|s| s.parse::<f64>().ok()) {
-        spec.horizon_s = v * 3600.0;
-    }
-    if let Some(v) = flags.get("load").and_then(|s| s.parse().ok()) {
-        spec.load_w = v;
-    }
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
+    spec.load_w = flag_or(flags, "load", spec.load_w);
+    let threads: usize = flag_or(flags, "threads", host_threads());
     // --metrics-out parity with fleet: run observed so every device's
     // counters land in one scrapeable registry.
     let metrics_registry = flags.get("metrics-out").map(|_| MetricsRegistry::new());
-    let campaign = match &metrics_registry {
-        Some(reg) => sdb::chaos::run_campaign_observed(&spec, threads, reg),
-        None => sdb::chaos::run_campaign(&spec, threads),
-    };
-    let report = match campaign {
+    let report = match sdb::chaos::run_campaign(&spec, threads, metrics_registry.as_ref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("chaos campaign failed: {e}");
@@ -823,10 +814,21 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:0".to_owned());
-    let scrape_ms: u64 = flags
-        .get("scrape-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(250);
+    let scrape_ms: u64 = flag_or(flags, "scrape-ms", 250);
+    // The telemetry fleet's flags are checked before the listener binds.
+    // `--policy planned|oracle` runs it under the lookahead planner so
+    // `/metrics` carries the `sdb_policy_forecast_mae` gauge and re-plan
+    // counter.
+    let telemetry = flags.contains_key("telemetry").then(|| {
+        let devices: usize = flag_or(flags, "devices", 200);
+        let seed: u64 = flag_or(flags, "seed", 42);
+        let hours: f64 = flag_or(flags, "hours", 1.0);
+        let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
+        if let Some(policy) = fleet_policy_flag(flags) {
+            spec = spec.with_policy(policy);
+        }
+        (spec, flag_or(flags, "threads", host_threads()))
+    });
     let registry = MetricsRegistry::new();
     let store = tsdb::TsdbStore::default();
     // The profiler stays on for the whole serve session so `/profile`
@@ -846,58 +848,25 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     };
     emit(&format!("listening on http://{}\n", handle.addr()));
 
-    let fleet_thread = flags.contains_key("telemetry").then(|| {
-        let devices: usize = flags
-            .get("devices")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(200);
-        let threads: usize = flags
-            .get("threads")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-        let hours: f64 = flags
-            .get("hours")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1.0);
-        let registry = registry.clone();
+    let fleet_thread = telemetry.map(|(spec, threads)| {
+        let opts = fleet::RunOptions {
+            capture_events: true,
+            live: Some(registry.clone()),
+            ..fleet::RunOptions::new(threads)
+        };
         let store = store.clone();
-        // `--policy planned|oracle` runs the telemetry fleet under the
-        // lookahead planner so `/metrics` carries the
-        // `sdb_policy_forecast_mae` gauge and re-plan counter.
-        let policy = flags.get("policy").cloned();
-        std::thread::spawn(move || {
-            let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-            match policy.as_deref() {
-                None | Some("greedy") => {}
-                Some("planned") => {
-                    spec = spec.with_policy(fleet::PolicySpec::Planned {
-                        horizon_s: 8.0 * 3600.0,
-                        replan_s: 1800.0,
-                    });
-                }
-                Some("oracle") => {
-                    spec = spec.with_policy(fleet::PolicySpec::Oracle);
-                }
-                Some(other) => {
-                    eprintln!("unknown fleet policy `{other}`; running greedy");
-                }
+        std::thread::spawn(move || match fleet::run_fleet(&spec, &opts) {
+            Ok((_, _, events)) => {
+                let events = events.expect("capture was requested");
+                let n = tsdb::ingest_events(&store, &events);
+                let st = store.stats();
+                eprintln!(
+                    "fleet complete: {n} events ingested, {} series, {:.1}x compression",
+                    st.series,
+                    st.compression_ratio()
+                );
             }
-            match fleet::run_fleet_live(&spec, threads, true, &registry) {
-                Ok((_, _, events)) => {
-                    let events = events.expect("capture was requested");
-                    let n = tsdb::ingest_events(&store, &events);
-                    let st = store.stats();
-                    eprintln!(
-                        "fleet complete: {n} events ingested, {} series, {:.1}x compression",
-                        st.series,
-                        st.compression_ratio()
-                    );
-                }
-                Err(e) => eprintln!("telemetry fleet run failed: {e}"),
-            }
+            Err(e) => eprintln!("telemetry fleet run failed: {e}"),
         })
     });
 
@@ -920,6 +889,8 @@ fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
         .get("history")
         .map(String::as_str)
         .unwrap_or("PERF_HISTORY.jsonl");
+    let inject: Option<f64> = flag(flags, "inject");
+    let threshold: f64 = flag_or(flags, "threshold", 0.10);
     let mut metrics: Vec<perf::PerfMetric> = Vec::new();
     for (flag, default) in [
         ("micro", "BENCH_micro.json"),
@@ -948,7 +919,7 @@ fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("no bench results found (run the sdb-bench benches first)");
         return ExitCode::FAILURE;
     }
-    if let Some(factor) = flags.get("inject").and_then(|s| s.parse::<f64>().ok()) {
+    if let Some(factor) = inject {
         for m in &mut metrics {
             match m.direction {
                 perf::Direction::LowerIsBetter => m.value *= factor,
@@ -970,10 +941,6 @@ fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
         Some("best") => perf::Baseline::Best,
         _ => perf::Baseline::Last,
     };
-    let threshold: f64 = flags
-        .get("threshold")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.10);
     let regressions = perf::check(&history, &metrics, baseline, threshold);
 
     let mut out = String::new();
@@ -1034,7 +1001,7 @@ fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_policy(flags: &HashMap<String, String>) -> ExitCode {
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed: u64 = flag_or(flags, "seed", 42);
     let h2h = sdb::policy::run_head_to_head(seed);
     // --metrics-out parity with fleet/chaos/analyze: synthesize a
     // registry from the head-to-head outcomes so CI can scrape the
@@ -1117,18 +1084,9 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         faults: axis_list(flags, "faults", &default.faults),
         policies: axis_list(flags, "policies", &default.policies),
         engines: axis_list(flags, "engines", &default.engines),
-        master_seed: flags
-            .get("seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default.master_seed),
-        hours: flags
-            .get("hours")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default.hours),
-        devices_per_cell: flags
-            .get("devices-per-cell")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default.devices_per_cell),
+        master_seed: flag_or(flags, "seed", default.master_seed),
+        hours: flag_or(flags, "hours", default.hours),
+        devices_per_cell: flag_or(flags, "devices-per-cell", default.devices_per_cell),
     };
     let cells = match spec.cells() {
         Ok(c) => c,
@@ -1153,9 +1111,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let stop_after = flags
-        .get("stop-after")
-        .and_then(|s| s.parse::<usize>().ok());
+    let stop_after: Option<usize> = flag(flags, "stop-after");
     let checkpoint = flags.get("checkpoint").map(std::path::PathBuf::from);
     if stop_after.is_some() && checkpoint.is_none() {
         eprintln!(
@@ -1164,10 +1120,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let threads: usize = flag_or(flags, "threads", 1);
     let opts = CampaignOptions {
         threads,
         checkpoint,
@@ -1207,7 +1160,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             wall_s,
             cells.len() as f64 / wall_s.max(1e-9),
             devices as f64 / wall_s.max(1e-9),
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            host_threads(),
         );
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("failed to write bench results to {path}: {e}");
@@ -1328,51 +1281,26 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
 /// collapsed stacks valued by deterministic call counts.
 fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
     let scenario = flags.get("scenario").map(String::as_str).unwrap_or("fleet");
-    let devices: usize = flags
-        .get("devices")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let threads: usize = flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let hours: f64 = flags
-        .get("hours")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4.0);
+    let devices: usize = flag_or(flags, "devices", 64);
+    let threads: usize = flag_or(flags, "threads", host_threads());
+    let seed: u64 = flag_or(flags, "seed", 42);
+    let hours: f64 = flag_or(flags, "hours", 4.0);
 
     sdb::prof::reset();
     sdb::prof::enable();
     match scenario {
         "fleet" => {
             let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-            match flags.get("policy").map(String::as_str) {
-                None | Some("greedy") => {}
-                Some("planned") => {
-                    spec = spec.with_policy(fleet::PolicySpec::Planned {
-                        horizon_s: 8.0 * 3600.0,
-                        replan_s: 1800.0,
-                    });
-                }
-                Some("oracle") => {
-                    spec = spec.with_policy(fleet::PolicySpec::Oracle);
-                }
-                Some(other) => {
-                    eprintln!(
-                        "unknown fleet policy `{other}` (expected greedy, planned, or oracle)"
-                    );
-                    return ExitCode::FAILURE;
-                }
+            if let Some(policy) = fleet_policy_flag(flags) {
+                spec = spec.with_policy(policy);
             }
-            let engine = match parse_engine(flags) {
-                Ok(e) => e,
-                Err(code) => return code,
+            let engine = engine_flag(flags);
+            let opts = fleet::RunOptions {
+                engine,
+                ..fleet::RunOptions::new(threads)
             };
-            match fleet::run_fleet_with_engine(&spec, threads, engine) {
-                Ok((report, stats)) => eprintln!(
+            match fleet::run_fleet(&spec, &opts) {
+                Ok((report, stats, _)) => eprintln!(
                     "profiled fleet: {} devices, {} threads, {} engine, {:.2} s wall",
                     report.devices,
                     stats.threads,
@@ -1414,7 +1342,7 @@ fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
                 horizon_s: hours * 3600.0,
                 ..Default::default()
             };
-            match sdb::chaos::run_campaign(&spec, threads) {
+            match sdb::chaos::run_campaign(&spec, threads, None) {
                 Ok(report) => eprintln!(
                     "profiled chaos: {} devices, {} violations",
                     report.devices, report.total_violations

@@ -22,8 +22,8 @@
 //!   Prometheus/JSON exporters, the structured event bus every layer emits
 //!   into, and hot-path span timing.
 //! * [`fleet`] — the sharded multi-device fleet simulation engine:
-//!   deterministic population sampling, work-queue parallelism over
-//!   `std::thread::scope`, and fleet reports that are bit-identical for
+//!   deterministic population sampling, parallelism through
+//!   [`prof::shard_map`], and fleet reports that are bit-identical for
 //!   any thread count.
 //! * [`trace`] — causal trace capture and analysis: JSONL and Chrome
 //!   `trace_event` (Perfetto) export of the event stream, trace replay,

@@ -36,9 +36,9 @@ fn campaign_reports_byte_identical_at_any_thread_count() {
         horizon_s: 1800.0,
         ..CampaignSpec::default()
     };
-    let one = run_campaign(&spec, 1).expect("valid spec");
-    let four = run_campaign(&spec, 4).expect("valid spec");
-    let many = run_campaign(&spec, 32).expect("valid spec");
+    let one = run_campaign(&spec, 1, None).expect("valid spec");
+    let four = run_campaign(&spec, 4, None).expect("valid spec");
+    let many = run_campaign(&spec, 32, None).expect("valid spec");
     assert_eq!(one.render_text(), four.render_text());
     assert_eq!(one.to_json(), four.to_json());
     assert_eq!(one.render_text(), many.render_text());
@@ -56,14 +56,14 @@ fn campaign_is_replayable_and_seed_sensitive() {
         horizon_s: 1200.0,
         ..CampaignSpec::default()
     };
-    let a = run_campaign(&spec, 2).expect("valid spec");
-    let b = run_campaign(&spec, 2).expect("valid spec");
+    let a = run_campaign(&spec, 2, None).expect("valid spec");
+    let b = run_campaign(&spec, 2, None).expect("valid spec");
     assert_eq!(a.to_json(), b.to_json());
     let reseeded = CampaignSpec {
         master_seed: spec.master_seed ^ 0xDEAD_BEEF,
         ..spec
     };
-    let c = run_campaign(&reseeded, 2).expect("valid spec");
+    let c = run_campaign(&reseeded, 2, None).expect("valid spec");
     assert_ne!(a.to_json(), c.to_json(), "seed had no effect");
 }
 

@@ -6,7 +6,7 @@
 //! The profiler aggregate is process-global, so every test here
 //! serializes on one lock and resets the aggregate around its runs.
 
-use sdb::fleet::{run_fleet, FleetReport, FleetSpec};
+use sdb::fleet::{run_fleet, FleetReport, FleetSpec, RunOptions};
 use std::sync::Mutex;
 
 static PROF_LOCK: Mutex<()> = Mutex::new(());
@@ -16,7 +16,7 @@ static PROF_LOCK: Mutex<()> = Mutex::new(());
 fn profiled_fleet_with(spec: &FleetSpec, threads: usize) -> (String, String, String, FleetReport) {
     sdb::prof::reset();
     sdb::prof::enable();
-    let (report, _stats) = run_fleet(spec, threads).expect("fleet runs");
+    let (report, _stats, _) = run_fleet(spec, &RunOptions::new(threads)).expect("fleet runs");
     sdb::prof::flush_thread();
     sdb::prof::disable();
     let snap = sdb::prof::snapshot();
@@ -75,7 +75,7 @@ fn profiling_does_not_change_the_unprofiled_report() {
     sdb::prof::reset();
     sdb::prof::disable();
     let spec = FleetSpec::default_population(32, 7).with_hours(1.0);
-    let (plain, _) = run_fleet(&spec, 2).expect("fleet runs");
+    let (plain, _, _) = run_fleet(&spec, &RunOptions::new(2)).expect("fleet runs");
     let (_, _, _, profiled) = profiled_fleet_with(&spec, 2);
     assert_eq!(plain, profiled);
 }

@@ -3,7 +3,7 @@
 //! dropped-events guarantee, and the telemetry store's compression floor
 //! on a real fleet workload.
 
-use sdb::fleet::{run_fleet_captured, run_fleet_live, FleetSpec};
+use sdb::fleet::{run_fleet, FleetSpec, RunOptions};
 use sdb::observe::{FlightRecorder, MetricsRegistry, Observer};
 use sdb::tsdb::{ingest_events, serve, SeriesId, ServeOptions, TsdbStore};
 use std::io::{Read, Write};
@@ -113,8 +113,15 @@ fn concurrent_scrapes_during_live_fleet_run() {
         // Feed the flight recorder from a shard of its own while the
         // fleet proper runs live against the same registry.
         let spec = FleetSpec::default_population(16, 42).with_hours(3.0);
-        let (report, _stats, events) =
-            run_fleet_live(&spec, 3, true, &registry).expect("fleet runs");
+        let (report, _stats, events) = run_fleet(
+            &spec,
+            &RunOptions {
+                capture_events: true,
+                live: Some(registry.clone()),
+                ..RunOptions::new(3)
+            },
+        )
+        .expect("fleet runs");
         assert_eq!(report.devices, 16);
         let events = events.expect("capture requested");
         // Replay a slice through the recorder so drop accounting is live.
@@ -170,14 +177,21 @@ fn concurrent_scrapes_during_live_fleet_run() {
 }
 
 /// The live-registry path must not change the deterministic report: the
-/// same spec through `run_fleet_captured` and `run_fleet_live` renders
+/// same spec run with and without a live registry renders
 /// byte-identical, at different thread counts.
 #[test]
 fn live_fleet_report_matches_captured_fleet_report() {
     let spec = FleetSpec::default_population(6, 7).with_hours(0.25);
-    let (captured, _, _) = run_fleet_captured(&spec, 1, false).expect("captured");
+    let (captured, _, _) = run_fleet(&spec, &RunOptions::new(1)).expect("captured");
     let live_registry = MetricsRegistry::new();
-    let (live, _, _) = run_fleet_live(&spec, 4, false, &live_registry).expect("live");
+    let (live, _, _) = run_fleet(
+        &spec,
+        &RunOptions {
+            live: Some(live_registry.clone()),
+            ..RunOptions::new(4)
+        },
+    )
+    .expect("live");
     assert_eq!(captured.render_text(), live.render_text());
 }
 
@@ -198,7 +212,14 @@ fn scraper_tracks_live_fleet_counters() {
     .expect("bind");
 
     let spec = FleetSpec::default_population(8, 9).with_hours(0.25);
-    run_fleet_live(&spec, 2, false, &registry).expect("fleet runs");
+    run_fleet(
+        &spec,
+        &RunOptions {
+            live: Some(registry.clone()),
+            ..RunOptions::new(2)
+        },
+    )
+    .expect("fleet runs");
     // One more scrape interval so the final counter values land.
     std::thread::sleep(Duration::from_millis(40));
     handle.shutdown();
