@@ -39,6 +39,7 @@ use sdb_rng::derive_seed;
 use sdb_workloads::traces::Trace;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -486,6 +487,7 @@ pub fn run_cell_device(
                 |t, l, r| {
                     checker.check_step(t, r);
                     checker.check_micro(t, l.link.micro());
+                    ControlFlow::Continue(())
                 },
             );
             Ok(record_from(
@@ -511,7 +513,7 @@ pub fn run_cell_device(
                 &sim,
                 hooks,
                 |_, _| {},
-                |_, _, _| {},
+                |_, _, _| ControlFlow::Continue(()),
             );
             // Fast-forwarded stretches have no step hook; the invariant
             // surface here is the end state.
@@ -531,7 +533,10 @@ pub fn run_cell_device(
                 &sim,
                 hooks,
                 |_, _| {},
-                |t, _, r| checker.check_step(t, r),
+                |t, _, r| {
+                    checker.check_step(t, r);
+                    ControlFlow::Continue(())
+                },
             );
             checker.check_micro(result.simulated_s, &micro);
             Ok(record_from(cell, device, &result, &micro, checker, 0, 0))

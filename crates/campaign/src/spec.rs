@@ -436,12 +436,16 @@ mod tests {
         spec.engines.clear();
         assert!(spec.validate().is_err());
 
-        let mut spec = CampaignSpec::default();
-        spec.hours = 0.0;
+        let spec = CampaignSpec {
+            hours: 0.0,
+            ..CampaignSpec::default()
+        };
         assert!(spec.validate().is_err());
 
-        let mut spec = CampaignSpec::default();
-        spec.devices_per_cell = 0;
+        let spec = CampaignSpec {
+            devices_per_cell: 0,
+            ..CampaignSpec::default()
+        };
         assert!(spec.validate().is_err());
     }
 

@@ -20,6 +20,7 @@ use sdb_observe::{EventSink, MetricsRegistry, ObsEvent, Observer};
 use sdb_rng::derive_seed;
 use sdb_workloads::traces::Trace;
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
 /// Parameters of one chaos campaign.
@@ -153,6 +154,7 @@ fn run_device(
         |t, l, report| {
             checker.check_step(t, report);
             checker.check_micro(t, l.link.micro());
+            ControlFlow::Continue(())
         },
     );
 

@@ -8,10 +8,10 @@
 
 use crate::invariant::InvariantChecker;
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{drive, run_charge_session, Hooks, Linked, SimOptions, SimResult};
-use sdb_emulator::link::Link;
+use sdb_core::scheduler::{drive, ChargeTargets, Hooks, SimOptions, SimResult};
 use sdb_emulator::micro::Microcontroller;
-use sdb_workloads::traces::Trace;
+use sdb_workloads::traces::{charging_session, Trace};
+use std::ops::ControlFlow;
 
 /// As [`sdb_core::scheduler::run_trace`], with every invariant checked on
 /// every step.
@@ -35,7 +35,10 @@ pub fn checked_run_trace(
         opts,
         Hooks::default(),
         |_, _| {},
-        |t, _, report| checker.check_step(t, report),
+        |t, _, report| {
+            checker.check_step(t, report);
+            ControlFlow::Continue(())
+        },
     );
     checker.check_micro(result.simulated_s, micro);
     let report = checker.finish();
@@ -43,8 +46,8 @@ pub fn checked_run_trace(
     result
 }
 
-/// As [`run_charge_session`], with the ground-truth invariants checked
-/// after the session.
+/// As [`sdb_core::scheduler::run_charge_session`], with every invariant
+/// checked on every step.
 ///
 /// # Panics
 ///
@@ -59,45 +62,23 @@ pub fn checked_run_charge_session(
     dt_s: f64,
 ) -> Vec<Option<f64>> {
     let mut checker = InvariantChecker::for_micro(micro);
-    let reached = run_charge_session(micro, runtime, external_w, targets, max_s, dt_s);
+    let mut session = ChargeTargets::new(micro, targets);
+    let _: SimResult = drive(
+        micro,
+        runtime,
+        charging_session(external_w, max_s, dt_s).points(),
+        &SimOptions::default(),
+        Hooks::default(),
+        |_, _| {},
+        |t, micro, report| {
+            checker.check_step(t, report);
+            session.note(t, micro)
+        },
+    );
     checker.check_micro(micro.time_s(), micro);
     let report = checker.finish();
     assert!(report.is_clean(), "invariant violations:\n{report}");
-    reached
-}
-
-/// As [`sdb_core::scheduler::run_trace`] over the lossy link
-/// ([`Linked`], status heartbeat every `status_period_s` seconds), with
-/// every invariant checked on every step.
-///
-/// # Panics
-///
-/// Panics if any invariant was violated during the run.
-#[must_use]
-pub fn checked_run_trace_linked(
-    link: &mut Link,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-    status_period_s: f64,
-) -> SimResult {
-    let mut checker = InvariantChecker::for_micro(link.micro());
-    let points = trace.resampled(opts.max_dt_s);
-    let result: SimResult = drive(
-        &mut Linked::new(link, status_period_s),
-        runtime,
-        points.points(),
-        opts,
-        Hooks::default(),
-        |_, _| {},
-        |t, l, report| {
-            checker.check_step(t, report);
-            checker.check_micro(t, l.link.micro());
-        },
-    );
-    let report = checker.finish();
-    assert!(report.is_clean(), "invariant violations:\n{report}");
-    result
+    session.reached
 }
 
 #[cfg(test)]
@@ -130,5 +111,29 @@ mod tests {
         );
         assert!(r.unmet_j < 1e-6);
         let _ = checked_run_charge_session(&mut m, &mut rt, 20.0, &[0.9], 2.0 * 3600.0, 60.0);
+    }
+
+    #[test]
+    fn figure_11b_sessions_hold_every_invariant_at_every_step() {
+        use sdb_core::policy::ChargeDirective;
+        use sdb_core::scenarios::hybrid::{charge_time_curve, HybridConfig};
+        // `charge_time_curve`'s pack, runtime and targets, checked.
+        let targets: Vec<f64> = (3..=17).map(|k| f64::from(k) * 5.0 / 100.0).collect();
+        for config in HybridConfig::paper_configs() {
+            let mut micro = config.build_pack(0.0);
+            let mut runtime = SdbRuntime::new(micro.battery_count());
+            runtime.set_charge_directive(ChargeDirective::new(1.0));
+            runtime.set_update_period(30.0);
+            let times = checked_run_charge_session(
+                &mut micro,
+                &mut runtime,
+                60.0,
+                &targets,
+                6.0 * 3600.0,
+                15.0,
+            );
+            let minutes: Vec<Option<f64>> = times.iter().map(|t| t.map(|s| s / 60.0)).collect();
+            assert_eq!(minutes, charge_time_curve(&config, 60.0).minutes);
+        }
     }
 }

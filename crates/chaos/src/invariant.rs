@@ -357,6 +357,7 @@ mod tests {
     use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
     use sdb_emulator::pack::PackBuilder;
     use sdb_workloads::traces::Trace;
+    use std::ops::ControlFlow;
 
     fn micro() -> Microcontroller {
         PackBuilder::new()
@@ -386,7 +387,10 @@ mod tests {
             &SimOptions::default(),
             Hooks::default(),
             |_, _| {},
-            |t, _, rep| checker.check_step(t, rep),
+            |t, _, rep| {
+                checker.check_step(t, rep);
+                ControlFlow::Continue(())
+            },
         );
         checker.check_micro(3600.0, &m);
         let report = checker.finish();

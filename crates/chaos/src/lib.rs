@@ -31,6 +31,6 @@ pub mod invariant;
 pub mod plan;
 
 pub use campaign::{run_campaign, CampaignReport, CampaignSpec, ChaosOutcome, ClassRow};
-pub use harness::{checked_run_charge_session, checked_run_trace, checked_run_trace_linked};
+pub use harness::{checked_run_charge_session, checked_run_trace};
 pub use invariant::{InvariantChecker, InvariantConfig, InvariantReport, Violation};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanExecutor, FAULT_CLASSES};

@@ -154,7 +154,7 @@ impl SdbRuntime {
             discharge_directive: DischargeDirective::new(0.5),
             preserve: None,
             update_period_s: 60.0,
-            since_update_s: f64::INFINITY, // force an update on first call
+            since_update_s: f64::MAX, // due on the first tick of a finite period
             last_discharge: Vec::new(),
             last_charge: Vec::new(),
             pushes: 0,
@@ -215,7 +215,9 @@ impl SdbRuntime {
         self.preserve = p;
     }
 
-    /// Sets the policy re-evaluation period.
+    /// Sets the policy re-evaluation period. With `f64::INFINITY` the
+    /// runtime never evaluates on its own, not even on the first tick:
+    /// only [`SdbRuntime::force_policy_refresh`] makes it push.
     ///
     /// # Panics
     ///
@@ -412,7 +414,11 @@ impl SdbRuntime {
     /// # Errors
     ///
     /// Propagates hardware rejections from the API.
-    pub fn supervise(&mut self, api: &mut dyn SdbApi, dt_s: f64) -> Result<(), SdbError> {
+    pub fn supervise<A: SdbApi + ?Sized>(
+        &mut self,
+        api: &mut A,
+        dt_s: f64,
+    ) -> Result<(), SdbError> {
         let observer = self.observer.clone();
         let Some(res) = &mut self.resilience else {
             return Ok(());
@@ -475,9 +481,9 @@ impl SdbRuntime {
     /// # Errors
     ///
     /// Propagates hardware rejections from the API.
-    pub fn tick(
+    pub fn tick<A: SdbApi + ?Sized>(
         &mut self,
-        api: &mut dyn SdbApi,
+        api: &mut A,
         input: &PolicyInput,
         dt_s: f64,
     ) -> Result<bool, SdbError> {

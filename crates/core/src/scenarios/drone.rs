@@ -9,14 +9,16 @@
 //! pure high-power pack cannot fly long. SDB mixes the two and routes the
 //! bursts to the power cell.
 
-use crate::policy::{DischargeDirective, PolicyInput};
+use crate::policy::DischargeDirective;
 use crate::runtime::SdbRuntime;
+use crate::scheduler::{drive, Hooks, SimOptions, SimResult};
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
 use sdb_workloads::traces::Trace;
+use std::ops::ControlFlow;
 
 /// Pack composition for the drone.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,35 +124,40 @@ pub struct FlightOutcome {
     pub losses_j: f64,
 }
 
-/// Flies the profile on a pack under the loss-optimal (RBL) policy.
+/// Flies the profile on a pack under the loss-optimal (RBL) policy. The
+/// first step with more than 1 µW unserved is a crash: its losses count,
+/// its time does not.
 #[must_use]
 pub fn fly(micro: &mut Microcontroller, profile: &Trace) -> FlightOutcome {
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_discharge_directive(DischargeDirective::new(1.0));
     runtime.set_update_period(5.0);
-    let mut elapsed = 0.0;
-    let mut losses = 0.0;
-    for p in profile.resampled(5.0).points() {
-        let input = PolicyInput::from_micro(micro).with_load(p.load_w);
-        runtime
-            .tick(micro, &input, p.dur_s)
-            .expect("runtime accepted");
-        let report = micro.step(p.load_w, 0.0, p.dur_s);
-        losses += (report.circuit_loss_w + report.cell_heat_w) * p.dur_s;
-        if report.unmet_w > 1e-6 {
-            return FlightOutcome {
-                completed: false,
-                flight_time_s: elapsed,
-                losses_j: losses,
-            };
-        }
-        elapsed += p.dur_s;
-    }
-    FlightOutcome {
+    let points = profile.resampled(5.0);
+    let mut durations = points.points().iter().map(|p| p.dur_s);
+    let mut outcome = FlightOutcome {
         completed: true,
-        flight_time_s: elapsed,
-        losses_j: losses,
-    }
+        flight_time_s: 0.0,
+        losses_j: 0.0,
+    };
+    let _: SimResult = drive(
+        micro,
+        &mut runtime,
+        points.points(),
+        &SimOptions::default(),
+        Hooks::default(),
+        |_, _| {},
+        |elapsed, _, report| {
+            let dur_s = durations.next().expect("one step per point");
+            outcome.losses_j += (report.circuit_loss_w + report.cell_heat_w) * dur_s;
+            if report.unmet_w > 1e-6 {
+                outcome.completed = false;
+                return ControlFlow::Break(());
+            }
+            outcome.flight_time_s = elapsed;
+            ControlFlow::Continue(())
+        },
+    );
+    outcome
 }
 
 /// Maximum number of cruise legs each configuration completes before a
@@ -172,6 +179,7 @@ pub fn max_legs(config: &DroneConfig, cap: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyInput;
 
     const VOLUME_L: f64 = 0.03;
 

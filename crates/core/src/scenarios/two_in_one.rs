@@ -8,14 +8,16 @@
 //! draw across the two batteries, therefore, reduces the internal losses"
 //! — up to 22 % more battery life.
 
-use crate::policy::{DischargeDirective, PolicyInput};
+use crate::policy::DischargeDirective;
 use crate::runtime::SdbRuntime;
+use crate::scheduler::{drive, Hooks, SimOptions, SimResult};
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
 use sdb_workloads::traces::{two_in_one_workloads, Trace};
+use std::ops::ControlFlow;
 
 /// Battery index of the internal (tablet) cell.
 pub const INTERNAL: usize = 0;
@@ -76,54 +78,7 @@ pub fn build_pack(capacity_ah: f64) -> Microcontroller {
 /// `cap_s` elapses).
 #[must_use]
 pub fn battery_life_s(strategy: Strategy, workload: &Trace, capacity_ah: f64, cap_s: f64) -> f64 {
-    let mut micro = build_pack(capacity_ah);
-    let dt = 30.0;
-    let mut elapsed = 0.0;
-    let mut runtime = SdbRuntime::new(2);
-    runtime.set_discharge_directive(DischargeDirective::new(1.0));
-    runtime.set_update_period(60.0);
-    if strategy == Strategy::ChargeThrough {
-        // The system load always comes from the internal battery.
-        micro
-            .set_discharge_ratios(&[1.0, 0.0])
-            .expect("valid ratios");
-    }
-    let resampled = workload.resampled(dt);
-    'outer: loop {
-        for p in resampled.points() {
-            match strategy {
-                Strategy::SimultaneousDraw => {
-                    let input = PolicyInput::from_micro(&micro).with_load(p.load_w);
-                    runtime
-                        .tick(&mut micro, &input, p.dur_s)
-                        .expect("runtime push accepted");
-                }
-                Strategy::ChargeThrough => {
-                    // Keep a transfer running: the external battery
-                    // continuously recharges the internal one at the
-                    // internal cell's acceptance power.
-                    if !micro.transfer_active()
-                        && !micro.cells()[EXTERNAL].is_empty()
-                        && micro.cells()[INTERNAL].soc() < 0.95
-                    {
-                        let accept_w = micro.charge_acceptance_a(INTERNAL)
-                            * micro.cells()[INTERNAL].terminal_voltage(0.0);
-                        if accept_w > 0.1 {
-                            micro
-                                .charge_one_from_another(EXTERNAL, INTERNAL, accept_w, 600.0)
-                                .expect("valid transfer");
-                        }
-                    }
-                }
-            }
-            let report = micro.step(p.load_w, 0.0, p.dur_s);
-            elapsed += p.dur_s;
-            if report.unmet_w > 1e-9 || elapsed >= cap_s {
-                break 'outer;
-            }
-        }
-    }
-    elapsed
+    battery_life_with_detach(strategy, workload, capacity_ah, cap_s, f64::INFINITY, 0.0)
 }
 
 /// Like [`battery_life_s`], but the keyboard base (the external battery)
@@ -140,59 +95,69 @@ pub fn battery_life_with_detach(
     docked_s: f64,
     undocked_s: f64,
 ) -> f64 {
-    assert!(docked_s > 0.0 && undocked_s >= 0.0);
+    assert!(docked_s > 0.0 && undocked_s >= 0.0 && cap_s.is_finite());
     let mut micro = build_pack(capacity_ah);
-    let dt = 30.0;
-    let mut elapsed = 0.0;
     let mut runtime = SdbRuntime::new(2);
     runtime.set_discharge_directive(DischargeDirective::new(1.0));
     runtime.set_update_period(60.0);
     if strategy == Strategy::ChargeThrough {
+        // The system load always comes from the internal battery, and no
+        // runtime re-evaluates the split.
+        runtime.set_update_period(f64::INFINITY);
         micro
             .set_discharge_ratios(&[1.0, 0.0])
             .expect("valid ratios");
     }
-    let resampled = workload.resampled(dt);
+    let opts = SimOptions {
+        max_dt_s: 30.0,
+        stop_on_brownout: true,
+    };
+    // Enough repeats of the workload to pass the cap, where `post_step`
+    // stops the run.
+    let resampled = workload.resampled(opts.max_dt_s);
+    let repeats = (cap_s / resampled.duration_s()).ceil() as usize + 1;
+    let points = resampled.points().repeat(repeats);
     let period = docked_s + undocked_s;
-    'outer: loop {
-        for p in resampled.points() {
-            let docked = period == 0.0 || (elapsed % period) < docked_s;
+    let result: SimResult = drive(
+        &mut micro,
+        &mut runtime,
+        &points,
+        &opts,
+        Hooks::default(),
+        |elapsed, micro| {
+            let docked = elapsed % period < docked_s;
             if micro.battery_present(EXTERNAL) != docked {
                 micro
                     .set_battery_present(EXTERNAL, docked)
                     .expect("valid index");
             }
-            match strategy {
-                Strategy::SimultaneousDraw => {
-                    let input = PolicyInput::from_micro(&micro).with_load(p.load_w);
-                    runtime
-                        .tick(&mut micro, &input, p.dur_s)
-                        .expect("runtime push accepted");
-                }
-                Strategy::ChargeThrough => {
-                    if docked
-                        && !micro.transfer_active()
-                        && !micro.cells()[EXTERNAL].is_empty()
-                        && micro.cells()[INTERNAL].soc() < 0.95
-                    {
-                        let accept_w = micro.charge_acceptance_a(INTERNAL)
-                            * micro.cells()[INTERNAL].terminal_voltage(0.0);
-                        if accept_w > 0.1 {
-                            micro
-                                .charge_one_from_another(EXTERNAL, INTERNAL, accept_w, 600.0)
-                                .expect("valid transfer");
-                        }
-                    }
+            // Charge-through keeps a transfer running: the external
+            // battery continuously recharges the internal one at the
+            // internal cell's acceptance power.
+            if strategy == Strategy::ChargeThrough
+                && docked
+                && !micro.transfer_active()
+                && !micro.cells()[EXTERNAL].is_empty()
+                && micro.cells()[INTERNAL].soc() < 0.95
+            {
+                let accept_w = micro.charge_acceptance_a(INTERNAL)
+                    * micro.cells()[INTERNAL].terminal_voltage(0.0);
+                if accept_w > 0.1 {
+                    micro
+                        .charge_one_from_another(EXTERNAL, INTERNAL, accept_w, 600.0)
+                        .expect("valid transfer");
                 }
             }
-            let report = micro.step(p.load_w, 0.0, p.dur_s);
-            elapsed += p.dur_s;
-            if report.unmet_w > 1e-9 || elapsed >= cap_s {
-                break 'outer;
+        },
+        |elapsed, _, _| {
+            if elapsed < cap_s {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-        }
-    }
-    elapsed
+        },
+    );
+    result.battery_life_s()
 }
 
 /// Runs the full Figure 14 comparison across the named workloads.

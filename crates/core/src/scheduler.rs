@@ -17,7 +17,8 @@ use sdb_emulator::micro::{Microcontroller, StepReport};
 use sdb_emulator::SoaCohort;
 use sdb_observe::SpanName;
 use sdb_prof::Phase;
-use sdb_workloads::traces::{Trace, TracePoint};
+use sdb_workloads::traces::{charging_session, Trace, TracePoint};
+use std::ops::ControlFlow;
 
 /// Options for a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -334,18 +335,19 @@ pub fn run_trace(
         opts,
         Hooks::default(),
         |_, _| {},
-        |_, _, _| {},
+        |_, _, _| ControlFlow::Continue(()),
     )
 }
 
-/// Replays `points` (a trace already resampled at `opts.max_dt_s`)
+/// Replays `points` (typically a trace resampled at `opts.max_dt_s`)
 /// against the pack behind `transport`. Per point: `pre_step` with
 /// mutable transport access (fault plans), input refill, planner, runtime
 /// tick, step, planner feedback, bookkeeping, `post_step` with the
 /// elapsed time, the transport and the step report (telemetry, invariant
-/// checks); then, with an SoA cohort, fast-forward. Stops early at the
-/// first brownout when `opts.stop_on_brownout`. Unused step hooks are
-/// no-op closures, which compile to nothing.
+/// checks, running sums); then, with an SoA cohort, fast-forward. Stops
+/// at the first brownout when `opts.stop_on_brownout`, and after any
+/// point whose `post_step` returns [`ControlFlow::Break`]. Unused step
+/// hooks are no-op closures, which compile to nothing.
 ///
 /// Profiling: each point is a `TraceStep` gating step (`SoaStep` with an
 /// SoA cohort, each fast-forward its own `FastForward` step).
@@ -366,7 +368,7 @@ where
     T: Transport,
     R: Bookkeeping,
     Pre: FnMut(f64, &mut T),
-    Post: FnMut(f64, &T, &StepReport),
+    Post: FnMut(f64, &T, &StepReport) -> ControlFlow<()>,
 {
     let start = transport.micro().time_s();
     let (d0, cl0, ch0, u0, e0) = transport.micro().energy_totals_j();
@@ -410,13 +412,16 @@ where
         let loss_w = report.circuit_loss_w + report.cell_heat_w;
         books.book(elapsed, p.dur_s, loss_w, report.load_w);
         elapsed += p.dur_s;
-        post_step(elapsed, transport, &report);
+        let flow = post_step(elapsed, transport, &report);
         books.note_empty(elapsed, transport.micro());
         if report.unmet_w > 1e-9 && first_brownout.is_none() {
             first_brownout = Some(elapsed);
             if opts.stop_on_brownout {
                 break;
             }
+        }
+        if flow.is_break() {
+            break;
         }
         // Fast-forward steps are siblings of the sync tick's step.
         drop(prof);
@@ -506,7 +511,8 @@ fn replay_run(points: &[TracePoint], i: usize, run_end: &mut usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `targets` is not sorted ascending.
+/// Panics if `targets` is not ascending, `dt_s` not positive or `max_s`
+/// not finite ([`charging_session`]).
 #[must_use]
 pub fn run_charge_session(
     micro: &mut Microcontroller,
@@ -516,36 +522,61 @@ pub fn run_charge_session(
     max_s: f64,
     dt_s: f64,
 ) -> Vec<Option<f64>> {
-    assert!(
-        targets.windows(2).all(|w| w[0] <= w[1]),
-        "targets must be ascending"
+    let mut session = ChargeTargets::new(micro, targets);
+    let _: SimResult = drive(
+        micro,
+        runtime,
+        charging_session(external_w, max_s, dt_s).points(),
+        &SimOptions::default(),
+        Hooks::default(),
+        |_, _| {},
+        |t, micro, _| session.note(t, micro),
     );
-    let total_cap_ah: f64 = micro.cells().iter().map(|c| c.spec().capacity_ah).sum();
-    let mut reached: Vec<Option<f64>> = vec![None; targets.len()];
-    let mut elapsed = 0.0;
-    while elapsed < max_s {
-        let input = PolicyInput::from_micro(micro).with_external(external_w);
-        runtime
-            .tick(micro, &input, dt_s)
-            .expect("runtime push rejected by emulated hardware");
-        micro.step(0.0, external_w, dt_s);
-        elapsed += dt_s;
+    session.reached
+}
+
+/// The targets of a charge session, noted by a [`drive`] `post_step`.
+#[derive(Debug)]
+pub struct ChargeTargets<'a> {
+    targets: &'a [f64],
+    total_cap_ah: f64,
+    /// When each target was first reached (`None`: not yet).
+    pub reached: Vec<Option<f64>>,
+}
+
+impl<'a> ChargeTargets<'a> {
+    /// `targets`, ascending fractions of `micro`'s total rated capacity.
+    #[must_use]
+    pub fn new(micro: &Microcontroller, targets: &'a [f64]) -> Self {
+        assert!(
+            targets.windows(2).all(|w| w[0] <= w[1]),
+            "targets must be ascending"
+        );
+        Self {
+            targets,
+            total_cap_ah: micro.cells().iter().map(|c| c.spec().capacity_ah).sum(),
+            reached: vec![None; targets.len()],
+        }
+    }
+
+    /// Notes the targets `micro` holds at `t_s`; breaks at the last one.
+    pub fn note(&mut self, t_s: f64, micro: &Microcontroller) -> ControlFlow<()> {
         let stored_ah: f64 = micro
             .cells()
             .iter()
             .map(|c| c.soc() * c.spec().capacity_ah)
             .sum();
-        let frac = stored_ah / total_cap_ah;
-        for (i, &t) in targets.iter().enumerate() {
-            if reached[i].is_none() && frac >= t {
-                reached[i] = Some(elapsed);
+        let frac = stored_ah / self.total_cap_ah;
+        for (reached, &t) in self.reached.iter_mut().zip(self.targets) {
+            if reached.is_none() && frac >= t {
+                *reached = Some(t_s);
             }
         }
-        if reached.last().is_some_and(Option::is_some) {
-            break;
+        match self.reached.last() {
+            Some(Some(_)) => ControlFlow::Break(()),
+            _ => ControlFlow::Continue(()),
         }
     }
-    reached
 }
 
 #[cfg(test)]
@@ -728,7 +759,7 @@ mod tests {
                 &opts,
                 hooks,
                 |_, _| {},
-                |_, _, _| {},
+                |_, _, _| ControlFlow::Continue(()),
             );
 
             assert_eq!(full.simulated_s.to_bits(), lean.simulated_s.to_bits());
@@ -768,7 +799,7 @@ mod tests {
                 ..Hooks::default()
             },
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         )
     }
 

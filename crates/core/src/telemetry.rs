@@ -185,6 +185,7 @@ mod tests {
     use sdb_battery_model::spec::BatterySpec;
     use sdb_emulator::pack::PackBuilder;
     use sdb_workloads::traces::Trace;
+    use std::ops::ControlFlow;
 
     fn record(interval_s: f64) -> Telemetry {
         let mut micro = PackBuilder::new()
@@ -209,7 +210,10 @@ mod tests {
             &SimOptions::default(),
             Hooks::default(),
             |_, _| {},
-            |t, _, report| telemetry.observe(t, report),
+            |t, _, report| {
+                telemetry.observe(t, report);
+                ControlFlow::Continue(())
+            },
         );
         telemetry
     }

@@ -21,6 +21,7 @@ use sdb_emulator::{QuiescenceConfig, SoaCohort};
 use sdb_testkit::alloc_counter;
 use sdb_testkit::CountingAllocator;
 use sdb_workloads::traces::Trace;
+use std::ops::ControlFlow;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -96,7 +97,7 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
             &opts,
             Hooks::default(),
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         )
     } else if mode == Mode::Soa {
         let points = trace.resampled(max_dt_s);
@@ -111,7 +112,7 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
             &opts,
             hooks,
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         result
     } else {

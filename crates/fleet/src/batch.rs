@@ -30,6 +30,7 @@ use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
 use sdb_observe::Observer;
+use std::ops::ControlFlow;
 
 /// Which per-device driver the fleet engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -178,7 +179,7 @@ pub(crate) fn run_device_soa(
         &spec.sim,
         hooks,
         |_, _| {},
-        |_, _, _| {},
+        |_, _, _| ControlFlow::Continue(()),
     );
     let ff_ticks = soa.ticks_advanced() - ff_before;
     if ff_ticks > 0 {
@@ -364,7 +365,7 @@ mod tests {
             &opts,
             hooks,
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         assert_eq!(
             soa.ticks_advanced(),

@@ -21,6 +21,7 @@ use sdb_emulator::pack::PackBuilder;
 use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
 use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
 use sdb_workloads::traces::Trace;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -162,7 +163,7 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
         &spec.sim,
         hooks,
         |_, _| {},
-        |_, _, _| {},
+        |_, _, _| ControlFlow::Continue(()),
     );
 
     outcome_from(&micro, device, cohort_idx, &result)

@@ -25,6 +25,7 @@ use sdb_workloads::behavior::UserArchetype;
 use sdb_workloads::traces::{phone_day, tablet_session, watch_day};
 use sdb_workloads::{Activity, Trace};
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Which battery pack a scenario runs on (the CLI's pack names).
@@ -384,7 +385,7 @@ pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
         &opts,
         hooks,
         |_, _| {},
-        |_, _, _| {},
+        |_, _, _| ControlFlow::Continue(()),
     );
     let replans = planner.as_ref().map_or(0, Planner::replans);
     let mae = match (&planner, mode) {

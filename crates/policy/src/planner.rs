@@ -29,6 +29,7 @@ use sdb_observe::Observer;
 use sdb_workloads::behavior::UserArchetype;
 use sdb_workloads::traces::TracePoint;
 use sdb_workloads::Trace;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Planner knobs. [`PlannerConfig::default`] matches the corpus runs:
@@ -180,7 +181,7 @@ impl RolloutScratch {
             &opts,
             hooks,
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         Score {
             life_s: res.battery_life_s(),
@@ -407,7 +408,7 @@ mod tests {
             &opts,
             hooks,
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         )
     }
 
@@ -487,7 +488,7 @@ mod tests {
             &opts,
             Hooks::default(),
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
         Score {
             life_s: res.battery_life_s(),

@@ -11,6 +11,7 @@ use sdb_observe::{ObsEvent, Observer, TraceCollector};
 use sdb_policy::{corpus, HistoryForecaster, Planner, PlannerConfig};
 use sdb_testkit::{check, Gen};
 use sdb_workloads::Trace;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// `run_trace` with `planner` in the loop.
@@ -33,7 +34,7 @@ fn run_planned(
         &opts,
         hooks,
         |_, _| {},
-        |_, _, _| {},
+        |_, _, _| ControlFlow::Continue(()),
     )
 }
 

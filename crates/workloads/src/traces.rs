@@ -332,12 +332,21 @@ pub fn two_in_one_workloads(seed: u64) -> Vec<(&'static str, Trace)> {
     ]
 }
 
-/// A charging session: the device rests at light load while `external_w`
-/// is available for `dur_s`.
+/// A charging session: the device idles on `external_w` of supply in
+/// `dt_s` points, until they span `max_s` (the last may run past it).
+///
+/// # Panics
+///
+/// Panics unless `dt_s` is positive and `max_s` finite.
 #[must_use]
-pub fn charging_session(external_w: f64, idle_load_w: f64, dur_s: f64) -> Trace {
+pub fn charging_session(external_w: f64, max_s: f64, dt_s: f64) -> Trace {
+    assert!(max_s.is_finite(), "bad session length: {max_s}");
     let mut t = Trace::new();
-    t.push(idle_load_w, external_w, dur_s);
+    let mut elapsed = 0.0;
+    while elapsed < max_s {
+        t.push(0.0, external_w, dt_s);
+        elapsed += dt_s;
+    }
     t
 }
 

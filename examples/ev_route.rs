@@ -8,10 +8,11 @@
 //! ```
 
 use sdb::battery_model::{BatterySpec, Chemistry};
-use sdb::core::hints::{entry_at, RouteHint};
-use sdb::core::policy::PolicyInput;
+use sdb::core::hints::RouteHint;
 use sdb::core::runtime::SdbRuntime;
+use sdb::core::scheduler::{run_trace, SimOptions};
 use sdb::emulator::PackBuilder;
+use sdb::workloads::Trace;
 
 fn main() {
     // A small EV-ish pack scaled down to simulator-friendly numbers: an
@@ -49,42 +50,24 @@ fn main() {
         );
     }
 
-    // Drive the route, switching directives per the schedule.
+    // Drive the route leg by leg: each hinted segment runs under its
+    // schedule entry, with demand at the segment's hinted mean.
     let mut runtime = SdbRuntime::new(2);
     runtime.set_update_period(30.0);
-    let mut t = 0.0;
-    let dt = 30.0;
-    let mut active = usize::MAX;
-    while t < route.duration_s() {
-        if let Some(entry) = entry_at(&schedule, t) {
-            let idx = schedule
-                .iter()
-                .position(|e| e.from_s == entry.from_s)
-                .unwrap();
-            if idx != active {
-                runtime.set_discharge_directive(entry.directive);
-                runtime.set_preserve(entry.preserve);
-                active = idx;
-                println!("t = {t:>5.0} s: switched to schedule entry {idx}");
-            }
-        }
-        // Demand follows the hinted segment means.
-        let seg = route
-            .segments()
-            .iter()
-            .scan(0.0, |acc, s| {
-                let start = *acc;
-                *acc += s.dur_s;
-                Some((start, s))
-            })
-            .find(|(start, s)| t >= *start && t < start + s.dur_s)
-            .map(|(_, s)| s.expected_w)
-            .unwrap_or(0.0);
-        let input = PolicyInput::from_micro(&micro).with_load(seg);
-        runtime.tick(&mut micro, &input, dt).expect("accepted");
-        let report = micro.step(seg, 0.0, dt);
-        assert!(report.unmet_w < 1e-9, "route must be drivable");
-        t += dt;
+    let opts = SimOptions {
+        max_dt_s: 30.0,
+        ..SimOptions::default()
+    };
+    for (idx, (entry, seg)) in schedule.iter().zip(route.segments()).enumerate() {
+        runtime.set_discharge_directive(entry.directive);
+        runtime.set_preserve(entry.preserve);
+        println!(
+            "t = {:>5.0} s: switched to schedule entry {idx}",
+            entry.from_s
+        );
+        let leg = Trace::constant(seg.expected_w, seg.dur_s);
+        let result = run_trace(&mut micro, &mut runtime, &leg, &opts);
+        assert!(result.first_brownout_s.is_none(), "route must be drivable");
     }
 
     let (delivered, circuit, heat, _, _) = micro.energy_totals_j();

@@ -49,6 +49,7 @@ use sdb::workloads::traces::{phone_day, tablet_session, watch_day, Trace};
 use sdb::workloads::Activity;
 use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
+use std::ops::ControlFlow;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -410,7 +411,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
         &opts,
         hooks,
         |_, _| {},
-        |_, _, _| {},
+        |_, _, _| ControlFlow::Continue(()),
     );
     if let (Some(collector), Some(path)) = (collector, flags.get("events-out")) {
         let events = collector.lock().expect("collector lock").drain();
@@ -891,6 +892,11 @@ fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
         .unwrap_or("PERF_HISTORY.jsonl");
     let inject: Option<f64> = flag(flags, "inject");
     let threshold: f64 = flag_or(flags, "threshold", 0.10);
+    let baseline = match flags.get("baseline").map(String::as_str) {
+        None | Some("last") => perf::Baseline::Last,
+        Some("best") => perf::Baseline::Best,
+        Some(other) => usage_error(&format!("unknown --baseline `{other}` (last|best)")),
+    };
     let mut metrics: Vec<perf::PerfMetric> = Vec::new();
     for (flag, default) in [
         ("micro", "BENCH_micro.json"),
@@ -936,10 +942,6 @@ fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
             eprintln!("cannot parse {history_path}: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    let baseline = match flags.get("baseline").map(String::as_str) {
-        Some("best") => perf::Baseline::Best,
-        _ => perf::Baseline::Last,
     };
     let regressions = perf::check(&history, &metrics, baseline, threshold);
 

@@ -11,6 +11,7 @@ use sdb::emulator::link::{Command, Link};
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::observe::{FlightRecorder, Flow, ObsEvent, Observer};
 use sdb::workloads::Trace;
+use std::ops::ControlFlow;
 
 fn hybrid_pack() -> Microcontroller {
     PackBuilder::new()
@@ -101,7 +102,7 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
             &opts,
             Hooks::default(),
             |_, _| {},
-            |_, _, _| {},
+            |_, _, _| ControlFlow::Continue(()),
         );
     };
 

@@ -13,6 +13,7 @@ use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::fuel_gauge::gauge::GaugeConfig;
 use sdb::observe::{FlightRecorder, ObsEvent, Observer};
 use sdb::workloads::Trace;
+use std::ops::ControlFlow;
 
 fn hybrid_pack() -> Microcontroller {
     PackBuilder::new()
@@ -267,7 +268,10 @@ fn telemetry_sink_matches_callback_capture() {
         &SimOptions::default(),
         sdb::core::scheduler::Hooks::default(),
         |_, _| {},
-        |t, _, report| callback_tel.observe(t, report),
+        |t, _, report| {
+            callback_tel.observe(t, report);
+            ControlFlow::Continue(())
+        },
     );
 
     // B: event-bus sink capture.

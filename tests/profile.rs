@@ -79,3 +79,63 @@ fn profiling_does_not_change_the_unprofiled_report() {
     let (_, _, _, profiled) = profiled_fleet_with(&spec, 2);
     assert_eq!(plain, profiled);
 }
+
+/// The `TraceStep` count of the profiled `run`: one per point that
+/// `drive` replayed.
+fn trace_steps(run: impl FnOnce()) -> u64 {
+    use sdb::prof::Phase;
+    sdb::prof::reset();
+    sdb::prof::enable();
+    run();
+    sdb::prof::flush_thread();
+    sdb::prof::disable();
+    let steps = sdb::prof::snapshot()
+        .find_path(&[Phase::TraceStep])
+        .map_or(0, |n| n.count);
+    sdb::prof::reset();
+    steps
+}
+
+#[test]
+fn paper_scenarios_replay_through_the_profiled_trace_loop() {
+    use sdb::core::scenarios::hybrid::{charge_time_curve, HybridConfig};
+    use sdb::core::scenarios::two_in_one::{battery_life_s, Strategy};
+    use sdb::workloads::traces::tablet_session;
+    use sdb::workloads::Activity;
+    let _guard = PROF_LOCK.lock().unwrap();
+
+    // Figure 14: the 30 s points of the repeated workload, up to the
+    // brownout.
+    let trace = tablet_session(5, &[Activity::Compute], 300.0, 1800.0);
+    for strategy in [Strategy::SimultaneousDraw, Strategy::ChargeThrough] {
+        let mut life_s = 0.0;
+        let steps = trace_steps(|| life_s = battery_life_s(strategy, &trace, 4.0, 86_400.0));
+        let resampled = trace.resampled(30.0);
+        let mut elapsed = 0.0;
+        let replayed = resampled
+            .points()
+            .iter()
+            .cycle()
+            .take_while(|p| {
+                let before = elapsed;
+                elapsed += p.dur_s;
+                before < life_s
+            })
+            .count();
+        assert!(replayed > 100, "{strategy:?} ran {replayed} points");
+        assert_eq!(steps, replayed as u64, "{strategy:?}");
+    }
+
+    // Figure 11b: 15 s points until the last target.
+    let mut curve = None;
+    let steps =
+        trace_steps(|| curve = Some(charge_time_curve(&HybridConfig::paper_configs()[1], 60.0)));
+    let last_min = curve
+        .unwrap()
+        .minutes
+        .last()
+        .copied()
+        .flatten()
+        .expect("85 % reached");
+    assert_eq!(steps, (last_min * 60.0 / 15.0).round() as u64);
+}
