@@ -238,12 +238,6 @@ impl AgingState {
         f64::from(self.counter.cycles()) / f64::from(tolerable_cycles.max(1))
     }
 
-    /// Progress toward the next cycle increment, `[0, 1)`.
-    #[must_use]
-    pub fn cycle_progress(&self) -> f64 {
-        self.counter.progress()
-    }
-
     /// Exports the full mutable aging state for bit-exact snapshotting.
     /// The fade model is spec-derived configuration and is not included.
     #[must_use]

@@ -51,42 +51,12 @@ pub fn paper_library() -> Vec<BatterySpec> {
     specs
 }
 
-/// A fresh Type 1 (LiFePO4 power-tool class) cell.
-#[must_use]
-pub fn type1_power(capacity_ah: f64) -> TheveninCell {
-    TheveninCell::new(BatterySpec::from_chemistry(
-        "Type 1 power cell",
-        Chemistry::Type1LfpPower,
-        capacity_ah,
-    ))
-}
-
 /// A fresh Type 2 (standard high-energy-density) cell.
 #[must_use]
 pub fn type2_standard(capacity_ah: f64) -> TheveninCell {
     TheveninCell::new(BatterySpec::from_chemistry(
         "Type 2 standard cell",
         Chemistry::Type2CoStandard,
-        capacity_ah,
-    ))
-}
-
-/// A fresh Type 3 (fast-charging / high-power) cell.
-#[must_use]
-pub fn type3_fast_charge(capacity_ah: f64) -> TheveninCell {
-    TheveninCell::new(BatterySpec::from_chemistry(
-        "Type 3 fast-charge cell",
-        Chemistry::Type3CoPower,
-        capacity_ah,
-    ))
-}
-
-/// A fresh Type 4 (bendable) cell.
-#[must_use]
-pub fn type4_bendable(capacity_ah: f64) -> TheveninCell {
-    TheveninCell::new(BatterySpec::from_chemistry(
-        "Type 4 bendable cell",
-        Chemistry::Type4Bendable,
         capacity_ah,
     ))
 }

@@ -170,22 +170,6 @@ impl TheveninCell {
         self.thermal = snap.thermal;
     }
 
-    /// The memoized RC relaxation factor `exp(-dt/τ)` for `dt`, exactly as
-    /// [`TheveninCell::rest`] would use it (and sharing its memo). Exposed
-    /// for batched stepping engines that advance `v_rc` out-of-band.
-    pub fn rc_alpha_for(&mut self, dt: f64) -> f64 {
-        let tau = self.spec.concentration_r_ohm * self.spec.plate_c_f;
-        if tau <= 0.0 {
-            // `rest` zeroes v_rc outright for a degenerate τ.
-            0.0
-        } else if dt > 0.0 {
-            self.rc_alpha(dt, tau)
-        } else {
-            // No time passes: the branch voltage holds.
-            1.0
-        }
-    }
-
     /// Creates a cell at a given initial state of charge.
     ///
     /// # Panics

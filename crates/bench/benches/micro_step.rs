@@ -4,10 +4,10 @@
 //! Measures ns/step and steps/sec for small packs (the sizes whose
 //! per-battery report detail fits inline in [`BatterySteps`]), and — under
 //! a counting global allocator — measures heap allocations per step at
-//! steady state, asserting the hot loop stays allocation-free. Writes
-//! `BENCH_micro.json` at the repository root (override the path with
-//! `SDB_BENCH_MICRO_OUT`); CI uploads the file and greps for
-//! `"allocs_per_step_max":0.0`.
+//! steady state, asserting the hot loop stays allocation-free. Also
+//! asserts the phase profiler's overhead budget and allocation-free
+//! profiled steps, and prints the SoA fast-forward cycle cost. Every
+//! gate is an `assert!`, so the bench's exit status is the check.
 
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
@@ -17,7 +17,6 @@ use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
 use sdb_testkit::{alloc_counter, CountingAllocator};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 #[global_allocator]
@@ -62,7 +61,7 @@ fn allocs_per_step(n: usize) -> f64 {
 }
 
 /// Pack size the profiler-overhead pair runs on (the largest inline
-/// size — the configuration `sdb perf` gates).
+/// size).
 const PROF_PACK: usize = 8;
 /// Steps per timed run: enough to amortize warmup and cover ~15 hot
 /// (sampled) profiler ticks per run.
@@ -242,11 +241,11 @@ fn main() {
             format_ns(ns_per_step),
             1e9 / ns_per_step
         );
-        rows.push((n, ns_per_step, allocs));
+        rows.push((ns_per_step, allocs));
     }
     h.finish();
 
-    let max_allocs = rows.iter().map(|r| r.2).fold(0.0f64, f64::max);
+    let max_allocs = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
     assert!(
         max_allocs == 0.0,
         "steady-state micro step allocated (max {max_allocs}/step) — the hot \
@@ -273,7 +272,7 @@ fn main() {
     );
 
     let (soa_ns, soa_ff) = soa_step_ns();
-    let scalar_ns = rows[0].1;
+    let scalar_ns = rows[0].0;
     println!(
         "  soa_step (pack 2): {} per simulated tick ({:.1}% fast-forwarded, \
          {:.1}x vs scalar step)",
@@ -281,45 +280,4 @@ fn main() {
         soa_ff * 100.0,
         scalar_ns / soa_ns
     );
-
-    let mut json = String::new();
-    json.push_str("{\"bench\":\"micro_step\",\"steps_per_call\":");
-    let _ = write!(json, "{STEPS_PER_CALL}");
-    json.push_str(",\"packs\":[");
-    for (i, (n, ns, allocs)) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let steps_per_sec = 1e9 / ns;
-        let _ = write!(
-            json,
-            "{{\"batteries\":{n},\"ns_per_step\":{ns:?},\"steps_per_sec\":{steps_per_sec:?},\"allocs_per_step\":{allocs:?}}}"
-        );
-    }
-    let _ = write!(
-        json,
-        "],\"allocs_per_step_max\":{max_allocs:?},\"prof\":{{\"pack\":{PROF_PACK},\
-         \"sample_every\":{},\"overhead_pct\":{overhead_pct:?},\
-         \"profiled_allocs_per_step\":{profiled_allocs:?},\"phase_share\":{{",
-        sdb_prof::SAMPLE_EVERY
-    );
-    for (i, (name, pct)) in shares.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(json, "\"{name}\":{pct:?}");
-    }
-    let _ = write!(
-        json,
-        "}}}},\"soa_step\":{{\"ns_per_tick\":{soa_ns:?},\"ff_fraction\":{soa_ff:?}}},\
-         \"host_cpus\":{}}}",
-        std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
-    );
-
-    let path = std::env::var("SDB_BENCH_MICRO_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_micro.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
 }

@@ -3,11 +3,8 @@
 //!
 //! Measures one full `Planner::plan` epoch — forecast materialization
 //! plus a rollout per candidate directive over the configured horizon —
-//! and merges a `"policy_plan":{"ns_per_plan":…,"allocs_per_rollout":…}`
-//! entry into `BENCH_micro.json` (idempotently: a prior entry is
-//! replaced). The `sdb perf` gate ingests both as
-//! `micro_step.policy_plan.*`, lower-is-better, so planning-cost
-//! regressions trip the same longitudinal check as the hot loop.
+//! and prints ns/plan. End-to-end planning cost is gated by perfbench's
+//! `fleet-planned` workload; this bench gates the allocations.
 //!
 //! The allocation gate isolates the rollouts from the per-epoch work
 //! (forecast materialization, candidate/score vectors) by differencing:
@@ -135,32 +132,4 @@ fn main() {
         "warm planner rollouts allocated ({allocs_per_rollout}/rollout) — the \
          snapshot/restore scratch path regressed"
     );
-
-    let path = std::env::var("SDB_BENCH_MICRO_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_micro.json", env!("CARGO_MANIFEST_DIR")));
-    match std::fs::read_to_string(&path) {
-        Ok(mut text) => {
-            // Idempotent merge: drop any prior policy_plan object, then
-            // splice the fresh one in just before the host_cpus tail.
-            if let Some(start) = text.find(",\"policy_plan\":{") {
-                if let Some(end) = text[start..].find('}') {
-                    text.replace_range(start..=start + end, "");
-                }
-            }
-            let entry = format!(
-                ",\"policy_plan\":{{\"ns_per_plan\":{ns_per_plan:?},\
-                 \"allocs_per_rollout\":{allocs_per_rollout:?}}}"
-            );
-            if let Some(at) = text.find(",\"host_cpus\"") {
-                text.insert_str(at, &entry);
-                match std::fs::write(&path, &text) {
-                    Ok(()) => println!("merged policy_plan into {path}"),
-                    Err(e) => eprintln!("failed to write {path}: {e}"),
-                }
-            } else {
-                eprintln!("no host_cpus marker in {path}; run the micro_step bench first");
-            }
-        }
-        Err(e) => eprintln!("cannot read {path} ({e}); run the micro_step bench first"),
-    }
 }

@@ -101,12 +101,6 @@ impl FaultKind {
             Self::ThermalTrip { .. } => 9,
         }
     }
-
-    /// Stable class name (for outcome tables and JSON).
-    #[must_use]
-    pub fn fault_class(&self) -> &'static str {
-        FAULT_CLASSES[self.class_index()]
-    }
 }
 
 /// A fault active over `[start_s, end_s)`.

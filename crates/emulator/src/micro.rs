@@ -530,11 +530,6 @@ impl Microcontroller {
         self.present[battery]
     }
 
-    /// Cancels any in-flight battery-to-battery transfer.
-    pub fn cancel_transfer(&mut self) {
-        self.transfer = None;
-    }
-
     /// Installs (or with `None` clears) a measurement fault on one
     /// battery's fuel gauge (chaos testing).
     ///

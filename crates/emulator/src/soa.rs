@@ -231,12 +231,6 @@ impl SoaCohort {
         }
     }
 
-    /// Cells per pack.
-    #[must_use]
-    pub fn cells_per_pack(&self) -> usize {
-        self.n
-    }
-
     /// Lane capacity.
     #[must_use]
     pub fn lanes(&self) -> usize {

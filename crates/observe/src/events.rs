@@ -311,11 +311,6 @@ impl FlightRecorder {
         Arc::new(Mutex::new(recorder))
     }
 
-    /// Attaches a counter incremented on every ring overwrite.
-    pub fn set_drop_counter(&mut self, counter: crate::metrics::Counter) {
-        self.drop_counter = Some(counter);
-    }
-
     /// Maximum number of retained events.
     #[must_use]
     pub fn capacity(&self) -> usize {

@@ -41,12 +41,6 @@ impl RegulatorKind {
     pub fn is_reversible(self) -> bool {
         matches!(self, Self::SynchronousReversibleBuck)
     }
-
-    /// Whether the output voltage may exceed the input voltage.
-    #[must_use]
-    pub fn can_boost(self) -> bool {
-        matches!(self, Self::BuckBoost)
-    }
 }
 
 /// Direction of power flow through a reversible regulator.

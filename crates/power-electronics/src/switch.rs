@@ -166,12 +166,6 @@ impl PacketScheduler {
             .map(|(r, s)| (r - s).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Total packets issued.
-    #[must_use]
-    pub fn packets_issued(&self) -> u64 {
-        self.total
-    }
 }
 
 /// Rounds shares to the timer grid with the largest-remainder method:

@@ -91,7 +91,7 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
 impl Phase {
     /// Stable snake_case name used in every export surface (text tree,
     /// JSON, collapsed flamegraph stacks, `sdb_prof_*` gauge labels,
-    /// and `sdb perf` phase-share metric keys).
+    /// and the micro-step bench's phase-share lines).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {

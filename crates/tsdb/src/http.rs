@@ -118,13 +118,6 @@ impl ServeHandle {
         self.addr
     }
 
-    /// Whether the listener has stopped (via `/shutdown` or
-    /// [`ServeHandle::shutdown`]).
-    #[must_use]
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Signals the accept loop to stop and waits for it (and the scrape
     /// thread) to finish draining.
     pub fn shutdown(mut self) {

@@ -22,20 +22,16 @@
 //!   attach as a live `EventSink`, or scrape a `MetricsRegistry`.
 //! * [`http`] — the blocking HTTP/1.1 listener behind `sdb serve`:
 //!   `/metrics`, `/query`, `/healthz`, `/shutdown`.
-//! * [`perf`] — the longitudinal perf-regression gate behind `sdb perf`:
-//!   BENCH_*.json ingestion, history file, baseline comparison.
 //!
 //! Determinism: simulation-time samples are quantized to integer
 //! microseconds at the boundary and everything downstream is exact
 //! integer/bit arithmetic, so store contents derived from a fleet run
-//! are identical at any thread count. Wall-clock stamps (live scraping,
-//! perf history entries) are quarantined the same way `FleetRunStats`
-//! quarantines wall-clock facts: they never feed a deterministic
-//! artifact.
+//! are identical at any thread count. Wall-clock stamps (live scraping)
+//! are quarantined the same way `FleetRunStats` quarantines wall-clock
+//! facts: they never feed a deterministic artifact.
 
 pub mod gorilla;
 pub mod http;
-pub mod perf;
 pub mod query;
 pub mod sink;
 pub mod store;

@@ -438,11 +438,6 @@ impl TsdbStore {
         }
     }
 
-    /// Appends one sample stamped in seconds (quantized to microseconds).
-    pub fn append_secs(&self, id: &SeriesId, t_s: f64, value: f64) {
-        self.append(id, secs_to_us(t_s), value);
-    }
-
     /// Every series id, in creation order.
     ///
     /// # Panics

@@ -22,13 +22,10 @@
 //!            [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
 //!            run a scenario under the phase profiler and print the hierarchical phase tree
 //!            (counts are bit-identical across thread counts; `flame` emits collapsed stacks)
-//! sdb perf   [--history PERF_HISTORY.jsonl] [--micro BENCH_micro.json] [--fleet BENCH_fleet.json] [--campaign BENCH_campaign.json]
-//!            [--baseline last|best] [--threshold 0.10] [--record] [--label <text>] [--inject <factor>]
-//!            compare bench results against recorded history; exits non-zero on regression
 //! sdb campaign [--scenarios a,b] [--chemistries a,b] [--faults a,b] [--policies a,b] [--engines scalar,soa]
 //!            [--seed N] [--hours H] [--devices-per-cell N] [--threads N] [--list]
 //!            [--checkpoint <path>] [--stop-after N] [--baseline <path>] [--write-baseline]
-//!            [--inject-divergence <cell-key>] [--format text|json|html] [--out <path>] [--bench-out <json>]
+//!            [--inject-divergence <cell-key>] [--format text|json|html] [--out <path>]
 //!            run the scenario × chemistry × fault × policy × engine matrix; byte-identical at any
 //!            --threads, resumable via --checkpoint, diffed against a committed golden baseline;
 //!            on divergence prints the minimized culprit cell + repro command and exits 2
@@ -199,7 +196,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  sdb packs | traces\n  sdb sim --pack <name> --trace <name> [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-file <csv>] [--events-out <jsonl>]\n  sdb charge --pack <name> --watts <W> [--directive <0..1>] [--target <pct>]\n  sdb status --pack <name> [--soc <0..1>]\n  sdb fleet --devices <N> [--threads <N>] [--seed <N>] [--hours <H>] [--policy greedy|planned|oracle] [--engine scalar|soa] [--json] [--out <path>] [--metrics-out <path>] [--events-out <jsonl>] [--trace-out <jsonl>]
-  sdb policy [--seed <N>] [--json] [--out <path>] [--metrics-out <path>]\n  sdb analyze --trace <jsonl> [--json] [--max-findings <N>]\n  sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json]\n  sdb chaos --devices <N> [--seed <N>] [--intensity <0..1>] [--hours <H>] [--load <W>] [--threads <N>] [--json] [--out <path>] [--metrics-out <path>]\n  sdb serve [--addr <host:port>] [--telemetry] [--policy greedy|planned|oracle] [--devices <N>] [--seed <N>] [--hours <H>] [--threads <N>] [--scrape-ms <ms>]\n  sdb profile [--scenario fleet|sim|chaos|policy] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]\n  sdb perf [--history <jsonl>] [--micro <json>] [--fleet <json>] [--campaign <json>] [--baseline last|best] [--threshold <frac>] [--record] [--label <text>] [--inject <factor>]\n  sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>] [--bench-out <json>]\n  sdb --version"
+  sdb policy [--seed <N>] [--json] [--out <path>] [--metrics-out <path>]\n  sdb analyze --trace <jsonl> [--json] [--max-findings <N>]\n  sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json]\n  sdb chaos --devices <N> [--seed <N>] [--intensity <0..1>] [--hours <H>] [--load <W>] [--threads <N>] [--json] [--out <path>] [--metrics-out <path>]\n  sdb serve [--addr <host:port>] [--telemetry] [--policy greedy|planned|oracle] [--devices <N>] [--seed <N>] [--hours <H>] [--threads <N>] [--scrape-ms <ms>]\n  sdb profile [--scenario fleet|sim|chaos|policy] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]\n  sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]\n  sdb --version"
     );
     ExitCode::FAILURE
 }
@@ -879,129 +876,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Compares fresh bench results against the recorded history and exits
-/// non-zero if any metric's cost grew past the threshold. `--record`
-/// appends the current run to the history file (the committed
-/// longitudinal record); `--inject` multiplies every cost metric before
-/// comparing — the self-test hook CI uses to prove the gate trips.
-fn cmd_perf(flags: &HashMap<String, String>) -> ExitCode {
-    use sdb::tsdb::perf;
-    let history_path = flags
-        .get("history")
-        .map(String::as_str)
-        .unwrap_or("PERF_HISTORY.jsonl");
-    let inject: Option<f64> = flag(flags, "inject");
-    let threshold: f64 = flag_or(flags, "threshold", 0.10);
-    let baseline = match flags.get("baseline").map(String::as_str) {
-        None | Some("last") => perf::Baseline::Last,
-        Some("best") => perf::Baseline::Best,
-        Some(other) => usage_error(&format!("unknown --baseline `{other}` (last|best)")),
-    };
-    let mut metrics: Vec<perf::PerfMetric> = Vec::new();
-    for (flag, default) in [
-        ("micro", "BENCH_micro.json"),
-        ("fleet", "BENCH_fleet.json"),
-        ("campaign", "BENCH_campaign.json"),
-    ] {
-        let path = flags.get(flag).map(String::as_str).unwrap_or(default);
-        match std::fs::read_to_string(path) {
-            Ok(text) => match perf::ingest(&text) {
-                Ok(m) => metrics.extend(m),
-                Err(e) => {
-                    eprintln!("cannot parse bench file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) if !flags.contains_key(flag) => {
-                eprintln!("note: {path} not found, skipping");
-            }
-            Err(e) => {
-                eprintln!("cannot read bench file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if metrics.is_empty() {
-        eprintln!("no bench results found (run the sdb-bench benches first)");
-        return ExitCode::FAILURE;
-    }
-    if let Some(factor) = inject {
-        for m in &mut metrics {
-            match m.direction {
-                perf::Direction::LowerIsBetter => m.value *= factor,
-                perf::Direction::HigherIsBetter => m.value /= factor,
-            }
-        }
-        eprintln!("injected a synthetic {factor}x cost multiplier for self-test");
-    }
-
-    let history_text = std::fs::read_to_string(history_path).unwrap_or_default();
-    let history = match perf::parse_history(&history_text) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot parse {history_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let regressions = perf::check(&history, &metrics, baseline, threshold);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "perf gate: {} metrics vs {} history entries (threshold {:.0}%)",
-        metrics.len(),
-        history.len(),
-        threshold * 100.0
-    );
-    for r in &regressions {
-        let _ = writeln!(
-            out,
-            "  REGRESSION {:<32} baseline {:>12.2}  current {:>12.2}  ({:+.1}% cost)",
-            r.key,
-            r.baseline,
-            r.current,
-            r.worse_by * 100.0
-        );
-    }
-    if regressions.is_empty() {
-        let _ = writeln!(out, "  ok: no metric regressed past the threshold");
-    }
-    emit(&out);
-
-    if flags.contains_key("record") {
-        // Wall-clock stamp, quarantined: labels the history line for
-        // humans, never enters a comparison.
-        let stamp = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs());
-        let entry = perf::HistoryEntry {
-            recorded_at_unix_s: stamp,
-            label: flags
-                .get("label")
-                .cloned()
-                .unwrap_or_else(|| "local".to_owned()),
-            metrics: metrics.clone(),
-        };
-        let mut text = history_text;
-        if !text.is_empty() && !text.ends_with('\n') {
-            text.push('\n');
-        }
-        text.push_str(&entry.to_jsonl());
-        text.push('\n');
-        if let Err(e) = std::fs::write(history_path, text) {
-            eprintln!("failed to write {history_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("recorded entry {} in {history_path}", history.len() + 1);
-    }
-
-    if regressions.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_policy(flags: &HashMap<String, String>) -> ExitCode {
     let seed: u64 = flag_or(flags, "seed", 42);
     let h2h = sdb::policy::run_head_to_head(seed);
@@ -1122,14 +996,12 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let threads: usize = flag_or(flags, "threads", 1);
     let opts = CampaignOptions {
-        threads,
+        threads: flag_or(flags, "threads", 1),
         checkpoint,
         stop_after,
     };
 
-    let t0 = std::time::Instant::now();
     let run = match campaign::run_campaign(&spec, &opts) {
         Ok(r) => r,
         Err(e) => {
@@ -1137,7 +1009,6 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let wall_s = t0.elapsed().as_secs_f64();
 
     let report = match run {
         CampaignRun::Complete(r) => *r,
@@ -1149,27 +1020,6 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::from(3);
         }
     };
-
-    if let Some(path) = flags.get("bench-out") {
-        let devices = cells.len() * spec.devices_per_cell;
-        let json = format!(
-            "{{\"bench\":\"campaign\",\"cells\":{},\"devices\":{},\"threads\":{},\
-             \"wall_s\":{:.6},\"cells_per_sec\":{:.6},\"devices_per_sec\":{:.6},\
-             \"host_cpus\":{}}}\n",
-            cells.len(),
-            devices,
-            threads,
-            wall_s,
-            cells.len() as f64 / wall_s.max(1e-9),
-            devices as f64 / wall_s.max(1e-9),
-            host_threads(),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write bench results to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote campaign bench results to {path}");
-    }
 
     let format = flags.get("format").map(String::as_str).unwrap_or("text");
     let body = match format {
@@ -1447,7 +1297,6 @@ fn main() -> ExitCode {
         Some("chaos") => cmd_chaos(&flags),
         Some("serve") => cmd_serve(&flags),
         Some("profile") => cmd_profile(&flags),
-        Some("perf") => cmd_perf(&flags),
         Some("policy") => cmd_policy(&flags),
         Some("campaign") => cmd_campaign(&flags),
         _ => usage(),

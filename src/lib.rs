@@ -30,8 +30,7 @@
 //!   and a declarative anomaly/health-rule engine behind `sdb analyze`.
 //! * [`tsdb`] — the embedded time-series telemetry store: Gorilla
 //!   compression, ring retention with tiered downsampling, typed
-//!   queries, the `sdb serve` HTTP surface, and the `sdb perf`
-//!   longitudinal regression gate.
+//!   queries, and the `sdb serve` HTTP surface.
 //! * [`policy`] — plan-based lookahead policies: load forecasting over
 //!   the behavior models, a receding-horizon directive planner, the
 //!   perfect-forecast oracle upper bound, and the greedy / planned /

@@ -33,11 +33,6 @@ fn unparsable_numeric_flags_are_errors_naming_the_flag() {
 }
 
 #[test]
-fn perf_baseline_accepts_only_last_or_best() {
-    assert_usage_error(&["perf", "--baseline", "bogus"], "--baseline");
-}
-
-#[test]
 fn unknown_fleet_policies_are_errors() {
     assert_usage_error(
         &["fleet", "--devices", "4", "--policy", "bogus"],

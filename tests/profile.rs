@@ -37,7 +37,9 @@ fn profiled_fleet(devices: usize, threads: usize) -> (String, String, String, Fl
 
 #[test]
 fn profile_counts_are_byte_identical_across_thread_counts() {
-    let _guard = PROF_LOCK.lock().unwrap();
+    let _guard = PROF_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (counts1, flame1, json1, report1) = profiled_fleet(64, 1);
     let (counts4, flame4, json4, report4) = profiled_fleet(64, 4);
 
@@ -71,7 +73,9 @@ fn profile_counts_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn profiling_does_not_change_the_unprofiled_report() {
-    let _guard = PROF_LOCK.lock().unwrap();
+    let _guard = PROF_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     sdb::prof::reset();
     sdb::prof::disable();
     let spec = FleetSpec::default_population(32, 7).with_hours(1.0);
@@ -102,7 +106,9 @@ fn paper_scenarios_replay_through_the_profiled_trace_loop() {
     use sdb::core::scenarios::two_in_one::{battery_life_s, Strategy};
     use sdb::workloads::traces::tablet_session;
     use sdb::workloads::Activity;
-    let _guard = PROF_LOCK.lock().unwrap();
+    let _guard = PROF_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
 
     // Figure 14: the 30 s points of the repeated workload, up to the
     // brownout.
