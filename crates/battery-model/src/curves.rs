@@ -533,6 +533,8 @@ impl Curve {
         assert!(cells > 0, "LUT needs at least one grid cell");
         let x0 = self.x_min();
         let dx = (self.x_max() - x0) / cells as f64;
+        // The grid increases, so one cursor sweep finds every segment.
+        let cursor = CurveCursor::new();
         let ys = (0..=cells)
             .map(|i| {
                 // Sample the exact endpoint last so end clamping agrees
@@ -542,7 +544,7 @@ impl Curve {
                 } else {
                     dx.mul_add(i as f64, x0)
                 };
-                self.eval(x)
+                self.eval_cached(&cursor, x)
             })
             .collect();
         CurveLut {
@@ -614,9 +616,10 @@ impl CurveLut {
         for &(x, y) in curve.points() {
             worst = worst.max((y - self.eval(x)).abs());
         }
+        let cursor = CurveCursor::new();
         for i in 0..self.ys.len() {
             let x = self.dx.mul_add(i as f64, self.x0);
-            worst = worst.max((curve.eval(x) - self.eval(x)).abs());
+            worst = worst.max((curve.eval_cached(&cursor, x) - self.eval(x)).abs());
         }
         worst
     }
@@ -868,6 +871,62 @@ mod tests {
         }
         // A finer grid shrinks the bound.
         assert!(kink.to_lut(64).max_abs_error(&kink) < bound);
+    }
+
+    #[test]
+    fn sweep_built_luts_match_the_binary_search_build_bit_for_bit() {
+        // The per-sample binary-search build the cursor sweep replaced.
+        fn reference_lut(curve: &Curve, cells: usize) -> CurveLut {
+            let x0 = curve.x_min();
+            let dx = (curve.x_max() - x0) / cells as f64;
+            let ys = (0..=cells)
+                .map(|i| {
+                    let x = if i == cells {
+                        curve.x_max()
+                    } else {
+                        dx.mul_add(i as f64, x0)
+                    };
+                    curve.eval(x)
+                })
+                .collect();
+            CurveLut {
+                x0,
+                dx,
+                inv_dx: 1.0 / dx,
+                ys,
+            }
+        }
+        fn reference_error(lut: &CurveLut, curve: &Curve) -> f64 {
+            let mut worst = 0.0f64;
+            for &(x, y) in curve.points() {
+                worst = worst.max((y - lut.eval(x)).abs());
+            }
+            for i in 0..lut.ys.len() {
+                let x = lut.dx.mul_add(i as f64, lut.x0);
+                worst = worst.max((curve.eval(x) - lut.eval(x)).abs());
+            }
+            worst
+        }
+        let bits = |lut: &CurveLut| {
+            let mut b = vec![lut.x0.to_bits(), lut.dx.to_bits(), lut.inv_dx.to_bits()];
+            b.extend(lut.ys.iter().map(|y| y.to_bits()));
+            b
+        };
+        for chem in crate::chemistry::Chemistry::ALL {
+            let spec = crate::spec::BatterySpec::from_chemistry("c", chem, 2.0);
+            for curve in [&spec.ocp, &spec.dcir] {
+                for cells in [1, 3, 7, 64, 256, 1000] {
+                    let lut = curve.to_lut(cells);
+                    let reference = reference_lut(curve, cells);
+                    assert_eq!(bits(&lut), bits(&reference), "{chem:?} x{cells}");
+                    assert_eq!(
+                        lut.max_abs_error(curve).to_bits(),
+                        reference_error(&reference, curve).to_bits(),
+                        "{chem:?} x{cells}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -463,7 +463,7 @@ pub fn run_cell_device(
     if planner.is_none() {
         runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
     }
-    let points = trace.resampled(sim.max_dt_s);
+    let runs = trace.runs(sim.max_dt_s);
 
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
@@ -480,7 +480,7 @@ pub fn run_cell_device(
             let result = drive(
                 &mut Linked::new(&mut link, STATUS_PERIOD_S),
                 &mut runtime,
-                points.points(),
+                &runs,
                 &sim,
                 hooks,
                 |t, l| exec.apply(t, l.link),
@@ -509,7 +509,7 @@ pub fn run_cell_device(
             let result: SimResult = drive(
                 &mut micro,
                 &mut runtime,
-                points.points(),
+                &runs,
                 &sim,
                 hooks,
                 |_, _| {},
@@ -529,7 +529,7 @@ pub fn run_cell_device(
             let result: SimResult = drive(
                 &mut micro,
                 &mut runtime,
-                points.points(),
+                &runs,
                 &sim,
                 hooks,
                 |_, _| {},

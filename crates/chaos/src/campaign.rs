@@ -143,11 +143,11 @@ fn run_device(
     let mut checker = InvariantChecker::for_micro(link.micro());
 
     let opts = SimOptions::default();
-    let points = Trace::constant(spec.load_w, spec.horizon_s).resampled(opts.max_dt_s);
+    let runs = Trace::constant(spec.load_w, spec.horizon_s).runs(opts.max_dt_s);
     let result: SimResult = drive(
         &mut Linked::new(&mut link, spec.status_period_s),
         &mut runtime,
-        points.points(),
+        &runs,
         &opts,
         Hooks::default(),
         |t, l| exec.apply(t, l.link),

@@ -27,11 +27,11 @@ pub fn checked_run_trace(
     opts: &SimOptions,
 ) -> SimResult {
     let mut checker = InvariantChecker::for_micro(micro);
-    let points = trace.resampled(opts.max_dt_s);
+    let runs = trace.runs(opts.max_dt_s);
     let result: SimResult = drive(
         micro,
         runtime,
-        points.points(),
+        &runs,
         opts,
         Hooks::default(),
         |_, _| {},
@@ -66,7 +66,7 @@ pub fn checked_run_charge_session(
     let _: SimResult = drive(
         micro,
         runtime,
-        charging_session(external_w, max_s, dt_s).points(),
+        &charging_session(external_w, max_s, dt_s).runs(dt_s),
         &SimOptions::default(),
         Hooks::default(),
         |_, _| {},

@@ -379,11 +379,11 @@ mod tests {
         let mut m = micro();
         let mut rt = SdbRuntime::new(2);
         let mut checker = InvariantChecker::for_micro(&m);
-        let points = Trace::constant(4.0, 3600.0).resampled(60.0);
+        let runs = Trace::constant(4.0, 3600.0).runs(60.0);
         let _: SimResult = drive(
             &mut m,
             &mut rt,
-            points.points(),
+            &runs,
             &SimOptions::default(),
             Hooks::default(),
             |_, _| {},

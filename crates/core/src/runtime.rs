@@ -587,13 +587,23 @@ impl SdbRuntime {
     /// (The quiescence classifier guarantees those evaluations could not
     /// have pushed new ratios.) Returns the number of evaluations
     /// credited.
+    ///
+    /// O(1) when the period is at most `dt_s`: the clock never runs
+    /// negative, so every skipped tick reaches the period and evaluates.
     pub fn note_fast_forward(&mut self, dt_s: f64, ticks: u64) -> u64 {
         let mut evals = 0u64;
-        for _ in 0..ticks {
-            self.since_update_s += dt_s;
-            if self.since_update_s >= self.update_period_s {
+        if self.update_period_s <= dt_s && self.since_update_s >= 0.0 {
+            if ticks > 0 {
                 self.since_update_s = 0.0;
-                evals += 1;
+                evals = ticks;
+            }
+        } else {
+            for _ in 0..ticks {
+                self.since_update_s += dt_s;
+                if self.since_update_s >= self.update_period_s {
+                    self.since_update_s = 0.0;
+                    evals += 1;
+                }
             }
         }
         if evals > 0 {
@@ -889,5 +899,38 @@ mod tests {
         // the charge ratios (both cells accept charge when empty).
         let r = rt.tick(&mut m, &input, 1.0);
         assert!(r.is_ok());
+    }
+
+    #[test]
+    fn fast_forward_credit_matches_the_per_tick_clock() {
+        // The per-tick clock the closed form must reproduce.
+        fn per_tick(since_s: &mut f64, period_s: f64, dt_s: f64, ticks: u64) -> u64 {
+            let mut evals = 0;
+            for _ in 0..ticks {
+                *since_s += dt_s;
+                if *since_s >= period_s {
+                    *since_s = 0.0;
+                    evals += 1;
+                }
+            }
+            evals
+        }
+        for dt_s in [60.0, 45.0, 7.5, 0.1] {
+            for period_s in [dt_s / 3.0, dt_s, dt_s * 2.5, 60.0, f64::INFINITY] {
+                for since_s in [0.0, period_s / 2.0, f64::MAX] {
+                    for ticks in [0, 1, 2, 59, 60, 1_000] {
+                        let mut rt = SdbRuntime::new(2);
+                        rt.set_update_period(period_s);
+                        rt.since_update_s = since_s;
+                        let mut reference = since_s;
+                        let want = per_tick(&mut reference, period_s, dt_s, ticks);
+                        let got = rt.note_fast_forward(dt_s, ticks);
+                        let case = format!("dt {dt_s} period {period_s} since {since_s} x{ticks}");
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(rt.since_update_s.to_bits(), reference.to_bits(), "{case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -132,8 +132,10 @@ pub fn fly(micro: &mut Microcontroller, profile: &Trace) -> FlightOutcome {
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_discharge_directive(DischargeDirective::new(1.0));
     runtime.set_update_period(5.0);
-    let points = profile.resampled(5.0);
-    let mut durations = points.points().iter().map(|p| p.dur_s);
+    let runs = profile.runs(5.0);
+    let mut durations = runs
+        .iter()
+        .flat_map(|&(p, n)| std::iter::repeat_n(p.dur_s, n));
     let mut outcome = FlightOutcome {
         completed: true,
         flight_time_s: 0.0,
@@ -142,7 +144,7 @@ pub fn fly(micro: &mut Microcontroller, profile: &Trace) -> FlightOutcome {
     let _: SimResult = drive(
         micro,
         &mut runtime,
-        points.points(),
+        &runs,
         &SimOptions::default(),
         Hooks::default(),
         |_, _| {},

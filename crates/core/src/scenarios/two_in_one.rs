@@ -114,14 +114,18 @@ pub fn battery_life_with_detach(
     };
     // Enough repeats of the workload to pass the cap, where `post_step`
     // stops the run.
-    let resampled = workload.resampled(opts.max_dt_s);
-    let repeats = (cap_s / resampled.duration_s()).ceil() as usize + 1;
-    let points = resampled.points().repeat(repeats);
+    let runs = workload.runs(opts.max_dt_s);
+    let duration_s: f64 = runs
+        .iter()
+        .flat_map(|&(p, n)| std::iter::repeat_n(p.dur_s, n))
+        .sum();
+    let repeats = (cap_s / duration_s).ceil() as usize + 1;
+    let runs = runs.repeat(repeats);
     let period = docked_s + undocked_s;
     let result: SimResult = drive(
         &mut micro,
         &mut runtime,
-        &points,
+        &runs,
         &opts,
         Hooks::default(),
         |elapsed, micro| {

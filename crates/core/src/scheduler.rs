@@ -310,10 +310,10 @@ pub struct Hooks<'a> {
     /// through [`LookaheadPolicy::observe_step`].
     pub policy: Option<&'a mut dyn LookaheadPolicy>,
     /// Fast-forward through lane 0 of this cohort: after a scalar sync
-    /// tick, the next four or more points that replay it advance in closed
-    /// form while the quiescence classifier allows, within the kernel's
-    /// documented bound. Skipped ticks stay counted in the pack, runtime
-    /// and cohort.
+    /// tick, the rest of its run (when four or more points) advances in
+    /// closed form while the quiescence classifier allows, within the
+    /// kernel's documented bound. Skipped ticks stay counted in the pack,
+    /// runtime and cohort.
     pub soa: Option<&'a mut SoaCohort>,
     /// A policy-input buffer to refill instead of allocating one.
     pub input: Option<&'a mut PolicyInput>,
@@ -327,11 +327,10 @@ pub fn run_trace(
     trace: &Trace,
     opts: &SimOptions,
 ) -> SimResult {
-    let points = trace.resampled(opts.max_dt_s);
     drive(
         micro,
         runtime,
-        points.points(),
+        &trace.runs(opts.max_dt_s),
         opts,
         Hooks::default(),
         |_, _| {},
@@ -339,18 +338,19 @@ pub fn run_trace(
     )
 }
 
-/// Replays `points` (typically a trace resampled at `opts.max_dt_s`)
-/// against the pack behind `transport`. Per point: `pre_step` with
-/// mutable transport access (fault plans), input refill, planner, runtime
-/// tick, step, planner feedback, bookkeeping, `post_step` with the
-/// elapsed time, the transport and the step report (telemetry, invariant
-/// checks, running sums); then, with an SoA cohort, fast-forward. Stops
-/// at the first brownout when `opts.stop_on_brownout`, and after any
-/// point whose `post_step` returns [`ControlFlow::Break`]. Unused step
-/// hooks are no-op closures, which compile to nothing.
+/// Replays `runs` (typically [`Trace::runs`] at `opts.max_dt_s`: each
+/// point with the number of times it repeats) against the pack behind
+/// `transport`. Per replayed point: `pre_step` with mutable transport
+/// access (fault plans), input refill, planner, runtime tick, step,
+/// planner feedback, bookkeeping, `post_step` with the elapsed time, the
+/// transport and the step report (telemetry, invariant checks, running
+/// sums); then, with an SoA cohort, fast-forward over the rest of the
+/// run. Stops at the first brownout when `opts.stop_on_brownout`, and
+/// after any point whose `post_step` returns [`ControlFlow::Break`].
+/// Unused step hooks are no-op closures, which compile to nothing.
 ///
-/// Profiling: each point is a `TraceStep` gating step (`SoaStep` with an
-/// SoA cohort, each fast-forward its own `FastForward` step).
+/// Profiling: each replayed point is a `TraceStep` gating step (`SoaStep`
+/// with an SoA cohort, each fast-forward its own `FastForward` step).
 ///
 /// # Panics
 ///
@@ -358,7 +358,7 @@ pub fn run_trace(
 pub fn drive<T, R, Pre, Post>(
     transport: &mut T,
     runtime: &mut SdbRuntime,
-    points: &[TracePoint],
+    runs: &[(TracePoint, usize)],
     opts: &SimOptions,
     mut hooks: Hooks<'_>,
     mut pre_step: Pre,
@@ -385,83 +385,86 @@ where
     let mut books = R::open(transport.micro());
     let mut first_brownout = None;
     let mut elapsed = 0.0f64;
-    let mut i = 0;
-    let mut run_end = 0;
-    while let Some(p) = points.get(i) {
-        i += 1;
-        let span = R::OBSERVED.then(|| runtime.observer().span(SpanName::TraceStep));
-        // The scheduler step is the profiler's sampling gate: the plan/tick
-        // sub-phases and the nested micro step inherit its hot/cold
-        // decision.
-        let prof = sdb_prof::step(step_phase);
-        pre_step(elapsed, transport);
-        input.refill_from_micro(transport.micro());
-        input.load_w = p.load_w;
-        input.external_w = p.external_w;
-        if let Some(policy) = hooks.policy.as_deref_mut() {
-            let _prof = sdb_prof::sub(Phase::PolicyPlan);
-            if let Some(plan) = policy.plan(elapsed, transport.micro(), input) {
-                runtime.commit_plan(&plan);
+    'runs: for &(p, n) in runs {
+        // Points of this run not yet replayed.
+        let mut left = n;
+        while left > 0 {
+            left -= 1;
+            let span = R::OBSERVED.then(|| runtime.observer().span(SpanName::TraceStep));
+            // The scheduler step is the profiler's sampling gate: the
+            // plan/tick sub-phases and the nested micro step inherit its
+            // hot/cold decision.
+            let prof = sdb_prof::step(step_phase);
+            pre_step(elapsed, transport);
+            input.refill_from_micro(transport.micro());
+            input.load_w = p.load_w;
+            input.external_w = p.external_w;
+            if let Some(policy) = hooks.policy.as_deref_mut() {
+                let _prof = sdb_prof::sub(Phase::PolicyPlan);
+                if let Some(plan) = policy.plan(elapsed, transport.micro(), input) {
+                    runtime.commit_plan(&plan);
+                }
             }
-        }
-        transport.tick(runtime, input, p.dur_s);
-        let report = transport.step(p.load_w, p.external_w, p.dur_s);
-        if let Some(policy) = hooks.policy.as_deref_mut() {
-            policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
-        }
-        let loss_w = report.circuit_loss_w + report.cell_heat_w;
-        books.book(elapsed, p.dur_s, loss_w, report.load_w);
-        elapsed += p.dur_s;
-        let flow = post_step(elapsed, transport, &report);
-        books.note_empty(elapsed, transport.micro());
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.stop_on_brownout {
-                break;
+            transport.tick(runtime, input, p.dur_s);
+            let report = transport.step(p.load_w, p.external_w, p.dur_s);
+            if let Some(policy) = hooks.policy.as_deref_mut() {
+                policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
             }
-        }
-        if flow.is_break() {
-            break;
-        }
-        // Fast-forward steps are siblings of the sync tick's step.
-        drop(prof);
-        drop(span);
+            let loss_w = report.circuit_loss_w + report.cell_heat_w;
+            books.book(elapsed, p.dur_s, loss_w, report.load_w);
+            elapsed += p.dur_s;
+            let flow = post_step(elapsed, transport, &report);
+            books.note_empty(elapsed, transport.micro());
+            if report.unmet_w > 1e-9 && first_brownout.is_none() {
+                first_brownout = Some(elapsed);
+                if opts.stop_on_brownout {
+                    break 'runs;
+                }
+            }
+            if flow.is_break() {
+                break 'runs;
+            }
+            // Fast-forward steps are siblings of the sync tick's step.
+            drop(prof);
+            drop(span);
 
-        // Fast-forward: how many upcoming points replay this one exactly?
-        let Some(soa) = hooks.soa.as_deref_mut() else {
-            continue;
-        };
-        if p.external_w != 0.0 {
-            continue;
-        }
-        let run = replay_run(points, i, &mut run_end);
-        let micro = transport.micro_mut();
-        if run < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, &report, p.load_w, p.dur_s) {
-            continue;
-        }
-        let mut remaining = u32::try_from(run).unwrap_or(u32::MAX);
-        let mut skipped = 0u64;
-        while remaining > 0 {
-            let k = soa.max_ticks(0, p.load_w, p.dur_s).min(remaining);
-            if k == 0 {
-                break;
-            }
-            let totals = {
-                let _prof = sdb_prof::step(Phase::FastForward);
-                soa.advance(0, p.load_w, p.dur_s, k)
+            // Fast-forward over the rest of the run: those points replay
+            // this one exactly (runs are maximal, and a run without
+            // external power holds its 0.0 bit for bit).
+            let Some(soa) = hooks.soa.as_deref_mut() else {
+                continue;
             };
-            let span_s = f64::from(k) * p.dur_s;
-            let loss_w = (totals.circuit_loss_j + totals.cell_heat_j) / span_s;
-            books.book(elapsed, span_s, loss_w, p.load_w);
-            elapsed += span_s;
-            runtime.note_fast_forward(p.dur_s, u64::from(k));
-            skipped += u64::from(k);
-            remaining -= k;
-            i += k as usize;
-        }
-        soa.exit(0, micro);
-        if skipped > 0 {
-            micro.credit_skipped_steps(skipped);
+            if p.external_w != 0.0 {
+                continue;
+            }
+            let micro = transport.micro_mut();
+            if left < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, &report, p.load_w, p.dur_s) {
+                continue;
+            }
+            let mut remaining = u32::try_from(left).unwrap_or(u32::MAX);
+            let mut skipped = 0u64;
+            while remaining > 0 {
+                let k = soa.max_ticks(0, p.load_w, p.dur_s).min(remaining);
+                if k == 0 {
+                    break;
+                }
+                let totals = {
+                    let _prof = sdb_prof::step(Phase::FastForward);
+                    soa.advance(0, p.load_w, p.dur_s, k)
+                };
+                let span_s = f64::from(k) * p.dur_s;
+                let loss_w = (totals.circuit_loss_j + totals.cell_heat_j) / span_s;
+                books.book(elapsed, span_s, loss_w, p.load_w);
+                elapsed += span_s;
+                runtime.note_fast_forward(p.dur_s, u64::from(k));
+                skipped += u64::from(k);
+                remaining -= k;
+                left -= k as usize;
+            }
+            soa.exit(0, micro);
+            if skipped > 0 {
+                micro.credit_skipped_steps(skipped);
+            }
         }
     }
     transport.finish(runtime);
@@ -484,27 +487,6 @@ where
 /// snapshot-in/snapshot-out cost of parking a lane.
 const MIN_STRETCH_POINTS: usize = 4;
 
-/// How many of `points[i..]` replay `points[i - 1]` exactly: same load
-/// and step bits, no external power. `points[i - 1]` must carry no
-/// external power, and `i` must grow from call to call. `run_end` keeps
-/// the end of the last scan: every point before it replays the same
-/// point, so a cursor short of it needs no rescan, and finding runs
-/// costs O(points) per trace.
-fn replay_run(points: &[TracePoint], i: usize, run_end: &mut usize) -> usize {
-    if i >= *run_end {
-        let p = &points[i - 1];
-        *run_end = i + points[i..]
-            .iter()
-            .take_while(|q| {
-                q.load_w.to_bits() == p.load_w.to_bits()
-                    && q.external_w == 0.0
-                    && q.dur_s.to_bits() == p.dur_s.to_bits()
-            })
-            .count();
-    }
-    *run_end - i
-}
-
 /// Charges the pack from `external_w` at idle until the pack's total
 /// stored charge reaches each fraction in `targets` (of total rated
 /// capacity), or `max_s` elapses. Returns the time each target was reached.
@@ -526,7 +508,7 @@ pub fn run_charge_session(
     let _: SimResult = drive(
         micro,
         runtime,
-        charging_session(external_w, max_s, dt_s).points(),
+        &charging_session(external_w, max_s, dt_s).runs(dt_s),
         &SimOptions::default(),
         Hooks::default(),
         |_, _| {},
@@ -746,7 +728,7 @@ mod tests {
 
             let mut m2 = pack(soc);
             let mut rt2 = SdbRuntime::new(2);
-            let resampled = trace.resampled(opts.max_dt_s);
+            let runs = trace.runs(opts.max_dt_s);
             let mut input = PolicyInput::from_micro(&m2);
             let hooks = Hooks {
                 input: Some(&mut input),
@@ -755,7 +737,7 @@ mod tests {
             let lean: PreparedResult = drive(
                 &mut m2,
                 &mut rt2,
-                resampled.points(),
+                &runs,
                 &opts,
                 hooks,
                 |_, _| {},
@@ -788,11 +770,11 @@ mod tests {
         policy: Option<&mut dyn LookaheadPolicy>,
     ) -> SimResult {
         let opts = SimOptions::default();
-        let points = trace.resampled(opts.max_dt_s);
+        let runs = trace.runs(opts.max_dt_s);
         drive(
             &mut Linked::new(link, 30.0),
             rt,
-            points.points(),
+            &runs,
             &opts,
             Hooks {
                 policy,
@@ -866,7 +848,22 @@ mod tests {
         assert_eq!(plain, planned);
     }
 
-    /// The reference run count: a fresh scan from every query.
+    /// Resampling as one pushed point per piece: the reference the runs
+    /// must expand to.
+    fn pieces(trace: &Trace, max_dt_s: f64) -> Vec<TracePoint> {
+        let mut out = Vec::new();
+        for p in trace.points() {
+            let mut remaining = p.dur_s;
+            while remaining > 1e-9 {
+                let dt = remaining.min(max_dt_s);
+                out.push(TracePoint { dur_s: dt, ..*p });
+                remaining -= dt;
+            }
+        }
+        out
+    }
+
+    /// The reference replay length: a fresh scan from every query.
     fn rescan_run(points: &[TracePoint], i: usize) -> usize {
         let p = &points[i - 1];
         points[i..]
@@ -880,39 +877,68 @@ mod tests {
     }
 
     #[test]
-    fn replay_run_matches_a_fresh_rescan_at_every_query() {
+    fn runs_expand_to_the_pieces_and_count_what_a_fresh_rescan_finds() {
         sdb_testkit::check(512, 0x5db_f00d, |g| {
             let max_dt_s = g.pick(&[60.0, 45.0, 7.5]);
             // Few distinct loads, so adjacent segments often repeat one;
-            // durations off the `max_dt_s` grid leave remainder pieces.
+            // durations on the `max_dt_s` grid join them into one run,
+            // durations off it leave remainder pieces.
             let mut trace = Trace::new();
             for _ in 0..g.usize_range(1, 10) {
                 let load_w = g.pick(&[0.05, 0.05, 0.3, 2.0]);
-                let external_w = if g.chance(0.2) { 5.0 } else { 0.0 };
+                let external_w = g.pick(&[0.0, 0.0, -0.0, 5.0]);
                 let whole = g.usize_range(0, 120) as f64;
-                let dur_s = whole * max_dt_s + g.f64_range(0.5, max_dt_s);
+                let dur_s = if g.chance(0.4) {
+                    (whole + 1.0) * max_dt_s
+                } else {
+                    whole * max_dt_s + g.f64_range(0.5, max_dt_s)
+                };
                 trace.push(load_w, external_w, dur_s);
             }
-            let resampled = trace.resampled(max_dt_s);
-            let points = resampled.points();
-            // Move the cursor as `drive` does: one sync tick, a
-            // query unless the point has external power, then a stretch
-            // the classifier may refuse or a lane may leave mid-run.
-            let mut run_end = 0;
+            let runs = trace.runs(max_dt_s);
+            let reference = pieces(&trace, max_dt_s);
+            let expanded: Vec<TracePoint> = runs
+                .iter()
+                .flat_map(|&(p, n)| std::iter::repeat_n(p, n))
+                .collect();
+            let bits = |p: &TracePoint| {
+                (
+                    p.dur_s.to_bits(),
+                    p.load_w.to_bits(),
+                    p.external_w.to_bits(),
+                )
+            };
+            assert_eq!(
+                trace
+                    .resampled(max_dt_s)
+                    .points()
+                    .iter()
+                    .map(bits)
+                    .collect::<Vec<_>>(),
+                expanded.iter().map(bits).collect::<Vec<_>>()
+            );
+            // Bit for bit, but for the sign of a zero external.
+            assert_eq!(expanded.len(), reference.len());
+            for (p, q) in expanded.iter().zip(&reference) {
+                assert_eq!(p.dur_s.to_bits(), q.dur_s.to_bits());
+                assert_eq!(p.load_w.to_bits(), q.load_w.to_bits());
+                assert_eq!(p.external_w, q.external_w);
+                assert!(!p.external_w.is_sign_negative());
+            }
+            // Runs are maximal.
+            for w in runs.windows(2) {
+                assert_ne!(bits(&w[0].0), bits(&w[1].0));
+            }
+            // At every cursor position `drive` can stand at (just after
+            // replaying a point without external power), the rest of the
+            // run is what a fresh rescan of the pieces finds.
             let mut i = 0;
-            while i < points.len() {
-                i += 1;
-                if points[i - 1].external_w != 0.0 {
-                    continue;
-                }
-                let run = replay_run(points, i, &mut run_end);
-                assert_eq!(run, rescan_run(points, i), "query at {i}");
-                if run >= MIN_STRETCH_POINTS && g.chance(0.8) {
-                    i += if g.chance(0.5) {
-                        run
-                    } else {
-                        g.usize_range(0, run)
-                    };
+            for &(p, n) in &runs {
+                for left in (0..n).rev() {
+                    i += 1;
+                    if p.external_w == 0.0 {
+                        assert_eq!(left, rescan_run(&reference, i), "query at {i}");
+                    }
                 }
             }
         });

@@ -202,11 +202,11 @@ mod tests {
             .build();
         let mut runtime = SdbRuntime::new(2);
         let mut telemetry = Telemetry::with_interval(interval_s);
-        let points = Trace::constant(4.0, 1800.0).resampled(60.0);
+        let runs = Trace::constant(4.0, 1800.0).runs(60.0);
         let _: SimResult = drive(
             &mut micro,
             &mut runtime,
-            points.points(),
+            &runs,
             &SimOptions::default(),
             Hooks::default(),
             |_, _| {},

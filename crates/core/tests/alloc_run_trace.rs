@@ -89,18 +89,16 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
     };
     let before = alloc_counter::allocs();
     let result = if mode == Mode::Linked {
-        let points = trace.resampled(max_dt_s);
         drive(
             &mut Linked::new(&mut link, STATUS_PERIOD_S),
             &mut runtime,
-            points.points(),
+            &trace.runs(max_dt_s),
             &opts,
             Hooks::default(),
             |_, _| {},
             |_, _, _| ControlFlow::Continue(()),
         )
     } else if mode == Mode::Soa {
-        let points = trace.resampled(max_dt_s);
         let hooks = Hooks {
             soa: Some(&mut cohort),
             ..Hooks::default()
@@ -108,7 +106,7 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
         let result: SimResult = drive(
             &mut micro,
             &mut runtime,
-            points.points(),
+            &trace.runs(max_dt_s),
             &opts,
             hooks,
             |_, _| {},

@@ -167,7 +167,7 @@ pub(crate) fn run_device_soa(
         }
     }
     let ff_before = soa.ticks_advanced();
-    let points = trace.resampled(spec.sim.max_dt_s);
+    let runs = trace.runs(spec.sim.max_dt_s);
     let hooks = Hooks {
         soa: Some(&mut *soa),
         ..Hooks::default()
@@ -175,7 +175,7 @@ pub(crate) fn run_device_soa(
     let result = drive(
         &mut micro,
         &mut runtime,
-        points.points(),
+        &runs,
         &spec.sim,
         hooks,
         |_, _| {},
@@ -357,11 +357,11 @@ mod tests {
             soa: Some(&mut soa),
             ..Hooks::default()
         };
-        let points = trace.resampled(opts.max_dt_s);
+        let runs = trace.runs(opts.max_dt_s);
         let hybrid: SimResult = drive(
             &mut m2,
             &mut rt2,
-            points.points(),
+            &runs,
             &opts,
             hooks,
             |_, _| {},

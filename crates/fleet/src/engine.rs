@@ -151,7 +151,7 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
             Some(Planner::oracle(cfg, Arc::clone(&trace)))
         }
     };
-    let points = trace.resampled(spec.sim.max_dt_s);
+    let runs = trace.runs(spec.sim.max_dt_s);
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
         ..Hooks::default()
@@ -159,7 +159,7 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
     let result = drive(
         &mut micro,
         &mut runtime,
-        points.points(),
+        &runs,
         &spec.sim,
         hooks,
         |_, _| {},

@@ -373,7 +373,7 @@ pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
             Some(Planner::oracle(cfg, Arc::new(trace.clone())))
         }
     };
-    let points = trace.resampled(opts.max_dt_s);
+    let runs = trace.runs(opts.max_dt_s);
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
         ..Hooks::default()
@@ -381,7 +381,7 @@ pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
     let result: SimResult = drive(
         &mut micro,
         &mut runtime,
-        points.points(),
+        &runs,
         &opts,
         hooks,
         |_, _| {},

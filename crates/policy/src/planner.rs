@@ -142,17 +142,17 @@ impl RolloutScratch {
     /// Prepares one re-plan: captures the live pack, which every
     /// candidate's rollout restores, and evaluates the charge side only
     /// if some forecast point brings external power.
-    fn load(&mut self, live: &Microcontroller, points: &[TracePoint]) {
+    fn load(&mut self, live: &Microcontroller, runs: &[(TracePoint, usize)]) {
         live.snapshot_into(&mut self.snap);
         self.runtime
-            .set_charge_evaluation(points.iter().any(|p| p.external_w > 0.0));
+            .set_charge_evaluation(runs.iter().any(|(p, _)| p.external_w > 0.0));
     }
 
-    /// Rolls pre-resampled forecast `points` forward from the loaded
+    /// Rolls the forecast's `runs` forward from the loaded
     /// snapshot under a fixed directive `d` and scores the outcome.
     /// Rollouts run fully unobserved so planning leaves no trace in
     /// metrics or event streams.
-    fn rollout(&mut self, cfg: &PlannerConfig, d: f64, points: &[TracePoint]) -> Score {
+    fn rollout(&mut self, cfg: &PlannerConfig, d: f64, runs: &[(TracePoint, usize)]) -> Score {
         // Nested profiler scope: the rollout's own trace/micro steps land
         // under planner_rollout in the phase tree, separated from the
         // live simulation's steps.
@@ -177,7 +177,7 @@ impl RolloutScratch {
         let res: PreparedResult = drive(
             &mut self.micro,
             &mut self.runtime,
-            points,
+            runs,
             &opts,
             hooks,
             |_, _| {},
@@ -190,6 +190,9 @@ impl RolloutScratch {
         }
     }
 }
+
+/// Scores every candidate directive over a forecast's runs.
+type Scorer = fn(&mut Planner, &Microcontroller, &[f64], &[(TracePoint, usize)]) -> Vec<Score>;
 
 /// The receding-horizon planner. Implements [`LookaheadPolicy`]; drive it
 /// as the `policy` hook of [`sdb_core::scheduler::drive`].
@@ -264,13 +267,13 @@ impl Planner {
         self.forecaster.mae_w()
     }
 
-    /// Scores every candidate directive over `points` through the rollout
+    /// Scores every candidate directive over `runs` through the rollout
     /// scratch, snapshotting `live` once for the whole sweep.
     fn scratch_scores(
         &mut self,
         live: &Microcontroller,
         cands: &[f64],
-        points: &[TracePoint],
+        runs: &[(TracePoint, usize)],
     ) -> Vec<Score> {
         let stale = self
             .scratch
@@ -280,10 +283,10 @@ impl Planner {
             self.scratch = Some(RolloutScratch::new(live));
         }
         let s = self.scratch.as_mut().expect("just ensured");
-        s.load(live, points);
+        s.load(live, runs);
         cands
             .iter()
-            .map(|&d| s.rollout(&self.cfg, d, points))
+            .map(|&d| s.rollout(&self.cfg, d, runs))
             .collect()
     }
 
@@ -293,7 +296,7 @@ impl Planner {
         &mut self,
         t_s: f64,
         micro: &Microcontroller,
-        score: fn(&mut Self, &Microcontroller, &[f64], &[TracePoint]) -> Vec<Score>,
+        score: Scorer,
     ) -> Option<PlanUpdate> {
         if self.planned_once && self.since_plan_s < self.cfg.replan_period_s {
             return None;
@@ -322,8 +325,8 @@ impl Planner {
         }
         // One resample shared by every candidate; scores are bit-identical
         // to `run_trace` rollouts.
-        let resampled = forecast.resampled(self.cfg.plan_dt_s);
-        let scores = score(self, micro, &cands, resampled.points());
+        let runs = forecast.runs(self.cfg.plan_dt_s);
+        let scores = score(self, micro, &cands, &runs);
         let cur_idx = cands
             .iter()
             .position(|c| (c - self.current_d).abs() < 1e-12)
@@ -396,7 +399,6 @@ mod tests {
         planner: &mut dyn LookaheadPolicy,
     ) -> SimResult {
         let opts = SimOptions::default();
-        let points = trace.resampled(opts.max_dt_s);
         let hooks = Hooks {
             policy: Some(planner),
             ..Hooks::default()
@@ -404,7 +406,7 @@ mod tests {
         drive(
             micro,
             rt,
-            points.points(),
+            &trace.runs(opts.max_dt_s),
             &opts,
             hooks,
             |_, _| {},
@@ -469,7 +471,7 @@ mod tests {
         cfg: &PlannerConfig,
         live: &Microcontroller,
         d: f64,
-        points: &[TracePoint],
+        runs: &[(TracePoint, usize)],
     ) -> Score {
         let mut micro = live.clone();
         micro.set_observer(Observer::disabled());
@@ -484,7 +486,7 @@ mod tests {
         let res: PreparedResult = drive(
             &mut micro,
             &mut rt,
-            points,
+            runs,
             &opts,
             Hooks::default(),
             |_, _| {},
@@ -501,11 +503,11 @@ mod tests {
         planner: &mut Planner,
         live: &Microcontroller,
         cands: &[f64],
-        points: &[TracePoint],
+        runs: &[(TracePoint, usize)],
     ) -> Vec<Score> {
         cands
             .iter()
-            .map(|&d| reference_rollout(&planner.cfg, live, d, points))
+            .map(|&d| reference_rollout(&planner.cfg, live, d, runs))
             .collect()
     }
 
@@ -588,18 +590,18 @@ mod tests {
             let forecaster = HistoryForecaster::from_history([&arb_trace(g, false)], 0.3);
             let history = forecaster
                 .forecast(g.f64_range(0.0, 86_400.0), cfg.horizon_s, cfg.plan_dt_s)
-                .resampled(cfg.plan_dt_s);
-            assert!(history.points().iter().all(|p| p.external_w == 0.0));
+                .runs(cfg.plan_dt_s);
+            assert!(history.iter().all(|(p, _)| p.external_w == 0.0));
             let oracle = OracleForecaster::new(Arc::new(arb_trace(g, true)))
                 .forecast(0.0, f64::INFINITY, cfg.plan_dt_s)
-                .resampled(cfg.plan_dt_s);
+                .runs(cfg.plan_dt_s);
             let mut planner = Planner::new(cfg, Box::new(forecaster));
             let cands: Vec<f64> = (0..9).map(|i| f64::from(i) / 8.0).collect();
             // History, oracle, then history again through one scratch: the
             // charge side switches off, on and off between re-plans.
-            for points in [&history, &oracle, &history] {
-                let fast = planner.scratch_scores(&live, &cands, points.points());
-                let reference = reference_scores(&mut planner, &live, &cands, points.points());
+            for runs in [&history, &oracle, &history] {
+                let fast = planner.scratch_scores(&live, &cands, runs);
+                let reference = reference_scores(&mut planner, &live, &cands, runs);
                 assert_eq!(bits(&fast), bits(&reference));
             }
         });
@@ -620,12 +622,11 @@ mod tests {
             micro: &Microcontroller,
             _: &PolicyInput,
         ) -> Option<PlanUpdate> {
-            let score: fn(&mut Planner, &Microcontroller, &[f64], &[TracePoint]) -> Vec<Score> =
-                if self.reference {
-                    reference_scores
-                } else {
-                    Planner::scratch_scores
-                };
+            let score: Scorer = if self.reference {
+                reference_scores
+            } else {
+                Planner::scratch_scores
+            };
             let plan = self.planner.plan_with(t_s, micro, score);
             if let Some(p) = &plan {
                 self.commits.push(p.discharge.value());
@@ -674,8 +675,8 @@ mod tests {
             PlannerConfig::default(),
             Arc::new(Trace::constant(2.0, 600.0)),
         );
-        let points = Trace::constant(2.0, 600.0).resampled(60.0);
-        let _ = planner.scratch_scores(&micro, &[0.0, 0.5, 1.0], points.points());
+        let runs = Trace::constant(2.0, 600.0).runs(60.0);
+        let _ = planner.scratch_scores(&micro, &[0.0, 0.5, 1.0], &runs);
         assert_eq!(before, micro.snapshot(), "gauges included");
     }
 
@@ -688,8 +689,8 @@ mod tests {
             PlannerConfig::default(),
             Arc::new(Trace::constant(4.0, 3600.0)),
         );
-        let points = Trace::constant(4.0, 3600.0).resampled(60.0);
-        let s = planner.scratch_scores(&micro, &[0.7, 0.2, 0.7, 0.2], points.points());
+        let runs = Trace::constant(4.0, 3600.0).runs(60.0);
+        let s = planner.scratch_scores(&micro, &[0.7, 0.2, 0.7, 0.2], &runs);
         assert_eq!(s[0], s[2], "rollout leaked state between candidates");
         assert_eq!(s[1], s[3]);
         assert_ne!(s[0], s[1], "distinct directives should score differently");

@@ -26,11 +26,11 @@ fn run_planned(
         policy: Some(planner),
         ..Hooks::default()
     };
-    let points = trace.resampled(opts.max_dt_s);
+    let runs = trace.runs(opts.max_dt_s);
     drive(
         micro,
         rt,
-        points.points(),
+        &runs,
         &opts,
         hooks,
         |_, _| {},

@@ -171,29 +171,116 @@ impl Trace {
         Ok(t)
     }
 
-    /// Splits every segment into sub-segments no longer than `max_dt_s`
-    /// (simulation granularity control).
+    /// Splits every segment into pieces no longer than `max_dt_s`
+    /// (simulation granularity control) and returns them run-length
+    /// encoded: maximal runs of bit-identical pieces as `(piece, count)`
+    /// pairs. A `-0.0` external power becomes `0.0`, so two adjacent
+    /// pieces with no external power are in one run exactly when their
+    /// load and duration bits agree. O(segments): a quiet day of 1,440
+    /// equal minutes is one run, found without visiting its pieces.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `max_dt_s` is positive.
     #[must_use]
-    pub fn resampled(&self, max_dt_s: f64) -> Trace {
+    pub fn runs(&self, max_dt_s: f64) -> Vec<(TracePoint, usize)> {
         assert!(max_dt_s > 0.0);
-        // Reserve the piece count up front so resampling allocates once.
-        let pieces = self
+        // A segment splits into full `max_dt_s` pieces and at most one
+        // shorter remainder, so it opens at most two runs: reserving that
+        // bound allocates once.
+        let bound = self
             .points
             .iter()
-            .map(|p| (p.dur_s / max_dt_s).ceil() as usize);
-        let mut out = Trace {
-            points: Vec::with_capacity(pieces.sum()),
+            .map(|p| 1 + usize::from(p.dur_s > max_dt_s))
+            .sum();
+        let mut out: Vec<(TracePoint, usize)> = Vec::with_capacity(bound);
+        let mut add = |piece: TracePoint, count: usize| match out.last_mut() {
+            Some((q, n))
+                if q.dur_s.to_bits() == piece.dur_s.to_bits()
+                    && q.load_w.to_bits() == piece.load_w.to_bits()
+                    && q.external_w.to_bits() == piece.external_w.to_bits() =>
+            {
+                *n += count;
+            }
+            _ => out.push((piece, count)),
         };
         for p in &self.points {
-            let mut remaining = p.dur_s;
-            while remaining > 1e-9 {
-                let dt = remaining.min(max_dt_s);
-                out.push(p.load_w, p.external_w, dt);
-                remaining -= dt;
+            // `push` checked the segment; adding 0.0 turns -0.0 into 0.0.
+            let piece = |dur_s| TracePoint {
+                dur_s,
+                load_w: p.load_w,
+                external_w: p.external_w + 0.0,
+            };
+            let (full, rest) = split(p.dur_s, max_dt_s);
+            if full > 0 {
+                add(piece(max_dt_s), full);
+            }
+            if rest > 1e-9 {
+                add(piece(rest), 1);
             }
         }
         out
     }
+
+    /// [`Trace::runs`] expanded: every piece as its own segment.
+    #[must_use]
+    pub fn resampled(&self, max_dt_s: f64) -> Trace {
+        let runs = self.runs(max_dt_s);
+        let mut points = Vec::with_capacity(runs.iter().map(|&(_, n)| n).sum());
+        for &(p, n) in &runs {
+            points.extend(std::iter::repeat_n(p, n));
+        }
+        Trace { points }
+    }
+}
+
+/// How resampling cuts `dur_s` into pieces no longer than `max_dt_s`:
+/// `(full, rest)` for `full` pieces of `max_dt_s`, then one of `rest`
+/// seconds if `rest` exceeds 1 ns. Bit for bit the answer of the loop
+/// `while remaining > 1e-9 { dt = remaining.min(max_dt_s); remaining -= dt }`.
+/// When both durations are integer multiples of one power of two `q`
+/// and `dur_s / q < 2^53`, every value the loop visits is such a
+/// multiple below `2^53 q`, so each subtraction is exact and integer
+/// division finds the count in O(1); otherwise the loop runs.
+fn split(dur_s: f64, max_dt_s: f64) -> (usize, f64) {
+    /// `(n, e)` with `x = n * 2^e`, `n` odd (`x` finite and positive).
+    fn odd_scaled(x: f64) -> (u64, i32) {
+        let bits = x.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let frac = bits & ((1 << 52) - 1);
+        let (n, e) = if biased == 0 {
+            (frac, -1074)
+        } else {
+            (frac | (1 << 52), biased - 1075)
+        };
+        let tz = n.trailing_zeros();
+        (n >> tz, e + tz as i32)
+    }
+    if dur_s < max_dt_s {
+        return (0, dur_s);
+    }
+    if max_dt_s > 1e-9 {
+        if dur_s == max_dt_s {
+            return (1, 0.0);
+        }
+        let (nd, ed) = odd_scaled(dur_s);
+        let (nm, em) = odd_scaled(max_dt_s);
+        let e = ed.min(em);
+        let (shift_d, shift_m) = ((ed - e) as u32, (em - e) as u32);
+        if 64 - nd.leading_zeros() + shift_d <= 53 {
+            // `max_dt_s <= dur_s`, so its multiple of `q` fits too; the
+            // product and difference below are exact for the same reason.
+            let full = (nd << shift_d) / (nm << shift_m);
+            return (full as usize, dur_s - full as f64 * max_dt_s);
+        }
+    }
+    let mut full = 0;
+    let mut remaining = dur_s;
+    while remaining > 1e-9 && remaining >= max_dt_s {
+        full += 1;
+        remaining -= max_dt_s;
+    }
+    (full, remaining)
 }
 
 /// The Figure 13 watch day. Trace hour 0 is the user's wake-up: hours
@@ -437,6 +524,45 @@ mod tests {
         assert!((r.duration_s() - 1000.0).abs() < 1e-6);
         assert!((r.load_energy_j() - 5000.0).abs() < 1e-6);
         assert!(r.points().iter().all(|p| p.dur_s <= 60.0 + 1e-9));
+    }
+
+    #[test]
+    fn split_matches_the_subtraction_loop() {
+        fn by_loop(dur_s: f64, max_dt_s: f64) -> (usize, u64) {
+            let mut full = 0;
+            let mut rest = 0.0f64;
+            let mut remaining = dur_s;
+            while remaining > 1e-9 {
+                let dt = remaining.min(max_dt_s);
+                if dt.to_bits() == max_dt_s.to_bits() {
+                    full += 1;
+                } else {
+                    rest = dt;
+                }
+                remaining -= dt;
+            }
+            (full, rest.to_bits())
+        }
+        let mut rng = DetRng::seed_from_u64(0x5b1d);
+        let steps = [60.0, 45.0, 7.5, 30.0, 0.1, 1.0 / 3.0, 1e-3, 5e-10, 86_400.0];
+        let mut cases: Vec<(f64, f64)> = Vec::new();
+        for &m in &steps {
+            for whole in [0.0, 1.0, 2.0, 59.0, 1_440.0, 100_000.0] {
+                cases.push((whole * m, m));
+                cases.push((whole * m + rng.f64_range(0.0, m), m));
+                cases.push((whole * m + rng.f64_range(0.0, 1e-9), m));
+            }
+            cases.push((86_400.0, m));
+            cases.push((rng.f64_range(0.0, 1e4), m));
+        }
+        for (dur_s, m) in cases {
+            if dur_s <= 0.0 || dur_s / m > 1e7 {
+                continue;
+            }
+            let (full, rest) = split(dur_s, m);
+            let rest_bits = if rest > 1e-9 { rest.to_bits() } else { 0 };
+            assert_eq!((full, rest_bits), by_loop(dur_s, m), "{dur_s} / {m}");
+        }
     }
 
     #[test]

@@ -169,35 +169,70 @@ fn build_trace(name: &str, seed: u64) -> Option<Trace> {
     }
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `sdb <cmd>`'s arguments into `--name value` pairs (a flag
+/// followed by another flag, or by nothing, is boolean, e.g. `--json`).
+///
+/// # Errors
+///
+/// Names the first flag missing from `cmd`'s usage lines, or the first
+/// argument that is neither a flag nor a flag's value.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            // A flag followed by another flag (or nothing) is boolean,
-            // e.g. `--json`.
-            match args.get(i + 1) {
-                Some(next) if !next.starts_with("--") => {
-                    flags.insert(key.to_owned(), next.clone());
-                    i += 2;
-                }
-                _ => {
-                    flags.insert(key.to_owned(), String::new());
-                    i += 1;
-                }
+        let Some(key) = args[i].strip_prefix("--") else {
+            return Err(format!("unexpected argument `{}` for `sdb {cmd}`", args[i]));
+        };
+        if !accepted_flags(cmd).any(|f| f == key) {
+            return Err(format!("unknown flag `--{key}` for `sdb {cmd}`"));
+        }
+        match args.get(i + 1) {
+            Some(next) if !next.starts_with("--") => {
+                flags.insert(key.to_owned(), next.clone());
+                i += 2;
             }
-        } else {
-            i += 1;
+            _ => {
+                flags.insert(key.to_owned(), String::new());
+                i += 1;
+            }
         }
     }
-    flags
+    Ok(flags)
 }
 
+/// The flags `sdb <cmd>` accepts: every `--name` on its usage lines.
+fn accepted_flags(cmd: &str) -> impl Iterator<Item = &'static str> + '_ {
+    USAGE
+        .lines()
+        .filter(move |line| {
+            line.trim_start()
+                .strip_prefix("sdb ")
+                .and_then(|rest| rest.strip_prefix(cmd))
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+        })
+        .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .filter_map(|word| word.strip_prefix("--"))
+}
+
+/// One line per subcommand; also the source of each one's accepted flags.
+const USAGE: &str = "\
+usage:
+  sdb packs | traces
+  sdb sim --pack <name> --trace <name> [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-file <csv>] [--events-out <jsonl>]
+  sdb charge --pack <name> --watts <W> [--directive <0..1>] [--target <pct>]
+  sdb status --pack <name> [--soc <0..1>]
+  sdb fleet --devices <N> [--threads <N>] [--seed <N>] [--hours <H>] [--policy greedy|planned|oracle] [--engine scalar|soa] [--json] [--out <path>] [--metrics-out <path>] [--events-out <jsonl>] [--trace-out <jsonl>]
+  sdb policy [--seed <N>] [--json] [--out <path>] [--metrics-out <path>]
+  sdb analyze --trace <jsonl> [--json] [--max-findings <N>] [--metrics-out <path>]
+  sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json] [--metrics-out <path>]
+  sdb chaos --devices <N> [--seed <N>] [--intensity <0..1>] [--hours <H>] [--load <W>] [--threads <N>] [--json] [--out <path>] [--metrics-out <path>]
+  sdb serve [--addr <host:port>] [--telemetry] [--policy greedy|planned|oracle] [--devices <N>] [--seed <N>] [--hours <H>] [--threads <N>] [--scrape-ms <ms>]
+  sdb profile [--scenario fleet|sim|chaos|policy] [--pack <name>] [--trace <name>] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
+  sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]
+  sdb --version";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  sdb packs | traces\n  sdb sim --pack <name> --trace <name> [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-file <csv>] [--events-out <jsonl>]\n  sdb charge --pack <name> --watts <W> [--directive <0..1>] [--target <pct>]\n  sdb status --pack <name> [--soc <0..1>]\n  sdb fleet --devices <N> [--threads <N>] [--seed <N>] [--hours <H>] [--policy greedy|planned|oracle] [--engine scalar|soa] [--json] [--out <path>] [--metrics-out <path>] [--events-out <jsonl>] [--trace-out <jsonl>]
-  sdb policy [--seed <N>] [--json] [--out <path>] [--metrics-out <path>]\n  sdb analyze --trace <jsonl> [--json] [--max-findings <N>]\n  sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json]\n  sdb chaos --devices <N> [--seed <N>] [--intensity <0..1>] [--hours <H>] [--load <W>] [--threads <N>] [--json] [--out <path>] [--metrics-out <path>]\n  sdb serve [--addr <host:port>] [--telemetry] [--policy greedy|planned|oracle] [--devices <N>] [--seed <N>] [--hours <H>] [--threads <N>] [--scrape-ms <ms>]\n  sdb profile [--scenario fleet|sim|chaos|policy] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]\n  sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]\n  sdb --version"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -404,7 +439,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
     let result: SimResult = drive(
         &mut micro,
         &mut runtime,
-        trace.resampled(opts.max_dt_s).points(),
+        &trace.runs(opts.max_dt_s),
         &opts,
         hooks,
         |_, _| {},
@@ -1271,34 +1306,40 @@ fn main() -> ExitCode {
         ));
         return ExitCode::SUCCESS;
     }
-    let flags = parse_flags(&args[1.min(args.len())..]);
-    match args.first().map(String::as_str) {
-        Some("packs") => {
+    let Some(cmd) = args.first().map(String::as_str) else {
+        return usage();
+    };
+    let run: fn(&HashMap<String, String>) -> ExitCode = match cmd {
+        "packs" => |_| {
             let mut out = String::new();
             for (name, desc) in PACKS {
                 let _ = writeln!(out, "  {name:<14} {desc}");
             }
             emit(&out);
             ExitCode::SUCCESS
-        }
-        Some("traces") => {
+        },
+        "traces" => |_| {
             let mut out = String::new();
             for (name, desc) in TRACES {
                 let _ = writeln!(out, "  {name:<16} {desc}");
             }
             emit(&out);
             ExitCode::SUCCESS
-        }
-        Some("sim") => cmd_sim(&flags),
-        Some("charge") => cmd_charge(&flags),
-        Some("status") => cmd_status(&flags),
-        Some("fleet") => cmd_fleet(&flags),
-        Some("analyze") => cmd_analyze(&flags),
-        Some("chaos") => cmd_chaos(&flags),
-        Some("serve") => cmd_serve(&flags),
-        Some("profile") => cmd_profile(&flags),
-        Some("policy") => cmd_policy(&flags),
-        Some("campaign") => cmd_campaign(&flags),
-        _ => usage(),
+        },
+        "sim" => cmd_sim,
+        "charge" => cmd_charge,
+        "status" => cmd_status,
+        "fleet" => cmd_fleet,
+        "analyze" => cmd_analyze,
+        "chaos" => cmd_chaos,
+        "serve" => cmd_serve,
+        "profile" => cmd_profile,
+        "policy" => cmd_policy,
+        "campaign" => cmd_campaign,
+        _ => return usage(),
+    };
+    match parse_flags(cmd, &args[1..]) {
+        Ok(flags) => run(&flags),
+        Err(e) => usage_error(&e),
     }
 }

@@ -94,11 +94,11 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
     // 30 s.
     let run_linked = |link: &mut Link, runtime: &mut SdbRuntime, secs: f64| {
         let opts = SimOptions::default();
-        let points = Trace::constant(8.0, secs).resampled(opts.max_dt_s);
+        let runs = Trace::constant(8.0, secs).runs(opts.max_dt_s);
         let _: SimResult = drive(
             &mut Linked::new(link, 30.0),
             runtime,
-            points.points(),
+            &runs,
             &opts,
             Hooks::default(),
             |_, _| {},

@@ -1,5 +1,6 @@
-//! `sdb` flag handling: a value that does not parse, or an unknown fleet
-//! policy, is a usage error that exits non-zero before any work starts,
+//! `sdb` flag handling: a value that does not parse, an unknown fleet
+//! policy, a flag missing from the subcommand's usage line or a stray
+//! argument is a usage error that exits non-zero before any work starts,
 //! never a silent default.
 
 use std::io::Read;
@@ -30,6 +31,57 @@ fn unparsable_numeric_flags_are_errors_naming_the_flag() {
     assert_usage_error(&["chaos", "--devices", "x"], "--devices `x`");
     assert_usage_error(&["campaign", "--threads", "two"], "--threads `two`");
     assert_usage_error(&["fleet", "--devices", "--json"], "--devices needs a value");
+}
+
+#[test]
+fn unknown_flags_and_stray_arguments_are_errors_naming_them() {
+    assert_usage_error(
+        &["fleet", "--devices", "2", "--hours", "0.1", "--bogus", "3"],
+        "unknown flag `--bogus` for `sdb fleet`",
+    );
+    assert_usage_error(
+        &["fleet", "--thread", "4"],
+        "unknown flag `--thread` for `sdb fleet`",
+    );
+    assert_usage_error(
+        &["campaign", "--bench-out", "x.json", "--threads", "1"],
+        "unknown flag `--bench-out` for `sdb campaign`",
+    );
+    assert_usage_error(
+        &["packs", "--json"],
+        "unknown flag `--json` for `sdb packs`",
+    );
+    assert_usage_error(
+        &["fleet", "4", "--devices", "2"],
+        "unexpected argument `4` for `sdb fleet`",
+    );
+}
+
+#[test]
+fn every_flag_on_a_usage_line_is_accepted() {
+    let out = sdb(&[]);
+    assert_eq!(out.status.code(), Some(1));
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    let mut checked = 0;
+    for line in usage.lines() {
+        let mut words = line.split_whitespace();
+        if words.next() != Some("sdb") {
+            continue;
+        }
+        let Some(cmd) = words.next().filter(|w| !w.starts_with('-')) else {
+            continue;
+        };
+        for flag in line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+        {
+            // An accepted flag lets parsing reach the probe, which is
+            // refused before any work starts.
+            assert_usage_error(&[cmd, flag, "--zz-probe"], "unknown flag `--zz-probe`");
+            checked += 1;
+        }
+    }
+    assert!(checked > 50, "only {checked} flags found in:\n{usage}");
 }
 
 #[test]

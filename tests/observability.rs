@@ -260,11 +260,11 @@ fn telemetry_sink_matches_callback_capture() {
 
     // A: classic callback capture.
     let mut callback_tel = Telemetry::new();
-    let points = Trace::constant(4.0, 1800.0).resampled(60.0);
+    let runs = Trace::constant(4.0, 1800.0).runs(60.0);
     let _: sdb::core::scheduler::SimResult = sdb::core::scheduler::drive(
         &mut micro_a,
         &mut rt_a,
-        points.points(),
+        &runs,
         &SimOptions::default(),
         sdb::core::scheduler::Hooks::default(),
         |_, _| {},
