@@ -1,6 +1,6 @@
 //! Build script for the `sdb` binary: captures build identity
 //! (short git hash, rustc version) into compile-time env vars so
-//! `sdb --version` and the `/healthz` body can report them. Every probe
+//! `sdb --version` can report them. Every probe
 //! falls back to `"unknown"` — builds from a tarball (no `.git`) or with
 //! an unusual toolchain layout must still succeed.
 

@@ -104,8 +104,7 @@ impl EventSink for ResilienceCounters {
 
 /// Builds and runs one chaos device. With `registry`, the device's
 /// observer registers its counters there (shared across devices and
-/// threads; atomic sums keep totals deterministic) so a live scraper can
-/// watch the campaign progress.
+/// threads; atomic sums keep totals deterministic) for `--metrics-out`.
 fn run_device(
     spec: &CampaignSpec,
     device: u64,
@@ -361,8 +360,8 @@ impl CampaignReport {
 /// Runs the campaign on [`sdb_prof::shard_map`] across `threads`
 /// workers. With a `registry`, every device observer registers into it,
 /// so campaign counters (fault injections via events, span timings,
-/// `sdb_dropped_events_total` from any attached recorder) are scrapeable
-/// while the campaign runs. Counter totals are commutative atomic sums,
+/// `sdb_dropped_events_total` from any attached recorder) land in one
+/// registry. Counter totals are commutative atomic sums,
 /// so the [`CampaignReport`] stays byte-identical at any thread count
 /// either way.
 ///

@@ -66,7 +66,7 @@ pub fn checked_run_charge_session(
     let _: SimResult = drive(
         micro,
         runtime,
-        &charging_session(external_w, max_s, dt_s).runs(dt_s),
+        &[charging_session(external_w, max_s, dt_s)],
         &SimOptions::default(),
         Hooks::default(),
         |_, _| {},

@@ -493,8 +493,9 @@ const MIN_STRETCH_POINTS: usize = 4;
 ///
 /// # Panics
 ///
-/// Panics if `targets` is not ascending, `dt_s` not positive or `max_s`
-/// not finite ([`charging_session`]).
+/// Panics if `targets` is not ascending, `external_w` negative or not
+/// finite, `dt_s` not positive and finite or `max_s` not finite
+/// ([`charging_session`]).
 #[must_use]
 pub fn run_charge_session(
     micro: &mut Microcontroller,
@@ -508,7 +509,7 @@ pub fn run_charge_session(
     let _: SimResult = drive(
         micro,
         runtime,
-        &charging_session(external_w, max_s, dt_s).runs(dt_s),
+        &[charging_session(external_w, max_s, dt_s)],
         &SimOptions::default(),
         Hooks::default(),
         |_, _| {},

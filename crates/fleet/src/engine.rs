@@ -212,25 +212,16 @@ pub struct RunOptions {
     pub engine: EngineKind,
     /// Capture the full device-tagged event stream. Every shard observer
     /// gets a [`TraceCollector`] sink; each device's events are tagged
-    /// `(device, seq)` and the merged stream is returned sorted by that
-    /// key, so the serialized trace is byte-identical for any thread
-    /// count. Capture keeps every event in memory: budget roughly one
-    /// `StepSample` per simulation step per device. It requires the
+    /// `(device, seq)` and the returned stream concatenates them in
+    /// device order, so the serialized trace is byte-identical for any
+    /// thread count. Capture keeps every event in memory: budget roughly
+    /// one `StepSample` per simulation step per device. It requires the
     /// scalar engine, since fast-forwarded ticks emit no step events.
     pub capture_events: bool,
-    /// A **live** metrics registry every shard registers into directly,
-    /// so counters (devices completed, ratio pushes, dropped events) are
-    /// visible to concurrent scrapers — the `sdb serve` `/metrics`
-    /// endpoint — while the run progresses, instead of only after the
-    /// post-join merge. The report embeds only counter totals, which are
-    /// commutative sums of atomic increments, so it stays bit-identical
-    /// at any thread count. Gauges become last-write-wins across shards;
-    /// they stay quarantined in [`FleetRunStats`], never in the report.
-    pub live: Option<MetricsRegistry>,
 }
 
 impl RunOptions {
-    /// Scalar engine, no capture, no live registry, on `threads` workers.
+    /// Scalar engine, no capture, on `threads` workers.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Self {
@@ -292,7 +283,6 @@ pub fn run_fleet(
         threads,
         engine,
         capture_events,
-        ref live,
     } = *opts;
     spec.validate()?;
     if capture_events && engine == EngineKind::Soa {
@@ -310,10 +300,7 @@ pub fn run_fleet(
     let prof_run = sdb_prof::scope(sdb_prof::Phase::FleetRun);
 
     let new_shard = |_| {
-        let obs = match live {
-            Some(registry) => Observer::with_registry(registry.clone()),
-            None => Observer::new(),
-        };
+        let obs = Observer::new();
         let collector = capture_events.then(|| {
             let shared = TraceCollector::shared();
             obs.add_sink(Box::new(shared.clone()));
@@ -369,15 +356,11 @@ pub fn run_fleet(
     // Deterministic merge: outcomes and each device's events come back in
     // device order; sketches and registries merge commutatively.
     let prof_merge = sdb_prof::scope(sdb_prof::Phase::ReportMerge);
-    // In live mode every shard already wrote into the shared registry, so
-    // "merging" it per shard would double-count; just adopt the handle.
-    let merged = live.clone().unwrap_or_default();
+    let merged = MetricsRegistry::default();
     let mut sketches = FleetSketches::new();
     for shard in shards {
-        if live.is_none() {
-            if let Some(reg) = shard.obs.registry() {
-                merged.merge_from(reg);
-            }
+        if let Some(reg) = shard.obs.registry() {
+            merged.merge_from(reg);
         }
         sketches.merge_from(&shard.sketches);
     }
@@ -541,37 +524,6 @@ mod tests {
         // Without capture, no events and no collector overhead.
         let (_, _, none) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
         assert!(none.is_none());
-    }
-
-    #[test]
-    fn live_registry_matches_merged_counters_and_keeps_the_report_identical() {
-        let spec = tiny_spec(12);
-        let (r_merged, s_merged, _) = run_fleet(&spec, &RunOptions::new(3)).unwrap();
-        let live = MetricsRegistry::new();
-        let (r_live, s_live, _) = run_fleet(
-            &spec,
-            &RunOptions {
-                live: Some(live.clone()),
-                ..RunOptions::new(3)
-            },
-        )
-        .unwrap();
-        assert_eq!(r_merged, r_live);
-        assert_eq!(r_merged.to_json(), r_live.to_json());
-        // The stats registry is the caller's live registry, and its
-        // counter totals equal the per-shard-merge totals exactly.
-        assert_eq!(s_live.registry.counter_totals(), live.counter_totals());
-        assert_eq!(s_merged.registry.counter_totals(), live.counter_totals());
-        // Thread count still doesn't change the report in live mode.
-        let (r1, _, _) = run_fleet(
-            &spec,
-            &RunOptions {
-                live: Some(MetricsRegistry::new()),
-                ..RunOptions::new(1)
-            },
-        )
-        .unwrap();
-        assert_eq!(r1, r_live);
     }
 
     #[test]

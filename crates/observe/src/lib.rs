@@ -47,7 +47,7 @@ pub use events::{
     DeviceEvent, EventSink, FlightRecorder, Flow, ObsEvent, StderrLogger, TimedEvent,
     TraceCollector,
 };
-pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricsRegistry, SampleValue};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use sketch::QuantileSketch;
 pub use span::{SpanGuard, SpanName, SAMPLE_EVERY};
 

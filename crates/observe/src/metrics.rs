@@ -172,36 +172,6 @@ enum MetricValue {
     Histogram(Histogram),
 }
 
-/// A point-in-time reading of one registered metric, as returned by
-/// [`MetricsRegistry::samples`]. The scrape surface the `sdb-tsdb`
-/// telemetry store records from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricSample {
-    /// Metric name.
-    pub name: String,
-    /// Registered label pairs, in registration order.
-    pub labels: Vec<(String, String)>,
-    /// The value at snapshot time.
-    pub value: SampleValue,
-}
-
-/// The value of one [`MetricSample`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SampleValue {
-    /// A counter reading.
-    Counter(u64),
-    /// A gauge reading.
-    Gauge(f64),
-    /// A histogram reading: observation count and sum (bucket detail stays
-    /// behind the exporters).
-    Histogram {
-        /// Number of observations.
-        count: u64,
-        /// Sum of all observations.
-        sum: u64,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct Metric {
     name: String,
@@ -338,35 +308,6 @@ impl MetricsRegistry {
                 }
             }
         }
-    }
-
-    /// A point-in-time snapshot of every registered metric, in
-    /// registration order. This is the scrape surface: periodic samplers
-    /// (the `sdb-tsdb` store) read it without caring about metric kinds,
-    /// and the atomics make each individual reading coherent even while
-    /// hot paths keep recording.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn samples(&self) -> Vec<MetricSample> {
-        let metrics = self.inner.lock().expect("metrics registry poisoned");
-        metrics
-            .iter()
-            .map(|m| MetricSample {
-                name: m.name.clone(),
-                labels: m.labels.clone(),
-                value: match &m.value {
-                    MetricValue::Counter(c) => SampleValue::Counter(c.get()),
-                    MetricValue::Gauge(g) => SampleValue::Gauge(g.get()),
-                    MetricValue::Histogram(h) => SampleValue::Histogram {
-                        count: h.count(),
-                        sum: h.sum(),
-                    },
-                },
-            })
-            .collect()
     }
 
     /// Every registered counter as `(name, value)`, label sets collapsed
@@ -785,26 +726,6 @@ mod tests {
         assert_eq!(
             reg.counter_totals(),
             vec![("a_total".to_owned(), 1), ("z_total".to_owned(), 5)]
-        );
-    }
-
-    #[test]
-    fn samples_snapshot_every_kind() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c_total", &[("k", "v")]).add(3);
-        reg.gauge("g", &[]).set(2.5);
-        let h = reg.histogram("h_ns", &[]);
-        h.record(100);
-        h.record(200);
-        let samples = reg.samples();
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0].name, "c_total");
-        assert_eq!(samples[0].labels, vec![("k".to_owned(), "v".to_owned())]);
-        assert_eq!(samples[0].value, SampleValue::Counter(3));
-        assert_eq!(samples[1].value, SampleValue::Gauge(2.5));
-        assert_eq!(
-            samples[2].value,
-            SampleValue::Histogram { count: 2, sum: 300 }
         );
     }
 

@@ -243,8 +243,8 @@ pub fn flush_thread() {
 }
 
 /// A point-in-time copy of the flushed aggregate, ready for rendering.
-/// Devices flush as they complete, so a live reader (the `/profile`
-/// endpoint) sees the tree grow monotonically.
+/// Devices flush as they complete, so successive snapshots taken during
+/// a run see the tree grow monotonically.
 ///
 /// # Panics
 ///
@@ -257,7 +257,7 @@ pub fn snapshot() -> Snapshot {
 
 /// Publishes flat per-phase `sdb_prof_calls` / `sdb_prof_total_ns` /
 /// `sdb_prof_self_ns` gauges (labelled by phase) into `registry` from
-/// the current aggregate. Intended to run on the serve scrape tick.
+/// the current aggregate: the gauges behind `sdb profile --metrics-out`.
 ///
 /// # Panics
 ///

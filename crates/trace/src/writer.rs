@@ -68,8 +68,7 @@ fn fmt_f64(v: f64) -> String {
 /// Escapes `s` for the inside of a JSON string literal: `"` and `\`,
 /// and every control character below U+0020, so the output is always
 /// valid JSON.
-#[must_use]
-pub fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -419,27 +419,68 @@ pub fn two_in_one_workloads(seed: u64) -> Vec<(&'static str, Trace)> {
     ]
 }
 
-/// A charging session: the device idles on `external_w` of supply in
-/// `dt_s` points, until they span `max_s` (the last may run past it).
+/// A charging session as one trace run: the device idles on `external_w`
+/// of supply in `n` points of `dt_s`, until they span `max_s` (the last
+/// may run past it). As in [`Trace::runs`], a `-0.0` external power
+/// becomes `0.0`.
 ///
 /// # Panics
 ///
-/// Panics unless `dt_s` is positive and `max_s` finite.
+/// Panics unless `external_w` is finite and non-negative, `dt_s` finite
+/// and positive, and `max_s` finite.
 #[must_use]
-pub fn charging_session(external_w: f64, max_s: f64, dt_s: f64) -> Trace {
+pub fn charging_session(external_w: f64, max_s: f64, dt_s: f64) -> (TracePoint, usize) {
     assert!(max_s.is_finite(), "bad session length: {max_s}");
-    let mut t = Trace::new();
+    assert!(
+        external_w.is_finite() && external_w >= 0.0,
+        "bad external: {external_w}"
+    );
+    assert!(dt_s.is_finite() && dt_s > 0.0, "bad duration: {dt_s}");
+    // Sum as a point-by-point build would: `max_s / dt_s` can round to a
+    // different count than the accumulated `elapsed` reaches.
+    let mut n = 0;
     let mut elapsed = 0.0;
     while elapsed < max_s {
-        t.push(0.0, external_w, dt_s);
+        n += 1;
         elapsed += dt_s;
     }
-    t
+    let point = TracePoint {
+        dur_s: dt_s,
+        load_w: 0.0,
+        external_w: external_w + 0.0,
+    };
+    (point, n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn charging_session_is_the_one_run_of_its_point_by_point_trace() {
+        let cases = [
+            (45.0, 12.0 * 3600.0, 15.0),
+            (-0.0, 100.0, 0.1),
+            (5.0, 1.0, 0.3),
+            (2.0, 7.0, 7.0),
+            (1.0, 0.0, 1.0),
+        ];
+        for (external_w, max_s, dt_s) in cases {
+            let mut trace = Trace::new();
+            let mut elapsed = 0.0;
+            while elapsed < max_s {
+                trace.push(0.0, external_w, dt_s);
+                elapsed += dt_s;
+            }
+            let (p, n) = charging_session(external_w, max_s, dt_s);
+            let bits = |p: &TracePoint| [p.dur_s, p.load_w, p.external_w].map(f64::to_bits);
+            match trace.runs(dt_s).as_slice() {
+                [] => assert_eq!(n, 0, "{max_s} s at {dt_s} s"),
+                [(q, m)] => assert_eq!((bits(&p), n), (bits(q), *m), "{max_s} s at {dt_s} s"),
+                more => panic!("{} runs for {max_s} s at {dt_s} s", more.len()),
+            }
+        }
+    }
 
     #[test]
     fn watch_day_shape() {

@@ -15,9 +15,6 @@
 //! sdb analyze --devices 200 --seed 42 [--hours H] [--threads N] [--json]   run a fleet inline and analyze it
 //! sdb chaos  --devices 200 --seed 42 [--intensity 0.7] [--hours H] [--load W] [--threads N] [--json] [--out <path>] [--metrics-out <path>]
 //!            run a fault-injection campaign; exits non-zero on any invariant violation
-//! sdb serve  [--addr 127.0.0.1:0] [--telemetry] [--policy greedy|planned|oracle] [--devices N] [--seed N] [--hours H] [--threads N] [--scrape-ms 250]
-//!            HTTP surface: /metrics (Prometheus), /query (JSON), /profile (live phase tree), /healthz, /shutdown;
-//!            --telemetry runs a fleet in the background with live counters + stored series
 //! sdb profile [--scenario fleet|sim|chaos|policy] [--devices N] [--threads N] [--seed N] [--hours H] [--policy ...]
 //!            [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
 //!            run a scenario under the phase profiler and print the hierarchical phase tree
@@ -41,7 +38,6 @@ use sdb::fleet;
 use sdb::observe::{MetricsRegistry, Observer, TraceCollector};
 use sdb::policy::{HistoryForecaster, Planner, PlannerConfig};
 use sdb::trace as sdbtrace;
-use sdb::tsdb;
 use sdb::workloads::traces::{phone_day, tablet_session, watch_day, Trace};
 use sdb::workloads::Activity;
 use std::collections::HashMap;
@@ -226,7 +222,6 @@ usage:
   sdb analyze --trace <jsonl> [--json] [--max-findings <N>] [--metrics-out <path>]
   sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json] [--metrics-out <path>]
   sdb chaos --devices <N> [--seed <N>] [--intensity <0..1>] [--hours <H>] [--load <W>] [--threads <N>] [--json] [--out <path>] [--metrics-out <path>]
-  sdb serve [--addr <host:port>] [--telemetry] [--policy greedy|planned|oracle] [--devices <N>] [--seed <N>] [--hours <H>] [--threads <N>] [--scrape-ms <ms>]
   sdb profile [--scenario fleet|sim|chaos|policy] [--pack <name>] [--trace <name>] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
   sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]
   sdb --version";
@@ -297,7 +292,7 @@ fn engine_flag(flags: &HashMap<String, String>) -> fleet::EngineKind {
 
 /// Parses `--policy greedy|planned|oracle` for a default-population
 /// fleet: `None` (absent or `greedy`) keeps the cohorts' own policies.
-/// Shared by `sdb fleet`, `sdb serve --telemetry` and `sdb profile`.
+/// Shared by `sdb fleet` and `sdb profile`.
 fn fleet_policy_flag(flags: &HashMap<String, String>) -> Option<fleet::PolicySpec> {
     match flags.get("policy").map(String::as_str) {
         None | Some("greedy") => None,
@@ -309,16 +304,6 @@ fn fleet_policy_flag(flags: &HashMap<String, String>) -> Option<fleet::PolicySpe
         Some(other) => usage_error(&format!(
             "unknown fleet policy `{other}` (expected greedy, planned, or oracle)"
         )),
-    }
-}
-
-/// Build identity baked in at compile time by `build.rs` (each field
-/// falls back to `unknown` when the probe failed at build time).
-fn build_info() -> tsdb::BuildInfo {
-    tsdb::BuildInfo {
-        version: env!("CARGO_PKG_VERSION").to_owned(),
-        git_hash: env!("SDB_GIT_HASH").to_owned(),
-        rustc: env!("SDB_RUSTC_VERSION").to_owned(),
     }
 }
 
@@ -514,6 +499,11 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
         .map(String::as_str)
         .unwrap_or("tablet-hybrid");
     let watts: f64 = flag_or(flags, "watts", 45.0);
+    if !(watts.is_finite() && watts >= 0.0) {
+        usage_error(&format!(
+            "invalid --watts `{watts}`: expected a finite, non-negative supply"
+        ));
+    }
     let directive: f64 = flag_or(flags, "directive", 1.0);
     let target: f64 = flag_or(flags, "target", 80.0);
     let Some(mut micro) = build_pack(pack_name, 0.0) else {
@@ -832,82 +822,6 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("{} invariant violations detected", report.total_violations);
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
-}
-
-/// Serves `/metrics`, `/query`, `/healthz`, and `/shutdown` over the
-/// zero-dependency HTTP listener. With `--telemetry`, a fleet simulation
-/// runs in the background against the *live* registry (its counters are
-/// scrapeable mid-run) and its captured event stream is ingested into
-/// the compressed telemetry store for `/query` when it completes; a
-/// background scraper also records registry snapshots longitudinally.
-/// Blocks until `/shutdown` is hit.
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:0".to_owned());
-    let scrape_ms: u64 = flag_or(flags, "scrape-ms", 250);
-    // The telemetry fleet's flags are checked before the listener binds.
-    // `--policy planned|oracle` runs it under the lookahead planner so
-    // `/metrics` carries the `sdb_policy_forecast_mae` gauge and re-plan
-    // counter.
-    let telemetry = flags.contains_key("telemetry").then(|| {
-        let devices: usize = flag_or(flags, "devices", 200);
-        let seed: u64 = flag_or(flags, "seed", 42);
-        let hours: f64 = flag_or(flags, "hours", 1.0);
-        let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-        if let Some(policy) = fleet_policy_flag(flags) {
-            spec = spec.with_policy(policy);
-        }
-        (spec, flag_or(flags, "threads", host_threads()))
-    });
-    let registry = MetricsRegistry::new();
-    let store = tsdb::TsdbStore::default();
-    // The profiler stays on for the whole serve session so `/profile`
-    // serves a live tree and the scraper exports `sdb_prof_*` gauges.
-    sdb::prof::enable();
-    let opts = tsdb::ServeOptions {
-        addr,
-        scrape_every: Some(std::time::Duration::from_millis(scrape_ms.max(10))),
-        build: build_info(),
-    };
-    let handle = match tsdb::serve(&opts, registry.clone(), store.clone()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot bind {}: {e}", opts.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    emit(&format!("listening on http://{}\n", handle.addr()));
-
-    let fleet_thread = telemetry.map(|(spec, threads)| {
-        let opts = fleet::RunOptions {
-            capture_events: true,
-            live: Some(registry.clone()),
-            ..fleet::RunOptions::new(threads)
-        };
-        let store = store.clone();
-        std::thread::spawn(move || match fleet::run_fleet(&spec, &opts) {
-            Ok((_, _, events)) => {
-                let events = events.expect("capture was requested");
-                let n = tsdb::ingest_events(&store, &events);
-                let st = store.stats();
-                eprintln!(
-                    "fleet complete: {n} events ingested, {} series, {:.1}x compression",
-                    st.series,
-                    st.compression_ratio()
-                );
-            }
-            Err(e) => eprintln!("telemetry fleet run failed: {e}"),
-        })
-    });
-
-    handle.wait();
-    if let Some(t) = fleet_thread {
-        let _ = t.join();
-    }
-    eprintln!("listener stopped");
     ExitCode::SUCCESS
 }
 
@@ -1299,10 +1213,13 @@ fn main() -> ExitCode {
         args.first().map(String::as_str),
         Some("--version" | "-V" | "version")
     ) {
-        let b = build_info();
+        // Build identity baked in by `build.rs` (each field falls back
+        // to `unknown` when its probe failed at build time).
         emit(&format!(
             "sdb {} ({}; {})\n",
-            b.version, b.git_hash, b.rustc
+            env!("CARGO_PKG_VERSION"),
+            env!("SDB_GIT_HASH"),
+            env!("SDB_RUSTC_VERSION")
         ));
         return ExitCode::SUCCESS;
     }
@@ -1332,7 +1249,6 @@ fn main() -> ExitCode {
         "fleet" => cmd_fleet,
         "analyze" => cmd_analyze,
         "chaos" => cmd_chaos,
-        "serve" => cmd_serve,
         "profile" => cmd_profile,
         "policy" => cmd_policy,
         "campaign" => cmd_campaign,

@@ -28,9 +28,6 @@
 //! * [`trace`] — causal trace capture and analysis: JSONL and Chrome
 //!   `trace_event` (Perfetto) export of the event stream, trace replay,
 //!   and a declarative anomaly/health-rule engine behind `sdb analyze`.
-//! * [`tsdb`] — the embedded time-series telemetry store: Gorilla
-//!   compression, ring retention with tiered downsampling, typed
-//!   queries, and the `sdb serve` HTTP surface.
 //! * [`policy`] — plan-based lookahead policies: load forecasting over
 //!   the behavior models, a receding-horizon directive planner, the
 //!   perfect-forecast oracle upper bound, and the greedy / planned /
@@ -38,7 +35,7 @@
 //! * [`prof`] — the always-on hierarchical phase profiler: scoped timers
 //!   into a preallocated slot table, deterministic call counts
 //!   quarantined from sampled wall-clock facts, per-shard and per-cohort
-//!   attribution, and the renderers behind `sdb profile` / `/profile`.
+//!   attribution, and the renderers behind `sdb profile`.
 //! * [`campaign`] — the resumable scenario × chemistry × fault × policy ×
 //!   engine matrix orchestrator behind `sdb campaign`: deterministic
 //!   sharded cell runner, snapshot-based checkpoints, committed golden
@@ -91,5 +88,4 @@ pub use sdb_policy as policy;
 pub use sdb_power_electronics as power_electronics;
 pub use sdb_prof as prof;
 pub use sdb_trace as trace;
-pub use sdb_tsdb as tsdb;
 pub use sdb_workloads as workloads;

@@ -1,11 +1,9 @@
-//! `sdb` flag handling: a value that does not parse, an unknown fleet
-//! policy, a flag missing from the subcommand's usage line or a stray
-//! argument is a usage error that exits non-zero before any work starts,
-//! never a silent default.
+//! `sdb` flag handling: a value that does not parse or is out of range,
+//! an unknown fleet policy, a flag missing from the subcommand's usage
+//! line or a stray argument is a usage error that exits non-zero before
+//! any work starts, never a silent default.
 
-use std::io::Read;
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Output};
 
 fn sdb(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sdb"))
@@ -97,55 +95,35 @@ fn unknown_fleet_policies_are_errors() {
 }
 
 #[test]
-fn serve_rejects_an_unknown_telemetry_policy_before_it_binds() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_sdb"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--telemetry",
-            "--devices",
-            "2",
-            "--hours",
-            "0.1",
-            "--policy",
-            "bogus",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn sdb serve");
-    // A listener that did bind would serve until /shutdown: bound the wait.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll sdb serve") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("sdb serve --policy bogus did not exit");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let mut stdout = String::new();
-    let mut stderr = String::new();
-    child
-        .stdout
-        .take()
-        .unwrap()
-        .read_to_string(&mut stdout)
-        .unwrap();
-    child
-        .stderr
-        .take()
-        .unwrap()
-        .read_to_string(&mut stderr)
-        .unwrap();
-    assert_eq!(status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("unknown fleet policy `bogus`"), "{stderr}");
-    assert!(
-        !stdout.contains("listening on"),
-        "bound before failing: {stdout}"
+fn charge_rejects_a_negative_or_non_finite_supply() {
+    for watts in ["-5", "nan", "inf", "-inf"] {
+        assert_usage_error(&["charge", "--watts", watts], "invalid --watts");
+    }
+}
+
+#[test]
+fn retired_subcommands_print_the_usage_and_exit_1() {
+    for cmd in ["serve", "perf"] {
+        let out = sdb(&[cmd]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "sdb {cmd}: {stderr}");
+        assert!(stderr.starts_with("usage:"), "sdb {cmd}: {stderr}");
+        assert!(!stderr.contains(&format!("sdb {cmd}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "sdb {cmd} printed output");
+    }
+}
+
+#[test]
+fn version_prints_the_build_identity() {
+    let out = sdb(&["--version"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "sdb {} ({}; {})\n",
+            env!("CARGO_PKG_VERSION"),
+            env!("SDB_GIT_HASH"),
+            env!("SDB_RUSTC_VERSION")
+        )
     );
 }
