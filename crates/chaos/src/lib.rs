@@ -2,7 +2,7 @@
 //!
 //! Reliability is the unstated premise of the paper's runtime: policies
 //! only help if the stack keeps its invariants when hardware misbehaves.
-//! This crate provides the three pieces to test that:
+//! This crate provides the pieces to test that:
 //!
 //! * [`plan`] — seed-driven [`FaultPlan`]s over ten fault classes (lossy
 //!   link, degraded gauges, cell/pack faults), bit-for-bit replayable,
@@ -11,26 +11,28 @@
 //!   conservation, SoC bounds, ratio validity, the safety envelope, and
 //!   wear monotonicity; collects violations instead of panicking so
 //!   campaigns can tabulate them.
-//! * [`campaign`] — sharded multi-device chaos campaigns
-//!   ([`run_campaign`]) whose reports are byte-identical for any thread
-//!   count, with per-fault-class outcome tables.
+//! * [`harness`] — invariant-checked drop-ins for the scheduler entry
+//!   points.
+//!
+//! Fault-injection sweeps over many devices are `sdb-campaign` matrices:
+//! their fault axis draws one [`FaultPlan`] per faulted device.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use sdb_chaos::{run_campaign, CampaignSpec};
+//! use sdb_chaos::FaultPlan;
 //!
-//! let spec = CampaignSpec { devices: 3, horizon_s: 900.0, ..CampaignSpec::default() };
-//! let report = run_campaign(&spec, 2, None).unwrap();
-//! assert_eq!(report.total_violations, 0, "{}", report.render_text());
+//! // A plan is a pure function of its seed, horizon, intensity and
+//! // battery count.
+//! let plan = FaultPlan::generate(42, 2.0 * 3600.0, 0.7, 2);
+//! assert!(!plan.is_empty());
+//! assert_eq!(plan, FaultPlan::generate(42, 2.0 * 3600.0, 0.7, 2));
 //! ```
 
-pub mod campaign;
 pub mod harness;
 pub mod invariant;
 pub mod plan;
 
-pub use campaign::{run_campaign, CampaignReport, CampaignSpec, ChaosOutcome, ClassRow};
 pub use harness::{checked_run_charge_session, checked_run_trace};
 pub use invariant::{InvariantChecker, InvariantConfig, InvariantReport, Violation};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanExecutor, FAULT_CLASSES};

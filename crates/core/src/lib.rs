@@ -20,8 +20,6 @@
 //! * [`scheduler`] — the simulation driver coupling runtime + emulator +
 //!   workload traces, with energy and depletion bookkeeping and an
 //!   observer hook.
-//! * [`telemetry`] — per-step time-series capture with CSV export; also
-//!   works as an `sdb_observe` event sink on the shared event bus.
 //! * [`scenarios`] — the Section 5 applications: fast-charging hybrid packs
 //!   (Figure 11), turbo support (Figure 12), the bendable-battery watch
 //!   (Figure 13), and 2-in-1 battery management (Figure 14).
@@ -84,7 +82,6 @@ pub mod predict;
 pub mod runtime;
 pub mod scenarios;
 pub mod scheduler;
-pub mod telemetry;
 
 pub use api::SdbApi;
 pub use autopilot::{Autopilot, AutopilotConfig};

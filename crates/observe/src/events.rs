@@ -4,8 +4,7 @@
 //! Every layer of the SDB stack emits [`ObsEvent`]s through an
 //! [`crate::Observer`]; attached [`EventSink`]s receive them with a
 //! simulation-time stamp. The [`FlightRecorder`] keeps the last N events
-//! in a bounded ring for post-mortem dumps; [`StderrLogger`] streams them
-//! as they happen.
+//! in a bounded ring for post-mortem dumps.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -463,16 +462,6 @@ impl EventSink for TraceCollector {
             event: event.clone(),
         });
         self.next_seq += 1;
-    }
-}
-
-/// A sink that prints every event to stderr as it happens.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrLogger;
-
-impl EventSink for StderrLogger {
-    fn record(&mut self, t_s: f64, event: &ObsEvent) {
-        eprintln!("[sdb {t_s:10.1}s] {event}");
     }
 }
 

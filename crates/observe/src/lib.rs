@@ -10,8 +10,8 @@
 //! * [`events`] — the structured event bus: the [`ObsEvent`] vocabulary
 //!   (ratio pushes, profile transitions, thermal throttling, gauge
 //!   recalibrations, policy evaluations, fault injections, safety clamps),
-//!   pluggable [`EventSink`]s, the bounded [`FlightRecorder`] ring buffer,
-//!   and a stderr logger.
+//!   pluggable [`EventSink`]s, and the bounded [`FlightRecorder`] ring
+//!   buffer.
 //! * [`span`] — drop-guard span timing for the hot paths, feeding latency
 //!   histograms.
 //!
@@ -44,8 +44,7 @@ pub mod sketch;
 pub mod span;
 
 pub use events::{
-    DeviceEvent, EventSink, FlightRecorder, Flow, ObsEvent, StderrLogger, TimedEvent,
-    TraceCollector,
+    DeviceEvent, EventSink, FlightRecorder, Flow, ObsEvent, TimedEvent, TraceCollector,
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use sketch::QuantileSketch;

@@ -32,7 +32,7 @@
 //! yields the identical aggregate.
 //!
 //! The crate also owns [`shard_map`], the ordered work-queue runner the
-//! sharded drivers (fleet, chaos, campaign) share, since it is what tags
+//! sharded engines (fleet, campaign) share, since it is what tags
 //! each worker thread with its shard.
 
 mod phase;

@@ -8,66 +8,63 @@
 /// One profiled phase of the stack. Enum order is render order.
 ///
 /// The set spans every layer the profiler instruments: run drivers
-/// (`FleetRun`/`ChaosRun`/`PolicyRun`), per-device work (`DeviceRun`),
-/// the scheduler loop (`TraceStep` and its `PolicyPlan`/`RuntimeTick`/
-/// `LinkStep` sub-phases, plus `PlannerRollout` under the planner), the
-/// emulator hot loop (`MicroStep` and its five internal phases), and
-/// report assembly (`ReportMerge`).
+/// (`FleetRun`/`PolicyRun`/`CampaignRun`), per-device work (`DeviceRun`/
+/// `CampaignCell`), the scheduler loop (`TraceStep` and its `PolicyPlan`/
+/// `RuntimeTick`/`LinkStep` sub-phases, plus `PlannerRollout` under the
+/// planner), the emulator hot loop (`MicroStep` and its five internal
+/// phases), and report assembly (`ReportMerge`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Phase {
     /// A whole `run_fleet` invocation (main thread: orchestration).
     FleetRun = 0,
-    /// A whole chaos campaign invocation.
-    ChaosRun = 1,
     /// A whole policy corpus head-to-head invocation.
-    PolicyRun = 2,
+    PolicyRun = 1,
     /// One device's full simulation (worker thread).
-    DeviceRun = 3,
+    DeviceRun = 2,
     /// One resampled scheduler step (the sampling gate advances here).
-    TraceStep = 4,
+    TraceStep = 3,
     /// Policy `plan()` + `commit_plan` inside a trace step.
-    PolicyPlan = 5,
+    PolicyPlan = 4,
     /// One shooting-planner candidate rollout.
-    PlannerRollout = 6,
+    PlannerRollout = 5,
     /// `SdbRuntime::tick` inside a trace step.
-    RuntimeTick = 7,
+    RuntimeTick = 6,
     /// Link/heartbeat traffic in the linked scheduler driver.
-    LinkStep = 8,
+    LinkStep = 7,
     /// One `Microcontroller::step` (gates itself when standalone).
-    MicroStep = 9,
+    MicroStep = 8,
     /// OCV/DCIR curve evaluation + discharge capability planning.
-    CurveEval = 10,
+    CurveEval = 9,
     /// Share allocation and RC-state discharge application.
-    RcState = 11,
+    RcState = 10,
     /// Surplus charging + battery-to-battery transfer.
-    ChargeTransfer = 12,
+    ChargeTransfer = 11,
     /// Fuel-gauge sampling + rest bookkeeping.
-    GaugeUpdate = 13,
+    GaugeUpdate = 12,
     /// Staged observer event + step-sample emission.
-    ObserverEmit = 14,
+    ObserverEmit = 13,
     /// Deterministic shard merge into the fleet report.
-    ReportMerge = 15,
+    ReportMerge = 14,
     /// One scalar sync step of the SoA fleet engine (the hybrid
     /// driver's per-tick path between fast-forward stretches).
-    SoaStep = 16,
+    SoaStep = 15,
     /// One closed-form multi-tick advance of a quiescent SoA lane.
-    FastForward = 17,
+    FastForward = 16,
     /// A whole `sdb campaign` matrix invocation (main thread:
     /// orchestration, checkpoint I/O, baseline diffing).
-    CampaignRun = 18,
+    CampaignRun = 17,
     /// One matrix cell's device simulation (worker thread; wraps the
     /// cell's scalar, SoA, or linked-chaos driver).
-    CampaignCell = 19,
+    CampaignCell = 18,
 }
 
 /// Number of distinct phases (size of per-slot child tables).
-pub const PHASE_COUNT: usize = 20;
+pub const PHASE_COUNT: usize = 19;
 
 /// Every phase in enum (render) order.
 pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::FleetRun,
-    Phase::ChaosRun,
     Phase::PolicyRun,
     Phase::DeviceRun,
     Phase::TraceStep,
@@ -96,7 +93,6 @@ impl Phase {
     pub const fn name(self) -> &'static str {
         match self {
             Phase::FleetRun => "fleet_run",
-            Phase::ChaosRun => "chaos_run",
             Phase::PolicyRun => "policy_run",
             Phase::DeviceRun => "device_run",
             Phase::TraceStep => "trace_step",

@@ -1,10 +1,10 @@
 //! The ordered work-queue runner behind every sharded driver.
 //!
-//! The fleet engine, the chaos campaign and the campaign matrix all
-//! split `0..n` independent units over worker threads the same way:
-//! workers claim the next index from one atomic counter, keep
-//! shard-local state, and the results are put back in index order
-//! before anything is merged. [`shard_map`] is that rule, written once.
+//! The fleet engine and the campaign matrix both split `0..n`
+//! independent units over worker threads the same way: workers claim
+//! the next index from one atomic counter, keep shard-local state, and
+//! the results are put back in index order before anything is merged.
+//! [`shard_map`] is that rule, written once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -13,9 +13,7 @@
 //! sdb policy [--seed N] [--json] [--out <path>] [--metrics-out <path>]  greedy vs planner vs oracle head-to-head over the scenario corpus
 //! sdb analyze --trace <jsonl> [--json]       replay a recorded trace through the health rules
 //! sdb analyze --devices 200 --seed 42 [--hours H] [--threads N] [--json]   run a fleet inline and analyze it
-//! sdb chaos  --devices 200 --seed 42 [--intensity 0.7] [--hours H] [--load W] [--threads N] [--json] [--out <path>] [--metrics-out <path>]
-//!            run a fault-injection campaign; exits non-zero on any invariant violation
-//! sdb profile [--scenario fleet|sim|chaos|policy] [--devices N] [--threads N] [--seed N] [--hours H] [--policy ...]
+//! sdb profile [--scenario fleet|sim|campaign|policy] [--devices N] [--threads N] [--seed N] [--hours H] [--policy ...]
 //!            [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
 //!            run a scenario under the phase profiler and print the hierarchical phase tree
 //!            (counts are bit-identical across thread counts; `flame` emits collapsed stacks)
@@ -25,7 +23,8 @@
 //!            [--inject-divergence <cell-key>] [--format text|json|html] [--out <path>]
 //!            run the scenario × chemistry × fault × policy × engine matrix; byte-identical at any
 //!            --threads, resumable via --checkpoint, diffed against a committed golden baseline;
-//!            on divergence prints the minimized culprit cell + repro command and exits 2
+//!            on divergence prints the minimized culprit cell + repro command and exits 2;
+//!            exits 1 on any invariant violation
 //! sdb --version                              print version, git hash, and rustc used
 //! ```
 
@@ -221,8 +220,7 @@ usage:
   sdb policy [--seed <N>] [--json] [--out <path>] [--metrics-out <path>]
   sdb analyze --trace <jsonl> [--json] [--max-findings <N>] [--metrics-out <path>]
   sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json] [--metrics-out <path>]
-  sdb chaos --devices <N> [--seed <N>] [--intensity <0..1>] [--hours <H>] [--load <W>] [--threads <N>] [--json] [--out <path>] [--metrics-out <path>]
-  sdb profile [--scenario fleet|sim|chaos|policy] [--pack <name>] [--trace <name>] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
+  sdb profile [--scenario fleet|sim|campaign|policy] [--pack <name>] [--trace <name>] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
   sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]
   sdb --version";
 
@@ -233,7 +231,8 @@ fn usage() -> ExitCode {
 
 /// Writes a metrics registry to `path`: `.json` gets the JSON export,
 /// anything else the Prometheus text format. The `--metrics-out`
-/// behavior shared by `sdb fleet`, `sdb analyze`, and `sdb chaos`.
+/// behavior shared by `sdb fleet`, `sdb analyze`, `sdb policy`, and
+/// `sdb profile`.
 fn write_metrics(registry: &MetricsRegistry, path: &str) -> Result<(), ()> {
     let text = if path.ends_with(".json") {
         registry.to_json()
@@ -275,6 +274,49 @@ where
     T::Err: Display,
 {
     flag(flags, key).unwrap_or(default)
+}
+
+/// [`flag_or`] passed through `check`: a value it rejects is a usage
+/// error naming the flag and `check`'s reason, so an out-of-range value
+/// is refused before it can panic deep in a run or be answered.
+fn flag_checked<T: FromStr, U, E: Display>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+    check: impl FnOnce(T) -> Result<U, E>,
+) -> U
+where
+    T::Err: Display,
+{
+    check(flag_or(flags, key, default)).unwrap_or_else(|e| {
+        let raw = flags.get(key).map_or("", String::as_str);
+        usage_error(&format!("invalid --{key} `{raw}`: {e}"))
+    })
+}
+
+/// A [`flag_checked`] check that accepts a number in `range` (never
+/// NaN) and otherwise expects `what`.
+fn in_range(
+    range: std::ops::RangeInclusive<f64>,
+    what: &'static str,
+) -> impl FnOnce(f64) -> Result<f64, String> {
+    move |v| {
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("expected {what}"))
+        }
+    }
+}
+
+/// `--hours`: a finite, positive simulated span.
+fn hours_flag(flags: &HashMap<String, String>, default: f64) -> f64 {
+    flag_checked(
+        flags,
+        "hours",
+        default,
+        in_range(f64::MIN_POSITIVE..=f64::MAX, "a finite, positive span"),
+    )
 }
 
 /// The host's available parallelism: the `--threads` default.
@@ -408,7 +450,10 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
                     .strip_prefix("blend:")
                     .and_then(|v| v.parse::<f64>().ok())
                 {
-                    runtime.set_discharge_directive(DischargeDirective::new(v));
+                    let directive = DischargeDirective::try_new(v).unwrap_or_else(|e| {
+                        usage_error(&format!("invalid --policy `{other}`: {e}"))
+                    });
+                    runtime.set_discharge_directive(directive);
                 } else {
                     eprintln!("unknown policy `{other}`");
                     return ExitCode::FAILURE;
@@ -498,20 +543,25 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
         .get("pack")
         .map(String::as_str)
         .unwrap_or("tablet-hybrid");
-    let watts: f64 = flag_or(flags, "watts", 45.0);
-    if !(watts.is_finite() && watts >= 0.0) {
-        usage_error(&format!(
-            "invalid --watts `{watts}`: expected a finite, non-negative supply"
-        ));
-    }
-    let directive: f64 = flag_or(flags, "directive", 1.0);
-    let target: f64 = flag_or(flags, "target", 80.0);
+    let watts = flag_checked(
+        flags,
+        "watts",
+        45.0,
+        in_range(0.0..=f64::MAX, "a finite, non-negative supply"),
+    );
+    let directive = flag_checked(flags, "directive", 1.0, ChargeDirective::try_new);
+    let target = flag_checked(
+        flags,
+        "target",
+        80.0,
+        in_range(0.0..=100.0, "a percentage in [0, 100]"),
+    );
     let Some(mut micro) = build_pack(pack_name, 0.0) else {
         eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
         return ExitCode::FAILURE;
     };
     let mut runtime = SdbRuntime::new(micro.battery_count());
-    runtime.set_charge_directive(ChargeDirective::new(directive));
+    runtime.set_charge_directive(directive);
     runtime.set_update_period(30.0);
     let targets: Vec<f64> = (1..=((target / 5.0) as usize))
         .map(|k| k as f64 * 0.05)
@@ -527,7 +577,8 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "pack: {pack_name}, supply: {watts} W, charge directive: {directive}"
+        "pack: {pack_name}, supply: {watts} W, charge directive: {}",
+        directive.value()
     );
     let _ = writeln!(out, "{:>9}  {:>10}", "% charged", "minutes");
     for (t, time) in targets.iter().zip(&times) {
@@ -546,8 +597,13 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
 
 fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
     let pack_name = flags.get("pack").map(String::as_str).unwrap_or("phone");
-    let soc: f64 = flag_or(flags, "soc", 0.8);
-    let Some(micro) = build_pack(pack_name, soc.clamp(0.0, 1.0)) else {
+    let soc = flag_checked(
+        flags,
+        "soc",
+        0.8,
+        in_range(0.0..=1.0, "a state of charge in [0, 1]"),
+    );
+    let Some(micro) = build_pack(pack_name, soc) else {
         eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
         return ExitCode::FAILURE;
     };
@@ -595,7 +651,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     let devices: usize = flag_or(flags, "devices", 1000);
     let threads: usize = flag_or(flags, "threads", host_threads());
     let seed: u64 = flag_or(flags, "seed", 42);
-    let hours: f64 = flag_or(flags, "hours", 4.0);
+    let hours = hours_flag(flags, 4.0);
 
     let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
     if let Some(policy) = fleet_policy_flag(flags) {
@@ -740,7 +796,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
     let devices: usize = flag_or(flags, "devices", 200);
     let threads: usize = flag_or(flags, "threads", host_threads());
     let seed: u64 = flag_or(flags, "seed", 42);
-    let hours: f64 = flag_or(flags, "hours", 1.0);
+    let hours = hours_flag(flags, 1.0);
     let spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
     let opts = fleet::RunOptions {
         capture_events: true,
@@ -780,55 +836,10 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
-    let mut spec = sdb::chaos::CampaignSpec::default();
-    spec.devices = flag_or(flags, "devices", spec.devices);
-    spec.master_seed = flag_or(flags, "seed", spec.master_seed);
-    spec.intensity = flag_or(flags, "intensity", spec.intensity);
-    if let Some(hours) = flag::<f64>(flags, "hours") {
-        spec.horizon_s = hours * 3600.0;
-    }
-    spec.load_w = flag_or(flags, "load", spec.load_w);
-    let threads: usize = flag_or(flags, "threads", host_threads());
-    // --metrics-out parity with fleet: run observed so every device's
-    // counters land in one scrapeable registry.
-    let metrics_registry = flags.get("metrics-out").map(|_| MetricsRegistry::new());
-    let report = match sdb::chaos::run_campaign(&spec, threads, metrics_registry.as_ref()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let (Some(reg), Some(path)) = (&metrics_registry, flags.get("metrics-out")) {
-        if write_metrics(reg, path).is_err() {
-            return ExitCode::FAILURE;
-        }
-    }
-    let body = if flags.contains_key("json") {
-        format!("{}\n", report.to_json())
-    } else {
-        report.render_text()
-    };
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("failed to write report to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote chaos report to {path}");
-    }
-    emit(&body);
-    if report.total_violations > 0 {
-        eprintln!("{} invariant violations detected", report.total_violations);
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 fn cmd_policy(flags: &HashMap<String, String>) -> ExitCode {
     let seed: u64 = flag_or(flags, "seed", 42);
     let h2h = sdb::policy::run_head_to_head(seed);
-    // --metrics-out parity with fleet/chaos/analyze: synthesize a
+    // --metrics-out parity with fleet/analyze: synthesize a
     // registry from the head-to-head outcomes so CI can scrape the
     // corpus results like any other run.
     if let Some(path) = flags.get("metrics-out") {
@@ -895,7 +906,8 @@ fn axis_list(flags: &HashMap<String, String>, key: &str, default: &[String]) -> 
 
 /// Runs (or resumes) a campaign: the scenario × chemistry × fault ×
 /// policy × engine matrix, optionally checkpointed and compared against a
-/// committed golden baseline. Exit codes: 0 clean, 1 error, 2 baseline
+/// committed golden baseline. Exit codes: 0 clean, 1 error or an
+/// invariant violation (after the report is written), 2 baseline
 /// divergence (after printing the minimized culprit and its repro
 /// command), 3 interrupted by `--stop-after` (resume with the same
 /// `--checkpoint`).
@@ -999,7 +1011,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             eprintln!("--write-baseline / --inject-divergence require --baseline <path>");
             return ExitCode::FAILURE;
         }
-        return ExitCode::SUCCESS;
+        return violations_exit(&report);
     };
 
     if flags.contains_key("write-baseline") {
@@ -1012,7 +1024,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             "wrote golden baseline ({} cells) to {baseline_path}",
             report.cells.len()
         );
-        return ExitCode::SUCCESS;
+        return violations_exit(&report);
     }
 
     let text = match std::fs::read_to_string(baseline_path) {
@@ -1064,13 +1076,24 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
     }
     if cmp.divergences.is_empty() {
         emit(&out);
-        return ExitCode::SUCCESS;
+        return violations_exit(&report);
     }
     if let Some(culprit) = campaign::minimize(&spec, &report, &cmp.divergences, baseline_path) {
         out.push_str(&culprit.render_text());
     }
     emit(&out);
     ExitCode::from(2)
+}
+
+/// The exit status of a campaign whose report is written: failure when
+/// any device broke an invariant.
+fn violations_exit(report: &sdb::campaign::CampaignReport) -> ExitCode {
+    let violations = report.total_violations();
+    if violations > 0 {
+        eprintln!("{violations} invariant violations detected");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Runs one scenario under the phase profiler and renders the
@@ -1085,7 +1108,7 @@ fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
     let devices: usize = flag_or(flags, "devices", 64);
     let threads: usize = flag_or(flags, "threads", host_threads());
     let seed: u64 = flag_or(flags, "seed", 42);
-    let hours: f64 = flag_or(flags, "hours", 4.0);
+    let hours = hours_flag(flags, 4.0);
 
     sdb::prof::reset();
     sdb::prof::enable();
@@ -1136,20 +1159,28 @@ fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
                 result.simulated_s / 3600.0
             );
         }
-        "chaos" => {
-            let spec = sdb::chaos::CampaignSpec {
-                devices,
+        "campaign" => {
+            use sdb::campaign::{run_campaign, CampaignOptions, CampaignRun, CampaignSpec};
+            let spec = CampaignSpec {
                 master_seed: seed,
-                horizon_s: hours * 3600.0,
-                ..Default::default()
+                hours,
+                ..CampaignSpec::default()
             };
-            match sdb::chaos::run_campaign(&spec, threads, None) {
-                Ok(report) => eprintln!(
-                    "profiled chaos: {} devices, {} violations",
-                    report.devices, report.total_violations
+            let opts = CampaignOptions {
+                threads,
+                ..CampaignOptions::default()
+            };
+            match run_campaign(&spec, &opts) {
+                Ok(CampaignRun::Complete(report)) => eprintln!(
+                    "profiled campaign: {} cells, {} violations",
+                    report.cells.len(),
+                    report.total_violations()
                 ),
+                Ok(CampaignRun::Interrupted { .. }) => {
+                    unreachable!("a campaign without --stop-after runs to completion")
+                }
                 Err(e) => {
-                    eprintln!("chaos campaign failed: {e}");
+                    eprintln!("campaign failed: {e}");
                     return ExitCode::FAILURE;
                 }
             }
@@ -1163,7 +1194,7 @@ fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
             );
         }
         other => {
-            eprintln!("unknown scenario `{other}` (expected fleet, sim, chaos, or policy)");
+            eprintln!("unknown scenario `{other}` (expected fleet, sim, campaign, or policy)");
             return ExitCode::FAILURE;
         }
     }
@@ -1248,7 +1279,6 @@ fn main() -> ExitCode {
         "status" => cmd_status,
         "fleet" => cmd_fleet,
         "analyze" => cmd_analyze,
-        "chaos" => cmd_chaos,
         "profile" => cmd_profile,
         "policy" => cmd_policy,
         "campaign" => cmd_campaign,

@@ -25,6 +25,8 @@
 //!   deterministic population sampling, parallelism through
 //!   [`prof::shard_map`], and fleet reports that are bit-identical for
 //!   any thread count.
+//! * [`chaos`] — deterministic fault injection: seeded fault plans, the
+//!   step-hooked invariant checker, and invariant-checked runs.
 //! * [`trace`] — causal trace capture and analysis: JSONL and Chrome
 //!   `trace_event` (Perfetto) export of the event stream, trace replay,
 //!   and a declarative anomaly/health-rule engine behind `sdb analyze`.
@@ -37,8 +39,8 @@
 //!   quarantined from sampled wall-clock facts, per-shard and per-cohort
 //!   attribution, and the renderers behind `sdb profile`.
 //! * [`campaign`] — the resumable scenario × chemistry × fault × policy ×
-//!   engine matrix orchestrator behind `sdb campaign`: deterministic
-//!   sharded cell runner, snapshot-based checkpoints, committed golden
+//!   engine matrix orchestrator behind `sdb campaign`, the one
+//!   fault-injection sweep: deterministic sharded cell runner, snapshot-based checkpoints, committed golden
 //!   baselines with differential comparison, and culprit-cell
 //!   minimization that emits a ready-to-run repro command.
 //!

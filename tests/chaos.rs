@@ -1,9 +1,11 @@
-//! Chaos-engine integration tests: deterministic fault campaigns, the
-//! runtime's graceful-degradation machinery end-to-end through the link
-//! scheduler, and energy accounting under injected link faults.
+//! Chaos-engine integration tests: deterministic fault-injection
+//! campaigns, the runtime's graceful-degradation machinery end-to-end
+//! through the link scheduler, and energy accounting under injected link
+//! faults.
 
 use sdb::battery_model::{BatterySpec, Chemistry};
-use sdb::chaos::{run_campaign, CampaignSpec, InvariantChecker};
+use sdb::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignRun, CampaignSpec};
+use sdb::chaos::InvariantChecker;
 use sdb::core::policy::DischargeDirective;
 use sdb::core::runtime::{ResilienceConfig, SdbRuntime};
 use sdb::core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
@@ -28,44 +30,64 @@ fn hybrid_pack() -> Microcontroller {
         .build()
 }
 
-/// Acceptance: a chaos campaign's rendered reports are byte-identical no
-/// matter how many worker threads shard the device fleet.
+/// A fault sweep: the phone pack on its co/co-power pair under a phone
+/// day, at both faulted intensities, each device under its own fault
+/// plan on the lossy link.
+fn faulted_spec() -> CampaignSpec {
+    CampaignSpec {
+        scenarios: vec!["phone-day".to_owned()],
+        chemistries: vec!["co".to_owned()],
+        faults: vec!["moderate".to_owned(), "heavy".to_owned()],
+        policies: vec!["greedy".to_owned()],
+        engines: vec!["scalar".to_owned()],
+        master_seed: 0xC4A0_5EED,
+        hours: 0.5,
+        devices_per_cell: 3,
+    }
+}
+
+fn run_faulted(spec: &CampaignSpec, threads: usize) -> CampaignReport {
+    let opts = CampaignOptions {
+        threads,
+        ..CampaignOptions::default()
+    };
+    match run_campaign(spec, &opts).expect("valid spec") {
+        CampaignRun::Complete(report) => *report,
+        CampaignRun::Interrupted { .. } => panic!("a run without a budget completes"),
+    }
+}
+
+/// Acceptance: a fault campaign's rendered reports are byte-identical no
+/// matter how many worker threads shard its devices.
 #[test]
 fn campaign_reports_byte_identical_at_any_thread_count() {
-    let spec = CampaignSpec {
-        devices: 9,
-        horizon_s: 1800.0,
-        ..CampaignSpec::default()
-    };
-    let one = run_campaign(&spec, 1, None).expect("valid spec");
-    let four = run_campaign(&spec, 4, None).expect("valid spec");
-    let many = run_campaign(&spec, 32, None).expect("valid spec");
-    assert_eq!(one.render_text(), four.render_text());
-    assert_eq!(one.to_json(), four.to_json());
-    assert_eq!(one.render_text(), many.render_text());
-    assert_eq!(one.outcomes, four.outcomes);
-    // And the campaign actually exercised the fault injectors.
-    assert!(one.total_faults > 0, "campaign injected nothing");
+    let spec = faulted_spec();
+    let one = run_faulted(&spec, 1);
+    for threads in [4, 32] {
+        let other = run_faulted(&spec, threads);
+        assert_eq!(one.render_text(), other.render_text(), "{threads} threads");
+        assert_eq!(one.to_json(), other.to_json(), "{threads} threads");
+        assert_eq!(one, other, "{threads} threads");
+    }
+    // And the campaign actually exercised the fault injectors, with every
+    // invariant holding.
+    assert!(one.total_faults() > 0, "campaign injected nothing");
+    assert_eq!(one.total_violations(), 0, "{}", one.render_text());
 }
 
 /// Re-running the same spec is bit-for-bit replayable; changing the seed
-/// changes the outcome.
+/// changes a faulted cell's outcome.
 #[test]
 fn campaign_is_replayable_and_seed_sensitive() {
-    let spec = CampaignSpec {
-        devices: 4,
-        horizon_s: 1200.0,
-        ..CampaignSpec::default()
-    };
-    let a = run_campaign(&spec, 2, None).expect("valid spec");
-    let b = run_campaign(&spec, 2, None).expect("valid spec");
-    assert_eq!(a.to_json(), b.to_json());
+    let key = "phone-day/co/heavy/greedy/scalar";
+    let digest = |spec: &CampaignSpec| run_faulted(spec, 2).cell(key).expect("cell").digest;
+    let spec = faulted_spec();
+    assert_eq!(digest(&spec), digest(&spec));
     let reseeded = CampaignSpec {
         master_seed: spec.master_seed ^ 0xDEAD_BEEF,
-        ..spec
+        ..faulted_spec()
     };
-    let c = run_campaign(&reseeded, 2, None).expect("valid spec");
-    assert_ne!(a.to_json(), c.to_json(), "seed had no effect");
+    assert_ne!(digest(&spec), digest(&reseeded), "seed had no effect");
 }
 
 /// Acceptance: driven through the linked scheduler, a link that goes

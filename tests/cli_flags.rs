@@ -26,7 +26,10 @@ fn unparsable_numeric_flags_are_errors_naming_the_flag() {
         &["fleet", "--devices", "4", "--hours", "24h"],
         "--hours `24h`",
     );
-    assert_usage_error(&["chaos", "--devices", "x"], "--devices `x`");
+    assert_usage_error(
+        &["campaign", "--devices-per-cell", "x"],
+        "--devices-per-cell `x`",
+    );
     assert_usage_error(&["campaign", "--threads", "two"], "--threads `two`");
     assert_usage_error(&["fleet", "--devices", "--json"], "--devices needs a value");
 }
@@ -102,8 +105,41 @@ fn charge_rejects_a_negative_or_non_finite_supply() {
 }
 
 #[test]
+fn out_of_range_values_are_errors_naming_the_flag() {
+    for (args, needle) in [
+        (&["status", "--soc", "nan"][..], "invalid --soc `nan`"),
+        (&["status", "--soc", "1.5"], "invalid --soc `1.5`"),
+        (&["charge", "--target", "1e20"], "invalid --target `1e20`"),
+        (&["charge", "--target", "-5"], "invalid --target `-5`"),
+        (&["charge", "--directive", "5"], "invalid --directive `5`"),
+        (
+            &["charge", "--directive", "nan"],
+            "invalid --directive `nan`",
+        ),
+        (
+            &["sim", "--pack", "watch", "--policy", "blend:nan"],
+            "invalid --policy `blend:nan`",
+        ),
+        (
+            &["sim", "--pack", "watch", "--policy", "blend:1.5"],
+            "invalid --policy `blend:1.5`",
+        ),
+    ] {
+        assert_usage_error(args, needle);
+    }
+    for cmd in ["fleet", "analyze", "profile"] {
+        for hours in ["nan", "-1", "0", "inf"] {
+            assert_usage_error(
+                &[cmd, "--devices", "2", "--hours", hours],
+                &format!("invalid --hours `{hours}`"),
+            );
+        }
+    }
+}
+
+#[test]
 fn retired_subcommands_print_the_usage_and_exit_1() {
-    for cmd in ["serve", "perf"] {
+    for cmd in ["serve", "perf", "chaos"] {
         let out = sdb(&[cmd]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "sdb {cmd}: {stderr}");

@@ -7,13 +7,11 @@ use sdb::core::runtime::SdbRuntime;
 // Invariant-checked drop-in for run_trace (sdb-chaos harness).
 use sdb::chaos::checked_run_trace as run_trace;
 use sdb::core::scheduler::SimOptions;
-use sdb::core::telemetry::Telemetry;
 use sdb::emulator::micro::ThermalThrottle;
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::fuel_gauge::gauge::GaugeConfig;
 use sdb::observe::{FlightRecorder, ObsEvent, Observer};
 use sdb::workloads::Trace;
-use std::ops::ControlFlow;
 
 fn hybrid_pack() -> Microcontroller {
     PackBuilder::new()
@@ -247,53 +245,6 @@ fn lossy_link_records_fault_injections() {
             .any(|e| matches!(e.event, ObsEvent::FaultInjection { .. })),
         "no fault-injection events from the lossy link"
     );
-}
-
-/// Telemetry attached as a bus sink records the same series the scheduler
-/// callback would.
-#[test]
-fn telemetry_sink_matches_callback_capture() {
-    let mut micro_a = hybrid_pack();
-    let mut micro_b = hybrid_pack();
-    let mut rt_a = SdbRuntime::new(2);
-    let mut rt_b = SdbRuntime::new(2);
-
-    // A: classic callback capture.
-    let mut callback_tel = Telemetry::new();
-    let runs = Trace::constant(4.0, 1800.0).runs(60.0);
-    let _: sdb::core::scheduler::SimResult = sdb::core::scheduler::drive(
-        &mut micro_a,
-        &mut rt_a,
-        &runs,
-        &SimOptions::default(),
-        sdb::core::scheduler::Hooks::default(),
-        |_, _| {},
-        |t, _, report| {
-            callback_tel.observe(t, report);
-            ControlFlow::Continue(())
-        },
-    );
-
-    // B: event-bus sink capture.
-    let obs = Observer::new();
-    let bus_tel = Telemetry::shared(0.0);
-    obs.add_sink(Box::new(bus_tel.clone()));
-    micro_b.set_observer(obs.clone());
-    rt_b.set_observer(obs);
-    let _ = run_trace(
-        &mut micro_b,
-        &mut rt_b,
-        &Trace::constant(4.0, 1800.0),
-        &SimOptions::default(),
-    );
-
-    let bus_tel = bus_tel.lock().unwrap();
-    assert_eq!(bus_tel.rows().len(), callback_tel.rows().len());
-    for (a, b) in callback_tel.rows().iter().zip(bus_tel.rows()) {
-        assert_eq!(a.t_s, b.t_s);
-        assert_eq!(a.soc, b.soc);
-        assert_eq!(a.load_w, b.load_w);
-    }
 }
 
 /// An instrumented run and an uninstrumented run produce bit-identical

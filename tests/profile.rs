@@ -3,8 +3,9 @@
 //! byte-identical at any thread count, and enabling the profiler must
 //! not perturb the fleet engine's own bit-identical reports.
 //!
-//! The profiler aggregate is process-global, so every test here
-//! serializes on one lock and resets the aggregate around its runs.
+//! The profiler aggregate is process-global, so every test that
+//! profiles in this process serializes on one lock and resets the
+//! aggregate around its runs.
 
 use sdb::fleet::{run_fleet, FleetReport, FleetSpec, RunOptions};
 use std::sync::Mutex;
@@ -82,6 +83,27 @@ fn profiling_does_not_change_the_unprofiled_report() {
     let (plain, _, _) = run_fleet(&spec, &RunOptions::new(2)).expect("fleet runs");
     let (_, _, _, profiled) = profiled_fleet_with(&spec, 2);
     assert_eq!(plain, profiled);
+}
+
+/// `sdb profile --scenario campaign` profiles the campaign runner users
+/// run, `link_step` under faulted cells included, with counts
+/// byte-identical at any thread count.
+#[test]
+fn campaign_profile_counts_are_byte_identical_across_thread_counts() {
+    let counts = |threads: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sdb"))
+            .args(["profile", "--scenario", "campaign", "--seed", "42"])
+            .args(["--hours", "1", "--format", "counts", "--threads", threads])
+            .output()
+            .expect("run sdb");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 counts")
+    };
+    let one = counts("1");
+    assert_eq!(one, counts("4"), "campaign counts diverged");
+    for phase in ["campaign_run", "campaign_cell", "link_step", "fast_forward"] {
+        assert!(one.contains(phase), "missing phase {phase}:\n{one}");
+    }
 }
 
 /// The `TraceStep` count of the profiled `run`: one per point that
