@@ -23,20 +23,17 @@
 
 use crate::checkpoint;
 use crate::report::{CampaignReport, DeviceRecord};
-use crate::spec::{self, CampaignSpec, Cell, CellPolicy};
+use crate::spec::{self, CampaignSpec, Cell};
 use sdb_chaos::{FaultPlan, InvariantChecker, PlanExecutor};
-use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
 use sdb_core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
-use sdb_fleet::spec::WorkloadSpec;
 use sdb_fleet::EngineKind;
-use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
+use sdb_policy::{warmup_seeds, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
 use sdb_rng::derive_seed;
-use sdb_workloads::traces::Trace;
+use sdb_workloads::WorkloadSpec;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::ops::ControlFlow;
@@ -54,14 +51,6 @@ pub const PLANNER_REPLAN_S: f64 = 600.0;
 
 /// Status heartbeat period on the linked (faulted) driver, seconds.
 pub const STATUS_PERIOD_S: f64 = 30.0;
-
-/// Seed offset separating planner history days from the evaluated trace
-/// (same salt as the fleet engine, so campaign planner cells and fleet
-/// planner cohorts train the same way).
-const PLANNER_HISTORY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// History days the planned policy's forecaster folds in.
-const PLANNER_HISTORY_DAYS: u64 = 7;
 
 /// Runner knobs that do not affect the outcome matrix.
 #[derive(Debug, Clone, Default)]
@@ -317,22 +306,26 @@ pub enum Driver {
 
 /// Which driver runs `cell`'s units on `pack` (the unit's freshly built
 /// pack). Only [`Driver::Soa`] depends on the cell's engine: active faults
-/// disqualify fast-forward by construction, and the SoA fast path serves
-/// greedy policies only, as in the fleet engine. [`run_cell_device`]
-/// dispatches on this function and [`Sources`] reads it, so the two
-/// cannot drift apart.
+/// disqualify fast-forward by construction, and the SoA fast path takes
+/// what [`PolicySpec::soa_eligible`] admits, as in the fleet engine.
+/// [`run_cell_device`] dispatches on this function and [`Sources`] reads
+/// it, so the two cannot drift apart.
 #[must_use]
 pub fn driver(cell: &Cell, pack: &Microcontroller) -> Driver {
     if spec::fault_intensity(&cell.fault).is_ok_and(|i| i > 0.0) {
         Driver::Linked
-    } else if cell.policy == CellPolicy::Greedy
-        && cell.engine == EngineKind::Soa
-        && soa_eligible(pack)
-    {
+    } else if cell.engine == EngineKind::Soa && policy_of(cell).soa_eligible(pack) {
         Driver::Soa
     } else {
         Driver::Scalar
     }
+}
+
+/// The cell's policy: the greedy blend, or a planner looking
+/// [`PLANNER_HORIZON_S`] ahead and re-planning every [`PLANNER_REPLAN_S`].
+fn policy_of(cell: &Cell) -> PolicySpec {
+    cell.policy
+        .spec(GREEDY_BLEND, PLANNER_HORIZON_S, PLANNER_REPLAN_S)
 }
 
 /// The pack every unit of `cell` starts from (what [`driver`] reads).
@@ -347,52 +340,7 @@ pub fn cell_pack(cell: &Cell) -> Result<Microcontroller, String> {
 /// [`cell_pack`] with the cell's scenario already resolved.
 fn pack_of(cell: &Cell, scenario: &spec::Scenario) -> Result<Microcontroller, String> {
     let chems = spec::chemistry_pair(&cell.chemistry)?;
-    let mut builder = PackBuilder::new();
-    for slot in &scenario.pack.with_chemistries(&chems).batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    Ok(builder.build())
-}
-
-/// The cell's lookahead planner; `None` for the greedy policy.
-fn make_planner(
-    cell: &Cell,
-    scenario: &spec::Scenario,
-    workload: &WorkloadSpec,
-    seed: u64,
-    trace: &std::sync::Arc<Trace>,
-) -> Option<Planner> {
-    match cell.policy {
-        CellPolicy::Greedy => None,
-        CellPolicy::Planned => {
-            let history: Vec<std::sync::Arc<Trace>> = (1..=PLANNER_HISTORY_DAYS)
-                .map(|k| workload.build(seed.wrapping_add(k.wrapping_mul(PLANNER_HISTORY_SALT))))
-                .collect();
-            let forecaster =
-                HistoryForecaster::from_history(history.iter().map(std::sync::Arc::as_ref), 0.3);
-            let cfg = PlannerConfig {
-                horizon_s: PLANNER_HORIZON_S,
-                replan_period_s: PLANNER_REPLAN_S,
-                update_period_s: scenario.update_period_s,
-                ..PlannerConfig::default()
-            };
-            Some(Planner::new(cfg, Box::new(forecaster)))
-        }
-        CellPolicy::Oracle => {
-            let cfg = PlannerConfig {
-                candidates: 17,
-                update_period_s: scenario.update_period_s,
-                ..PlannerConfig::default()
-            };
-            Some(Planner::oracle(cfg, std::sync::Arc::clone(trace)))
-        }
-    }
-}
-
-/// Whether the pack qualifies for the SoA fast path (no thermal cells —
-/// mirrors the fleet engine's eligibility rule).
-fn soa_eligible(micro: &Microcontroller) -> bool {
-    !micro.cells().iter().any(|c| c.temperature_c().is_some())
+    Ok(scenario.pack.with_chemistries(&chems).instantiate())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -458,11 +406,9 @@ pub fn run_cell_device(
     let mut micro = pack_of(cell, &scenario)?;
     let n = micro.battery_count();
     let mut runtime = SdbRuntime::new(n);
-    runtime.set_update_period(scenario.update_period_s);
-    let mut planner = make_planner(cell, &scenario, &workload, seed, &trace);
-    if planner.is_none() {
-        runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-    }
+    let history = warmup_seeds(seed, WARMUP_DAYS, WARMUP_SALT).map(|d| workload.build(d));
+    let mut planner =
+        policy_of(cell).install(&mut runtime, scenario.update_period_s, &trace, history);
     let runs = trace.runs(sim.max_dt_s);
 
     let hooks = Hooks {

@@ -8,12 +8,14 @@
 //! command emitted by the minimizer self-contained.
 
 use sdb_battery_model::chemistry::Chemistry;
-use sdb_emulator::fnv1a_64;
-use sdb_fleet::spec::{PackTemplate, WorkloadSpec};
+use sdb_emulator::{fnv1a_64, PackTemplate};
 use sdb_fleet::EngineKind;
 use sdb_rng::derive_seed;
 use sdb_workloads::traces::Trace;
+use sdb_workloads::WorkloadSpec;
 use std::sync::Arc;
+
+pub use sdb_policy::PolicyMode as CellPolicy;
 
 /// Every known scenario axis value (corpus order).
 pub const SCENARIOS: &[&str] = &["standby", "phone-day", "watch-day", "tablet-mixed"];
@@ -41,33 +43,19 @@ pub struct Scenario {
     pub update_period_s: f64,
 }
 
-/// Resolves a scenario name.
+/// Resolves a scenario name: a catalog pack at full charge under the
+/// catalog workload of the same name, except `standby`, a quiescent day
+/// of constant trickle load on the phone pack (the SoA engine's best
+/// case, and the cheapest cell in the matrix).
 ///
 /// # Errors
 ///
 /// Returns a message naming the valid values on an unknown name.
 pub fn scenario(name: &str) -> Result<Scenario, String> {
-    let (pack, workload) = match name {
-        // A quiescent day: constant trickle load on the phone pack. The
-        // SoA engine's best case, and the cheapest cell in the matrix.
-        "standby" => (
-            PackTemplate::phone(),
-            WorkloadSpec::Shared(Arc::new(Trace::constant(0.05, 24.0 * 3600.0))),
-        ),
-        "phone-day" => (PackTemplate::phone(), WorkloadSpec::PhoneDay),
-        "watch-day" => (
-            PackTemplate::watch(),
-            WorkloadSpec::WatchDay {
-                run_hour: Some(9.0),
-            },
-        ),
-        "tablet-mixed" => (
-            PackTemplate::tablet_hybrid(),
-            WorkloadSpec::TabletMixed {
-                segment_s: 300.0,
-                total_s: 4.0 * 3600.0,
-            },
-        ),
+    let pack = match name {
+        "standby" | "phone-day" => "phone",
+        "watch-day" => "watch",
+        "tablet-mixed" => "tablet-hybrid",
         other => {
             return Err(format!(
                 "unknown scenario `{other}` (expected one of {})",
@@ -75,8 +63,10 @@ pub fn scenario(name: &str) -> Result<Scenario, String> {
             ))
         }
     };
+    let workload = WorkloadSpec::named(name)
+        .unwrap_or_else(|| WorkloadSpec::Shared(Arc::new(Trace::constant(0.05, 24.0 * 3600.0))));
     Ok(Scenario {
-        pack,
+        pack: PackTemplate::named(pack, 1.0).expect("a catalog pack"),
         workload,
         update_period_s: 60.0,
     })
@@ -118,46 +108,6 @@ pub fn fault_intensity(name: &str) -> Result<f64, String> {
             "unknown fault plan `{other}` (expected one of {})",
             FAULTS.join("|")
         )),
-    }
-}
-
-/// The policy axis of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellPolicy {
-    /// Fixed 0.5 discharge-directive blend (no lookahead).
-    Greedy,
-    /// Receding-horizon planner warm-started from 7 history days.
-    Planned,
-    /// Perfect-forecast oracle planner over the device's own trace.
-    Oracle,
-}
-
-impl CellPolicy {
-    /// Parses a CLI/axis value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the valid values on an unknown name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "greedy" => Ok(Self::Greedy),
-            "planned" => Ok(Self::Planned),
-            "oracle" => Ok(Self::Oracle),
-            other => Err(format!(
-                "unknown policy `{other}` (expected one of {})",
-                POLICIES.join("|")
-            )),
-        }
-    }
-
-    /// The axis/key name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Greedy => "greedy",
-            Self::Planned => "planned",
-            Self::Oracle => "oracle",
-        }
     }
 }
 

@@ -19,8 +19,7 @@ use crate::policy::{DischargeDirective, PreservePolicy};
 use crate::runtime::SdbRuntime;
 use crate::scheduler::{run_trace, SimOptions, SimResult};
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
-use sdb_emulator::profile::ProfileKind;
+use sdb_emulator::pack::PackTemplate;
 use sdb_workloads::device::{Activity, DeviceClass, DevicePower};
 use sdb_workloads::traces::watch_day;
 
@@ -78,21 +77,13 @@ pub struct WatchOutcome {
     pub sim: SimResult,
 }
 
-/// Builds the watch pack: 200 mAh Li-ion + 200 mAh bendable.
+/// Builds the catalog watch pack at full charge: 200 mAh Li-ion + 200
+/// mAh bendable.
 #[must_use]
 pub fn build_pack() -> Microcontroller {
-    PackBuilder::new()
-        .battery_at(
-            sdb_battery_model::library::watch_li_ion().spec().clone(),
-            1.0,
-            ProfileKind::Standard,
-        )
-        .battery_at(
-            sdb_battery_model::library::watch_bendable().spec().clone(),
-            1.0,
-            ProfileKind::Gentle,
-        )
-        .build()
+    PackTemplate::named("watch", 1.0)
+        .expect("the watch is a catalog pack")
+        .instantiate()
 }
 
 /// The load above which the watch is in a "high-power episode" (the run):

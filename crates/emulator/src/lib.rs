@@ -56,7 +56,7 @@ pub mod soa;
 
 pub use link::{Command, Link, LinkStats, Response};
 pub use micro::{Microcontroller, StepReport};
-pub use pack::{PackBuilder, PackConfig};
+pub use pack::{BatterySlot, PackBuilder, PackConfig, PackTemplate};
 pub use profile::{ChargingProfile, ProfileKind};
 pub use snapshot::{fnv1a_64, PackSnapshot, TransferSnapshot, PACK_SNAPSHOT_VERSION};
 pub use soa::{QuiescenceConfig, SoaCohort};

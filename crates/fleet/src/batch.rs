@@ -16,21 +16,13 @@
 //! within the documented fast-forward bound (DESIGN.md §14), not bit-for-
 //! bit; the cross-engine property tests pin the bound.
 //!
-//! Planner cohorts ([`PolicySpec::Planned`] / [`PolicySpec::Oracle`])
-//! commit plans at times the classifier cannot see ahead of, so their
-//! devices transparently fall back to the scalar driver, as do packs
-//! with thermal simulation enabled.
+//! Cohorts that [`sdb_policy::PolicySpec::soa_eligible`] turns away —
+//! planner policies, which commit plans at times the classifier cannot
+//! see ahead of, and packs with thermal simulation enabled — get no lane,
+//! and their devices run the scalar driver.
 
-use crate::engine::DeviceOutcome;
-use crate::spec::{CohortSpec, FleetSpec, PolicySpec};
-use sdb_core::policy::{DischargeDirective, PreservePolicy};
-use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{drive, Hooks};
-use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
+use crate::spec::FleetSpec;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
-use sdb_observe::Observer;
-use std::ops::ControlFlow;
 
 /// Which per-device driver the fleet engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,134 +64,48 @@ impl EngineKind {
 /// reused across the shard's devices, so array and snapshot buffers are
 /// allocated once per (shard, cohort), not per device.
 pub(crate) struct SoaScratch {
-    slots: Vec<SlotState>,
-}
-
-enum SlotState {
-    Unbuilt,
-    /// Planner policy or thermal pack: this cohort runs the scalar driver.
-    Ineligible,
-    Ready(Box<SoaCohort>),
+    /// `None` until the cohort's first device; then its lane, or `None`
+    /// when the cohort runs the scalar driver.
+    slots: Vec<Option<Option<Box<SoaCohort>>>>,
 }
 
 impl SoaScratch {
     pub(crate) fn new(cohorts: usize) -> Self {
         Self {
-            slots: (0..cohorts).map(|_| SlotState::Unbuilt).collect(),
+            slots: (0..cohorts).map(|_| None).collect(),
         }
     }
 
-    /// The cohort's SoA lane, built on first use; `None` when the cohort
-    /// must run the scalar driver.
-    fn lane(&mut self, idx: usize, cohort: &CohortSpec) -> Option<&mut SoaCohort> {
-        if matches!(self.slots[idx], SlotState::Unbuilt) {
-            self.slots[idx] = build_slot(cohort);
-        }
-        match &mut self.slots[idx] {
-            SlotState::Ready(soa) => Some(soa),
-            _ => None,
-        }
+    /// The SoA lane of `device`'s cohort, built on first use; `None`
+    /// when the cohort must run the scalar driver.
+    pub(crate) fn lane(&mut self, spec: &FleetSpec, device: u64) -> Option<&mut SoaCohort> {
+        let idx = spec.cohort_of(device);
+        self.slots[idx]
+            .get_or_insert_with(|| {
+                let cohort = &spec.cohorts[idx];
+                let template = cohort.pack.instantiate();
+                cohort
+                    .policy
+                    .soa_eligible(&template)
+                    .then(|| Box::new(SoaCohort::new(&template, 1, QuiescenceConfig::default())))
+            })
+            .as_deref_mut()
     }
-}
-
-fn build_slot(cohort: &CohortSpec) -> SlotState {
-    if !matches!(
-        cohort.policy,
-        PolicySpec::Blend(_) | PolicySpec::Preserve { .. }
-    ) {
-        return SlotState::Ineligible;
-    }
-    let template = build_pack(cohort);
-    if template.cells().iter().any(|c| c.temperature_c().is_some()) {
-        return SlotState::Ineligible;
-    }
-    SlotState::Ready(Box::new(SoaCohort::new(
-        &template,
-        1,
-        QuiescenceConfig::default(),
-    )))
-}
-
-fn build_pack(cohort: &CohortSpec) -> Microcontroller {
-    let mut builder = PackBuilder::new();
-    for slot in &cohort.pack.batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    builder.build()
-}
-
-/// [`crate::engine::run_device`] on the SoA fast path. Cohorts without a
-/// lane (planner policies, thermal packs) take the scalar driver.
-pub(crate) fn run_device_soa(
-    spec: &FleetSpec,
-    device: u64,
-    obs: &Observer,
-    scratch: &mut SoaScratch,
-) -> DeviceOutcome {
-    let cohort_idx = spec.cohort_of(device);
-    let cohort = &spec.cohorts[cohort_idx];
-    if scratch.lane(cohort_idx, cohort).is_none() {
-        return crate::engine::run_device(spec, device, obs);
-    }
-    let seed = spec.device_seed(device);
-    let mut micro = build_pack(cohort);
-    micro.set_observer(obs.clone());
-    let mut runtime = SdbRuntime::new(micro.battery_count());
-    runtime.set_observer(obs.clone());
-    runtime.set_update_period(cohort.update_period_s);
-    let trace = cohort.workload.build(seed);
-    let soa = scratch
-        .lane(cohort_idx, cohort)
-        .expect("slot was just Ready");
-    match cohort.policy {
-        PolicySpec::Blend(v) => runtime.set_discharge_directive(DischargeDirective::new(v)),
-        PolicySpec::Preserve {
-            efficient,
-            inefficient,
-            threshold_w,
-        } => runtime.set_preserve(Some(PreservePolicy::new(
-            efficient,
-            inefficient,
-            threshold_w,
-        ))),
-        PolicySpec::Planned { .. } | PolicySpec::Oracle => {
-            unreachable!("planner cohorts have no SoA lane")
-        }
-    }
-    let ff_before = soa.ticks_advanced();
-    let runs = trace.runs(spec.sim.max_dt_s);
-    let hooks = Hooks {
-        soa: Some(&mut *soa),
-        ..Hooks::default()
-    };
-    let result = drive(
-        &mut micro,
-        &mut runtime,
-        &runs,
-        &spec.sim,
-        hooks,
-        |_, _| {},
-        |_, _, _| ControlFlow::Continue(()),
-    );
-    let ff_ticks = soa.ticks_advanced() - ff_before;
-    if ff_ticks > 0 {
-        if let Some(reg) = obs.registry() {
-            reg.counter("sdb_fleet_ff_ticks_total", &[]).add(ff_ticks);
-        }
-    }
-    crate::engine::outcome_from(&micro, device, cohort_idx, &result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run_fleet, RunOptions};
-    use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
+    use crate::spec::{CohortSpec, PackTemplate, PolicySpec, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
-    use sdb_core::scheduler::{run_trace, SimOptions, SimResult};
+    use sdb_core::policy::DischargeDirective;
+    use sdb_core::runtime::SdbRuntime;
+    use sdb_core::scheduler::{drive, run_trace, Hooks, SimOptions, SimResult};
     use sdb_emulator::profile::ProfileKind;
     use sdb_workloads::traces::Trace;
+    use std::ops::ControlFlow;
     use std::sync::Arc;
 
     fn idle_spec(devices: usize) -> FleetSpec {
@@ -342,13 +248,13 @@ mod tests {
         let trace = Trace::constant(8.0, 2.0 * 3600.0);
         let opts = SimOptions::default();
 
-        let mut m1 = build_pack(cohort);
+        let mut m1 = cohort.pack.instantiate();
         let mut rt1 = SdbRuntime::new(2);
         rt1.set_discharge_directive(DischargeDirective::new(0.5));
         rt1.set_update_period(60.0);
         let full = run_trace(&mut m1, &mut rt1, &trace, &opts);
 
-        let mut m2 = build_pack(cohort);
+        let mut m2 = cohort.pack.instantiate();
         let mut rt2 = SdbRuntime::new(2);
         rt2.set_discharge_directive(DischargeDirective::new(0.5));
         rt2.set_update_period(60.0);

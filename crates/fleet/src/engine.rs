@@ -11,27 +11,17 @@
 use crate::batch::{EngineKind, SoaScratch};
 use crate::report::FleetReport;
 use crate::sketches::FleetSketches;
-use crate::spec::{FleetSpec, PolicySpec};
+use crate::spec::FleetSpec;
 use sdb_core::metrics::{ccb, wear_ratios};
-use sdb_core::policy::{DischargeDirective, PreservePolicy};
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
+use sdb_emulator::SoaCohort;
 use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
-use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
-use sdb_workloads::traces::Trace;
+use sdb_policy::{warmup_seeds, WARMUP_DAYS, WARMUP_SALT};
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Seed offset separating a planned cohort's forecast warm-up days from
-/// the evaluated trace, so planners train on the device's *habit*, never
-/// on the day being judged.
-const PLANNER_HISTORY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// How many previous days a planned cohort's forecaster folds in.
-const PLANNER_HISTORY_DAYS: u64 = 7;
 
 /// The per-device result the merge aggregates. Everything here is a pure
 /// function of `(spec, device)`.
@@ -82,78 +72,36 @@ pub struct FleetRunStats {
     pub sketches: FleetSketches,
 }
 
-/// Builds and runs one device, recording into the shard's observer.
-pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> DeviceOutcome {
+/// Builds and runs one device, recording into the shard's observer. With
+/// `soa`, the cohort's SoA lane ([`crate::batch`]), quiescent stretches
+/// fast-forward; without it, every tick is stepped.
+pub(crate) fn run_device(
+    spec: &FleetSpec,
+    device: u64,
+    obs: &Observer,
+    mut soa: Option<&mut SoaCohort>,
+) -> DeviceOutcome {
     let cohort_idx = spec.cohort_of(device);
     let cohort = &spec.cohorts[cohort_idx];
     let seed = spec.device_seed(device);
 
-    // Instantiate the shared pack template. The specs live behind `Arc`
-    // and the builder accepts the handle directly, so no per-device spec
-    // copy is made.
-    let mut builder = PackBuilder::new();
-    for slot in &cohort.pack.batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    let mut micro: Microcontroller = builder.build();
+    let mut micro = cohort.pack.instantiate();
     micro.set_observer(obs.clone());
-
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_observer(obs.clone());
-    runtime.set_update_period(cohort.update_period_s);
     // The trace is materialized before the policy because the planner
     // modes need it (the oracle plans over it, and both planners only
     // make sense relative to a concrete workload).
     let trace = cohort.workload.build(seed);
-    let mut planner = match cohort.policy {
-        PolicySpec::Blend(v) => {
-            runtime.set_discharge_directive(DischargeDirective::new(v));
-            None
-        }
-        PolicySpec::Preserve {
-            efficient,
-            inefficient,
-            threshold_w,
-        } => {
-            runtime.set_preserve(Some(PreservePolicy::new(
-                efficient,
-                inefficient,
-                threshold_w,
-            )));
-            None
-        }
-        PolicySpec::Planned {
-            horizon_s,
-            replan_s,
-        } => {
-            let history: Vec<Arc<Trace>> = (1..=PLANNER_HISTORY_DAYS)
-                .map(|k| {
-                    cohort
-                        .workload
-                        .build(seed.wrapping_add(k.wrapping_mul(PLANNER_HISTORY_SALT)))
-                })
-                .collect();
-            let forecaster = HistoryForecaster::from_history(history.iter().map(Arc::as_ref), 0.3);
-            let cfg = PlannerConfig {
-                horizon_s,
-                replan_period_s: replan_s,
-                update_period_s: cohort.update_period_s,
-                ..PlannerConfig::default()
-            };
-            Some(Planner::new(cfg, Box::new(forecaster)))
-        }
-        PolicySpec::Oracle => {
-            let cfg = PlannerConfig {
-                candidates: 17,
-                update_period_s: cohort.update_period_s,
-                ..PlannerConfig::default()
-            };
-            Some(Planner::oracle(cfg, Arc::clone(&trace)))
-        }
-    };
+    let history = warmup_seeds(seed, WARMUP_DAYS, WARMUP_SALT).map(|d| cohort.workload.build(d));
+    let mut planner = cohort
+        .policy
+        .install(&mut runtime, cohort.update_period_s, &trace, history);
+    let ff_before = soa.as_deref().map_or(0, SoaCohort::ticks_advanced);
     let runs = trace.runs(spec.sim.max_dt_s);
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
+        soa: soa.as_deref_mut(),
         ..Hooks::default()
     };
     let result = drive(
@@ -165,13 +113,17 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
         |_, _| {},
         |_, _, _| ControlFlow::Continue(()),
     );
-
+    let ff_ticks = soa.as_deref().map_or(0, SoaCohort::ticks_advanced) - ff_before;
+    if ff_ticks > 0 {
+        if let Some(reg) = obs.registry() {
+            reg.counter("sdb_fleet_ff_ticks_total", &[]).add(ff_ticks);
+        }
+    }
     outcome_from(&micro, device, cohort_idx, &result)
 }
 
-/// Folds a finished device run into its [`DeviceOutcome`] (shared by the
-/// scalar and SoA drivers).
-pub(crate) fn outcome_from(
+/// Folds a finished device run into its [`DeviceOutcome`].
+fn outcome_from(
     micro: &Microcontroller,
     device: u64,
     cohort_idx: usize,
@@ -337,10 +289,11 @@ pub fn run_fleet(
         } else {
             sdb_prof::device_scope(0)
         };
-        let outcome = match shard.soa_scratch.as_mut() {
-            Some(scratch) => crate::batch::run_device_soa(spec, i as u64, &shard.obs, scratch),
-            None => run_device(spec, i as u64, &shard.obs),
-        };
+        let soa = shard
+            .soa_scratch
+            .as_mut()
+            .and_then(|scratch| scratch.lane(spec, i as u64));
+        let outcome = run_device(spec, i as u64, &shard.obs, soa);
         drop(prof_dev);
         drop(span);
         shard.sketches.observe(&outcome);
@@ -387,9 +340,10 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
+    use crate::spec::{CohortSpec, PackTemplate, PolicySpec, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
+    use sdb_core::policy::DischargeDirective;
     use sdb_core::scheduler::{run_trace, SimOptions};
     use sdb_emulator::profile::ProfileKind;
     use sdb_workloads::traces::Trace;
@@ -551,11 +505,7 @@ mod tests {
         let (report, _, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
 
         let cohort = &spec.cohorts[0];
-        let mut builder = PackBuilder::new();
-        for slot in &cohort.pack.batteries {
-            builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-        }
-        let mut micro = builder.build();
+        let mut micro = cohort.pack.instantiate();
         let mut rt = SdbRuntime::new(2);
         rt.set_discharge_directive(DischargeDirective::new(0.9));
         rt.set_update_period(60.0);

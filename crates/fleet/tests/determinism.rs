@@ -7,7 +7,6 @@
 use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::run_trace;
-use sdb_emulator::pack::PackBuilder;
 use sdb_fleet::spec::{FleetSpec, PolicySpec};
 use sdb_fleet::{run_fleet, RunOptions};
 
@@ -69,11 +68,7 @@ fn fleet_of_one_matches_a_direct_run_trace() {
     let (report, _, _) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
 
     let cohort = &spec.cohorts[0];
-    let mut builder = PackBuilder::new();
-    for slot in &cohort.pack.batteries {
-        builder = builder.battery_at((*slot.spec).clone(), slot.initial_soc, slot.profile);
-    }
-    let mut micro = builder.build();
+    let mut micro = cohort.pack.instantiate();
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_update_period(cohort.update_period_s);
     runtime.set_discharge_directive(DischargeDirective::new(cohort_policy));

@@ -13,143 +13,44 @@
 //! text and JSON reports are built with stable formatting so byte-level
 //! comparison across runs and thread counts is meaningful.
 
-use crate::forecast::HistoryForecaster;
-use crate::planner::{Planner, PlannerConfig};
-use sdb_battery_model::{library, BatterySpec, Chemistry};
+use crate::planner::Planner;
+use crate::spec::{warmup_seeds, PolicyMode, WARMUP_SALT};
 use sdb_core::metrics::ccb;
-use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
-use sdb_emulator::{Microcontroller, PackBuilder, ProfileKind};
+use sdb_emulator::PackTemplate;
 use sdb_workloads::behavior::UserArchetype;
-use sdb_workloads::traces::{phone_day, tablet_session, watch_day};
-use sdb_workloads::{Activity, Trace};
+use sdb_workloads::{Trace, WorkloadSpec};
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-/// Which battery pack a scenario runs on (the CLI's pack names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackKind {
-    /// 200 mAh Li-ion + 200 mAh bendable strap (paper §5.2).
-    Watch,
-    /// 3 Ah high-energy + 1 Ah high-power.
-    Phone,
-    /// 4 Ah high-energy + 4 Ah fast-charge (paper §5.1).
-    TabletHybrid,
-    /// 2 × 4 Ah Li-ion, internal + keyboard (paper §5.3).
-    TwoInOne,
-}
-
-/// Which workload a scenario replays.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WorkloadKind {
-    /// 24 h watch day, optionally with the hour-9 GPS run (Figure 13).
-    WatchDay {
-        /// Hour of the GPS run, if any.
-        run_hour: Option<f64>,
-    },
-    /// 24 h smartphone day.
-    PhoneDay,
-    /// Tablet session mixing network, compute, and interaction.
-    TabletMixed {
-        /// Total session length, seconds.
-        total_s: f64,
-    },
-}
-
 /// One corpus entry: a pack × workload under energy pressure, with the
 /// fixed greedy blend it is judged against and the behavior archetype the
 /// history forecaster warm-starts from.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Stable scenario name (report key).
     pub name: &'static str,
-    /// Pack to build.
-    pub pack: PackKind,
+    /// The catalog pack, every cell at the scenario's start state of
+    /// charge.
+    pub pack: PackTemplate,
     /// Workload to replay.
-    pub workload: WorkloadKind,
-    /// `true` → runner archetype, `false` → commuter (kept `Copy`).
+    pub workload: WorkloadSpec,
+    /// `true` → runner archetype, `false` → commuter.
     pub runner_archetype: bool,
     /// The fixed blend the greedy baseline runs with.
     pub greedy_directive: f64,
-    /// Initial state of charge for every cell.
-    pub start_soc: f64,
     /// Multiplier applied to the workload's load power.
     pub load_scale: f64,
 }
 
 impl Scenario {
-    /// Builds the scenario's pack at its starting state of charge.
-    #[must_use]
-    pub fn build_pack(&self) -> Microcontroller {
-        let soc = self.start_soc;
-        match self.pack {
-            PackKind::Watch => PackBuilder::new()
-                .battery_at(
-                    library::watch_li_ion().spec().clone(),
-                    soc,
-                    ProfileKind::Standard,
-                )
-                .battery_at(
-                    library::watch_bendable().spec().clone(),
-                    soc,
-                    ProfileKind::Gentle,
-                )
-                .build(),
-            PackKind::Phone => PackBuilder::new()
-                .battery_at(
-                    BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 3.0),
-                    soc,
-                    ProfileKind::Standard,
-                )
-                .battery_at(
-                    BatterySpec::from_chemistry("high-power", Chemistry::Type3CoPower, 1.0),
-                    soc,
-                    ProfileKind::Fast,
-                )
-                .build(),
-            PackKind::TabletHybrid => PackBuilder::new()
-                .battery_at(
-                    BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 4.0),
-                    soc,
-                    ProfileKind::Standard,
-                )
-                .battery_at(
-                    BatterySpec::from_chemistry("fast-charge", Chemistry::Type3CoPower, 4.0),
-                    soc,
-                    ProfileKind::Fast,
-                )
-                .build(),
-            PackKind::TwoInOne => PackBuilder::new()
-                .battery_at(
-                    BatterySpec::from_chemistry("internal", Chemistry::Type2CoStandard, 4.0),
-                    soc,
-                    ProfileKind::Standard,
-                )
-                .battery_at(
-                    BatterySpec::from_chemistry("external", Chemistry::Type2CoStandard, 4.0),
-                    soc,
-                    ProfileKind::Standard,
-                )
-                .build(),
-        }
-    }
-
     /// Builds the scenario's workload trace for `seed`, with the load
     /// scale applied.
     #[must_use]
-    pub fn build_trace(&self, seed: u64) -> Trace {
-        let base = match self.workload {
-            WorkloadKind::WatchDay { run_hour } => watch_day(seed, run_hour),
-            WorkloadKind::PhoneDay => phone_day(seed),
-            WorkloadKind::TabletMixed { total_s } => tablet_session(
-                seed,
-                &[Activity::Network, Activity::Compute, Activity::Interactive],
-                300.0,
-                total_s,
-            ),
-        };
+    pub fn build_trace(&self, seed: u64) -> Arc<Trace> {
+        let base = self.workload.build(seed);
         if (self.load_scale - 1.0).abs() < 1e-12 {
             return base;
         }
@@ -157,7 +58,7 @@ impl Scenario {
         for p in base.points() {
             scaled.push(p.load_w * self.load_scale, p.external_w, p.dur_s);
         }
-        scaled
+        Arc::new(scaled)
     }
 
     /// The behavior archetype the history forecaster warm-starts from.
@@ -176,124 +77,30 @@ impl Scenario {
 /// choice actually moves battery life.
 #[must_use]
 pub fn corpus() -> Vec<Scenario> {
+    let scenario = |name, pack, soc, workload, load_scale| Scenario {
+        name,
+        pack: PackTemplate::named(pack, soc).expect("corpus packs are catalog packs"),
+        workload,
+        // Watch wearers run; phone and tablet users commute.
+        runner_archetype: pack == "watch",
+        greedy_directive: 0.5,
+        load_scale,
+    };
+    let watch_day = |run_hour| WorkloadSpec::WatchDay { run_hour };
+    let tablet = |hours: f64| WorkloadSpec::TabletMixed {
+        segment_s: 300.0,
+        total_s: hours * 3600.0,
+    };
     vec![
-        Scenario {
-            name: "watch-day",
-            pack: PackKind::Watch,
-            workload: WorkloadKind::WatchDay {
-                run_hour: Some(9.0),
-            },
-            runner_archetype: true,
-            greedy_directive: 0.5,
-            start_soc: 1.0,
-            load_scale: 1.0,
-        },
-        Scenario {
-            name: "watch-run-late",
-            pack: PackKind::Watch,
-            workload: WorkloadKind::WatchDay {
-                run_hour: Some(18.0),
-            },
-            runner_archetype: true,
-            greedy_directive: 0.5,
-            start_soc: 1.0,
-            load_scale: 1.0,
-        },
-        Scenario {
-            name: "watch-day-heavy",
-            pack: PackKind::Watch,
-            workload: WorkloadKind::WatchDay {
-                run_hour: Some(9.0),
-            },
-            runner_archetype: true,
-            greedy_directive: 0.5,
-            start_soc: 1.0,
-            load_scale: 1.3,
-        },
-        Scenario {
-            name: "watch-day-norun",
-            pack: PackKind::Watch,
-            workload: WorkloadKind::WatchDay { run_hour: None },
-            runner_archetype: true,
-            greedy_directive: 0.5,
-            start_soc: 1.0,
-            load_scale: 1.0,
-        },
-        Scenario {
-            name: "phone-day",
-            pack: PackKind::Phone,
-            workload: WorkloadKind::PhoneDay,
-            runner_archetype: false,
-            greedy_directive: 0.5,
-            start_soc: 1.0,
-            load_scale: 1.0,
-        },
-        Scenario {
-            name: "phone-heavy",
-            pack: PackKind::Phone,
-            workload: WorkloadKind::PhoneDay,
-            runner_archetype: false,
-            greedy_directive: 0.5,
-            start_soc: 0.8,
-            load_scale: 1.6,
-        },
-        Scenario {
-            name: "tablet-mixed",
-            pack: PackKind::TabletHybrid,
-            workload: WorkloadKind::TabletMixed {
-                total_s: 4.0 * 3600.0,
-            },
-            runner_archetype: false,
-            greedy_directive: 0.5,
-            start_soc: 0.5,
-            load_scale: 2.0,
-        },
-        Scenario {
-            name: "two-in-one",
-            pack: PackKind::TwoInOne,
-            workload: WorkloadKind::TabletMixed {
-                total_s: 6.0 * 3600.0,
-            },
-            runner_archetype: false,
-            greedy_directive: 0.5,
-            start_soc: 0.6,
-            load_scale: 2.5,
-        },
+        scenario("watch-day", "watch", 1.0, watch_day(Some(9.0)), 1.0),
+        scenario("watch-run-late", "watch", 1.0, watch_day(Some(18.0)), 1.0),
+        scenario("watch-day-heavy", "watch", 1.0, watch_day(Some(9.0)), 1.3),
+        scenario("watch-day-norun", "watch", 1.0, watch_day(None), 1.0),
+        scenario("phone-day", "phone", 1.0, WorkloadSpec::PhoneDay, 1.0),
+        scenario("phone-heavy", "phone", 0.8, WorkloadSpec::PhoneDay, 1.6),
+        scenario("tablet-mixed", "tablet-hybrid", 0.5, tablet(4.0), 2.0),
+        scenario("two-in-one", "two-in-one", 0.6, tablet(6.0), 2.5),
     ]
-}
-
-/// The three interchangeable policy modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyMode {
-    /// The paper's fixed CCB/RBL blend (instantaneously optimal).
-    Greedy,
-    /// Receding-horizon planner over the history forecaster.
-    Planned,
-    /// Receding-horizon planner over the perfect forecast.
-    Oracle,
-}
-
-impl PolicyMode {
-    /// Stable lowercase name (report key / CLI value).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyMode::Greedy => "greedy",
-            PolicyMode::Planned => "planned",
-            PolicyMode::Oracle => "oracle",
-        }
-    }
-
-    /// Parses a CLI value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "greedy" => Some(PolicyMode::Greedy),
-            "planned" => Some(PolicyMode::Planned),
-            "oracle" => Some(PolicyMode::Oracle),
-            _ => None,
-        }
-    }
 }
 
 /// Outcome of one scenario × policy run.
@@ -321,58 +128,32 @@ pub struct RunOutcome {
     pub forecast_mae_w: f64,
 }
 
-/// Planner configuration the corpus uses for both planned and oracle
-/// modes (the oracle additionally gets the full-trace horizon and a
-/// denser candidate grid). The 8 h horizon is long enough that a
+/// Days of history the planned mode warm-starts from.
+pub const CORPUS_WARMUP_DAYS: u64 = 14;
+
+/// The planned mode's lookahead horizon. 8 h is long enough that a
 /// habit-forecast planner sees a day's stress event (a GPS run, an
 /// evening commute) several re-plans before it starts.
-#[must_use]
-pub fn corpus_planner_config() -> PlannerConfig {
-    PlannerConfig {
-        horizon_s: 8.0 * 3600.0,
-        ..PlannerConfig::default()
-    }
-}
-
-/// Days of behavior-model history the planned mode warm-starts from.
-pub const WARMUP_DAYS: u32 = 14;
-
-/// Seed offset separating forecaster warm-up history from the evaluated
-/// trace, so the planner never trains on the exact day it is judged on.
-pub const WARMUP_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+pub const CORPUS_HORIZON_S: f64 = 8.0 * 3600.0;
 
 /// Runs one scenario under one policy mode. Pure function of
 /// `(scenario, mode, seed)`.
 #[must_use]
 pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
-    let mut micro = s.build_pack();
+    let mut micro = s.pack.instantiate();
     let trace = s.build_trace(seed);
     let mut runtime = SdbRuntime::new(micro.battery_count());
     let opts = SimOptions::default();
-    let mut planner = match mode {
-        PolicyMode::Greedy => {
-            runtime.set_discharge_directive(DischargeDirective::new(s.greedy_directive));
-            None
-        }
-        PolicyMode::Planned => {
-            // Warm-start from "previous days": the same workload
-            // generator under derived seeds. The planner never sees the
-            // evaluated day itself — its forecast is the user's habit,
-            // not the answer key (that is the oracle's job).
-            let history: Vec<Trace> = (1..=u64::from(WARMUP_DAYS))
-                .map(|k| s.build_trace(seed.wrapping_add(k.wrapping_mul(WARMUP_SEED_SALT))))
-                .collect();
-            let forecaster = HistoryForecaster::from_history(&history, 0.3);
-            Some(Planner::new(corpus_planner_config(), Box::new(forecaster)))
-        }
-        PolicyMode::Oracle => {
-            let cfg = PlannerConfig {
-                candidates: 17,
-                ..corpus_planner_config()
-            };
-            Some(Planner::oracle(cfg, Arc::new(trace.clone())))
-        }
-    };
+    // The planned mode warms up on "previous days": the same workload
+    // under derived seeds. It never sees the evaluated day itself — its
+    // forecast is the user's habit, not the answer key (that is the
+    // oracle's job).
+    let history = warmup_seeds(seed, CORPUS_WARMUP_DAYS, WARMUP_SALT).map(|d| s.build_trace(d));
+    // Re-plan every 30 minutes; re-evaluate every 60 s, the runtime's
+    // default.
+    let mut planner = mode
+        .spec(s.greedy_directive, CORPUS_HORIZON_S, 1800.0)
+        .install(&mut runtime, 60.0, &trace, history);
     let runs = trace.runs(opts.max_dt_s);
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
@@ -423,7 +204,7 @@ pub fn run_head_to_head(seed: u64) -> HeadToHead {
     let prof_run = sdb_prof::scope(sdb_prof::Phase::PolicyRun);
     let mut rows = Vec::new();
     for s in corpus() {
-        for mode in [PolicyMode::Greedy, PolicyMode::Planned, PolicyMode::Oracle] {
+        for mode in PolicyMode::ALL {
             rows.push(run_scenario(&s, mode, seed));
         }
     }

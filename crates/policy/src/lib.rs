@@ -23,6 +23,10 @@
 //! * [`tuner`] — a directive auto-tuner mapping forecast statistics
 //!   (duty factor, burstiness) to a CCB-vs-RBL blend; the planner uses it
 //!   to anchor its first plan.
+//! * [`spec`] — [`PolicySpec`], the one place a device is set up under a
+//!   policy (blend, preserve, planned from warm-up days, oracle over the
+//!   device's trace), and [`PolicyMode`], the greedy / planned / oracle
+//!   axis of the fleet, the campaign and the corpus.
 //! * [`corpus`] — the evaluation corpus: named pack × workload scenarios
 //!   and a deterministic greedy / planned / oracle head-to-head runner
 //!   with text and JSON reports (the `sdb policy` subcommand).
@@ -33,9 +37,11 @@
 pub mod corpus;
 pub mod forecast;
 pub mod planner;
+pub mod spec;
 pub mod tuner;
 
-pub use corpus::{corpus, run_head_to_head, HeadToHead, PolicyMode, RunOutcome, Scenario};
+pub use corpus::{corpus, run_head_to_head, HeadToHead, RunOutcome, Scenario};
 pub use forecast::{Forecaster, HistoryForecaster, OracleForecaster};
 pub use planner::{Planner, PlannerConfig};
+pub use spec::{warmup_seeds, PolicyMode, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
 pub use tuner::{forecast_stats, tuned_directive, ForecastStats};

@@ -218,19 +218,19 @@ fn single_shot_oracle_never_underperforms_greedy_on_corpus() {
         for seed in [7_u64, 42, 1234] {
             let trace = s.build_trace(seed);
 
-            let mut micro = s.build_pack();
+            let mut micro = s.pack.instantiate();
             let mut rt = SdbRuntime::new(micro.battery_count());
             rt.set_discharge_directive(DischargeDirective::new(s.greedy_directive));
             let greedy = run_trace(&mut micro, &mut rt, &trace, &SimOptions::default());
 
-            let mut micro = s.build_pack();
+            let mut micro = s.pack.instantiate();
             let mut rt = SdbRuntime::new(micro.battery_count());
             let cfg = PlannerConfig {
                 replan_period_s: f64::INFINITY,
                 candidates: 17,
                 ..PlannerConfig::default()
             };
-            let mut planner = Planner::oracle(cfg, Arc::new(trace.clone()));
+            let mut planner = Planner::oracle(cfg, Arc::clone(&trace));
             let oracle = run_planned(&mut micro, &mut rt, &trace, &mut planner);
             assert_eq!(planner.replans(), 1, "{}: single-shot plans once", s.name);
             assert!(

@@ -16,6 +16,9 @@
 //!   2-in-1 docked sessions (Figure 14), and charging sessions.
 //! * [`behavior`] — Markov-chain user simulation producing *varied*
 //!   multi-day usage, for exercising the learning components.
+//! * [`spec`] — [`WorkloadSpec`], the declarative trace family a device
+//!   runs, and the named workload catalog the CLI, the fleet, the campaign
+//!   and the policy corpus build traces from.
 
 //! # Example
 //!
@@ -31,8 +34,10 @@
 pub mod behavior;
 pub mod cpu;
 pub mod device;
+pub mod spec;
 pub mod traces;
 
 pub use cpu::{PowerLevel, Task, TaskOutcome, TurboCpu};
 pub use device::{Activity, DeviceClass, DevicePower};
+pub use spec::WorkloadSpec;
 pub use traces::{Trace, TracePoint};

@@ -28,54 +28,32 @@
 //! sdb --version                              print version, git hash, and rustc used
 //! ```
 
-use sdb::battery_model::{library, BatterySpec, Chemistry};
-use sdb::core::policy::{ChargeDirective, DischargeDirective, PreservePolicy};
+use sdb::core::policy::{ChargeDirective, DischargeDirective};
 use sdb::core::runtime::SdbRuntime;
 use sdb::core::scheduler::{drive, run_charge_session, run_trace, Hooks, SimOptions, SimResult};
-use sdb::emulator::{acpi, Microcontroller, PackBuilder, ProfileKind};
+use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
 use sdb::observe::{MetricsRegistry, Observer, TraceCollector};
-use sdb::policy::{HistoryForecaster, Planner, PlannerConfig};
+use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
 use sdb::trace as sdbtrace;
-use sdb::workloads::traces::{phone_day, tablet_session, watch_day, Trace};
-use sdb::workloads::Activity;
+use sdb::workloads::{Trace, WorkloadSpec};
 use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
 use std::ops::ControlFlow;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::Arc;
 
-const PACKS: &[(&str, &str)] = &[
-    (
-        "watch",
-        "200 mAh Li-ion + 200 mAh bendable strap (paper §5.2)",
-    ),
-    (
-        "tablet-hybrid",
-        "4 Ah high-energy + 4 Ah fast-charge (paper §5.1)",
-    ),
-    (
-        "two-in-one",
-        "2 × 4 Ah Li-ion, internal + keyboard (paper §5.3)",
-    ),
-    ("phone", "3 Ah high-energy + 1 Ah high-power"),
-];
+/// `--policy planned` on `sdb sim` and `sdb fleet`: an 8 h lookahead
+/// that re-plans every 30 minutes.
+const PLANNED: PolicySpec = PolicySpec::Planned {
+    horizon_s: 8.0 * 3600.0,
+    replan_s: 1800.0,
+};
 
-const TRACES: &[(&str, &str)] = &[
-    (
-        "watch-day",
-        "24 h watch day with an hour-9 GPS run (Figure 13)",
-    ),
-    ("watch-day-norun", "the same day without the run"),
-    (
-        "phone-day",
-        "24 h smartphone day (commute navigation, streaming)",
-    ),
-    (
-        "tablet-mixed",
-        "4 h tablet session mixing network and compute",
-    ),
-];
+/// Seed offset of `sdb sim`'s planner warm-up days (32 bits wide, where
+/// the fleet and the campaign use [`sdb::policy::WARMUP_SALT`]).
+const SIM_WARMUP_SALT: u64 = 0x9E37_79B9;
 
 /// Pipe-safe print: `println!` panics on `EPIPE`, but CLI output is
 /// routinely piped into `head`/`grep` — treat a closed pipe as a normal
@@ -92,76 +70,6 @@ fn emit(text: &str) {
         std::process::exit(1);
     }
     let _ = lock.flush();
-}
-
-fn build_pack(name: &str, soc: f64) -> Option<Microcontroller> {
-    let pack = match name {
-        "watch" => PackBuilder::new()
-            .battery_at(
-                library::watch_li_ion().spec().clone(),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                library::watch_bendable().spec().clone(),
-                soc,
-                ProfileKind::Gentle,
-            )
-            .build(),
-        "tablet-hybrid" => PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 4.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                BatterySpec::from_chemistry("fast-charge", Chemistry::Type3CoPower, 4.0),
-                soc,
-                ProfileKind::Fast,
-            )
-            .build(),
-        "two-in-one" => PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("internal", Chemistry::Type2CoStandard, 4.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                BatterySpec::from_chemistry("external", Chemistry::Type2CoStandard, 4.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .build(),
-        "phone" => PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 3.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                BatterySpec::from_chemistry("high-power", Chemistry::Type3CoPower, 1.0),
-                soc,
-                ProfileKind::Fast,
-            )
-            .build(),
-        _ => return None,
-    };
-    Some(pack)
-}
-
-fn build_trace(name: &str, seed: u64) -> Option<Trace> {
-    match name {
-        "watch-day" => Some(watch_day(seed, Some(9.0))),
-        "watch-day-norun" => Some(watch_day(seed, None)),
-        "phone-day" => Some(phone_day(seed)),
-        "tablet-mixed" => Some(tablet_session(
-            seed,
-            &[Activity::Network, Activity::Compute, Activity::Interactive],
-            300.0,
-            4.0 * 3600.0,
-        )),
-        _ => None,
-    }
 }
 
 /// Parses `sdb <cmd>`'s arguments into `--name value` pairs (a flag
@@ -335,18 +243,73 @@ fn engine_flag(flags: &HashMap<String, String>) -> fleet::EngineKind {
 /// Parses `--policy greedy|planned|oracle` for a default-population
 /// fleet: `None` (absent or `greedy`) keeps the cohorts' own policies.
 /// Shared by `sdb fleet` and `sdb profile`.
-fn fleet_policy_flag(flags: &HashMap<String, String>) -> Option<fleet::PolicySpec> {
+fn fleet_policy_flag(flags: &HashMap<String, String>) -> Option<PolicySpec> {
     match flags.get("policy").map(String::as_str) {
         None | Some("greedy") => None,
-        Some("planned") => Some(fleet::PolicySpec::Planned {
-            horizon_s: 8.0 * 3600.0,
-            replan_s: 1800.0,
-        }),
-        Some("oracle") => Some(fleet::PolicySpec::Oracle),
+        Some("planned") => Some(PLANNED),
+        Some("oracle") => Some(PolicySpec::Oracle),
         Some(other) => usage_error(&format!(
             "unknown fleet policy `{other}` (expected greedy, planned, or oracle)"
         )),
     }
+}
+
+/// The catalog pack `--pack` names (`default` when absent), every cell
+/// at `soc`. An unknown name is a usage error.
+fn pack_flag<'a>(
+    flags: &'a HashMap<String, String>,
+    default: &'a str,
+    soc: f64,
+) -> (&'a str, Microcontroller) {
+    let name = flags.get("pack").map_or(default, String::as_str);
+    match PackTemplate::named(name, soc) {
+        Some(template) => (name, template.instantiate()),
+        None => usage_error(&format!("unknown pack `{name}` (try `sdb packs`)")),
+    }
+}
+
+/// The catalog workload `--trace` names (`watch-day` when absent). An
+/// unknown name is a usage error.
+fn trace_flag(flags: &HashMap<String, String>) -> (&str, WorkloadSpec) {
+    let name = flags.get("trace").map_or("watch-day", String::as_str);
+    match WorkloadSpec::named(name) {
+        Some(workload) => (name, workload),
+        None => usage_error(&format!("unknown trace `{name}` (try `sdb traces`)")),
+    }
+}
+
+/// `sdb sim --policy`: a greedy policy by name (`rbl`, the default,
+/// `ccb`, `preserve`), a `blend:<v>` of the two, or a planner.
+fn sim_policy_flag(flags: &HashMap<String, String>) -> PolicySpec {
+    match flags.get("policy").map_or("rbl", String::as_str) {
+        "preserve" => PolicySpec::Preserve {
+            efficient: 0,
+            inefficient: 1,
+            threshold_w: 0.3,
+        },
+        "rbl" => PolicySpec::Blend(1.0),
+        "ccb" => PolicySpec::Blend(0.0),
+        "planned" => PLANNED,
+        "oracle" => PolicySpec::Oracle,
+        other => match other.strip_prefix("blend:").map(str::parse::<f64>) {
+            Some(Ok(v)) => match DischargeDirective::try_new(v) {
+                Ok(_) => PolicySpec::Blend(v),
+                Err(e) => usage_error(&format!("invalid --policy `{other}`: {e}")),
+            },
+            _ => usage_error(&format!("unknown policy `{other}`")),
+        },
+    }
+}
+
+/// Prints a catalog's `(name, description)` pairs, names padded to
+/// `width`.
+fn list(catalog: impl Iterator<Item = (&'static str, &'static str)>, width: usize) -> ExitCode {
+    let mut out = String::new();
+    for (name, about) in catalog {
+        let _ = writeln!(out, "  {name:<width$} {about}");
+    }
+    emit(&out);
+    ExitCode::SUCCESS
 }
 
 /// Derives the Chrome-export path from a JSONL trace path:
@@ -360,36 +323,25 @@ fn chrome_path(jsonl_path: &str) -> String {
 }
 
 fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
-    let pack_name = flags.get("pack").map(String::as_str).unwrap_or("watch");
     let seed: u64 = flag_or(flags, "seed", 13);
-    let Some(mut micro) = build_pack(pack_name, 1.0) else {
-        eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
-        return ExitCode::FAILURE;
-    };
-    let (trace, trace_name) = if let Some(path) = flags.get("trace-file") {
+    let (pack_name, mut micro) = pack_flag(flags, "watch", 1.0);
+    // A recorded CSV trace replays as a workload that ignores its seed.
+    let (workload, trace_name) = if let Some(path) = flags.get("trace-file") {
         match std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| Trace::from_csv(&text))
         {
-            Ok(t) => (t, path.clone()),
+            Ok(t) => (WorkloadSpec::Shared(Arc::new(t)), path.clone()),
             Err(e) => {
                 eprintln!("cannot load trace file `{path}`: {e}");
                 return ExitCode::FAILURE;
             }
         }
     } else {
-        let trace_name = flags
-            .get("trace")
-            .map(String::as_str)
-            .unwrap_or("watch-day");
-        match build_trace(trace_name, seed) {
-            Some(t) => (t, trace_name.to_owned()),
-            None => {
-                eprintln!("unknown trace `{trace_name}` (try `sdb traces`)");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (name, workload) = trace_flag(flags);
+        (workload, name.to_owned())
     };
+    let trace = workload.build(seed);
     let mut runtime = SdbRuntime::new(micro.battery_count());
     // With --events-out, attach an observer with a trace collector so the
     // run's event stream (device 0) can be dumped as JSONL afterwards.
@@ -401,66 +353,17 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
         runtime.set_observer(obs);
         shared
     });
-    let mut planner: Option<Planner> =
-        match flags.get("policy").map(String::as_str).unwrap_or("rbl") {
-            "preserve" => {
-                runtime.set_preserve(Some(PreservePolicy::new(0, 1, 0.3)));
-                None
-            }
-            "rbl" => {
-                runtime.set_discharge_directive(DischargeDirective::new(1.0));
-                None
-            }
-            "ccb" => {
-                runtime.set_discharge_directive(DischargeDirective::new(0.0));
-                None
-            }
-            "planned" => {
-                // Warm-start the forecaster from "previous days": the same
-                // named generator under derived seeds. A recorded CSV trace
-                // has no generator, so it serves as its own history.
-                let history: Vec<Trace> = if flags.contains_key("trace-file") {
-                    vec![trace.clone()]
-                } else {
-                    (1..=7u64)
-                        .map(|k| {
-                            build_trace(&trace_name, seed.wrapping_add(k.wrapping_mul(0x9E37_79B9)))
-                                .expect("trace name was validated above")
-                        })
-                        .collect()
-                };
-                let cfg = PlannerConfig {
-                    horizon_s: 8.0 * 3600.0,
-                    ..PlannerConfig::default()
-                };
-                Some(Planner::new(
-                    cfg,
-                    Box::new(HistoryForecaster::from_history(&history, 0.3)),
-                ))
-            }
-            "oracle" => Some(Planner::oracle(
-                PlannerConfig {
-                    candidates: 17,
-                    ..PlannerConfig::default()
-                },
-                std::sync::Arc::new(trace.clone()),
-            )),
-            other => {
-                if let Some(v) = other
-                    .strip_prefix("blend:")
-                    .and_then(|v| v.parse::<f64>().ok())
-                {
-                    let directive = DischargeDirective::try_new(v).unwrap_or_else(|e| {
-                        usage_error(&format!("invalid --policy `{other}`: {e}"))
-                    });
-                    runtime.set_discharge_directive(directive);
-                } else {
-                    eprintln!("unknown policy `{other}`");
-                    return ExitCode::FAILURE;
-                }
-                None
-            }
-        };
+    // The planner warms up on "previous days": the named generator under
+    // derived seeds. A recorded trace has no generator, so it serves as
+    // its own single day of history.
+    let days = if workload.reads_seed() {
+        WARMUP_DAYS
+    } else {
+        1
+    };
+    let history = warmup_seeds(seed, days, SIM_WARMUP_SALT).map(|d| workload.build(d));
+    // 60 s is the runtime's default re-evaluation period.
+    let mut planner = sim_policy_flag(flags).install(&mut runtime, 60.0, &trace, history);
     let opts = SimOptions::default();
     let hooks = Hooks {
         policy: planner.as_mut().map(|p| p as _),
@@ -539,10 +442,6 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
-    let pack_name = flags
-        .get("pack")
-        .map(String::as_str)
-        .unwrap_or("tablet-hybrid");
     let watts = flag_checked(
         flags,
         "watts",
@@ -556,10 +455,7 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
         80.0,
         in_range(0.0..=100.0, "a percentage in [0, 100]"),
     );
-    let Some(mut micro) = build_pack(pack_name, 0.0) else {
-        eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
-        return ExitCode::FAILURE;
-    };
+    let (pack_name, mut micro) = pack_flag(flags, "tablet-hybrid", 0.0);
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_charge_directive(directive);
     runtime.set_update_period(30.0);
@@ -596,17 +492,13 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
-    let pack_name = flags.get("pack").map(String::as_str).unwrap_or("phone");
     let soc = flag_checked(
         flags,
         "soc",
         0.8,
         in_range(0.0..=1.0, "a state of charge in [0, 1]"),
     );
-    let Some(micro) = build_pack(pack_name, soc) else {
-        eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
-        return ExitCode::FAILURE;
-    };
+    let (_, micro) = pack_flag(flags, "phone", soc);
     let mut out = String::from("QueryBatteryStatus():\n");
     for (i, s) in micro.query_battery_status().iter().enumerate() {
         let _ = writeln!(
@@ -1105,6 +997,29 @@ fn violations_exit(report: &sdb::campaign::CampaignReport) -> ExitCode {
 /// collapsed stacks valued by deterministic call counts.
 fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
     let scenario = flags.get("scenario").map(String::as_str).unwrap_or("fleet");
+    // The flags each scenario reads, beyond --scenario and the output
+    // flags every scenario shares.
+    let reads: &[&str] = match scenario {
+        "fleet" => &["devices", "threads", "seed", "hours", "policy", "engine"],
+        "sim" => &["pack", "trace", "seed"],
+        "campaign" => &["threads", "seed", "hours"],
+        "policy" => &["seed"],
+        other => {
+            eprintln!("unknown scenario `{other}` (expected fleet, sim, campaign, or policy)");
+            return ExitCode::FAILURE;
+        }
+    };
+    let shared = ["scenario", "format", "out", "metrics-out"];
+    if let Some(key) = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !shared.contains(k) && !reads.contains(k))
+        .min()
+    {
+        usage_error(&format!(
+            "--{key} does not apply to `sdb profile --scenario {scenario}`"
+        ));
+    }
     let devices: usize = flag_or(flags, "devices", 64);
     let threads: usize = flag_or(flags, "threads", host_threads());
     let seed: u64 = flag_or(flags, "seed", 42);
@@ -1138,19 +1053,9 @@ fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
             }
         }
         "sim" => {
-            let pack_name = flags.get("pack").map(String::as_str).unwrap_or("watch");
-            let Some(mut micro) = build_pack(pack_name, 1.0) else {
-                eprintln!("unknown pack `{pack_name}` (try `sdb packs`)");
-                return ExitCode::FAILURE;
-            };
-            let trace_name = flags
-                .get("trace")
-                .map(String::as_str)
-                .unwrap_or("watch-day");
-            let Some(trace) = build_trace(trace_name, seed) else {
-                eprintln!("unknown trace `{trace_name}` (try `sdb traces`)");
-                return ExitCode::FAILURE;
-            };
+            let (pack_name, mut micro) = pack_flag(flags, "watch", 1.0);
+            let (trace_name, workload) = trace_flag(flags);
+            let trace = workload.build(seed);
             let mut runtime = SdbRuntime::new(micro.battery_count());
             runtime.set_discharge_directive(DischargeDirective::new(1.0));
             let result = run_trace(&mut micro, &mut runtime, &trace, &SimOptions::default());
@@ -1193,10 +1098,7 @@ fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
                 h2h.planner_wins()
             );
         }
-        other => {
-            eprintln!("unknown scenario `{other}` (expected fleet, sim, campaign, or policy)");
-            return ExitCode::FAILURE;
-        }
+        _ => unreachable!("the scenario was matched above"),
     }
     // Scenario runners flush their own worker threads; this picks up
     // whatever the main thread recorded (e.g. the whole sim scenario).
@@ -1258,22 +1160,8 @@ fn main() -> ExitCode {
         return usage();
     };
     let run: fn(&HashMap<String, String>) -> ExitCode = match cmd {
-        "packs" => |_| {
-            let mut out = String::new();
-            for (name, desc) in PACKS {
-                let _ = writeln!(out, "  {name:<14} {desc}");
-            }
-            emit(&out);
-            ExitCode::SUCCESS
-        },
-        "traces" => |_| {
-            let mut out = String::new();
-            for (name, desc) in TRACES {
-                let _ = writeln!(out, "  {name:<16} {desc}");
-            }
-            emit(&out);
-            ExitCode::SUCCESS
-        },
+        "packs" => |_| list(PackTemplate::catalog(), 14),
+        "traces" => |_| list(WorkloadSpec::catalog(), 16),
         "sim" => cmd_sim,
         "charge" => cmd_charge,
         "status" => cmd_status,

@@ -1,7 +1,8 @@
 //! `sdb` flag handling: a value that does not parse or is out of range,
 //! an unknown fleet policy, a flag missing from the subcommand's usage
-//! line or a stray argument is a usage error that exits non-zero before
-//! any work starts, never a silent default.
+//! line, a `sdb profile` flag its scenario does not read or a stray
+//! argument is a usage error that exits non-zero before any work starts,
+//! never a silent default. Every listed pack and trace name runs.
 
 use std::process::{Command, Output};
 
@@ -162,4 +163,53 @@ fn version_prints_the_build_identity() {
             env!("SDB_RUSTC_VERSION")
         )
     );
+}
+
+#[test]
+fn profile_flags_the_scenario_does_not_read_are_errors_naming_them() {
+    for (args, flag) in [
+        (
+            &["--scenario", "campaign", "--pack", "nosuch"][..],
+            "--pack",
+        ),
+        (&["--scenario", "campaign", "--engine", "soa"], "--engine"),
+        (&["--scenario", "campaign", "--devices", "2"], "--devices"),
+        (&["--scenario", "policy", "--engine", "soa"], "--engine"),
+        (&["--scenario", "policy", "--threads", "4"], "--threads"),
+        (&["--scenario", "sim", "--policy", "oracle"], "--policy"),
+        (&["--scenario", "sim", "--hours", "2"], "--hours"),
+        (&["--trace", "phone-day"], "--trace"),
+    ] {
+        let args = [&["profile"][..], args].concat();
+        assert_usage_error(&args, &format!("{flag} does not apply to `sdb profile"));
+    }
+}
+
+/// Every pack `sdb packs` lists runs every trace `sdb traces` lists, so
+/// a listed name cannot drift out of the catalog.
+#[test]
+fn every_listed_pack_runs_every_listed_trace() {
+    let names = |cmd: &str| -> Vec<String> {
+        let out = sdb(&[cmd]);
+        assert_eq!(out.status.code(), Some(0), "sdb {cmd}");
+        String::from_utf8(out.stdout)
+            .expect("utf-8 listing")
+            .lines()
+            .filter_map(|line| line.split_whitespace().next().map(str::to_owned))
+            .collect()
+    };
+    let (packs, traces) = (names("packs"), names("traces"));
+    assert_eq!(packs.len(), 4, "{packs:?}");
+    assert_eq!(traces.len(), 4, "{traces:?}");
+    for pack in &packs {
+        for trace in &traces {
+            let out = sdb(&["sim", "--pack", pack, "--trace", trace]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{pack} x {trace}: {out:?}");
+            assert!(
+                stdout.starts_with(&format!("pack:          {pack}\n")),
+                "{stdout}"
+            );
+        }
+    }
 }
