@@ -5,20 +5,14 @@
 //! figures all                         # render everything
 //! figures fig11b                      # render one experiment
 //! figures csv fig11b                  # emit one experiment's data as CSV
-//! figures all --metrics-out m.prom    # also dump the metrics registry
 //! ```
-//!
-//! `--metrics-out <path>` installs a process-global observer before the
-//! experiments run and writes the accumulated registry afterwards
-//! (Prometheus text, or JSON when the path ends in `.json`).
 
 use sdb_bench::experiments::csv_export;
-use sdb_bench::output::{emit, take_metrics_flag, write_metrics};
+use sdb_bench::output::emit;
 use sdb_bench::{all_experiments, experiment};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_out = take_metrics_flag(&mut args);
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None => {
             let mut out =
@@ -58,8 +52,5 @@ fn main() {
                 std::process::exit(1);
             }
         },
-    }
-    if let Some(path) = metrics_out {
-        write_metrics(&path);
     }
 }

@@ -4,16 +4,18 @@
 //! ```text
 //! paper                            # print the full report
 //! paper out.txt                    # also write it to a file
-//! paper --metrics-out m.prom       # also dump the metrics registry
 //! ```
 
 use sdb_bench::all_experiments;
-use sdb_bench::output::{emit, take_metrics_flag, write_metrics};
+use sdb_bench::output::emit;
 use std::io::Write;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_out = take_metrics_flag(&mut args);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag `{flag}` (usage: paper [out.txt])");
+        std::process::exit(1);
+    }
     let mut report = String::new();
     report.push_str("# SDB reproduction — regenerated experiment data\n\n");
     for e in all_experiments() {
@@ -29,8 +31,5 @@ fn main() {
         let mut f = std::fs::File::create(path).expect("create output file");
         f.write_all(report.as_bytes()).expect("write report");
         eprintln!("wrote {path}");
-    }
-    if let Some(path) = metrics_out {
-        write_metrics(&path);
     }
 }

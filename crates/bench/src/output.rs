@@ -1,51 +1,10 @@
-//! Pipe-safe stdout emission and metrics export for the harness binaries.
+//! Pipe-safe stdout emission for the harness binaries.
 //!
 //! `println!` panics on `EPIPE`, so `figures all | head` would abort with
 //! a backtrace. CLI tools are routinely piped into `head`/`grep`; treat a
 //! closed pipe as a normal early exit instead.
 
 use std::io::{ErrorKind, Write};
-
-/// Extracts a `--metrics-out <path>` flag from `args`. When present, the
-/// flag and its value are removed, a process-global
-/// [`sdb_observe::Observer`] is installed so every microcontroller and
-/// runtime the experiments construct records into one shared registry, and
-/// the output path is returned — pass it to [`write_metrics`] after the
-/// run.
-pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
-    let idx = args.iter().position(|a| a == "--metrics-out")?;
-    if idx + 1 >= args.len() {
-        eprintln!("--metrics-out requires a path argument");
-        std::process::exit(1);
-    }
-    let path = args.remove(idx + 1);
-    args.remove(idx);
-    sdb_observe::install_global(sdb_observe::Observer::new());
-    Some(path)
-}
-
-/// Dumps the process-global metrics registry to `path`: JSON when the path
-/// ends in `.json`, Prometheus text exposition otherwise. No-op (with a
-/// warning) if no global observer is installed.
-pub fn write_metrics(path: &str) {
-    let observer = sdb_observe::global();
-    let Some(registry) = observer.registry() else {
-        eprintln!("--metrics-out: no global observer installed, nothing to write");
-        return;
-    };
-    let text = if path.ends_with(".json") {
-        registry.to_json()
-    } else {
-        registry.to_prometheus_text()
-    };
-    match std::fs::write(path, text) {
-        Ok(()) => eprintln!("wrote metrics to {path}"),
-        Err(e) => {
-            eprintln!("failed to write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
 
 /// Writes `text` to stdout; exits the process cleanly (status 0) if the
 /// reader closed the pipe.

@@ -56,3 +56,15 @@ fn paper_report_matches_golden_snapshot() {
          (SDB_REGEN_GOLDEN=1 to regenerate intentionally): {first_diff}"
     );
 }
+
+#[test]
+fn a_flag_is_an_error_not_an_output_path() {
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["--metrics-out", "m.prom"])
+        .output()
+        .expect("paper runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag `--metrics-out`"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}

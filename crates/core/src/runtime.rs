@@ -148,7 +148,7 @@ impl SdbRuntime {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one battery");
-        let mut rt = Self {
+        Self {
             n,
             charge_directive: ChargeDirective::new(0.5),
             discharge_directive: DischargeDirective::new(0.5),
@@ -163,14 +163,11 @@ impl SdbRuntime {
             resilience: None,
             scratch: PolicyScratch::new(),
             charge_evaluation: true,
-        };
-        rt.set_observer(sdb_observe::global());
-        rt
+        }
     }
 
     /// Installs the observability hook. Pass [`Observer::disabled`] to turn
-    /// instrumentation off again. New runtimes default to
-    /// [`sdb_observe::global`].
+    /// instrumentation off again. New runtimes start disabled.
     pub fn set_observer(&mut self, observer: Observer) {
         self.metrics = observer.registry().map(|reg| {
             let m = RuntimeMetrics {

@@ -319,7 +319,7 @@ impl Microcontroller {
             }
             cells.push(cell);
         }
-        let mut micro = Self {
+        Self {
             cells,
             gauges,
             profiles,
@@ -342,14 +342,12 @@ impl Microcontroller {
             metrics: None,
             scratch: StepScratch::with_capacity(n),
             gauge_sampling: true,
-        };
-        micro.set_observer(sdb_observe::global());
-        micro
+        }
     }
 
     /// Installs the observability hook on the firmware and every fuel
     /// gauge. Pass [`Observer::disabled`] to turn instrumentation off
-    /// again. New controllers default to [`sdb_observe::global`].
+    /// again. New controllers start disabled.
     pub fn set_observer(&mut self, observer: Observer) {
         self.metrics = observer.registry().map(|reg| MicroMetrics {
             steps: reg.counter("sdb_micro_steps_total", &[]),
@@ -1055,8 +1053,8 @@ impl Microcontroller {
         }
         drop(prof_xfer);
 
-        // Flush the events staged during phases 1–4 in one batch (one sink
-        // lock per step instead of one per slot), in stage order and with
+        // Flush the events staged during phases 1–4 in one batch (one
+        // capture lock per step instead of one per slot), in stage order and with
         // their original timestamps. This must happen before the gauges
         // sample: gauges emit recalibration events directly, and the trace
         // byte-order must match per-slot emission.
@@ -1239,7 +1237,8 @@ impl Microcontroller {
     /// Stages an event for the end-of-step batched flush, stamped with the
     /// observer's current clock (identical to what a direct `emit` would
     /// have stamped — the step clock is constant across phases 1–4).
-    /// Events are dropped when no sink is attached, exactly like `emit`.
+    /// Events are dropped when the observer does not capture, exactly like
+    /// `emit`.
     fn stage_event(observer: &Observer, staged: &mut Vec<(f64, ObsEvent)>, event: ObsEvent) {
         if observer.wants_events() {
             staged.push((observer.clock_s(), event));
@@ -1853,11 +1852,8 @@ mod tests {
 
     #[test]
     fn observer_records_ratio_pushes_and_step_samples() {
-        use sdb_observe::FlightRecorder;
         let mut m = two_battery_pack();
-        let obs = Observer::new();
-        let rec = FlightRecorder::shared(64);
-        obs.add_sink(Box::new(rec.clone()));
+        let obs = Observer::capturing();
         m.set_observer(obs.clone());
         m.set_discharge_ratios(&[0.5, 0.5]).unwrap();
         m.step(4.0, 0.0, 60.0);
@@ -1868,7 +1864,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("sdb_micro_step_ns_count 1"), "{text}");
-        let dump = rec.lock().unwrap().dump();
+        let dump = obs.drain_events();
         assert!(dump.iter().any(|e| matches!(
             e.event,
             ObsEvent::RatioPush {

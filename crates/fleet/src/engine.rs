@@ -10,17 +10,15 @@
 
 use crate::batch::{EngineKind, SoaScratch};
 use crate::report::FleetReport;
-use crate::sketches::FleetSketches;
 use crate::spec::FleetSpec;
 use sdb_core::metrics::{ccb, wear_ratios};
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::SoaCohort;
-use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
+use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName};
 use sdb_policy::{warmup_seeds, WARMUP_DAYS, WARMUP_SALT};
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The per-device result the merge aggregates. Everything here is a pure
@@ -65,11 +63,6 @@ pub struct FleetRunStats {
     /// The merged per-shard registries: counter totals, gauges, and the
     /// span latency histograms (including [`SpanName::FleetDevice`]).
     pub registry: MetricsRegistry,
-    /// Merged streaming quantile sketches over the per-device outcome
-    /// metrics. Deterministic (commutative merge), but kept out of the
-    /// report: the exact nearest-rank percentiles there are canonical and
-    /// the sketch is the O(1)-memory streaming view.
-    pub sketches: FleetSketches,
 }
 
 /// Builds and runs one device, recording into the shard's observer. With
@@ -163,7 +156,7 @@ pub struct RunOptions {
     /// thread count.
     pub engine: EngineKind,
     /// Capture the full device-tagged event stream. Every shard observer
-    /// gets a [`TraceCollector`] sink; each device's events are tagged
+    /// is [`Observer::capturing`]; each device's events are tagged
     /// `(device, seq)` and the returned stream concatenates them in
     /// device order, so the serialized trace is byte-identical for any
     /// thread count. Capture keeps every event in memory: budget roughly
@@ -205,14 +198,12 @@ pub fn run_fleet_with_engine(
     .map(|(r, s, _)| (r, s))
 }
 
-/// One worker's state: its observer (with the event collector, if
-/// capturing), its devices-done counter, its sketches, and its SoA lane
-/// arrays, reused across the shard's devices.
+/// One worker's state: its observer (capturing events, if asked), its
+/// devices-done counter, and its SoA lane arrays, reused across the
+/// shard's devices.
 struct Shard {
     obs: Observer,
-    collector: Option<Arc<Mutex<TraceCollector>>>,
     devices_done: Counter,
-    sketches: FleetSketches,
     soa_scratch: Option<SoaScratch>,
 }
 
@@ -220,7 +211,7 @@ struct Shard {
 /// a deterministic [`FleetReport`] plus wall-clock [`FleetRunStats`], and
 /// the captured event stream if [`RunOptions::capture_events`] is set.
 /// Every device outcome is a pure function of `(spec, device index)` and
-/// the shards' observers and sketches merge commutatively, so the report
+/// the shards' registries merge commutatively, so the report
 /// is bit-identical for any worker count, including 1.
 ///
 /// # Errors
@@ -252,28 +243,23 @@ pub fn run_fleet(
     let prof_run = sdb_prof::scope(sdb_prof::Phase::FleetRun);
 
     let new_shard = |_| {
-        let obs = Observer::new();
-        let collector = capture_events.then(|| {
-            let shared = TraceCollector::shared();
-            obs.add_sink(Box::new(shared.clone()));
-            shared
-        });
+        let obs = if capture_events {
+            Observer::capturing()
+        } else {
+            Observer::new()
+        };
         let devices_done = obs
             .registry()
             .expect("fresh observer has a registry")
             .counter("sdb_fleet_devices_total", &[]);
         Shard {
             obs,
-            collector,
             devices_done,
-            sketches: FleetSketches::new(),
             soa_scratch: (engine == EngineKind::Soa).then(|| SoaScratch::new(spec.cohorts.len())),
         }
     };
     let run_one = |shard: &mut Shard, i: usize| {
-        if let Some(c) = &shard.collector {
-            c.lock().expect("collector lock").set_device(i as u64);
-        }
+        shard.obs.set_device(i as u64);
         // The observer is shared across this shard's devices; reset the
         // sim clock so a device's pre-step events (t = 0 ratio pushes)
         // aren't stamped with the previous device's end time — which
@@ -296,26 +282,19 @@ pub fn run_fleet(
         let outcome = run_device(spec, i as u64, &shard.obs, soa);
         drop(prof_dev);
         drop(span);
-        shard.sketches.observe(&outcome);
         shard.devices_done.inc();
-        let events = shard
-            .collector
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.lock().expect("collector lock").drain());
-        Ok((outcome, events))
+        Ok((outcome, shard.obs.drain_events()))
     };
     let (shards, results) = sdb_prof::shard_map(threads, spec.devices, new_shard, run_one)?;
 
     // Deterministic merge: outcomes and each device's events come back in
-    // device order; sketches and registries merge commutatively.
+    // device order; registries merge commutatively.
     let prof_merge = sdb_prof::scope(sdb_prof::Phase::ReportMerge);
     let merged = MetricsRegistry::default();
-    let mut sketches = FleetSketches::new();
     for shard in shards {
         if let Some(reg) = shard.obs.registry() {
             merged.merge_from(reg);
         }
-        sketches.merge_from(&shard.sketches);
     }
     let (outcomes, device_events): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     let events = capture_events.then(|| device_events.into_iter().flatten().collect());
@@ -332,7 +311,6 @@ pub fn run_fleet(
         wall_s,
         devices_per_sec: spec.devices as f64 / wall_s.max(1e-9),
         registry: merged,
-        sketches,
     };
     Ok((report, stats, events))
 }
@@ -478,24 +456,6 @@ mod tests {
         // Without capture, no events and no collector overhead.
         let (_, _, none) = run_fleet(&spec, &RunOptions::new(2)).unwrap();
         assert!(none.is_none());
-    }
-
-    #[test]
-    fn stats_sketches_track_the_exact_report_percentiles() {
-        let spec = tiny_spec(40);
-        let (report, stats, _) = run_fleet(&spec, &RunOptions::new(3)).unwrap();
-        assert_eq!(stats.sketches.count(), 40);
-        for d in stats.sketches.deltas(&report) {
-            assert!(
-                d.rel_err <= crate::sketches::FLEET_SKETCH_ALPHA,
-                "{} q{}: exact {} sketch {} rel_err {}",
-                d.metric,
-                d.quantile,
-                d.exact,
-                d.sketch,
-                d.rel_err
-            );
-        }
     }
 
     #[test]

@@ -18,12 +18,9 @@
 //!   percentiles, brownout rate, loss and wear distributions, per-cohort
 //!   breakdowns, merged counter totals) that is **bit-identical for any
 //!   thread count**.
-//! * [`sketches`] — streaming log-bucket quantile sketches carried per
-//!   shard and merged commutatively after join: O(1)-memory fleet
-//!   percentiles, cross-checked against the exact nearest-rank numbers in
-//!   the report. The engine can also capture the full device-tagged event
-//!   stream ([`RunOptions::capture_events`]) for serialization by
-//!   `sdb-trace`.
+//!
+//! The engine can also capture the full device-tagged event stream
+//! ([`RunOptions::capture_events`]) for serialization by `sdb-trace`.
 //!
 //! Determinism contract: `FleetReport` (and its JSON rendering) is a pure
 //! function of `(FleetSpec, master seed)`. Wall-clock facts — thread
@@ -47,13 +44,9 @@
 pub mod batch;
 pub mod engine;
 pub mod report;
-pub mod sketches;
 pub mod spec;
 
 pub use batch::EngineKind;
 pub use engine::{run_fleet, run_fleet_with_engine, DeviceOutcome, FleetRunStats, RunOptions};
 pub use report::{CohortReport, DistSummary, FleetReport};
-pub use sketches::{
-    render_deltas_json, render_deltas_text, FleetSketches, SketchDelta, FLEET_SKETCH_ALPHA,
-};
 pub use spec::{BatterySlot, CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};

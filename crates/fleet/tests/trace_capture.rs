@@ -9,7 +9,7 @@ use sdb_battery_model::spec::BatterySpec;
 use sdb_core::scheduler::SimOptions;
 use sdb_emulator::profile::ProfileKind;
 use sdb_fleet::spec::{CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
-use sdb_fleet::{run_fleet, RunOptions, FLEET_SKETCH_ALPHA};
+use sdb_fleet::{run_fleet, RunOptions};
 use sdb_trace::{analyze, analyze_jsonl, default_rules, to_chrome, to_jsonl};
 use sdb_workloads::traces::Trace;
 use std::sync::Arc;
@@ -130,22 +130,4 @@ fn rule_engine_flags_a_failing_population() {
     );
     // All five default rules saw signal traffic worth evaluating.
     assert!(analysis.rules.rules_evaluated() >= 3);
-}
-
-#[test]
-fn sketch_percentiles_match_exact_report_percentiles() {
-    let spec = population(64);
-    let (report, stats, _) = run_fleet(&spec, &RunOptions::new(4)).unwrap();
-    assert_eq!(stats.sketches.count(), 64);
-    for d in stats.sketches.deltas(&report) {
-        assert!(
-            d.rel_err <= FLEET_SKETCH_ALPHA,
-            "{} q{} out of bound: exact {} sketch {} rel_err {}",
-            d.metric,
-            d.quantile,
-            d.exact,
-            d.sketch,
-            d.rel_err
-        );
-    }
 }

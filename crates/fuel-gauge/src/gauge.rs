@@ -589,9 +589,7 @@ mod tests {
 
     #[test]
     fn recalibration_emits_event_and_counts() {
-        let obs = Observer::new();
-        let rec = sdb_observe::FlightRecorder::shared(16);
-        obs.add_sink(Box::new(rec.clone()));
+        let obs = Observer::capturing();
         let spec = spec();
         let mut gauge = FuelGauge::new(spec.clone(), 0.9, ideal_config());
         gauge.set_observer(obs.clone(), 3);
@@ -602,7 +600,7 @@ mod tests {
         for _ in 0..40 {
             gauge.sample(ocv, 0.0, 60.0);
         }
-        let dump = rec.lock().unwrap().dump();
+        let dump = obs.drain_events();
         let recal = dump
             .iter()
             .find(|e| matches!(e.event, ObsEvent::GaugeRecalibration { battery: 3, .. }))

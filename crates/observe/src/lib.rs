@@ -7,34 +7,31 @@
 //!
 //! * [`metrics`] — a zero-dependency registry of counters, gauges, and
 //!   log-scale-bucket histograms, with Prometheus-text and JSON exporters.
-//! * [`events`] — the structured event bus: the [`ObsEvent`] vocabulary
-//!   (ratio pushes, profile transitions, thermal throttling, gauge
+//! * [`events`] — the structured event vocabulary, [`ObsEvent`] (ratio
+//!   pushes, profile transitions, thermal throttling, gauge
 //!   recalibrations, policy evaluations, fault injections, safety clamps),
-//!   pluggable [`EventSink`]s, and the bounded [`FlightRecorder`] ring
-//!   buffer.
+//!   and the device-tagged capture a capturing observer keeps.
 //! * [`span`] — drop-guard span timing for the hot paths, feeding latency
 //!   histograms.
 //!
 //! Everything hangs off an [`Observer`] handle. The default observer is
 //! **disabled**: every emit/record call is a branch on a `None` and no
-//! event is ever constructed, so instrumented code is zero-cost until a
-//! sink or registry is attached.
+//! event is ever constructed, so instrumented code is zero-cost until an
+//! observer is set. An enabled observer records metrics; a
+//! [`Observer::capturing`] one also keeps every emitted event.
 //!
 //! # Example
 //!
 //! ```
-//! use sdb_observe::{FlightRecorder, ObsEvent, Observer};
+//! use sdb_observe::{ObsEvent, Observer};
 //!
-//! let obs = Observer::new();
-//! let recorder = FlightRecorder::shared(256);
-//! obs.add_sink(Box::new(recorder.clone()));
-//!
+//! let obs = Observer::capturing();
 //! obs.set_clock(42.0);
 //! obs.emit(ObsEvent::BatteryPresence { battery: 0, present: false });
 //!
-//! let dump = recorder.lock().unwrap().dump();
-//! assert_eq!(dump.len(), 1);
-//! assert_eq!(dump[0].t_s, 42.0);
+//! let events = obs.drain_events();
+//! assert_eq!(events.len(), 1);
+//! assert_eq!(events[0].t_s, 42.0);
 //! println!("{}", obs.registry().unwrap().to_prometheus_text());
 //! ```
 
@@ -43,22 +40,20 @@ pub mod metrics;
 pub mod sketch;
 pub mod span;
 
-pub use events::{
-    DeviceEvent, EventSink, FlightRecorder, Flow, ObsEvent, TimedEvent, TraceCollector,
-};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use events::TraceCollector;
+pub use events::{DeviceEvent, Flow, ObsEvent};
+pub use metrics::{json_escape, Counter, Gauge, Histogram, MetricsRegistry};
 pub use sketch::QuantileSketch;
 pub use span::{SpanGuard, SpanName, SAMPLE_EVERY};
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct Shared {
     /// Current simulation time, `f64` bits (stamped onto emitted events).
     clock_bits: AtomicU64,
-    /// Cached sink count so `wants_events` never takes the lock.
-    sink_count: AtomicUsize,
-    sinks: Mutex<Vec<Box<dyn EventSink>>>,
+    /// The event capture of a [`Observer::capturing`] observer.
+    events: Option<Mutex<TraceCollector>>,
     registry: MetricsRegistry,
     /// Pre-registered latency histograms, indexed by [`SpanName::index`].
     spans: [Histogram; SpanName::ALL.len()],
@@ -68,11 +63,11 @@ struct Shared {
 
 /// The handle instrumented code holds: either disabled (the default — all
 /// operations are no-ops costing one branch) or attached to a shared
-/// registry + sink set.
+/// registry and, when capturing, an event capture.
 ///
 /// Clones share the same underlying state, so one observer can be threaded
 /// through every layer (microcontroller, gauges, runtime, scheduler) and
-/// all of them land in the same flight recorder and registry.
+/// all of them land in the same capture and registry.
 #[derive(Clone, Default)]
 pub struct Observer {
     shared: Option<Arc<Shared>>,
@@ -84,8 +79,8 @@ impl std::fmt::Debug for Observer {
             None => f.write_str("Observer(disabled)"),
             Some(s) => write!(
                 f,
-                "Observer(enabled, {} sinks, {} metrics)",
-                s.sink_count.load(Ordering::Relaxed),
+                "Observer(enabled, capturing: {}, {} metrics)",
+                s.events.is_some(),
                 s.registry.len()
             ),
         }
@@ -99,21 +94,34 @@ impl Observer {
         Self::default()
     }
 
-    /// An enabled observer with a fresh registry and no sinks.
+    /// An enabled observer with a fresh registry that captures no events.
     #[must_use]
     pub fn new() -> Self {
         Self::with_registry(MetricsRegistry::new())
     }
 
-    /// An enabled observer recording metrics into `registry`.
+    /// An enabled observer recording metrics into `registry` that
+    /// captures no events.
     #[must_use]
     pub fn with_registry(registry: MetricsRegistry) -> Self {
+        Self::enabled_with(registry, None)
+    }
+
+    /// An enabled observer with a fresh registry that also captures every
+    /// emitted event, tagged with the device set by
+    /// [`Observer::set_device`] (0 until set). Capture is unbounded: take
+    /// the events with [`Observer::drain_events`].
+    #[must_use]
+    pub fn capturing() -> Self {
+        Self::enabled_with(MetricsRegistry::new(), Some(Mutex::default()))
+    }
+
+    fn enabled_with(registry: MetricsRegistry, events: Option<Mutex<TraceCollector>>) -> Self {
         let spans = SpanName::ALL.map(|s| registry.histogram(s.metric_name(), &[]));
         Self {
             shared: Some(Arc::new(Shared {
                 clock_bits: AtomicU64::new(0.0_f64.to_bits()),
-                sink_count: AtomicUsize::new(0),
-                sinks: Mutex::new(Vec::new()),
+                events,
                 registry,
                 spans,
                 span_calls: SpanName::ALL.map(|_| AtomicU64::new(0)),
@@ -127,26 +135,43 @@ impl Observer {
         self.shared.is_some()
     }
 
-    /// Whether at least one event sink is attached. Code constructing
-    /// expensive events (per-step samples with per-battery vectors) should
-    /// gate on this; cheap events can just call [`Observer::emit`].
+    /// Whether this observer captures events. Code constructing expensive
+    /// events (per-step samples with per-battery vectors) should gate on
+    /// this; cheap events can just call [`Observer::emit`].
     #[must_use]
     pub fn wants_events(&self) -> bool {
-        self.shared
-            .as_ref()
-            .is_some_and(|s| s.sink_count.load(Ordering::Relaxed) > 0)
+        self.capture().is_some()
     }
 
-    /// Attaches an event sink. No-op on a disabled observer.
+    fn capture(&self) -> Option<&Mutex<TraceCollector>> {
+        self.shared.as_ref()?.events.as_ref()
+    }
+
+    /// Tags subsequently captured events as `device`'s and restarts its
+    /// per-device sequence. No-op unless capturing.
     ///
     /// # Panics
     ///
-    /// Panics if the sink lock is poisoned.
-    pub fn add_sink(&self, sink: Box<dyn EventSink>) {
-        if let Some(s) = &self.shared {
-            s.sinks.lock().expect("observer sinks poisoned").push(sink);
-            s.sink_count.fetch_add(1, Ordering::Relaxed);
+    /// Panics if the capture lock is poisoned.
+    pub fn set_device(&self, device: u64) {
+        if let Some(c) = self.capture() {
+            c.lock()
+                .expect("observer capture poisoned")
+                .set_device(device);
         }
+    }
+
+    /// Removes and returns every event captured so far, in emission order
+    /// (empty unless capturing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capture lock is poisoned.
+    #[must_use]
+    pub fn drain_events(&self) -> Vec<DeviceEvent> {
+        self.capture().map_or_else(Vec::new, |c| {
+            c.lock().expect("observer capture poisoned").drain()
+        })
     }
 
     /// Updates the simulation clock used to stamp emitted events. The
@@ -176,20 +201,16 @@ impl Observer {
     ///
     /// # Panics
     ///
-    /// Panics if the sink lock is poisoned.
+    /// Panics if the capture lock is poisoned.
     pub fn emit_at(&self, t_s: f64, event: ObsEvent) {
-        if let Some(s) = &self.shared {
-            if s.sink_count.load(Ordering::Relaxed) == 0 {
-                return;
-            }
-            let mut sinks = s.sinks.lock().expect("observer sinks poisoned");
-            for sink in sinks.iter_mut() {
-                sink.record(t_s, &event);
-            }
+        if let Some(c) = self.capture() {
+            c.lock()
+                .expect("observer capture poisoned")
+                .record(t_s, event);
         }
     }
 
-    /// Emits a batch of pre-stamped events under a single sink lock,
+    /// Emits a batch of pre-stamped events under a single capture lock,
     /// draining `events` (the vector is cleared but keeps its capacity, so
     /// a caller-owned staging buffer never reallocates at steady state).
     ///
@@ -199,16 +220,12 @@ impl Observer {
     ///
     /// # Panics
     ///
-    /// Panics if the sink lock is poisoned.
+    /// Panics if the capture lock is poisoned.
     pub fn emit_staged(&self, events: &mut Vec<(f64, ObsEvent)>) {
-        if let Some(s) = &self.shared {
-            if s.sink_count.load(Ordering::Relaxed) > 0 {
-                let mut sinks = s.sinks.lock().expect("observer sinks poisoned");
-                for (t_s, event) in events.iter() {
-                    for sink in sinks.iter_mut() {
-                        sink.record(*t_s, event);
-                    }
-                }
+        if let Some(c) = self.capture() {
+            let mut c = c.lock().expect("observer capture poisoned");
+            for (t_s, event) in events.drain(..) {
+                c.record(t_s, event);
             }
         }
         events.clear();
@@ -239,24 +256,6 @@ impl Observer {
     }
 }
 
-static GLOBAL: OnceLock<Observer> = OnceLock::new();
-
-/// Installs the process-global observer. Objects created afterwards
-/// (microcontrollers, runtimes) default to it, so a binary can turn on
-/// observability for everything it constructs with one call. Returns
-/// `false` if a global observer was already installed (the original
-/// stays).
-pub fn install_global(observer: Observer) -> bool {
-    GLOBAL.set(observer).is_ok()
-}
-
-/// The process-global observer: the installed one, or the disabled
-/// default. Cloning is cheap (an `Option<Arc>` clone).
-#[must_use]
-pub fn global() -> Observer {
-    GLOBAL.get().cloned().unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,26 +273,45 @@ mod tests {
         obs.emit(ObsEvent::FaultInjection {
             description: "x".into(),
         });
+        obs.set_device(3);
+        assert!(obs.drain_events().is_empty());
     }
 
     #[test]
-    fn events_fan_out_to_all_sinks() {
-        let obs = Observer::new();
+    fn capturing_observer_stamps_clock_and_device() {
+        let metrics_only = Observer::new();
+        assert!(metrics_only.enabled());
+        assert!(!metrics_only.wants_events());
+        metrics_only.emit(ObsEvent::BatteryPresence {
+            battery: 0,
+            present: true,
+        });
+        assert!(metrics_only.drain_events().is_empty());
+
+        let obs = Observer::capturing();
         assert!(obs.enabled());
-        assert!(!obs.wants_events());
-        let a = FlightRecorder::shared(8);
-        let b = FlightRecorder::shared(8);
-        obs.add_sink(Box::new(a.clone()));
-        obs.add_sink(Box::new(b.clone()));
         assert!(obs.wants_events());
         obs.set_clock(5.0);
         obs.emit(ObsEvent::BatteryPresence {
             battery: 0,
             present: true,
         });
-        assert_eq!(a.lock().unwrap().len(), 1);
-        assert_eq!(b.lock().unwrap().len(), 1);
-        assert_eq!(a.lock().unwrap().dump()[0].t_s, 5.0);
+        obs.set_device(7);
+        obs.emit(ObsEvent::BatteryPresence {
+            battery: 1,
+            present: false,
+        });
+        let events = obs.drain_events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            (events[0].device, events[0].seq, events[0].t_s),
+            (0, 0, 5.0)
+        );
+        assert_eq!(
+            (events[1].device, events[1].seq, events[1].t_s),
+            (7, 0, 5.0)
+        );
+        assert!(obs.drain_events().is_empty(), "drain empties the capture");
     }
 
     #[test]
@@ -321,24 +339,20 @@ mod tests {
 
     #[test]
     fn clones_share_state() {
-        let obs = Observer::new();
+        let obs = Observer::capturing();
         let clone = obs.clone();
-        let rec = FlightRecorder::shared(8);
-        clone.add_sink(Box::new(rec.clone()));
         obs.set_clock(2.0);
         obs.emit(ObsEvent::BatteryPresence {
             battery: 1,
             present: false,
         });
-        assert_eq!(rec.lock().unwrap().len(), 1);
+        assert_eq!(clone.drain_events().len(), 1);
         assert_eq!(clone.clock_s(), 2.0);
     }
 
     #[test]
     fn emit_at_overrides_clock() {
-        let obs = Observer::new();
-        let rec = FlightRecorder::shared(8);
-        obs.add_sink(Box::new(rec.clone()));
+        let obs = Observer::capturing();
         obs.set_clock(100.0);
         obs.emit_at(
             7.5,
@@ -347,14 +361,12 @@ mod tests {
                 present: true,
             },
         );
-        assert_eq!(rec.lock().unwrap().dump()[0].t_s, 7.5);
+        assert_eq!(obs.drain_events()[0].t_s, 7.5);
     }
 
     #[test]
     fn emit_staged_preserves_order_and_timestamps() {
-        let obs = Observer::new();
-        let rec = FlightRecorder::shared(8);
-        obs.add_sink(Box::new(rec.clone()));
+        let obs = Observer::capturing();
         let mut staged = vec![
             (
                 1.0,
@@ -375,8 +387,9 @@ mod tests {
         obs.emit_staged(&mut staged);
         assert!(staged.is_empty());
         assert_eq!(staged.capacity(), cap);
-        let dump = rec.lock().unwrap().dump();
+        let dump = obs.drain_events();
         assert_eq!(dump.len(), 2);
+        assert_eq!((dump[0].seq, dump[1].seq), (0, 1));
         assert_eq!(dump[0].t_s, 1.0);
         assert!(matches!(
             dump[0].event,
@@ -396,13 +409,5 @@ mod tests {
         )];
         Observer::disabled().emit_staged(&mut staged);
         assert!(staged.is_empty());
-    }
-
-    #[test]
-    fn global_defaults_to_disabled() {
-        // Note: other tests in this process must not install a global,
-        // so this asserts only the unset behavior contractually.
-        let g = global();
-        let _ = g.enabled();
     }
 }

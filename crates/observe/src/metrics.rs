@@ -429,12 +429,12 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"name\":{},\"labels\":{{", json_str(&m.name));
+            let _ = write!(out, "{{\"name\":\"{}\",\"labels\":{{", json_escape(&m.name));
             for (j, (k, v)) in m.labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}:{}", json_str(k), json_str(v));
+                let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
             }
             out.push_str("},");
             match &m.value {
@@ -501,9 +501,14 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\`, and
+/// every control character below U+0020 (`\n`, `\r` and `\t` by name,
+/// the rest as `\u00XX`), so the output is always valid JSON. The one
+/// JSON string escaper of the metrics export, the trace writer and the
+/// phase-profile JSON.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -517,7 +522,6 @@ fn json_str(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 
@@ -658,6 +662,16 @@ mod tests {
             .find(|l| l.starts_with("esc_total"))
             .expect("metric rendered");
         assert!(line.ends_with(" 1"));
+    }
+
+    #[test]
+    fn json_escape_handles_quotes_backslashes_and_control_chars() {
+        assert_eq!(json_escape("plain é"), "plain é");
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(
+            json_escape("n\nr\rt\tnul\u{0}us\u{1f}"),
+            r"n\nr\rt\tnul\u0000us\u001f"
+        );
     }
 
     #[test]

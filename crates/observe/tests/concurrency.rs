@@ -1,10 +1,11 @@
-//! Concurrency contracts of the metrics layer and the quantile sketch:
-//! recording from many threads loses nothing, shard-registry merges are
-//! exact, and sketch merging is order-invariant — the properties the
-//! fleet engine's determinism guarantees rest on.
+//! Concurrency contracts of the metrics layer, the event capture and the
+//! quantile sketch: recording from many threads loses nothing,
+//! shard-registry merges are exact, and sketch merging is
+//! order-invariant — the properties the fleet engine's determinism
+//! guarantees rest on.
 
 use sdb_observe::metrics::{Histogram, MetricsRegistry};
-use sdb_observe::{EventSink, FlightRecorder, Flow, ObsEvent, QuantileSketch};
+use sdb_observe::{Flow, ObsEvent, Observer, QuantileSketch};
 
 const THREADS: u64 = 8;
 const PER_THREAD: u64 = 5_000;
@@ -81,44 +82,40 @@ fn merged_shard_registries_account_for_every_observation() {
 }
 
 #[test]
-fn flight_recorder_overflow_accounting_is_exact_under_concurrent_writers() {
-    // Many writers hammering one shared ring: `sdb_dropped_events_total`
-    // must equal exactly total events minus capacity — every overwrite
-    // counted once, none double-counted, none lost — and must agree with
-    // the recorder's own `overwritten()` bookkeeping.
-    let capacity = 64;
-    let registry = MetricsRegistry::new();
-    let shared = FlightRecorder::shared_with_registry(capacity, &registry);
+fn capturing_observer_keeps_every_event_under_concurrent_emitters() {
+    // Many threads emitting through clones of one capturing observer:
+    // every event lands exactly once, with dense sequence numbers, and
+    // each thread's events keep their emission order.
+    let obs = Observer::capturing();
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let shared = std::sync::Arc::clone(&shared);
+            let obs = obs.clone();
             s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let event = ObsEvent::RatioPush {
                         flow: Flow::Discharge,
                         ratios: vec![t as f64, i as f64],
                     };
-                    shared.lock().unwrap().record(i as f64, &event);
+                    obs.emit_at(i as f64, event);
                 }
             });
         }
     });
-    let total = THREADS * PER_THREAD;
-    let recorder = shared.lock().unwrap();
-    assert_eq!(recorder.total_recorded(), total);
-    assert_eq!(recorder.len(), capacity);
-    assert_eq!(recorder.overwritten(), total - capacity as u64);
-    let dropped = registry
-        .counter_totals()
-        .into_iter()
-        .find(|(name, _)| name == "sdb_dropped_events_total")
-        .expect("drop counter registered")
-        .1;
-    assert_eq!(
-        dropped,
-        total - capacity as u64,
-        "dropped-events counter must equal the exact overflow count"
-    );
+    let events = obs.drain_events();
+    assert_eq!(events.len() as u64, THREADS * PER_THREAD);
+    assert!(events.iter().enumerate().all(|(k, e)| e.seq == k as u64));
+    let mut next = vec![0u64; THREADS as usize];
+    for e in &events {
+        let ObsEvent::RatioPush { ratios, .. } = &e.event else {
+            panic!("unexpected event {:?}", e.event);
+        };
+        let (t, i) = (ratios[0] as usize, ratios[1] as u64);
+        assert_eq!(i, next[t], "thread {t} out of order");
+        assert_eq!(e.t_s, i as f64);
+        next[t] += 1;
+    }
+    assert!(next.iter().all(|&n| n == PER_THREAD));
+    assert!(obs.drain_events().is_empty());
 }
 
 #[test]

@@ -7,7 +7,7 @@ use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, run_trace, Hooks, SimOptions, SimResult};
 use sdb_core::LookaheadPolicy;
 use sdb_emulator::{Microcontroller, PackBuilder, ProfileKind};
-use sdb_observe::{ObsEvent, Observer, TraceCollector};
+use sdb_observe::{ObsEvent, Observer};
 use sdb_policy::{corpus, HistoryForecaster, Planner, PlannerConfig};
 use sdb_testkit::{check, Gen};
 use sdb_workloads::Trace;
@@ -96,10 +96,8 @@ fn planner_directives_stay_within_valid_ratio_bounds() {
         let day = arb_trace(g);
         let mut micro = hybrid_pack(g.f64_range(0.4, 1.0));
         let mut rt = SdbRuntime::new(micro.battery_count());
-        let obs = Observer::new();
-        let shared = TraceCollector::shared();
-        obs.add_sink(Box::new(shared.clone()));
-        rt.set_observer(obs);
+        let obs = Observer::capturing();
+        rt.set_observer(obs.clone());
         let cfg = PlannerConfig {
             horizon_s: 2.0 * 3600.0,
             replan_period_s: 900.0,
@@ -108,7 +106,7 @@ fn planner_directives_stay_within_valid_ratio_bounds() {
         };
         let mut planner = Planner::new(cfg, Box::new(HistoryForecaster::from_history([&day], 0.3)));
         let _ = run_planned(&mut micro, &mut rt, &day, &mut planner);
-        let events = shared.lock().expect("collector lock").drain();
+        let events = obs.drain_events();
         let committed: Vec<f64> = events
             .iter()
             .filter_map(|e| match e.event {

@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use crate::phase::{Phase, PHASE_COUNT};
 use crate::table::{Slot, Table, NONE};
 use crate::SAMPLE_EVERY;
+use sdb_observe::json_escape;
 
 /// One node of an extracted phase tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,7 +204,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"cohort\":\"{}\",\"phases\":[", escape(name));
+            let _ = write!(out, "{{\"cohort\":\"{}\",\"phases\":[", json_escape(name));
             json_forest_counts(forest, &mut out);
             out.push_str("]}");
         }
@@ -316,21 +317,6 @@ fn flame_rec(nodes: &[PhaseNode], stack: &mut Vec<&'static str>, out: &mut Strin
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +407,14 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        let t = Table::with_capacity();
+        let mut per_cohort = BTreeMap::new();
+        per_cohort.insert(0u16, t.clone());
+        let snap = snapshot_from(&t, &per_cohort, &BTreeMap::new(), &["a\"b\\c\n".to_owned()]);
+        let json = snap.to_json();
+        assert!(
+            json.contains(r#"{"cohort":"a\"b\\c\n","phases":[]}"#),
+            "{json}"
+        );
     }
 }

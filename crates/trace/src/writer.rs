@@ -10,7 +10,7 @@
 //! one process track per device (SoC/load counters plus instant events).
 
 use crate::json::{self, Value};
-use sdb_observe::{DeviceEvent, Flow, ObsEvent};
+use sdb_observe::{json_escape as esc, DeviceEvent, Flow, ObsEvent};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -63,27 +63,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         "-1e999".to_owned()
     }
-}
-
-/// Escapes `s` for the inside of a JSON string literal: `"` and `\`,
-/// and every control character below U+0020, so the output is always
-/// valid JSON.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn f64_list(out: &mut String, key: &str, values: &[f64]) {

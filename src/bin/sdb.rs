@@ -3,16 +3,15 @@
 //! ```text
 //! sdb packs                                  list built-in packs
 //! sdb traces                                 list built-in traces
-//! sdb sim    --pack watch --trace watch-day [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--events-out <jsonl>]
+//! sdb sim    --pack watch --trace watch-day [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-out <jsonl>]
 //! sdb sim    --pack phone --trace-file captured.csv   (CSV: dur_s,load_w[,external_w])
 //! sdb charge --pack tablet-hybrid --watts 45 [--directive <0..1>] [--target <pct>]
 //! sdb status --pack phone [--soc <0..1>]     show QueryBatteryStatus + ACPI view
 //! sdb fleet  --devices 10000 --threads 8 --seed 42 [--hours H] [--policy greedy|planned|oracle] [--engine scalar|soa]
-//!            [--json] [--metrics-out <path>] [--events-out <jsonl>] [--trace-out <jsonl>]
-//!            (trace-out also writes a Perfetto-loadable .chrome.json; --engine soa fast-forwards quiescent devices)
-//! sdb policy [--seed N] [--json] [--out <path>] [--metrics-out <path>]  greedy vs planner vs oracle head-to-head over the scenario corpus
-//! sdb analyze --trace <jsonl> [--json]       replay a recorded trace through the health rules
-//! sdb analyze --devices 200 --seed 42 [--hours H] [--threads N] [--json]   run a fleet inline and analyze it
+//!            [--json] [--metrics-out <path>] [--trace-out <jsonl>]
+//!            (--trace-out also writes a Perfetto-loadable .chrome.json; --engine soa fast-forwards quiescent devices)
+//! sdb policy [--seed N] [--json] [--out <path>]  greedy vs planner vs oracle head-to-head over the scenario corpus
+//! sdb analyze --trace <jsonl> [--json] [--max-findings N]   replay a recorded trace through the health rules
 //! sdb profile [--scenario fleet|sim|campaign|policy] [--devices N] [--threads N] [--seed N] [--hours H] [--policy ...]
 //!            [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
 //!            run a scenario under the phase profiler and print the hierarchical phase tree
@@ -33,7 +32,7 @@ use sdb::core::runtime::SdbRuntime;
 use sdb::core::scheduler::{drive, run_charge_session, run_trace, Hooks, SimOptions, SimResult};
 use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
-use sdb::observe::{MetricsRegistry, Observer, TraceCollector};
+use sdb::observe::{DeviceEvent, MetricsRegistry, Observer};
 use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
 use sdb::trace as sdbtrace;
 use sdb::workloads::{Trace, WorkloadSpec};
@@ -121,13 +120,12 @@ fn accepted_flags(cmd: &str) -> impl Iterator<Item = &'static str> + '_ {
 const USAGE: &str = "\
 usage:
   sdb packs | traces
-  sdb sim --pack <name> --trace <name> [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-file <csv>] [--events-out <jsonl>]
+  sdb sim --pack <name> --trace <name> [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-file <csv>] [--trace-out <jsonl>]
   sdb charge --pack <name> --watts <W> [--directive <0..1>] [--target <pct>]
   sdb status --pack <name> [--soc <0..1>]
-  sdb fleet --devices <N> [--threads <N>] [--seed <N>] [--hours <H>] [--policy greedy|planned|oracle] [--engine scalar|soa] [--json] [--out <path>] [--metrics-out <path>] [--events-out <jsonl>] [--trace-out <jsonl>]
-  sdb policy [--seed <N>] [--json] [--out <path>] [--metrics-out <path>]
-  sdb analyze --trace <jsonl> [--json] [--max-findings <N>] [--metrics-out <path>]
-  sdb analyze --devices <N> [--seed <N>] [--hours <H>] [--threads <N>] [--json] [--metrics-out <path>]
+  sdb fleet --devices <N> [--threads <N>] [--seed <N>] [--hours <H>] [--policy greedy|planned|oracle] [--engine scalar|soa] [--json] [--out <path>] [--metrics-out <path>] [--trace-out <jsonl>]
+  sdb policy [--seed <N>] [--json] [--out <path>]
+  sdb analyze --trace <jsonl> [--json] [--max-findings <N>]
   sdb profile [--scenario fleet|sim|campaign|policy] [--pack <name>] [--trace <name>] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
   sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]
   sdb --version";
@@ -138,9 +136,9 @@ fn usage() -> ExitCode {
 }
 
 /// Writes a metrics registry to `path`: `.json` gets the JSON export,
-/// anything else the Prometheus text format. The `--metrics-out`
-/// behavior shared by `sdb fleet`, `sdb analyze`, `sdb policy`, and
-/// `sdb profile`.
+/// anything else the Prometheus text format. The `--metrics-out` of
+/// `sdb fleet` and `sdb profile`, the two commands that record a registry
+/// during the run.
 fn write_metrics(registry: &MetricsRegistry, path: &str) -> Result<(), ()> {
     let text = if path.ends_with(".json") {
         registry.to_json()
@@ -312,14 +310,26 @@ fn list(catalog: impl Iterator<Item = (&'static str, &'static str)>, width: usiz
     ExitCode::SUCCESS
 }
 
-/// Derives the Chrome-export path from a JSONL trace path:
-/// `fleet.jsonl` → `fleet.chrome.json`, anything else gets `.chrome.json`
-/// appended.
-fn chrome_path(jsonl_path: &str) -> String {
-    match jsonl_path.strip_suffix(".jsonl") {
+/// `--trace-out` of `sdb sim` and `sdb fleet`: writes the replayable
+/// JSONL to `path` and a Perfetto-loadable Chrome `trace_event` export
+/// next to it (`fleet.jsonl` → `fleet.chrome.json`, anything else gets
+/// `.chrome.json` appended).
+fn write_trace(path: &str, events: &[DeviceEvent]) -> Result<(), ()> {
+    let chrome = match path.strip_suffix(".jsonl") {
         Some(stem) => format!("{stem}.chrome.json"),
-        None => format!("{jsonl_path}.chrome.json"),
+        None => format!("{path}.chrome.json"),
+    };
+    for (file, text) in [
+        (path, sdbtrace::to_jsonl(events)),
+        (&chrome, sdbtrace::to_chrome(events)),
+    ] {
+        if let Err(e) = std::fs::write(file, text) {
+            eprintln!("failed to write trace to {file}: {e}");
+            return Err(());
+        }
     }
+    eprintln!("wrote {} events to {path} (+ {chrome})", events.len());
+    Ok(())
 }
 
 fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
@@ -343,15 +353,13 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
     };
     let trace = workload.build(seed);
     let mut runtime = SdbRuntime::new(micro.battery_count());
-    // With --events-out, attach an observer with a trace collector so the
-    // run's event stream (device 0) can be dumped as JSONL afterwards.
-    let collector = flags.get("events-out").map(|_| {
-        let obs = Observer::new();
-        let shared = TraceCollector::shared();
-        obs.add_sink(Box::new(shared.clone()));
+    // With --trace-out, a capturing observer records the run's event
+    // stream (device 0) for writing afterwards.
+    let trace_out = flags.get("trace-out").map(|path| {
+        let obs = Observer::capturing();
         micro.set_observer(obs.clone());
-        runtime.set_observer(obs);
-        shared
+        runtime.set_observer(obs.clone());
+        (path, obs)
     });
     // The planner warms up on "previous days": the named generator under
     // derived seeds. A recorded trace has no generator, so it serves as
@@ -378,14 +386,10 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
         |_, _| {},
         |_, _, _| ControlFlow::Continue(()),
     );
-    if let (Some(collector), Some(path)) = (collector, flags.get("events-out")) {
-        let events = collector.lock().expect("collector lock").drain();
-        let jsonl = sdbtrace::to_jsonl(&events);
-        if let Err(e) = std::fs::write(path, jsonl) {
-            eprintln!("failed to write events to {path}: {e}");
+    if let Some((path, obs)) = trace_out {
+        if write_trace(path, &obs.drain_events()).is_err() {
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {} events to {path}", events.len());
     }
     let mut out = String::new();
     let _ = writeln!(out, "pack:          {pack_name}");
@@ -550,9 +554,11 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         spec = spec.with_policy(policy);
     }
     let engine = engine_flag(flags);
-    let capture_events = flags.contains_key("trace-out") || flags.contains_key("events-out");
+    let capture_events = flags.contains_key("trace-out");
     if capture_events && engine == fleet::EngineKind::Soa {
-        eprintln!("--events-out/--trace-out require --engine scalar (fast-forwarded ticks emit no step events)");
+        eprintln!(
+            "--trace-out requires --engine scalar (fast-forwarded ticks emit no step events)"
+        );
         return ExitCode::FAILURE;
     }
     let opts = fleet::RunOptions {
@@ -568,28 +574,9 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
 
-    if let Some(events) = &events {
-        let jsonl = sdbtrace::to_jsonl(events);
-        if let Some(path) = flags.get("events-out") {
-            if let Err(e) = std::fs::write(path, &jsonl) {
-                eprintln!("failed to write events to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {} events to {path}", events.len());
-        }
-        // --trace-out writes the replayable JSONL plus a Perfetto-loadable
-        // Chrome trace_event export next to it.
-        if let Some(path) = flags.get("trace-out") {
-            if let Err(e) = std::fs::write(path, &jsonl) {
-                eprintln!("failed to write trace to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let chrome = chrome_path(path);
-            if let Err(e) = std::fs::write(&chrome, sdbtrace::to_chrome(events)) {
-                eprintln!("failed to write chrome trace to {chrome}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {} events to {path} (+ {chrome})", events.len());
+    if let (Some(events), Some(path)) = (&events, flags.get("trace-out")) {
+        if write_trace(path, events).is_err() {
+            return ExitCode::FAILURE;
         }
     }
 
@@ -625,104 +612,35 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Replays a recorded JSONL trace — or runs a fleet inline — through the
-/// default health-rule set and prints the findings. Inline mode also
-/// cross-checks the streaming quantile sketches against the exact report
-/// percentiles.
+/// Replays a JSONL trace recorded by `--trace-out` through the default
+/// health-rule set and prints the findings.
 fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
     let max_findings: usize = flag_or(flags, "max-findings", 20);
-    let json = flags.contains_key("json");
-
-    if let Some(path) = flags.get("trace") {
-        // Replay mode: analyze a trace file recorded by `--trace-out` /
-        // `--events-out`.
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read trace `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let analysis = match sdbtrace::analyze_jsonl(&text, sdbtrace::default_rules()) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("cannot parse trace `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // --metrics-out parity with fleet: replay mode has no live
-        // registry, so synthesize per-kind event counters from the trace.
-        if let Some(out) = flags.get("metrics-out") {
-            let events = match sdbtrace::from_jsonl(&text) {
-                Ok(ev) => ev,
-                Err(e) => {
-                    eprintln!("cannot parse trace `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let registry = MetricsRegistry::new();
-            for e in &events {
-                registry
-                    .counter(
-                        "sdb_trace_events_total",
-                        &[("kind", sdbtrace::event_kind(&e.event))],
-                    )
-                    .inc();
-            }
-            if write_metrics(&registry, out).is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
-        let body = if json {
-            let mut s = analysis.to_json();
-            s.push('\n');
-            s
-        } else {
-            analysis.render_text(max_findings)
-        };
-        emit(&body);
-        return ExitCode::SUCCESS;
-    }
-
-    // Inline mode: run a fleet with event capture and analyze it in-process.
-    let devices: usize = flag_or(flags, "devices", 200);
-    let threads: usize = flag_or(flags, "threads", host_threads());
-    let seed: u64 = flag_or(flags, "seed", 42);
-    let hours = hours_flag(flags, 1.0);
-    let spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-    let opts = fleet::RunOptions {
-        capture_events: true,
-        ..fleet::RunOptions::new(threads)
+    let Some(path) = flags.get("trace") else {
+        usage_error(
+            "`sdb analyze` needs --trace <jsonl> (record one with `sdb fleet --trace-out`)",
+        );
     };
-    let (report, stats, events) = match fleet::run_fleet(&spec, &opts) {
-        Ok(r) => r,
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
         Err(e) => {
-            eprintln!("fleet run failed: {e}");
+            eprintln!("cannot read trace `{path}`: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let events = events.expect("capture was requested");
-    let analysis = sdbtrace::analyze(&events, sdbtrace::default_rules());
-    let deltas = stats.sketches.deltas(&report);
-    if let Some(path) = flags.get("metrics-out") {
-        if write_metrics(&stats.registry, path).is_err() {
+    let analysis = match sdbtrace::analyze_jsonl(&text, sdbtrace::default_rules()) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("cannot parse trace `{path}`: {e}");
             return ExitCode::FAILURE;
         }
-    }
-
-    let body = if json {
-        format!(
-            "{{\"trace\":{},\"sketch_deltas\":{}}}\n",
-            analysis.to_json(),
-            fleet::render_deltas_json(&deltas)
-        )
+    };
+    let body = if flags.contains_key("json") {
+        let mut s = analysis.to_json();
+        s.push('\n');
+        s
     } else {
-        format!(
-            "{}sketch vs exact percentiles (alpha = {}):\n{}",
-            analysis.render_text(max_findings),
-            fleet::FLEET_SKETCH_ALPHA,
-            fleet::render_deltas_text(&deltas)
-        )
+        analysis.render_text(max_findings)
     };
     emit(&body);
     ExitCode::SUCCESS
@@ -731,40 +649,6 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
 fn cmd_policy(flags: &HashMap<String, String>) -> ExitCode {
     let seed: u64 = flag_or(flags, "seed", 42);
     let h2h = sdb::policy::run_head_to_head(seed);
-    // --metrics-out parity with fleet/analyze: synthesize a
-    // registry from the head-to-head outcomes so CI can scrape the
-    // corpus results like any other run.
-    if let Some(path) = flags.get("metrics-out") {
-        let registry = MetricsRegistry::new();
-        registry
-            .counter("sdb_policy_planner_wins_total", &[])
-            .add(h2h.planner_wins() as u64);
-        registry
-            .counter("sdb_policy_oracle_bounds_total", &[])
-            .add(h2h.oracle_bounds() as u64);
-        registry
-            .counter("sdb_policy_scenarios_total", &[])
-            .add((h2h.rows.len() / 3) as u64);
-        for row in &h2h.rows {
-            let labels = [("scenario", row.scenario), ("policy", row.policy.name())];
-            registry.gauge("sdb_policy_life_s", &labels).set(row.life_s);
-            registry
-                .gauge("sdb_policy_unmet_j", &labels)
-                .set(row.unmet_j);
-            registry
-                .gauge("sdb_policy_forecast_mae_w", &labels)
-                .set(row.forecast_mae_w);
-            registry
-                .counter("sdb_policy_pushes_total", &labels)
-                .add(row.pushes);
-            registry
-                .counter("sdb_policy_replans_total", &labels)
-                .add(row.replans);
-        }
-        if write_metrics(&registry, path).is_err() {
-            return ExitCode::FAILURE;
-        }
-    }
     let text = if flags.contains_key("json") {
         let mut json = h2h.to_json();
         json.push('\n');

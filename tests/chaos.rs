@@ -11,7 +11,7 @@ use sdb::core::runtime::{ResilienceConfig, SdbRuntime};
 use sdb::core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb::emulator::link::{Command, Link};
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
-use sdb::observe::{FlightRecorder, Flow, ObsEvent, Observer};
+use sdb::observe::{Flow, ObsEvent, Observer};
 use sdb::workloads::Trace;
 use std::ops::ControlFlow;
 
@@ -96,9 +96,7 @@ fn campaign_is_replayable_and_seed_sensitive() {
 /// resumes policy control.
 #[test]
 fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
-    let obs = Observer::new();
-    let recorder = FlightRecorder::shared(65536);
-    obs.add_sink(Box::new(recorder.clone()));
+    let obs = Observer::capturing();
 
     let mut micro = hybrid_pack();
     micro.set_observer(obs.clone());
@@ -156,8 +154,7 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
 
     // The event stream tells the whole story: engage, uniform fallback
     // landing on the firmware, recovery.
-    let rec = recorder.lock().unwrap();
-    let dump = rec.dump();
+    let dump = obs.drain_events();
     let engaged_at = dump
         .iter()
         .position(|e| matches!(e.event, ObsEvent::WatchdogTransition { engaged: true, .. }))

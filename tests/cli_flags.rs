@@ -1,8 +1,9 @@
 //! `sdb` flag handling: a value that does not parse or is out of range,
 //! an unknown fleet policy, a flag missing from the subcommand's usage
-//! line, a `sdb profile` flag its scenario does not read or a stray
-//! argument is a usage error that exits non-zero before any work starts,
-//! never a silent default. Every listed pack and trace name runs.
+//! line (a retired one included), a `sdb profile` flag its scenario does
+//! not read or a stray argument is a usage error that exits non-zero
+//! before any work starts, never a silent default. Every listed pack and
+//! trace name runs, and a hostile trace file is refused, not crashed on.
 
 use std::process::{Command, Output};
 
@@ -128,7 +129,7 @@ fn out_of_range_values_are_errors_naming_the_flag() {
     ] {
         assert_usage_error(args, needle);
     }
-    for cmd in ["fleet", "analyze", "profile"] {
+    for cmd in ["fleet", "profile"] {
         for hours in ["nan", "-1", "0", "inf"] {
             assert_usage_error(
                 &[cmd, "--devices", "2", "--hours", hours],
@@ -136,6 +137,42 @@ fn out_of_range_values_are_errors_naming_the_flag() {
             );
         }
     }
+}
+
+#[test]
+fn retired_flags_are_usage_errors_naming_them() {
+    for (args, needle) in [
+        (
+            &["analyze", "--devices", "20"][..],
+            "unknown flag `--devices` for `sdb analyze`",
+        ),
+        (
+            &["policy", "--metrics-out", "p.prom"],
+            "unknown flag `--metrics-out` for `sdb policy`",
+        ),
+        (
+            &["fleet", "--devices", "2", "--events-out", "e.jsonl"],
+            "unknown flag `--events-out` for `sdb fleet`",
+        ),
+        (
+            &["sim", "--events-out", "e.jsonl"],
+            "unknown flag `--events-out` for `sdb sim`",
+        ),
+        (&["analyze", "--json"], "needs --trace"),
+    ] {
+        assert_usage_error(args, needle);
+    }
+}
+
+#[test]
+fn analyze_refuses_a_deeply_nested_trace() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep.jsonl");
+    std::fs::write(&path, "[".repeat(200_000) + "\n").expect("write trace");
+    let out = sdb(&["analyze", "--trace", path.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot parse trace"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Flight-recorder observability integration tests: the event bus wired
-//! through every layer, the metrics registry exporters, and post-mortem
-//! dumps from fault-injection runs.
+//! Observability integration tests: the event capture wired through every
+//! layer, the metrics registry exporters, and the events a
+//! fault-injection run leaves for post-mortem analysis.
 
 use sdb::battery_model::{BatterySpec, Chemistry};
 use sdb::core::runtime::SdbRuntime;
@@ -10,7 +10,7 @@ use sdb::core::scheduler::SimOptions;
 use sdb::emulator::micro::ThermalThrottle;
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::fuel_gauge::gauge::GaugeConfig;
-use sdb::observe::{FlightRecorder, ObsEvent, Observer};
+use sdb::observe::{ObsEvent, Observer};
 use sdb::workloads::Trace;
 
 fn hybrid_pack() -> Microcontroller {
@@ -28,16 +28,14 @@ fn hybrid_pack() -> Microcontroller {
         .build()
 }
 
-/// The acceptance scenario: a 2-battery run with a flight recorder
-/// attached yields a non-empty dump containing at least ratio-push and
-/// policy-evaluation events.
+/// The acceptance scenario: the flight recording of a 2-battery run, a
+/// capturing observer's events, is non-empty and contains at least
+/// ratio-push and policy-evaluation events.
 #[test]
 fn flight_recorder_captures_trace_run() {
     let mut micro = hybrid_pack();
     let mut runtime = SdbRuntime::new(2);
-    let obs = Observer::new();
-    let recorder = FlightRecorder::shared(4096);
-    obs.add_sink(Box::new(recorder.clone()));
+    let obs = Observer::capturing();
     micro.set_observer(obs.clone());
     runtime.set_observer(obs.clone());
 
@@ -49,9 +47,8 @@ fn flight_recorder_captures_trace_run() {
     );
     assert!(result.unmet_j < 1e-6);
 
-    let rec = recorder.lock().unwrap();
-    let dump = rec.dump();
-    assert!(!dump.is_empty(), "flight recorder stayed empty");
+    let dump = obs.drain_events();
+    assert!(!dump.is_empty(), "the capture stayed empty");
     assert!(
         dump.iter()
             .any(|e| matches!(e.event, ObsEvent::RatioPush { .. })),
@@ -62,11 +59,11 @@ fn flight_recorder_captures_trace_run() {
             .any(|e| matches!(e.event, ObsEvent::PolicyEvaluation { .. })),
         "no policy-evaluation events in dump"
     );
-    // Timestamps are the simulation clock, oldest first.
+    // Timestamps are the simulation clock, oldest first; one device's
+    // sequence numbers are dense.
     assert!(dump.windows(2).all(|w| w[0].t_s <= w[1].t_s));
     assert!(dump.last().unwrap().t_s <= 1800.0);
-    // The textual dump renders one line per event.
-    assert_eq!(rec.dump_text().lines().count(), dump.len());
+    assert!(dump.iter().enumerate().all(|(i, e)| e.seq == i as u64));
 }
 
 /// Every exporter line must parse as `name{labels} value` (or
@@ -139,13 +136,11 @@ fn prometheus_export_parses_line_by_line() {
 }
 
 /// A fault-injection run (thermal stress + drifting gauge, as in
-/// `faults.rs`) leaves throttle and recalibration events in the recorder
+/// `faults.rs`) leaves throttle and recalibration events in the capture
 /// for post-mortem analysis.
 #[test]
 fn fault_injection_run_records_throttle_and_recalibration() {
-    let obs = Observer::new();
-    let recorder = FlightRecorder::shared(65536);
-    obs.add_sink(Box::new(recorder.clone()));
+    let obs = Observer::capturing();
 
     // Thermal stress: sustained fast charge in a warm environment.
     let mut hot = PackBuilder::new()
@@ -197,8 +192,7 @@ fn fault_injection_run_records_throttle_and_recalibration() {
         &SimOptions::default(),
     );
 
-    let rec = recorder.lock().unwrap();
-    let dump = rec.dump();
+    let dump = obs.drain_events();
     let throttle_engagements = dump
         .iter()
         .filter(|e| matches!(e.event, ObsEvent::ThermalThrottle { engaged: true, .. }))
@@ -221,9 +215,7 @@ fn lossy_link_records_fault_injections() {
     use sdb::core::policy::PolicyInput;
     use sdb::emulator::link::Link;
 
-    let obs = Observer::new();
-    let recorder = FlightRecorder::shared(256);
-    obs.add_sink(Box::new(recorder.clone()));
+    let obs = Observer::capturing();
     let mut micro = hybrid_pack();
     micro.set_observer(obs.clone());
     // Drop every 2nd command.
@@ -238,9 +230,8 @@ fn lossy_link_records_fault_injections() {
     }
 
     assert!(link.stats().dropped >= 1, "link dropped nothing");
-    let rec = recorder.lock().unwrap();
     assert!(
-        rec.dump()
+        obs.drain_events()
             .iter()
             .any(|e| matches!(e.event, ObsEvent::FaultInjection { .. })),
         "no fault-injection events from the lossy link"
@@ -255,8 +246,7 @@ fn observability_does_not_perturb_simulation() {
         let mut micro = hybrid_pack();
         let mut runtime = SdbRuntime::new(2);
         if observed {
-            let obs = Observer::new();
-            obs.add_sink(Box::new(FlightRecorder::shared(1024)));
+            let obs = Observer::capturing();
             micro.set_observer(obs.clone());
             runtime.set_observer(obs);
         }
