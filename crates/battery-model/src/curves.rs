@@ -375,14 +375,6 @@ impl Curve {
         }
     }
 
-    /// Returns a new curve with `offset` added to every y.
-    #[must_use]
-    pub fn offset_y(&self, offset: f64) -> Self {
-        Self {
-            points: self.points.iter().map(|&(x, y)| (x, y + offset)).collect(),
-        }
-    }
-
     /// The smallest knot x-coordinate.
     #[must_use]
     pub fn x_min(&self) -> f64 {
@@ -730,10 +722,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_offset() {
-        let c = line().scale_y(2.0).offset_y(1.0);
-        assert_eq!(c.eval(0.0), 3.0);
-        assert_eq!(c.eval(1.0), 7.0);
+    fn scale_y_multiplies_every_value() {
+        let c = line().scale_y(2.0);
+        assert_eq!(c.eval(0.0), 2.0);
+        assert_eq!(c.eval(1.0), 6.0);
     }
 
     #[test]

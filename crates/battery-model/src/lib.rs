@@ -18,7 +18,6 @@
 //!   resistive heat.
 //! * [`library`] — the 15 modeled batteries plus the scenario cells used in
 //!   Section 5 of the paper.
-//! * [`units`] — typed physical quantities for public entry points.
 //!
 //! # Conventions
 //!
@@ -52,7 +51,6 @@ pub mod reference;
 pub mod spec;
 pub mod thermal;
 pub mod thevenin;
-pub mod units;
 
 pub use aging::{AgingState, CycleCounter, FadeModel};
 pub use chemistry::{AxisScores, Chemistry};

@@ -85,45 +85,6 @@ pub fn watch_bendable() -> TheveninCell {
     )
 }
 
-/// The tablet scenario's high-energy-density cell (Section 5.1): half of an
-/// 8000 mAh budget by default.
-#[must_use]
-pub fn tablet_high_energy(capacity_ah: f64) -> TheveninCell {
-    TheveninCell::new(BatterySpec::from_chemistry(
-        "Tablet high-energy cell",
-        Chemistry::Type2CoStandard,
-        capacity_ah,
-    ))
-}
-
-/// The tablet scenario's fast-charging cell (Section 5.1).
-#[must_use]
-pub fn tablet_fast_charge(capacity_ah: f64) -> TheveninCell {
-    TheveninCell::new(BatterySpec::from_chemistry(
-        "Tablet fast-charge cell",
-        Chemistry::Type3CoPower,
-        capacity_ah,
-    ))
-}
-
-/// The 2-in-1 scenario's two equal Type 2 cells (Section 5.3): internal
-/// (tablet) and external (keyboard base) batteries.
-#[must_use]
-pub fn two_in_one_pair(capacity_ah: f64) -> (TheveninCell, TheveninCell) {
-    (
-        TheveninCell::new(BatterySpec::from_chemistry(
-            "2-in-1 internal cell",
-            Chemistry::Type2CoStandard,
-            capacity_ah,
-        )),
-        TheveninCell::new(BatterySpec::from_chemistry(
-            "2-in-1 external (keyboard) cell",
-            Chemistry::Type2CoStandard,
-            capacity_ah,
-        )),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,8 +132,6 @@ mod tests {
     fn scenario_cells_match_paper_sizes() {
         assert!((watch_li_ion().spec().capacity_ah - 0.2).abs() < 1e-12);
         assert!((watch_bendable().spec().capacity_ah - 0.2).abs() < 1e-12);
-        let (int, ext) = two_in_one_pair(4.0);
-        assert_eq!(int.spec().capacity_ah, ext.spec().capacity_ah);
     }
 
     #[test]
@@ -186,8 +145,8 @@ mod tests {
 
     #[test]
     fn fast_charge_cell_accepts_higher_charge_current() {
-        let fast = tablet_fast_charge(4.0);
-        let slow = tablet_high_energy(4.0);
-        assert!(fast.spec().max_charge_a > 2.0 * slow.spec().max_charge_a);
+        let fast = BatterySpec::from_chemistry("fast", Chemistry::Type3CoPower, 4.0);
+        let slow = BatterySpec::from_chemistry("slow", Chemistry::Type2CoStandard, 4.0);
+        assert!(fast.max_charge_a > 2.0 * slow.max_charge_a);
     }
 }

@@ -144,12 +144,6 @@ impl BatterySpec {
         self.capacity_ah * self.chemistry.nominal_voltage_v()
     }
 
-    /// Rated charge content in coulombs.
-    #[must_use]
-    pub fn capacity_c(&self) -> f64 {
-        self.capacity_ah * 3600.0
-    }
-
     /// Converts a current in amps to a C-rate for this cell.
     #[must_use]
     pub fn c_rate(&self, current_a: f64) -> f64 {
@@ -227,7 +221,6 @@ mod tests {
     fn energy_and_charge_content() {
         let spec = BatterySpec::from_chemistry("t", Chemistry::Type2CoStandard, 2.0);
         assert!((spec.energy_wh() - 2.0 * 3.8).abs() < 1e-12);
-        assert!((spec.capacity_c() - 7200.0).abs() < 1e-12);
         assert!((spec.c_rate(1.0) - 0.5).abs() < 1e-12);
     }
 

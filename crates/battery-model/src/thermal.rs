@@ -91,12 +91,6 @@ impl ThermalModel {
         }
     }
 
-    /// Steady-state temperature under constant `heat_w` watts.
-    #[must_use]
-    pub fn steady_state_c(&self, heat_w: f64) -> f64 {
-        self.ambient_c + heat_w.max(0.0) * self.r_th_k_per_w
-    }
-
     /// Rise above ambient, kelvin.
     #[must_use]
     pub fn rise_k(&self) -> f64 {
@@ -135,7 +129,6 @@ mod tests {
             t.step(1.0, 60.0);
         }
         assert!((t.temperature_c() - 35.0).abs() < 0.1);
-        assert_eq!(t.steady_state_c(1.0), 35.0);
     }
 
     #[test]

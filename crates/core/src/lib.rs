@@ -26,8 +26,6 @@
 //! * [`predict`] — a simple usage predictor that maps learned daily
 //!   patterns to directive parameters (the paper's Section 8 assistant
 //!   integration, reproduced as an extension).
-//! * [`autopilot`] — the closed §8 loop: observe load, learn the daily
-//!   pattern, steer the directives hands-free.
 //! * [`optimal`] — offline-optimal discharge planning by dynamic
 //!   programming: the quantitative version of the paper's "knowledge of
 //!   the future workload" observation.
@@ -35,9 +33,6 @@
 //!   trait and [`lookahead::PlanUpdate`] let forecast-driven planners
 //!   (the `sdb-policy` crate) steer the runtime through the same
 //!   directive vocabulary the greedy policies use.
-//! * [`events`] — the OS-event vocabulary (plug/unplug, performance
-//!   sessions, predicted episodes) and its mapping onto directive
-//!   parameters (Figure 5's "Other OS Components" arrows).
 //! * [`hints`] — route/schedule hints for EV-style planning (Section 8).
 //!
 //! # Quickstart
@@ -70,9 +65,7 @@
 //! ```
 
 pub mod api;
-pub mod autopilot;
 pub mod error;
-pub mod events;
 pub mod hints;
 pub mod lookahead;
 pub mod metrics;
@@ -84,9 +77,7 @@ pub mod scenarios;
 pub mod scheduler;
 
 pub use api::SdbApi;
-pub use autopilot::{Autopilot, AutopilotConfig};
 pub use error::SdbError;
-pub use events::{apply_event, OsEvent};
 pub use lookahead::{LookaheadPolicy, PlanUpdate};
 pub use metrics::{ccb, rbl_wh, wear_ratios};
 pub use policy::{ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch, PreservePolicy};

@@ -315,12 +315,6 @@ impl FuelGauge {
         &self.spec
     }
 
-    /// Lifetime throughput counters (discharged, charged) in coulombs.
-    #[must_use]
-    pub fn throughput_c(&self) -> (f64, f64) {
-        (self.counter.discharged_c(), self.counter.charged_c())
-    }
-
     /// Learned full capacity, amp-hours. Equals the rated capacity until
     /// enough OCV-anchored swings have been observed to learn the real
     /// (possibly faded) value.
@@ -671,7 +665,7 @@ mod tests {
         let mut gauge = FuelGauge::new(spec, 0.5, ideal_config());
         gauge.sample(3.8, 1.0, 100.0);
         gauge.sample(3.9, -1.0, 50.0);
-        let (d, c) = gauge.throughput_c();
+        let (d, c) = (gauge.counter.discharged_c(), gauge.counter.charged_c());
         assert!((d - 100.0).abs() < 1e-9);
         assert!((c - 50.0).abs() < 1e-9);
     }

@@ -97,14 +97,7 @@ impl Observer {
     /// An enabled observer with a fresh registry that captures no events.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_registry(MetricsRegistry::new())
-    }
-
-    /// An enabled observer recording metrics into `registry` that
-    /// captures no events.
-    #[must_use]
-    pub fn with_registry(registry: MetricsRegistry) -> Self {
-        Self::enabled_with(registry, None)
+        Self::enabled_with(MetricsRegistry::new(), None)
     }
 
     /// An enabled observer with a fresh registry that also captures every
@@ -330,11 +323,14 @@ mod tests {
             drop(obs.span(SpanName::MicroStep));
             drop(obs.span(SpanName::FleetDevice));
         }
-        // A second observer keeps its own gate.
-        drop(Observer::with_registry(obs.registry().unwrap().clone()).span(SpanName::MicroStep));
         let text = obs.registry().unwrap().to_prometheus_text();
-        assert!(text.contains("sdb_micro_step_ns_count 4"), "{text}");
+        assert!(text.contains("sdb_micro_step_ns_count 3"), "{text}");
         assert!(text.contains("sdb_fleet_device_ns_count 257"), "{text}");
+        // A second observer keeps its own gate: its first span is timed.
+        let second = Observer::new();
+        drop(second.span(SpanName::MicroStep));
+        let text = second.registry().unwrap().to_prometheus_text();
+        assert!(text.contains("sdb_micro_step_ns_count 1"), "{text}");
     }
 
     #[test]

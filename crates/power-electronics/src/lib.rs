@@ -18,12 +18,9 @@
 //!   `O(N)`).
 //! * [`measurement`] — sense-resistor/ADC/DAC quantization models producing
 //!   the setpoint-vs-measured errors of Figures 6b and 6d.
-//! * [`transient`] — a small SPICE-like transient simulator for the buck
-//!   converter power stage, standing in for the paper's LTSPICE
-//!   validation.
 //!
 //! Units follow the workspace convention: volts `_v`, amps `_a`, ohms
-//! `_ohm`, watts `_w`, seconds `_s`, henries `_h`, farads `_f`.
+//! `_ohm`, watts `_w`, seconds `_s`.
 //!
 //! # Example
 //!
@@ -48,7 +45,6 @@ pub mod error;
 pub mod measurement;
 pub mod regulator;
 pub mod switch;
-pub mod transient;
 
 pub use circuits::{ChargeCircuit, ChargeTopology, DischargeCircuit, DischargeTopology};
 pub use error::PowerError;

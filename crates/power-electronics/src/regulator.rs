@@ -25,16 +25,6 @@ pub enum RegulatorKind {
 }
 
 impl RegulatorKind {
-    /// Peak efficiency typical of the class at its design point.
-    #[must_use]
-    pub fn typical_efficiency(self) -> f64 {
-        match self {
-            Self::Buck => 0.96,
-            Self::BuckBoost => 0.92,
-            Self::SynchronousReversibleBuck => 0.95,
-        }
-    }
-
     /// Whether this topology can push current from its output terminal
     /// back to its input terminal.
     #[must_use]
@@ -199,7 +189,6 @@ mod tests {
         ] {
             let r = Regulator::typical(kind, 2.0);
             assert!(r.quiescent_w > 0.0 && r.conduction_ohm > 0.0);
-            assert!(kind.typical_efficiency() > 0.9);
         }
     }
 

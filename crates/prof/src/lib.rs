@@ -8,7 +8,7 @@
 //!    of the deterministic artifact: sampling decisions are made by a
 //!    per-device tick counter (reset at every [`device_scope`]), never
 //!    by wall-clock, so the count tree is bit-identical at any thread
-//!    count — asserted in CI exactly like `FleetReport`. Nanosecond
+//!    count — asserted by tests exactly like `FleetReport`. Nanosecond
 //!    timings, per-shard attribution, and sample quantiles are
 //!    wall-clock facts and live in a separate "wall" section of every
 //!    export, the same split `FleetRunStats` uses.
@@ -231,7 +231,7 @@ pub fn reset() {
 /// aggregate (untagged: totals only) and resets the thread collector.
 /// Call after driving work on a thread that does not use
 /// [`device_scope`] — e.g. the fleet main thread's orchestration scopes
-/// or a single-device `sdb profile --scenario sim` run.
+/// or the single device of a profiled `sdb sim`.
 pub fn flush_thread() {
     TLS.with(|c| {
         let mut c = c.borrow_mut();
@@ -253,43 +253,6 @@ pub fn flush_thread() {
 pub fn snapshot() -> Snapshot {
     let g = GLOBAL.lock().expect("prof global aggregate poisoned");
     render::snapshot_from(&g.total, &g.per_cohort, &g.per_shard, &g.cohorts)
-}
-
-/// Publishes flat per-phase `sdb_prof_calls` / `sdb_prof_total_ns` /
-/// `sdb_prof_self_ns` gauges (labelled by phase) into `registry` from
-/// the current aggregate: the gauges behind `sdb profile --metrics-out`.
-///
-/// # Panics
-///
-/// Panics if the global aggregate lock is poisoned.
-pub fn export_gauges(registry: &sdb_observe::MetricsRegistry) {
-    let totals = {
-        let g = GLOBAL.lock().expect("prof global aggregate poisoned");
-        table::flat_totals(&g.total)
-    };
-    let snap = snapshot();
-    let mut self_ns = [0u64; PHASE_COUNT];
-    fn add_self(nodes: &[PhaseNode], out: &mut [u64; PHASE_COUNT]) {
-        for n in nodes {
-            out[n.phase as usize] += n.self_ns();
-            add_self(&n.children, out);
-        }
-    }
-    add_self(&snap.phases, &mut self_ns);
-    for (pi, (count, total_ns)) in totals.iter().enumerate() {
-        if *count == 0 {
-            continue;
-        }
-        let phase = Phase::from_index(pi);
-        let labels = [("phase", phase.name())];
-        registry.gauge("sdb_prof_calls", &labels).set(*count as f64);
-        registry
-            .gauge("sdb_prof_total_ns", &labels)
-            .set(*total_ns as f64);
-        registry
-            .gauge("sdb_prof_self_ns", &labels)
-            .set(self_ns[pi] as f64);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
 
 impl Phase {
     /// Stable snake_case name used in every export surface (text tree,
-    /// JSON, collapsed flamegraph stacks, `sdb_prof_*` gauge labels,
-    /// and the micro-step bench's phase-share lines).
+    /// JSON, collapsed flamegraph stacks, and the micro-step bench's
+    /// phase-share lines).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -112,10 +112,6 @@ impl Phase {
             Phase::CampaignRun => "campaign_run",
             Phase::CampaignCell => "campaign_cell",
         }
-    }
-
-    pub(crate) fn from_index(i: usize) -> Phase {
-        ALL_PHASES[i]
     }
 }
 

@@ -177,39 +177,6 @@ impl Table {
     }
 }
 
-/// Walks a table's forest depth-first in phase order, calling `f` with
-/// `(depth, slot)` — the deterministic iteration every renderer uses.
-pub(crate) fn walk<'a>(table: &'a Table, f: &mut impl FnMut(usize, &'a Slot)) {
-    fn rec<'a>(table: &'a Table, idx: u16, depth: usize, f: &mut impl FnMut(usize, &'a Slot)) {
-        let slot = &table.slots[idx as usize];
-        f(depth, slot);
-        for pi in 0..PHASE_COUNT {
-            let child = slot.children[pi];
-            if child != NONE {
-                rec(table, child, depth + 1, f);
-            }
-        }
-    }
-    for pi in 0..PHASE_COUNT {
-        let root = table.roots[pi];
-        if root != NONE {
-            rec(table, root, 0, f);
-        }
-    }
-}
-
-/// Per-phase `(count, total_ns)` sums across the whole forest, in phase
-/// order — the flat view behind the `sdb_prof_*` gauges.
-pub(crate) fn flat_totals(table: &Table) -> [(u64, u64); PHASE_COUNT] {
-    let mut out = [(0u64, 0u64); PHASE_COUNT];
-    walk(table, &mut |_, slot| {
-        let pi = slot.phase as usize;
-        out[pi].0 += slot.count;
-        out[pi].1 += slot.total_ns;
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +196,27 @@ mod tests {
         t.slots[micro as usize].count += 10 * scale;
         t.slots[micro as usize].record_ns(300 * scale);
         t
+    }
+
+    /// Walks a table's forest depth-first in phase order, calling `f` with
+    /// `(depth, slot)`.
+    fn walk<'a>(table: &'a Table, f: &mut impl FnMut(usize, &'a Slot)) {
+        fn rec<'a>(table: &'a Table, idx: u16, depth: usize, f: &mut impl FnMut(usize, &'a Slot)) {
+            let slot = &table.slots[idx as usize];
+            f(depth, slot);
+            for pi in 0..PHASE_COUNT {
+                let child = slot.children[pi];
+                if child != NONE {
+                    rec(table, child, depth + 1, f);
+                }
+            }
+        }
+        for pi in 0..PHASE_COUNT {
+            let root = table.roots[pi];
+            if root != NONE {
+                rec(table, root, 0, f);
+            }
+        }
     }
 
     #[test]
@@ -277,20 +265,6 @@ mod tests {
         assert_eq!(s.max_ns, 2 * (CLAMP_HI_NS as u64));
         // Sketch saw the clamped value, exact fields did not.
         assert!(s.sketch.max() <= CLAMP_HI_NS);
-    }
-
-    #[test]
-    fn flat_totals_sum_across_paths() {
-        let mut t = Table::with_capacity();
-        let a = t.resolve(None, Phase::TraceStep);
-        t.slots[a as usize].count += 4;
-        let b = t.resolve(Some(a), Phase::MicroStep);
-        t.slots[b as usize].count += 7;
-        let c = t.resolve(None, Phase::MicroStep);
-        t.slots[c as usize].count += 5;
-        let totals = flat_totals(&t);
-        assert_eq!(totals[Phase::MicroStep as usize].0, 12);
-        assert_eq!(totals[Phase::TraceStep as usize].0, 4);
     }
 
     #[test]

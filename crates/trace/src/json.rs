@@ -82,15 +82,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The value as an object map (keys sorted), if an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// The deepest array/object nesting [`parse`] accepts. The trace writer

@@ -411,15 +411,6 @@ impl RuleReport {
         Some(count(Signal::DirectivePushesInWindow) as f64 / replans as f64)
     }
 
-    /// Findings at or above `severity`.
-    #[must_use]
-    pub fn findings_at_least(&self, severity: Severity) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity >= severity)
-            .count()
-    }
-
     /// Renders the per-rule summary and the worst findings as text.
     #[must_use]
     pub fn render_text(&self, max_findings: usize) -> String {
@@ -718,7 +709,10 @@ mod tests {
         eng.process(0, 60.0, &step(vec![0.9, 0.3], 5.0, 4.0));
         let report = eng.finish();
         assert!(report.rules_evaluated() >= 2);
-        assert!(report.findings_at_least(Severity::Critical) >= 1);
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.severity >= Severity::Critical));
         let text = report.render_text(10);
         assert!(text.contains("rules evaluated:"));
         assert!(text.contains("brownout"));

@@ -2,9 +2,9 @@
 //!
 //! The fixed daily traces in [`crate::traces`] reproduce the paper's
 //! figures; this module generates *varied* multi-day usage for testing the
-//! learning components (predictor, autopilot): a user whose activity
-//! evolves as a Markov chain over activity states, with time-of-day
-//! preferences — some days have the run, some don't, timings drift.
+//! usage predictor: a user whose activity evolves as a Markov chain over
+//! activity states, with time-of-day preferences — some days have the
+//! run, some don't, timings drift.
 
 use crate::device::{Activity, DeviceClass, DevicePower};
 use crate::traces::Trace;

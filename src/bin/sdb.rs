@@ -12,10 +12,10 @@
 //!            (--trace-out also writes a Perfetto-loadable .chrome.json; --engine soa fast-forwards quiescent devices)
 //! sdb policy [--seed N] [--json] [--out <path>]  greedy vs planner vs oracle head-to-head over the scenario corpus
 //! sdb analyze --trace <jsonl> [--json] [--max-findings N]   replay a recorded trace through the health rules
-//! sdb profile [--scenario fleet|sim|campaign|policy] [--devices N] [--threads N] [--seed N] [--hours H] [--policy ...]
-//!            [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
-//!            run a scenario under the phase profiler and print the hierarchical phase tree
-//!            (counts are bit-identical across thread counts; `flame` emits collapsed stacks)
+//! sdb profile [--format text|counts|json|flame] [--out <path>] sim|fleet|campaign|policy [that command's flags]
+//!            run the command under the phase profiler: its stdout and exit status are unchanged, and the
+//!            hierarchical phase tree goes to --out, or to stderr (counts are bit-identical across thread
+//!            counts; `flame` emits collapsed stacks)
 //! sdb campaign [--scenarios a,b] [--chemistries a,b] [--faults a,b] [--policies a,b] [--engines scalar,soa]
 //!            [--seed N] [--hours H] [--devices-per-cell N] [--threads N] [--list]
 //!            [--checkpoint <path>] [--stop-after N] [--baseline <path>] [--write-baseline]
@@ -29,11 +29,12 @@
 
 use sdb::core::policy::{ChargeDirective, DischargeDirective};
 use sdb::core::runtime::SdbRuntime;
-use sdb::core::scheduler::{drive, run_charge_session, run_trace, Hooks, SimOptions, SimResult};
+use sdb::core::scheduler::{drive, run_charge_session, Hooks, SimOptions, SimResult};
 use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
-use sdb::observe::{DeviceEvent, MetricsRegistry, Observer};
+use sdb::observe::{DeviceEvent, Observer};
 use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
+use sdb::prof::Snapshot;
 use sdb::trace as sdbtrace;
 use sdb::workloads::{Trace, WorkloadSpec};
 use std::collections::HashMap;
@@ -126,31 +127,13 @@ usage:
   sdb fleet --devices <N> [--threads <N>] [--seed <N>] [--hours <H>] [--policy greedy|planned|oracle] [--engine scalar|soa] [--json] [--out <path>] [--metrics-out <path>] [--trace-out <jsonl>]
   sdb policy [--seed <N>] [--json] [--out <path>]
   sdb analyze --trace <jsonl> [--json] [--max-findings <N>]
-  sdb profile [--scenario fleet|sim|campaign|policy] [--pack <name>] [--trace <name>] [--devices <N>] [--threads <N>] [--seed <N>] [--hours <H>] [--policy ...] [--engine scalar|soa] [--format text|counts|json|flame] [--out <path>] [--metrics-out <path>]
+  sdb profile [--format text|counts|json|flame] [--out <path>] sim|fleet|campaign|policy [that command's flags]
   sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]
   sdb --version";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
     ExitCode::FAILURE
-}
-
-/// Writes a metrics registry to `path`: `.json` gets the JSON export,
-/// anything else the Prometheus text format. The `--metrics-out` of
-/// `sdb fleet` and `sdb profile`, the two commands that record a registry
-/// during the run.
-fn write_metrics(registry: &MetricsRegistry, path: &str) -> Result<(), ()> {
-    let text = if path.ends_with(".json") {
-        registry.to_json()
-    } else {
-        registry.to_prometheus_text()
-    };
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("failed to write metrics to {path}: {e}");
-        return Err(());
-    }
-    eprintln!("wrote metrics to {path}");
-    Ok(())
 }
 
 /// Reports a usage error and exits with status 1. Flag helpers call it
@@ -215,32 +198,8 @@ fn in_range(
     }
 }
 
-/// `--hours`: a finite, positive simulated span.
-fn hours_flag(flags: &HashMap<String, String>, default: f64) -> f64 {
-    flag_checked(
-        flags,
-        "hours",
-        default,
-        in_range(f64::MIN_POSITIVE..=f64::MAX, "a finite, positive span"),
-    )
-}
-
-/// The host's available parallelism: the `--threads` default.
-fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Parses `--engine scalar|soa` (default scalar). Shared by `sdb fleet`
-/// and `sdb profile --scenario fleet`.
-fn engine_flag(flags: &HashMap<String, String>) -> fleet::EngineKind {
-    flags.get("engine").map_or(fleet::EngineKind::Scalar, |s| {
-        fleet::EngineKind::parse(s).unwrap_or_else(|e| usage_error(&e))
-    })
-}
-
 /// Parses `--policy greedy|planned|oracle` for a default-population
 /// fleet: `None` (absent or `greedy`) keeps the cohorts' own policies.
-/// Shared by `sdb fleet` and `sdb profile`.
 fn fleet_policy_flag(flags: &HashMap<String, String>) -> Option<PolicySpec> {
     match flags.get("policy").map(String::as_str) {
         None | Some("greedy") => None,
@@ -263,16 +222,6 @@ fn pack_flag<'a>(
     match PackTemplate::named(name, soc) {
         Some(template) => (name, template.instantiate()),
         None => usage_error(&format!("unknown pack `{name}` (try `sdb packs`)")),
-    }
-}
-
-/// The catalog workload `--trace` names (`watch-day` when absent). An
-/// unknown name is a usage error.
-fn trace_flag(flags: &HashMap<String, String>) -> (&str, WorkloadSpec) {
-    let name = flags.get("trace").map_or("watch-day", String::as_str);
-    match WorkloadSpec::named(name) {
-        Some(workload) => (name, workload),
-        None => usage_error(&format!("unknown trace `{name}` (try `sdb traces`)")),
     }
 }
 
@@ -348,8 +297,11 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
             }
         }
     } else {
-        let (name, workload) = trace_flag(flags);
-        (workload, name.to_owned())
+        let name = flags.get("trace").map_or("watch-day", String::as_str);
+        match WorkloadSpec::named(name) {
+            Some(workload) => (workload, name.to_owned()),
+            None => usage_error(&format!("unknown trace `{name}` (try `sdb traces`)")),
+        }
     };
     let trace = workload.build(seed);
     let mut runtime = SdbRuntime::new(micro.battery_count());
@@ -545,15 +497,26 @@ fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
 /// `--hours`; `--threads` only changes wall-clock time.
 fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     let devices: usize = flag_or(flags, "devices", 1000);
-    let threads: usize = flag_or(flags, "threads", host_threads());
+    let threads: usize = flag_or(
+        flags,
+        "threads",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    );
     let seed: u64 = flag_or(flags, "seed", 42);
-    let hours = hours_flag(flags, 4.0);
+    let hours = flag_checked(
+        flags,
+        "hours",
+        4.0,
+        in_range(f64::MIN_POSITIVE..=f64::MAX, "a finite, positive span"),
+    );
 
     let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
     if let Some(policy) = fleet_policy_flag(flags) {
         spec = spec.with_policy(policy);
     }
-    let engine = engine_flag(flags);
+    let engine = flags.get("engine").map_or(fleet::EngineKind::Scalar, |s| {
+        fleet::EngineKind::parse(s).unwrap_or_else(|e| usage_error(&e))
+    });
     let capture_events = flags.contains_key("trace-out");
     if capture_events && engine == fleet::EngineKind::Soa {
         eprintln!(
@@ -581,9 +544,16 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     }
 
     if let Some(path) = flags.get("metrics-out") {
-        if write_metrics(&stats.registry, path).is_err() {
+        let text = if path.ends_with(".json") {
+            stats.registry.to_json()
+        } else {
+            stats.registry.to_prometheus_text()
+        };
+        if let Err(e) = std::fs::write(path, text) {
+            eprintln!("failed to write metrics to {path}: {e}");
             return ExitCode::FAILURE;
         }
+        eprintln!("wrote metrics to {path}");
     }
 
     let body = if flags.contains_key("json") {
@@ -872,156 +842,69 @@ fn violations_exit(report: &sdb::campaign::CampaignReport) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs one scenario under the phase profiler and renders the
-/// hierarchical phase tree. Call counts (and the tree shape) are
-/// deterministic — bit-identical for any `--threads` — while ns timings
-/// are sampled wall-clock facts quarantined in a separate section.
-/// `--format counts` prints only the deterministic section (CI compares
-/// it byte-for-byte across thread counts); `--format flame` emits
+/// Runs `sdb <cmd>` (`sim`, `fleet`, `campaign` or `policy`, with that
+/// command's own flags) under the phase profiler and renders the
+/// hierarchical phase tree to `--out`, or to stderr. The command's stdout
+/// and exit status are its own, and the profile is written whatever that
+/// status is. Call counts (and the tree shape) are deterministic —
+/// bit-identical for any `--threads` — while ns timings are sampled
+/// wall-clock facts quarantined in a separate section. `--format counts`
+/// renders only the deterministic section; `--format flame` emits
 /// collapsed stacks valued by deterministic call counts.
-fn cmd_profile(flags: &HashMap<String, String>) -> ExitCode {
-    let scenario = flags.get("scenario").map(String::as_str).unwrap_or("fleet");
-    // The flags each scenario reads, beyond --scenario and the output
-    // flags every scenario shares.
-    let reads: &[&str] = match scenario {
-        "fleet" => &["devices", "threads", "seed", "hours", "policy", "engine"],
-        "sim" => &["pack", "trace", "seed"],
-        "campaign" => &["threads", "seed", "hours"],
-        "policy" => &["seed"],
-        other => {
-            eprintln!("unknown scenario `{other}` (expected fleet, sim, campaign, or policy)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let shared = ["scenario", "format", "out", "metrics-out"];
-    if let Some(key) = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|k| !shared.contains(k) && !reads.contains(k))
-        .min()
-    {
-        usage_error(&format!(
-            "--{key} does not apply to `sdb profile --scenario {scenario}`"
-        ));
+fn cmd_profile(args: &[String]) -> ExitCode {
+    // The profiler's own flags, each with its value, come before the
+    // command name.
+    let mut split = 0;
+    while args.get(split).is_some_and(|a| a.starts_with("--")) {
+        split += if args.get(split + 1).is_some_and(|v| !v.starts_with("--")) {
+            2
+        } else {
+            1
+        };
     }
-    let devices: usize = flag_or(flags, "devices", 64);
-    let threads: usize = flag_or(flags, "threads", host_threads());
-    let seed: u64 = flag_or(flags, "seed", 42);
-    let hours = hours_flag(flags, 4.0);
+    let own = parse_flags("profile", &args[..split]).unwrap_or_else(|e| usage_error(&e));
+    let Some((cmd, rest)) = args[split..].split_first() else {
+        usage_error("`sdb profile` needs a command: sim, fleet, campaign, or policy");
+    };
+    let run: fn(&HashMap<String, String>) -> ExitCode = match cmd.as_str() {
+        "sim" => cmd_sim,
+        "fleet" => cmd_fleet,
+        "campaign" => cmd_campaign,
+        "policy" => cmd_policy,
+        other => usage_error(&format!(
+            "`sdb profile` cannot run `{other}` (expected sim, fleet, campaign, or policy)"
+        )),
+    };
+    let render: fn(&Snapshot) -> String = match own.get("format").map_or("text", String::as_str) {
+        "text" => Snapshot::render_text,
+        "counts" => Snapshot::render_counts,
+        "json" => |snap| snap.to_json() + "\n",
+        "flame" => Snapshot::render_flame,
+        other => usage_error(&format!(
+            "unknown --format `{other}` (expected text, counts, json, or flame)"
+        )),
+    };
+    let flags = parse_flags(cmd, rest).unwrap_or_else(|e| usage_error(&e));
 
     sdb::prof::reset();
     sdb::prof::enable();
-    match scenario {
-        "fleet" => {
-            let mut spec = fleet::FleetSpec::default_population(devices, seed).with_hours(hours);
-            if let Some(policy) = fleet_policy_flag(flags) {
-                spec = spec.with_policy(policy);
-            }
-            let engine = engine_flag(flags);
-            let opts = fleet::RunOptions {
-                engine,
-                ..fleet::RunOptions::new(threads)
-            };
-            match fleet::run_fleet(&spec, &opts) {
-                Ok((report, stats, _)) => eprintln!(
-                    "profiled fleet: {} devices, {} threads, {} engine, {:.2} s wall",
-                    report.devices,
-                    stats.threads,
-                    engine.name(),
-                    stats.wall_s
-                ),
-                Err(e) => {
-                    eprintln!("fleet run failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "sim" => {
-            let (pack_name, mut micro) = pack_flag(flags, "watch", 1.0);
-            let (trace_name, workload) = trace_flag(flags);
-            let trace = workload.build(seed);
-            let mut runtime = SdbRuntime::new(micro.battery_count());
-            runtime.set_discharge_directive(DischargeDirective::new(1.0));
-            let result = run_trace(&mut micro, &mut runtime, &trace, &SimOptions::default());
-            eprintln!(
-                "profiled sim: {pack_name} x {trace_name}, {:.1} h simulated",
-                result.simulated_s / 3600.0
-            );
-        }
-        "campaign" => {
-            use sdb::campaign::{run_campaign, CampaignOptions, CampaignRun, CampaignSpec};
-            let spec = CampaignSpec {
-                master_seed: seed,
-                hours,
-                ..CampaignSpec::default()
-            };
-            let opts = CampaignOptions {
-                threads,
-                ..CampaignOptions::default()
-            };
-            match run_campaign(&spec, &opts) {
-                Ok(CampaignRun::Complete(report)) => eprintln!(
-                    "profiled campaign: {} cells, {} violations",
-                    report.cells.len(),
-                    report.total_violations()
-                ),
-                Ok(CampaignRun::Interrupted { .. }) => {
-                    unreachable!("a campaign without --stop-after runs to completion")
-                }
-                Err(e) => {
-                    eprintln!("campaign failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "policy" => {
-            let h2h = sdb::policy::run_head_to_head(seed);
-            eprintln!(
-                "profiled policy corpus: {} runs, planner wins {}",
-                h2h.rows.len(),
-                h2h.planner_wins()
-            );
-        }
-        _ => unreachable!("the scenario was matched above"),
-    }
-    // Scenario runners flush their own worker threads; this picks up
-    // whatever the main thread recorded (e.g. the whole sim scenario).
+    let status = run(&flags);
+    // Fleet and campaign workers flush their own threads; this picks up
+    // whatever the main thread recorded (e.g. the whole `sdb sim` run).
     sdb::prof::flush_thread();
     sdb::prof::disable();
-    let snap = sdb::prof::snapshot();
-
-    if let Some(path) = flags.get("metrics-out") {
-        let registry = MetricsRegistry::new();
-        sdb::prof::export_gauges(&registry);
-        if write_metrics(&registry, path).is_err() {
-            return ExitCode::FAILURE;
+    let body = render(&sdb::prof::snapshot());
+    match own.get("out") {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, &body) {
+                eprintln!("failed to write profile to {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            eprintln!("wrote profile to {path}");
         }
+        None => eprint!("{body}"),
     }
-
-    let body = match flags.get("format").map(String::as_str) {
-        None | Some("text") => snap.render_text(),
-        Some("counts") => snap.render_counts(),
-        Some("json") => {
-            let mut s = snap.to_json();
-            s.push('\n');
-            s
-        }
-        Some("flame") => snap.render_flame(),
-        Some(other) => {
-            eprintln!("unknown format `{other}` (expected text, counts, json, or flame)");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("failed to write profile to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote profile to {path}");
-    } else {
-        emit(&body);
-    }
-    ExitCode::SUCCESS
+    status
 }
 
 fn main() -> ExitCode {
@@ -1043,6 +926,9 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first().map(String::as_str) else {
         return usage();
     };
+    if cmd == "profile" {
+        return cmd_profile(&args[1..]);
+    }
     let run: fn(&HashMap<String, String>) -> ExitCode = match cmd {
         "packs" => |_| list(PackTemplate::catalog(), 14),
         "traces" => |_| list(WorkloadSpec::catalog(), 16),
@@ -1051,7 +937,6 @@ fn main() -> ExitCode {
         "status" => cmd_status,
         "fleet" => cmd_fleet,
         "analyze" => cmd_analyze,
-        "profile" => cmd_profile,
         "policy" => cmd_policy,
         "campaign" => cmd_campaign,
         _ => return usage(),

@@ -9,8 +9,8 @@
 //!
 //! * [`battery_model`] — electrochemical substrate: Thevenin cells,
 //!   chemistry library, aging, thermal models (paper §2, §4.3).
-//! * [`power_electronics`] — regulators, switching circuits, measurement
-//!   chains, and a transient buck simulator (paper §3.2).
+//! * [`power_electronics`] — regulators, switching circuits and
+//!   measurement chains (paper §3.2).
 //! * [`fuel_gauge`] — coulomb counting and SoC estimation (paper §2.2).
 //! * [`emulator`] — the SDB "hardware": microcontroller, profiles, pack,
 //!   lossy OS link (paper §4).

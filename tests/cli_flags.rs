@@ -1,9 +1,10 @@
 //! `sdb` flag handling: a value that does not parse or is out of range,
 //! an unknown fleet policy, a flag missing from the subcommand's usage
-//! line (a retired one included), a `sdb profile` flag its scenario does
-//! not read or a stray argument is a usage error that exits non-zero
-//! before any work starts, never a silent default. Every listed pack and
-//! trace name runs, and a hostile trace file is refused, not crashed on.
+//! line (a retired one included), a flag the command under `sdb profile`
+//! does not accept or a stray argument is a usage error that exits
+//! non-zero before any work starts, never a silent default. Every listed
+//! pack and trace name runs, and a hostile trace file is refused, not
+//! crashed on.
 
 use std::process::{Command, Output};
 
@@ -84,7 +85,7 @@ fn every_flag_on_a_usage_line_is_accepted() {
             checked += 1;
         }
     }
-    assert!(checked > 50, "only {checked} flags found in:\n{usage}");
+    assert_eq!(checked, 47, "flags found in:\n{usage}");
 }
 
 #[test]
@@ -94,7 +95,7 @@ fn unknown_fleet_policies_are_errors() {
         "unknown fleet policy `bogus`",
     );
     assert_usage_error(
-        &["profile", "--devices", "4", "--policy", "bogus"],
+        &["profile", "fleet", "--devices", "4", "--policy", "bogus"],
         "unknown fleet policy `bogus`",
     );
 }
@@ -129,10 +130,10 @@ fn out_of_range_values_are_errors_naming_the_flag() {
     ] {
         assert_usage_error(args, needle);
     }
-    for cmd in ["fleet", "profile"] {
+    for cmd in [&["fleet"][..], &["profile", "fleet"]] {
         for hours in ["nan", "-1", "0", "inf"] {
             assert_usage_error(
-                &[cmd, "--devices", "2", "--hours", hours],
+                &[cmd, &["--devices", "2", "--hours", hours]].concat(),
                 &format!("invalid --hours `{hours}`"),
             );
         }
@@ -161,6 +162,25 @@ fn retired_flags_are_usage_errors_naming_them() {
         (&["analyze", "--json"], "needs --trace"),
     ] {
         assert_usage_error(args, needle);
+    }
+    // `sdb profile` takes only --format and --out: the scenario flags
+    // and its metrics dump are gone, and a command's flags follow it.
+    for flag in [
+        "--scenario",
+        "--metrics-out",
+        "--devices",
+        "--threads",
+        "--seed",
+        "--hours",
+        "--policy",
+        "--engine",
+        "--pack",
+        "--trace",
+    ] {
+        assert_usage_error(
+            &["profile", flag, "x", "fleet"],
+            &format!("unknown flag `{flag}` for `sdb profile`"),
+        );
     }
 }
 
@@ -202,23 +222,45 @@ fn version_prints_the_build_identity() {
     );
 }
 
+/// A flag the command under `sdb profile` does not accept is the usage
+/// error that command gives without the profiler, as is a command
+/// `sdb profile` cannot run or a missing one.
 #[test]
-fn profile_flags_the_scenario_does_not_read_are_errors_naming_them() {
-    for (args, flag) in [
+fn profile_flags_the_command_does_not_accept_are_errors_naming_them() {
+    for (args, needle) in [
         (
-            &["--scenario", "campaign", "--pack", "nosuch"][..],
-            "--pack",
+            &["campaign", "--pack", "nosuch"][..],
+            "unknown flag `--pack` for `sdb campaign`",
         ),
-        (&["--scenario", "campaign", "--engine", "soa"], "--engine"),
-        (&["--scenario", "campaign", "--devices", "2"], "--devices"),
-        (&["--scenario", "policy", "--engine", "soa"], "--engine"),
-        (&["--scenario", "policy", "--threads", "4"], "--threads"),
-        (&["--scenario", "sim", "--policy", "oracle"], "--policy"),
-        (&["--scenario", "sim", "--hours", "2"], "--hours"),
-        (&["--trace", "phone-day"], "--trace"),
+        (
+            &["campaign", "--engine", "soa"],
+            "unknown flag `--engine` for `sdb campaign`",
+        ),
+        (
+            &["campaign", "--devices", "2"],
+            "unknown flag `--devices` for `sdb campaign`",
+        ),
+        (
+            &["policy", "--engine", "soa"],
+            "unknown flag `--engine` for `sdb policy`",
+        ),
+        (
+            &["policy", "--threads", "4"],
+            "unknown flag `--threads` for `sdb policy`",
+        ),
+        (
+            &["sim", "--devices", "2"],
+            "unknown flag `--devices` for `sdb sim`",
+        ),
+        (
+            &["sim", "--hours", "2"],
+            "unknown flag `--hours` for `sdb sim`",
+        ),
+        (&["charge"], "`sdb profile` cannot run `charge`"),
+        (&[], "`sdb profile` needs a command"),
+        (&["--format", "bogus", "sim"], "unknown --format `bogus`"),
     ] {
-        let args = [&["profile"][..], args].concat();
-        assert_usage_error(&args, &format!("{flag} does not apply to `sdb profile"));
+        assert_usage_error(&[&["profile"][..], args].concat(), needle);
     }
 }
 

@@ -1,13 +1,18 @@
 //! Integration tests of the phase profiler's determinism quarantine:
 //! call counts, tree shape, and per-cohort attribution must be
 //! byte-identical at any thread count, and enabling the profiler must
-//! not perturb the fleet engine's own bit-identical reports.
+//! not perturb the fleet engine's own bit-identical reports, nor the
+//! stdout of a command run under `sdb profile`.
 //!
 //! The profiler aggregate is process-global, so every test that
 //! profiles in this process serializes on one lock and resets the
-//! aggregate around its runs.
+//! aggregate around its runs. The `sdb profile` tests profile child
+//! processes and need no lock.
 
 use sdb::fleet::{run_fleet, FleetReport, FleetSpec, RunOptions};
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 
 static PROF_LOCK: Mutex<()> = Mutex::new(());
@@ -85,22 +90,118 @@ fn profiling_does_not_change_the_unprofiled_report() {
     assert_eq!(plain, profiled);
 }
 
-/// `sdb profile --scenario campaign` profiles the campaign runner users
-/// run, `link_step` under faulted cells included, with counts
-/// byte-identical at any thread count.
+/// Spawns `sdb <args>` with its output piped.
+fn spawn_sdb(args: impl IntoIterator<Item = impl AsRef<OsStr>>) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_sdb"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run sdb")
+}
+
+/// The stdout of a spawned `sdb`, which must exit 0.
+fn stdout_of(child: Child) -> Vec<u8> {
+    let out = child.wait_with_output().expect("sdb exits");
+    assert!(out.status.success(), "{out:?}");
+    out.stdout
+}
+
+/// Spawns `sdb profile --format counts --out <file> <cmd>` (`cmd` a
+/// space-separated argument list) and returns it with the profile file,
+/// named after `label`.
+fn spawn_profile(label: &str, cmd: &str) -> (Child, PathBuf) {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{label}.counts"));
+    let profile = ["profile", "--format", "counts", "--out"].map(OsStr::new);
+    let args = profile
+        .into_iter()
+        .chain([path.as_os_str()])
+        .chain(cmd.split_whitespace().map(OsStr::new));
+    (spawn_sdb(args), path)
+}
+
+/// `sdb profile … <cmd>` runs the command itself: its stdout is byte for
+/// byte that of `sdb <cmd>`, and the profile it writes holds the
+/// command's phases.
+#[test]
+fn profiled_commands_print_the_unprofiled_stdout() {
+    let cases = [
+        ("sim", "sim --pack phone --trace phone-day", "micro_step"),
+        (
+            "fleet",
+            "fleet --devices 16 --threads 2 --hours 2 --json",
+            "device_run",
+        ),
+        (
+            "fleet-soa",
+            "fleet --devices 16 --threads 2 --hours 2 --json --engine soa",
+            "soa_step",
+        ),
+        (
+            "campaign",
+            "campaign --scenarios standby --chemistries co --faults none,moderate \
+             --policies greedy --engines scalar,soa --hours 1 --threads 2",
+            "campaign_cell",
+        ),
+        ("policy", "policy --seed 42", "policy_run"),
+    ];
+    // Every run starts before any is awaited: the plain command and its
+    // profile run side by side.
+    let runs: Vec<_> = cases
+        .iter()
+        .map(|(label, cmd, _)| (spawn_sdb(cmd.split_whitespace()), spawn_profile(label, cmd)))
+        .collect();
+    for ((plain, (profiled, path)), (label, _, phase)) in runs.into_iter().zip(&cases) {
+        let plain = stdout_of(plain);
+        assert!(!plain.is_empty(), "{label} printed nothing");
+        assert!(
+            stdout_of(profiled) == plain,
+            "{label}: profiling changed the stdout"
+        );
+        let profile = std::fs::read_to_string(path).expect("profile written");
+        assert!(
+            profile.contains(phase),
+            "{label}: missing phase {phase}:\n{profile}"
+        );
+    }
+}
+
+/// The `--format counts` profile of `sdb <cmd>`, which must be
+/// byte-identical at `--threads 1` and `--threads 4`.
+fn counts_at_1_and_4_threads(label: &str, cmd: &str) -> String {
+    let [one, four] = [1, 4].map(|threads| {
+        let (child, path) = spawn_profile(
+            &format!("{label}-{threads}t"),
+            &format!("{cmd} --threads {threads}"),
+        );
+        stdout_of(child);
+        std::fs::read_to_string(path).expect("profile written")
+    });
+    assert_eq!(one, four, "{label} counts diverged between 1 and 4 threads");
+    one
+}
+
+/// `sdb profile --format counts fleet` is byte-identical at 1 and 4
+/// threads, on the scalar engine and on SoA, where the hybrid driver's
+/// sync ticks (`soa_step`) and closed-form advances (`fast_forward`)
+/// show up in the tree.
+#[test]
+fn fleet_profile_counts_are_byte_identical_across_thread_counts() {
+    let scalar = counts_at_1_and_4_threads("fleet-64", "fleet --devices 64 --seed 42");
+    assert!(scalar.contains("micro_step"), "{scalar}");
+    let soa =
+        counts_at_1_and_4_threads("fleet-64-soa", "fleet --devices 64 --seed 42 --engine soa");
+    for phase in ["soa_step", "fast_forward"] {
+        assert!(soa.contains(phase), "missing phase {phase}:\n{soa}");
+    }
+}
+
+/// `sdb profile campaign` profiles the campaign runner users run,
+/// `link_step` under faulted cells included, with counts byte-identical
+/// at any thread count.
 #[test]
 fn campaign_profile_counts_are_byte_identical_across_thread_counts() {
-    let counts = |threads: &str| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sdb"))
-            .args(["profile", "--scenario", "campaign", "--seed", "42"])
-            .args(["--hours", "1", "--format", "counts", "--threads", threads])
-            .output()
-            .expect("run sdb");
-        assert!(out.status.success(), "{out:?}");
-        String::from_utf8(out.stdout).expect("utf-8 counts")
-    };
-    let one = counts("1");
-    assert_eq!(one, counts("4"), "campaign counts diverged");
+    let one = counts_at_1_and_4_threads("campaign", "campaign --seed 42 --hours 1");
     for phase in ["campaign_run", "campaign_cell", "link_step", "fast_forward"] {
         assert!(one.contains(phase), "missing phase {phase}:\n{one}");
     }
