@@ -11,7 +11,7 @@
 pub mod experiments;
 pub mod harness;
 pub mod output;
-pub mod table;
+mod table;
 
 use experiments::*;
 

@@ -22,11 +22,11 @@
 //!   and its record shared across the engine axis; a unit that ignores
 //!   its device seed as well shares device 0's record
 //!   ([`runner::Sources`]).
-//! * [`report`] — device → cell → matrix digest folding plus text/JSON/
+//! * `report` — device → cell → matrix digest folding plus text/JSON/
 //!   HTML renders.
 //! * [`baseline`] — committed golden digests and the differential
 //!   comparison ([`baseline::compare`]).
-//! * [`minimize`] — on divergence, delta-debugs the axis space over the
+//! * `minimize` — on divergence, delta-debugs the axis space over the
 //!   recorded matrix, isolates the first divergent device, re-runs it to
 //!   confirm, and emits a ready-to-run single-cell repro command; plus
 //!   fault-plan ddmin for invariant-violation triage.
@@ -55,8 +55,8 @@
 
 pub mod baseline;
 pub mod checkpoint;
-pub mod minimize;
-pub mod report;
+mod minimize;
+mod report;
 pub mod runner;
 pub mod spec;
 

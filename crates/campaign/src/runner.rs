@@ -25,7 +25,7 @@ use crate::checkpoint;
 use crate::report::{CampaignReport, DeviceRecord};
 use crate::spec::{self, CampaignSpec, Cell};
 use sdb_chaos::{FaultPlan, InvariantChecker, PlanExecutor};
-use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
+use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
@@ -419,7 +419,7 @@ pub fn run_cell_device(
         Driver::Linked => {
             let mut link = Link::ideal(micro);
             link.seed_faults(derive_seed(seed, 1));
-            runtime.enable_resilience(ResilienceConfig::default());
+            runtime.enable_resilience();
             let plan = FaultPlan::generate(derive_seed(seed, 2), trace.duration_s(), intensity, n);
             let mut exec = PlanExecutor::new(plan);
             let mut checker = InvariantChecker::for_micro(link.micro());

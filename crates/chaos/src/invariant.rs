@@ -14,56 +14,38 @@
 //! * **Wear monotonicity** — cycle counts never decrease.
 //! * **Energy conservation** — lifetime `supplied + circuit loss + cell
 //!   heat` never exceeds chemical energy drawn plus external input beyond
-//!   the configured loss-model tolerance (plus a small explicit slack for
+//!   the fixed loss-model tolerance (plus a small explicit slack for
 //!   deep-discharge steps, where the emulator's served-power booking is
 //!   documented to sag above the cell's true integral).
 //!
-//! Violations are collected (not panicked), so a chaos campaign can count
-//! them per fault class; tests assert [`InvariantReport::is_clean`].
+//! Violations are collected (not panicked), so a campaign can count them
+//! per cell; tests assert [`InvariantReport::is_clean`].
 
 use sdb_emulator::micro::{Microcontroller, StepReport};
 use std::fmt;
 
-/// Tolerances for the checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvariantConfig {
-    /// Relative tolerance on the lifetime energy-conservation identity
-    /// (covers loss-model discretization error).
-    pub energy_tol_frac: f64,
-    /// Absolute slack on the energy identity, joules (for tiny runs).
-    pub energy_tol_j: f64,
-    /// Tolerance on ratio sums and component non-negativity.
-    pub ratio_tol: f64,
-    /// Absolute tolerance on per-step load accounting, watts.
-    pub power_tol_w: f64,
-    /// Hard ceiling on cell temperature, °C.
-    pub max_cell_temp_c: f64,
-    /// Allowed overshoot factor on spec current limits.
-    pub current_margin: f64,
-    /// SoC below which a discharging cell is in the steep tail of its
-    /// OCV curve, where the emulator books served power at the request
-    /// while the sagging cell integral delivers slightly less.
-    pub deep_soc: f64,
-    /// Extra relative slack accrued on the energy identity for energy
-    /// supplied during deep-discharge steps (see
-    /// [`InvariantConfig::deep_soc`]).
-    pub deep_slack_frac: f64,
-}
+// Tolerances for the checks.
 
-impl Default for InvariantConfig {
-    fn default() -> Self {
-        Self {
-            energy_tol_frac: 0.02,
-            energy_tol_j: 1.0,
-            ratio_tol: 1e-6,
-            power_tol_w: 1e-3,
-            max_cell_temp_c: 100.0,
-            current_margin: 1.05,
-            deep_soc: 0.15,
-            deep_slack_frac: 0.05,
-        }
-    }
-}
+/// Relative tolerance on the lifetime energy-conservation identity
+/// (covers loss-model discretization error).
+const ENERGY_TOL_FRAC: f64 = 0.02;
+/// Absolute slack on the energy identity, joules (for tiny runs).
+const ENERGY_TOL_J: f64 = 1.0;
+/// Tolerance on ratio sums and component non-negativity.
+const RATIO_TOL: f64 = 1e-6;
+/// Absolute tolerance on per-step load accounting, watts.
+const POWER_TOL_W: f64 = 1e-3;
+/// Hard ceiling on cell temperature, °C.
+const MAX_CELL_TEMP_C: f64 = 100.0;
+/// Allowed overshoot factor on spec current limits.
+const CURRENT_MARGIN: f64 = 1.05;
+/// SoC below which a discharging cell is in the steep tail of its OCV
+/// curve, where the emulator books served power at the request while the
+/// sagging cell integral delivers slightly less.
+const DEEP_SOC: f64 = 0.15;
+/// Extra relative slack accrued on the energy identity for energy
+/// supplied during deep-discharge steps (below [`DEEP_SOC`]).
+const DEEP_SLACK_FRAC: f64 = 0.05;
 
 /// One recorded invariant violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,7 +109,6 @@ const MAX_DETAILS: usize = 64;
 /// Step-hooked invariant checker over one `(Microcontroller, run)` pair.
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
-    cfg: InvariantConfig,
     /// Per-cell spec limits captured at construction.
     max_discharge_a: Vec<f64>,
     max_charge_a: Vec<f64>,
@@ -147,18 +128,10 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A checker baselined on `micro`'s current lifetime totals, with
-    /// default tolerances.
+    /// A checker baselined on `micro`'s current lifetime totals.
     #[must_use]
     pub fn for_micro(micro: &Microcontroller) -> Self {
-        Self::with_config(micro, InvariantConfig::default())
-    }
-
-    /// As [`InvariantChecker::for_micro`] with explicit tolerances.
-    #[must_use]
-    pub fn with_config(micro: &Microcontroller, cfg: InvariantConfig) -> Self {
         Self {
-            cfg,
             max_discharge_a: micro
                 .cells()
                 .iter()
@@ -206,9 +179,9 @@ impl InvariantChecker {
             .batteries
             .as_slice()
             .iter()
-            .any(|b| b.current_a > 0.0 && b.soc < self.cfg.deep_soc);
+            .any(|b| b.current_a > 0.0 && b.soc < DEEP_SOC);
         if deep {
-            self.deep_slack_j += self.cfg.deep_slack_frac * report.supplied_w.max(0.0) * dt_s;
+            self.deep_slack_j += DEEP_SLACK_FRAC * report.supplied_w.max(0.0) * dt_s;
         }
         for (i, b) in report.batteries.as_slice().iter().enumerate() {
             self.checks += 2;
@@ -223,7 +196,7 @@ impl InvariantChecker {
             } else {
                 self.max_charge_a.get(i).copied().unwrap_or(f64::INFINITY)
             };
-            if b.current_a.abs() > limit * self.cfg.current_margin {
+            if b.current_a.abs() > limit * CURRENT_MARGIN {
                 self.violate(
                     t_s,
                     "safety-envelope",
@@ -236,7 +209,7 @@ impl InvariantChecker {
         }
         self.checks += 1;
         let balance = report.supplied_w + report.unmet_w - report.load_w;
-        if balance.abs() > self.cfg.power_tol_w + 1e-9 * report.load_w.abs() {
+        if balance.abs() > POWER_TOL_W + 1e-9 * report.load_w.abs() {
             self.violate(
                 t_s,
                 "load-accounting",
@@ -260,7 +233,7 @@ impl InvariantChecker {
         for (i, cell) in micro.cells().iter().enumerate() {
             self.checks += 2;
             if let Some(temp) = cell.temperature_c() {
-                if temp > self.cfg.max_cell_temp_c {
+                if temp > MAX_CELL_TEMP_C {
                     self.violate(
                         t_s,
                         "safety-envelope",
@@ -287,8 +260,7 @@ impl InvariantChecker {
         let (d0, cl0, ch0, _u0, e0) = self.baseline_totals;
         let lhs = (d - d0) + (cl - cl0) + (ch - ch0);
         let rhs = (chem_net_j(micro) - self.baseline_chem_j) + (e - e0);
-        if lhs > rhs * (1.0 + self.cfg.energy_tol_frac) + self.cfg.energy_tol_j + self.deep_slack_j
-        {
+        if lhs > rhs * (1.0 + ENERGY_TOL_FRAC) + ENERGY_TOL_J + self.deep_slack_j {
             self.violate(
                 t_s,
                 "energy-conservation",
@@ -300,10 +272,8 @@ impl InvariantChecker {
     fn check_ratio_tuple(&mut self, t_s: f64, which: &'static str, ratios: &[f64]) {
         self.checks += 1;
         let sum: f64 = ratios.iter().sum();
-        let bad_sum = (sum - 1.0).abs() > self.cfg.ratio_tol;
-        let bad_component = ratios
-            .iter()
-            .any(|r| *r < -self.cfg.ratio_tol || !r.is_finite());
+        let bad_sum = (sum - 1.0).abs() > RATIO_TOL;
+        let bad_component = ratios.iter().any(|r| *r < -RATIO_TOL || !r.is_finite());
         if bad_sum || bad_component {
             self.violate(
                 t_s,

@@ -4,14 +4,14 @@
 //! only help if the stack keeps its invariants when hardware misbehaves.
 //! This crate provides the pieces to test that:
 //!
-//! * [`plan`] — seed-driven [`FaultPlan`]s over ten fault classes (lossy
+//! * `plan` — seed-driven [`FaultPlan`]s over ten fault classes (lossy
 //!   link, degraded gauges, cell/pack faults), bit-for-bit replayable,
 //!   applied to a live [`sdb_emulator::link::Link`] by a [`PlanExecutor`].
-//! * [`invariant`] — a step-hooked [`InvariantChecker`] asserting energy
+//! * `invariant` — a step-hooked [`InvariantChecker`] asserting energy
 //!   conservation, SoC bounds, ratio validity, the safety envelope, and
 //!   wear monotonicity; collects violations instead of panicking so
 //!   campaigns can tabulate them.
-//! * [`harness`] — invariant-checked drop-ins for the scheduler entry
+//! * `harness` — invariant-checked drop-ins for the scheduler entry
 //!   points.
 //!
 //! Fault-injection sweeps over many devices are `sdb-campaign` matrices:
@@ -29,10 +29,10 @@
 //! assert_eq!(plan, FaultPlan::generate(42, 2.0 * 3600.0, 0.7, 2));
 //! ```
 
-pub mod harness;
-pub mod invariant;
-pub mod plan;
+mod harness;
+mod invariant;
+mod plan;
 
 pub use harness::{checked_run_charge_session, checked_run_trace};
-pub use invariant::{InvariantChecker, InvariantConfig, InvariantReport, Violation};
-pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanExecutor, FAULT_CLASSES};
+pub use invariant::{InvariantChecker, InvariantReport, Violation};
+pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanExecutor};

@@ -11,20 +11,6 @@ use sdb_emulator::micro::ThermalThrottle;
 use sdb_fuel_gauge::gauge::GaugeFault;
 use sdb_rng::DetRng;
 
-/// Names of every fault class, in [`FaultKind::class_index`] order.
-pub const FAULT_CLASSES: [&str; 10] = [
-    "link-drop",
-    "link-latency",
-    "link-duplicate",
-    "stale-status",
-    "gauge-stuck",
-    "gauge-bias",
-    "gauge-quantization",
-    "dcir-growth",
-    "detach",
-    "thermal-trip",
-];
-
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -82,25 +68,6 @@ pub enum FaultKind {
         /// Throttle limit, °C (set near ambient to trip immediately).
         limit_c: f64,
     },
-}
-
-impl FaultKind {
-    /// Index into [`FAULT_CLASSES`] for this fault.
-    #[must_use]
-    pub fn class_index(&self) -> usize {
-        match self {
-            Self::LinkDrop { .. } => 0,
-            Self::LinkLatency { .. } => 1,
-            Self::LinkDuplicate { .. } => 2,
-            Self::StaleStatus => 3,
-            Self::GaugeStuck { .. } => 4,
-            Self::GaugeBiasRamp { .. } => 5,
-            Self::GaugeQuantization { .. } => 6,
-            Self::DcirGrowth { .. } => 7,
-            Self::Detach { .. } => 8,
-            Self::ThermalTrip { .. } => 9,
-        }
-    }
 }
 
 /// A fault active over `[start_s, end_s)`.
@@ -262,7 +229,6 @@ pub struct PlanExecutor {
     /// The previous call's time.
     last_t_s: f64,
     injected: u64,
-    per_class: [u64; FAULT_CLASSES.len()],
 }
 
 impl PlanExecutor {
@@ -292,7 +258,6 @@ impl PlanExecutor {
             next_change_s,
             last_t_s: f64::NEG_INFINITY,
             injected: 0,
-            per_class: [0; FAULT_CLASSES.len()],
         }
     }
 
@@ -338,12 +303,10 @@ impl PlanExecutor {
         self.live.sort_unstable();
         changes.sort_unstable_by_key(|&(i, _)| i);
         for &(i, on) in changes.iter() {
-            let kind = events[i].kind;
             if on {
                 self.injected += 1;
-                self.per_class[kind.class_index()] += 1;
             }
-            Self::set(link, kind, on);
+            Self::set(link, events[i].kind, on);
         }
         let next_start = self
             .order
@@ -359,12 +322,6 @@ impl PlanExecutor {
     #[must_use]
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-
-    /// Activations per fault class ([`FAULT_CLASSES`] order).
-    #[must_use]
-    pub fn injected_per_class(&self) -> [u64; FAULT_CLASSES.len()] {
-        self.per_class
     }
 
     /// The plan being executed.
@@ -497,7 +454,6 @@ mod tests {
         exec.apply(25.0, &mut link);
         assert!(!link.stale_status_active());
         assert_eq!(exec.injected(), 1, "clearing is not an injection");
-        assert_eq!(exec.injected_per_class()[3], 1);
     }
 
     /// The executor before it was indexed: every event checked on every
@@ -507,7 +463,6 @@ mod tests {
         events: Vec<FaultEvent>,
         active: Vec<bool>,
         injected: u64,
-        per_class: [u64; FAULT_CLASSES.len()],
     }
 
     impl ScanExecutor {
@@ -516,7 +471,6 @@ mod tests {
                 events: plan.events().to_vec(),
                 active: vec![false; plan.len()],
                 injected: 0,
-                per_class: [0; FAULT_CLASSES.len()],
             }
         }
 
@@ -529,7 +483,6 @@ mod tests {
                 self.active[i] = should;
                 if should {
                     self.injected += 1;
-                    self.per_class[ev.kind.class_index()] += 1;
                 }
                 PlanExecutor::set(link, ev.kind, should);
             }
@@ -588,7 +541,6 @@ mod tests {
             exec.apply(t_s, &mut a);
             scan.apply(t_s, &mut b);
             assert_eq!(exec.injected(), scan.injected, "step {step} t={t_s}");
-            assert_eq!(exec.injected_per_class(), scan.per_class, "t={t_s}");
             assert_eq!(fault_state(&a), fault_state(&b), "t={t_s}");
             if !g.chance(0.2) {
                 a.step(0.3, 0.0, dt_s);

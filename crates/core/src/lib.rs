@@ -23,14 +23,11 @@
 //! * [`scenarios`] — the Section 5 applications: fast-charging hybrid packs
 //!   (Figure 11), turbo support (Figure 12), the bendable-battery watch
 //!   (Figure 13), and 2-in-1 battery management (Figure 14).
-//! * [`predict`] — a simple usage predictor that maps learned daily
-//!   patterns to directive parameters (the paper's Section 8 assistant
-//!   integration, reproduced as an extension).
 //! * [`optimal`] — offline-optimal discharge planning by dynamic
 //!   programming: the quantitative version of the paper's "knowledge of
 //!   the future workload" observation.
-//! * [`lookahead`] — the planner seam: the [`lookahead::LookaheadPolicy`]
-//!   trait and [`lookahead::PlanUpdate`] let forecast-driven planners
+//! * The planner seam: the [`LookaheadPolicy`] trait and [`PlanUpdate`]
+//!   let forecast-driven planners
 //!   (the `sdb-policy` crate) steer the runtime through the same
 //!   directive vocabulary the greedy policies use.
 //! * [`hints`] — route/schedule hints for EV-style planning (Section 8).
@@ -65,13 +62,12 @@
 //! ```
 
 pub mod api;
-pub mod error;
+mod error;
 pub mod hints;
-pub mod lookahead;
+mod lookahead;
 pub mod metrics;
 pub mod optimal;
 pub mod policy;
-pub mod predict;
 pub mod runtime;
 pub mod scenarios;
 pub mod scheduler;
@@ -81,8 +77,7 @@ pub use error::SdbError;
 pub use lookahead::{LookaheadPolicy, PlanUpdate};
 pub use metrics::{ccb, rbl_wh, wear_ratios};
 pub use policy::{ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch, PreservePolicy};
-pub use predict::UsagePredictor;
-pub use runtime::{ResilienceConfig, SdbRuntime};
+pub use runtime::SdbRuntime;
 pub use scheduler::{
     drive, run_trace, Bookkeeping, Hooks, Linked, PreparedResult, SimOptions, SimResult, Transport,
 };

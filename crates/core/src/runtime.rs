@@ -15,49 +15,31 @@ use sdb_emulator::link::Response;
 use sdb_fuel_gauge::gauge::BatteryStatus;
 use sdb_observe::{Counter, Gauge, ObsEvent, Observer, SpanName};
 
-/// Configuration of the runtime's graceful-degradation layer
-/// ([`SdbRuntime::enable_resilience`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Time to wait for any link response before re-sending the last
-    /// pushed ratios, seconds.
-    pub ack_timeout_s: f64,
-    /// Retries before recovery is left to the watchdog.
-    pub max_retries: u32,
-    /// Exponential growth factor of the retry backoff.
-    pub backoff_factor: f64,
-    /// Silent-link time (commands outstanding, no responses) after which
-    /// the watchdog engages and falls back to safe uniform ratios, seconds.
-    pub watchdog_timeout_s: f64,
-    /// Blend weight toward the uniform split applied to policy ratios
-    /// while any gauge is flagged degraded (guard-band widening), `[0, 1]`.
-    pub guard_widen: f64,
-    /// Consecutive bit-identical SoC samples under load before a gauge is
-    /// flagged stuck.
-    pub stuck_samples: u32,
-    /// Minimum reported |current| for stuck detection to apply, amps (a
-    /// resting cell's frozen SoC is legitimate).
-    pub stuck_current_a: f64,
-}
+// Settings of the graceful-degradation layer (`enable_resilience`).
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            ack_timeout_s: 10.0,
-            max_retries: 3,
-            backoff_factor: 2.0,
-            watchdog_timeout_s: 120.0,
-            guard_widen: 0.5,
-            stuck_samples: 5,
-            stuck_current_a: 0.05,
-        }
-    }
-}
+/// Time to wait for any link response before re-sending the last pushed
+/// ratios (and the re-send period of the watchdog's fallback), seconds.
+const ACK_TIMEOUT_S: f64 = 10.0;
+/// Retries before recovery is left to the watchdog.
+const MAX_RETRIES: u32 = 3;
+/// Exponential growth factor of the retry backoff.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Silent-link time (commands outstanding, no responses) after which the
+/// watchdog engages and falls back to safe uniform ratios, seconds.
+const WATCHDOG_TIMEOUT_S: f64 = 120.0;
+/// Blend weight toward the uniform split applied to policy ratios while
+/// any gauge is flagged degraded (guard-band widening), `[0, 1]`.
+const GUARD_WIDEN: f64 = 0.5;
+/// Consecutive bit-identical SoC samples under load before a gauge is
+/// flagged stuck.
+const STUCK_SAMPLES: u32 = 5;
+/// Minimum reported |current| for stuck detection to apply, amps (a
+/// resting cell's frozen SoC is legitimate).
+const STUCK_CURRENT_A: f64 = 0.05;
 
 /// Mutable state of the graceful-degradation layer.
 #[derive(Debug, Clone)]
 struct ResilienceState {
-    cfg: ResilienceConfig,
     /// Commands sent whose responses have not yet been observed.
     outstanding: u64,
     /// Time since the last send (or last response), for retry pacing.
@@ -81,19 +63,19 @@ struct ResilienceState {
 }
 
 impl ResilienceState {
-    fn new(cfg: ResilienceConfig) -> Self {
+    /// A quiet link and trusted gauges over `n` batteries.
+    fn new(n: usize) -> Self {
         Self {
-            cfg,
             outstanding: 0,
             since_send_s: 0.0,
             silent_s: 0.0,
             retries: 0,
             engaged: false,
             since_fallback_s: 0.0,
-            last_soc_bits: Vec::new(),
-            stuck_counts: Vec::new(),
-            degraded: Vec::new(),
-            uniform: Vec::new(),
+            last_soc_bits: vec![None; n],
+            stuck_counts: vec![0; n],
+            degraded: vec![false; n],
+            uniform: vec![1.0 / n as f64; n],
         }
     }
 }
@@ -294,13 +276,8 @@ impl SdbRuntime {
     /// exponential backoff ([`SdbRuntime::supervise`]), a watchdog that
     /// falls back to safe uniform ratios when the link goes dark, and
     /// stuck-gauge detection that widens the policy guard bands.
-    pub fn enable_resilience(&mut self, cfg: ResilienceConfig) {
-        let mut st = ResilienceState::new(cfg);
-        st.last_soc_bits = vec![None; self.n];
-        st.stuck_counts = vec![0; self.n];
-        st.degraded = vec![false; self.n];
-        st.uniform = vec![1.0 / self.n as f64; self.n];
-        self.resilience = Some(st);
+    pub fn enable_resilience(&mut self) {
+        self.resilience = Some(ResilienceState::new(self.n));
     }
 
     /// Whether the link watchdog is currently engaged (safe uniform
@@ -360,8 +337,8 @@ impl SdbRuntime {
     }
 
     /// Feeds gauge status rows to the stuck-gauge detector: a SoC estimate
-    /// that stays bit-identical across [`ResilienceConfig::stuck_samples`]
-    /// consecutive reports while meaningful current flows marks the gauge
+    /// that stays bit-identical across `STUCK_SAMPLES` (5) consecutive
+    /// reports while meaningful current flows marks the gauge
     /// degraded; any change in the estimate clears the flag.
     pub fn observe_status(&mut self, rows: &[BatteryStatus]) {
         let Some(res) = &mut self.resilience else {
@@ -370,11 +347,11 @@ impl SdbRuntime {
         let observer = self.observer.clone();
         for (i, row) in rows.iter().enumerate().take(res.last_soc_bits.len()) {
             let bits = row.soc.to_bits();
-            let under_load = row.current_a.abs() >= res.cfg.stuck_current_a;
+            let under_load = row.current_a.abs() >= STUCK_CURRENT_A;
             if res.last_soc_bits[i] == Some(bits) {
                 if under_load {
                     res.stuck_counts[i] = res.stuck_counts[i].saturating_add(1);
-                    if res.stuck_counts[i] >= res.cfg.stuck_samples && !res.degraded[i] {
+                    if res.stuck_counts[i] >= STUCK_SAMPLES && !res.degraded[i] {
                         res.degraded[i] = true;
                         observer.emit(ObsEvent::GaugeDegraded {
                             battery: i,
@@ -402,9 +379,8 @@ impl SdbRuntime {
 
     /// Advances the degradation layer's clocks and performs recovery
     /// actions: re-sends the last ratios with exponential backoff while the
-    /// link is silent, and past
-    /// [`ResilienceConfig::watchdog_timeout_s`] engages the watchdog,
-    /// pushing safe uniform ratios until a response arrives.
+    /// link is silent, and past `WATCHDOG_TIMEOUT_S` (120 s) engages the
+    /// watchdog, pushing safe uniform ratios until a response arrives.
     ///
     /// No-op unless [`SdbRuntime::enable_resilience`] was called.
     ///
@@ -429,7 +405,7 @@ impl SdbRuntime {
         if res.engaged {
             // Keep re-asserting the safe split in case pushes are lost.
             res.since_fallback_s += dt_s;
-            if res.since_fallback_s >= res.cfg.ack_timeout_s {
+            if res.since_fallback_s >= ACK_TIMEOUT_S {
                 res.since_fallback_s = 0.0;
                 api.discharge(&res.uniform)?;
                 api.charge(&res.uniform)?;
@@ -437,7 +413,7 @@ impl SdbRuntime {
             }
             return Ok(());
         }
-        if res.silent_s >= res.cfg.watchdog_timeout_s {
+        if res.silent_s >= WATCHDOG_TIMEOUT_S {
             res.engaged = true;
             // First fallback push happens immediately.
             res.since_fallback_s = f64::INFINITY;
@@ -447,8 +423,8 @@ impl SdbRuntime {
             });
             return self.supervise(api, 0.0);
         }
-        if res.retries < res.cfg.max_retries {
-            let backoff_s = res.cfg.ack_timeout_s * res.cfg.backoff_factor.powi(res.retries as i32);
+        if res.retries < MAX_RETRIES {
+            let backoff_s = ACK_TIMEOUT_S * BACKOFF_FACTOR.powi(res.retries as i32);
             if res.since_send_s >= backoff_s {
                 res.retries += 1;
                 res.since_send_s = 0.0;
@@ -505,7 +481,7 @@ impl SdbRuntime {
         let widen = self
             .resilience
             .as_ref()
-            .and_then(|r| (r.degraded.iter().any(|d| *d)).then_some(r.cfg.guard_widen));
+            .and_then(|r| (r.degraded.iter().any(|d| *d)).then_some(GUARD_WIDEN));
         let mut pushed = false;
 
         // Both directions evaluate into the reusable scratch buffers and
@@ -764,27 +740,23 @@ mod tests {
         link.seed_faults(7);
         link.set_fault_drop_per_mille(1000); // the link goes completely dark
         let mut rt = SdbRuntime::new(2);
-        rt.enable_resilience(ResilienceConfig {
-            ack_timeout_s: 5.0,
-            watchdog_timeout_s: 30.0,
-            ..ResilienceConfig::default()
-        });
+        rt.enable_resilience();
         let input = PolicyInput::from_micro(link.micro()).with_load(4.0);
         rt.tick(&mut link, &input, 1.0).unwrap();
         assert!(rt.pushes() >= 1);
-        for _ in 0..40 {
+        for _ in 0..(WATCHDOG_TIMEOUT_S as usize + 10) {
             link.step(1.0, 2.0, 60.0);
             rt.observe_responses(&link.take_responses());
             rt.supervise(&mut link, 1.0).unwrap();
         }
         assert!(
             rt.watchdog_engaged(),
-            "watchdog should engage after 30 s silent"
+            "watchdog should engage after {WATCHDOG_TIMEOUT_S} s silent"
         );
         // Restore the link: a fallback push gets through, the Ack comes
         // back, and the watchdog disengages.
         link.set_fault_drop_per_mille(0);
-        for _ in 0..10 {
+        for _ in 0..(2 * ACK_TIMEOUT_S as usize) {
             rt.supervise(&mut link, 1.0).unwrap();
             link.step(1.0, 2.0, 60.0);
             rt.observe_responses(&link.take_responses());
@@ -807,25 +779,22 @@ mod tests {
         link.seed_faults(3);
         link.set_fault_drop_per_mille(1000);
         let mut rt = SdbRuntime::new(2);
-        rt.enable_resilience(ResilienceConfig {
-            ack_timeout_s: 4.0,
-            watchdog_timeout_s: 1e9,
-            ..ResilienceConfig::default()
-        });
+        rt.enable_resilience();
         let input = PolicyInput::from_micro(link.micro()).with_load(4.0);
         rt.tick(&mut link, &input, 1.0).unwrap();
         let sent_before = link.stats().sent;
-        for _ in 0..5 {
+        // Past the first backoff, well short of the watchdog.
+        for _ in 0..(ACK_TIMEOUT_S as usize + 2) {
             rt.supervise(&mut link, 1.0).unwrap();
         }
-        // One retry after ack_timeout_s re-sends both tuples.
+        // One retry after ACK_TIMEOUT_S re-sends both tuples.
         assert!(link.stats().sent > sent_before);
     }
 
     #[test]
     fn stuck_gauge_flags_and_clears() {
         let mut rt = SdbRuntime::new(2);
-        rt.enable_resilience(ResilienceConfig::default());
+        rt.enable_resilience();
         for k in 0..6 {
             rt.observe_status(&[
                 status_row(0.5, 1.0),
@@ -842,7 +811,7 @@ mod tests {
     #[test]
     fn resting_cell_not_flagged_stuck() {
         let mut rt = SdbRuntime::new(1);
-        rt.enable_resilience(ResilienceConfig::default());
+        rt.enable_resilience();
         for _ in 0..10 {
             rt.observe_status(&[status_row(0.5, 0.0)]);
         }
@@ -854,10 +823,7 @@ mod tests {
         let mut m = micro();
         let mut rt = SdbRuntime::new(2);
         rt.set_discharge_directive(DischargeDirective::new(1.0));
-        rt.enable_resilience(ResilienceConfig {
-            guard_widen: 1.0,
-            ..ResilienceConfig::default()
-        });
+        rt.enable_resilience();
         for k in 0..6 {
             rt.observe_status(&[
                 status_row(0.5, 1.0),
@@ -867,12 +833,26 @@ mod tests {
         assert!(rt.gauge_degraded(0));
         let input = PolicyInput::from_micro(&m).with_load(4.0);
         rt.tick(&mut m, &input, 1.0).unwrap();
-        // Full widening with both batteries usable lands exactly uniform.
+        // With both batteries usable, widening commands the policy split
+        // moved exactly GUARD_WIDEN of the way to uniform.
+        let mut policy = PolicyScratch::new();
+        DischargeDirective::new(1.0)
+            .ratios_into(&input, &mut policy)
+            .unwrap();
+        assert!((policy.ratios()[0] - 0.5).abs() > 0.05, "policy is uniform");
+        let widened: Vec<f64> = policy
+            .ratios()
+            .iter()
+            .map(|r| (1.0 - GUARD_WIDEN) * r + GUARD_WIDEN * 0.5)
+            .collect();
+        let mut expected = micro();
+        expected.set_discharge_ratios(&widened).unwrap();
         let r = m.discharge_ratios().to_vec();
         assert!(
-            (r[0] - 0.5).abs() < 1e-9,
-            "widened ratio {} not uniform",
-            r[0]
+            (r[0] - expected.discharge_ratios()[0]).abs() < 1e-9,
+            "widened ratio {} not {}",
+            r[0],
+            expected.discharge_ratios()[0]
         );
     }
 

@@ -805,12 +805,11 @@ mod tests {
 
     #[test]
     fn linked_survives_lossy_link() {
-        use crate::runtime::ResilienceConfig;
         let mut link = Link::ideal(pack(1.0));
         link.seed_faults(11);
         link.set_fault_drop_per_mille(300);
         let mut rt = SdbRuntime::new(2);
-        rt.enable_resilience(ResilienceConfig::default());
+        rt.enable_resilience();
         let result = run_linked(&mut link, &mut rt, &Trace::constant(4.0, 3600.0), None);
         assert!((result.simulated_s - 3600.0).abs() < 1e-6);
         assert!(

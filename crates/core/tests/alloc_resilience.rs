@@ -11,7 +11,7 @@ use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_core::api::SdbApi;
 use sdb_core::policy::PolicyInput;
-use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
+use sdb_core::runtime::SdbRuntime;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
@@ -59,12 +59,9 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
 fn degraded_tick_retry_and_fallback_do_not_allocate() {
     let mut micro = pack();
     let mut rt = SdbRuntime::new(2);
-    rt.enable_resilience(ResilienceConfig {
-        ack_timeout_s: 5.0,
-        watchdog_timeout_s: 60.0,
-        guard_widen: 0.5,
-        ..ResilienceConfig::default()
-    });
+    // The runtime's fixed timings: a 10 s ack timeout and a 120 s
+    // watchdog.
+    rt.enable_resilience();
     // Battery 0's SoC estimate freezes under load: its gauge is degraded.
     for k in 0..6 {
         rt.observe_status(&[status_row(0.5), status_row(0.49 - 0.001 * f64::from(k))]);
@@ -88,7 +85,7 @@ fn degraded_tick_retry_and_fallback_do_not_allocate() {
 
     // A retry re-sends the last ratios after the ack timeout.
     micro.discharge(&[0.9, 0.1]).unwrap();
-    let n = allocs_of(|| rt.supervise(&mut micro, 5.0).unwrap());
+    let n = allocs_of(|| rt.supervise(&mut micro, 10.0).unwrap());
     assert_eq!(n, 0, "retry allocated {n} times");
     assert_eq!(
         micro.discharge_ratios(),
@@ -98,7 +95,7 @@ fn degraded_tick_retry_and_fallback_do_not_allocate() {
     assert!(!rt.watchdog_engaged());
 
     // Past the watchdog timeout the safe uniform split goes out.
-    let n = allocs_of(|| rt.supervise(&mut micro, 60.0).unwrap());
+    let n = allocs_of(|| rt.supervise(&mut micro, 110.0).unwrap());
     assert_eq!(n, 0, "watchdog fallback allocated {n} times");
     assert!(rt.watchdog_engaged());
     assert!(micro
@@ -106,6 +103,6 @@ fn degraded_tick_retry_and_fallback_do_not_allocate() {
         .iter()
         .all(|r| (r - 0.5).abs() < 1e-9));
     // The fallback keeps re-asserting itself every ack timeout.
-    let n = allocs_of(|| rt.supervise(&mut micro, 5.0).unwrap());
+    let n = allocs_of(|| rt.supervise(&mut micro, 10.0).unwrap());
     assert_eq!(n, 0, "repeated fallback allocated {n} times");
 }

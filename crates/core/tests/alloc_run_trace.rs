@@ -11,7 +11,7 @@
 
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
-use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
+use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, run_trace, Hooks, Linked, SimOptions, SimResult};
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
@@ -81,7 +81,7 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
     let mut cohort = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
     let mut link = Link::ideal(pack());
     if mode == Mode::Linked {
-        runtime.enable_resilience(ResilienceConfig::default());
+        runtime.enable_resilience();
     }
     let opts = SimOptions {
         max_dt_s,

@@ -24,10 +24,10 @@
 //!   drops (the prototype used Bluetooth).
 //! * [`acpi`] — the legacy single-logical-battery view (ACPI `_BST`-style)
 //!   for unmodified OS components (paper §2.2).
-//! * [`snapshot`] — versioned, bit-exact pack state capture/restore
-//!   ([`snapshot::PackSnapshot`]) for planner rollouts, campaign
+//! * `snapshot` — versioned, bit-exact pack state capture/restore
+//!   ([`PackSnapshot`]) for planner rollouts, campaign
 //!   checkpointing, and the SoA engine.
-//! * [`soa`] — structure-of-arrays cohort state with a quiescence
+//! * `soa` — structure-of-arrays cohort state with a quiescence
 //!   classifier and closed-form fast-forward for the batched fleet engine.
 
 //! # Example
@@ -51,8 +51,8 @@ pub mod link;
 pub mod micro;
 pub mod pack;
 pub mod profile;
-pub mod snapshot;
-pub mod soa;
+mod snapshot;
+mod soa;
 
 pub use link::{Command, Link, LinkStats, Response};
 pub use micro::{Microcontroller, StepReport};

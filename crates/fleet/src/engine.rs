@@ -151,7 +151,7 @@ pub struct RunOptions {
     /// Worker threads (0 and 1 both mean one).
     pub threads: usize,
     /// The tick-by-tick scalar reference, or the SoA fast path
-    /// ([`crate::batch`]) that fast-forwards quiescent devices within a
+    /// ([`EngineKind::Soa`]) that fast-forwards quiescent devices within a
     /// documented bound. Either engine's report is bit-identical at any
     /// thread count.
     pub engine: EngineKind,

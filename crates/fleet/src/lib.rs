@@ -9,11 +9,11 @@
 //! * [`spec`] — declarative fleet populations: weighted [`CohortSpec`]s
 //!   (pack template × workload × policy) sampled deterministically per
 //!   device from a master seed via SplitMix64 stream derivation.
-//! * [`engine`] — the parallel driver, [`run_fleet`]: devices are spread
+//! * `engine` — the parallel driver, [`run_fleet`]: devices are spread
 //!   over workers by [`sdb_prof::shard_map`], each running the full
 //!   simulation independently with a per-shard metrics registry (no
 //!   cross-thread contention on the hot path).
-//! * [`report`] — the deterministic merge: outcomes, in device order,
+//! * `report` — the deterministic merge: outcomes, in device order,
 //!   are aggregated into a [`FleetReport`] (depletion-time
 //!   percentiles, brownout rate, loss and wear distributions, per-cohort
 //!   breakdowns, merged counter totals) that is **bit-identical for any
@@ -25,7 +25,7 @@
 //! Determinism contract: `FleetReport` (and its JSON rendering) is a pure
 //! function of `(FleetSpec, master seed)`. Wall-clock facts — thread
 //! count, devices/sec, span latency histograms — live in
-//! [`engine::FleetRunStats`], never in the report.
+//! [`FleetRunStats`], never in the report.
 //!
 //! # Example
 //!
@@ -41,9 +41,9 @@
 //! assert_eq!(report.to_json(), again.to_json());
 //! ```
 
-pub mod batch;
-pub mod engine;
-pub mod report;
+mod batch;
+mod engine;
+mod report;
 pub mod spec;
 
 pub use batch::EngineKind;

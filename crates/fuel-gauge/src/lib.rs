@@ -5,7 +5,7 @@
 //! since heterogeneous cells cannot share a gauge (Section 6). This crate
 //! models that module:
 //!
-//! * [`coulomb`] — a coulomb counter with ADC quantization, offset drift,
+//! * `coulomb` — a coulomb counter with ADC quantization, offset drift,
 //!   and finite sample rate.
 //! * [`gauge`] — the per-battery fuel gauge: state-of-charge estimation by
 //!   coulomb counting with OCV recalibration at rest, measured terminal
@@ -28,7 +28,7 @@
 //! assert!((gauge.soc() - 0.5).abs() < 0.01);
 //! ```
 
-pub mod coulomb;
+mod coulomb;
 pub mod gauge;
 
 pub use coulomb::CoulombCounter;

@@ -7,11 +7,11 @@
 //!
 //! * [`metrics`] — a zero-dependency registry of counters, gauges, and
 //!   log-scale-bucket histograms, with Prometheus-text and JSON exporters.
-//! * [`events`] — the structured event vocabulary, [`ObsEvent`] (ratio
+//! * `events` — the structured event vocabulary, [`ObsEvent`] (ratio
 //!   pushes, profile transitions, thermal throttling, gauge
 //!   recalibrations, policy evaluations, fault injections, safety clamps),
 //!   and the device-tagged capture a capturing observer keeps.
-//! * [`span`] — drop-guard span timing for the hot paths, feeding latency
+//! * `span` — drop-guard span timing for the hot paths, feeding latency
 //!   histograms.
 //!
 //! Everything hangs off an [`Observer`] handle. The default observer is
@@ -35,10 +35,10 @@
 //! println!("{}", obs.registry().unwrap().to_prometheus_text());
 //! ```
 
-pub mod events;
+mod events;
 pub mod metrics;
-pub mod sketch;
-pub mod span;
+mod sketch;
+mod span;
 
 use events::TraceCollector;
 pub use events::{DeviceEvent, Flow, ObsEvent};

@@ -19,15 +19,13 @@ use sdb_core::metrics::ccb;
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
 use sdb_emulator::PackTemplate;
-use sdb_workloads::behavior::UserArchetype;
 use sdb_workloads::{Trace, WorkloadSpec};
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// One corpus entry: a pack × workload under energy pressure, with the
-/// fixed greedy blend it is judged against and the behavior archetype the
-/// history forecaster warm-starts from.
+/// fixed greedy blend it is judged against.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Stable scenario name (report key).
@@ -37,8 +35,6 @@ pub struct Scenario {
     pub pack: PackTemplate,
     /// Workload to replay.
     pub workload: WorkloadSpec,
-    /// `true` → runner archetype, `false` → commuter.
-    pub runner_archetype: bool,
     /// The fixed blend the greedy baseline runs with.
     pub greedy_directive: f64,
     /// Multiplier applied to the workload's load power.
@@ -60,16 +56,6 @@ impl Scenario {
         }
         Arc::new(scaled)
     }
-
-    /// The behavior archetype the history forecaster warm-starts from.
-    #[must_use]
-    pub fn archetype(&self) -> UserArchetype {
-        if self.runner_archetype {
-            UserArchetype::runner()
-        } else {
-            UserArchetype::commuter()
-        }
-    }
 }
 
 /// The scenario corpus: every pack class, with loads scaled so the packs
@@ -81,8 +67,6 @@ pub fn corpus() -> Vec<Scenario> {
         name,
         pack: PackTemplate::named(pack, soc).expect("corpus packs are catalog packs"),
         workload,
-        // Watch wearers run; phone and tablet users commute.
-        runner_archetype: pack == "watch",
         greedy_directive: 0.5,
         load_scale,
     };

@@ -5,9 +5,9 @@
 //! implementations bracket the design space:
 //!
 //! * [`HistoryForecaster`] — 24 hourly EWMA buckets over the time-of-day
-//!   load pattern, warm-startable from the `sdb-workloads` behavior
-//!   models ([`sdb_workloads::behavior::simulate_days`]) and updated
-//!   online as the real trace unfolds. It also tracks its own running
+//!   load pattern, warm-started from recorded days
+//!   ([`HistoryForecaster::from_history`]) and updated online as the real
+//!   trace unfolds. It also tracks its own running
 //!   one-step-ahead mean absolute error, surfaced as the
 //!   `sdb_policy_forecast_mae` gauge.
 //! * [`OracleForecaster`] — returns the true remaining trace. Physically
@@ -16,7 +16,6 @@
 
 use std::sync::Arc;
 
-use sdb_workloads::behavior::{hourly_profile, simulate_days, UserArchetype};
 use sdb_workloads::Trace;
 
 /// Longest horizon a history forecast will materialize, seconds. Guards
@@ -91,27 +90,10 @@ impl HistoryForecaster {
         }
     }
 
-    /// A forecaster warm-started from the behavior model: simulates
-    /// `days` days of `archetype` usage (seeded by `seed`) and folds each
-    /// day's hourly profile into the buckets, oldest first, so the most
-    /// recent simulated day carries the most EWMA weight.
-    #[must_use]
-    pub fn warmed(archetype: &UserArchetype, days: u32, seed: u64, alpha: f64) -> Self {
-        let mut f = Self::new(alpha);
-        for day in simulate_days(archetype, days, seed) {
-            let profile = hourly_profile(&day);
-            for (hour, &mean_w) in profile.iter().enumerate() {
-                f.fold_hour(hour, mean_w);
-            }
-        }
-        f
-    }
-
     /// A forecaster warm-started from recorded history: folds each past
-    /// day trace (oldest first, arbitrary segment granularity — unlike
-    /// [`sdb_workloads::behavior::hourly_profile`] this does not require
-    /// minute-level days) into the hour-of-day buckets. Days longer than
-    /// 24 h wrap; hours a day never touches stay unprimed.
+    /// day trace (oldest first, any segment granularity) into the
+    /// hour-of-day buckets. Days longer than 24 h wrap; hours a day never
+    /// touches stay unprimed.
     pub fn from_history<'a, I>(days: I, alpha: f64) -> Self
     where
         I: IntoIterator<Item = &'a Trace>,
@@ -164,13 +146,6 @@ impl HistoryForecaster {
         } else {
             0.0
         }
-    }
-
-    /// True once the bucket for `hour` (0..24) has absorbed at least one
-    /// completed hour of history.
-    #[must_use]
-    pub fn hour_primed(&self, hour: usize) -> bool {
-        self.primed[hour % 24]
     }
 
     fn hour_of(t_s: f64) -> usize {
@@ -301,6 +276,7 @@ impl Forecaster for OracleForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdb_workloads::behavior::{simulate_days, UserArchetype};
 
     #[test]
     fn cold_forecaster_predicts_zero_then_persists() {
@@ -325,23 +301,49 @@ mod tests {
             f.observe(t, 60.0, 4.0);
         }
         f.observe(t + 60.0, 60.0, 1.0);
-        assert!(f.hour_primed(0));
+        // The primed bucket, not the 1 W persistence fallback, answers.
         assert!((f.predict_w(0.0) - 4.0).abs() < 1e-9);
         // And tomorrow's hour 0 predicts the same (24 h periodicity).
         assert!((f.predict_w(24.0 * 3600.0) - 4.0).abs() < 1e-9);
     }
 
+    /// A minute-level day drawing 0.05 W, with a 0.3 W hour at `run_hour`.
+    fn day_with_run(run_hour: usize) -> Trace {
+        let mut day = Trace::new();
+        for minute in 0..24 * 60 {
+            let load_w = if minute / 60 == run_hour { 0.3 } else { 0.05 };
+            day.push(load_w, 0.0, 60.0);
+        }
+        day
+    }
+
+    #[test]
+    fn learns_daily_pattern() {
+        let days: Vec<Trace> = (0..5).map(|_| day_with_run(9)).collect();
+        let f = HistoryForecaster::from_history(&days, 0.3);
+        assert!(f.predict_w(9.0 * 3600.0) > 0.25);
+        assert!(f.predict_w(3.0 * 3600.0) < 0.1);
+    }
+
+    #[test]
+    fn ewma_adapts_to_schedule_change() {
+        let days: Vec<Trace> = (0..17)
+            .map(|d| day_with_run(if d < 5 { 9 } else { 18 }))
+            .collect();
+        let f = HistoryForecaster::from_history(&days, 0.3);
+        assert!(f.predict_w(18.0 * 3600.0) > f.predict_w(9.0 * 3600.0));
+    }
+
     #[test]
     fn warmed_forecaster_is_primed_and_deterministic() {
-        let arch = UserArchetype::runner();
-        let a = HistoryForecaster::warmed(&arch, 7, 0xF0CA57, 0.3);
-        let b = HistoryForecaster::warmed(&arch, 7, 0xF0CA57, 0.3);
+        let days = simulate_days(&UserArchetype::runner(), 7, 0xF0CA57);
+        let a = HistoryForecaster::from_history(&days, 0.3);
+        let b = HistoryForecaster::from_history(&days, 0.3);
         for h in 0..24 {
-            assert!(a.hour_primed(h), "hour {h} unprimed after warm start");
-            assert_eq!(
-                a.predict_w(h as f64 * 3600.0),
-                b.predict_w(h as f64 * 3600.0)
-            );
+            let t_s = f64::from(h) * 3600.0;
+            // Never observed online, so an unprimed hour would read 0 W.
+            assert!(a.predict_w(t_s) > 0.0, "hour {h} unprimed");
+            assert_eq!(a.predict_w(t_s).to_bits(), b.predict_w(t_s).to_bits());
         }
     }
 
@@ -356,7 +358,9 @@ mod tests {
         // Hour 1 is half 2 W, half 6 W.
         assert!((f.predict_w(3600.0) - 4.0).abs() < 1e-9);
         assert!((f.predict_w(2.0 * 3600.0) - 6.0).abs() < 1e-9);
-        assert!(!f.hour_primed(3), "untouched hours stay unprimed");
+        // Untouched hours stay unprimed; with nothing observed online
+        // there is no persistence value either.
+        assert_eq!(f.predict_w(3.0 * 3600.0), 0.0);
     }
 
     #[test]

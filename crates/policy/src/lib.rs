@@ -6,13 +6,13 @@
 //! the future workload" is where the remaining headroom lives. This crate
 //! quantifies that headroom end-to-end:
 //!
-//! * [`forecast`] — load forecasting over the `sdb-workloads` behavior
-//!   models: [`forecast::HistoryForecaster`] folds windowed history into
+//! * `forecast` — load forecasting over the `sdb-workloads` behavior
+//!   models: [`HistoryForecaster`] folds windowed history into
 //!   24 hourly EWMA buckets (warm-startable from simulated user days) and
 //!   emits piecewise-constant power forecasts, while
-//!   [`forecast::OracleForecaster`] replays the true remaining trace — the
+//!   [`OracleForecaster`] replays the true remaining trace — the
 //!   perfect-forecast upper bound.
-//! * [`planner`] — a receding-horizon planner ([`planner::Planner`]): at a
+//! * `planner` — a receding-horizon planner ([`Planner`]): at a
 //!   configurable re-plan cadence it rolls the forecast forward through a
 //!   cloned emulator for each candidate discharge directive and commits
 //!   the lexicographically best one (battery life, then unserved energy,
@@ -20,14 +20,14 @@
 //!   vocabulary is the same [`sdb_core::DischargeDirective`] the four
 //!   paper APIs accept, so greedy blend, planner, and oracle are drop-in
 //!   interchangeable.
-//! * [`tuner`] — a directive auto-tuner mapping forecast statistics
+//! * `tuner` — a directive auto-tuner mapping forecast statistics
 //!   (duty factor, burstiness) to a CCB-vs-RBL blend; the planner uses it
 //!   to anchor its first plan.
-//! * [`spec`] — [`PolicySpec`], the one place a device is set up under a
+//! * `spec` — [`PolicySpec`], the one place a device is set up under a
 //!   policy (blend, preserve, planned from warm-up days, oracle over the
 //!   device's trace), and [`PolicyMode`], the greedy / planned / oracle
 //!   axis of the fleet, the campaign and the corpus.
-//! * [`corpus`] — the evaluation corpus: named pack × workload scenarios
+//! * [`corpus`](mod@corpus) — the evaluation corpus: named pack × workload scenarios
 //!   and a deterministic greedy / planned / oracle head-to-head runner
 //!   with text and JSON reports (the `sdb policy` subcommand).
 //!
@@ -35,10 +35,10 @@
 //! and reports are bit-identical across runs and thread counts.
 
 pub mod corpus;
-pub mod forecast;
-pub mod planner;
-pub mod spec;
-pub mod tuner;
+mod forecast;
+mod planner;
+mod spec;
+mod tuner;
 
 pub use corpus::{corpus, run_head_to_head, HeadToHead, RunOutcome, Scenario};
 pub use forecast::{Forecaster, HistoryForecaster, OracleForecaster};

@@ -18,7 +18,7 @@
 //! across runs and thread counts, and directive thrash is bounded by
 //! construction.
 
-use crate::forecast::{Forecaster, HistoryForecaster, OracleForecaster};
+use crate::forecast::{Forecaster, OracleForecaster};
 use crate::tuner::{forecast_stats, tuned_directive};
 use sdb_core::policy::{DischargeDirective, PolicyInput};
 use sdb_core::runtime::SdbRuntime;
@@ -26,11 +26,22 @@ use sdb_core::scheduler::{drive, Hooks, PreparedResult, SimOptions};
 use sdb_core::{LookaheadPolicy, PlanUpdate};
 use sdb_emulator::{Microcontroller, PackSnapshot};
 use sdb_observe::Observer;
-use sdb_workloads::behavior::UserArchetype;
 use sdb_workloads::traces::TracePoint;
 use sdb_workloads::Trace;
 use std::ops::ControlFlow;
 use std::sync::Arc;
+
+/// Rollout simulation step, seconds. Matches the outer driver's default
+/// step so oracle rollouts reproduce the outer run exactly.
+const PLAN_DT_S: f64 = 60.0;
+
+/// Hysteresis: a challenger displaces the committed directive only if it
+/// extends rollout battery life by more than this many seconds, serves
+/// more load, or cuts rollout losses by more than [`MIN_LOSS_GAIN_FRAC`].
+const MIN_LIFE_GAIN_S: f64 = 60.0;
+
+/// The loss-cut share of the switching hysteresis.
+const MIN_LOSS_GAIN_FRAC: f64 = 0.02;
 
 /// Planner knobs. [`PlannerConfig::default`] matches the corpus runs:
 /// a 4 h horizon re-planned every 30 min over a 9-point directive grid.
@@ -43,17 +54,9 @@ pub struct PlannerConfig {
     pub replan_period_s: f64,
     /// Number of evenly spaced candidate directives on `[0, 1]` (min 2).
     pub candidates: usize,
-    /// Rollout simulation step, seconds. Matches the outer driver's
-    /// default step so oracle rollouts reproduce the outer run exactly.
-    pub plan_dt_s: f64,
     /// Runtime update period used inside rollouts, seconds (matches the
     /// outer runtime for fidelity).
     pub update_period_s: f64,
-    /// Hysteresis: a challenger must extend rollout battery life by at
-    /// least this much to displace the committed directive, seconds.
-    pub min_life_gain_s: f64,
-    /// Hysteresis: or cut rollout losses by at least this fraction.
-    pub min_loss_gain_frac: f64,
 }
 
 impl Default for PlannerConfig {
@@ -62,10 +65,7 @@ impl Default for PlannerConfig {
             horizon_s: 4.0 * 3600.0,
             replan_period_s: 1800.0,
             candidates: 9,
-            plan_dt_s: 60.0,
             update_period_s: 60.0,
-            min_life_gain_s: 60.0,
-            min_loss_gain_frac: 0.02,
         }
     }
 }
@@ -92,10 +92,10 @@ impl Score {
     }
 
     /// Beats `incumbent` by enough to overcome switching hysteresis.
-    fn beats_with_margin(&self, incumbent: &Score, cfg: &PlannerConfig) -> bool {
-        self.life_s > incumbent.life_s + cfg.min_life_gain_s
+    fn beats_with_margin(&self, incumbent: &Score) -> bool {
+        self.life_s > incumbent.life_s + MIN_LIFE_GAIN_S
             || self.unmet_j < incumbent.unmet_j - 1e-6
-            || self.loss_j < incumbent.loss_j * (1.0 - cfg.min_loss_gain_frac)
+            || self.loss_j < incumbent.loss_j * (1.0 - MIN_LOSS_GAIN_FRAC)
     }
 }
 
@@ -167,7 +167,7 @@ impl RolloutScratch {
         // so the reused runtime behaves identically to a per-candidate one.
         self.runtime.force_policy_refresh();
         let opts = SimOptions {
-            max_dt_s: cfg.plan_dt_s,
+            max_dt_s: PLAN_DT_S,
             stop_on_brownout: true,
         };
         let hooks = Hooks {
@@ -222,16 +222,6 @@ impl Planner {
             replans: 0,
             scratch: None,
         }
-    }
-
-    /// The standard history-driven planner: an hourly-bucket forecaster
-    /// warm-started from `days` simulated days of `archetype` usage.
-    #[must_use]
-    pub fn history(cfg: PlannerConfig, archetype: &UserArchetype, days: u32, seed: u64) -> Self {
-        Self::new(
-            cfg,
-            Box::new(HistoryForecaster::warmed(archetype, days, seed, 0.3)),
-        )
     }
 
     /// The perfect-forecast oracle over the true workload `trace`: the
@@ -305,9 +295,7 @@ impl Planner {
         self.planned_once = true;
         self.since_plan_s = 0.0;
 
-        let forecast = self
-            .forecaster
-            .forecast(t_s, self.cfg.horizon_s, self.cfg.plan_dt_s);
+        let forecast = self.forecaster.forecast(t_s, self.cfg.horizon_s, PLAN_DT_S);
         if forecast.points().is_empty() {
             return None;
         }
@@ -325,7 +313,7 @@ impl Planner {
         }
         // One resample shared by every candidate; scores are bit-identical
         // to `run_trace` rollouts.
-        let runs = forecast.runs(self.cfg.plan_dt_s);
+        let runs = forecast.runs(PLAN_DT_S);
         let scores = score(self, micro, &cands, &runs);
         let cur_idx = cands
             .iter()
@@ -348,8 +336,7 @@ impl Planner {
 
         // Hysteresis: an established plan only yields to a challenger
         // that clears the configured margin.
-        if !first && best != cur_idx && !scores[best].beats_with_margin(&scores[cur_idx], &self.cfg)
-        {
+        if !first && best != cur_idx && !scores[best].beats_with_margin(&scores[cur_idx]) {
             return None;
         }
         let d = cands[best];
@@ -387,10 +374,12 @@ impl LookaheadPolicy for Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecast::HistoryForecaster;
     use sdb_battery_model::{BatterySpec, Chemistry};
     use sdb_core::scheduler::SimResult;
     use sdb_emulator::{PackBuilder, ProfileKind};
     use sdb_testkit::{check, Gen};
+    use sdb_workloads::behavior::{simulate_days, UserArchetype};
 
     fn run_planned(
         micro: &mut Microcontroller,
@@ -429,6 +418,15 @@ mod tests {
             .build()
     }
 
+    /// A planner whose forecaster learned `days` simulated commuter days.
+    fn commuter_history_planner(cfg: PlannerConfig, days: u32, seed: u64) -> Planner {
+        let history = simulate_days(&UserArchetype::commuter(), days, seed);
+        Planner::new(
+            cfg,
+            Box::new(HistoryForecaster::from_history(&history, 0.3)),
+        )
+    }
+
     #[test]
     fn planner_commits_a_first_plan_and_respects_cadence() {
         let mut micro = hybrid_pack(1.0);
@@ -456,8 +454,7 @@ mod tests {
         let run = || {
             let mut micro = hybrid_pack(0.9);
             let mut rt = SdbRuntime::new(micro.battery_count());
-            let mut planner =
-                Planner::history(PlannerConfig::default(), &UserArchetype::commuter(), 7, 99);
+            let mut planner = commuter_history_planner(PlannerConfig::default(), 7, 99);
             let res = run_planned(&mut micro, &mut rt, &trace, &mut planner);
             (res, planner.current_directive(), planner.replans())
         };
@@ -480,7 +477,7 @@ mod tests {
         rt.set_update_period(cfg.update_period_s);
         rt.set_discharge_directive(DischargeDirective::new(d));
         let opts = SimOptions {
-            max_dt_s: cfg.plan_dt_s,
+            max_dt_s: PLAN_DT_S,
             stop_on_brownout: true,
         };
         let res: PreparedResult = drive(
@@ -589,12 +586,12 @@ mod tests {
             };
             let forecaster = HistoryForecaster::from_history([&arb_trace(g, false)], 0.3);
             let history = forecaster
-                .forecast(g.f64_range(0.0, 86_400.0), cfg.horizon_s, cfg.plan_dt_s)
-                .runs(cfg.plan_dt_s);
+                .forecast(g.f64_range(0.0, 86_400.0), cfg.horizon_s, PLAN_DT_S)
+                .runs(PLAN_DT_S);
             assert!(history.iter().all(|(p, _)| p.external_w == 0.0));
             let oracle = OracleForecaster::new(Arc::new(arb_trace(g, true)))
-                .forecast(0.0, f64::INFINITY, cfg.plan_dt_s)
-                .runs(cfg.plan_dt_s);
+                .forecast(0.0, f64::INFINITY, PLAN_DT_S)
+                .runs(PLAN_DT_S);
             let mut planner = Planner::new(cfg, Box::new(forecaster));
             let cands: Vec<f64> = (0..9).map(|i| f64::from(i) / 8.0).collect();
             // History, oracle, then history again through one scratch: the
@@ -654,7 +651,7 @@ mod tests {
                 ..PlannerConfig::default()
             };
             let mut rec = Recording {
-                planner: Planner::history(cfg, &UserArchetype::commuter(), 3, 1),
+                planner: commuter_history_planner(cfg, 3, 1),
                 reference,
                 commits: Vec::new(),
             };

@@ -3,7 +3,7 @@
 //! Turns the live [`sdb_observe`] event stream into an analyzable
 //! artifact:
 //!
-//! - [`writer`] — serializes device-tagged [`sdb_observe::DeviceEvent`]s
+//! - `writer` — serializes device-tagged [`sdb_observe::DeviceEvent`]s
 //!   to compact JSONL (one event per line, replayable) and to the Chrome
 //!   `trace_event` format loadable in Perfetto / `chrome://tracing`, with
 //!   one track per device. Output is deterministic: a `(device, seq)`
@@ -11,12 +11,12 @@
 //!   threads produced it.
 //! - [`json`] — a minimal zero-dependency JSON reader used for trace
 //!   replay (and for validating our own output in tests).
-//! - [`rules`] — a declarative anomaly/health-rule engine: [`RuleSpec`]s
+//! - `rules` — a declarative anomaly/health-rule engine: [`RuleSpec`]s
 //!   select a signal, window, threshold, and severity; the [`RuleEngine`]
 //!   evaluates them incrementally and emits latched [`HealthFinding`]s
 //!   for brownout precursors, wear-imbalance drift, thermal-derate
 //!   oscillation, and charge-directive thrash.
-//! - [`analyze`] — one-pass trace analysis (stream summary + rule
+//! - [`analyze`](mod@analyze) — one-pass trace analysis (stream summary + rule
 //!   evaluation) backing the `sdb analyze` subcommand.
 //!
 //! The crate depends only on `sdb-observe`; the fleet engine and CLI wire
@@ -24,8 +24,8 @@
 
 pub mod analyze;
 pub mod json;
-pub mod rules;
-pub mod writer;
+mod rules;
+mod writer;
 
 pub use analyze::{analyze, analyze_jsonl, AnalysisReport, TraceSummary};
 pub use rules::{

@@ -12,24 +12,6 @@
 use crate::json::{self, Value};
 use sdb_observe::{json_escape as esc, DeviceEvent, Flow, ObsEvent};
 use std::fmt::Write as _;
-use std::sync::Mutex;
-
-/// Canonical `kind` strings, one per [`ObsEvent`] variant.
-pub const EVENT_KINDS: &[&str] = &[
-    "ratio_push",
-    "profile_transition",
-    "thermal_throttle",
-    "gauge_recalibration",
-    "policy_evaluation",
-    "fault_injection",
-    "safety_clamp",
-    "step_sample",
-    "battery_presence",
-    "command_retry",
-    "watchdog_transition",
-    "gauge_degraded",
-    "plan_commit",
-];
 
 /// The `kind` string of one event.
 #[must_use]
@@ -228,19 +210,24 @@ pub fn to_jsonl(events: &[DeviceEvent]) -> String {
     out
 }
 
-/// Profile names recorded in traces are interned back to `&'static str`
-/// on replay (the event vocabulary uses static names). The set of
-/// distinct profile names is tiny, so the leak per distinct name is
-/// bounded and harmless in the analysis CLI.
-fn intern(s: &str) -> &'static str {
-    static KNOWN: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut known = KNOWN.lock().expect("intern table poisoned");
-    if let Some(k) = known.iter().find(|k| **k == s) {
-        return k;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    known.push(leaked);
-    leaked
+/// The charging-profile names the emulator emits in `from` and `to`
+/// (`ProfileKind::name` in `sdb-emulator`).
+const PROFILE_NAMES: &[&str] = &["standard", "fast", "gentle"];
+
+/// The reasons the runtime emits in a `gauge_degraded` event.
+const DEGRADED_REASONS: &[&str] = &["stuck-soc"];
+
+/// Reads string field `key` back into the static name it was written
+/// from. The event vocabulary holds `&'static str` names, and a replayed
+/// trace may come from anywhere, so only the closed set the emitters use
+/// is accepted: any other value is an error naming the field.
+fn need_name(v: &Value, key: &str, names: &[&'static str]) -> Result<&'static str, String> {
+    let raw = need_str(v, key)?;
+    names
+        .iter()
+        .find(|n| **n == raw)
+        .copied()
+        .ok_or_else(|| format!("unknown `{key}` value {raw:?}"))
 }
 
 fn parse_flow(v: &Value) -> Result<Flow, String> {
@@ -302,8 +289,8 @@ pub fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
         },
         "profile_transition" => ObsEvent::ProfileTransition {
             battery: need_usize(&v, "battery")?,
-            from: intern(need_str(&v, "from")?),
-            to: intern(need_str(&v, "to")?),
+            from: need_name(&v, "from", PROFILE_NAMES)?,
+            to: need_name(&v, "to", PROFILE_NAMES)?,
         },
         "thermal_throttle" => ObsEvent::ThermalThrottle {
             battery: need_usize(&v, "battery")?,
@@ -351,7 +338,7 @@ pub fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
         "gauge_degraded" => ObsEvent::GaugeDegraded {
             battery: need_usize(&v, "battery")?,
             degraded: need_bool(&v, "degraded")?,
-            reason: intern(need_str(&v, "reason")?),
+            reason: need_name(&v, "reason", DEGRADED_REASONS)?,
         },
         "plan_commit" => ObsEvent::PlanCommit {
             discharge_directive: need_f64(&v, "discharge_directive")?,
@@ -597,6 +584,26 @@ mod tests {
                 },
             },
         ]
+    }
+
+    #[test]
+    fn names_outside_the_emitted_vocabulary_are_rejected() {
+        let line = |from: &str, reason: &str| {
+            let profile = format!(
+                "{{\"device\":0,\"seq\":0,\"t_s\":1.0,\"kind\":\"profile_transition\",\
+                 \"battery\":0,\"from\":\"{from}\",\"to\":\"fast\"}}"
+            );
+            let degraded = format!(
+                "{{\"device\":0,\"seq\":1,\"t_s\":1.0,\"kind\":\"gauge_degraded\",\
+                 \"battery\":0,\"degraded\":true,\"reason\":\"{reason}\"}}"
+            );
+            (from_jsonl_line(&profile), from_jsonl_line(&degraded))
+        };
+        let (profile, degraded) = line("standard", "stuck-soc");
+        assert!(profile.is_ok() && degraded.is_ok());
+        let (profile, degraded) = line("turbo", "bored");
+        assert_eq!(profile.unwrap_err(), "unknown `from` value \"turbo\"");
+        assert_eq!(degraded.unwrap_err(), "unknown `reason` value \"bored\"");
     }
 
     #[test]

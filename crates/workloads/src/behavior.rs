@@ -1,10 +1,11 @@
 //! Markov-chain user-behavior simulation.
 //!
 //! The fixed daily traces in [`crate::traces`] reproduce the paper's
-//! figures; this module generates *varied* multi-day usage for testing the
-//! usage predictor: a user whose activity evolves as a Markov chain over
-//! activity states, with time-of-day preferences — some days have the
-//! run, some don't, timings drift.
+//! figures; this module generates *varied* multi-day usage, the fixture
+//! the usage-learning tests feed `sdb-policy`'s history forecaster: a
+//! user whose activity evolves as a Markov chain over activity states,
+//! with time-of-day preferences — some days have the run, some don't,
+//! timings drift.
 
 use crate::device::{Activity, DeviceClass, DevicePower};
 use crate::traces::Trace;
@@ -106,28 +107,21 @@ pub fn simulate_days(archetype: &UserArchetype, days: u32, seed: u64) -> Vec<Tra
     out
 }
 
-/// Mean hourly power of a day trace (24 buckets) — the predictor's input.
-///
-/// # Panics
-///
-/// Panics if the trace is not a minute-granularity 24 h day.
-#[must_use]
-pub fn hourly_profile(day: &Trace) -> [f64; 24] {
-    assert_eq!(day.points().len(), 24 * 60, "expected a minute-level day");
-    let mut out = [0.0; 24];
-    for (h, bucket) in out.iter_mut().enumerate() {
-        *bucket = day.points()[h * 60..(h + 1) * 60]
-            .iter()
-            .map(|p| p.load_w)
-            .sum::<f64>()
-            / 60.0;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean power of each hour of a minute-level day, watts.
+    fn hourly_means(day: &Trace) -> [f64; 24] {
+        let pts = day.points();
+        std::array::from_fn(|h| {
+            pts[h * 60..(h + 1) * 60]
+                .iter()
+                .map(|p| p.load_w)
+                .sum::<f64>()
+                / 60.0
+        })
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -148,7 +142,7 @@ mod tests {
         assert!(max > min, "days must differ");
         // Nights are always quiet.
         for day in &days {
-            let profile = hourly_profile(day);
+            let profile = hourly_means(day);
             assert!(profile[2] < 0.05, "night hour draws {}", profile[2]);
         }
     }
@@ -159,7 +153,7 @@ mod tests {
         let days = simulate_days(&arch, 20, 7);
         let mut habit_days = 0;
         for day in &days {
-            let profile = hourly_profile(day);
+            let profile = hourly_means(day);
             // Any hour near the habit drawing GPS-level power?
             let window = 15..=18usize;
             if window.clone().any(|h| profile[h] > 0.3) {
@@ -184,11 +178,5 @@ mod tests {
             let wh = day.load_energy_j() / 3600.0;
             assert!(wh > 2.0 && wh < 18.0, "day = {wh} Wh");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "minute-level day")]
-    fn hourly_profile_rejects_wrong_shape() {
-        let _ = hourly_profile(&Trace::constant(1.0, 60.0));
     }
 }

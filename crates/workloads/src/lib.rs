@@ -16,7 +16,7 @@
 //!   2-in-1 docked sessions (Figure 14), and charging sessions.
 //! * [`behavior`] — Markov-chain user simulation producing *varied*
 //!   multi-day usage, for exercising the learning components.
-//! * [`spec`] — [`WorkloadSpec`], the declarative trace family a device
+//! * `spec` — [`WorkloadSpec`], the declarative trace family a device
 //!   runs, and the named workload catalog the CLI, the fleet, the campaign
 //!   and the policy corpus build traces from.
 
@@ -34,7 +34,7 @@
 pub mod behavior;
 pub mod cpu;
 pub mod device;
-pub mod spec;
+mod spec;
 pub mod traces;
 
 pub use cpu::{PowerLevel, Task, TaskOutcome, TurboCpu};

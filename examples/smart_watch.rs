@@ -1,14 +1,14 @@
 //! The Section 5.2 smart-watch scenario: a rigid Li-ion cell in the body
 //! plus a bendable cell in the strap, with the OS choosing when to spend
-//! which — including a usage predictor that learns the user's running
+//! which — including a history forecaster that learns the user's running
 //! schedule and sets the policy automatically.
 //!
 //! ```text
 //! cargo run --release --example smart_watch
 //! ```
 
-use sdb::core::predict::UsagePredictor;
 use sdb::core::scenarios::watch::{high_power_threshold_w, watch_scenario, WatchPolicy};
+use sdb::policy::HistoryForecaster;
 use sdb::workloads::traces::watch_day;
 
 fn main() {
@@ -42,24 +42,16 @@ fn main() {
         (p2.life_s - p1.life_s) / 3600.0
     );
 
-    // Now let the predictor decide: it learns the daily pattern, then maps
-    // the upcoming-run prediction to the preserve policy.
-    let mut predictor = UsagePredictor::new();
-    for day in 0..5 {
-        let trace = watch_day(seed + day, Some(run_hour));
-        let hourly: Vec<f64> = (0..24)
-            .map(|h| {
-                trace.points()[h * 60..(h + 1) * 60]
-                    .iter()
-                    .map(|p| p.load_w)
-                    .sum::<f64>()
-                    / 60.0
-            })
-            .collect();
-        predictor.observe_day(&hourly);
-    }
+    // Now let the forecaster decide: it learns the daily pattern from five
+    // recorded days, and a run expected within six hours of the morning
+    // maps to a low directive, which selects the preserve policy.
+    let days: Vec<_> = (0..5)
+        .map(|day| watch_day(seed + day, Some(run_hour)))
+        .collect();
+    let forecaster = HistoryForecaster::from_history(&days, 0.3);
     let threshold = high_power_threshold_w();
-    let morning_directive = predictor.discharge_directive(7, threshold);
+    let run_ahead = (1..=6).any(|k| forecaster.predict_w(f64::from(7 + k) * 3600.0) >= threshold);
+    let morning_directive = if run_ahead { 0.1 } else { 0.9 };
     let policy = if morning_directive < 0.5 {
         WatchPolicy::PreserveLiIon
     } else {

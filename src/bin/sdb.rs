@@ -1,31 +1,8 @@
 //! `sdb` — command-line driver for the SDB simulation stack.
 //!
-//! ```text
-//! sdb packs                                  list built-in packs
-//! sdb traces                                 list built-in traces
-//! sdb sim    --pack watch --trace watch-day [--policy preserve|rbl|ccb|blend:<v>|planned|oracle] [--seed N] [--trace-out <jsonl>]
-//! sdb sim    --pack phone --trace-file captured.csv   (CSV: dur_s,load_w[,external_w])
-//! sdb charge --pack tablet-hybrid --watts 45 [--directive <0..1>] [--target <pct>]
-//! sdb status --pack phone [--soc <0..1>]     show QueryBatteryStatus + ACPI view
-//! sdb fleet  --devices 10000 --threads 8 --seed 42 [--hours H] [--policy greedy|planned|oracle] [--engine scalar|soa]
-//!            [--json] [--metrics-out <path>] [--trace-out <jsonl>]
-//!            (--trace-out also writes a Perfetto-loadable .chrome.json; --engine soa fast-forwards quiescent devices)
-//! sdb policy [--seed N] [--json] [--out <path>]  greedy vs planner vs oracle head-to-head over the scenario corpus
-//! sdb analyze --trace <jsonl> [--json] [--max-findings N]   replay a recorded trace through the health rules
-//! sdb profile [--format text|counts|json|flame] [--out <path>] sim|fleet|campaign|policy [that command's flags]
-//!            run the command under the phase profiler: its stdout and exit status are unchanged, and the
-//!            hierarchical phase tree goes to --out, or to stderr (counts are bit-identical across thread
-//!            counts; `flame` emits collapsed stacks)
-//! sdb campaign [--scenarios a,b] [--chemistries a,b] [--faults a,b] [--policies a,b] [--engines scalar,soa]
-//!            [--seed N] [--hours H] [--devices-per-cell N] [--threads N] [--list]
-//!            [--checkpoint <path>] [--stop-after N] [--baseline <path>] [--write-baseline]
-//!            [--inject-divergence <cell-key>] [--format text|json|html] [--out <path>]
-//!            run the scenario × chemistry × fault × policy × engine matrix; byte-identical at any
-//!            --threads, resumable via --checkpoint, diffed against a committed golden baseline;
-//!            on divergence prints the minimized culprit cell + repro command and exits 2;
-//!            exits 1 on any invariant violation
-//! sdb --version                              print version, git hash, and rustc used
-//! ```
+//! The subcommands and their flags are declared once, in [`USAGE`]:
+//! `sdb` prints it on a usage error, and each subcommand accepts exactly
+//! the flags its usage line lists.
 
 use sdb::core::policy::{ChargeDirective, DischargeDirective};
 use sdb::core::runtime::SdbRuntime;

@@ -7,7 +7,7 @@ use sdb::battery_model::{BatterySpec, Chemistry};
 use sdb::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignRun, CampaignSpec};
 use sdb::chaos::InvariantChecker;
 use sdb::core::policy::DischargeDirective;
-use sdb::core::runtime::{ResilienceConfig, SdbRuntime};
+use sdb::core::runtime::SdbRuntime;
 use sdb::core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
 use sdb::emulator::link::{Command, Link};
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
@@ -105,11 +105,7 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
     runtime.set_observer(obs.clone());
     runtime.set_update_period(60.0);
     runtime.set_discharge_directive(DischargeDirective::new(1.0));
-    runtime.enable_resilience(ResilienceConfig {
-        ack_timeout_s: 30.0,
-        watchdog_timeout_s: 180.0,
-        ..ResilienceConfig::default()
-    });
+    runtime.enable_resilience();
     // Drives `secs` of an 8 W load over the link, status heartbeat every
     // 30 s.
     let run_linked = |link: &mut Link, runtime: &mut SdbRuntime, secs: f64| {

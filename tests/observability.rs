@@ -10,7 +10,7 @@ use sdb::core::scheduler::SimOptions;
 use sdb::emulator::micro::ThermalThrottle;
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::fuel_gauge::gauge::GaugeConfig;
-use sdb::observe::{ObsEvent, Observer};
+use sdb::observe::{DeviceEvent, ObsEvent, Observer};
 use sdb::workloads::Trace;
 
 fn hybrid_pack() -> Microcontroller {
@@ -263,4 +263,34 @@ fn observability_does_not_perturb_simulation() {
         )
     };
     assert_eq!(run(false), run(true));
+}
+
+/// Every charging-profile name the emulator can emit survives a trace
+/// round trip, so `sdb analyze` replays any recorded profile transition.
+#[test]
+fn every_profile_name_round_trips_through_a_trace() {
+    let kinds = [
+        ProfileKind::Standard,
+        ProfileKind::Fast,
+        ProfileKind::Gentle,
+    ];
+    for kind in kinds {
+        // A new variant stops this match from compiling until it joins
+        // `kinds` (and the trace reader's vocabulary).
+        match kind {
+            ProfileKind::Standard | ProfileKind::Fast | ProfileKind::Gentle => {}
+        }
+        let event = DeviceEvent {
+            device: 3,
+            seq: 0,
+            t_s: 60.0,
+            event: ObsEvent::ProfileTransition {
+                battery: 1,
+                from: kind.name(),
+                to: kind.name(),
+            },
+        };
+        let line = sdb::trace::to_jsonl_line(&event);
+        assert_eq!(sdb::trace::from_jsonl_line(&line), Ok(event), "{line}");
+    }
 }
