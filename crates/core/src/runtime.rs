@@ -9,11 +9,13 @@
 use crate::api::SdbApi;
 use crate::error::SdbError;
 use crate::policy::{
-    BatteryView, ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch, PreservePolicy,
+    materially_different, BatteryView, ChargeDirective, DischargeDirective, PolicyInput,
+    PolicyScratch, PreservePolicy,
 };
 use sdb_emulator::link::Response;
 use sdb_fuel_gauge::gauge::BatteryStatus;
 use sdb_observe::{Counter, Gauge, ObsEvent, Observer, SpanName};
+use sdb_prof::Phase;
 
 // Settings of the graceful-degradation layer (`enable_resilience`).
 
@@ -486,13 +488,25 @@ impl SdbRuntime {
 
         // Both directions evaluate into the reusable scratch buffers and
         // copy into `last_*` on push, so a steady-state tick (and every
-        // planner rollout tick) allocates nothing.
-        let discharge_ok = match &self.preserve {
-            Some(p) => p.ratios_into(input, &mut self.scratch).is_ok(),
-            None => self
+        // planner rollout tick) allocates nothing. A discharge evaluation
+        // the certificate proves could not push is skipped; debug builds
+        // run it anyway and check that it would not have pushed.
+        let certified = self.preserve.is_none()
+            && widen.is_none()
+            && self
                 .discharge_directive
-                .ratios_into(input, &mut self.scratch)
-                .is_ok(),
+                .cannot_push(input, &self.last_discharge, &mut self.scratch);
+        debug_assert!(
+            !certified
+                || !self.evaluate_discharge(input)
+                || !materially_different(self.scratch.ratios(), &self.last_discharge),
+            "a certified no-push tick would have pushed {:?} over {:?}",
+            self.scratch.ratios(),
+            self.last_discharge
+        );
+        let discharge_ok = !certified && {
+            let _prof = sdb_prof::sub(Phase::PolicySolve);
+            self.evaluate_discharge(input)
         };
         if discharge_ok {
             if let Some(g) = widen {
@@ -545,6 +559,18 @@ impl SdbRuntime {
             discharge_directive: self.discharge_directive.value(),
         });
         Ok(pushed)
+    }
+
+    /// Evaluates the discharge policy in force into the scratch buffers;
+    /// `false` when it is infeasible.
+    fn evaluate_discharge(&mut self, input: &PolicyInput) -> bool {
+        match &self.preserve {
+            Some(p) => p.ratios_into(input, &mut self.scratch).is_ok(),
+            None => self
+                .discharge_directive
+                .ratios_into(input, &mut self.scratch)
+                .is_ok(),
+        }
     }
 
     /// Number of batteries this runtime manages.
@@ -617,15 +643,6 @@ fn widen_toward_uniform(
             *r /= sum;
         }
     }
-}
-
-/// Ratios differ materially if any component moved by more than one
-/// percentage point.
-fn materially_different(a: &[f64], b: &[f64]) -> bool {
-    if a.len() != b.len() {
-        return true;
-    }
-    a.iter().zip(b).any(|(x, y)| (x - y).abs() > 0.01)
 }
 
 #[cfg(test)]
@@ -876,6 +893,41 @@ mod tests {
         // the charge ratios (both cells accept charge when empty).
         let r = rt.tick(&mut m, &input, 1.0);
         assert!(r.is_ok());
+    }
+
+    /// Through a phone's day at fixed directives, the no-push certificate
+    /// spares the solver nearly every evaluation; each certified tick's
+    /// debug check confirms that it would not have pushed.
+    #[test]
+    fn certificate_skips_most_evaluations_of_a_phone_day() {
+        use sdb_emulator::pack::PackTemplate;
+        use sdb_workloads::traces::phone_day;
+        let runs = phone_day(7).runs(60.0);
+        let (mut evals, mut certified) = (0u32, 0u32);
+        for d in [0.0, 0.5, 1.0] {
+            let mut m = PackTemplate::named("phone", 1.0).unwrap().instantiate();
+            let mut rt = SdbRuntime::new(m.battery_count());
+            rt.set_discharge_directive(DischargeDirective::new(d));
+            let mut input = PolicyInput::from_micro(&m);
+            let mut probe = PolicyScratch::new();
+            for &(p, n) in &runs {
+                for _ in 0..n {
+                    input.refill_from_micro(&m);
+                    input.load_w = p.load_w;
+                    input.external_w = p.external_w;
+                    evals += 1;
+                    let last = &rt.last_discharge;
+                    if rt.discharge_directive.cannot_push(&input, last, &mut probe) {
+                        certified += 1;
+                    }
+                    rt.tick(&mut m, &input, p.dur_s).unwrap();
+                    m.step(p.load_w, p.external_w, p.dur_s);
+                }
+            }
+        }
+        assert_eq!(evals, 3 * 1440);
+        let share = f64::from(certified) / f64::from(evals);
+        assert!(share > 0.95, "certified {certified} of {evals} evaluations");
     }
 
     #[test]

@@ -196,6 +196,41 @@ fn fleet_profile_counts_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// The sum of the counts of every `phase` node in the whole-run tree of
+/// a `--format counts` render (the per-cohort sections repeat it).
+fn total_count(counts: &str, phase: &str) -> u64 {
+    counts
+        .lines()
+        .take_while(|line| !line.starts_with("cohort "))
+        .filter_map(|line| {
+            let (name, count) = line.trim().split_once(' ')?;
+            (name == phase).then(|| count.trim().parse::<u64>().ok())?
+        })
+        .sum()
+}
+
+/// The discharge solve runs only on the ticks whose no-push certificate
+/// declines: on a small planned fleet, where rollouts tick the runtime
+/// about a hundred times per device tick, the `policy_solve` counts are
+/// byte-identical at 1 and 4 threads and stay under 5% of the
+/// `runtime_tick` counts (2.2% measured; every tick solved before the
+/// certificate).
+#[test]
+fn policy_solves_are_a_small_exact_share_of_planned_ticks() {
+    let counts = counts_at_1_and_4_threads(
+        "fleet-planned-4",
+        "fleet --devices 4 --hours 2 --policy planned",
+    );
+    let ticks = total_count(&counts, "runtime_tick");
+    let solves = total_count(&counts, "policy_solve");
+    assert!(ticks > 40_000, "{ticks} runtime ticks:\n{counts}");
+    assert!(solves > 0, "no solve counted:\n{counts}");
+    assert!(
+        solves * 20 < ticks,
+        "{solves} policy solves in {ticks} runtime ticks:\n{counts}"
+    );
+}
+
 /// `sdb profile campaign` profiles the campaign runner users run,
 /// `link_step` under faulted cells included, with counts byte-identical
 /// at any thread count.
