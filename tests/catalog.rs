@@ -1,8 +1,9 @@
 //! The device catalog through the CLI: every named pack, trace and policy
-//! spelling, and small fleets under each policy and engine, print
-//! byte-stable reports. A drifting snapshot means a pack, a workload, a
-//! policy's set-up or a report format changed. Regenerate intentionally
-//! with `SDB_REGEN_GOLDEN=1 cargo test --test catalog`.
+//! spelling, small fleets under each policy and engine, and the default
+//! 64-device fleet over a full day on both engines, print byte-stable
+//! reports. A drifting snapshot means a pack, a workload, a policy's
+//! set-up or a report format changed. Regenerate intentionally with
+//! `SDB_REGEN_GOLDEN=1 cargo test --test catalog`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -82,6 +83,13 @@ fn commands(csv: &str) -> Vec<Vec<String>> {
         &["--engine", "soa"],
     ] {
         let mut cmd = owned(&FLEET);
+        cmd.extend(owned(extra));
+        cmd.push("--json".to_owned());
+        cmds.push(cmd);
+    }
+    // The default population over a full day, on both engines.
+    for extra in [&[][..], &["--engine", "soa"]] {
+        let mut cmd = owned(&["fleet", "--devices", "64", "--hours", "24", "--seed", "7"]);
         cmd.extend(owned(extra));
         cmd.push("--json".to_owned());
         cmds.push(cmd);
