@@ -6,7 +6,7 @@
 ///
 /// Panics if any row's width differs from the header's.
 #[must_use]
-pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         assert_eq!(row.len(), header.len(), "row width mismatch");
     }
@@ -45,7 +45,7 @@ pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
 ///
 /// Panics if any row's width differs from the header's.
 #[must_use]
-pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let escape = |s: &str| -> String {
         if s.contains(',') || s.contains('"') {
             format!("\"{}\"", s.replace('"', "\"\""))
@@ -69,13 +69,13 @@ pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Formats a float with the given number of decimals.
 #[must_use]
-pub fn f(value: f64, decimals: usize) -> String {
+pub(crate) fn f(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
 }
 
 /// Formats an optional duration in minutes ("-" when absent).
 #[must_use]
-pub fn opt_min(value: Option<f64>) -> String {
+pub(crate) fn opt_min(value: Option<f64>) -> String {
     value.map_or_else(|| "-".to_owned(), |v| format!("{v:.1}"))
 }
 

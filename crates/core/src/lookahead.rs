@@ -23,8 +23,7 @@ use sdb_emulator::micro::Microcontroller;
 
 /// A plan committed by a [`LookaheadPolicy`]: the directive setting the
 /// planner chose for the coming horizon, plus the forecast quality it was
-/// chosen under (surfaced as the `sdb_policy_forecast_mae` gauge and the
-/// `plan_commit` trace event).
+/// chosen under (surfaced in the `plan_commit` trace event).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanUpdate {
     /// The discharge directive the plan selected.

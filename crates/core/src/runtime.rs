@@ -14,7 +14,7 @@ use crate::policy::{
 };
 use sdb_emulator::link::Response;
 use sdb_fuel_gauge::gauge::BatteryStatus;
-use sdb_observe::{Counter, Gauge, ObsEvent, Observer, SpanName};
+use sdb_observe::{Counter, ObsEvent, Observer};
 use sdb_prof::Phase;
 
 // Settings of the graceful-degradation layer (`enable_resilience`).
@@ -88,8 +88,6 @@ impl ResilienceState {
 struct RuntimeMetrics {
     policy_evals: Counter,
     pushes: Counter,
-    charge_directive: Gauge,
-    discharge_directive: Gauge,
 }
 
 /// The SDB Runtime.
@@ -153,16 +151,9 @@ impl SdbRuntime {
     /// Installs the observability hook. Pass [`Observer::disabled`] to turn
     /// instrumentation off again. New runtimes start disabled.
     pub fn set_observer(&mut self, observer: Observer) {
-        self.metrics = observer.registry().map(|reg| {
-            let m = RuntimeMetrics {
-                policy_evals: reg.counter("sdb_policy_evals_total", &[]),
-                pushes: reg.counter("sdb_runtime_ratio_pushes_total", &[]),
-                charge_directive: reg.gauge("sdb_charge_directive", &[]),
-                discharge_directive: reg.gauge("sdb_discharge_directive", &[]),
-            };
-            m.charge_directive.set(self.charge_directive.value());
-            m.discharge_directive.set(self.discharge_directive.value());
-            m
+        self.metrics = observer.registry().map(|reg| RuntimeMetrics {
+            policy_evals: reg.counter("sdb_policy_evals_total", &[]),
+            pushes: reg.counter("sdb_runtime_ratio_pushes_total", &[]),
         });
         self.observer = observer;
     }
@@ -177,18 +168,12 @@ impl SdbRuntime {
     /// useful charge).
     pub fn set_charge_directive(&mut self, d: ChargeDirective) {
         self.charge_directive = d;
-        if let Some(m) = &self.metrics {
-            m.charge_directive.set(d.value());
-        }
     }
 
     /// Sets the discharging directive parameter (0 = longevity, 1 =
     /// maximize instantaneous battery life).
     pub fn set_discharge_directive(&mut self, d: DischargeDirective) {
         self.discharge_directive = d;
-        if let Some(m) = &self.metrics {
-            m.discharge_directive.set(d.value());
-        }
     }
 
     /// Installs (or clears) the workload-aware preserve policy.
@@ -252,10 +237,9 @@ impl SdbRuntime {
 
     /// Applies a plan committed by a [`crate::lookahead::LookaheadPolicy`]:
     /// installs the plan's directives, forces an immediate policy refresh,
-    /// publishes the forecast error as the `sdb_policy_forecast_mae`
-    /// gauge (plus a `sdb_policy_replans_total` counter), and emits a
-    /// [`ObsEvent::PlanCommit`] so traces and health rules see the
-    /// re-plan.
+    /// counts the re-plan in `sdb_policy_replans_total`, and emits a
+    /// [`ObsEvent::PlanCommit`] (directive, horizon and forecast error) so
+    /// traces and health rules see the re-plan.
     pub fn commit_plan(&mut self, plan: &crate::lookahead::PlanUpdate) {
         self.set_discharge_directive(plan.discharge);
         if let Some(c) = plan.charge {
@@ -263,8 +247,6 @@ impl SdbRuntime {
         }
         self.force_policy_refresh();
         if let Some(reg) = self.observer.registry() {
-            reg.gauge("sdb_policy_forecast_mae", &[])
-                .set(plan.forecast_mae_w);
             reg.counter("sdb_policy_replans_total", &[]).inc();
         }
         self.observer.emit(ObsEvent::PlanCommit {
@@ -473,7 +455,6 @@ impl SdbRuntime {
             return Ok(false);
         }
         self.since_update_s = 0.0;
-        let _span = self.observer.span(SpanName::PolicyEval);
         if let Some(m) = &self.metrics {
             m.policy_evals.inc();
         }

@@ -15,7 +15,6 @@ use crate::runtime::SdbRuntime;
 use sdb_emulator::link::{Command, Link, Response};
 use sdb_emulator::micro::{Microcontroller, StepReport};
 use sdb_emulator::SoaCohort;
-use sdb_observe::SpanName;
 use sdb_prof::Phase;
 use sdb_workloads::traces::{charging_session, Trace, TracePoint};
 use std::ops::ControlFlow;
@@ -116,12 +115,9 @@ impl PreparedResult {
 
 /// What a [`drive`] run books besides the energy totals, picked by its
 /// result type. [`SimResult`] books hour buckets and per-battery empty
-/// times and opens a `TraceStep` observe span per step. The `Copy`
-/// [`PreparedResult`] books nothing and opens no span: the planner
+/// times. The `Copy` [`PreparedResult`] books nothing: the planner
 /// rollout mode, which allocates nothing.
 pub trait Bookkeeping: Default {
-    /// Whether each step opens a `TraceStep` observe span.
-    const OBSERVED: bool;
     /// The empty record for a run over `micro`.
     fn open(_micro: &Microcontroller) -> Self {
         Self::default()
@@ -135,8 +131,6 @@ pub trait Bookkeeping: Default {
 }
 
 impl Bookkeeping for SimResult {
-    const OBSERVED: bool = true;
-
     fn open(micro: &Microcontroller) -> Self {
         Self {
             battery_empty_s: vec![None; micro.battery_count()],
@@ -186,8 +180,6 @@ impl Bookkeeping for SimResult {
 }
 
 impl Bookkeeping for PreparedResult {
-    const OBSERVED: bool = false;
-
     fn close(self, totals: PreparedResult, _micro: &Microcontroller) -> Self {
         totals
     }
@@ -390,7 +382,6 @@ where
         let mut left = n;
         while left > 0 {
             left -= 1;
-            let span = R::OBSERVED.then(|| runtime.observer().span(SpanName::TraceStep));
             // The scheduler step is the profiler's sampling gate: the
             // plan/tick sub-phases and the nested micro step inherit its
             // hot/cold decision.
@@ -426,7 +417,6 @@ where
             }
             // Fast-forward steps are siblings of the sync tick's step.
             drop(prof);
-            drop(span);
 
             // Fast-forward over the rest of the run: those points replay
             // this one exactly (runs are maximal, and a run without
@@ -663,7 +653,8 @@ mod tests {
 
     #[test]
     fn per_step_spans_are_sampled_and_counters_stay_exact() {
-        use sdb_observe::{Observer, SpanName, SAMPLE_EVERY};
+        use sdb_observe::Observer;
+        use sdb_prof::SAMPLE_EVERY;
         let obs = Observer::new();
         let mut m = pack(1.0);
         m.set_observer(obs.clone());
@@ -672,19 +663,28 @@ mod tests {
         // A 60 s update period at 60 s steps: every tick fires.
         let steps = 2 * SAMPLE_EVERY + 1;
         let trace = Trace::constant(1.0, steps as f64 * 60.0);
+        // No other test in this binary enables the process-global
+        // profiler, and this thread's collector starts fresh.
+        sdb_prof::reset();
+        sdb_prof::enable();
         let _ = run_trace(&mut m, &mut rt, &trace, &SimOptions::default());
-        for _ in 0..steps {
-            drop(obs.span(SpanName::FleetDevice));
-        }
-        let text = obs.registry().unwrap().to_prometheus_text();
-        for line in [
-            "sdb_micro_step_ns_count 3",
-            "sdb_policy_eval_ns_count 3",
-            "sdb_trace_step_ns_count 3",
-            "sdb_micro_steps_total 257",
-            "sdb_policy_evals_total 257",
-            "sdb_fleet_device_ns_count 257",
+        sdb_prof::flush_thread();
+        sdb_prof::disable();
+        let snap = sdb_prof::snapshot();
+        sdb_prof::reset();
+        // The profiler's per-step phases count every step and time 1 in
+        // SAMPLE_EVERY, the first included.
+        for path in [
+            &[Phase::TraceStep][..],
+            &[Phase::TraceStep, Phase::RuntimeTick],
+            &[Phase::TraceStep, Phase::MicroStep],
         ] {
+            let node = snap.find_path(path).expect("phase recorded");
+            assert_eq!((node.count, node.timed), (steps, 3), "{path:?}");
+        }
+        // The observer's counters are exact.
+        let text = obs.registry().unwrap().to_prometheus_text();
+        for line in ["sdb_micro_steps_total 257", "sdb_policy_evals_total 257"] {
             assert!(text.lines().any(|l| l == line), "missing {line}:\n{text}");
         }
     }

@@ -14,7 +14,7 @@ use crate::snapshot::{PackSnapshot, TransferSnapshot};
 use sdb_battery_model::error::BatteryError;
 use sdb_battery_model::thevenin::TheveninCell;
 use sdb_fuel_gauge::gauge::{BatteryStatus, FuelGauge};
-use sdb_observe::{Counter, Flow, ObsEvent, Observer, SpanName};
+use sdb_observe::{Counter, Flow, ObsEvent, Observer};
 use sdb_power_electronics::circuits::{ChargeCircuit, DischargeCircuit};
 use sdb_power_electronics::error::{check_ratios, PowerError};
 use sdb_power_electronics::measurement::ShareChain;
@@ -753,7 +753,6 @@ impl Microcontroller {
             "bad external: {external_w}"
         );
         self.observer.set_clock(self.time_s);
-        let _span = self.observer.span(SpanName::MicroStep);
         // Sampling-gate profiling scope: counts every step, wall-clock
         // times 1-in-N (inheriting the scheduler's gate when nested under
         // a TraceStep). The `hot_sub` guards below are a single branch on
@@ -1863,7 +1862,6 @@ mod tests {
             text.contains("sdb_ratio_pushes_total{flow=\"discharge\"} 1"),
             "{text}"
         );
-        assert!(text.contains("sdb_micro_step_ns_count 1"), "{text}");
         let dump = obs.drain_events();
         assert!(dump.iter().any(|e| matches!(
             e.event,

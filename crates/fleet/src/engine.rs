@@ -2,8 +2,8 @@
 //!
 //! Devices are spread over workers by [`sdb_prof::shard_map`], which
 //! hands back their outcomes in device order. Nothing is shared between
-//! shards on the hot path — each shard has its own [`Observer`] (metrics
-//! registry + span histograms), merged only after join. Because every
+//! shards on the hot path — each shard has its own [`Observer`] (a
+//! registry of exact counters), merged by addition after join. Because every
 //! device outcome is a pure function of `(FleetSpec, device index)`, the
 //! resulting [`FleetReport`] is bit-identical for any worker count,
 //! including 1.
@@ -16,7 +16,7 @@ use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::SoaCohort;
-use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName};
+use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer};
 use sdb_policy::{warmup_seeds, WARMUP_DAYS, WARMUP_SALT};
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -60,8 +60,8 @@ pub struct FleetRunStats {
     pub wall_s: f64,
     /// Device simulations completed per wall-clock second.
     pub devices_per_sec: f64,
-    /// The merged per-shard registries: counter totals, gauges, and the
-    /// span latency histograms (including [`SpanName::FleetDevice`]).
+    /// The merged per-shard registries: exact counter totals, the same at
+    /// any thread count (`--metrics-out` renders it).
     pub registry: MetricsRegistry,
 }
 
@@ -265,7 +265,6 @@ pub fn run_fleet(
         // aren't stamped with the previous device's end time — which
         // would differ by shard layout and break trace determinism.
         shard.obs.set_clock(0.0);
-        let span = shard.obs.span(SpanName::FleetDevice);
         // The device scope resets the sampling gate (hot ticks are a
         // function of the device, not the worker) and flushes this
         // device's phase tree on drop, tagged with shard + cohort.
@@ -281,7 +280,6 @@ pub fn run_fleet(
             .and_then(|scratch| scratch.lane(spec, i as u64));
         let outcome = run_device(spec, i as u64, &shard.obs, soa);
         drop(prof_dev);
-        drop(span);
         shard.devices_done.inc();
         Ok((outcome, shard.obs.drain_events()))
     };

@@ -24,8 +24,9 @@
 //!
 //! Determinism contract: `FleetReport` (and its JSON rendering) is a pure
 //! function of `(FleetSpec, master seed)`. Wall-clock facts — thread
-//! count, devices/sec, span latency histograms — live in
-//! [`FleetRunStats`], never in the report.
+//! count, wall time, devices/sec — live in [`FleetRunStats`], never in
+//! the report; its merged counter registry is exact at any thread count.
+//! Per-phase timings come from `sdb profile`.
 //!
 //! # Example
 //!

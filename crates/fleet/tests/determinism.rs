@@ -8,7 +8,7 @@ use sdb_core::policy::DischargeDirective;
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::run_trace;
 use sdb_fleet::spec::{FleetSpec, PolicySpec};
-use sdb_fleet::{run_fleet, RunOptions};
+use sdb_fleet::{run_fleet, EngineKind, RunOptions};
 
 /// A real heterogeneous population (all three cohorts, seeded per-device
 /// traces), big enough that every thread count actually interleaves work.
@@ -100,4 +100,34 @@ fn wall_clock_facts_stay_out_of_the_report() {
     assert!(!json.contains("wall"));
     assert!(stats.wall_s > 0.0);
     assert!(stats.devices_per_sec > 0.0);
+}
+
+/// The merged counter registry exports the same bytes at any thread
+/// count. On SoA with one oracle cohort, some devices register
+/// `sdb_policy_replans_total` and others `sdb_fleet_ff_ticks_total` first,
+/// so registration order follows which device each worker took first.
+#[test]
+fn merged_registry_exports_are_identical_across_thread_counts() {
+    let mut spec = FleetSpec::default_population(24, 7).with_hours(2.0);
+    spec.cohorts[2].policy = PolicySpec::Oracle;
+    let export = |threads| {
+        let opts = RunOptions {
+            engine: EngineKind::Soa,
+            ..RunOptions::new(threads)
+        };
+        let (_, stats, _) = run_fleet(&spec, &opts).unwrap();
+        (
+            stats.registry.to_prometheus_text(),
+            stats.registry.to_json(),
+        )
+    };
+    let one = export(1);
+    assert!(one.0.contains("sdb_policy_replans_total"), "{}", one.0);
+    assert!(one.0.contains("sdb_fleet_ff_ticks_total"), "{}", one.0);
+    for threads in [2, 4, 8] {
+        assert!(
+            export(threads) == one,
+            "registry diverged at {threads} threads"
+        );
+    }
 }

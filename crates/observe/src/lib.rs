@@ -5,14 +5,17 @@
 //! instrumentation surface for the whole reproduction — the tracing and
 //! metrics layer a production battery runtime would ship with:
 //!
-//! * [`metrics`] — a zero-dependency registry of counters, gauges, and
-//!   log-scale-bucket histograms, with Prometheus-text and JSON exporters.
+//! * [`metrics`] — a zero-dependency registry of exact counters, with
+//!   Prometheus-text and JSON exporters (`sdb fleet --metrics-out`).
 //! * `events` — the structured event vocabulary, [`ObsEvent`] (ratio
 //!   pushes, profile transitions, thermal throttling, gauge
 //!   recalibrations, policy evaluations, fault injections, safety clamps),
 //!   and the device-tagged capture a capturing observer keeps.
-//! * `span` — drop-guard span timing for the hot paths, feeding latency
-//!   histograms.
+//!
+//! Values that change over a run (directives, forecast error) travel in
+//! the events, and wall-clock timings in `sdb-prof`'s phase tree (`sdb
+//! profile`): the registry holds counts only, so it merges exactly across
+//! shards.
 //!
 //! Everything hangs off an [`Observer`] handle. The default observer is
 //! **disabled**: every emit/record call is a branch on a `None` and no
@@ -38,13 +41,11 @@
 mod events;
 pub mod metrics;
 mod sketch;
-mod span;
 
 use events::TraceCollector;
 pub use events::{DeviceEvent, Flow, ObsEvent};
-pub use metrics::{json_escape, Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{json_escape, Counter, MetricsRegistry};
 pub use sketch::QuantileSketch;
-pub use span::{SpanGuard, SpanName, SAMPLE_EVERY};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,10 +56,6 @@ struct Shared {
     /// The event capture of a [`Observer::capturing`] observer.
     events: Option<Mutex<TraceCollector>>,
     registry: MetricsRegistry,
-    /// Pre-registered latency histograms, indexed by [`SpanName::index`].
-    spans: [Histogram; SpanName::ALL.len()],
-    /// Calls per span, indexed like `spans`: the sampling gate.
-    span_calls: [AtomicU64; SpanName::ALL.len()],
 }
 
 /// The handle instrumented code holds: either disabled (the default — all
@@ -110,14 +107,11 @@ impl Observer {
     }
 
     fn enabled_with(registry: MetricsRegistry, events: Option<Mutex<TraceCollector>>) -> Self {
-        let spans = SpanName::ALL.map(|s| registry.histogram(s.metric_name(), &[]));
         Self {
             shared: Some(Arc::new(Shared {
                 clock_bits: AtomicU64::new(0.0_f64.to_bits()),
                 events,
                 registry,
-                spans,
-                span_calls: SpanName::ALL.map(|_| AtomicU64::new(0)),
             })),
         }
     }
@@ -230,24 +224,28 @@ impl Observer {
         self.shared.as_ref().map(|s| &s.registry)
     }
 
-    /// Starts a latency span for a well-known hot path; the guard records
-    /// on drop. Per-step spans (see [`SpanName`]) are timed on 1 call in
-    /// [`SAMPLE_EVERY`] per observer, the first included, so their
-    /// histograms hold a sample; exact step counts are in the counters.
-    /// Returns `None` (no timing, no clock read) when disabled or when the
-    /// call falls outside the sample.
+    /// Times nothing: a shim kept for the benchmark crate under
+    /// `perfbench/`, which still opens these spans. Timings come from the
+    /// phase profiler (`sdb profile`). ROADMAP item 3's benchmark change
+    /// deletes it, with [`SpanName`] and [`SpanGuard`].
     #[must_use]
-    pub fn span(&self, name: SpanName) -> Option<SpanGuard> {
-        let s = self.shared.as_ref()?;
-        let i = name.index();
-        // `Relaxed`: the count only picks which calls are timed and
-        // publishes no other data.
-        if name.sampled() && s.span_calls[i].fetch_add(1, Ordering::Relaxed) % SAMPLE_EVERY != 0 {
-            return None;
-        }
-        Some(SpanGuard::new(s.spans[i].clone()))
+    pub fn span(&self, _name: SpanName) -> SpanGuard {
+        SpanGuard
     }
 }
+
+/// The spans the benchmark crate opens through [`Observer::span`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanName {
+    /// One `run_trace` inner-loop iteration.
+    TraceStep,
+    /// One complete device simulation inside a fleet run.
+    FleetDevice,
+}
+
+/// What [`Observer::span`] returns: an empty guard that records nothing.
+#[derive(Debug)]
+pub struct SpanGuard;
 
 #[cfg(test)]
 mod tests {
@@ -259,7 +257,6 @@ mod tests {
         assert!(!obs.enabled());
         assert!(!obs.wants_events());
         assert!(obs.registry().is_none());
-        assert!(obs.span(SpanName::MicroStep).is_none());
         obs.set_clock(10.0);
         assert_eq!(obs.clock_s(), 0.0);
         // Emitting into the void must not panic.
@@ -305,32 +302,6 @@ mod tests {
             (7, 0, 5.0)
         );
         assert!(obs.drain_events().is_empty(), "drain empties the capture");
-    }
-
-    #[test]
-    fn spans_record_into_named_histograms() {
-        let obs = Observer::new();
-        drop(obs.span(SpanName::PolicyEval));
-        let text = obs.registry().unwrap().to_prometheus_text();
-        assert!(text.contains("sdb_policy_eval_ns_count 1"));
-        assert!(text.contains("sdb_micro_step_ns_count 0"));
-    }
-
-    #[test]
-    fn per_step_spans_time_one_call_in_sample_every() {
-        let obs = Observer::new();
-        for _ in 0..2 * SAMPLE_EVERY + 1 {
-            drop(obs.span(SpanName::MicroStep));
-            drop(obs.span(SpanName::FleetDevice));
-        }
-        let text = obs.registry().unwrap().to_prometheus_text();
-        assert!(text.contains("sdb_micro_step_ns_count 3"), "{text}");
-        assert!(text.contains("sdb_fleet_device_ns_count 257"), "{text}");
-        // A second observer keeps its own gate: its first span is timed.
-        let second = Observer::new();
-        drop(second.span(SpanName::MicroStep));
-        let text = second.registry().unwrap().to_prometheus_text();
-        assert!(text.contains("sdb_micro_step_ns_count 1"), "{text}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   load pattern, warm-started from recorded days
 //!   ([`HistoryForecaster::from_history`]) and updated online as the real
 //!   trace unfolds. It also tracks its own running
-//!   one-step-ahead mean absolute error, surfaced as the
-//!   `sdb_policy_forecast_mae` gauge.
+//!   one-step-ahead mean absolute error, carried by every `plan_commit`
+//!   trace event.
 //! * [`OracleForecaster`] — returns the true remaining trace. Physically
 //!   unrealizable, but it upper-bounds what any forecast-driven planner
 //!   could achieve, which is exactly what the head-to-head tables need.

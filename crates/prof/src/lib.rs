@@ -56,9 +56,8 @@ use table::Table;
 /// tick of every device is, so short runs still produce samples). Counts
 /// are unaffected for step-level phases; sub-step phases record only on
 /// timed ticks, which keeps their counts deterministic too — the gate is
-/// driven by the per-device tick counter, never by elapsed time. The
-/// observer's per-step spans sample at the same rate.
-pub const SAMPLE_EVERY: u64 = sdb_observe::SAMPLE_EVERY;
+/// driven by the per-device tick counter, never by elapsed time.
+pub const SAMPLE_EVERY: u64 = 128;
 
 /// Scope-stack depth limit (device → trace step → plan → rollout →
 /// trace step → micro step → sub-phase nests well below this).

@@ -18,9 +18,9 @@
 //!   trace generators (paper §4.3, §5).
 //! * [`core`] — the SDB Runtime: CCB/RBL metrics and policies, directive
 //!   parameters, the scheduler, and the Section 5 scenarios.
-//! * [`observe`] — flight-recorder observability: a metrics registry with
-//!   Prometheus/JSON exporters, the structured event bus every layer emits
-//!   into, and hot-path span timing.
+//! * [`observe`] — flight-recorder observability: a registry of exact
+//!   counters with Prometheus/JSON exporters, and the structured event
+//!   bus every layer emits into.
 //! * [`fleet`] — the sharded multi-device fleet simulation engine:
 //!   deterministic population sampling, parallelism through
 //!   [`prof::shard_map`], and fleet reports that are bit-identical for

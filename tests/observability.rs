@@ -67,8 +67,9 @@ fn flight_recorder_captures_trace_run() {
 }
 
 /// Every exporter line must parse as `name{labels} value` (or
-/// `name value`), with a finite or +Inf-bucket value — checked with a
-/// hand-rolled parser, no regex.
+/// `name value`), with an integer counter value — checked with a
+/// hand-rolled parser, no regex — and the lines carry exactly the
+/// counters the emulator and the runtime register, sorted.
 #[test]
 fn prometheus_export_parses_line_by_line() {
     let mut micro = hybrid_pack();
@@ -90,10 +91,9 @@ fn prometheus_export_parses_line_by_line() {
         // Split metric id from value at the last space.
         let (id, value) = line.rsplit_once(' ').expect("line has no value");
         assert!(!value.is_empty(), "empty value in {line:?}");
-        let _: f64 = value.parse().unwrap_or_else(|_| {
-            assert_eq!(value, "+Inf", "unparseable value {value:?} in {line:?}");
-            f64::INFINITY
-        });
+        let _: u64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("unparseable value {value:?} in {line:?}"));
         let name = match id.split_once('{') {
             Some((name, rest)) => {
                 assert!(rest.ends_with('}'), "unclosed label set in {line:?}");
@@ -119,20 +119,22 @@ fn prometheus_export_parses_line_by_line() {
         );
         names.push(name.to_string());
     }
-    // The run actually recorded the cross-layer metrics.
-    for expected in [
-        "sdb_micro_steps_total",
-        "sdb_ratio_pushes_total",
-        "sdb_policy_evals_total",
-        "sdb_micro_step_ns_bucket",
-        "sdb_policy_eval_ns_count",
-        "sdb_trace_step_ns_sum",
-    ] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "missing metric {expected}"
-        );
-    }
+    // The run recorded the cross-layer counters, and nothing else.
+    names.dedup();
+    assert_eq!(
+        names,
+        [
+            "sdb_gauge_recalibrations_total",
+            "sdb_micro_brownout_steps_total",
+            "sdb_micro_steps_total",
+            "sdb_policy_evals_total",
+            "sdb_ratio_pushes_total",
+            "sdb_runtime_ratio_pushes_total",
+            "sdb_safety_clamps_total",
+            "sdb_thermal_throttle_transitions_total",
+        ],
+        "{text}"
+    );
 }
 
 /// A fault-injection run (thermal stress + drifting gauge, as in
