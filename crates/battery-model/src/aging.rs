@@ -26,7 +26,7 @@ pub const CYCLE_CHARGE_THRESHOLD: f64 = 0.80;
 
 /// Warranty capacity threshold: the fade model is calibrated so 1C cycling
 /// reaches this fraction at the chemistry's tolerable cycle count.
-pub const WARRANTY_CAPACITY_FRACTION: f64 = 0.80;
+pub(crate) const WARRANTY_CAPACITY_FRACTION: f64 = 0.80;
 
 /// Tracks cumulative recharged charge and emits cycle increments per the
 /// paper's 80 %-cumulative rule.
@@ -74,20 +74,14 @@ impl CycleCounter {
         self.cycles
     }
 
-    /// Progress toward the next cycle as a fraction of the threshold.
-    #[must_use]
-    pub fn progress(&self) -> f64 {
-        self.cumulative_frac / CYCLE_CHARGE_THRESHOLD
-    }
-
     /// Raw counter state for snapshotting: `(cycles, cumulative_frac)`.
     #[must_use]
-    pub fn export_state(&self) -> (u32, f64) {
+    pub(crate) fn export_state(&self) -> (u32, f64) {
         (self.cycles, self.cumulative_frac)
     }
 
     /// Restores counter state captured by [`CycleCounter::export_state`].
-    pub fn import_state(&mut self, cycles: u32, cumulative_frac: f64) {
+    pub(crate) fn import_state(&mut self, cycles: u32, cumulative_frac: f64) {
         self.cycles = cycles;
         self.cumulative_frac = cumulative_frac;
     }
@@ -100,16 +94,16 @@ impl CycleCounter {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FadeModel {
     /// Per-cycle capacity loss fraction at the 1C reference rate.
-    pub base_loss_per_cycle: f64,
+    pub(crate) base_loss_per_cycle: f64,
     /// Fraction of the loss that is rate-independent.
-    pub rate_independent_floor: f64,
+    pub(crate) rate_independent_floor: f64,
     /// Exponent on the C-rate for the rate-dependent share.
-    pub crate_exponent: f64,
+    pub(crate) crate_exponent: f64,
 }
 
 impl FadeModel {
     /// Derives the fade model from a cell spec: calibrated so 1C cycling
-    /// reaches [`WARRANTY_CAPACITY_FRACTION`] at `spec.tolerable_cycles`.
+    /// reaches `WARRANTY_CAPACITY_FRACTION` at `spec.tolerable_cycles`.
     #[must_use]
     pub fn for_spec(spec: &BatterySpec) -> Self {
         Self {
@@ -122,7 +116,7 @@ impl FadeModel {
 
     /// Capacity fraction lost by one cycle performed at mean C-rate `c`.
     #[must_use]
-    pub fn loss_per_cycle(&self, c_rate: f64) -> f64 {
+    pub(crate) fn loss_per_cycle(&self, c_rate: f64) -> f64 {
         let c = c_rate.max(0.0);
         let floor = self.rate_independent_floor;
         self.base_loss_per_cycle * (floor + (1.0 - floor) * c.powf(self.crate_exponent))
@@ -165,7 +159,7 @@ fn resistance_multiplier_for(capacity_fraction: f64) -> f64 {
 impl AgingState {
     /// Fresh aging state for a cell spec.
     #[must_use]
-    pub fn new(spec: &BatterySpec) -> Self {
+    pub(crate) fn new(spec: &BatterySpec) -> Self {
         Self {
             counter: CycleCounter::new(),
             fade: FadeModel::for_spec(spec),
@@ -181,7 +175,7 @@ impl AgingState {
     /// `current_a` follows the crate convention (positive discharges);
     /// `capacity_ah` is the cell's *original* rated capacity. Returns the
     /// number of cycles completed by this step.
-    pub fn step(&mut self, current_a: f64, dt_s: f64, capacity_ah: f64) -> u32 {
+    pub(crate) fn step(&mut self, current_a: f64, dt_s: f64, capacity_ah: f64) -> u32 {
         debug_assert!(dt_s >= 0.0 && capacity_ah > 0.0);
         let c_rate = current_a.abs() / capacity_ah;
         let moved_frac = current_a.abs() * dt_s / 3600.0 / (capacity_ah * self.capacity_fraction);
@@ -213,7 +207,7 @@ impl AgingState {
 
     /// Completed charge cycles.
     #[must_use]
-    pub fn cycles(&self) -> u32 {
+    pub(crate) fn cycles(&self) -> u32 {
         self.counter.cycles()
     }
 
@@ -234,14 +228,14 @@ impl AgingState {
     /// Wear ratio `λ = cc / χ` from Section 3.3, given the tolerable cycle
     /// count `χ`.
     #[must_use]
-    pub fn wear_ratio(&self, tolerable_cycles: u32) -> f64 {
+    pub(crate) fn wear_ratio(&self, tolerable_cycles: u32) -> f64 {
         f64::from(self.counter.cycles()) / f64::from(tolerable_cycles.max(1))
     }
 
     /// Exports the full mutable aging state for bit-exact snapshotting.
     /// The fade model is spec-derived configuration and is not included.
     #[must_use]
-    pub fn export_state(&self) -> AgingStateSnapshot {
+    pub(crate) fn export_state(&self) -> AgingStateSnapshot {
         let (cycles, cumulative_frac) = self.counter.export_state();
         AgingStateSnapshot {
             cycles,
@@ -256,7 +250,7 @@ impl AgingState {
     /// resistance multiplier is recomputed from the restored capacity
     /// fraction — a pure function of it, so this is bit-identical to the
     /// value cached at export time.
-    pub fn import_state(&mut self, snap: &AgingStateSnapshot) {
+    pub(crate) fn import_state(&mut self, snap: &AgingStateSnapshot) {
         self.counter.import_state(snap.cycles, snap.cumulative_frac);
         self.capacity_fraction = snap.capacity_fraction;
         self.crate_accum = snap.crate_accum;
@@ -266,7 +260,7 @@ impl AgingState {
 }
 
 /// Plain-data capture of one cell's mutable aging state (see
-/// [`AgingState::export_state`]).
+/// `AgingState::export_state`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingStateSnapshot {
     /// Completed charge cycles.
@@ -297,15 +291,15 @@ mod tests {
         assert_eq!(cc.on_charge(0.50), 0);
         assert_eq!(cc.on_charge(0.30), 1);
         assert_eq!(cc.cycles(), 1);
-        assert!(cc.progress() < 1e-12);
+        assert!(cc.export_state().1 < 1e-12);
     }
 
     #[test]
     fn full_charge_counts_one_cycle_with_carry() {
         let mut cc = CycleCounter::new();
         assert_eq!(cc.on_charge(1.0), 1);
-        // 0.2 of remainder carried: 0.2/0.8 progress.
-        assert!((cc.progress() - 0.25).abs() < 1e-12);
+        // 0.2 of remainder carried toward the next cycle.
+        assert!((cc.export_state().1 - 0.2).abs() < 1e-12);
     }
 
     #[test]

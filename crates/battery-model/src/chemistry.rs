@@ -36,17 +36,17 @@ pub enum Chemistry {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisScores {
     /// Sustained/peak power per unit mass.
-    pub power_density: f64,
+    pub(crate) power_density: f64,
     /// Mechanical flexibility (bend radius axis).
-    pub form_factor_flexibility: f64,
+    pub(crate) form_factor_flexibility: f64,
     /// Energy per unit volume/mass.
-    pub energy_density: f64,
+    pub(crate) energy_density: f64,
     /// Inverse of $/joule.
-    pub affordability: f64,
+    pub(crate) affordability: f64,
     /// Capacity retention over cycle count.
-    pub longevity: f64,
+    pub(crate) longevity: f64,
     /// One minus the typical resistive loss fraction.
-    pub efficiency: f64,
+    pub(crate) efficiency: f64,
 }
 
 impl AxisScores {
@@ -194,7 +194,7 @@ impl Chemistry {
     /// Tolerable charge cycles `χ` before capacity drops below the warranty
     /// threshold (Section 3.3's wear-ratio denominator).
     #[must_use]
-    pub fn tolerable_cycles(self) -> u32 {
+    pub(crate) fn tolerable_cycles(self) -> u32 {
         match self {
             Self::Type1LfpPower => 2000,
             Self::Type2CoStandard => 800,
@@ -213,7 +213,7 @@ impl Chemistry {
     /// mid-SoC. Actual cell resistance scales inversely with capacity
     /// (parallel plate area) and varies with SoC via the DCIR curve.
     #[must_use]
-    pub fn base_resistance_ohm_ah(self) -> f64 {
+    pub(crate) fn base_resistance_ohm_ah(self) -> f64 {
         match self {
             Self::Type1LfpPower => 0.045,
             Self::Type2CoStandard => 0.09,
@@ -229,7 +229,7 @@ impl Chemistry {
 
     /// Maximum continuous discharge C-rate.
     #[must_use]
-    pub fn max_discharge_c(self) -> f64 {
+    pub(crate) fn max_discharge_c(self) -> f64 {
         match self {
             Self::Type1LfpPower => 10.0,
             Self::Type2CoStandard => 2.0,
@@ -242,7 +242,7 @@ impl Chemistry {
 
     /// Maximum charge C-rate (fast-charging headroom).
     #[must_use]
-    pub fn max_charge_c(self) -> f64 {
+    pub(crate) fn max_charge_c(self) -> f64 {
         match self {
             Self::Type1LfpPower => 4.0,
             Self::Type2CoStandard => 0.7,
@@ -257,7 +257,7 @@ impl Chemistry {
     /// 1C relative to a gentle 0.3C cycle (higher = degrades faster under
     /// fast charge; Figure 1b).
     #[must_use]
-    pub fn crate_aging_sensitivity(self) -> f64 {
+    pub(crate) fn crate_aging_sensitivity(self) -> f64 {
         match self {
             Self::Type1LfpPower => 0.8,
             Self::Type2CoStandard => 2.4,
@@ -275,7 +275,7 @@ impl Chemistry {
     ///
     /// Never panics in practice: the embedded knot tables are valid.
     #[must_use]
-    pub fn ocp_curve(self) -> Curve {
+    pub(crate) fn ocp_curve(self) -> Curve {
         // Shapes: LFP has a famously flat plateau around 3.3 V; CoO2 cells
         // ramp from ~3.0 V to ~4.35 V; LTO sits near 2.3–2.5 V.
         let pts: &[f64] = match self {
@@ -308,7 +308,7 @@ impl Chemistry {
     ///
     /// Never panics in practice: the embedded knot tables are valid.
     #[must_use]
-    pub fn dcir_curve_1ah(self) -> Curve {
+    pub(crate) fn dcir_curve_1ah(self) -> Curve {
         let base = self.base_resistance_ohm_ah();
         // Multiplier on the mid-SoC base resistance; steep rise near empty.
         let shape = [6.0, 2.8, 1.8, 1.4, 1.2, 1.0, 0.95, 0.92, 0.90, 0.88, 0.87];

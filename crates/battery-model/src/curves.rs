@@ -105,44 +105,6 @@ impl Curve {
         Ok(Self { points })
     }
 
-    /// Builds a curve and additionally checks that y is non-decreasing.
-    ///
-    /// Used for OCP-vs-SoC curves, which are physically monotone
-    /// (Figure 8b: "open circuit potential increases with state of charge").
-    ///
-    /// # Errors
-    ///
-    /// As [`Curve::new`], plus [`BatteryError::CurveNotMonotone`] if any step
-    /// decreases in y.
-    pub fn new_non_decreasing(points: Vec<(f64, f64)>) -> Result<Self, BatteryError> {
-        let c = Self::new(points)?;
-        for i in 1..c.points.len() {
-            if c.points[i].1 < c.points[i - 1].1 {
-                return Err(BatteryError::CurveNotMonotone { index: i });
-            }
-        }
-        Ok(c)
-    }
-
-    /// Builds a curve and additionally checks that y is non-increasing.
-    ///
-    /// Used for DCIR-vs-SoC curves, which decrease with state of charge
-    /// (Figure 8c: "internal resistance decreases with the state of charge").
-    ///
-    /// # Errors
-    ///
-    /// As [`Curve::new`], plus [`BatteryError::CurveNotMonotone`] if any step
-    /// increases in y.
-    pub fn new_non_increasing(points: Vec<(f64, f64)>) -> Result<Self, BatteryError> {
-        let c = Self::new(points)?;
-        for i in 1..c.points.len() {
-            if c.points[i].1 > c.points[i - 1].1 {
-                return Err(BatteryError::CurveNotMonotone { index: i });
-            }
-        }
-        Ok(c)
-    }
-
     /// Evaluates the curve at `x`, clamping outside the knot range.
     #[must_use]
     pub fn eval(&self, x: f64) -> f64 {
@@ -369,7 +331,7 @@ impl Curve {
     /// Used, e.g., to derive an aged DCIR curve (resistance grows with age)
     /// or a chemistry variant from a base curve.
     #[must_use]
-    pub fn scale_y(&self, factor: f64) -> Self {
+    pub(crate) fn scale_y(&self, factor: f64) -> Self {
         Self {
             points: self.points.iter().map(|&(x, y)| (x, y * factor)).collect(),
         }
@@ -377,13 +339,13 @@ impl Curve {
 
     /// The smallest knot x-coordinate.
     #[must_use]
-    pub fn x_min(&self) -> f64 {
+    pub(crate) fn x_min(&self) -> f64 {
         self.points[0].0
     }
 
     /// The largest knot x-coordinate.
     #[must_use]
-    pub fn x_max(&self) -> f64 {
+    pub(crate) fn x_max(&self) -> f64 {
         self.points[self.points.len() - 1].0
     }
 
@@ -409,23 +371,6 @@ impl Curve {
     #[must_use]
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// Samples the curve at `n` evenly spaced x positions across its range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn sample(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "need at least 2 samples");
-        let (lo, hi) = (self.x_min(), self.x_max());
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * (i as f64) / ((n - 1) as f64);
-                (x, self.eval(x))
-            })
-            .collect()
     }
 
     /// Numerically inverts a monotone curve: finds `x` with `f(x) = y`.
@@ -587,12 +532,6 @@ impl CurveLut {
         (self.ys[i + 1] - self.ys[i]).mul_add(frac, self.ys[i])
     }
 
-    /// Number of grid cells.
-    #[must_use]
-    pub fn cells(&self) -> usize {
-        self.ys.len() - 1
-    }
-
     /// The exact maximum absolute error of this table against `curve`.
     ///
     /// Both functions are piecewise linear, so their difference is
@@ -627,7 +566,7 @@ impl CurveLut {
 /// # Panics
 ///
 /// Panics if `ys` has fewer than two entries (cannot span `[0, 1]`).
-pub fn from_soc_samples(ys: &[f64]) -> Result<Curve, BatteryError> {
+pub(crate) fn from_soc_samples(ys: &[f64]) -> Result<Curve, BatteryError> {
     assert!(ys.len() >= 2, "need at least 2 samples to span [0,1]");
     let n = ys.len();
     Curve::new(
@@ -676,15 +615,13 @@ mod tests {
 
     #[test]
     fn monotone_validators() {
-        assert!(Curve::new_non_decreasing(vec![(0.0, 1.0), (1.0, 1.0), (2.0, 5.0)]).is_ok());
+        // `Curve::new` checks x, never y: flat, rising and falling OCP/DCIR
+        // shapes are all accepted; a repeated knot is not.
+        assert!(Curve::new(vec![(0.0, 1.0), (1.0, 1.0), (2.0, 5.0)]).is_ok());
+        assert!(Curve::new(vec![(0.0, 5.0), (1.0, 1.0)]).is_ok());
         assert_eq!(
-            Curve::new_non_decreasing(vec![(0.0, 2.0), (1.0, 1.0)]),
-            Err(BatteryError::CurveNotMonotone { index: 1 })
-        );
-        assert!(Curve::new_non_increasing(vec![(0.0, 5.0), (1.0, 1.0)]).is_ok());
-        assert_eq!(
-            Curve::new_non_increasing(vec![(0.0, 1.0), (1.0, 2.0)]),
-            Err(BatteryError::CurveNotMonotone { index: 1 })
+            Curve::new(vec![(0.0, 1.0), (0.0, 2.0)]),
+            Err(BatteryError::CurveNotSorted { index: 1 })
         );
     }
 
@@ -739,10 +676,9 @@ mod tests {
 
     #[test]
     fn sample_covers_range() {
-        let s = line().sample(5);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s[0], (0.0, 1.0));
-        assert_eq!(s[4], (1.0, 3.0));
+        let c = line();
+        assert_eq!((c.x_min(), c.eval(c.x_min())), (0.0, 1.0));
+        assert_eq!((c.x_max(), c.eval(c.x_max())), (1.0, 3.0));
     }
 
     #[test]
@@ -845,7 +781,7 @@ mod tests {
     #[test]
     fn lut_is_exact_for_a_line_and_bounded_otherwise() {
         let lut = line().to_lut(4);
-        assert_eq!(lut.cells(), 4);
+        assert_eq!(lut.ys.len() - 1, 4);
         // A straight line is represented exactly by any grid.
         assert!(lut.max_abs_error(&line()) < 1e-12);
         assert_eq!(lut.eval(-1.0), 1.0);

@@ -20,11 +20,6 @@ pub enum BatteryError {
         /// Index of the offending point.
         index: usize,
     },
-    /// A curve expected to be monotone in y was not.
-    CurveNotMonotone {
-        /// Index of the first non-monotone step.
-        index: usize,
-    },
     /// A spec parameter was outside its physical range.
     InvalidSpec {
         /// Name of the offending field.
@@ -78,9 +73,6 @@ impl fmt::Display for BatteryError {
             }
             Self::CurveNotFinite { index } => {
                 write!(f, "curve contains non-finite coordinate at index {index}")
-            }
-            Self::CurveNotMonotone { index } => {
-                write!(f, "curve not monotone in y at index {index}")
             }
             Self::InvalidSpec { field, value } => {
                 write!(f, "invalid battery spec: {field} = {value}")

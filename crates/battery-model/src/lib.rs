@@ -52,10 +52,6 @@ pub mod spec;
 pub mod thermal;
 pub mod thevenin;
 
-pub use aging::{AgingState, CycleCounter, FadeModel};
-pub use chemistry::{AxisScores, Chemistry};
-pub use curves::{Curve, CurveCursor, CurveLut};
-pub use error::BatteryError;
-pub use reference::ReferenceCell;
+pub use chemistry::Chemistry;
+pub use curves::{Curve, CurveCursor};
 pub use spec::BatterySpec;
-pub use thevenin::{StepOutcome, TheveninCell};

@@ -40,7 +40,7 @@ impl Noise {
 /// The richer reference cell: 2-RC Thevenin + nonlinear overpotential +
 /// measurement noise.
 #[derive(Debug, Clone)]
-pub struct ReferenceCell {
+pub(crate) struct ReferenceCell {
     spec: BatterySpec,
     soc: f64,
     /// Fast RC branch voltage (60 % of the concentration resistance).
@@ -70,7 +70,7 @@ impl ReferenceCell {
     ///
     /// Panics if the spec fails validation.
     #[must_use]
-    pub fn new(spec: BatterySpec, seed: u64) -> Self {
+    pub(crate) fn new(spec: BatterySpec, seed: u64) -> Self {
         spec.validate().expect("invalid battery spec");
         Self {
             spec,
@@ -84,34 +84,16 @@ impl ReferenceCell {
         }
     }
 
-    /// Sets the initial state of charge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `soc` is outside `[0, 1]`.
-    #[must_use]
-    pub fn with_soc(mut self, soc: f64) -> Self {
-        assert!((0.0..=1.0).contains(&soc), "soc out of range: {soc}");
-        self.soc = soc;
-        self
-    }
-
     /// State of charge.
     #[must_use]
-    pub fn soc(&self) -> f64 {
+    pub(crate) fn soc(&self) -> f64 {
         self.soc
-    }
-
-    /// The cell spec.
-    #[must_use]
-    pub fn spec(&self) -> &BatterySpec {
-        &self.spec
     }
 
     /// Nonlinear charge-transfer overpotential at load current `i`
     /// (`η = a·asinh(I/I₀)`, with `I₀` = 0.5C exchange current).
     #[must_use]
-    pub fn overpotential(&self, current_a: f64) -> f64 {
+    pub(crate) fn overpotential(&self, current_a: f64) -> f64 {
         let i0 = 0.5 * self.spec.capacity_ah;
         self.overpotential_v * (current_a / i0).asinh()
     }
@@ -124,7 +106,7 @@ impl ReferenceCell {
     /// [`BatteryError::InvalidTimeStep`]/[`BatteryError::InvalidLoad`] for
     /// bad inputs; [`BatteryError::Empty`]/[`BatteryError::Full`] at the SoC
     /// boundaries.
-    pub fn step_current(&mut self, current_a: f64, dt_s: f64) -> Result<f64, BatteryError> {
+    pub(crate) fn step_current(&mut self, current_a: f64, dt_s: f64) -> Result<f64, BatteryError> {
         if !dt_s.is_finite() || dt_s < 0.0 {
             return Err(BatteryError::InvalidTimeStep { dt_s });
         }
@@ -158,7 +140,7 @@ impl ReferenceCell {
 
     /// Measured terminal voltage at load `current_a` (includes noise).
     #[must_use]
-    pub fn terminal_voltage(&mut self, current_a: f64) -> f64 {
+    pub(crate) fn terminal_voltage(&mut self, current_a: f64) -> f64 {
         let hysteresis = self.hysteresis_v * current_a.signum();
         let clean = self.spec.ocp.eval(self.soc)
             - current_a * self.spec.dcir.eval(self.soc)
@@ -167,12 +149,6 @@ impl ReferenceCell {
             - self.overpotential(current_a)
             - hysteresis;
         clean + self.noise.next() * self.noise_amp_v
-    }
-
-    /// Whether the cell is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.soc <= f64::EPSILON
     }
 }
 
@@ -183,7 +159,7 @@ pub struct ValidationReport {
     /// Discharge current used, amps.
     pub current_a: f64,
     /// Mean absolute relative terminal-voltage error.
-    pub mean_abs_rel_error: f64,
+    pub(crate) mean_abs_rel_error: f64,
     /// Maximum absolute relative error observed.
     pub max_abs_rel_error: f64,
     /// Number of comparison samples.
@@ -316,7 +292,8 @@ mod tests {
 
     #[test]
     fn boundary_errors() {
-        let mut r = ReferenceCell::new(spec(), 3).with_soc(0.0);
+        let mut r = ReferenceCell::new(spec(), 3);
+        r.soc = 0.0;
         assert_eq!(r.step_current(1.0, 1.0), Err(BatteryError::Empty));
         let mut r = ReferenceCell::new(spec(), 3);
         assert_eq!(r.step_current(-1.0, 1.0), Err(BatteryError::Full));

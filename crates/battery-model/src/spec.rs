@@ -36,14 +36,14 @@ pub struct BatterySpec {
     /// capacity threshold (Section 3.3).
     pub tolerable_cycles: u32,
     /// Cell volume in liters (for energy-density accounting, Figure 11a).
-    pub volume_l: f64,
+    pub(crate) volume_l: f64,
     /// Cell mass in kilograms.
-    pub mass_kg: f64,
+    pub(crate) mass_kg: f64,
     /// Per-cycle capacity-fade coefficient at the reference 0.3C rate
     /// (fraction of original capacity lost per equivalent full cycle).
-    pub fade_per_cycle: f64,
+    pub(crate) fade_per_cycle: f64,
     /// Exponent controlling how fade accelerates with C-rate.
-    pub fade_crate_exponent: f64,
+    pub(crate) fade_crate_exponent: f64,
 }
 
 impl BatterySpec {
@@ -53,8 +53,7 @@ impl BatterySpec {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_ah` is not a positive finite number; use
-    /// [`BatterySpec::validate`] for fallible checking of hand-built specs.
+    /// Panics if `capacity_ah` is not a positive finite number.
     #[must_use]
     pub fn from_chemistry(name: &str, chemistry: Chemistry, capacity_ah: f64) -> Self {
         assert!(
@@ -95,7 +94,7 @@ impl BatterySpec {
     /// # Errors
     ///
     /// Returns [`BatteryError::InvalidSpec`] naming the first bad field.
-    pub fn validate(&self) -> Result<(), BatteryError> {
+    pub(crate) fn validate(&self) -> Result<(), BatteryError> {
         let positive: [(&'static str, f64); 8] = [
             ("capacity_ah", self.capacity_ah),
             ("concentration_r_ohm", self.concentration_r_ohm),
@@ -138,39 +137,10 @@ impl BatterySpec {
         Ok(())
     }
 
-    /// Rated energy content in watt-hours at nominal voltage.
-    #[must_use]
-    pub fn energy_wh(&self) -> f64 {
-        self.capacity_ah * self.chemistry.nominal_voltage_v()
-    }
-
-    /// Converts a current in amps to a C-rate for this cell.
-    #[must_use]
-    pub fn c_rate(&self, current_a: f64) -> f64 {
-        current_a.abs() / self.capacity_ah
-    }
-
-    /// Maximum instantaneous discharge power in watts at the given SoC:
-    /// the vertex of `P(I) = I·(OCV − I·R)` capped by the current limit.
-    #[must_use]
-    pub fn max_power_w(&self, soc: f64) -> f64 {
-        let ocv = self.ocp.eval(soc);
-        let r = self.dcir.eval(soc);
-        let i_peak = (ocv / (2.0 * r)).min(self.max_discharge_a);
-        i_peak * (ocv - i_peak * r)
-    }
-
-    /// Returns a copy with a different name (for building cell libraries).
-    #[must_use]
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = name.to_owned();
-        self
-    }
-
     /// Returns a copy with DCIR scaled by `factor` (unit-to-unit variation
     /// or age).
     #[must_use]
-    pub fn with_dcir_scaled(mut self, factor: f64) -> Self {
+    pub(crate) fn with_dcir_scaled(mut self, factor: f64) -> Self {
         self.dcir = self.dcir.scale_y(factor);
         self.concentration_r_ohm *= factor;
         self
@@ -218,27 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_and_charge_content() {
-        let spec = BatterySpec::from_chemistry("t", Chemistry::Type2CoStandard, 2.0);
-        assert!((spec.energy_wh() - 2.0 * 3.8).abs() < 1e-12);
-        assert!((spec.c_rate(1.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_power_higher_at_high_soc() {
-        let spec = BatterySpec::from_chemistry("t", Chemistry::Type2CoStandard, 2.0);
-        assert!(spec.max_power_w(0.9) > spec.max_power_w(0.1));
-        assert!(spec.max_power_w(0.5) > 0.0);
-    }
-
-    #[test]
-    fn power_cell_outpowers_energy_cell() {
-        let p = BatterySpec::from_chemistry("p", Chemistry::Type3CoPower, 2.0);
-        let e = BatterySpec::from_chemistry("e", Chemistry::Type2CoStandard, 2.0);
-        assert!(p.max_power_w(0.5) > e.max_power_w(0.5));
-    }
-
-    #[test]
     fn dcir_scaling_helper() {
         let spec = BatterySpec::from_chemistry("t", Chemistry::Type2CoStandard, 2.0);
         let aged = spec.clone().with_dcir_scaled(1.5);
@@ -251,8 +200,8 @@ mod tests {
         // Same capacity: the lower-density chemistry needs more volume.
         let t2 = BatterySpec::from_chemistry("t2", Chemistry::Type2CoStandard, 2.0);
         let t1 = BatterySpec::from_chemistry("t1", Chemistry::Type1LfpPower, 2.0);
-        let t2_density = t2.energy_wh() / t2.volume_l;
-        let t1_density = t1.energy_wh() / t1.volume_l;
+        let t2_density = t2.capacity_ah * t2.chemistry.nominal_voltage_v() / t2.volume_l;
+        let t1_density = t1.capacity_ah * t1.chemistry.nominal_voltage_v() / t1.volume_l;
         assert!(t2_density > t1_density);
     }
 }

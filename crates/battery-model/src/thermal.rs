@@ -11,7 +11,7 @@
 /// Returns the multiplier relative to the 25 °C reference (≈1.6× at 0 °C,
 /// ≈0.8× at 40 °C).
 #[must_use]
-pub fn resistance_multiplier_at(temperature_c: f64) -> f64 {
+pub(crate) fn resistance_multiplier_at(temperature_c: f64) -> f64 {
     const T_REF_K: f64 = 298.15;
     const ACTIVATION_K: f64 = 1600.0;
     let t_k = (temperature_c + 273.15).max(200.0);
@@ -46,12 +46,6 @@ impl ThermalModel {
         }
     }
 
-    /// Default model for a cell of `capacity_ah` at 25 °C ambient.
-    #[must_use]
-    pub fn for_capacity(capacity_ah: f64) -> Self {
-        Self::for_capacity_at(capacity_ah, 25.0)
-    }
-
     /// Default model for a cell of `capacity_ah` at a given ambient.
     #[must_use]
     pub fn for_capacity_at(capacity_ah: f64, ambient_c: f64) -> Self {
@@ -80,7 +74,7 @@ impl ThermalModel {
 
     /// Advances the thermal state by `dt_s` seconds with `heat_w` watts of
     /// internal dissipation (exact exponential update, stable for any step).
-    pub fn step(&mut self, heat_w: f64, dt_s: f64) {
+    pub(crate) fn step(&mut self, heat_w: f64, dt_s: f64) {
         debug_assert!(dt_s >= 0.0 && heat_w.is_finite());
         let t_ss = self.ambient_c + heat_w.max(0.0) * self.r_th_k_per_w;
         let tau = self.r_th_k_per_w * self.c_th_j_per_k;
@@ -89,12 +83,6 @@ impl ThermalModel {
         } else {
             self.temperature_c = t_ss;
         }
-    }
-
-    /// Rise above ambient, kelvin.
-    #[must_use]
-    pub fn rise_k(&self) -> f64 {
-        self.temperature_c - self.ambient_c
     }
 }
 
@@ -118,7 +106,6 @@ mod tests {
     fn starts_at_ambient() {
         let t = ThermalModel::new(25.0, 10.0, 100.0);
         assert_eq!(t.temperature_c(), 25.0);
-        assert_eq!(t.rise_k(), 0.0);
     }
 
     #[test]
@@ -149,11 +136,11 @@ mod tests {
 
     #[test]
     fn bigger_cells_heat_slower() {
-        let mut small = ThermalModel::for_capacity(0.2);
-        let mut large = ThermalModel::for_capacity(3.0);
+        let mut small = ThermalModel::for_capacity_at(0.2, 25.0);
+        let mut large = ThermalModel::for_capacity_at(3.0, 25.0);
         small.step(1.0, 60.0);
         large.step(1.0, 60.0);
-        assert!(small.rise_k() > large.rise_k());
+        assert!(small.temperature_c() > large.temperature_c());
     }
 
     #[test]

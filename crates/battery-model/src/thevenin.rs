@@ -40,7 +40,7 @@ pub struct StepOutcome {
     /// State of charge after the step.
     pub soc: f64,
     /// Charge cycles completed during this step.
-    pub cycles_completed: u32,
+    pub(crate) cycles_completed: u32,
     /// Time actually simulated, seconds — less than the requested `dt_s`
     /// when the step was truncated at an SoC boundary. Callers crediting
     /// energy per step MUST scale by `dt_used_s / dt_s`.
@@ -195,17 +195,6 @@ impl TheveninCell {
         self.soc
     }
 
-    /// Forces the state of charge (scenario setup / test fixtures only —
-    /// bypasses coulomb accounting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `soc` is outside `[0, 1]`.
-    pub fn set_soc(&mut self, soc: f64) {
-        assert!((0.0..=1.0).contains(&soc), "soc out of range: {soc}");
-        self.soc = soc;
-    }
-
     /// Open-circuit voltage at the present SoC.
     #[must_use]
     pub fn ocv(&self) -> f64 {
@@ -215,7 +204,7 @@ impl TheveninCell {
     /// Effective ohmic resistance at the present SoC including age growth
     /// and (when a thermal model is attached) temperature dependence.
     #[must_use]
-    pub fn resistance_ohm(&self) -> f64 {
+    pub(crate) fn resistance_ohm(&self) -> f64 {
         let temp_mult = self
             .thermal
             .as_ref()
@@ -247,19 +236,10 @@ impl TheveninCell {
         self.fault_r_mult
     }
 
-    /// Slope of the DCIR curve at the present SoC (the `δi` of the paper's
-    /// RBL allocation, Section 3.3), including age growth.
-    #[must_use]
-    pub fn dcir_slope(&self) -> f64 {
-        self.spec.dcir.slope_cached(&self.dcir_cur, self.soc)
-            * self.aging.resistance_multiplier()
-            * self.fault_r_mult
-    }
-
-    /// [`TheveninCell::resistance_ohm`] and [`TheveninCell::dcir_slope`]
-    /// from one curve-segment search. Returns exactly the same pair of
-    /// values (same multiplications in the same order); policy code that
-    /// needs both per cell per evaluation should prefer this.
+    /// The cell's resistance (exactly as `resistance_ohm` computes it) and
+    /// its DCIR slope in SoC, scaled the same way, from one curve-segment
+    /// search; policy code that needs both per cell per evaluation should
+    /// prefer this.
     #[must_use]
     pub fn resistance_and_dcir_slope(&self) -> (f64, f64) {
         let temp_mult = self
@@ -279,13 +259,13 @@ impl TheveninCell {
 
     /// Present usable capacity in amp-hours (rated capacity × fade).
     #[must_use]
-    pub fn effective_capacity_ah(&self) -> f64 {
+    pub(crate) fn effective_capacity_ah(&self) -> f64 {
         self.spec.capacity_ah * self.aging.capacity_fraction()
     }
 
     /// Remaining charge in amp-hours.
     #[must_use]
-    pub fn remaining_ah(&self) -> f64 {
+    pub(crate) fn remaining_ah(&self) -> f64 {
         self.soc * self.effective_capacity_ah()
     }
 
@@ -897,9 +877,8 @@ mod tests {
         assert!(cell.temperature_c().unwrap() > 2.0, "self-heating happened");
         // Compare at the same SoC: rebuild a cold cell at this SoC.
         let r_now = cell.resistance_ohm();
-        let mut reference =
-            TheveninCell::new(cell.spec().clone()).with_thermal(ThermalModel::new(0.0, 20.0, 50.0));
-        reference.set_soc(cell.soc());
+        let reference = TheveninCell::with_soc(cell.spec().clone(), cell.soc())
+            .with_thermal(ThermalModel::new(0.0, 20.0, 50.0));
         let r_ref_cold = reference.resistance_ohm();
         assert!(r_now < r_ref_cold, "warming lowered resistance");
         let _ = r_cold;

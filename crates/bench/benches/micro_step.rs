@@ -174,7 +174,7 @@ fn soa_step_ns() -> (f64, f64) {
     let mut ff_frac = 0.0;
     for _ in 0..SOA_REPS {
         let mut micro = template.clone();
-        let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
+        let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig);
         // Settle the RC transient at the held load so the lane qualifies.
         let mut report = micro.step(load, 0.0, dt);
         for _ in 0..50 {

@@ -20,7 +20,7 @@ use sdb_power_electronics::circuits::{
 /// without the slope term, and report the loss-weighted difference.
 /// Returns `(with_slope_ratios, without_slope_ratios)`.
 #[must_use]
-pub fn slope_term_allocations() -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn slope_term_allocations() -> (Vec<f64>, Vec<f64>) {
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
     use sdb_emulator::pack::PackBuilder;
@@ -51,7 +51,7 @@ pub fn slope_term_allocations() -> (Vec<f64>, Vec<f64>) {
 /// Ablation 2: the preserve policy on a day with no run (wrong
 /// prediction). Returns `(policy1_loss_j, policy2_loss_j)` for that day.
 #[must_use]
-pub fn wrong_prediction_losses() -> (f64, f64) {
+pub(crate) fn wrong_prediction_losses() -> (f64, f64) {
     let p1 = watch_scenario(WatchPolicy::MinimizeInstantaneousLosses, None, 13);
     let p2 = watch_scenario(WatchPolicy::PreserveLiIon, None, 13);
     (p1.total_loss_j, p2.total_loss_j)
@@ -59,7 +59,7 @@ pub fn wrong_prediction_losses() -> (f64, f64) {
 
 /// Ablation 3 rows: circuit topology comparison.
 #[must_use]
-pub fn topology_rows() -> Vec<Vec<String>> {
+pub(crate) fn topology_rows() -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for n in [2usize, 3, 4] {
         let naive_c = ChargeCircuit::new(ChargeTopology::NaiveMatrix, n, 3.0);
@@ -86,7 +86,7 @@ pub fn topology_rows() -> Vec<Vec<String>> {
 /// discharging directive parameter — the CCB↔RBL tension made visible.
 /// Returns `(directive, life_h)` pairs.
 #[must_use]
-pub fn directive_sweep() -> Vec<(f64, f64)> {
+pub(crate) fn directive_sweep() -> Vec<(f64, f64)> {
     use sdb_core::policy::DischargeDirective;
     use sdb_core::runtime::SdbRuntime;
     use sdb_core::scheduler::{run_trace, SimOptions};
@@ -111,7 +111,7 @@ pub fn directive_sweep() -> Vec<(f64, f64)> {
 /// Ablation 5: the oracle policy (exact future knowledge) against the two
 /// fixed watch policies. Returns `(label, life_h)` triples.
 #[must_use]
-pub fn oracle_comparison() -> Vec<(&'static str, f64)> {
+pub(crate) fn oracle_comparison() -> Vec<(&'static str, f64)> {
     use sdb_core::scenarios::watch::{watch_scenario, WatchPolicy};
     [
         WatchPolicy::MinimizeInstantaneousLosses,
@@ -126,7 +126,7 @@ pub fn oracle_comparison() -> Vec<(&'static str, f64)> {
 /// Ablation 6: the Section 8 drone — legs flown per pack composition at
 /// the same volume budget. Returns `(label, legs)` pairs.
 #[must_use]
-pub fn drone_comparison() -> Vec<(&'static str, usize)> {
+pub(crate) fn drone_comparison() -> Vec<(&'static str, usize)> {
     use sdb_core::scenarios::drone::{max_legs, DroneConfig};
     DroneConfig::variants(0.03)
         .into_iter()
@@ -138,7 +138,7 @@ pub fn drone_comparison() -> Vec<(&'static str, usize)> {
 /// watch day — how much is future knowledge worth? Returns
 /// `(label, life_h)` pairs.
 #[must_use]
-pub fn optimal_gap() -> Vec<(&'static str, f64)> {
+pub(crate) fn optimal_gap() -> Vec<(&'static str, f64)> {
     use sdb_core::optimal::{plan, CellParams, PlanConfig};
     use sdb_core::scenarios::watch::{watch_scenario, WatchPolicy};
     use sdb_workloads::traces::watch_day;

@@ -8,7 +8,7 @@ use sdb_battery_model::thevenin::TheveninCell;
 
 /// Figure 1(a): the four chemistry classes scored on the radar axes.
 #[must_use]
-pub fn fig1a_rows() -> Vec<(Chemistry, [(&'static str, f64); 6])> {
+pub(crate) fn fig1a_rows() -> Vec<(Chemistry, [(&'static str, f64); 6])> {
     Chemistry::FIGURE_1A
         .iter()
         .map(|&c| (c, c.axis_scores().as_rows()))
@@ -43,7 +43,7 @@ pub fn render_fig1a() -> String {
 /// Figure 1(b): capacity after N cycles for a 1 Ah Type 2 sample charged
 /// at 0.5, 0.7 and 1.0 A. Returns `(cycles, [cap% @0.5A, @0.7A, @1.0A])`.
 #[must_use]
-pub fn fig1b_series() -> Vec<(u32, [f64; 3])> {
+pub(crate) fn fig1b_series() -> Vec<(u32, [f64; 3])> {
     let spec = BatterySpec::from_chemistry("sample Type 2", Chemistry::Type2CoStandard, 1.0);
     let fade = FadeModel::for_spec(&spec);
     (0..=600)
@@ -84,7 +84,7 @@ pub fn render_fig1b() -> String {
 /// Figure 1(c): internal heat loss (%) vs discharge C-rate for Types
 /// 2/3/4. Returns `(c_rate, [type2%, type3%, type4%])`.
 #[must_use]
-pub fn fig1c_series() -> Vec<(f64, [f64; 3])> {
+pub(crate) fn fig1c_series() -> Vec<(f64, [f64; 3])> {
     let cells: Vec<TheveninCell> = [
         Chemistry::Type2CoStandard,
         Chemistry::Type3CoPower,

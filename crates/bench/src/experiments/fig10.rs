@@ -6,7 +6,7 @@ use sdb_battery_model::reference::{validate_model, ValidationReport};
 use sdb_battery_model::spec::BatterySpec;
 
 /// The paper's three validation currents.
-pub const CURRENTS_A: [f64; 3] = [0.2, 0.5, 0.7];
+pub(crate) const CURRENTS_A: [f64; 3] = [0.2, 0.5, 0.7];
 
 /// Runs the Figure 10 validation at all three currents.
 #[must_use]
@@ -20,7 +20,7 @@ pub fn fig10_reports() -> Vec<ValidationReport> {
 
 /// Renders Figure 10.
 #[must_use]
-pub fn render_fig10() -> String {
+pub(crate) fn render_fig10() -> String {
     let reports = fig10_reports();
     let rows: Vec<Vec<String>> = reports
         .iter()

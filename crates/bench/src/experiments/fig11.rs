@@ -4,11 +4,11 @@ use crate::table;
 use sdb_core::scenarios::hybrid::{charge_time_curve, ChargeCurve, HybridConfig};
 
 /// External charger power used in the Figure 11(b) experiment, watts.
-pub const CHARGER_W: f64 = 60.0;
+pub(crate) const CHARGER_W: f64 = 60.0;
 
 /// Figure 11(a): energy density per configuration.
 #[must_use]
-pub fn fig11a_rows() -> Vec<(String, f64)> {
+pub(crate) fn fig11a_rows() -> Vec<(String, f64)> {
     HybridConfig::paper_configs()
         .iter()
         .map(|c| (c.label(), c.energy_density_wh_per_l()))
@@ -48,7 +48,7 @@ pub fn fig11b_curves() -> Vec<(String, ChargeCurve)> {
 
 /// Renders Figure 11(b).
 #[must_use]
-pub fn render_fig11b() -> String {
+pub(crate) fn render_fig11b() -> String {
     let curves = fig11b_curves();
     let mut header = vec!["% charged".to_owned()];
     header.extend(curves.iter().map(|(n, _)| format!("{n} (min)")));
@@ -71,7 +71,7 @@ pub fn render_fig11b() -> String {
 
 /// Figure 11(c): longevity after 1000 cycles per configuration.
 #[must_use]
-pub fn fig11c_rows() -> Vec<(String, f64)> {
+pub(crate) fn fig11c_rows() -> Vec<(String, f64)> {
     let [no_fast, half, all_fast] = HybridConfig::paper_configs();
     vec![
         (

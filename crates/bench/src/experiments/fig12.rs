@@ -11,7 +11,7 @@ pub fn fig12_rows() -> Vec<TurboRow> {
 
 /// Renders Figure 12.
 #[must_use]
-pub fn render_fig12() -> String {
+pub(crate) fn render_fig12() -> String {
     let rows: Vec<Vec<String>> = fig12_rows()
         .iter()
         .map(|r| {

@@ -4,7 +4,7 @@ use crate::table;
 use sdb_core::scenarios::watch::{watch_scenario, WatchOutcome, WatchPolicy};
 
 /// Seed used by the published figure.
-pub const SEED: u64 = 13;
+pub(crate) const SEED: u64 = 13;
 
 /// Runs both policies over the paper's day (run at hour 9).
 #[must_use]
@@ -18,7 +18,7 @@ pub fn fig13_outcomes() -> (WatchOutcome, WatchOutcome) {
 /// Renders Figure 13: the hourly energy/loss series plus the event
 /// annotations the paper calls out.
 #[must_use]
-pub fn render_fig13() -> String {
+pub(crate) fn render_fig13() -> String {
     let (p1, p2) = fig13_outcomes();
     let hours = p1.hourly_load_j.len().max(p2.hourly_load_j.len());
     let rows: Vec<Vec<String>> = (0..hours)

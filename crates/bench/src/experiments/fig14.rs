@@ -4,9 +4,9 @@ use crate::table;
 use sdb_core::scenarios::two_in_one::{two_in_one_comparison, TwoInOneRow};
 
 /// Seed used by the published figure.
-pub const SEED: u64 = 21;
+pub(crate) const SEED: u64 = 21;
 /// Per-battery capacity, amp-hours.
-pub const CAPACITY_AH: f64 = 4.0;
+pub(crate) const CAPACITY_AH: f64 = 4.0;
 
 /// The Figure 14 rows: one per workload.
 #[must_use]
@@ -16,7 +16,7 @@ pub fn fig14_rows() -> Vec<TwoInOneRow> {
 
 /// Renders Figure 14.
 #[must_use]
-pub fn render_fig14() -> String {
+pub(crate) fn render_fig14() -> String {
     let rows_data = fig14_rows();
     let rows: Vec<Vec<String>> = rows_data
         .iter()

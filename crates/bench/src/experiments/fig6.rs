@@ -12,7 +12,7 @@ const V_BATT: f64 = 3.8;
 /// Figure 6(a): `% power loss` of the discharge circuit vs discharge
 /// power, over the paper's 0.1–10 W sweep.
 #[must_use]
-pub fn fig6a_series() -> Vec<(f64, f64)> {
+pub(crate) fn fig6a_series() -> Vec<(f64, f64)> {
     let circuit = DischargeCircuit::new(DischargeTopology::NaiveSwitch, 2);
     [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
         .iter()
@@ -41,7 +41,7 @@ pub fn render_fig6a() -> String {
 /// Figure 6(b): `% error` of the measured discharge share vs the share set
 /// by the microcontroller, over the paper's 1–99 % sweep.
 #[must_use]
-pub fn fig6b_series() -> Vec<(f64, f64)> {
+pub(crate) fn fig6b_series() -> Vec<(f64, f64)> {
     let chain = ShareChain::prototype();
     [0.01, 0.05, 0.10, 0.20, 0.50, 0.80, 0.95, 0.99]
         .iter()
@@ -65,7 +65,7 @@ pub fn render_fig6b() -> String {
 /// Figure 6(c): charging efficiency as a % of the chip's typical
 /// efficiency vs charging current, over the paper's 0.8–2.2 A sweep.
 #[must_use]
-pub fn fig6c_series() -> Vec<(f64, f64)> {
+pub(crate) fn fig6c_series() -> Vec<(f64, f64)> {
     let circuit = ChargeCircuit::new(ChargeTopology::SdbReversible, 2, 2.5);
     (0..=7)
         .map(|k| {
@@ -97,7 +97,7 @@ pub fn render_fig6c() -> String {
 /// Figure 6(d): `% error` of the measured charging current vs the current
 /// set by the microcontroller, over the paper's 0.2–2.0 A sweep.
 #[must_use]
-pub fn fig6d_series() -> Vec<(f64, f64)> {
+pub(crate) fn fig6d_series() -> Vec<(f64, f64)> {
     let chain = SenseChain::prototype_charger();
     (1..=10)
         .map(|k| {

@@ -6,7 +6,7 @@ use sdb_battery_model::spec::BatterySpec;
 
 /// The five batteries of Figure 8(b) — a spread of library cells.
 #[must_use]
-pub fn fig8b_batteries() -> Vec<BatterySpec> {
+pub(crate) fn fig8b_batteries() -> Vec<BatterySpec> {
     let lib = paper_library();
     // A representative spread: three Type 2 sizes, one Type 3, one Type 4.
     [0, 4, 7, 8, 10].iter().map(|&i| lib[i].clone()).collect()
@@ -14,7 +14,7 @@ pub fn fig8b_batteries() -> Vec<BatterySpec> {
 
 /// The eight batteries of Figure 8(c).
 #[must_use]
-pub fn fig8c_batteries() -> Vec<BatterySpec> {
+pub(crate) fn fig8c_batteries() -> Vec<BatterySpec> {
     let lib = paper_library();
     [0, 2, 4, 6, 8, 9, 10, 14]
         .iter()

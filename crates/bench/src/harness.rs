@@ -20,15 +20,15 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark name.
-    pub name: String,
+    pub(crate) name: String,
     /// Iterations per sample after calibration.
-    pub iters: u64,
+    pub(crate) iters: u64,
     /// Samples taken.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Fastest observed ns/iteration.
     pub min_ns: f64,
     /// Median observed ns/iteration.
-    pub median_ns: f64,
+    pub(crate) median_ns: f64,
 }
 
 /// Collects and prints benchmark results for one bench binary.

@@ -16,7 +16,7 @@
 use crate::report::CampaignReport;
 
 /// First line of every baseline file.
-pub const BASELINE_HEADER: &str = "# sdb-campaign baseline v1";
+pub(crate) const BASELINE_HEADER: &str = "# sdb-campaign baseline v1";
 
 /// One cell's golden digests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,7 +121,7 @@ impl Baseline {
 
     /// Looks up a cell by key.
     #[must_use]
-    pub fn cell(&self, key: &str) -> Option<&BaselineCell> {
+    pub(crate) fn cell(&self, key: &str) -> Option<&BaselineCell> {
         self.cells.iter().find(|c| c.key == key)
     }
 

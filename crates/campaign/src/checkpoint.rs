@@ -21,7 +21,7 @@
 use crate::report::DeviceRecord;
 
 /// First line of every checkpoint file.
-pub const CHECKPOINT_HEADER: &str = "# sdb-campaign checkpoint v1";
+pub(crate) const CHECKPOINT_HEADER: &str = "# sdb-campaign checkpoint v1";
 
 fn hex_of(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);

@@ -60,8 +60,8 @@ mod report;
 pub mod runner;
 pub mod spec;
 
-pub use baseline::{compare, Baseline, BaselineCell, Comparison, Divergence};
-pub use minimize::{minimize, minimize_fault_plan, repro_command, Culprit};
+pub use baseline::{compare, Baseline};
+pub use minimize::{minimize, Culprit};
 pub use report::{CampaignReport, CellOutcome, DeviceRecord};
 pub use runner::{run_campaign, run_cell_device, CampaignOptions, CampaignRun};
 pub use spec::{CampaignSpec, Cell, CellPolicy};

@@ -10,23 +10,18 @@
 //! the cell *key*, not its position), the emitted pruned single-cell
 //! command recomputes the identical digest and fails against the same
 //! baseline file.
-//!
-//! For failures that are invariant violations (not just baseline drift),
-//! [`minimize_fault_plan`] delta-debugs the cell's fault-event list down
-//! to a 1-minimal set that still triggers the failure.
 
 use crate::baseline::Divergence;
 use crate::report::CampaignReport;
 use crate::runner::run_cell_device;
 use crate::spec::{CampaignSpec, Cell};
-use sdb_chaos::FaultPlan;
 use std::fmt::Write as _;
 
 /// The minimized, re-run-confirmed divergence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Culprit {
     /// Matrix index of the culprit cell.
-    pub cell_index: usize,
+    pub(crate) cell_index: usize,
     /// Culprit cell key.
     pub key: String,
     /// First divergent device within the cell.
@@ -41,7 +36,7 @@ pub struct Culprit {
     /// differs from golden) — a deterministic, actionable divergence.
     pub reproduced: bool,
     /// The minimization narrative, one step per line.
-    pub steps: Vec<String>,
+    pub(crate) steps: Vec<String>,
     /// A self-contained `sdb campaign` invocation that re-runs only the
     /// culprit cell and exits non-zero against the same baseline.
     pub repro_command: String,
@@ -175,7 +170,7 @@ pub fn minimize(
 /// The pruned single-cell `sdb campaign` invocation reproducing a
 /// divergence against `baseline_path`.
 #[must_use]
-pub fn repro_command(spec: &CampaignSpec, cell: &Cell, baseline_path: &str) -> String {
+pub(crate) fn repro_command(spec: &CampaignSpec, cell: &Cell, baseline_path: &str) -> String {
     format!(
         "sdb campaign --scenarios {} --chemistries {} --faults {} --policies {} --engines {} \
          --seed {} --hours {} --devices-per-cell {} --baseline {}",
@@ -189,90 +184,4 @@ pub fn repro_command(spec: &CampaignSpec, cell: &Cell, baseline_path: &str) -> S
         spec.devices_per_cell,
         baseline_path
     )
-}
-
-/// Delta-debugs a fault plan to a 1-minimal event subset that still makes
-/// `fails` true: repeatedly drops any single event whose removal keeps
-/// the failure alive, until no single removal does.
-///
-/// `fails(&plan)` must be deterministic; for campaign triage it is "does
-/// re-running the culprit unit under this plan still violate an
-/// invariant", making each probe one device simulation.
-pub fn minimize_fault_plan(
-    plan: &FaultPlan,
-    mut fails: impl FnMut(&FaultPlan) -> bool,
-) -> FaultPlan {
-    let n = plan.len();
-    let mut keep = vec![true; n];
-    let mut current = plan.clone();
-    if n == 0 || !fails(&current) {
-        return current;
-    }
-    loop {
-        let mut shrunk = false;
-        for i in 0..n {
-            if !keep[i] {
-                continue;
-            }
-            keep[i] = false;
-            let candidate = plan.subset(&keep);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-            } else {
-                keep[i] = true;
-            }
-        }
-        if !shrunk {
-            return current;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sdb_chaos::FaultKind;
-
-    #[test]
-    fn fault_plan_ddmin_finds_the_minimal_pair() {
-        // 6 events; the failure needs the Detach AND the StaleStatus at
-        // t=200 together. ddmin must keep exactly those two.
-        let mk = |start: f64, kind: FaultKind| sdb_chaos::FaultEvent {
-            start_s: start,
-            end_s: start + 60.0,
-            kind,
-        };
-        let plan = FaultPlan::from_events(vec![
-            mk(0.0, FaultKind::StaleStatus),
-            mk(100.0, FaultKind::Detach { battery: 0 }),
-            mk(200.0, FaultKind::StaleStatus),
-            mk(300.0, FaultKind::GaugeStuck { battery: 1 }),
-            mk(400.0, FaultKind::StaleStatus),
-            mk(500.0, FaultKind::GaugeStuck { battery: 0 }),
-        ]);
-        let fails = |p: &FaultPlan| {
-            let has_detach = p
-                .events()
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::Detach { .. }));
-            let has_second_stale = p
-                .events()
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::StaleStatus) && e.start_s == 200.0);
-            has_detach && has_second_stale
-        };
-        let minimal = minimize_fault_plan(&plan, fails);
-        assert_eq!(minimal.len(), 2);
-        assert!(fails(&minimal));
-        // Order preserved.
-        assert!(minimal.events()[0].start_s < minimal.events()[1].start_s);
-    }
-
-    #[test]
-    fn ddmin_on_a_passing_plan_is_identity() {
-        let plan = FaultPlan::generate(3, 3600.0, 1.0, 2);
-        let out = minimize_fault_plan(&plan, |_| false);
-        assert_eq!(out.len(), plan.len());
-    }
 }

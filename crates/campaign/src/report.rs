@@ -88,7 +88,7 @@ pub struct CellOutcome {
 impl CellOutcome {
     /// Folds a cell's device records (already sorted by device index).
     #[must_use]
-    pub fn from_devices(index: usize, key: String, devices: Vec<DeviceRecord>) -> Self {
+    pub(crate) fn from_devices(index: usize, key: String, devices: Vec<DeviceRecord>) -> Self {
         let mut buf = Vec::with_capacity(key.len() + 1 + devices.len() * 16);
         buf.extend_from_slice(key.as_bytes());
         buf.push(0xff);
@@ -107,19 +107,19 @@ impl CellOutcome {
 
     /// Total invariant violations across the cell's devices.
     #[must_use]
-    pub fn violations(&self) -> u64 {
+    pub(crate) fn violations(&self) -> u64 {
         self.devices.iter().map(|d| d.violations).sum()
     }
 
     /// Total fault activations across the cell's devices.
     #[must_use]
-    pub fn faults_injected(&self) -> u64 {
+    pub(crate) fn faults_injected(&self) -> u64 {
         self.devices.iter().map(|d| d.faults_injected).sum()
     }
 
     /// Devices that browned out.
     #[must_use]
-    pub fn brownouts(&self) -> u64 {
+    pub(crate) fn brownouts(&self) -> u64 {
         self.devices.iter().map(|d| u64::from(d.browned_out)).sum()
     }
 
@@ -131,14 +131,14 @@ impl CellOutcome {
 
     /// Mean effective battery life, hours.
     #[must_use]
-    pub fn mean_life_h(&self) -> f64 {
+    pub(crate) fn mean_life_h(&self) -> f64 {
         let n = self.devices.len().max(1) as f64;
         self.devices.iter().map(|d| d.life_s).sum::<f64>() / n / 3600.0
     }
 
     /// Total unserved load energy, joules.
     #[must_use]
-    pub fn total_unmet_j(&self) -> f64 {
+    pub(crate) fn total_unmet_j(&self) -> f64 {
         self.devices.iter().map(|d| d.unmet_j).sum()
     }
 
@@ -150,7 +150,7 @@ impl CellOutcome {
 
     /// Mean final state of charge across devices.
     #[must_use]
-    pub fn mean_final_soc(&self) -> f64 {
+    pub(crate) fn mean_final_soc(&self) -> f64 {
         let n = self.devices.len().max(1) as f64;
         self.devices.iter().map(|d| d.mean_final_soc).sum::<f64>() / n
     }
@@ -163,22 +163,22 @@ impl CellOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// The campaign's master seed.
-    pub master_seed: u64,
+    pub(crate) master_seed: u64,
     /// Per-device horizon, hours.
-    pub hours: f64,
+    pub(crate) hours: f64,
     /// Devices per cell.
-    pub devices_per_cell: usize,
+    pub(crate) devices_per_cell: usize,
     /// Matrix dimensions `[scenarios, chemistries, faults, policies,
     /// engines]`.
-    pub dims: [usize; 5],
+    pub(crate) dims: [usize; 5],
     /// Full config digest (matrix-shape bound; checkpoints carry it).
-    pub config_digest: u64,
+    pub(crate) config_digest: u64,
     /// Cell-independent config digest (baselines carry it).
     pub baseline_config_digest: u64,
     /// Per-cell outcomes, sorted by matrix index.
     pub cells: Vec<CellOutcome>,
     /// FNV-1a over the cell digests in matrix order.
-    pub matrix_digest: u64,
+    pub(crate) matrix_digest: u64,
 }
 
 impl CampaignReport {
@@ -237,7 +237,7 @@ impl CampaignReport {
 
     /// Total brownouts across the matrix.
     #[must_use]
-    pub fn total_brownouts(&self) -> u64 {
+    pub(crate) fn total_brownouts(&self) -> u64 {
         self.cells.iter().map(CellOutcome::brownouts).sum()
     }
 

@@ -41,16 +41,16 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// The greedy policy's fixed discharge-directive blend.
-pub const GREEDY_BLEND: f64 = 0.5;
+pub(crate) const GREEDY_BLEND: f64 = 0.5;
 
 /// Planned policy: lookahead horizon, seconds.
-pub const PLANNER_HORIZON_S: f64 = 1800.0;
+pub(crate) const PLANNER_HORIZON_S: f64 = 1800.0;
 
 /// Planned policy: re-plan cadence, seconds.
-pub const PLANNER_REPLAN_S: f64 = 600.0;
+pub(crate) const PLANNER_REPLAN_S: f64 = 600.0;
 
 /// Status heartbeat period on the linked (faulted) driver, seconds.
-pub const STATUS_PERIOD_S: f64 = 30.0;
+pub(crate) const STATUS_PERIOD_S: f64 = 30.0;
 
 /// Runner knobs that do not affect the outcome matrix.
 #[derive(Debug, Clone, Default)]
@@ -447,7 +447,7 @@ pub fn run_cell_device(
             ))
         }
         Driver::Soa => {
-            let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
+            let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig);
             let hooks = Hooks {
                 soa: Some(&mut soa),
                 ..hooks

@@ -18,19 +18,13 @@ use std::sync::Arc;
 pub use sdb_policy::PolicyMode as CellPolicy;
 
 /// Every known scenario axis value (corpus order).
-pub const SCENARIOS: &[&str] = &["standby", "phone-day", "watch-day", "tablet-mixed"];
+pub(crate) const SCENARIOS: &[&str] = &["standby", "phone-day", "watch-day", "tablet-mixed"];
 
 /// Every known chemistry-pair axis value.
-pub const CHEMISTRIES: &[&str] = &["co", "lfp", "nmc-lto", "bendable"];
+pub(crate) const CHEMISTRIES: &[&str] = &["co", "lfp", "nmc-lto", "bendable"];
 
 /// Every known fault-plan axis value.
-pub const FAULTS: &[&str] = &["none", "light", "moderate", "heavy"];
-
-/// Every known policy axis value.
-pub const POLICIES: &[&str] = &["greedy", "planned", "oracle"];
-
-/// Every known engine axis value.
-pub const ENGINES: &[&str] = &["scalar", "soa"];
+pub(crate) const FAULTS: &[&str] = &["none", "light", "moderate", "heavy"];
 
 /// A resolved scenario preset: pack shape + workload family.
 #[derive(Debug, Clone)]
@@ -40,7 +34,7 @@ pub struct Scenario {
     /// The workload family (seeded per device).
     pub workload: WorkloadSpec,
     /// Runtime policy re-evaluation period, seconds.
-    pub update_period_s: f64,
+    pub(crate) update_period_s: f64,
 }
 
 /// Resolves a scenario name: a catalog pack at full charge under the
@@ -218,7 +212,7 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         check_axis("scenario", &self.scenarios, |v| scenario(v).is_ok())?;
         check_axis("chemistry", &self.chemistries, |v| {
             chemistry_pair(v).is_ok()
@@ -270,7 +264,7 @@ impl CampaignSpec {
     /// Matrix dimensions `[scenarios, chemistries, faults, policies,
     /// engines]`.
     #[must_use]
-    pub fn dims(&self) -> [usize; 5] {
+    pub(crate) fn dims(&self) -> [usize; 5] {
         [
             self.scenarios.len(),
             self.chemistries.len(),
@@ -285,7 +279,7 @@ impl CampaignSpec {
     /// — so a 1-cell repro run reproduces the full matrix's digests, and
     /// engine-paired cells share workloads and fault plans.
     #[must_use]
-    pub fn cell_seed(&self, cell: &Cell) -> u64 {
+    pub(crate) fn cell_seed(&self, cell: &Cell) -> u64 {
         derive_seed(self.master_seed, fnv1a_64(cell.seed_key().as_bytes()))
     }
 
@@ -308,7 +302,7 @@ impl CampaignSpec {
     /// which *other* cells a run included, so a pruned repro run can still
     /// be compared against the full matrix's baseline file.
     #[must_use]
-    pub fn baseline_config_digest(&self) -> u64 {
+    pub(crate) fn baseline_config_digest(&self) -> u64 {
         fnv1a_64(self.canonical(false).as_bytes())
     }
 
@@ -363,12 +357,6 @@ mod tests {
         }
         for f in FAULTS {
             fault_intensity(f).unwrap();
-        }
-        for p in POLICIES {
-            CellPolicy::parse(p).unwrap();
-        }
-        for e in ENGINES {
-            EngineKind::parse(e).unwrap();
         }
     }
 

@@ -51,11 +51,11 @@ const DEEP_SLACK_FRAC: f64 = 0.05;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Simulated time of the violating step, seconds.
-    pub t_s: f64,
+    pub(crate) t_s: f64,
     /// Which invariant failed (stable slug).
-    pub invariant: &'static str,
+    pub(crate) invariant: &'static str,
     /// Human-readable specifics.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for Violation {
@@ -72,9 +72,9 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantReport {
     /// Steps checked.
-    pub steps: u64,
+    pub(crate) steps: u64,
     /// Individual assertions evaluated.
-    pub checks: u64,
+    pub(crate) checks: u64,
     /// Total violations observed (details capped at 64 entries).
     pub violation_count: u64,
     /// The recorded violations (first 64).
@@ -84,7 +84,7 @@ pub struct InvariantReport {
 impl InvariantReport {
     /// Whether the run upheld every invariant.
     #[must_use]
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.violation_count == 0
     }
 }

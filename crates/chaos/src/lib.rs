@@ -35,4 +35,4 @@ mod plan;
 
 pub use harness::{checked_run_charge_session, checked_run_trace};
 pub use invariant::{InvariantChecker, InvariantReport, Violation};
-pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanExecutor};
+pub use plan::{FaultPlan, PlanExecutor};

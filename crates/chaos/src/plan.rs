@@ -13,7 +13,7 @@ use sdb_rng::DetRng;
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Link: drop each command with probability `per_mille`/1000.
     LinkDrop {
         /// Drop probability in parts per thousand.
@@ -72,13 +72,13 @@ pub enum FaultKind {
 
 /// A fault active over `[start_s, end_s)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// Activation time, seconds.
-    pub start_s: f64,
+    pub(crate) start_s: f64,
     /// Deactivation time, seconds.
-    pub end_s: f64,
+    pub(crate) end_s: f64,
     /// What to inject.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 /// A deterministic timetable of fault events.
@@ -88,12 +88,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan from explicit events (for scripted scenarios and tests).
-    #[must_use]
-    pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        Self { events }
-    }
-
     /// Generates a plan as a pure function of the arguments.
     ///
     /// `intensity` in `[0, 1]` scales the expected fault count (~1 fault
@@ -165,34 +159,9 @@ impl FaultPlan {
         Self { events }
     }
 
-    /// The scheduled events in plan order: sorted by start time for a
-    /// generated plan, as given for [`FaultPlan::from_events`].
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// A plan keeping only the events whose index is flagged in `keep`
-    /// (missing flags drop the event). Event order is preserved, so a
-    /// subset plan replays its surviving events at the original times —
-    /// the shrink primitive for delta-debugging a failing chaos run down
-    /// to its minimal fault set.
-    #[must_use]
-    pub fn subset(&self, keep: &[bool]) -> Self {
-        Self {
-            events: self
-                .events
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| keep.get(*i).copied().unwrap_or(false))
-                .map(|(_, ev)| *ev)
-                .collect(),
-        }
-    }
-
     /// Number of scheduled events.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
@@ -324,12 +293,6 @@ impl PlanExecutor {
         self.injected
     }
 
-    /// The plan being executed.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     fn set(link: &mut Link, kind: FaultKind, on: bool) {
         match kind {
             FaultKind::LinkDrop { per_mille } => {
@@ -407,36 +370,24 @@ mod tests {
     fn events_fit_the_horizon_and_are_sorted() {
         let plan = FaultPlan::generate(7, 2.0 * 3600.0, 1.0, 3);
         assert!(!plan.is_empty());
-        for w in plan.events().windows(2) {
+        for w in plan.events.windows(2) {
             assert!(w[0].start_s <= w[1].start_s);
         }
-        for ev in plan.events() {
+        for ev in plan.events {
             assert!(ev.start_s >= 0.0 && ev.end_s <= 2.0 * 3600.0);
             assert!(ev.end_s > ev.start_s);
         }
     }
 
     #[test]
-    fn subset_preserves_order_and_drops_unflagged() {
-        let plan = FaultPlan::generate(7, 2.0 * 3600.0, 1.0, 3);
-        assert!(plan.len() >= 2, "full intensity over 2 h injects");
-        let keep: Vec<bool> = (0..plan.len()).map(|i| i % 2 == 0).collect();
-        let sub = plan.subset(&keep);
-        assert_eq!(sub.len(), keep.iter().filter(|&&k| k).count());
-        let expected: Vec<_> = plan.events().iter().step_by(2).copied().collect();
-        assert_eq!(sub.events(), expected.as_slice());
-        // Short flag vectors drop the tail; all-false empties the plan.
-        assert_eq!(plan.subset(&[true]).len(), 1);
-        assert!(plan.subset(&[]).is_empty());
-    }
-
-    #[test]
     fn executor_toggles_faults_on_and_off() {
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            start_s: 10.0,
-            end_s: 20.0,
-            kind: FaultKind::StaleStatus,
-        }]);
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                start_s: 10.0,
+                end_s: 20.0,
+                kind: FaultKind::StaleStatus,
+            }],
+        };
         let micro = PackBuilder::new()
             .battery(BatterySpec::from_chemistry(
                 "a",
@@ -468,7 +419,7 @@ mod tests {
     impl ScanExecutor {
         fn new(plan: &FaultPlan) -> Self {
             Self {
-                events: plan.events().to_vec(),
+                events: plan.events.to_vec(),
                 active: vec![false; plan.len()],
                 injected: 0,
             }
@@ -616,11 +567,12 @@ mod tests {
             let horizon_s = g.f64_range(0.5, 3.0) * 3600.0;
             let plan = if g.chance(0.5) {
                 let events = g.vec_with(0..40, |g| random_event(g, n, horizon_s));
-                FaultPlan::from_events(events)
+                FaultPlan { events }
             } else {
                 let full = FaultPlan::generate(g.below(u64::MAX), horizon_s, 1.0, n);
-                let keep: Vec<bool> = (0..full.len()).map(|_| g.chance(0.6)).collect();
-                full.subset(&keep)
+                let mut events = full.events;
+                events.retain(|_| g.chance(0.6));
+                FaultPlan { events }
             };
             assert_matches_scan(g, &plan, n, horizon_s);
         });
@@ -632,21 +584,23 @@ mod tests {
         // t = 60 the first one ends and the second is already live, so
         // the end of event 0 clears event 1's fault (the same `set` calls
         // a full scan makes).
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent {
-                start_s: 0.0,
-                end_s: 60.0,
-                kind: FaultKind::GaugeStuck { battery: 0 },
-            },
-            FaultEvent {
-                start_s: 30.0,
-                end_s: 120.0,
-                kind: FaultKind::GaugeBiasRamp {
-                    battery: 0,
-                    amps_per_hour: 0.5,
+        let plan = FaultPlan {
+            events: vec![
+                FaultEvent {
+                    start_s: 0.0,
+                    end_s: 60.0,
+                    kind: FaultKind::GaugeStuck { battery: 0 },
                 },
-            },
-        ]);
+                FaultEvent {
+                    start_s: 30.0,
+                    end_s: 120.0,
+                    kind: FaultKind::GaugeBiasRamp {
+                        battery: 0,
+                        amps_per_hour: 0.5,
+                    },
+                },
+            ],
+        };
         let mut link = link_with(2);
         let mut exec = PlanExecutor::new(plan);
         exec.apply(30.0, &mut link);

@@ -17,7 +17,7 @@ pub struct HintSegment {
     /// Expected mean power, watts.
     pub expected_w: f64,
     /// Expected peak power, watts.
-    pub peak_w: f64,
+    pub(crate) peak_w: f64,
 }
 
 /// A route/schedule hint: an ordered list of upcoming segments.
@@ -51,29 +51,6 @@ impl RouteHint {
     #[must_use]
     pub fn segments(&self) -> &[HintSegment] {
         &self.segments
-    }
-
-    /// Total hinted duration, seconds.
-    #[must_use]
-    pub fn duration_s(&self) -> f64 {
-        self.segments.iter().map(|s| s.dur_s).sum()
-    }
-
-    /// Whether a demanding episode (peak ≥ `threshold_w`) appears within
-    /// `horizon_s` of the start.
-    #[must_use]
-    pub fn demanding_within(&self, horizon_s: f64, threshold_w: f64) -> bool {
-        let mut t = 0.0;
-        for s in &self.segments {
-            if t >= horizon_s {
-                break;
-            }
-            if s.peak_w >= threshold_w {
-                return true;
-            }
-            t += s.dur_s;
-        }
-        false
     }
 
     /// Compiles the hint into a directive schedule for a pack whose
@@ -133,12 +110,6 @@ pub struct ScheduleEntry {
     pub preserve: Option<PreservePolicy>,
 }
 
-/// Finds the schedule entry in force at time `t_s`.
-#[must_use]
-pub fn entry_at(schedule: &[ScheduleEntry], t_s: f64) -> Option<&ScheduleEntry> {
-    schedule.iter().rev().find(|e| e.from_s <= t_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,12 +126,8 @@ mod tests {
     fn hint_accounting() {
         let h = commute_hint();
         assert_eq!(h.segments().len(), 3);
-        assert!((h.duration_s() - 4200.0).abs() < 1e-9);
-        assert!(h.demanding_within(4200.0, 50.0));
-        assert!(
-            !h.demanding_within(600.0, 50.0),
-            "hill is not in the first 10 min"
-        );
+        let total_s: f64 = h.segments().iter().map(|s| s.dur_s).sum();
+        assert!((total_s - 4200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -179,11 +146,10 @@ mod tests {
 
     #[test]
     fn entry_lookup() {
+        // One entry per segment, starting where the segment starts.
         let schedule = commute_hint().compile(0, 1, 50.0);
-        assert_eq!(entry_at(&schedule, 0.0).unwrap().from_s, 0.0);
-        assert_eq!(entry_at(&schedule, 1900.0).unwrap().from_s, 1800.0);
-        assert_eq!(entry_at(&schedule, 4000.0).unwrap().from_s, 2400.0);
-        assert!(entry_at(&schedule, -1.0).is_none());
+        let starts: Vec<f64> = schedule.iter().map(|e| e.from_s).collect();
+        assert_eq!(starts, [0.0, 1800.0, 2400.0]);
     }
 
     #[test]

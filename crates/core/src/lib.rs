@@ -72,15 +72,8 @@ pub mod runtime;
 pub mod scenarios;
 pub mod scheduler;
 
-pub use api::SdbApi;
 pub use error::SdbError;
 pub use lookahead::{LookaheadPolicy, PlanUpdate};
-pub use metrics::{ccb, rbl_wh, wear_ratios};
-pub use policy::{ChargeDirective, DischargeDirective, PolicyInput, PolicyScratch, PreservePolicy};
-pub use runtime::SdbRuntime;
-pub use scheduler::{
-    drive, run_trace, Bookkeeping, Hooks, Linked, PreparedResult, SimOptions, SimResult, Transport,
-};
 
 /// Compile-time guarantee that the whole simulation stack can be moved
 /// across threads. The sdb-fleet engine runs one `(Microcontroller,

@@ -67,9 +67,9 @@ impl CellParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanConfig {
     /// Grid points per battery's SoC axis (≥ 2).
-    pub soc_levels: usize,
+    pub(crate) soc_levels: usize,
     /// Discrete split actions (shares of battery 0 from 0 to 1, ≥ 2).
-    pub split_levels: usize,
+    pub(crate) split_levels: usize,
     /// Trace resampling granularity, seconds.
     pub segment_s: f64,
 }
@@ -90,17 +90,9 @@ pub struct PlanResult {
     /// Survived time under the optimal schedule, seconds.
     pub life_s: f64,
     /// Total trace duration, seconds.
-    pub trace_s: f64,
+    pub(crate) trace_s: f64,
     /// Battery-0 share chosen per segment while alive.
     pub schedule: Vec<f64>,
-}
-
-impl PlanResult {
-    /// Whether the plan survives the whole trace.
-    #[must_use]
-    pub fn survives(&self) -> bool {
-        self.life_s >= self.trace_s - 1e-9
-    }
 }
 
 /// Computes the offline-optimal discharge split schedule for a two-battery
@@ -263,7 +255,7 @@ mod tests {
         let cells = watch_cells();
         let trace = Trace::constant(0.05, 3600.0);
         let result = plan(&cells, &trace, &PlanConfig::default());
-        assert!(result.survives());
+        assert!(result.life_s >= result.trace_s - 1e-9);
         assert_eq!(result.schedule.len(), 4);
     }
 

@@ -73,7 +73,7 @@ impl PolicyInput {
     /// buffer (no allocation once capacity is established) — the rollout
     /// hot path. Load and external power are reset to zero, as in
     /// [`PolicyInput::from_micro`].
-    pub fn refill_from_micro(&mut self, micro: &Microcontroller) {
+    pub(crate) fn refill_from_micro(&mut self, micro: &Microcontroller) {
         self.load_w = 0.0;
         self.external_w = 0.0;
         self.batteries.clear();
@@ -115,17 +115,9 @@ impl PolicyInput {
     }
 }
 
-/// Normalizes non-negative weights into ratios. Returns `None` if every
-/// weight is zero.
-#[must_use]
-pub fn normalize(weights: &[f64]) -> Option<Vec<f64>> {
-    let mut out = weights.to_vec();
-    normalize_in_place(&mut out).then_some(out)
-}
-
-/// In-place [`normalize`]: rewrites `weights` into ratios, returning
+/// Normalizes non-negative weights into ratios in place, returning
 /// `false` (leaving the slice untouched) if every weight is zero.
-pub fn normalize_in_place(weights: &mut [f64]) -> bool {
+pub(crate) fn normalize_in_place(weights: &mut [f64]) -> bool {
     let sum: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
     if sum <= 0.0 {
         return false;
@@ -159,7 +151,7 @@ pub(crate) fn materially_different(a: &[f64], b: &[f64]) -> bool {
 /// runtime; rollout loops hit zero allocations once the buffers reach
 /// pack size.
 #[derive(Debug, Clone, Default)]
-pub struct PolicyScratch {
+pub(crate) struct PolicyScratch {
     ccb: Vec<f64>,
     rbl: Vec<f64>,
     delta: Vec<f64>,
@@ -185,20 +177,20 @@ struct CellBound {
 impl PolicyScratch {
     /// Empty scratch (buffers grow to pack size on first use).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The ratios produced by the most recent `*_into` evaluation.
     #[must_use]
-    pub fn ratios(&self) -> &[f64] {
+    pub(crate) fn ratios(&self) -> &[f64] {
         &self.out
     }
 
     /// Mutable view of the most recent result (for post-processing such
     /// as guard-band widening).
     #[must_use]
-    pub fn ratios_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn ratios_mut(&mut self) -> &mut [f64] {
         &mut self.out
     }
 }
@@ -222,7 +214,7 @@ pub fn ccb_discharge(input: &PolicyInput) -> Result<Vec<f64>, SdbError> {
 /// # Errors
 ///
 /// [`SdbError::Infeasible`] if every battery is empty.
-pub fn ccb_discharge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Result<(), SdbError> {
+pub(crate) fn ccb_discharge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Result<(), SdbError> {
     let max_wear = input
         .batteries
         .iter()
@@ -267,7 +259,7 @@ pub fn ccb_charge(input: &PolicyInput) -> Result<Vec<f64>, SdbError> {
 /// # Errors
 ///
 /// [`SdbError::Infeasible`] if no battery can accept charge.
-pub fn ccb_charge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Result<(), SdbError> {
+pub(crate) fn ccb_charge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Result<(), SdbError> {
     let max_wear = input
         .batteries
         .iter()
@@ -326,7 +318,7 @@ pub fn rbl_discharge(input: &PolicyInput) -> Result<Vec<f64>, SdbError> {
 /// # Errors
 ///
 /// [`SdbError::Infeasible`] if every battery is empty.
-pub fn rbl_discharge_into(
+pub(crate) fn rbl_discharge_into(
     input: &PolicyInput,
     out: &mut Vec<f64>,
     delta: &mut Vec<f64>,
@@ -508,7 +500,7 @@ pub fn rbl_charge(input: &PolicyInput) -> Result<Vec<f64>, SdbError> {
 /// # Errors
 ///
 /// [`SdbError::Infeasible`] if no battery can accept charge.
-pub fn rbl_charge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Result<(), SdbError> {
+pub(crate) fn rbl_charge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Result<(), SdbError> {
     out.clear();
     out.extend(input.batteries.iter().map(|b| {
         if b.full || b.charge_acceptance_a <= 0.0 {
@@ -577,7 +569,7 @@ impl DischargeDirective {
     /// # Errors
     ///
     /// Propagates infeasibility when every battery is empty.
-    pub fn ratios_into(
+    pub(crate) fn ratios_into(
         self,
         input: &PolicyInput,
         scratch: &mut PolicyScratch,
@@ -615,7 +607,7 @@ impl DischargeDirective {
     /// finite; and when a per-battery current cap or the pack-current
     /// fallback could bind. Touches none of `scratch`'s other buffers, so
     /// [`PolicyScratch::ratios`] still holds the last evaluation.
-    pub fn cannot_push(
+    pub(crate) fn cannot_push(
         self,
         input: &PolicyInput,
         last: &[f64],
@@ -766,7 +758,7 @@ impl ChargeDirective {
     /// # Errors
     ///
     /// Propagates infeasibility when no battery can accept charge.
-    pub fn ratios_into(
+    pub(crate) fn ratios_into(
         self,
         input: &PolicyInput,
         scratch: &mut PolicyScratch,
@@ -794,14 +786,14 @@ fn blend_into(d: f64, ccb: &[f64], rbl: &[f64], out: &mut Vec<f64>) -> Result<()
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreservePolicy {
     /// Index of the efficient battery being preserved.
-    pub efficient: usize,
+    pub(crate) efficient: usize,
     /// Index of the inefficient (e.g. bendable) battery to drain first.
-    pub inefficient: usize,
+    pub(crate) inefficient: usize,
     /// Load at or above which the efficient battery takes over, watts.
-    pub high_power_threshold_w: f64,
+    pub(crate) high_power_threshold_w: f64,
     /// Share still drawn from the efficient battery at light load (keeps
     /// the split strictly feasible when the inefficient cell sags).
-    pub light_load_efficient_share: f64,
+    pub(crate) light_load_efficient_share: f64,
 }
 
 impl PreservePolicy {
@@ -835,7 +827,7 @@ impl PreservePolicy {
     /// # Errors
     ///
     /// As [`PreservePolicy::ratios`].
-    pub fn ratios_into(
+    pub(crate) fn ratios_into(
         &self,
         input: &PolicyInput,
         scratch: &mut PolicyScratch,
@@ -916,8 +908,11 @@ mod tests {
 
     #[test]
     fn normalize_handles_zeros() {
-        assert_eq!(normalize(&[0.0, 0.0]), None);
-        let r = normalize(&[1.0, 3.0]).unwrap();
+        let mut zeros = [0.0, 0.0];
+        assert!(!normalize_in_place(&mut zeros));
+        assert_eq!(zeros, [0.0, 0.0]);
+        let mut r = [1.0, 3.0];
+        assert!(normalize_in_place(&mut r));
         assert!((r[0] - 0.25).abs() < 1e-12 && (r[1] - 0.75).abs() < 1e-12);
     }
 

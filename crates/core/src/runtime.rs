@@ -206,12 +206,6 @@ impl SdbRuntime {
         self.charge_evaluation = on;
     }
 
-    /// The charging directive currently in force.
-    #[must_use]
-    pub fn charge_directive(&self) -> ChargeDirective {
-        self.charge_directive
-    }
-
     /// The discharging directive currently in force.
     #[must_use]
     pub fn discharge_directive(&self) -> DischargeDirective {
@@ -281,7 +275,7 @@ impl SdbRuntime {
 
     /// Notes a command sent to the link outside [`SdbRuntime::tick`] (for
     /// example a status heartbeat), so the watchdog expects its response.
-    pub fn note_command_sent(&mut self) {
+    pub(crate) fn note_command_sent(&mut self) {
         if let Some(r) = &mut self.resilience {
             r.outstanding += 1;
             r.since_send_s = 0.0;
@@ -292,7 +286,7 @@ impl SdbRuntime {
     /// proves the link is alive — retries reset, and an engaged watchdog
     /// disengages (forcing a policy re-push on the next tick). Status rows
     /// additionally feed the stuck-gauge detector.
-    pub fn observe_responses(&mut self, responses: &[Response]) {
+    pub(crate) fn observe_responses(&mut self, responses: &[Response]) {
         if responses.is_empty() || self.resilience.is_none() {
             return;
         }
@@ -552,12 +546,6 @@ impl SdbRuntime {
                 .ratios_into(input, &mut self.scratch)
                 .is_ok(),
         }
-    }
-
-    /// Number of batteries this runtime manages.
-    #[must_use]
-    pub fn battery_count(&self) -> usize {
-        self.n
     }
 
     /// Accounts for `ticks` runtime ticks of `dt_s` that the SoA engine

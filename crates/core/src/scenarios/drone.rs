@@ -24,9 +24,9 @@ use std::ops::ControlFlow;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroneConfig {
     /// High-energy (NMC) capacity, amp-hours.
-    pub energy_ah: f64,
+    pub(crate) energy_ah: f64,
     /// High-power (LFP) capacity, amp-hours.
-    pub power_ah: f64,
+    pub(crate) power_ah: f64,
 }
 
 impl DroneConfig {
@@ -35,7 +35,7 @@ impl DroneConfig {
     /// volume- and mass-constrained, so that is the fair comparison basis
     /// (the paper frames the tablet tradeoff the same way, Section 5.1).
     #[must_use]
-    pub fn from_volume(total_l: f64, energy_fraction: f64) -> Self {
+    pub(crate) fn from_volume(total_l: f64, energy_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&energy_fraction) && total_l > 0.0);
         let e_chem = Chemistry::OtherNmc;
         let p_chem = Chemistry::Type1LfpPower;
@@ -64,7 +64,7 @@ impl DroneConfig {
     ///
     /// Panics if both capacities are zero.
     #[must_use]
-    pub fn build_pack(&self) -> Microcontroller {
+    pub(crate) fn build_pack(&self) -> Microcontroller {
         let mut b = PackBuilder::new();
         if self.energy_ah > 0.0 {
             b = b.battery_at(
@@ -97,7 +97,7 @@ impl DroneConfig {
 /// a ~4 Ah pack (cruise ≈ 25 W, bursts ≈ 55 W — beyond what a pure
 /// high-energy pack of this size can source).
 #[must_use]
-pub fn flight_profile(legs: usize) -> Trace {
+pub(crate) fn flight_profile(legs: usize) -> Trace {
     let mut t = Trace::new();
     // Takeoff climb: 20 s at burst power.
     t.push(58.0, 0.0, 20.0);
@@ -114,21 +114,21 @@ pub fn flight_profile(legs: usize) -> Trace {
 
 /// Outcome of one flight attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightOutcome {
+pub(crate) struct FlightOutcome {
     /// Whether every demanded watt was delivered (a brownout mid-flight is
     /// a crash).
-    pub completed: bool,
+    pub(crate) completed: bool,
     /// Time flown before the first brownout (or the full profile), seconds.
-    pub flight_time_s: f64,
+    pub(crate) flight_time_s: f64,
     /// Total losses, joules.
-    pub losses_j: f64,
+    pub(crate) losses_j: f64,
 }
 
 /// Flies the profile on a pack under the loss-optimal (RBL) policy. The
 /// first step with more than 1 µW unserved is a crash: its losses count,
 /// its time does not.
 #[must_use]
-pub fn fly(micro: &mut Microcontroller, profile: &Trace) -> FlightOutcome {
+pub(crate) fn fly(micro: &mut Microcontroller, profile: &Trace) -> FlightOutcome {
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_discharge_directive(DischargeDirective::new(1.0));
     runtime.set_update_period(5.0);

@@ -26,7 +26,7 @@ pub struct HybridConfig {
     /// battery, `[0, 1]`.
     pub fast_fraction: f64,
     /// Total pack capacity budget, amp-hours (the paper uses 8.0).
-    pub total_capacity_ah: f64,
+    pub(crate) total_capacity_ah: f64,
 }
 
 impl HybridConfig {

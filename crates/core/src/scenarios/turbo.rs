@@ -38,7 +38,7 @@ pub struct TurboRow {
 /// Builds the scenario pack: a 4 Ah high-energy cell plus a 4 Ah
 /// high-power cell.
 #[must_use]
-pub fn build_pack() -> Microcontroller {
+pub(crate) fn build_pack() -> Microcontroller {
     PackBuilder::new()
         .battery(BatterySpec::from_chemistry(
             "high-energy",

@@ -20,9 +20,9 @@ use sdb_workloads::traces::{two_in_one_workloads, Trace};
 use std::ops::ControlFlow;
 
 /// Battery index of the internal (tablet) cell.
-pub const INTERNAL: usize = 0;
+pub(crate) const INTERNAL: usize = 0;
 /// Battery index of the external (keyboard-base) cell.
-pub const EXTERNAL: usize = 1;
+pub(crate) const EXTERNAL: usize = 1;
 
 /// The two management strategies of Figure 14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl TwoInOneRow {
 /// Builds the 2-in-1 pack: two equal Type 2 cells (Section 5.3: "two equal
 /// sized traditional Li-ion batteries").
 #[must_use]
-pub fn build_pack(capacity_ah: f64) -> Microcontroller {
+pub(crate) fn build_pack(capacity_ah: f64) -> Microcontroller {
     PackBuilder::new()
         .battery_at(
             BatterySpec::from_chemistry("internal", Chemistry::Type2CoStandard, capacity_ah),
@@ -87,7 +87,7 @@ pub fn battery_life_s(strategy: Strategy, workload: &Trace, capacity_ah: f64, ca
 /// not realizable for a user who only keeps the base ... plugged in for
 /// short periods of time".
 #[must_use]
-pub fn battery_life_with_detach(
+pub(crate) fn battery_life_with_detach(
     strategy: Strategy,
     workload: &Trace,
     capacity_ah: f64,

@@ -24,9 +24,9 @@ use sdb_workloads::device::{Activity, DeviceClass, DevicePower};
 use sdb_workloads::traces::watch_day;
 
 /// Battery index of the Li-ion cell in the watch pack.
-pub const LI_ION: usize = 0;
+pub(crate) const LI_ION: usize = 0;
 /// Battery index of the bendable cell in the watch pack.
-pub const BENDABLE: usize = 1;
+pub(crate) const BENDABLE: usize = 1;
 
 /// The two policies of Figure 13, plus the future-knowledge oracle the
 /// paper hypothesizes ("if we had knowledge of the future workload, we
@@ -74,7 +74,7 @@ pub struct WatchOutcome {
     /// Total losses over the run, joules.
     pub total_loss_j: f64,
     /// Raw simulation result.
-    pub sim: SimResult,
+    pub(crate) sim: SimResult,
 }
 
 /// Builds the catalog watch pack at full charge: 200 mAh Li-ion + 200

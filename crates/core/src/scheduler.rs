@@ -59,7 +59,7 @@ pub struct SimResult {
     /// Per-hour total losses (circuit + cell heat), joules.
     pub hourly_loss_j: Vec<f64>,
     /// Per-hour load energy, joules.
-    pub hourly_load_j: Vec<f64>,
+    pub(crate) hourly_load_j: Vec<f64>,
     /// Final per-battery SoC.
     pub final_soc: Vec<f64>,
 }
@@ -84,19 +84,19 @@ impl SimResult {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PreparedResult {
     /// Wall-clock simulated, seconds.
-    pub simulated_s: f64,
+    pub(crate) simulated_s: f64,
     /// Energy delivered to the load, joules.
-    pub supplied_j: f64,
+    pub(crate) supplied_j: f64,
     /// Load energy that went unserved, joules.
     pub unmet_j: f64,
     /// Circuit losses, joules.
-    pub circuit_loss_j: f64,
+    pub(crate) circuit_loss_j: f64,
     /// Cell resistive heat, joules.
-    pub cell_heat_j: f64,
+    pub(crate) cell_heat_j: f64,
     /// External energy consumed, joules.
-    pub external_j: f64,
+    pub(crate) external_j: f64,
     /// Time of first unserved load, if any, seconds.
-    pub first_brownout_s: Option<f64>,
+    pub(crate) first_brownout_s: Option<f64>,
 }
 
 impl PreparedResult {
@@ -226,7 +226,7 @@ impl Transport for Microcontroller {
 /// Linked transport: drives the pack through the lossy [`Link`], where
 /// commands can be dropped, delayed or duplicated and responses arrive
 /// asynchronously. Each tick drains the responses into the runtime's
-/// graceful-degradation layer ([`SdbRuntime::observe_responses`] /
+/// graceful-degradation layer (`SdbRuntime::observe_responses` /
 /// [`SdbRuntime::supervise`]) and sends the status heartbeat when due.
 pub struct Linked<'a> {
     /// The link driven.

@@ -78,7 +78,7 @@ enum Mode {
 fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
     let mut micro = pack();
     let mut runtime = SdbRuntime::new(2);
-    let mut cohort = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
+    let mut cohort = SoaCohort::new(&micro, 1, QuiescenceConfig);
     let mut link = Link::ideal(pack());
     if mode == Mode::Linked {
         runtime.enable_resilience();

@@ -30,7 +30,7 @@ pub struct AcpiBatteryInfo {
     /// Remaining capacity, milliwatt-hours.
     pub remaining_capacity_mwh: f64,
     /// Present drain (positive) or charge (negative) rate, milliwatts.
-    pub present_rate_mw: f64,
+    pub(crate) present_rate_mw: f64,
     /// Capacity-weighted pack voltage, millivolts.
     pub voltage_mv: f64,
     /// Charging state.
@@ -38,19 +38,7 @@ pub struct AcpiBatteryInfo {
     /// Remaining percentage `[0, 100]`.
     pub percentage: f64,
     /// Number of physically present batteries aggregated.
-    pub batteries_present: usize,
-}
-
-impl AcpiBatteryInfo {
-    /// Rough remaining runtime at the present rate, seconds (`None` when
-    /// not discharging).
-    #[must_use]
-    pub fn estimated_runtime_s(&self) -> Option<f64> {
-        if self.state != AcpiState::Discharging || self.present_rate_mw <= 0.0 {
-            return None;
-        }
-        Some(self.remaining_capacity_mwh * 3.6 / (self.present_rate_mw / 1000.0))
-    }
+    pub(crate) batteries_present: usize,
 }
 
 /// Builds the legacy single-battery view from the pack's gauges and
@@ -149,12 +137,6 @@ mod tests {
         let info = report(&m);
         assert_eq!(info.state, AcpiState::Discharging);
         assert!(info.present_rate_mw > 6000.0);
-        let runtime = info.estimated_runtime_s().expect("discharging");
-        // ~11.4 Wh at ~7.6 W ≈ 1.5 h.
-        assert!(
-            runtime > 0.8 * 3600.0 && runtime < 2.5 * 3600.0,
-            "{runtime}"
-        );
     }
 
     #[test]
@@ -164,7 +146,6 @@ mod tests {
         m.step(0.0, 10.0, 60.0);
         let info = report(&m);
         assert_eq!(info.state, AcpiState::Charging);
-        assert!(info.estimated_runtime_s().is_none());
     }
 
     #[test]

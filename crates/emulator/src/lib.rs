@@ -54,9 +54,8 @@ pub mod profile;
 mod snapshot;
 mod soa;
 
-pub use link::{Command, Link, LinkStats, Response};
-pub use micro::{Microcontroller, StepReport};
-pub use pack::{BatterySlot, PackBuilder, PackConfig, PackTemplate};
-pub use profile::{ChargingProfile, ProfileKind};
-pub use snapshot::{fnv1a_64, PackSnapshot, TransferSnapshot, PACK_SNAPSHOT_VERSION};
-pub use soa::{QuiescenceConfig, SoaCohort};
+pub use micro::Microcontroller;
+pub use pack::{PackBuilder, PackTemplate};
+pub use profile::ProfileKind;
+pub use snapshot::{fnv1a_64, PackSnapshot};
+pub use soa::{AdvanceTotals, QuiescenceConfig, SoaCohort};

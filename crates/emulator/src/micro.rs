@@ -44,18 +44,6 @@ pub struct ThermalThrottle {
     pub resume_c: f64,
 }
 
-impl ThermalThrottle {
-    /// A conservative consumer-device policy: throttle at 45 °C, resume at
-    /// 40 °C.
-    #[must_use]
-    pub fn consumer() -> Self {
-        Self {
-            limit_c: 45.0,
-            resume_c: 40.0,
-        }
-    }
-}
-
 /// An in-flight `ChargeOneFromAnother(X, Y, W, T)` order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Transfer {
@@ -76,14 +64,14 @@ pub struct BatteryStepInfo {
     /// State of charge after the step.
     pub soc: f64,
     /// Heat dissipated in the cell this step, watts.
-    pub heat_w: f64,
+    pub(crate) heat_w: f64,
 }
 
 /// Outcome of one emulation step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// Emulation time after the step, seconds.
-    pub time_s: f64,
+    pub(crate) time_s: f64,
     /// Load requested, watts.
     pub load_w: f64,
     /// Load actually supplied, watts.
@@ -95,9 +83,9 @@ pub struct StepReport {
     /// Heat dissipated inside all cells, watts.
     pub cell_heat_w: f64,
     /// External supply power consumed, watts.
-    pub external_used_w: f64,
+    pub(crate) external_used_w: f64,
     /// Power delivered *into* cells while charging, watts.
-    pub charged_w: f64,
+    pub(crate) charged_w: f64,
     /// Per-battery detail.
     pub batteries: BatterySteps,
 }
@@ -130,7 +118,7 @@ impl BatterySteps {
     /// Copies `items` into an inline (or, beyond [`BatterySteps::INLINE`]
     /// entries, heap-spilled) buffer.
     #[must_use]
-    pub fn from_slice(items: &[BatteryStepInfo]) -> Self {
+    pub(crate) fn from_slice(items: &[BatteryStepInfo]) -> Self {
         let mut inline = [Self::EMPTY; Self::INLINE];
         if items.len() <= Self::INLINE {
             inline[..items.len()].copy_from_slice(items);
@@ -290,7 +278,7 @@ impl Microcontroller {
     ///
     /// Panics if the pack has no slots (checked by the builder).
     #[must_use]
-    pub fn new(config: PackConfig) -> Self {
+    pub(crate) fn new(config: PackConfig) -> Self {
         let n = config.slots.len();
         assert!(n > 0, "a pack needs at least one battery");
         let mut cells = Vec::with_capacity(n);
@@ -365,7 +353,7 @@ impl Microcontroller {
 
     /// The installed observability hook.
     #[must_use]
-    pub fn observer(&self) -> &Observer {
+    pub(crate) fn observer(&self) -> &Observer {
         &self.observer
     }
 
@@ -596,16 +584,6 @@ impl Microcontroller {
         self.thermal_throttle
     }
 
-    /// Whether a battery's charging is currently thermally throttled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `battery` is out of range.
-    #[must_use]
-    pub fn is_throttled(&self, battery: usize) -> bool {
-        self.throttled[battery]
-    }
-
     /// Cell temperature in °C (`None` when thermal simulation is off).
     ///
     /// # Panics
@@ -692,7 +670,7 @@ impl Microcontroller {
 
     /// The fuel-gauge front-end configuration (identical across slots).
     #[must_use]
-    pub fn gauge_config(&self) -> sdb_fuel_gauge::gauge::GaugeConfig {
+    pub(crate) fn gauge_config(&self) -> sdb_fuel_gauge::gauge::GaugeConfig {
         self.gauges[0].config()
     }
 
@@ -1749,13 +1727,13 @@ mod tests {
             resume_c: 36.0,
         }));
         m.set_charge_ratios(&[1.0]).unwrap();
-        assert!(!m.is_throttled(0));
+        assert!(!m.throttled[0]);
         // Fast charge until the cell crosses the limit.
         let mut throttled_seen = false;
         let gentle = ChargingProfile::for_spec(ProfileKind::Gentle, m.cells()[0].spec());
         for _ in 0..240 {
             let r = m.step(0.0, 30.0, 30.0);
-            if m.is_throttled(0) {
+            if m.throttled[0] {
                 throttled_seen = true;
                 // While throttled, charge current is gentle-profile bound.
                 assert!(
@@ -1774,7 +1752,7 @@ mod tests {
         }
         assert!(m.cell_temperature_c(0).unwrap() < 36.0);
         m.step(0.0, 30.0, 30.0);
-        assert!(!m.is_throttled(0), "temp = {:?}", m.cell_temperature_c(0));
+        assert!(!m.throttled[0], "temp = {:?}", m.cell_temperature_c(0));
     }
 
     #[test]
@@ -1884,37 +1862,6 @@ mod tests {
         m.set_discharge_ratios(&[0.5, 0.5]).unwrap();
         m.step(4.0, 0.0, 60.0);
         assert!(!m.observer().enabled());
-    }
-    #[test]
-    fn diag_thermal() {
-        use crate::pack::PackBuilder;
-        use crate::profile::ProfileKind;
-        use sdb_battery_model::chemistry::Chemistry;
-        use sdb_battery_model::spec::BatterySpec;
-        let mut m = PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("hot", Chemistry::Type3CoPower, 3.0),
-                0.05,
-                ProfileKind::Fast,
-            )
-            .ambient_c(43.0)
-            .build();
-        m.set_charge_ratios(&[1.0]).unwrap();
-        m.set_thermal_throttle(Some(ThermalThrottle::consumer()));
-        for k in 0..40 {
-            let r = m.step(0.0, 30.0, 30.0);
-            if k % 5 == 0 {
-                println!(
-                    "t={} i={:.2} soc={:.3} heat={:.3} temp={:?} throttled={}",
-                    k * 30,
-                    r.batteries[0].current_a,
-                    r.batteries[0].soc,
-                    r.batteries[0].heat_w,
-                    m.cell_temperature_c(0),
-                    m.is_throttled(0)
-                );
-            }
-        }
     }
 
     /// The snapshot without its gauges: everything gauge sampling must

@@ -16,30 +16,30 @@ use std::sync::Arc;
 
 /// One battery slot in the pack.
 #[derive(Debug, Clone)]
-pub struct SlotConfig {
+pub(crate) struct SlotConfig {
     /// The cell in this slot. `Arc` so the cell, its gauge, and every
     /// device built from a shared fleet template reference one spec copy.
-    pub spec: Arc<BatterySpec>,
+    pub(crate) spec: Arc<BatterySpec>,
     /// Initial state of charge.
-    pub initial_soc: f64,
+    pub(crate) initial_soc: f64,
     /// Initially selected charging profile.
-    pub profile: ProfileKind,
+    pub(crate) profile: ProfileKind,
 }
 
 /// Full pack configuration.
 #[derive(Debug, Clone)]
-pub struct PackConfig {
+pub(crate) struct PackConfig {
     /// Battery slots.
-    pub slots: Vec<SlotConfig>,
+    pub(crate) slots: Vec<SlotConfig>,
     /// Discharge circuit topology.
-    pub discharge_topology: DischargeTopology,
+    pub(crate) discharge_topology: DischargeTopology,
     /// Charge circuit topology.
-    pub charge_topology: ChargeTopology,
+    pub(crate) charge_topology: ChargeTopology,
     /// Fuel-gauge configuration shared by all slots.
-    pub gauge: GaugeConfig,
+    pub(crate) gauge: GaugeConfig,
     /// Ambient temperature, °C: when set, every cell gets a lumped thermal
     /// model and temperature-dependent resistance.
-    pub ambient_c: Option<f64>,
+    pub(crate) ambient_c: Option<f64>,
 }
 
 /// Builder for a [`Microcontroller`]-managed pack.

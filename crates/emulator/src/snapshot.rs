@@ -29,7 +29,7 @@ use sdb_fuel_gauge::gauge::{GaugeFault, GaugeStateSnapshot};
 use crate::micro::ThermalThrottle;
 
 /// Current snapshot format version (bumped on any layout change).
-pub const PACK_SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const PACK_SNAPSHOT_VERSION: u32 = 1;
 
 /// FNV-1a 64-bit hash — the digest primitive for snapshot and campaign
 /// fingerprints. Stable across platforms (pure integer arithmetic over
@@ -50,15 +50,15 @@ const MAGIC: &[u8; 8] = b"SDBSNAP\x01";
 
 /// An in-flight battery-to-battery transfer, as captured state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferSnapshot {
+pub(crate) struct TransferSnapshot {
     /// Source battery index.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Destination battery index.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Transfer power at the source terminals, watts.
-    pub power_w: f64,
+    pub(crate) power_w: f64,
     /// Remaining transfer duration, seconds.
-    pub remaining_s: f64,
+    pub(crate) remaining_s: f64,
 }
 
 /// Full mutable state of one pack at a point in time.
@@ -73,37 +73,37 @@ pub struct PackSnapshot {
     /// Lifetime energy delivered to the load, joules.
     pub delivered_j: f64,
     /// Lifetime circuit losses, joules.
-    pub circuit_loss_j: f64,
+    pub(crate) circuit_loss_j: f64,
     /// Lifetime cell heat, joules.
-    pub cell_heat_j: f64,
+    pub(crate) cell_heat_j: f64,
     /// Lifetime unmet load energy, joules.
-    pub unmet_j: f64,
+    pub(crate) unmet_j: f64,
     /// Lifetime external energy consumed, joules.
-    pub external_in_j: f64,
+    pub(crate) external_in_j: f64,
     /// Realized discharge ratios.
-    pub discharge_ratios: Vec<f64>,
+    pub(crate) discharge_ratios: Vec<f64>,
     /// Realized charge ratios.
-    pub charge_ratios: Vec<f64>,
+    pub(crate) charge_ratios: Vec<f64>,
     /// Physical presence per battery.
-    pub present: Vec<bool>,
+    pub(crate) present: Vec<bool>,
     /// Thermal charge-throttle latch per battery.
-    pub throttled: Vec<bool>,
+    pub(crate) throttled: Vec<bool>,
     /// Selected charging profile per battery.
-    pub profile_kinds: Vec<ProfileKind>,
+    pub(crate) profile_kinds: Vec<ProfileKind>,
     /// Firmware thermal throttle configuration, if installed.
-    pub thermal_throttle: Option<ThermalThrottle>,
+    pub(crate) thermal_throttle: Option<ThermalThrottle>,
     /// In-flight battery-to-battery transfer, if any.
-    pub transfer: Option<TransferSnapshot>,
+    pub(crate) transfer: Option<TransferSnapshot>,
     /// Per-cell mutable state.
     pub cells: Vec<CellStateSnapshot>,
     /// Per-gauge mutable state.
-    pub gauges: Vec<GaugeStateSnapshot>,
+    pub(crate) gauges: Vec<GaugeStateSnapshot>,
 }
 
 impl PackSnapshot {
     /// Number of batteries in the captured pack.
     #[must_use]
-    pub fn battery_count(&self) -> usize {
+    pub(crate) fn battery_count(&self) -> usize {
         self.cells.len()
     }
 

@@ -156,7 +156,7 @@ fn fast_forward_matches_scalar_within_documented_bounds() {
         let mut fast = b.build();
         fast.set_observer(sdb_observe::Observer::disabled());
         let dt = g.f64_range(10.0, 120.0);
-        let mut soa = SoaCohort::new(&fast, 1, QuiescenceConfig::default());
+        let mut soa = SoaCohort::new(&fast, 1, QuiescenceConfig);
         let load = g.f64_range(0.0, soa.max_load_w());
         // Settle the RC transient at the held load, then try to park.
         let mut report = fast.step(load, 0.0, dt);

@@ -87,7 +87,7 @@ impl SoaScratch {
                 cohort
                     .policy
                     .soa_eligible(&template)
-                    .then(|| Box::new(SoaCohort::new(&template, 1, QuiescenceConfig::default())))
+                    .then(|| Box::new(SoaCohort::new(&template, 1, QuiescenceConfig)))
             })
             .as_deref_mut()
     }
@@ -258,7 +258,7 @@ mod tests {
         let mut rt2 = SdbRuntime::new(2);
         rt2.set_discharge_directive(DischargeDirective::new(0.5));
         rt2.set_update_period(60.0);
-        let mut soa = SoaCohort::new(&m2, 1, QuiescenceConfig::default());
+        let mut soa = SoaCohort::new(&m2, 1, QuiescenceConfig);
         let hooks = Hooks {
             soa: Some(&mut soa),
             ..Hooks::default()

@@ -6,7 +6,7 @@
 //! to the p95 depletion time across ten thousand heterogeneous handsets?*
 //! This crate turns the single-device simulator into a fleet instrument:
 //!
-//! * [`spec`] — declarative fleet populations: weighted [`CohortSpec`]s
+//! * [`spec`] — declarative fleet populations: weighted [`spec::CohortSpec`]s
 //!   (pack template × workload × policy) sampled deterministically per
 //!   device from a master seed via SplitMix64 stream derivation.
 //! * `engine` — the parallel driver, [`run_fleet`]: devices are spread
@@ -49,5 +49,5 @@ pub mod spec;
 
 pub use batch::EngineKind;
 pub use engine::{run_fleet, run_fleet_with_engine, DeviceOutcome, FleetRunStats, RunOptions};
-pub use report::{CohortReport, DistSummary, FleetReport};
-pub use spec::{BatterySlot, CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
+pub use report::{DistSummary, FleetReport};
+pub use spec::FleetSpec;

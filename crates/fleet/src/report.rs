@@ -20,22 +20,22 @@ pub struct DistSummary {
     /// Arithmetic mean (accumulated in device-index order).
     pub mean: f64,
     /// Minimum.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Maximum.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Median (nearest-rank).
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 95th percentile (nearest-rank).
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// 99th percentile (nearest-rank).
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 impl DistSummary {
     /// Summarizes `values` (one per device, in device order). Returns an
     /// all-NaN-free zero summary for an empty slice.
     #[must_use]
-    pub fn of(values: &[f64]) -> Self {
+    pub(crate) fn of(values: &[f64]) -> Self {
         if values.is_empty() {
             return Self {
                 mean: 0.0,
@@ -80,19 +80,19 @@ impl DistSummary {
 
 /// Per-cohort slice of the report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CohortReport {
+pub(crate) struct CohortReport {
     /// Cohort name from the spec.
-    pub name: String,
+    pub(crate) name: String,
     /// Devices assigned to the cohort.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Fraction of the cohort's devices that browned out.
-    pub brownout_rate: f64,
+    pub(crate) brownout_rate: f64,
     /// Battery-life distribution, seconds.
-    pub life_s: DistSummary,
+    pub(crate) life_s: DistSummary,
     /// Circuit-loss distribution, joules.
-    pub circuit_loss_j: DistSummary,
+    pub(crate) circuit_loss_j: DistSummary,
     /// Cycle-count-balance distribution (1.0 = perfectly balanced wear).
-    pub wear_ccb: DistSummary,
+    pub(crate) wear_ccb: DistSummary,
 }
 
 /// The canonical fleet artifact: bit-identical for a given spec no matter
@@ -102,7 +102,7 @@ pub struct FleetReport {
     /// Devices simulated.
     pub devices: usize,
     /// The master seed the population was sampled from.
-    pub master_seed: u64,
+    pub(crate) master_seed: u64,
     /// Fraction of all devices that browned out.
     pub brownout_rate: f64,
     /// Battery-life distribution, seconds.
@@ -110,9 +110,9 @@ pub struct FleetReport {
     /// Circuit-loss distribution, joules.
     pub circuit_loss_j: DistSummary,
     /// Cell-heat distribution, joules.
-    pub cell_heat_j: DistSummary,
+    pub(crate) cell_heat_j: DistSummary,
     /// Cycle-count-balance distribution.
-    pub wear_ccb: DistSummary,
+    pub(crate) wear_ccb: DistSummary,
     /// Mean-final-SoC distribution.
     pub final_soc: DistSummary,
     /// Total energy delivered across the fleet, joules.
@@ -120,7 +120,7 @@ pub struct FleetReport {
     /// Total unserved energy across the fleet, joules.
     pub unmet_j_total: f64,
     /// Per-cohort breakdowns, in spec order.
-    pub cohorts: Vec<CohortReport>,
+    pub(crate) cohorts: Vec<CohortReport>,
     /// Merged counter totals from every shard registry (name → summed
     /// value, sorted by name). Counters are sums of per-device integers,
     /// so they are order- and thread-independent.

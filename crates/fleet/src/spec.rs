@@ -12,7 +12,7 @@ use sdb_rng::{derive_seed, DetRng};
 use sdb_workloads::traces::Trace;
 use std::sync::Arc;
 
-pub use sdb_emulator::pack::{BatterySlot, PackTemplate};
+pub use sdb_emulator::pack::PackTemplate;
 pub use sdb_policy::PolicySpec;
 pub use sdb_workloads::WorkloadSpec;
 

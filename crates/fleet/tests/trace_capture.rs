@@ -10,7 +10,7 @@ use sdb_core::scheduler::SimOptions;
 use sdb_emulator::profile::ProfileKind;
 use sdb_fleet::spec::{CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
 use sdb_fleet::{run_fleet, RunOptions};
-use sdb_trace::{analyze, analyze_jsonl, default_rules, to_chrome, to_jsonl};
+use sdb_trace::{analyze, analyze_jsonl, to_chrome, to_jsonl};
 use sdb_workloads::traces::Trace;
 use std::sync::Arc;
 
@@ -98,8 +98,8 @@ fn replayed_trace_reproduces_the_analysis() {
     )
     .unwrap();
     let events = events.unwrap();
-    let direct = analyze(&events, default_rules());
-    let replayed = analyze_jsonl(&to_jsonl(&events), default_rules()).unwrap();
+    let direct = analyze(&events);
+    let replayed = analyze_jsonl(&to_jsonl(&events)).unwrap();
     assert_eq!(direct.to_json(), replayed.to_json());
     assert_eq!(direct.summary.devices, 6);
 }
@@ -120,7 +120,7 @@ fn rule_engine_flags_a_failing_population() {
         "spec should brown out; rate {}",
         report.brownout_rate
     );
-    let analysis = analyze(&events.unwrap(), default_rules());
+    let analysis = analyze(&events.unwrap());
     let has = |rule: &str| analysis.rules.findings.iter().any(|f| f.rule == rule);
     assert!(has("brownout"), "findings: {:?}", analysis.rules.findings);
     assert!(

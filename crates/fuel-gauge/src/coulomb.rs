@@ -7,11 +7,11 @@
 
 /// A coulomb counter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CoulombCounter {
+pub(crate) struct CoulombCounter {
     /// ADC resolution, amps per count.
-    pub lsb_a: f64,
+    pub(crate) lsb_a: f64,
     /// Static sense offset, amps (integrates into drift).
-    pub offset_a: f64,
+    pub(crate) offset_a: f64,
     /// Net charge counted, coulombs (positive = discharged).
     net_c: f64,
     /// Total charge moved in the discharge direction, coulombs.
@@ -27,7 +27,7 @@ impl CoulombCounter {
     ///
     /// Panics if `lsb_a` is negative or non-finite.
     #[must_use]
-    pub fn new(lsb_a: f64, offset_a: f64) -> Self {
+    pub(crate) fn new(lsb_a: f64, offset_a: f64) -> Self {
         assert!(lsb_a.is_finite() && lsb_a >= 0.0, "bad lsb: {lsb_a}");
         assert!(offset_a.is_finite(), "bad offset: {offset_a}");
         Self {
@@ -39,22 +39,9 @@ impl CoulombCounter {
         }
     }
 
-    /// An ideal counter (no quantization, no offset) for tests and
-    /// baselines.
-    #[must_use]
-    pub fn ideal() -> Self {
-        Self::new(0.0, 0.0)
-    }
-
-    /// A prototype-grade counter: 1 mA resolution, 50 µA offset.
-    #[must_use]
-    pub fn prototype() -> Self {
-        Self::new(0.001, 50e-6)
-    }
-
     /// Records one current sample held for `dt_s` seconds
     /// (positive = discharge). Returns the *measured* current.
-    pub fn sample(&mut self, current_a: f64, dt_s: f64) -> f64 {
+    pub(crate) fn sample(&mut self, current_a: f64, dt_s: f64) -> f64 {
         debug_assert!(current_a.is_finite() && dt_s >= 0.0);
         let measured = self.measure(current_a);
         let dq = measured * dt_s;
@@ -70,7 +57,7 @@ impl CoulombCounter {
     /// The measured value for a true current (quantization + offset), with
     /// no integration.
     #[must_use]
-    pub fn measure(&self, current_a: f64) -> f64 {
+    pub(crate) fn measure(&self, current_a: f64) -> f64 {
         let with_offset = current_a + self.offset_a;
         if self.lsb_a > 0.0 {
             (with_offset / self.lsb_a).round() * self.lsb_a
@@ -81,37 +68,25 @@ impl CoulombCounter {
 
     /// Net counted charge, coulombs (positive = net discharge).
     #[must_use]
-    pub fn net_c(&self) -> f64 {
+    pub(crate) fn net_c(&self) -> f64 {
         self.net_c
-    }
-
-    /// Total counted discharge throughput, coulombs.
-    #[must_use]
-    pub fn discharged_c(&self) -> f64 {
-        self.discharged_c
-    }
-
-    /// Total counted charge throughput, coulombs.
-    #[must_use]
-    pub fn charged_c(&self) -> f64 {
-        self.charged_c
     }
 
     /// Resets the net accumulator (e.g. on OCV recalibration), keeping
     /// lifetime throughput counters.
-    pub fn reset_net(&mut self) {
+    pub(crate) fn reset_net(&mut self) {
         self.net_c = 0.0;
     }
 
     /// Raw accumulator state for snapshotting:
     /// `(net_c, discharged_c, charged_c)`.
     #[must_use]
-    pub fn export_state(&self) -> (f64, f64, f64) {
+    pub(crate) fn export_state(&self) -> (f64, f64, f64) {
         (self.net_c, self.discharged_c, self.charged_c)
     }
 
     /// Restores accumulators captured by [`CoulombCounter::export_state`].
-    pub fn import_state(&mut self, net_c: f64, discharged_c: f64, charged_c: f64) {
+    pub(crate) fn import_state(&mut self, net_c: f64, discharged_c: f64, charged_c: f64) {
         self.net_c = net_c;
         self.discharged_c = discharged_c;
         self.charged_c = charged_c;
@@ -124,12 +99,12 @@ mod tests {
 
     #[test]
     fn ideal_counter_is_exact() {
-        let mut c = CoulombCounter::ideal();
+        let mut c = CoulombCounter::new(0.0, 0.0);
         c.sample(2.0, 10.0);
         c.sample(-1.0, 5.0);
         assert!((c.net_c() - 15.0).abs() < 1e-12);
-        assert!((c.discharged_c() - 20.0).abs() < 1e-12);
-        assert!((c.charged_c() - 5.0).abs() < 1e-12);
+        assert!((c.discharged_c - 20.0).abs() < 1e-12);
+        assert!((c.charged_c - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -151,7 +126,8 @@ mod tests {
 
     #[test]
     fn prototype_error_small_at_real_currents() {
-        let mut c = CoulombCounter::prototype();
+        // Prototype-grade counter: 1 mA resolution, 50 µA offset.
+        let mut c = CoulombCounter::new(0.001, 50e-6);
         // 0.5 A for one hour = 1800 C true.
         for _ in 0..3600 {
             c.sample(0.5, 1.0);
@@ -162,11 +138,11 @@ mod tests {
 
     #[test]
     fn reset_keeps_lifetime_counters() {
-        let mut c = CoulombCounter::ideal();
+        let mut c = CoulombCounter::new(0.0, 0.0);
         c.sample(1.0, 10.0);
         c.reset_net();
         assert_eq!(c.net_c(), 0.0);
-        assert!((c.discharged_c() - 10.0).abs() < 1e-12);
+        assert!((c.discharged_c - 10.0).abs() < 1e-12);
     }
 
     #[test]

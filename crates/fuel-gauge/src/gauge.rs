@@ -303,38 +303,6 @@ impl FuelGauge {
         self.soc_estimate
     }
 
-    /// Gauge-side cycle count.
-    #[must_use]
-    pub fn cycle_count(&self) -> u32 {
-        self.cycles
-    }
-
-    /// The spec this gauge was configured with.
-    #[must_use]
-    pub fn spec(&self) -> &BatterySpec {
-        &self.spec
-    }
-
-    /// Learned full capacity, amp-hours. Equals the rated capacity until
-    /// enough OCV-anchored swings have been observed to learn the real
-    /// (possibly faded) value.
-    #[must_use]
-    pub fn learned_capacity_ah(&self) -> f64 {
-        self.learned_capacity_ah
-    }
-
-    /// State of health: learned capacity over rated capacity.
-    #[must_use]
-    pub fn state_of_health(&self) -> f64 {
-        self.learned_capacity_ah / self.spec.capacity_ah
-    }
-
-    /// Number of capacity observations folded into the learned estimate.
-    #[must_use]
-    pub fn capacity_observations(&self) -> u32 {
-        self.capacity_observations
-    }
-
     /// The ADC/recalibration configuration this gauge was built with.
     #[must_use]
     pub fn config(&self) -> GaugeConfig {
@@ -506,7 +474,7 @@ mod tests {
         for _ in 0..5760 {
             gauge.sample(3.9, -1.0, 1.0);
         }
-        assert_eq!(gauge.cycle_count(), 1);
+        assert_eq!(gauge.cycles, 1);
     }
 
     #[test]
@@ -534,8 +502,8 @@ mod tests {
             1.7,
         ));
         let mut gauge = FuelGauge::new(rated, 1.0, ideal_config());
-        assert_eq!(gauge.capacity_observations(), 0);
-        assert!((gauge.state_of_health() - 1.0).abs() < 1e-12);
+        assert_eq!(gauge.capacity_observations, 0);
+        assert_eq!(gauge.learned_capacity_ah, gauge.spec.capacity_ah);
 
         // Rest to take the full anchor (the cell's RC branch must actually
         // relax for the OCV reading to be valid).
@@ -553,14 +521,14 @@ mod tests {
         }
         // Rest again to take the empty anchor.
         rest(&mut true_cell, &mut gauge);
-        assert!(gauge.capacity_observations() >= 1);
+        assert!(gauge.capacity_observations >= 1);
         // The EWMA moved a third of the way toward 1.7 Ah.
         assert!(
-            gauge.learned_capacity_ah() < 1.95,
+            gauge.learned_capacity_ah < 1.95,
             "learned = {}",
-            gauge.learned_capacity_ah()
+            gauge.learned_capacity_ah
         );
-        assert!(gauge.state_of_health() < 0.98);
+        assert!(gauge.learned_capacity_ah / gauge.spec.capacity_ah < 0.98);
         // Several cycles converge close to the true value.
         for _ in 0..4 {
             while !true_cell.is_full() {
@@ -575,9 +543,9 @@ mod tests {
             rest(&mut true_cell, &mut gauge);
         }
         assert!(
-            (gauge.learned_capacity_ah() - 1.7).abs() < 0.15,
+            (gauge.learned_capacity_ah - 1.7).abs() < 0.15,
             "learned = {}",
-            gauge.learned_capacity_ah()
+            gauge.learned_capacity_ah
         );
     }
 
@@ -665,7 +633,7 @@ mod tests {
         let mut gauge = FuelGauge::new(spec, 0.5, ideal_config());
         gauge.sample(3.8, 1.0, 100.0);
         gauge.sample(3.9, -1.0, 50.0);
-        let (d, c) = (gauge.counter.discharged_c(), gauge.counter.charged_c());
+        let (_, d, c) = gauge.counter.export_state();
         assert!((d - 100.0).abs() < 1e-9);
         assert!((c - 50.0).abs() < 1e-9);
     }

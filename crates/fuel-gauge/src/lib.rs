@@ -30,6 +30,3 @@
 
 mod coulomb;
 pub mod gauge;
-
-pub use coulomb::CoulombCounter;
-pub use gauge::{BatteryStatus, FuelGauge, GaugeConfig, GaugeFault};

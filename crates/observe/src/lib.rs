@@ -5,7 +5,7 @@
 //! instrumentation surface for the whole reproduction — the tracing and
 //! metrics layer a production battery runtime would ship with:
 //!
-//! * [`metrics`] — a zero-dependency registry of exact counters, with
+//! * `metrics` — a zero-dependency registry of exact counters, with
 //!   Prometheus-text and JSON exporters (`sdb fleet --metrics-out`).
 //! * `events` — the structured event vocabulary, [`ObsEvent`] (ratio
 //!   pushes, profile transitions, thermal throttling, gauge
@@ -39,7 +39,7 @@
 //! ```
 
 mod events;
-pub mod metrics;
+mod metrics;
 mod sketch;
 
 use events::TraceCollector;

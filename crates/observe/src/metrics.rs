@@ -21,7 +21,7 @@ impl Counter {
     /// A counter starting at zero (unregistered; usually obtained from
     /// [`MetricsRegistry::counter`]).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -156,14 +156,8 @@ impl MetricsRegistry {
     ///
     /// Panics if the registry lock is poisoned.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("metrics registry poisoned").len()
-    }
-
-    /// Whether the registry has no counters.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Renders every counter in the Prometheus text exposition format: one

@@ -56,9 +56,9 @@ impl Default for QuantileSketch {
 impl QuantileSketch {
     /// The default relative accuracy: quantile estimates within 1 % of the
     /// exact nearest-rank sample.
-    pub const DEFAULT_ALPHA: f64 = 0.01;
+    pub(crate) const DEFAULT_ALPHA: f64 = 0.01;
 
-    /// A sketch with the default accuracy ([`Self::DEFAULT_ALPHA`]).
+    /// A sketch with the default accuracy (`DEFAULT_ALPHA`).
     #[must_use]
     pub fn new() -> Self {
         Self::with_accuracy(Self::DEFAULT_ALPHA)
@@ -88,41 +88,16 @@ impl QuantileSketch {
         }
     }
 
-    /// The configured relative-accuracy bound.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Total observations.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Whether nothing has been observed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact minimum observed (0.0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
     /// Exact maximum observed (0.0 when empty).
     #[must_use]
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Number of occupied buckets — the sketch's actual memory footprint,
-    /// which grows with the data's dynamic range, not its count.
-    #[must_use]
-    pub fn bucket_len(&self) -> usize {
-        self.pos.len() + self.neg.len() + usize::from(self.zeros > 0)
     }
 
     fn key(&self, magnitude: f64) -> i32 {
@@ -234,7 +209,7 @@ impl QuantileSketch {
     /// nearest-rank convention as the fleet report's exact percentiles:
     /// rank `⌈q·n⌉` clamped to `[1, n]`. Returns 0.0 on an empty sketch.
     ///
-    /// The estimate is within relative error [`Self::alpha`] of the exact
+    /// The estimate is within relative error `alpha` of the exact
     /// nearest-rank sample (values smaller than the zero threshold are
     /// reported as 0.0 exactly); `q = 0` and `q = 1` additionally snap to
     /// the exact min/max.
@@ -312,7 +287,7 @@ mod tests {
             let e = exact(&sorted, q);
             let got = sk.quantile(q);
             assert!(
-                rel_err(got, e) <= sk.alpha() + 1e-12,
+                rel_err(got, e) <= sk.alpha + 1e-12,
                 "q={q}: sketch {got} vs exact {e}"
             );
         }
@@ -327,10 +302,10 @@ mod tests {
         for v in values {
             sk.insert(v);
         }
-        assert_eq!(sk.min(), -100.0);
+        assert_eq!(sk.min, -100.0);
         assert_eq!(sk.max(), 100.0);
         // Rank 2 of 6 at q=0.25 → −1.0 (within α).
-        assert!(rel_err(sk.quantile(0.25), -1.0) <= sk.alpha() + 1e-12);
+        assert!(rel_err(sk.quantile(0.25), -1.0) <= sk.alpha + 1e-12);
         // Rank 4 of 6 (q=0.55 → ⌈3.3⌉) is a zero.
         assert_eq!(sk.quantile(0.55), 0.0);
     }
@@ -340,10 +315,10 @@ mod tests {
         let mut sk = QuantileSketch::new();
         assert_eq!(sk.quantile(0.5), 0.0);
         sk.insert(f64::NAN);
-        assert!(sk.is_empty());
+        assert_eq!(sk.count(), 0);
         sk.insert(2.0);
         assert_eq!(sk.count(), 1);
-        assert!(rel_err(sk.quantile(0.5), 2.0) <= sk.alpha());
+        assert!(rel_err(sk.quantile(0.5), 2.0) <= sk.alpha);
     }
 
     #[test]
@@ -400,28 +375,29 @@ mod tests {
             sk.insert(1.0 + (i % 1000) as f64);
         }
         // Three decades of range at α=1 % is a few hundred buckets at most.
-        assert!(sk.bucket_len() < 600, "buckets: {}", sk.bucket_len());
+        let buckets = sk.pos.len() + sk.neg.len();
+        assert!(buckets < 600, "buckets: {buckets}");
     }
 
     #[test]
     fn prewarm_covers_clamped_inserts_without_new_buckets() {
         let mut sk = QuantileSketch::with_accuracy(0.05);
         sk.prewarm(1.0, 1e6);
-        let warmed = sk.bucket_len();
+        let warmed = sk.pos.len() + sk.neg.len();
         assert!(warmed > 0);
         for i in 0..10_000u64 {
             let v = (i as f64 * 733.17 + 0.003).clamp(1.0, 1e6);
             sk.insert(v);
         }
         assert_eq!(
-            sk.bucket_len(),
+            sk.pos.len() + sk.neg.len(),
             warmed,
             "clamped inserts must reuse prewarmed buckets"
         );
         assert_eq!(sk.count(), 10_000);
         // Quantiles are unaffected by the zero-count buckets.
         let q = sk.quantile(0.5);
-        assert!(q > 0.0 && q <= 1e6 * (1.0 + sk.alpha()));
+        assert!(q > 0.0 && q <= 1e6 * (1.0 + sk.alpha));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct Scenario {
     /// The fixed blend the greedy baseline runs with.
     pub greedy_directive: f64,
     /// Multiplier applied to the workload's load power.
-    pub load_scale: f64,
+    pub(crate) load_scale: f64,
 }
 
 impl Scenario {
@@ -97,15 +97,15 @@ pub struct RunOutcome {
     /// Battery life (time to first brownout, or full trace), seconds.
     pub life_s: f64,
     /// Whether any load went unserved.
-    pub browned_out: bool,
+    pub(crate) browned_out: bool,
     /// Unserved load energy, joules.
-    pub unmet_j: f64,
+    pub(crate) unmet_j: f64,
     /// Total conversion + heat losses, joules.
-    pub loss_j: f64,
+    pub(crate) loss_j: f64,
     /// Wear spread after the run (CCB metric: max/min wear ratio).
-    pub wear_ccb: f64,
+    pub(crate) wear_ccb: f64,
     /// Directive pushes the runtime sent to hardware.
-    pub pushes: u64,
+    pub(crate) pushes: u64,
     /// Plans committed (0 for greedy).
     pub replans: u64,
     /// Final forecast MAE, watts (0 for greedy and oracle).
@@ -113,17 +113,17 @@ pub struct RunOutcome {
 }
 
 /// Days of history the planned mode warm-starts from.
-pub const CORPUS_WARMUP_DAYS: u64 = 14;
+pub(crate) const CORPUS_WARMUP_DAYS: u64 = 14;
 
 /// The planned mode's lookahead horizon. 8 h is long enough that a
 /// habit-forecast planner sees a day's stress event (a GPS run, an
 /// evening commute) several re-plans before it starts.
-pub const CORPUS_HORIZON_S: f64 = 8.0 * 3600.0;
+pub(crate) const CORPUS_HORIZON_S: f64 = 8.0 * 3600.0;
 
 /// Runs one scenario under one policy mode. Pure function of
 /// `(scenario, mode, seed)`.
 #[must_use]
-pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
+pub(crate) fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
     let mut micro = s.pack.instantiate();
     let trace = s.build_trace(seed);
     let mut runtime = SdbRuntime::new(micro.battery_count());
@@ -176,7 +176,7 @@ pub fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeadToHead {
     /// Master seed the sweep ran under.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// One row per scenario × policy, corpus order, greedy → planned →
     /// oracle within each scenario.
     pub rows: Vec<RunOutcome>,
@@ -203,7 +203,7 @@ impl HeadToHead {
     /// Scenarios where the planner strictly beats greedy on battery life
     /// or serves strictly more of the load.
     #[must_use]
-    pub fn planner_wins(&self) -> usize {
+    pub(crate) fn planner_wins(&self) -> usize {
         self.pairs()
             .filter(|(g, p, _)| p.life_s > g.life_s || p.unmet_j < g.unmet_j)
             .count()
@@ -212,7 +212,7 @@ impl HeadToHead {
     /// Scenarios where the oracle's battery life is at least both the
     /// greedy's and the planner's (within float noise).
     #[must_use]
-    pub fn oracle_bounds(&self) -> usize {
+    pub(crate) fn oracle_bounds(&self) -> usize {
         self.pairs()
             .filter(|(g, p, o)| o.life_s >= g.life_s - 1e-6 && o.life_s >= p.life_s - 1e-6)
             .count()

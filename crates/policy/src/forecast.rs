@@ -75,7 +75,7 @@ impl HistoryForecaster {
     /// observations arrive. `alpha` is the EWMA weight given to each newly
     /// completed hour (clamped to `(0, 1]`).
     #[must_use]
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         Self {
             buckets: [0.0; 24],
             primed: [false; 24],
@@ -228,14 +228,14 @@ impl Forecaster for HistoryForecaster {
 /// exact sub-trace starting at the requested time. Its MAE is zero by
 /// construction.
 #[derive(Debug, Clone)]
-pub struct OracleForecaster {
+pub(crate) struct OracleForecaster {
     trace: Arc<Trace>,
 }
 
 impl OracleForecaster {
     /// Wraps the true workload trace.
     #[must_use]
-    pub fn new(trace: Arc<Trace>) -> Self {
+    pub(crate) fn new(trace: Arc<Trace>) -> Self {
         Self { trace }
     }
 }

@@ -10,14 +10,14 @@
 //!   models: [`HistoryForecaster`] folds windowed history into
 //!   24 hourly EWMA buckets (warm-startable from simulated user days) and
 //!   emits piecewise-constant power forecasts, while
-//!   [`OracleForecaster`] replays the true remaining trace — the
+//!   `OracleForecaster` replays the true remaining trace — the
 //!   perfect-forecast upper bound.
 //! * `planner` — a receding-horizon planner ([`Planner`]): at a
 //!   configurable re-plan cadence it rolls the forecast forward through a
 //!   cloned emulator for each candidate discharge directive and commits
 //!   the lexicographically best one (battery life, then unserved energy,
 //!   then losses) through the [`sdb_core::LookaheadPolicy`] seam. The plan
-//!   vocabulary is the same [`sdb_core::DischargeDirective`] the four
+//!   vocabulary is the same [`sdb_core::policy::DischargeDirective`] the four
 //!   paper APIs accept, so greedy blend, planner, and oracle are drop-in
 //!   interchangeable.
 //! * `tuner` — a directive auto-tuner mapping forecast statistics
@@ -27,21 +27,20 @@
 //!   policy (blend, preserve, planned from warm-up days, oracle over the
 //!   device's trace), and [`PolicyMode`], the greedy / planned / oracle
 //!   axis of the fleet, the campaign and the corpus.
-//! * [`corpus`](mod@corpus) — the evaluation corpus: named pack × workload scenarios
+//! * `corpus` — the evaluation corpus: named pack × workload scenarios
 //!   and a deterministic greedy / planned / oracle head-to-head runner
 //!   with text and JSON reports (the `sdb policy` subcommand).
 //!
 //! Everything is a pure function of `(scenario, seed)`: re-plans, rollouts
 //! and reports are bit-identical across runs and thread counts.
 
-pub mod corpus;
+mod corpus;
 mod forecast;
 mod planner;
 mod spec;
 mod tuner;
 
 pub use corpus::{corpus, run_head_to_head, HeadToHead, RunOutcome, Scenario};
-pub use forecast::{Forecaster, HistoryForecaster, OracleForecaster};
+pub use forecast::{Forecaster, HistoryForecaster};
 pub use planner::{Planner, PlannerConfig};
 pub use spec::{warmup_seeds, PolicyMode, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
-pub use tuner::{forecast_stats, tuned_directive, ForecastStats};

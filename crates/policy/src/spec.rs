@@ -141,7 +141,8 @@ pub enum PolicyMode {
 
 impl PolicyMode {
     /// Every mode, in sweep order.
-    pub const ALL: [PolicyMode; 3] = [PolicyMode::Greedy, PolicyMode::Planned, PolicyMode::Oracle];
+    pub(crate) const ALL: [PolicyMode; 3] =
+        [PolicyMode::Greedy, PolicyMode::Planned, PolicyMode::Oracle];
 
     /// Stable lowercase name (report key / CLI value).
     #[must_use]

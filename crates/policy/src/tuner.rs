@@ -18,22 +18,22 @@ use sdb_workloads::Trace;
 
 /// Shape statistics of a (forecast) load trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForecastStats {
+pub(crate) struct ForecastStats {
     /// Time-weighted mean load, watts.
-    pub mean_w: f64,
+    pub(crate) mean_w: f64,
     /// Peak load, watts.
-    pub peak_w: f64,
+    pub(crate) peak_w: f64,
     /// Fraction of time the load is at or above half the peak — the
     /// high-duty fraction.
-    pub high_duty: f64,
+    pub(crate) high_duty: f64,
     /// `1 - mean/peak`: 0 for constant load, → 1 for spiky load.
-    pub burstiness: f64,
+    pub(crate) burstiness: f64,
 }
 
 /// Computes [`ForecastStats`] for a trace. An empty trace yields all
 /// zeros (and tunes to the CCB-leaning floor).
 #[must_use]
-pub fn forecast_stats(trace: &Trace) -> ForecastStats {
+pub(crate) fn forecast_stats(trace: &Trace) -> ForecastStats {
     let total_s = trace.duration_s();
     if total_s <= 0.0 {
         return ForecastStats {
@@ -73,7 +73,7 @@ pub fn forecast_stats(trace: &Trace) -> ForecastStats {
 /// even for pure idle so the pack never wear-balances itself into
 /// serving load from a high-resistance cell alone.
 #[must_use]
-pub fn tuned_directive(stats: &ForecastStats) -> DischargeDirective {
+pub(crate) fn tuned_directive(stats: &ForecastStats) -> DischargeDirective {
     DischargeDirective::new(0.2 + 0.6 * stats.high_duty + 0.2 * stats.burstiness)
 }
 

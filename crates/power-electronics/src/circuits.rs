@@ -33,9 +33,9 @@ pub enum DischargeTopology {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DischargeCircuit {
     /// Topology.
-    pub topology: DischargeTopology,
+    pub(crate) topology: DischargeTopology,
     /// Number of batteries multiplexed.
-    pub batteries: usize,
+    pub(crate) batteries: usize,
     /// Per-battery conduction path.
     path: SwitchPath,
     /// Controller/driver quiescent power, watts.
@@ -99,18 +99,6 @@ impl DischargeCircuit {
         }
         Ok(loss / load_w)
     }
-
-    /// Count of discrete power components in the load path (switches +
-    /// capacitors + regulator), for the BoM comparison.
-    #[must_use]
-    pub fn component_count(&self) -> usize {
-        match self.topology {
-            // Per-battery switch + storage capacitor + the regulator.
-            DischargeTopology::NaiveSwitch => self.batteries + 1 + 1,
-            // Just the (modified) regulator; its built-in switch multiplexes.
-            DischargeTopology::SdbIntegrated => 1,
-        }
-    }
 }
 
 /// Charge-side topology.
@@ -128,9 +116,9 @@ pub enum ChargeTopology {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChargeCircuit {
     /// Topology.
-    pub topology: ChargeTopology,
+    pub(crate) topology: ChargeTopology,
     /// Number of batteries.
-    pub batteries: usize,
+    pub(crate) batteries: usize,
     /// Per-stage regulator model used for external charging.
     external_stage: Regulator,
     /// Per-stage regulator model used for battery-to-battery transfer.
@@ -262,14 +250,6 @@ mod tests {
                 "at {w} W"
             );
         }
-    }
-
-    #[test]
-    fn discharge_component_counts() {
-        let naive = DischargeCircuit::new(DischargeTopology::NaiveSwitch, 4);
-        let sdb = DischargeCircuit::new(DischargeTopology::SdbIntegrated, 4);
-        assert_eq!(naive.component_count(), 6);
-        assert_eq!(sdb.component_count(), 1);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   round-robin packet scheduler that implements fine-grained battery
 //!   sharing (Figures 4a/4c), with duty-ratio quantization.
 //! * [`circuits`] — the naive and SDB discharge/charge circuit topologies,
-//!   their loss curves (Figure 6a) and component counts (`O(N²)` vs
-//!   `O(N)`).
+//!   their loss curves (Figure 6a) and charge-side regulator counts
+//!   (`O(N²)` vs `O(N)`).
 //! * [`measurement`] — sense-resistor/ADC/DAC quantization models producing
 //!   the setpoint-vs-measured errors of Figures 6b and 6d.
 //!
@@ -46,8 +46,5 @@ pub mod measurement;
 pub mod regulator;
 pub mod switch;
 
-pub use circuits::{ChargeCircuit, ChargeTopology, DischargeCircuit, DischargeTopology};
-pub use error::PowerError;
-pub use measurement::{CurrentSetpoint, SenseChain, ShareChain};
-pub use regulator::{FlowDirection, Regulator, RegulatorKind};
-pub use switch::{PacketScheduler, SwitchPath};
+pub use regulator::{Regulator, RegulatorKind};
+pub use switch::PacketScheduler;

@@ -25,9 +25,9 @@ fn setpoint_wiggle(x: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseChain {
     /// Full-scale current, amps.
-    pub full_scale_a: f64,
+    pub(crate) full_scale_a: f64,
     /// DAC/ADC resolution in bits.
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Sense-chain offset, amps.
     pub offset_a: f64,
     /// Peak gain mismatch (fraction).
@@ -103,10 +103,10 @@ impl SenseChain {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShareChain {
     /// Duty timer steps per switching period.
-    pub duty_steps: u32,
+    pub(crate) duty_steps: u32,
     /// Peak gain mismatch between the per-battery current sensors
     /// (fraction).
-    pub gain_mismatch: f64,
+    pub(crate) gain_mismatch: f64,
 }
 
 impl ShareChain {
@@ -148,10 +148,6 @@ impl ShareChain {
         Ok(((realized - share) / share).abs() * 100.0)
     }
 }
-
-/// Alias kept for API clarity: a current setpoint is realized through a
-/// [`SenseChain`].
-pub type CurrentSetpoint = SenseChain;
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! regulators — the trick that collapses the naive `O(N²)` charging matrix
 //! to `O(N)` (Figure 4c). This module models their loss/efficiency
 //! behavior; Figure 6(c)'s "% of typical chip efficiency vs charging
-//! current" curve comes from [`Regulator::relative_efficiency`].
+//! current" curve comes from `Regulator::relative_efficiency`.
 
 use crate::error::PowerError;
 
@@ -28,7 +28,7 @@ impl RegulatorKind {
     /// Whether this topology can push current from its output terminal
     /// back to its input terminal.
     #[must_use]
-    pub fn is_reversible(self) -> bool {
+    pub(crate) fn is_reversible(self) -> bool {
         matches!(self, Self::SynchronousReversibleBuck)
     }
 }
@@ -47,16 +47,16 @@ pub enum FlowDirection {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regulator {
     /// Topology.
-    pub kind: RegulatorKind,
+    pub(crate) kind: RegulatorKind,
     /// Quiescent (controller) power, watts.
-    pub quiescent_w: f64,
+    pub(crate) quiescent_w: f64,
     /// Switching loss coefficient, watts (already folded with frequency and
     /// gate charge: loss contribution proportional to duty activity).
-    pub switching_w: f64,
+    pub(crate) switching_w: f64,
     /// Total conduction-path resistance (FETs + inductor DCR), ohms.
-    pub conduction_ohm: f64,
+    pub(crate) conduction_ohm: f64,
     /// Maximum rated output current, amps.
-    pub rated_a: f64,
+    pub(crate) rated_a: f64,
 }
 
 impl Regulator {
@@ -86,7 +86,7 @@ impl Regulator {
     ///
     /// [`PowerError::InvalidParameter`] for non-finite inputs;
     /// [`PowerError::OverRating`] above the current rating.
-    pub fn loss_w(&self, current_a: f64, v_out: f64) -> Result<f64, PowerError> {
+    pub(crate) fn loss_w(&self, current_a: f64, v_out: f64) -> Result<f64, PowerError> {
         if !current_a.is_finite() || current_a < 0.0 {
             return Err(PowerError::InvalidParameter {
                 name: "current_a",
@@ -115,7 +115,7 @@ impl Regulator {
     ///
     /// # Errors
     ///
-    /// As [`Regulator::loss_w`]. Zero current yields zero efficiency (all
+    /// As `Regulator::loss_w`. Zero current yields zero efficiency (all
     /// quiescent loss).
     pub fn efficiency(&self, current_a: f64, v_out: f64) -> Result<f64, PowerError> {
         let p_out = current_a * v_out;
@@ -134,7 +134,11 @@ impl Regulator {
     /// # Errors
     ///
     /// As [`Regulator::efficiency`].
-    pub fn relative_efficiency(&self, current_a: f64, v_out: f64) -> Result<f64, PowerError> {
+    pub(crate) fn relative_efficiency(
+        &self,
+        current_a: f64,
+        v_out: f64,
+    ) -> Result<f64, PowerError> {
         // The chip's "typical" number is quoted at a light design load
         // (20 % of rating).
         let design = self.efficiency(self.rated_a * 0.2, v_out)?;
@@ -146,7 +150,7 @@ impl Regulator {
     ///
     /// # Errors
     ///
-    /// As [`Regulator::loss_w`]; reverse flow on a non-reversible topology
+    /// As `Regulator::loss_w`; reverse flow on a non-reversible topology
     /// is rejected as an invalid parameter.
     pub fn transfer_w(
         &self,

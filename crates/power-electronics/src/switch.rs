@@ -6,7 +6,7 @@
 //! draw is determined by the fraction of time the switch is connected to a
 //! particular battery". This module provides:
 //!
-//! * [`SwitchPath`] — the conduction path (FET on-resistance / ideal-diode
+//! * `SwitchPath` — the conduction path (FET on-resistance / ideal-diode
 //!   drop) through which a battery supplies the load, with its loss model.
 //! * [`PacketScheduler`] — the deterministic weighted round-robin that
 //!   decides which battery supplies each energy packet, with duty-ratio
@@ -16,12 +16,12 @@ use crate::error::{check_ratios, PowerError};
 
 /// A conduction path from one battery into the shared node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchPath {
+pub(crate) struct SwitchPath {
     /// FET on-resistance, ohms.
-    pub r_on_ohm: f64,
+    pub(crate) r_on_ohm: f64,
     /// Constant forward drop (ideal-diode controller), volts. Zero for the
     /// integrated-regulator design.
-    pub drop_v: f64,
+    pub(crate) drop_v: f64,
 }
 
 impl SwitchPath {
@@ -29,7 +29,7 @@ impl SwitchPath {
     /// costs a small forward drop plus conduction resistance. The paper
     /// notes this *underestimates* the proposal's efficiency.
     #[must_use]
-    pub fn prototype() -> Self {
+    pub(crate) fn prototype() -> Self {
         Self {
             r_on_ohm: 0.016,
             drop_v: 0.018,
@@ -40,7 +40,7 @@ impl SwitchPath {
     /// regulator's own switch: no extra diode drop, minimal added
     /// resistance.
     #[must_use]
-    pub fn integrated() -> Self {
+    pub(crate) fn integrated() -> Self {
         Self {
             r_on_ohm: 0.004,
             drop_v: 0.0,
@@ -49,7 +49,7 @@ impl SwitchPath {
 
     /// Power lost in the path at `current_a` amps.
     #[must_use]
-    pub fn loss_w(&self, current_a: f64) -> f64 {
+    pub(crate) fn loss_w(&self, current_a: f64) -> f64 {
         let i = current_a.abs();
         i * i * self.r_on_ohm + i * self.drop_v
     }
@@ -99,34 +99,6 @@ impl PacketScheduler {
         })
     }
 
-    /// The quantized target shares actually enforced.
-    #[must_use]
-    pub fn shares(&self) -> &[f64] {
-        &self.shares
-    }
-
-    /// Replaces the target shares, keeping issued-packet history.
-    ///
-    /// # Errors
-    ///
-    /// [`PowerError::WrongChannelCount`] if the length changed;
-    /// [`PowerError::InvalidRatios`] for bad shares.
-    pub fn set_shares(&mut self, shares: &[f64]) -> Result<(), PowerError> {
-        if shares.len() != self.shares.len() {
-            return Err(PowerError::WrongChannelCount {
-                expected: self.shares.len(),
-                got: shares.len(),
-            });
-        }
-        check_ratios(shares)?;
-        self.shares = quantize_shares(shares, self.quantization_steps);
-        // Restart the credit race so old history does not distort the new
-        // setpoint.
-        self.issued.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-        Ok(())
-    }
-
     /// Chooses the battery to supply the next energy packet.
     pub fn next_packet(&mut self) -> usize {
         // Largest deficit: target·(total+1) − issued.
@@ -147,7 +119,7 @@ impl PacketScheduler {
 
     /// Realized share per battery over all packets issued so far.
     #[must_use]
-    pub fn realized_shares(&self) -> Vec<f64> {
+    pub(crate) fn realized_shares(&self) -> Vec<f64> {
         if self.total == 0 {
             return vec![0.0; self.shares.len()];
         }
@@ -247,7 +219,7 @@ mod tests {
         for _ in 0..100_000 {
             s.next_packet();
         }
-        assert!((s.realized_shares()[0] - s.shares()[0]).abs() < 1e-3);
+        assert!((s.realized_shares()[0] - s.shares[0]).abs() < 1e-3);
     }
 
     #[test]
@@ -270,19 +242,8 @@ mod tests {
     fn quantization_limits_resolution() {
         // With only 8 steps, a 10 % request lands on the 12.5 % grid.
         let s = PacketScheduler::new(&[0.10, 0.90], 8).unwrap();
-        assert!((s.shares()[0] - 0.125).abs() < 1e-12);
-        assert!((s.shares().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_shares_validates() {
-        let mut s = PacketScheduler::new(&[0.5, 0.5], 1024).unwrap();
-        assert!(s.set_shares(&[0.4, 0.6]).is_ok());
-        assert!(matches!(
-            s.set_shares(&[0.4, 0.4, 0.2]),
-            Err(PowerError::WrongChannelCount { .. })
-        ));
-        assert!(s.set_shares(&[0.9, 0.2]).is_err());
+        assert!((s.shares[0] - 0.125).abs() < 1e-12);
+        assert!((s.shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -297,8 +258,8 @@ mod tests {
         // would drive the adjusted entry negative.
         let shares = vec![0.1; 10];
         let s = PacketScheduler::new(&shares, 8).unwrap();
-        assert!((s.shares().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(s.shares().iter().all(|&x| x >= 0.0), "{:?}", s.shares());
+        assert!((s.shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(s.shares.iter().all(|&x| x >= 0.0), "{:?}", s.shares);
     }
 
     #[test]

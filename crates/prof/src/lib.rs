@@ -40,7 +40,7 @@ mod render;
 mod shard;
 mod table;
 
-pub use phase::{Phase, ALL_PHASES, PHASE_COUNT};
+pub use phase::{Phase, PHASE_COUNT};
 pub use render::{PhaseNode, Snapshot};
 pub use shard::shard_map;
 
@@ -209,7 +209,7 @@ pub fn cohort_id(name: &str) -> u16 {
 /// Tags the current thread's subsequent device flushes with a shard id.
 /// Shard attribution is a wall-clock fact (it depends on the thread
 /// count) and is quarantined to the wall section of exports.
-pub fn set_shard(shard: u16) {
+pub(crate) fn set_shard(shard: u16) {
     TLS.with(|c| c.borrow_mut().shard = Some(shard));
 }
 
@@ -324,12 +324,6 @@ pub struct StepGuard {
 }
 
 impl StepGuard {
-    /// Whether this step is wall-clock timed (1 in [`SAMPLE_EVERY`]).
-    #[must_use]
-    pub fn hot(&self) -> bool {
-        self.hot
-    }
-
     /// Opens a sub-step scope that records (count *and* time) only on
     /// hot steps — a single branch, no thread-local access, on the cold
     /// 127 of 128. Sub-step counts stay deterministic because hotness is
@@ -517,7 +511,7 @@ mod tests {
         for _ in 0..SAMPLE_EVERY {
             let outer = step(Phase::TraceStep);
             let inner = step(Phase::MicroStep);
-            assert_eq!(inner.hot(), outer.hot());
+            assert_eq!(inner.hot, outer.hot);
             let _h = inner.hot_sub(Phase::RcState);
         }
         flush_thread();

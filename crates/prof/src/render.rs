@@ -30,13 +30,13 @@ pub struct PhaseNode {
     /// Sum of timed durations (ns) — a wall fact.
     pub total_ns: u64,
     /// Exact fastest timed duration (ns).
-    pub min_ns: u64,
+    pub(crate) min_ns: u64,
     /// Exact slowest timed duration (ns).
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
     /// Median timed duration (ns, sketch estimate).
     pub p50_ns: u64,
     /// 95th-percentile timed duration (ns, sketch estimate).
-    pub p95_ns: u64,
+    pub(crate) p95_ns: u64,
     /// Child phases in enum order.
     pub children: Vec<PhaseNode>,
 }
@@ -55,7 +55,7 @@ impl PhaseNode {
 
     /// The direct child recording `phase`, if present.
     #[must_use]
-    pub fn child(&self, phase: Phase) -> Option<&PhaseNode> {
+    pub(crate) fn child(&self, phase: Phase) -> Option<&PhaseNode> {
         self.children.iter().find(|c| c.phase == phase)
     }
 }
@@ -67,10 +67,10 @@ pub struct Snapshot {
     /// order. Counts/shape deterministic; ns fields wall-clock.
     pub phases: Vec<PhaseNode>,
     /// Per-cohort forests, sorted by cohort name (deterministic).
-    pub per_cohort: Vec<(String, Vec<PhaseNode>)>,
+    pub(crate) per_cohort: Vec<(String, Vec<PhaseNode>)>,
     /// Per-shard forests keyed by shard id — wall-clock facts (the
     /// shard → device assignment depends on the thread count).
-    pub per_shard: Vec<(u16, Vec<PhaseNode>)>,
+    pub(crate) per_shard: Vec<(u16, Vec<PhaseNode>)>,
 }
 
 fn node_from(table: &Table, slot: &Slot) -> PhaseNode {

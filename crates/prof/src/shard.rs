@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// `min(threads, n)` workers are spawned (`threads` of 0 counts as 1).
 /// Each tags its thread's profiler collector with its shard id
-/// ([`set_shard`](crate::set_shard)), builds its state with
+/// (`set_shard`), builds its state with
 /// `init(shard)` on its own thread — so thread-local profiler state and
 /// per-shard observers stay per thread — and then claims indices from
 /// one shared atomic counter until none are left. Which worker runs an

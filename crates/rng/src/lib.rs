@@ -10,7 +10,7 @@
 //!
 //! Two generators, both standard and public domain:
 //!
-//! * [`SplitMix64`] — a 64-bit mixer with a trivially splittable state.
+//! * `SplitMix64` — a 64-bit mixer with a trivially splittable state.
 //!   Used to derive independent per-stream seeds (one per fleet device)
 //!   from a master seed via [`derive_seed`], and to seed xoshiro state.
 //! * [`DetRng`] (xoshiro256++) — the workhorse generator: fast, 256-bit
@@ -24,7 +24,7 @@
 /// each output decorrelated from the last by an avalanche mix. Primarily
 /// a seed expander/deriver here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
@@ -34,12 +34,12 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 impl SplitMix64 {
     /// A generator seeded with `seed` (any value, including 0, is fine).
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// The next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -80,7 +80,7 @@ impl DetRng {
     }
 
     /// The next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)

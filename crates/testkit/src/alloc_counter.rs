@@ -28,7 +28,6 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Heap allocations made by the current thread since it started.
@@ -37,14 +36,8 @@ pub fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Heap bytes requested by the current thread since it started.
-#[must_use]
-pub fn bytes() -> u64 {
-    BYTES.with(Cell::get)
-}
-
 /// A [`GlobalAlloc`] that delegates to the system allocator while counting
-/// each allocation and its size on thread-local counters.
+/// each allocation on a thread-local counter.
 #[derive(Debug, Default)]
 pub struct CountingAllocator;
 
@@ -56,26 +49,25 @@ impl CountingAllocator {
     }
 }
 
-fn count(size: usize) {
+fn count() {
     ALLOCS.with(|c| c.set(c.get() + 1));
-    BYTES.with(|c| c.set(c.get() + size as u64));
 }
 
 // SAFETY: every method delegates directly to `System`, which upholds the
 // `GlobalAlloc` contract; the counters only touch thread-local `Cell`s.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 

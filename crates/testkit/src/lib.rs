@@ -36,15 +36,10 @@ pub struct Gen {
 impl Gen {
     /// A generator for one case, seeded directly.
     #[must_use]
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         Self {
             rng: DetRng::seed_from_u64(seed),
         }
-    }
-
-    /// Direct access to the underlying RNG.
-    pub fn rng(&mut self) -> &mut DetRng {
-        &mut self.rng
     }
 
     /// A uniform `f64` in `[lo, hi)`.

@@ -6,7 +6,7 @@
 //! human-readable text or deterministic JSON — the backing store for the
 //! `sdb analyze` subcommand.
 
-use crate::rules::{RuleEngine, RuleReport, RuleSpec};
+use crate::rules::{RuleEngine, RuleReport};
 use crate::writer::{event_kind, from_jsonl};
 use sdb_observe::DeviceEvent;
 use std::collections::BTreeMap;
@@ -16,15 +16,15 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// Total events analyzed.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Distinct devices present in the stream.
     pub devices: usize,
     /// Earliest event timestamp, seconds (0 when empty).
-    pub t_min_s: f64,
+    pub(crate) t_min_s: f64,
     /// Latest event timestamp, seconds (0 when empty).
-    pub t_max_s: f64,
+    pub(crate) t_max_s: f64,
     /// Event counts per kind, sorted by kind name.
-    pub by_kind: BTreeMap<&'static str, u64>,
+    pub(crate) by_kind: BTreeMap<&'static str, u64>,
 }
 
 /// The outcome of one analysis pass.
@@ -36,15 +36,16 @@ pub struct AnalysisReport {
     pub rules: RuleReport,
 }
 
-/// Analyzes a device-tagged event stream against `rules`.
+/// Analyzes a device-tagged event stream against the default health
+/// rules.
 ///
 /// Events are processed in the order given; pass a `(device, seq)`-sorted
-/// stream (what [`from_jsonl`] and the fleet engine produce) for
+/// stream (what `from_jsonl` and the fleet engine produce) for
 /// deterministic finding order.
 #[must_use]
-pub fn analyze(events: &[DeviceEvent], rules: Vec<RuleSpec>) -> AnalysisReport {
+pub fn analyze(events: &[DeviceEvent]) -> AnalysisReport {
     let mut summary = TraceSummary::default();
-    let mut engine = RuleEngine::new(rules);
+    let mut engine = RuleEngine::new();
     let mut devices: Vec<u64> = Vec::new();
     let (mut t_min, mut t_max) = (f64::INFINITY, f64::NEG_INFINITY);
     for e in events {
@@ -69,14 +70,14 @@ pub fn analyze(events: &[DeviceEvent], rules: Vec<RuleSpec>) -> AnalysisReport {
     }
 }
 
-/// Parses a JSONL trace and analyzes it against `rules`.
+/// Parses a JSONL trace and analyzes it against the default health rules.
 ///
 /// # Errors
 ///
 /// Returns the parse error (with line number) for a malformed trace file.
-pub fn analyze_jsonl(text: &str, rules: Vec<RuleSpec>) -> Result<AnalysisReport, String> {
+pub fn analyze_jsonl(text: &str) -> Result<AnalysisReport, String> {
     let events = from_jsonl(text)?;
-    Ok(analyze(&events, rules))
+    Ok(analyze(&events))
 }
 
 impl AnalysisReport {
@@ -121,7 +122,6 @@ impl AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::default_rules;
     use crate::writer::to_jsonl;
     use sdb_observe::ObsEvent;
 
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn analyzes_counts_and_findings() {
-        let report = analyze(&sample_events(), default_rules());
+        let report = analyze(&sample_events());
         assert_eq!(report.summary.events, 3);
         assert_eq!(report.summary.devices, 2);
         assert_eq!(report.summary.t_min_s, 60.0);
@@ -185,14 +185,14 @@ mod tests {
     #[test]
     fn jsonl_round_trip_matches_direct_analysis() {
         let events = sample_events();
-        let direct = analyze(&events, default_rules());
-        let replayed = analyze_jsonl(&to_jsonl(&events), default_rules()).unwrap();
+        let direct = analyze(&events);
+        let replayed = analyze_jsonl(&to_jsonl(&events)).unwrap();
         assert_eq!(direct.to_json(), replayed.to_json());
     }
 
     #[test]
     fn renders_text_and_json() {
-        let report = analyze(&sample_events(), default_rules());
+        let report = analyze(&sample_events());
         let text = report.render_text(5);
         assert!(text.contains("trace: 3 events, 2 devices"));
         assert!(text.contains("rules evaluated:"));
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn empty_stream_is_harmless() {
-        let report = analyze(&[], default_rules());
+        let report = analyze(&[]);
         assert_eq!(report.summary.events, 0);
         assert_eq!(report.summary.devices, 0);
         assert_eq!(report.rules.findings.len(), 0);
@@ -215,6 +215,6 @@ mod tests {
 
     #[test]
     fn bad_jsonl_reports_error() {
-        assert!(analyze_jsonl("not json\n", default_rules()).is_err());
+        assert!(analyze_jsonl("not json\n").is_err());
     }
 }

@@ -38,7 +38,7 @@ impl Value {
 
     /// The value as a float, if numeric.
     #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
@@ -67,7 +67,7 @@ impl Value {
 
     /// The value as a bool, if boolean.
     #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,

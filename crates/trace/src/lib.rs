@@ -11,25 +11,23 @@
 //!   threads produced it.
 //! - [`json`] — a minimal zero-dependency JSON reader used for trace
 //!   replay (and for validating our own output in tests).
-//! - `rules` — a declarative anomaly/health-rule engine: [`RuleSpec`]s
-//!   select a signal, window, threshold, and severity; the [`RuleEngine`]
-//!   evaluates them incrementally and emits latched [`HealthFinding`]s
-//!   for brownout precursors, wear-imbalance drift, thermal-derate
-//!   oscillation, and charge-directive thrash.
-//! - [`analyze`](mod@analyze) — one-pass trace analysis (stream summary + rule
-//!   evaluation) backing the `sdb analyze` subcommand.
+//! - `rules` — a fixed set of health rules, each a signal, window,
+//!   threshold, and severity; the rule engine evaluates them
+//!   incrementally and emits latched findings for brownout precursors,
+//!   wear-imbalance drift, thermal-derate oscillation, and
+//!   charge-directive thrash.
+//! - `analyze` — one-pass trace analysis (stream summary + rule
+//!   evaluation) backing the `sdb analyze` subcommand: [`analyze()`] and
+//!   [`analyze_jsonl`].
 //!
 //! The crate depends only on `sdb-observe`; the fleet engine and CLI wire
 //! it to live simulations.
 
-pub mod analyze;
+mod analyze;
 pub mod json;
 mod rules;
 mod writer;
 
 pub use analyze::{analyze, analyze_jsonl, AnalysisReport, TraceSummary};
-pub use rules::{
-    default_rules, Cmp, HealthFinding, RuleEngine, RuleReport, RuleSpec, RuleStats, Severity,
-    Signal,
-};
-pub use writer::{event_kind, from_jsonl, from_jsonl_line, to_chrome, to_jsonl, to_jsonl_line};
+pub use rules::{HealthFinding, RuleReport};
+pub use writer::{from_jsonl_line, to_chrome, to_jsonl, to_jsonl_line};

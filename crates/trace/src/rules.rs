@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
+pub(crate) enum Severity {
     /// Worth a look in aggregate.
     Info,
     /// Degraded behavior; the device is on a bad trajectory.
@@ -41,7 +41,7 @@ impl std::fmt::Display for Severity {
 
 /// The signal a rule watches, extracted incrementally from events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Signal {
+pub(crate) enum Signal {
     /// Decline rate of the pack's mean SoC over the window, in SoC
     /// fraction per hour (positive = draining). From step samples.
     SocSagRatePerHour,
@@ -75,112 +75,86 @@ impl Signal {
     }
 }
 
-/// Comparison direction for the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
-    /// Violation when the signal exceeds the threshold.
-    Above,
-    /// Violation when the signal falls below the threshold.
-    Below,
-}
-
 /// One declarative health rule.
 #[derive(Debug, Clone)]
-pub struct RuleSpec {
+pub(crate) struct RuleSpec {
     /// Stable identifier (appears in findings and reports).
-    pub id: String,
-    /// Human-readable description of what a violation means.
-    pub description: String,
+    pub(crate) id: String,
     /// The watched signal.
-    pub signal: Signal,
+    pub(crate) signal: Signal,
     /// Window for windowed signals (rates and counts), seconds.
     /// Instantaneous signals ignore it.
-    pub window_s: f64,
-    /// The threshold the signal is compared against.
-    pub threshold: f64,
-    /// Violation direction.
-    pub cmp: Cmp,
+    pub(crate) window_s: f64,
+    /// A value above this threshold violates the rule.
+    pub(crate) threshold: f64,
     /// Severity of findings this rule emits.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
 }
 
 impl RuleSpec {
     fn violated(&self, value: f64) -> bool {
-        match self.cmp {
-            Cmp::Above => value > self.threshold,
-            Cmp::Below => value < self.threshold,
-        }
+        value > self.threshold
     }
 }
 
 /// The default fleet health-rule set.
 #[must_use]
-pub fn default_rules() -> Vec<RuleSpec> {
+fn default_rules() -> Vec<RuleSpec> {
     vec![
+        // Load went unserved (realized brownout).
         RuleSpec {
             id: "brownout".to_owned(),
-            description: "load went unserved (realized brownout)".to_owned(),
             signal: Signal::UnmetPowerW,
             window_s: 0.0,
             threshold: 1e-6,
-            cmp: Cmp::Above,
             severity: Severity::Critical,
         },
+        // Pack draining faster than 40 %/h over 15 min (brownout precursor).
         RuleSpec {
             id: "soc-sag".to_owned(),
-            description: "pack draining faster than 40 %/h over 15 min (brownout precursor)"
-                .to_owned(),
             signal: Signal::SocSagRatePerHour,
             window_s: 900.0,
             threshold: 0.40,
-            cmp: Cmp::Above,
             severity: Severity::Warning,
         },
+        // SoC spread across the pack beyond 35 % (wear-imbalance drift).
         RuleSpec {
             id: "ccb-imbalance".to_owned(),
-            description: "SoC spread across the pack beyond 35 % (wear-imbalance drift)".to_owned(),
             signal: Signal::SocSpread,
             window_s: 0.0,
             threshold: 0.35,
-            cmp: Cmp::Above,
             severity: Severity::Warning,
         },
+        // More than 4 thermal-throttle transitions in 30 min (derate flapping).
         RuleSpec {
             id: "thermal-oscillation".to_owned(),
-            description: "more than 4 thermal-throttle transitions in 30 min (derate flapping)"
-                .to_owned(),
             signal: Signal::ThermalTransitionsInWindow,
             window_s: 1800.0,
             threshold: 4.0,
-            cmp: Cmp::Above,
             severity: Severity::Warning,
         },
+        // More than 8 accepted ratio pushes in 10 min (policy thrash).
         RuleSpec {
             id: "directive-thrash".to_owned(),
-            description: "more than 8 accepted ratio pushes in 10 min (policy thrash)".to_owned(),
             signal: Signal::DirectivePushesInWindow,
             window_s: 600.0,
             threshold: 8.0,
-            cmp: Cmp::Above,
             severity: Severity::Info,
         },
+        // More than 4 planner re-plans in 30 min (plan instability).
         RuleSpec {
             id: "replan-thrash".to_owned(),
-            description: "more than 4 planner re-plans in 30 min (plan instability)".to_owned(),
             signal: Signal::ReplansInWindow,
             window_s: 1800.0,
             threshold: 4.0,
-            cmp: Cmp::Above,
             severity: Severity::Info,
         },
+        // More than 2 watchdog engagements in 30 min (link repeatedly going dark).
         RuleSpec {
             id: "watchdog-flapping".to_owned(),
-            description: "more than 2 watchdog engagements in 30 min (link repeatedly going dark)"
-                .to_owned(),
             signal: Signal::WatchdogEngagementsInWindow,
             window_s: 1800.0,
             threshold: 2.0,
-            cmp: Cmp::Above,
             severity: Severity::Warning,
         },
     ]
@@ -192,13 +166,13 @@ pub struct HealthFinding {
     /// The violated rule's id.
     pub rule: String,
     /// Device the violation occurred on.
-    pub device: u64,
+    pub(crate) device: u64,
     /// Simulation time of the rising edge, seconds.
-    pub t_s: f64,
+    pub(crate) t_s: f64,
     /// The signal value that crossed the threshold.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Severity inherited from the rule.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
 }
 
 /// Windowed per-`(device, rule)` evaluation state.
@@ -213,18 +187,18 @@ struct RuleState {
 
 /// Per-rule evaluation statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct RuleStats {
+pub(crate) struct RuleStats {
     /// Times the rule's signal was evaluated against its threshold.
-    pub evaluations: u64,
+    pub(crate) evaluations: u64,
     /// Findings emitted (rising edges).
-    pub findings: u64,
+    pub(crate) findings: u64,
     /// Devices with at least one finding.
-    pub devices_affected: u64,
+    pub(crate) devices_affected: u64,
 }
 
 /// Evaluates a rule set incrementally over a (device-tagged) event stream.
 #[derive(Debug)]
-pub struct RuleEngine {
+pub(crate) struct RuleEngine {
     rules: Vec<RuleSpec>,
     states: BTreeMap<(u64, usize), RuleState>,
     affected: BTreeMap<usize, Vec<u64>>,
@@ -233,9 +207,10 @@ pub struct RuleEngine {
 }
 
 impl RuleEngine {
-    /// An engine evaluating `rules`.
+    /// An engine evaluating the [`default_rules`] set.
     #[must_use]
-    pub fn new(rules: Vec<RuleSpec>) -> Self {
+    pub(crate) fn new() -> Self {
+        let rules = default_rules();
         let stats = vec![RuleStats::default(); rules.len()];
         Self {
             rules,
@@ -246,22 +221,10 @@ impl RuleEngine {
         }
     }
 
-    /// An engine with the [`default_rules`] set.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(default_rules())
-    }
-
-    /// The rules being evaluated.
-    #[must_use]
-    pub fn rules(&self) -> &[RuleSpec] {
-        &self.rules
-    }
-
     /// Feeds one event. Events must arrive in non-decreasing `t_s` order
     /// *per device*; interleaving across devices is fine (state is keyed
     /// per device).
-    pub fn process(&mut self, device: u64, t_s: f64, event: &ObsEvent) {
+    pub(crate) fn process(&mut self, device: u64, t_s: f64, event: &ObsEvent) {
         for idx in 0..self.rules.len() {
             let rule = &self.rules[idx];
             // Extract this rule's signal sample from the event, if any.
@@ -358,7 +321,7 @@ impl RuleEngine {
 
     /// Finishes evaluation, returning the report.
     #[must_use]
-    pub fn finish(self) -> RuleReport {
+    pub(crate) fn finish(self) -> RuleReport {
         RuleReport {
             rules: self.rules,
             stats: self.stats,
@@ -371,9 +334,9 @@ impl RuleEngine {
 #[derive(Debug, Clone)]
 pub struct RuleReport {
     /// The evaluated rules.
-    pub rules: Vec<RuleSpec>,
+    pub(crate) rules: Vec<RuleSpec>,
     /// Per-rule statistics, parallel to `rules`.
-    pub stats: Vec<RuleStats>,
+    pub(crate) stats: Vec<RuleStats>,
     /// Every finding, in processing order (device order for a sorted
     /// trace).
     pub findings: Vec<HealthFinding>,
@@ -393,7 +356,7 @@ impl RuleReport {
     /// whose plans stick should keep this near the pushes a single plan
     /// needs; a climbing ratio means directives churn between re-plans.
     #[must_use]
-    pub fn thrash_per_replan(&self) -> Option<f64> {
+    pub(crate) fn thrash_per_replan(&self) -> Option<f64> {
         let count = |signal: Signal| {
             self.rules
                 .iter()
@@ -413,7 +376,7 @@ impl RuleReport {
 
     /// Renders the per-rule summary and the worst findings as text.
     #[must_use]
-    pub fn render_text(&self, max_findings: usize) -> String {
+    pub(crate) fn render_text(&self, max_findings: usize) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -468,7 +431,7 @@ impl RuleReport {
 
     /// Renders the report as deterministic JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\"rules\":[");
         for (i, (rule, stats)) in self.rules.iter().zip(&self.stats).enumerate() {
             if i > 0 {
@@ -527,7 +490,7 @@ mod tests {
 
     #[test]
     fn brownout_fires_once_per_episode() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         // Served, unserved, unserved (latched), served, unserved again.
         for (t, sup) in [
             (60.0, 5.0),
@@ -552,9 +515,9 @@ mod tests {
 
     #[test]
     fn sag_rate_needs_window_history() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         // 60 s steps, mean SoC falling 1 %/min = 60 %/h — over threshold,
-        // but only after ≥450 s of history.
+        // But only after ≥450 s of history.
         for i in 0..20u64 {
             let t = 60.0 * (i + 1) as f64;
             let soc = 1.0 - 0.01 * (i + 1) as f64;
@@ -573,7 +536,7 @@ mod tests {
 
     #[test]
     fn soc_spread_flags_imbalance() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         eng.process(2, 60.0, &step(vec![0.9, 0.8], 1.0, 1.0));
         eng.process(2, 120.0, &step(vec![0.9, 0.4], 1.0, 1.0));
         let report = eng.finish();
@@ -588,7 +551,7 @@ mod tests {
 
     #[test]
     fn thermal_oscillation_counts_in_window() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         let throttle = |engaged| ObsEvent::ThermalThrottle {
             battery: 0,
             engaged,
@@ -608,7 +571,7 @@ mod tests {
             1
         );
         // Spread far apart (outside the window) the same count is fine.
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         for i in 0..5u64 {
             eng.process(1, 2000.0 * (i + 1) as f64, &throttle(i % 2 == 0));
         }
@@ -617,7 +580,7 @@ mod tests {
 
     #[test]
     fn directive_thrash_counts_only_pushed_evaluations() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         let eval = |pushed| ObsEvent::PolicyEvaluation {
             pushed,
             charge_directive: 0.5,
@@ -627,7 +590,7 @@ mod tests {
             eng.process(0, 30.0 * (i + 1) as f64, &eval(i % 2 == 0));
         }
         // 10 pushes in 600 s window: the window holds ≤10 pushed samples →
-        // crosses the >8 threshold.
+        // Crosses the >8 threshold.
         let report = eng.finish();
         assert_eq!(
             report
@@ -652,7 +615,7 @@ mod tests {
             discharge_directive: 0.5,
         };
         // 5 commits within 30 min cross the >4 threshold on the fifth.
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         for i in 0..5u64 {
             eng.process(3, 300.0 * (i + 1) as f64, &commit);
             eng.process(3, 300.0 * (i + 1) as f64 + 1.0, &eval);
@@ -670,7 +633,7 @@ mod tests {
         // 10 pushes over 5 re-plans.
         assert_eq!(report.thrash_per_replan(), Some(2.0));
         // Spread out past the window, the same commits stay quiet.
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         for i in 0..5u64 {
             eng.process(3, 2000.0 * (i + 1) as f64, &commit);
         }
@@ -678,14 +641,14 @@ mod tests {
         assert_eq!(report.findings.len(), 0);
         assert_eq!(report.thrash_per_replan(), Some(0.0));
         // A greedy stream (no commits) reports no ratio at all.
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         eng.process(3, 60.0, &eval);
         assert_eq!(eng.finish().thrash_per_replan(), None);
     }
 
     #[test]
     fn devices_are_tracked_independently() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         eng.process(0, 60.0, &step(vec![0.9, 0.3], 1.0, 1.0));
         eng.process(1, 60.0, &step(vec![0.9, 0.3], 1.0, 1.0));
         let report = eng.finish();
@@ -705,7 +668,7 @@ mod tests {
 
     #[test]
     fn report_renders_text_and_json() {
-        let mut eng = RuleEngine::with_defaults();
+        let mut eng = RuleEngine::new();
         eng.process(0, 60.0, &step(vec![0.9, 0.3], 5.0, 4.0));
         let report = eng.finish();
         assert!(report.rules_evaluated() >= 2);

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 
 /// The `kind` string of one event.
 #[must_use]
-pub fn event_kind(event: &ObsEvent) -> &'static str {
+pub(crate) fn event_kind(event: &ObsEvent) -> &'static str {
     match event {
         ObsEvent::RatioPush { .. } => "ratio_push",
         ObsEvent::ProfileTransition { .. } => "profile_transition",
@@ -361,7 +361,7 @@ pub fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
 /// # Errors
 ///
 /// Returns the first malformed line with its 1-based line number.
-pub fn from_jsonl(text: &str) -> Result<Vec<DeviceEvent>, String> {
+pub(crate) fn from_jsonl(text: &str) -> Result<Vec<DeviceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {

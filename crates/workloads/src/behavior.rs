@@ -15,19 +15,19 @@ use sdb_rng::DetRng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserArchetype {
     /// Device the user carries.
-    pub device: DeviceClass,
+    pub(crate) device: DeviceClass,
     /// Hour the user wakes (trace hours are absolute from midnight).
-    pub wake_hour: f64,
+    pub(crate) wake_hour: f64,
     /// Hour the user sleeps.
-    pub sleep_hour: f64,
+    pub(crate) sleep_hour: f64,
     /// Preferred hour for the daily high-power habit (run/gaming/nav).
-    pub habit_hour: f64,
+    pub(crate) habit_hour: f64,
     /// Probability the habit happens on a given day.
-    pub habit_probability: f64,
+    pub(crate) habit_probability: f64,
     /// Jitter applied to the habit start, hours.
-    pub habit_jitter_h: f64,
+    pub(crate) habit_jitter_h: f64,
     /// Probability per minute of switching activity while awake.
-    pub restlessness: f64,
+    pub(crate) restlessness: f64,
 }
 
 impl UserArchetype {

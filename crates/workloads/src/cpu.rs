@@ -76,30 +76,30 @@ pub struct TaskOutcome {
     /// separately by the pack simulation).
     pub energy_j: f64,
     /// Peak power drawn, watts.
-    pub peak_w: f64,
+    pub(crate) peak_w: f64,
 }
 
 /// The turbo CPU model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TurboCpu {
     /// Package power at the Low level, watts.
-    pub low_w: f64,
+    pub(crate) low_w: f64,
     /// Package power at the Medium level, watts.
-    pub medium_w: f64,
+    pub(crate) medium_w: f64,
     /// Package power at the High level, watts.
-    pub high_w: f64,
+    pub(crate) high_w: f64,
     /// Power drawn while waiting on the network at the Low level, watts
     /// (interrupt handling, race-to-idle residue).
-    pub wait_w: f64,
+    pub(crate) wait_w: f64,
     /// Rest-of-device power (display, DRAM, radio) that runs for the whole
     /// task regardless of level, watts.
     pub rest_w: f64,
     /// Frequency-scaling exponent: perf ∝ (power)^exponent. Sub-linear —
     /// DVFS gives diminishing returns (P ≈ C·V²·f with V ∝ f).
-    pub perf_exponent: f64,
+    pub(crate) perf_exponent: f64,
     /// How much the network-wait power inflates per level step (higher
     /// turbo headroom keeps the package hotter during waits).
-    pub wait_inflation: f64,
+    pub(crate) wait_inflation: f64,
 }
 
 impl TurboCpu {
@@ -160,15 +160,6 @@ impl TurboCpu {
             peak_w: self.power_w(level) + self.rest_w,
         }
     }
-
-    /// Latency and energy of `task` at `level`, normalized to the Low
-    /// level — the Figure 12 quantities.
-    #[must_use]
-    pub fn normalized(&self, task: Task, level: PowerLevel) -> (f64, f64) {
-        let base = self.run(task, PowerLevel::Low);
-        let out = self.run(task, level);
-        (out.latency_s / base.latency_s, out.energy_j / base.energy_j)
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +181,12 @@ mod tests {
         // Paper: up to 26 % better scores on compute benchmarks at High.
         let cpu = TurboCpu::tablet();
         let task = Task::compute_bound(100.0);
-        let (lat_high, energy_high) = cpu.normalized(task, PowerLevel::High);
+        let (low, high) = (
+            cpu.run(task, PowerLevel::Low),
+            cpu.run(task, PowerLevel::High),
+        );
+        let lat_high = high.latency_s / low.latency_s;
+        let energy_high = high.energy_j / low.energy_j;
         // ~26 % latency improvement at High.
         assert!(lat_high < 0.80, "latency ratio {lat_high}");
         assert!(lat_high > 0.68, "latency ratio {lat_high}");
@@ -208,25 +204,20 @@ mod tests {
         // latency benefit for network-bottlenecked workloads.
         let cpu = TurboCpu::tablet();
         let task = Task::network_bound(100.0);
-        let (lat_high, energy_high) = cpu.normalized(task, PowerLevel::High);
+        let (low, high) = (
+            cpu.run(task, PowerLevel::Low),
+            cpu.run(task, PowerLevel::High),
+        );
+        let lat_high = high.latency_s / low.latency_s;
+        let energy_high = high.energy_j / low.energy_j;
         assert!(lat_high > 0.90, "latency ratio {lat_high}");
         assert!(
             energy_high > 1.10 && energy_high < 1.30,
             "energy ratio {energy_high}"
         );
         // Medium sits between.
-        let (_, energy_med) = cpu.normalized(task, PowerLevel::Medium);
+        let energy_med = cpu.run(task, PowerLevel::Medium).energy_j / low.energy_j;
         assert!(energy_med > 1.0 && energy_med < energy_high);
-    }
-
-    #[test]
-    fn low_level_is_the_baseline() {
-        let cpu = TurboCpu::tablet();
-        for task in [Task::network_bound(50.0), Task::compute_bound(50.0)] {
-            let (l, e) = cpu.normalized(task, PowerLevel::Low);
-            assert!((l - 1.0).abs() < 1e-12);
-            assert!((e - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

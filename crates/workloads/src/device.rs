@@ -35,19 +35,19 @@ pub enum Activity {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DevicePower {
     /// Platform.
-    pub class: DeviceClass,
+    pub(crate) class: DeviceClass,
     /// Floor power with screen off.
-    pub idle_w: f64,
+    pub(crate) idle_w: f64,
     /// Display at typical brightness.
-    pub display_w: f64,
+    pub(crate) display_w: f64,
     /// Radio actively transferring.
-    pub radio_w: f64,
+    pub(crate) radio_w: f64,
     /// GPS receiver tracking.
-    pub gps_w: f64,
+    pub(crate) gps_w: f64,
     /// CPU/GPU at the sustained (long-term) level.
-    pub cpu_sustained_w: f64,
+    pub(crate) cpu_sustained_w: f64,
     /// CPU/GPU burst ceiling.
-    pub cpu_burst_w: f64,
+    pub(crate) cpu_burst_w: f64,
 }
 
 impl DevicePower {
@@ -102,12 +102,6 @@ impl DevicePower {
             }
         }
     }
-
-    /// Peak power the device can ask for (burst CPU + everything on), watts.
-    #[must_use]
-    pub fn peak_w(&self) -> f64 {
-        self.idle_w + self.display_w + self.radio_w + self.gps_w + self.cpu_burst_w
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +131,6 @@ mod tests {
             assert!(d.draw_w(Activity::Idle) < d.draw_w(Activity::Interactive));
             assert!(d.draw_w(Activity::Interactive) < d.draw_w(Activity::Network));
             assert!(d.draw_w(Activity::Network) < d.draw_w(Activity::Compute));
-            assert!(d.peak_w() > d.draw_w(Activity::Compute));
         }
     }
 

@@ -37,7 +37,6 @@ pub mod device;
 mod spec;
 pub mod traces;
 
-pub use cpu::{PowerLevel, Task, TaskOutcome, TurboCpu};
-pub use device::{Activity, DeviceClass, DevicePower};
+pub use device::Activity;
 pub use spec::WorkloadSpec;
-pub use traces::{Trace, TracePoint};
+pub use traces::Trace;

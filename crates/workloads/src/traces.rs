@@ -60,11 +60,6 @@ impl Trace {
         });
     }
 
-    /// Appends another trace.
-    pub fn extend(&mut self, other: &Trace) {
-        self.points.extend_from_slice(&other.points);
-    }
-
     /// The segments.
     #[must_use]
     pub fn points(&self) -> &[TracePoint] {
@@ -100,21 +95,10 @@ impl Trace {
         self.points.iter().map(|p| p.load_w).fold(0.0, f64::max)
     }
 
-    /// Serializes the trace as CSV (`dur_s,load_w,external_w` with a
-    /// header row) — the interchange format for captured power-meter
-    /// traces.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("dur_s,load_w,external_w\n");
-        for p in &self.points {
-            out.push_str(&format!("{},{},{}\n", p.dur_s, p.load_w, p.external_w));
-        }
-        out
-    }
-
-    /// Parses a trace from the CSV format written by [`Trace::to_csv`].
-    /// The `external_w` column is optional (defaults to 0); a header row
-    /// is skipped if present; blank lines and `#` comments are ignored.
+    /// Parses a trace from CSV (`dur_s,load_w,external_w` per line) — the
+    /// interchange format for captured power-meter traces. The
+    /// `external_w` column is optional (defaults to 0); a header row is
+    /// skipped if present; blank lines and `#` comments are ignored.
     ///
     /// # Errors
     ///
@@ -614,15 +598,6 @@ mod tests {
         assert!((t.mean_load_w() - 3.0).abs() < 1e-12);
         assert_eq!(t.peak_load_w(), 4.0);
         assert!((t.load_energy_j() - 60.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let original = watch_day(3, Some(9.0));
-        let csv = original.to_csv();
-        let parsed = Trace::from_csv(&csv).unwrap();
-        assert_eq!(parsed.points().len(), original.points().len());
-        assert!((parsed.load_energy_j() - original.load_energy_j()).abs() < 1e-6);
     }
 
     #[test]

@@ -575,7 +575,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let analysis = match sdbtrace::analyze_jsonl(&text, sdbtrace::default_rules()) {
+    let analysis = match sdbtrace::analyze_jsonl(&text) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("cannot parse trace `{path}`: {e}");

@@ -5,12 +5,14 @@
 //! charging and discharging are scheduled by an OS-level runtime through
 //! four hardware APIs.
 //!
-//! The workspace is layered bottom-up; this facade re-exports every layer:
+//! The workspace is layered bottom-up; this facade re-exports every layer
+//! that programs name:
 //!
 //! * [`battery_model`] — electrochemical substrate: Thevenin cells,
 //!   chemistry library, aging, thermal models (paper §2, §4.3).
-//! * [`power_electronics`] — regulators, switching circuits and
-//!   measurement chains (paper §3.2).
+//! * `sdb-power-electronics` (not re-exported: only the emulator uses
+//!   it) — regulators, switching circuits and measurement chains (paper
+//!   §3.2).
 //! * [`fuel_gauge`] — coulomb counting and SoC estimation (paper §2.2).
 //! * [`emulator`] — the SDB "hardware": microcontroller, profiles, pack,
 //!   lossy OS link (paper §4).
@@ -87,7 +89,6 @@ pub use sdb_fleet as fleet;
 pub use sdb_fuel_gauge as fuel_gauge;
 pub use sdb_observe as observe;
 pub use sdb_policy as policy;
-pub use sdb_power_electronics as power_electronics;
 pub use sdb_prof as prof;
 pub use sdb_trace as trace;
 pub use sdb_workloads as workloads;

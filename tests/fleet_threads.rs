@@ -27,8 +27,9 @@ fn dir(label: &str) -> PathBuf {
 }
 
 /// Runs `sdb fleet <fleet> --seed 7` at 1 and 4 threads, writing every
-/// output file, and asserts each pair is byte-identical.
-fn fleet_files_match_across_threads(label: &str, fleet: &[&str], traced: bool) {
+/// output file, and asserts each pair is byte-identical. Returns the
+/// 1-thread run's directory.
+fn fleet_files_match_across_threads(label: &str, fleet: &[&str], traced: bool) -> PathBuf {
     let mut files = vec!["report.json", "metrics.json"];
     if traced {
         files.extend(["trace.jsonl", "trace.chrome.json"]);
@@ -60,6 +61,7 @@ fn fleet_files_match_across_threads(label: &str, fleet: &[&str], traced: bool) {
         metrics.matches("\"name\":").count(),
         "{label}: --metrics-out holds a non-counter:\n{metrics}"
     );
+    one
 }
 
 #[test]
@@ -82,6 +84,22 @@ fn planned_fleet_files_are_byte_identical_across_thread_counts() {
         "fleet-planned",
         &["--devices", "16", "--hours", "2", "--policy", "planned"],
         true,
+    );
+}
+
+/// A wider planned population over the first hour: more devices share
+/// each shard, and the planner leaves its commits in the event stream.
+#[test]
+fn wide_planned_fleet_files_are_byte_identical_and_record_plan_commits() {
+    let dir = fleet_files_match_across_threads(
+        "fleet-planned-wide",
+        &["--devices", "64", "--hours", "1", "--policy", "planned"],
+        true,
+    );
+    let trace = std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
+    assert!(
+        trace.lines().any(|line| line.contains("plan_commit")),
+        "the planned fleet's trace holds no plan_commit event"
     );
 }
 
