@@ -5,13 +5,11 @@ use sdb_core::scenarios::two_in_one::{two_in_one_comparison, TwoInOneRow};
 
 /// Seed used by the published figure.
 pub(crate) const SEED: u64 = 21;
-/// Per-battery capacity, amp-hours.
-pub(crate) const CAPACITY_AH: f64 = 4.0;
 
 /// The Figure 14 rows: one per workload.
 #[must_use]
 pub fn fig14_rows() -> Vec<TwoInOneRow> {
-    two_in_one_comparison(SEED, CAPACITY_AH)
+    two_in_one_comparison(SEED)
 }
 
 /// Renders Figure 14.

@@ -33,7 +33,7 @@ mod tests {
     use sdb_workloads::device::Activity;
     use sdb_workloads::traces::tablet_session;
 
-    /// Figure 14 (seed 21, 4 Ah): simultaneous and charge-through life
+    /// Figure 14 (seed 21): simultaneous and charge-through life
     /// per workload, seconds.
     const FIG14: [u64; 16] = [
         0x40d5ea0000000000,
@@ -143,7 +143,7 @@ mod tests {
     /// left these results exact.
     #[test]
     fn paper_scenarios_keep_their_bits() {
-        let fig14: Vec<u64> = two_in_one_comparison(21, 4.0)
+        let fig14: Vec<u64> = two_in_one_comparison(21)
             .iter()
             .flat_map(|r| [r.simultaneous_life_s, r.charge_through_life_s])
             .map(f64::to_bits)
@@ -154,13 +154,13 @@ mod tests {
         let compute = tablet_session(5, &[Activity::Compute], 300.0, 1800.0);
         let day = 24.0 * 3600.0;
         let two_in_one = [
-            battery_life_s(Strategy::SimultaneousDraw, &mixed, 4.0, day),
-            battery_life_s(Strategy::ChargeThrough, &mixed, 4.0, day),
-            battery_life_with_detach(Strategy::SimultaneousDraw, &mixed, 4.0, day, 600.0, 3000.0),
-            battery_life_with_detach(Strategy::ChargeThrough, &compute, 4.0, day, 300.0, 300.0),
-            battery_life_with_detach(Strategy::ChargeThrough, &mixed, 4.0, day, 600.0, 3000.0),
-            battery_life_s(Strategy::SimultaneousDraw, &mixed, 4.0, 3600.0),
-            battery_life_s(Strategy::ChargeThrough, &compute, 4.0, 5000.0),
+            battery_life_s(Strategy::SimultaneousDraw, &mixed, day),
+            battery_life_s(Strategy::ChargeThrough, &mixed, day),
+            battery_life_with_detach(Strategy::SimultaneousDraw, &mixed, day, 600.0, 3000.0),
+            battery_life_with_detach(Strategy::ChargeThrough, &compute, day, 300.0, 300.0),
+            battery_life_with_detach(Strategy::ChargeThrough, &mixed, day, 600.0, 3000.0),
+            battery_life_s(Strategy::SimultaneousDraw, &mixed, 3600.0),
+            battery_life_s(Strategy::ChargeThrough, &compute, 5000.0),
         ];
         assert_eq!(two_in_one.map(f64::to_bits), TWO_IN_ONE);
 

@@ -11,11 +11,8 @@
 use crate::policy::DischargeDirective;
 use crate::runtime::SdbRuntime;
 use crate::scheduler::{drive, Hooks, SimOptions, SimResult};
-use sdb_battery_model::chemistry::Chemistry;
-use sdb_battery_model::spec::BatterySpec;
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
-use sdb_emulator::profile::ProfileKind;
+use sdb_emulator::pack::PackTemplate;
 use sdb_workloads::traces::{two_in_one_workloads, Trace};
 use std::ops::ControlFlow;
 
@@ -55,30 +52,21 @@ impl TwoInOneRow {
     }
 }
 
-/// Builds the 2-in-1 pack: two equal Type 2 cells (Section 5.3: "two equal
-/// sized traditional Li-ion batteries").
+/// Builds the 2-in-1 pack: the catalog `two-in-one`, two equal 4 Ah Type 2
+/// cells (Section 5.3: "two equal sized traditional Li-ion batteries").
 #[must_use]
-pub(crate) fn build_pack(capacity_ah: f64) -> Microcontroller {
-    PackBuilder::new()
-        .battery_at(
-            BatterySpec::from_chemistry("internal", Chemistry::Type2CoStandard, capacity_ah),
-            1.0,
-            ProfileKind::Standard,
-        )
-        .battery_at(
-            BatterySpec::from_chemistry("external", Chemistry::Type2CoStandard, capacity_ah),
-            1.0,
-            ProfileKind::Standard,
-        )
-        .build()
+pub(crate) fn build_pack() -> Microcontroller {
+    PackTemplate::named("two-in-one", 1.0)
+        .expect("two-in-one is a catalog pack")
+        .instantiate()
 }
 
 /// Runs one workload to exhaustion under a strategy and returns battery
 /// life in seconds. The trace is repeated until the pack browns out (or
 /// `cap_s` elapses).
 #[must_use]
-pub fn battery_life_s(strategy: Strategy, workload: &Trace, capacity_ah: f64, cap_s: f64) -> f64 {
-    battery_life_with_detach(strategy, workload, capacity_ah, cap_s, f64::INFINITY, 0.0)
+pub fn battery_life_s(strategy: Strategy, workload: &Trace, cap_s: f64) -> f64 {
+    battery_life_with_detach(strategy, workload, cap_s, f64::INFINITY, 0.0)
 }
 
 /// Like [`battery_life_s`], but the keyboard base (the external battery)
@@ -90,13 +78,12 @@ pub fn battery_life_s(strategy: Strategy, workload: &Trace, capacity_ah: f64, ca
 pub(crate) fn battery_life_with_detach(
     strategy: Strategy,
     workload: &Trace,
-    capacity_ah: f64,
     cap_s: f64,
     docked_s: f64,
     undocked_s: f64,
 ) -> f64 {
     assert!(docked_s > 0.0 && undocked_s >= 0.0 && cap_s.is_finite());
-    let mut micro = build_pack(capacity_ah);
+    let mut micro = build_pack();
     let mut runtime = SdbRuntime::new(2);
     runtime.set_discharge_directive(DischargeDirective::new(1.0));
     runtime.set_update_period(60.0);
@@ -166,25 +153,15 @@ pub(crate) fn battery_life_with_detach(
 
 /// Runs the full Figure 14 comparison across the named workloads.
 #[must_use]
-pub fn two_in_one_comparison(seed: u64, capacity_ah: f64) -> Vec<TwoInOneRow> {
+pub fn two_in_one_comparison(seed: u64) -> Vec<TwoInOneRow> {
     two_in_one_workloads(seed)
         .into_iter()
         .map(|(name, trace)| {
             let cap_s = 48.0 * 3600.0;
             TwoInOneRow {
                 workload: name,
-                simultaneous_life_s: battery_life_s(
-                    Strategy::SimultaneousDraw,
-                    &trace,
-                    capacity_ah,
-                    cap_s,
-                ),
-                charge_through_life_s: battery_life_s(
-                    Strategy::ChargeThrough,
-                    &trace,
-                    capacity_ah,
-                    cap_s,
-                ),
+                simultaneous_life_s: battery_life_s(Strategy::SimultaneousDraw, &trace, cap_s),
+                charge_through_life_s: battery_life_s(Strategy::ChargeThrough, &trace, cap_s),
             }
         })
         .collect()
@@ -201,8 +178,8 @@ mod tests {
         // One representative workload is enough for the unit test (the
         // full sweep runs in the figure harness).
         let trace = tablet_session(5, &[Activity::Network, Activity::Compute], 300.0, 3600.0);
-        let sim = battery_life_s(Strategy::SimultaneousDraw, &trace, 4.0, 24.0 * 3600.0);
-        let ct = battery_life_s(Strategy::ChargeThrough, &trace, 4.0, 24.0 * 3600.0);
+        let sim = battery_life_s(Strategy::SimultaneousDraw, &trace, 24.0 * 3600.0);
+        let ct = battery_life_s(Strategy::ChargeThrough, &trace, 24.0 * 3600.0);
         let improvement = (sim / ct - 1.0) * 100.0;
         assert!(
             improvement > 5.0 && improvement < 40.0,
@@ -215,9 +192,9 @@ mod tests {
         let trace = tablet_session(5, &[Activity::Network, Activity::Compute], 300.0, 3600.0);
         let cap = 24.0 * 3600.0;
         // Always docked vs docked only 10 minutes per hour.
-        let sim_docked = battery_life_s(Strategy::SimultaneousDraw, &trace, 4.0, cap);
+        let sim_docked = battery_life_s(Strategy::SimultaneousDraw, &trace, cap);
         let sim_undocked =
-            battery_life_with_detach(Strategy::SimultaneousDraw, &trace, 4.0, cap, 600.0, 3000.0);
+            battery_life_with_detach(Strategy::SimultaneousDraw, &trace, cap, 600.0, 3000.0);
         // Undocking removes the second battery most of the time: life
         // drops substantially (the internal cell carries the day alone).
         assert!(
@@ -233,14 +210,8 @@ mod tests {
     fn detach_while_transfer_active_is_safe() {
         let trace = tablet_session(5, &[Activity::Compute], 300.0, 1800.0);
         // Charge-through with rapid dock cycling: transfers abort cleanly.
-        let life = battery_life_with_detach(
-            Strategy::ChargeThrough,
-            &trace,
-            4.0,
-            24.0 * 3600.0,
-            300.0,
-            300.0,
-        );
+        let life =
+            battery_life_with_detach(Strategy::ChargeThrough, &trace, 24.0 * 3600.0, 300.0, 300.0);
         assert!(life > 3600.0, "life = {life}");
     }
 
@@ -250,7 +221,7 @@ mod tests {
         // Charge-through still extracts energy from the external cell (via
         // transfer); its life must far exceed a single-battery life.
         let single = {
-            let mut micro = build_pack(4.0);
+            let mut micro = build_pack();
             micro.set_discharge_ratios(&[1.0, 0.0]).unwrap();
             // No transfer: internal battery only.
             let mut elapsed = 0.0;
@@ -266,7 +237,7 @@ mod tests {
             }
             elapsed
         };
-        let ct = battery_life_s(Strategy::ChargeThrough, &trace, 4.0, 24.0 * 3600.0);
+        let ct = battery_life_s(Strategy::ChargeThrough, &trace, 24.0 * 3600.0);
         assert!(ct > 1.5 * single, "ct {ct} vs single {single}");
     }
 }

@@ -26,8 +26,8 @@ fn main() {
     );
     for (name, acts) in workloads {
         let trace = tablet_session(7, &acts, 300.0, 3600.0);
-        let sim = battery_life_s(Strategy::SimultaneousDraw, &trace, 4.0, 48.0 * 3600.0);
-        let ct = battery_life_s(Strategy::ChargeThrough, &trace, 4.0, 48.0 * 3600.0);
+        let sim = battery_life_s(Strategy::SimultaneousDraw, &trace, 48.0 * 3600.0);
+        let ct = battery_life_s(Strategy::ChargeThrough, &trace, 48.0 * 3600.0);
         println!(
             "{:<14} {:>18.2} {:>18.2} {:>13.1}%",
             name,

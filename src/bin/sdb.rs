@@ -3,6 +3,10 @@
 //! The subcommands and their flags are declared once, in [`USAGE`]:
 //! `sdb` prints it on a usage error, and each subcommand accepts exactly
 //! the flags its usage line lists.
+//!
+//! Every subcommand returns `Ok` with its exit status, or `Err` with the
+//! message of the failure that stopped it, which `main` prints before
+//! exiting 1. A usage error exits 1 before any work starts.
 
 use sdb::core::policy::{ChargeDirective, DischargeDirective};
 use sdb::core::runtime::SdbRuntime;
@@ -10,7 +14,7 @@ use sdb::core::scheduler::{drive, run_charge_session, Hooks, SimOptions, SimResu
 use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
 use sdb::observe::{DeviceEvent, Observer};
-use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
+use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
 use sdb::prof::Snapshot;
 use sdb::trace as sdbtrace;
 use sdb::workloads::{Trace, WorkloadSpec};
@@ -28,9 +32,22 @@ const PLANNED: PolicySpec = PolicySpec::Planned {
     replan_s: 1800.0,
 };
 
-/// Seed offset of `sdb sim`'s planner warm-up days (32 bits wide, where
-/// the fleet and the campaign use [`sdb::policy::WARMUP_SALT`]).
-const SIM_WARMUP_SALT: u64 = 0x9E37_79B9;
+/// A subcommand: its parsed flags in, its exit status or failure out.
+type Command = fn(&HashMap<String, String>) -> Result<ExitCode, String>;
+
+/// Every subcommand `sdb <name>` runs, by name. `sdb profile` runs the
+/// four its usage line names.
+const COMMANDS: [(&str, Command); 9] = [
+    ("packs", |_| list(PackTemplate::catalog(), 14)),
+    ("traces", |_| list(WorkloadSpec::catalog(), 16)),
+    ("sim", cmd_sim),
+    ("charge", cmd_charge),
+    ("status", cmd_status),
+    ("fleet", cmd_fleet),
+    ("analyze", cmd_analyze),
+    ("policy", cmd_policy),
+    ("campaign", cmd_campaign),
+];
 
 /// Pipe-safe print: `println!` panics on `EPIPE`, but CLI output is
 /// routinely piped into `head`/`grep` — treat a closed pipe as a normal
@@ -47,6 +64,24 @@ fn emit(text: &str) {
         std::process::exit(1);
     }
     let _ = lock.flush();
+}
+
+/// Writes `text`, the `what` of a run, to `path` and says so on stderr.
+fn write_file(path: &str, text: &str, what: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("failed to write {what} to {path}: {e}"))?;
+    eprintln!("wrote {what} to {path}");
+    Ok(())
+}
+
+/// Writes a report to `--out`, or prints it when there is none.
+fn write_out(flags: &HashMap<String, String>, body: &str, what: &str) -> Result<(), String> {
+    match flags.get("out") {
+        Some(path) => write_file(path, body, what),
+        None => {
+            emit(body);
+            Ok(())
+        }
+    }
 }
 
 /// Parses `sdb <cmd>`'s arguments into `--name value` pairs (a flag
@@ -107,11 +142,6 @@ usage:
   sdb profile [--format text|counts|json|flame] [--out <path>] sim|fleet|campaign|policy [that command's flags]
   sdb campaign [--scenarios <a,b>] [--chemistries <a,b>] [--faults <a,b>] [--policies <a,b>] [--engines <a,b>] [--seed <N>] [--hours <H>] [--devices-per-cell <N>] [--threads <N>] [--list] [--checkpoint <path>] [--stop-after <N>] [--baseline <path>] [--write-baseline] [--inject-divergence <key>] [--format text|json|html] [--out <path>]
   sdb --version";
-
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::FAILURE
-}
 
 /// Reports a usage error and exits with status 1. Flag helpers call it
 /// before a subcommand starts work, so nothing is half written.
@@ -227,52 +257,42 @@ fn sim_policy_flag(flags: &HashMap<String, String>) -> PolicySpec {
 
 /// Prints a catalog's `(name, description)` pairs, names padded to
 /// `width`.
-fn list(catalog: impl Iterator<Item = (&'static str, &'static str)>, width: usize) -> ExitCode {
+fn list(
+    catalog: impl Iterator<Item = (&'static str, &'static str)>,
+    width: usize,
+) -> Result<ExitCode, String> {
     let mut out = String::new();
     for (name, about) in catalog {
         let _ = writeln!(out, "  {name:<width$} {about}");
     }
     emit(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `--trace-out` of `sdb sim` and `sdb fleet`: writes the replayable
 /// JSONL to `path` and a Perfetto-loadable Chrome `trace_event` export
 /// next to it (`fleet.jsonl` → `fleet.chrome.json`, anything else gets
 /// `.chrome.json` appended).
-fn write_trace(path: &str, events: &[DeviceEvent]) -> Result<(), ()> {
+fn write_trace(path: &str, events: &[DeviceEvent]) -> Result<(), String> {
     let chrome = match path.strip_suffix(".jsonl") {
         Some(stem) => format!("{stem}.chrome.json"),
         None => format!("{path}.chrome.json"),
     };
-    for (file, text) in [
-        (path, sdbtrace::to_jsonl(events)),
-        (&chrome, sdbtrace::to_chrome(events)),
-    ] {
-        if let Err(e) = std::fs::write(file, text) {
-            eprintln!("failed to write trace to {file}: {e}");
-            return Err(());
-        }
-    }
-    eprintln!("wrote {} events to {path} (+ {chrome})", events.len());
-    Ok(())
+    let what = format!("trace ({} events)", events.len());
+    write_file(path, &sdbtrace::to_jsonl(events), &what)?;
+    write_file(&chrome, &sdbtrace::to_chrome(events), "Chrome trace")
 }
 
-fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_sim(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let seed: u64 = flag_or(flags, "seed", 13);
     let (pack_name, mut micro) = pack_flag(flags, "watch", 1.0);
     // A recorded CSV trace replays as a workload that ignores its seed.
     let (workload, trace_name) = if let Some(path) = flags.get("trace-file") {
-        match std::fs::read_to_string(path)
+        let trace = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| Trace::from_csv(&text))
-        {
-            Ok(t) => (WorkloadSpec::Shared(Arc::new(t)), path.clone()),
-            Err(e) => {
-                eprintln!("cannot load trace file `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+            .map_err(|e| format!("cannot load trace file `{path}`: {e}"))?;
+        (WorkloadSpec::Shared(Arc::new(trace)), path.clone())
     } else {
         let name = flags.get("trace").map_or("watch-day", String::as_str);
         match WorkloadSpec::named(name) {
@@ -298,7 +318,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
     } else {
         1
     };
-    let history = warmup_seeds(seed, days, SIM_WARMUP_SALT).map(|d| workload.build(d));
+    let history = warmup_seeds(seed, days, WARMUP_SALT).map(|d| workload.build(d));
     // 60 s is the runtime's default re-evaluation period.
     let mut planner = sim_policy_flag(flags).install(&mut runtime, 60.0, &trace, history);
     let opts = SimOptions::default();
@@ -316,9 +336,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
         |_, _, _| ControlFlow::Continue(()),
     );
     if let Some((path, obs)) = trace_out {
-        if write_trace(path, &obs.drain_events()).is_err() {
-            return ExitCode::FAILURE;
-        }
+        write_trace(path, &obs.drain_events())?;
     }
     let mut out = String::new();
     let _ = writeln!(out, "pack:          {pack_name}");
@@ -371,10 +389,10 @@ fn cmd_sim(flags: &HashMap<String, String>) -> ExitCode {
         }
     }
     emit(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_charge(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let watts = flag_checked(
         flags,
         "watts",
@@ -421,10 +439,10 @@ fn cmd_charge(flags: &HashMap<String, String>) -> ExitCode {
         }
     }
     emit(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_status(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let soc = flag_checked(
         flags,
         "soc",
@@ -465,14 +483,14 @@ fn cmd_status(flags: &HashMap<String, String>) -> ExitCode {
     let _ = writeln!(out, "  voltage:            {:.0} mV", info.voltage_mv);
     let _ = writeln!(out, "  state:              {:?}", info.state);
     emit(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs a deterministic multi-device fleet simulation and prints the
 /// merged report (human-readable by default, canonical JSON with
 /// `--json`). The report is a pure function of `--devices`/`--seed`/
 /// `--hours`; `--threads` only changes wall-clock time.
-fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_fleet(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let devices: usize = flag_or(flags, "devices", 1000);
     let threads: usize = flag_or(
         flags,
@@ -496,28 +514,21 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
     });
     let capture_events = flags.contains_key("trace-out");
     if capture_events && engine == fleet::EngineKind::Soa {
-        eprintln!(
+        return Err(
             "--trace-out requires --engine scalar (fast-forwarded ticks emit no step events)"
+                .to_owned(),
         );
-        return ExitCode::FAILURE;
     }
     let opts = fleet::RunOptions {
         engine,
         capture_events,
         ..fleet::RunOptions::new(threads)
     };
-    let (report, stats, events) = match fleet::run_fleet(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (report, stats, events) =
+        fleet::run_fleet(&spec, &opts).map_err(|e| format!("fleet run failed: {e}"))?;
 
     if let (Some(events), Some(path)) = (&events, flags.get("trace-out")) {
-        if write_trace(path, events).is_err() {
-            return ExitCode::FAILURE;
-        }
+        write_trace(path, events)?;
     }
 
     if let Some(path) = flags.get("metrics-out") {
@@ -526,17 +537,11 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
         } else {
             stats.registry.to_prometheus_text()
         };
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote metrics to {path}");
+        write_file(path, &text, "metrics")?;
     }
 
     let body = if flags.contains_key("json") {
-        let mut s = report.to_json();
-        s.push('\n');
-        s
+        report.to_json() + "\n"
     } else {
         format!(
             "{}threads: {}  engine: {}  wall: {:.2} s  throughput: {:.0} devices/sec\n",
@@ -547,72 +552,42 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> ExitCode {
             stats.devices_per_sec
         )
     };
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("failed to write report to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote report to {path}");
-    } else {
-        emit(&body);
-    }
-    ExitCode::SUCCESS
+    write_out(flags, &body, "report")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Replays a JSONL trace recorded by `--trace-out` through the default
 /// health-rule set and prints the findings.
-fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_analyze(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let max_findings: usize = flag_or(flags, "max-findings", 20);
     let Some(path) = flags.get("trace") else {
         usage_error(
             "`sdb analyze` needs --trace <jsonl> (record one with `sdb fleet --trace-out`)",
         );
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read trace `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let analysis = match sdbtrace::analyze_jsonl(&text) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot parse trace `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
+    let analysis =
+        sdbtrace::analyze_jsonl(&text).map_err(|e| format!("cannot parse trace `{path}`: {e}"))?;
     let body = if flags.contains_key("json") {
-        let mut s = analysis.to_json();
-        s.push('\n');
-        s
+        analysis.to_json() + "\n"
     } else {
         analysis.render_text(max_findings)
     };
     emit(&body);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_policy(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_policy(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let seed: u64 = flag_or(flags, "seed", 42);
     let h2h = sdb::policy::run_head_to_head(seed);
-    let text = if flags.contains_key("json") {
-        let mut json = h2h.to_json();
-        json.push('\n');
-        json
+    let body = if flags.contains_key("json") {
+        h2h.to_json() + "\n"
     } else {
         h2h.render_text()
     };
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("failed to write report to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote policy report to {path}");
-    } else {
-        emit(&text);
-    }
-    ExitCode::SUCCESS
+    write_out(flags, &body, "policy report")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses a comma-separated axis flag, falling back to `default`.
@@ -634,7 +609,7 @@ fn axis_list(flags: &HashMap<String, String>, key: &str, default: &[String]) -> 
 /// divergence (after printing the minimized culprit and its repro
 /// command), 3 interrupted by `--stop-after` (resume with the same
 /// `--checkpoint`).
-fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_campaign(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     use sdb::campaign::{self, CampaignOptions, CampaignRun, CampaignSpec};
 
     let default = CampaignSpec::default();
@@ -648,13 +623,7 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         hours: flag_or(flags, "hours", default.hours),
         devices_per_cell: flag_or(flags, "devices-per-cell", default.devices_per_cell),
     };
-    let cells = match spec.cells() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cells = spec.cells()?;
 
     if flags.contains_key("list") {
         let mut out = format!(
@@ -668,17 +637,17 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
             let _ = writeln!(out, "  [{:>3}] {}", c.index, c.key());
         }
         emit(&out);
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let stop_after: Option<usize> = flag(flags, "stop-after");
     let checkpoint = flags.get("checkpoint").map(std::path::PathBuf::from);
     if stop_after.is_some() && checkpoint.is_none() {
-        eprintln!(
+        return Err(
             "--stop-after requires --checkpoint: an interrupted run without a \
-             checkpoint saves nothing"
+                    checkpoint saves nothing"
+                .to_owned(),
         );
-        return ExitCode::FAILURE;
     }
     let opts = CampaignOptions {
         threads: flag_or(flags, "threads", 1),
@@ -686,98 +655,48 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         stop_after,
     };
 
-    let run = match campaign::run_campaign(&spec, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let report = match run {
+    let report = match campaign::run_campaign(&spec, &opts)? {
         CampaignRun::Complete(r) => *r,
         CampaignRun::Interrupted { completed, total } => {
             eprintln!(
                 "campaign interrupted: {completed}/{total} units checkpointed; \
                  re-run with the same --checkpoint to resume"
             );
-            return ExitCode::from(3);
+            return Ok(ExitCode::from(3));
         }
     };
 
-    let format = flags.get("format").map(String::as_str).unwrap_or("text");
-    let body = match format {
+    let body = match flags.get("format").map_or("text", String::as_str) {
         "text" => report.render_text(),
-        "json" => {
-            let mut j = report.to_json();
-            j.push('\n');
-            j
-        }
+        "json" => report.to_json() + "\n",
         "html" => report.render_html(),
-        other => {
-            eprintln!("unknown --format `{other}` (want text|json|html)");
-            return ExitCode::FAILURE;
-        }
+        other => return Err(format!("unknown --format `{other}` (want text|json|html)")),
     };
-    if let Some(path) = flags.get("out") {
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("failed to write report to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote campaign report to {path}");
-    } else {
-        emit(&body);
-    }
+    write_out(flags, &body, "campaign report")?;
 
     let Some(baseline_path) = flags.get("baseline") else {
         if flags.contains_key("write-baseline") || flags.contains_key("inject-divergence") {
-            eprintln!("--write-baseline / --inject-divergence require --baseline <path>");
-            return ExitCode::FAILURE;
+            return Err("--write-baseline / --inject-divergence require --baseline <path>".into());
         }
         return violations_exit(&report);
     };
 
     if flags.contains_key("write-baseline") {
         let text = campaign::Baseline::from_report(&report).render();
-        if let Err(e) = std::fs::write(baseline_path, text) {
-            eprintln!("failed to write baseline to {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "wrote golden baseline ({} cells) to {baseline_path}",
-            report.cells.len()
-        );
+        let what = format!("golden baseline ({} cells)", report.cells.len());
+        write_file(baseline_path, &text, &what)?;
         return violations_exit(&report);
     }
 
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut baseline = match campaign::Baseline::parse(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot parse baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+    let mut baseline = campaign::Baseline::parse(&text)
+        .map_err(|e| format!("cannot parse baseline {baseline_path}: {e}"))?;
     if let Some(key) = flags.get("inject-divergence") {
-        if let Err(e) = baseline.inject_divergence(key) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        baseline.inject_divergence(key)?;
         eprintln!("injected a synthetic divergence into baseline cell {key} for self-test");
     }
-    let cmp = match campaign::compare(&report, &baseline) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cmp = campaign::compare(&report, &baseline)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -805,18 +724,16 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
         out.push_str(&culprit.render_text());
     }
     emit(&out);
-    ExitCode::from(2)
+    Ok(ExitCode::from(2))
 }
 
 /// The exit status of a campaign whose report is written: failure when
 /// any device broke an invariant.
-fn violations_exit(report: &sdb::campaign::CampaignReport) -> ExitCode {
-    let violations = report.total_violations();
-    if violations > 0 {
-        eprintln!("{violations} invariant violations detected");
-        return ExitCode::FAILURE;
+fn violations_exit(report: &sdb::campaign::CampaignReport) -> Result<ExitCode, String> {
+    match report.total_violations() {
+        0 => Ok(ExitCode::SUCCESS),
+        violations => Err(format!("{violations} invariant violations detected")),
     }
-    ExitCode::SUCCESS
 }
 
 /// Runs `sdb <cmd>` (`sim`, `fleet`, `campaign` or `policy`, with that
@@ -828,7 +745,7 @@ fn violations_exit(report: &sdb::campaign::CampaignReport) -> ExitCode {
 /// wall-clock facts quarantined in a separate section. `--format counts`
 /// renders only the deterministic section; `--format flame` emits
 /// collapsed stacks valued by deterministic call counts.
-fn cmd_profile(args: &[String]) -> ExitCode {
+fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
     // The profiler's own flags, each with its value, come before the
     // command name.
     let mut split = 0;
@@ -843,15 +760,13 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     let Some((cmd, rest)) = args[split..].split_first() else {
         usage_error("`sdb profile` needs a command: sim, fleet, campaign, or policy");
     };
-    let run: fn(&HashMap<String, String>) -> ExitCode = match cmd.as_str() {
-        "sim" => cmd_sim,
-        "fleet" => cmd_fleet,
-        "campaign" => cmd_campaign,
-        "policy" => cmd_policy,
-        other => usage_error(&format!(
-            "`sdb profile` cannot run `{other}` (expected sim, fleet, campaign, or policy)"
-        )),
-    };
+    let run = command(cmd)
+        .filter(|_| ["sim", "fleet", "campaign", "policy"].contains(&cmd.as_str()))
+        .unwrap_or_else(|| {
+            usage_error(&format!(
+                "`sdb profile` cannot run `{cmd}` (expected sim, fleet, campaign, or policy)"
+            ))
+        });
     let render: fn(&Snapshot) -> String = match own.get("format").map_or("text", String::as_str) {
         "text" => Snapshot::render_text,
         "counts" => Snapshot::render_counts,
@@ -865,31 +780,41 @@ fn cmd_profile(args: &[String]) -> ExitCode {
 
     sdb::prof::reset();
     sdb::prof::enable();
-    let status = run(&flags);
+    // A failed command says so before the profile is written.
+    let status = exit_status(run(&flags));
     // Fleet and campaign workers flush their own threads; this picks up
     // whatever the main thread recorded (e.g. the whole `sdb sim` run).
     sdb::prof::flush_thread();
     sdb::prof::disable();
     let body = render(&sdb::prof::snapshot());
     match own.get("out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("failed to write profile to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote profile to {path}");
-        }
+        Some(path) => write_file(path, &body, "profile")?,
         None => eprint!("{body}"),
     }
-    status
+    Ok(status)
+}
+
+/// The subcommand `sdb <name>` runs, if there is one.
+fn command(name: &str) -> Option<Command> {
+    COMMANDS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
+}
+
+/// The exit status of a subcommand's outcome, printing a failure's
+/// message.
+fn exit_status(outcome: Result<ExitCode, String>) -> ExitCode {
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if matches!(
-        args.first().map(String::as_str),
-        Some("--version" | "-V" | "version")
-    ) {
+    let cmd = args.first().map_or("", String::as_str);
+    if matches!(cmd, "--version" | "-V" | "version") {
         // Build identity baked in by `build.rs` (each field falls back
         // to `unknown` when its probe failed at build time).
         emit(&format!(
@@ -900,26 +825,10 @@ fn main() -> ExitCode {
         ));
         return ExitCode::SUCCESS;
     }
-    let Some(cmd) = args.first().map(String::as_str) else {
-        return usage();
-    };
-    if cmd == "profile" {
-        return cmd_profile(&args[1..]);
-    }
-    let run: fn(&HashMap<String, String>) -> ExitCode = match cmd {
-        "packs" => |_| list(PackTemplate::catalog(), 14),
-        "traces" => |_| list(WorkloadSpec::catalog(), 16),
-        "sim" => cmd_sim,
-        "charge" => cmd_charge,
-        "status" => cmd_status,
-        "fleet" => cmd_fleet,
-        "analyze" => cmd_analyze,
-        "policy" => cmd_policy,
-        "campaign" => cmd_campaign,
-        _ => return usage(),
-    };
-    match parse_flags(cmd, &args[1..]) {
-        Ok(flags) => run(&flags),
-        Err(e) => usage_error(&e),
-    }
+    exit_status(if cmd == "profile" {
+        cmd_profile(&args[1..])
+    } else {
+        let run = command(cmd).unwrap_or_else(|| usage_error(USAGE));
+        run(&parse_flags(cmd, &args[1..]).unwrap_or_else(|e| usage_error(&e)))
+    })
 }

@@ -740,3 +740,76 @@ fn cli_campaign_interrupts_with_exit_3_and_resumes() {
     let straight = std::fs::read(dir.join("straight.txt")).unwrap();
     assert_eq!(resumed, straight, "resumed report must be byte-identical");
 }
+
+/// The default campaign from the CLI: its text report is byte-identical
+/// at 1 and 4 threads, and a run killed at `--stop-after` resumes from its
+/// checkpoint to that same report. The three stops each split the 96
+/// units at a different kind of boundary.
+#[test]
+fn cli_default_campaign_is_byte_identical_across_threads_and_resumes() {
+    let dir = scratch("cli-default");
+    let run = |args: &[&str]| {
+        let out = sdb(&dir, args);
+        assert!(out.status.success(), "sdb {args:?}: {out:?}");
+        out.stdout
+    };
+    let [one, four] = ["1", "4"].map(|threads| {
+        let out = format!("t{threads}.txt");
+        run(&["campaign", "--threads", threads, "--out", &out]);
+        std::fs::read_to_string(dir.join(out)).expect("report written")
+    });
+    assert!(one == four, "the report differs between 1 and 4 threads");
+    // The pruned 48-cell grid, whose faulted cells injected faults with
+    // every invariant held.
+    assert!(four.starts_with("sdb campaign: 48 cells"), "{four}");
+    let totals = four
+        .lines()
+        .find(|l| l.starts_with("violations: "))
+        .expect("totals line");
+    assert!(totals.starts_with("violations: 0 "), "{totals}");
+    let faults = totals.split("faults injected: ").nth(1).expect("faults");
+    assert!(faults.parse::<u64>().expect("a count") > 0, "{totals}");
+
+    // Unit 0 is device 0 of cell 0; the standby workload ignores its
+    // seed, so unit 1 (device 1) shares its record from the checkpoint.
+    // 38 units end after cell 18, whose SoA twin, cell 19, shares its
+    // records from the checkpoint. 40 units end after cell 19.
+    let list = String::from_utf8(run(&["campaign", "--list"])).expect("utf-8 list");
+    for cell in [
+        "  [  0] standby/co/none/greedy/scalar",
+        "  [ 18] standby/nmc-lto/none/planned/scalar",
+    ] {
+        assert!(list.lines().any(|l| l == cell), "no `{cell}` in\n{list}");
+    }
+    for (stop, resume_threads) in [("40", "4"), ("38", "1"), ("1", "1")] {
+        let ck = format!("ck-{stop}.log");
+        let out = sdb(
+            &dir,
+            &[
+                "campaign",
+                "--threads",
+                "4",
+                "--checkpoint",
+                &ck,
+                "--stop-after",
+                stop,
+            ],
+        );
+        assert_eq!(out.status.code(), Some(3), "stop at {stop}: {out:?}");
+        let resumed = format!("resumed-{stop}.txt");
+        run(&[
+            "campaign",
+            "--threads",
+            resume_threads,
+            "--checkpoint",
+            &ck,
+            "--out",
+            &resumed,
+        ]);
+        let resumed = std::fs::read_to_string(dir.join(resumed)).expect("report written");
+        assert!(
+            resumed == four,
+            "the run stopped at {stop} resumed to another report"
+        );
+    }
+}

@@ -1,7 +1,8 @@
 //! The CLI side of the fleet's determinism contract: every file `sdb
 //! fleet` writes (the JSON report, the `--metrics-out` counters, and for
 //! the scalar engine the JSONL event trace and its Chrome twin) is byte
-//! for byte the same at `--threads 1` and `--threads 4`.
+//! for byte the same at `--threads 1` and `--threads 4`, on the default,
+//! SoA (an hour and a day) and planned fleets.
 //!
 //! Also checks that the phase profiler's sampled `micro_step` timer times
 //! as many steps as its per-device gate allows, no more and no fewer.
@@ -69,13 +70,37 @@ fn default_fleet_files_are_byte_identical_across_thread_counts() {
     fleet_files_match_across_threads("fleet", &["--devices", "200", "--hours", "1"], true);
 }
 
+/// The `sdb_fleet_ff_ticks_total` of the JSON report in `dir`.
+fn ff_ticks(dir: &Path) -> u64 {
+    let report = std::fs::read_to_string(dir.join("report.json")).expect("report written");
+    let (_, rest) = report
+        .split_once("\"sdb_fleet_ff_ticks_total\":")
+        .expect("report counts fast-forwarded ticks");
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("a tick count")
+}
+
+/// On SoA the hybrid driver actually fast-forwards quiescent stretches.
 #[test]
 fn soa_fleet_files_are_byte_identical_across_thread_counts() {
-    fleet_files_match_across_threads(
+    let dir = fleet_files_match_across_threads(
         "fleet-soa",
         &["--devices", "200", "--hours", "1", "--engine", "soa"],
         false,
     );
+    assert!(ff_ticks(&dir) > 0, "the SoA hour fast-forwarded no tick");
+}
+
+/// A whole day on SoA: 1,440 points per device, so the driver's run
+/// lookup reuses each scan across many sync ticks.
+#[test]
+fn day_long_soa_fleet_files_are_byte_identical_across_thread_counts() {
+    let dir = fleet_files_match_across_threads(
+        "fleet-soa-day",
+        &["--devices", "200", "--hours", "24", "--engine", "soa"],
+        false,
+    );
+    assert!(ff_ticks(&dir) > 0, "the SoA day fast-forwarded no tick");
 }
 
 #[test]

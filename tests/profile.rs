@@ -166,6 +166,60 @@ fn profiled_commands_print_the_unprofiled_stdout() {
     }
 }
 
+/// `sdb profile` keeps the command's exit status and writes the profile
+/// whatever it is: a failed campaign prints its failure first and exits 1,
+/// an interrupted one exits 3. A usage error exits 1 before any work, so
+/// no profile is written.
+#[test]
+fn profiles_are_written_on_failure_and_interrupt_but_not_on_usage_errors() {
+    let campaign = "campaign --scenarios standby --chemistries co --faults none \
+                    --policies greedy --engines scalar --hours 0.25";
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    // No file survives from an earlier run: what the test reads is written
+    // by this one.
+    for stale in [
+        "profile-status.ck",
+        "status-failed.counts",
+        "status-interrupted.counts",
+        "status-usage.counts",
+    ] {
+        let _ = std::fs::remove_file(tmp.join(stale));
+    }
+    let ck = tmp.join("profile-status.ck");
+    let ck = ck.to_str().expect("utf-8 path");
+    for (label, cmd, code) in [
+        (
+            "status-failed",
+            format!("{campaign} --baseline /nonexistent"),
+            1,
+        ),
+        (
+            "status-interrupted",
+            format!("{campaign} --checkpoint {ck} --stop-after 1"),
+            3,
+        ),
+    ] {
+        let (child, path) = spawn_profile(label, &cmd);
+        let out = child.wait_with_output().expect("sdb exits");
+        assert_eq!(out.status.code(), Some(code), "{label}: {out:?}");
+        let profile = std::fs::read_to_string(path).expect("profile written");
+        assert!(profile.contains("campaign_run"), "{label}:\n{profile}");
+        if code == 1 {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let failed = stderr
+                .find("cannot read baseline")
+                .expect("failure printed");
+            let wrote = stderr.find("wrote profile").expect("profile reported");
+            assert!(failed < wrote, "{stderr}");
+        }
+    }
+
+    let (child, path) = spawn_profile("status-usage", "fleet --devices 2 --policy bogus");
+    let out = child.wait_with_output().expect("sdb exits");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!path.exists(), "a usage error wrote a profile");
+}
+
 /// The `--format counts` profile of `sdb <cmd>`, which must be
 /// byte-identical at `--threads 1` and `--threads 4`.
 fn counts_at_1_and_4_threads(label: &str, cmd: &str) -> String {
@@ -273,7 +327,7 @@ fn paper_scenarios_replay_through_the_profiled_trace_loop() {
     let trace = tablet_session(5, &[Activity::Compute], 300.0, 1800.0);
     for strategy in [Strategy::SimultaneousDraw, Strategy::ChargeThrough] {
         let mut life_s = 0.0;
-        let steps = trace_steps(|| life_s = battery_life_s(strategy, &trace, 4.0, 86_400.0));
+        let steps = trace_steps(|| life_s = battery_life_s(strategy, &trace, 86_400.0));
         let resampled = trace.resampled(30.0);
         let mut elapsed = 0.0;
         let replayed = resampled
