@@ -12,17 +12,17 @@ fn main() {
 
     h.bench("table1", || black_box(tables::render_table1()));
     h.bench("table2", || black_box(tables::render_table2()));
-    h.bench("fig1a", || black_box(fig1::render_fig1a()));
-    h.bench("fig1b", || black_box(fig1::render_fig1b()));
-    h.bench("fig1c", || black_box(fig1::render_fig1c()));
-    h.bench("fig6a", || black_box(fig6::render_fig6a()));
-    h.bench("fig6b", || black_box(fig6::render_fig6b()));
-    h.bench("fig6c", || black_box(fig6::render_fig6c()));
-    h.bench("fig6d", || black_box(fig6::render_fig6d()));
-    h.bench("fig8b", || black_box(fig8::render_fig8b()));
-    h.bench("fig8c", || black_box(fig8::render_fig8c()));
-    h.bench("fig11a", || black_box(fig11::render_fig11a()));
-    h.bench("fig11c", || black_box(fig11::render_fig11c()));
+    h.bench("fig1a", || black_box(fig1::fig1a()));
+    h.bench("fig1b", || black_box(fig1::fig1b()));
+    h.bench("fig1c", || black_box(fig1::fig1c()));
+    h.bench("fig6a", || black_box(fig6::fig6a()));
+    h.bench("fig6b", || black_box(fig6::fig6b()));
+    h.bench("fig6c", || black_box(fig6::fig6c()));
+    h.bench("fig6d", || black_box(fig6::fig6d()));
+    h.bench("fig8b", || black_box(fig8::fig8b()));
+    h.bench("fig8c", || black_box(fig8::fig8c()));
+    h.bench("fig11a", || black_box(fig11::fig11a()));
+    h.bench("fig11c", || black_box(fig11::fig11c()));
 
     // End-to-end multi-simulation jobs: one run per sample.
     h.bench_heavy("fig10", || black_box(fig10::fig10_reports()));

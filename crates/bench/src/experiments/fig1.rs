@@ -1,6 +1,6 @@
 //! Figure 1: Li-ion battery properties.
 
-use crate::table;
+use crate::table::{Cell, Figure, Table};
 use sdb_battery_model::aging::FadeModel;
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
@@ -15,28 +15,20 @@ pub(crate) fn fig1a_rows() -> Vec<(Chemistry, [(&'static str, f64); 6])> {
         .collect()
 }
 
-/// Renders Figure 1(a).
+/// Figure 1(a).
 #[must_use]
-pub fn render_fig1a() -> String {
+pub fn fig1a() -> Figure {
     let data = fig1a_rows();
-    let header: Vec<&str> = std::iter::once("Axis")
-        .chain(data.iter().map(|(c, _)| c.name()))
-        .collect();
-    let axes = data[0].1;
-    let rows: Vec<Vec<String>> = axes
-        .iter()
-        .enumerate()
-        .map(|(i, (axis, _))| {
-            let mut row = vec![(*axis).to_owned()];
-            for (_, scores) in &data {
-                row.push(table::f(scores[i].1, 2));
-            }
-            row
-        })
-        .collect();
-    format!(
-        "Figure 1(a): Li-ion batteries compared (axis scores in [0,1])\n\n{}",
-        table::render(&header, &rows)
+    let mut table =
+        Table::new(std::iter::once(("Axis", 0)).chain(data.iter().map(|(c, _)| (c.name(), 2))));
+    for (i, (axis, _)) in data[0].1.iter().enumerate() {
+        let mut row = vec![Cell::from(*axis)];
+        row.extend(data.iter().map(|(_, scores)| Cell::from(scores[i].1)));
+        table.push(row);
+    }
+    Figure::new(
+        "Figure 1(a): Li-ion batteries compared (axis scores in [0,1])",
+        table,
     )
 }
 
@@ -61,23 +53,21 @@ pub(crate) fn fig1b_series() -> Vec<(u32, [f64; 3])> {
         .collect()
 }
 
-/// Renders Figure 1(b).
+/// Figure 1(b).
 #[must_use]
-pub fn render_fig1b() -> String {
-    let rows: Vec<Vec<String>> = fig1b_series()
-        .iter()
-        .map(|(n, caps)| {
-            vec![
-                n.to_string(),
-                table::f(caps[0], 1),
-                table::f(caps[1], 1),
-                table::f(caps[2], 1),
-            ]
-        })
-        .collect();
-    format!(
-        "Figure 1(b): Capacity after N cycles (%) vs charging current, 1 Ah Type 2 cell\n\n{}",
-        table::render(&["Cycles", "0.5A", "0.7A", "1.0A"], &rows)
+pub fn fig1b() -> Figure {
+    let mut table = Table::new([("Cycles", 0), ("0.5A", 1), ("0.7A", 1), ("1.0A", 1)]);
+    for (n, caps) in fig1b_series() {
+        table.push(vec![
+            f64::from(n).into(),
+            caps[0].into(),
+            caps[1].into(),
+            caps[2].into(),
+        ]);
+    }
+    Figure::new(
+        "Figure 1(b): Capacity after N cycles (%) vs charging current, 1 Ah Type 2 cell",
+        table,
     )
 }
 
@@ -108,23 +98,21 @@ pub(crate) fn fig1c_series() -> Vec<(f64, [f64; 3])> {
         .collect()
 }
 
-/// Renders Figure 1(c).
+/// Figure 1(c).
 #[must_use]
-pub fn render_fig1c() -> String {
-    let rows: Vec<Vec<String>> = fig1c_series()
-        .iter()
-        .map(|(c, losses)| {
-            vec![
-                table::f(*c, 2),
-                table::f(losses[0], 1),
-                table::f(losses[1], 1),
-                table::f(losses[2], 1),
-            ]
-        })
-        .collect();
-    format!(
-        "Figure 1(c): Internal heat loss (%) vs discharge C-rate\n\n{}",
-        table::render(&["C-rate", "Type 2", "Type 3", "Type 4"], &rows)
+pub fn fig1c() -> Figure {
+    let mut table = Table::new([("C-rate", 2), ("Type 2", 1), ("Type 3", 1), ("Type 4", 1)]);
+    for (c, losses) in fig1c_series() {
+        table.push(vec![
+            c.into(),
+            losses[0].into(),
+            losses[1].into(),
+            losses[2].into(),
+        ]);
+    }
+    Figure::new(
+        "Figure 1(c): Internal heat loss (%) vs discharge C-rate",
+        table,
     )
 }
 
@@ -157,8 +145,8 @@ mod tests {
 
     #[test]
     fn renders_are_nonempty() {
-        assert!(render_fig1a().contains("Power Density"));
-        assert!(render_fig1b().contains("600"));
-        assert!(render_fig1c().contains("2.00"));
+        assert!(fig1a().text().contains("Power Density"));
+        assert!(fig1b().text().contains("600"));
+        assert!(fig1c().text().contains("2.00"));
     }
 }

@@ -1,6 +1,6 @@
 //! Figure 10: validating the production model against the reference cell.
 
-use crate::table;
+use crate::table::{Figure, Table};
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::reference::{validate_model, ValidationReport};
 use sdb_battery_model::spec::BatterySpec;
@@ -18,34 +18,36 @@ pub fn fig10_reports() -> Vec<ValidationReport> {
         .collect()
 }
 
-/// Renders Figure 10.
+/// Figure 10, with the mean accuracy as a note.
 #[must_use]
-pub(crate) fn render_fig10() -> String {
+pub(crate) fn fig10() -> Figure {
     let reports = fig10_reports();
-    let rows: Vec<Vec<String>> = reports
-        .iter()
-        .map(|r| {
-            vec![
-                table::f(r.current_a, 1),
-                r.samples.to_string(),
-                table::f(r.accuracy_percent(), 2),
-                table::f(r.max_abs_rel_error * 100.0, 2),
-            ]
-        })
-        .collect();
+    let mut table = Table::new([
+        ("Current (A)", 1),
+        ("Samples", 0),
+        ("Accuracy (%)", 2),
+        ("Max error (%)", 2),
+    ]);
+    for r in &reports {
+        table.push(vec![
+            r.current_a.into(),
+            (r.samples as f64).into(),
+            r.accuracy_percent().into(),
+            (r.max_abs_rel_error * 100.0).into(),
+        ]);
+    }
     let mean_acc = reports
         .iter()
         .map(ValidationReport::accuracy_percent)
         .sum::<f64>()
         / reports.len() as f64;
-    format!(
-        "Figure 10: Thevenin model vs reference cell (paper reports 97.5% accuracy)\n\n{}\nMean accuracy: {:.2}%\n",
-        table::render(
-            &["Current (A)", "Samples", "Accuracy (%)", "Max error (%)"],
-            &rows
-        ),
-        mean_acc
-    )
+    Figure {
+        notes: format!("\nMean accuracy: {mean_acc:.2}%\n"),
+        ..Figure::new(
+            "Figure 10: Thevenin model vs reference cell (paper reports 97.5% accuracy)",
+            table,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -67,6 +69,6 @@ mod tests {
 
     #[test]
     fn render_mentions_mean() {
-        assert!(render_fig10().contains("Mean accuracy"));
+        assert!(fig10().text().contains("Mean accuracy"));
     }
 }

@@ -1,6 +1,6 @@
 //! Figure 11: the energy density / charge speed / longevity tradeoff.
 
-use crate::table;
+use crate::table::{Cell, Figure, Table};
 use sdb_core::scenarios::hybrid::{charge_time_curve, ChargeCurve, HybridConfig};
 
 /// External charger power used in the Figure 11(b) experiment, watts.
@@ -15,16 +15,13 @@ pub(crate) fn fig11a_rows() -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Renders Figure 11(a).
+/// Figure 11(a).
 #[must_use]
-pub fn render_fig11a() -> String {
-    let rows: Vec<Vec<String>> = fig11a_rows()
-        .iter()
-        .map(|(label, d)| vec![label.clone(), table::f(*d, 1)])
-        .collect();
-    format!(
-        "Figure 11(a): Energy density (Wh/l) vs % of fast-charging battery by capacity\n\n{}",
-        table::render(&["Fast-charging share", "Energy density (Wh/l)"], &rows)
+pub fn fig11a() -> Figure {
+    labelled(
+        "Figure 11(a): Energy density (Wh/l) vs % of fast-charging battery by capacity",
+        ["Fast-charging share", "Energy density (Wh/l)"],
+        fig11a_rows(),
     )
 }
 
@@ -46,26 +43,22 @@ pub fn fig11b_curves() -> Vec<(String, ChargeCurve)> {
         .collect()
 }
 
-/// Renders Figure 11(b).
+/// Figure 11(b); a target a configuration never reaches is missing.
 #[must_use]
-pub(crate) fn render_fig11b() -> String {
+pub(crate) fn fig11b() -> Figure {
     let curves = fig11b_curves();
-    let mut header = vec!["% charged".to_owned()];
-    header.extend(curves.iter().map(|(n, _)| format!("{n} (min)")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let targets = &curves[0].1.targets_pct;
-    let rows: Vec<Vec<String>> = targets
-        .iter()
-        .enumerate()
-        .map(|(i, pct)| {
-            let mut row = vec![table::f(*pct, 0)];
-            row.extend(curves.iter().map(|(_, c)| table::opt_min(c.minutes[i])));
-            row
-        })
-        .collect();
-    format!(
-        "Figure 11(b): Charging time (min) vs % charged ({CHARGER_W} W supply)\n\n{}",
-        table::render(&header_refs, &rows)
+    let mut table = Table::new(
+        std::iter::once(("% charged".to_owned(), 0))
+            .chain(curves.iter().map(|(n, _)| (format!("{n} (min)"), 1))),
+    );
+    for (i, pct) in curves[0].1.targets_pct.iter().enumerate() {
+        let mut row = vec![Cell::from(*pct)];
+        row.extend(curves.iter().map(|(_, c)| Cell::from(c.minutes[i])));
+        table.push(row);
+    }
+    Figure::new(
+        format!("Figure 11(b): Charging time (min) vs % charged ({CHARGER_W} W supply)"),
+        table,
     )
 }
 
@@ -86,17 +79,23 @@ pub(crate) fn fig11c_rows() -> Vec<(String, f64)> {
     ]
 }
 
-/// Renders Figure 11(c).
+/// Figure 11(c).
 #[must_use]
-pub fn render_fig11c() -> String {
-    let rows: Vec<Vec<String>> = fig11c_rows()
-        .iter()
-        .map(|(label, pct)| vec![label.clone(), table::f(*pct, 1)])
-        .collect();
-    format!(
-        "Figure 11(c): Pack capacity retained after 1000 cycles (%)\n\n{}",
-        table::render(&["Configuration", "Capacity retained (%)"], &rows)
+pub fn fig11c() -> Figure {
+    labelled(
+        "Figure 11(c): Pack capacity retained after 1000 cycles (%)",
+        ["Configuration", "Capacity retained (%)"],
+        fig11c_rows(),
     )
+}
+
+/// One `(label, value)` row per configuration, values to 0.1.
+fn labelled(caption: &str, header: [&str; 2], rows: Vec<(String, f64)>) -> Figure {
+    let mut table = Table::new([(header[0], 0), (header[1], 1)]);
+    for (label, value) in rows {
+        table.push(vec![label.into(), value.into()]);
+    }
+    Figure::new(caption, table)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Figure 12: performance priority levels.
 
-use crate::table;
+use crate::table::{Figure, Table};
 use sdb_core::scenarios::turbo::{turbo_comparison, TurboRow};
 
 /// The six bars of Figure 12.
@@ -9,26 +9,26 @@ pub fn fig12_rows() -> Vec<TurboRow> {
     turbo_comparison()
 }
 
-/// Renders Figure 12.
+/// Figure 12.
 #[must_use]
-pub(crate) fn render_fig12() -> String {
-    let rows: Vec<Vec<String>> = fig12_rows()
-        .iter()
-        .map(|r| {
-            vec![
-                r.profile.to_owned(),
-                r.level.label().to_owned(),
-                table::f(r.latency_ratio, 3),
-                table::f(r.energy_ratio, 3),
-            ]
-        })
-        .collect();
-    format!(
-        "Figure 12: Latency and energy vs performance priority level (normalized to Low)\n\n{}",
-        table::render(
-            &["Workload", "Level", "Latency ratio", "Energy ratio"],
-            &rows
-        )
+pub(crate) fn fig12() -> Figure {
+    let mut table = Table::new([
+        ("Workload", 0),
+        ("Level", 0),
+        ("Latency ratio", 3),
+        ("Energy ratio", 3),
+    ]);
+    for r in fig12_rows() {
+        table.push(vec![
+            r.profile.into(),
+            r.level.label().into(),
+            r.latency_ratio.into(),
+            r.energy_ratio.into(),
+        ]);
+    }
+    Figure::new(
+        "Figure 12: Latency and energy vs performance priority level (normalized to Low)",
+        table,
     )
 }
 

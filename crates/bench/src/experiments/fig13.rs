@@ -1,6 +1,6 @@
 //! Figure 13: the watch day under the two policies.
 
-use crate::table;
+use crate::table::{Figure, Table};
 use sdb_core::scenarios::watch::{watch_scenario, WatchOutcome, WatchPolicy};
 
 /// Seed used by the published figure.
@@ -15,44 +15,38 @@ pub fn fig13_outcomes() -> (WatchOutcome, WatchOutcome) {
     )
 }
 
-/// Renders Figure 13: the hourly energy/loss series plus the event
-/// annotations the paper calls out.
+/// Figure 13: the hourly energy/loss series, with the event annotations
+/// the paper calls out as notes.
 #[must_use]
-pub(crate) fn render_fig13() -> String {
+pub(crate) fn fig13() -> Figure {
     let (p1, p2) = fig13_outcomes();
     let hours = p1.hourly_load_j.len().max(p2.hourly_load_j.len());
-    let rows: Vec<Vec<String>> = (0..hours)
-        .map(|h| {
-            let load = p1.hourly_load_j.get(h).copied().unwrap_or(0.0);
-            vec![
-                (h + 1).to_string(),
-                table::f(load, 0),
-                table::f(p1.hourly_loss_j.get(h).copied().unwrap_or(0.0), 1),
-                table::f(p2.hourly_loss_j.get(h).copied().unwrap_or(0.0), 1),
-            ]
-        })
-        .collect();
+    let at = |series: &[f64], h: usize| series.get(h).copied().unwrap_or(0.0);
+    let mut table = Table::new([
+        ("Hour", 0),
+        ("Device energy (J)", 0),
+        ("Policy 1 losses (J)", 1),
+        ("Policy 2 losses (J)", 1),
+    ]);
+    for h in 0..hours {
+        table.push(vec![
+            ((h + 1) as f64).into(),
+            at(&p1.hourly_load_j, h).into(),
+            at(&p1.hourly_loss_j, h).into(),
+            at(&p2.hourly_loss_j, h).into(),
+        ]);
+    }
     let fmt_event = |s: Option<f64>| {
         s.map_or_else(|| "never".to_owned(), |t| format!("hour {:.1}", t / 3600.0))
     };
-    format!(
-        "Figure 13: Watch day — hourly energy (J) and per-policy losses (J)\n\n{}\n\
-         Events:\n\
+    let notes = format!(
+        "\nEvents:\n\
          - Policy 1: Li-ion discharged completely: {}\n\
          - Policy 1: bendable discharged completely: {}\n\
          - Policy 1: device battery life: {:.1} h\n\
          - Policy 2: device battery life: {:.1} h\n\
          - Battery-life gain from preserving the Li-ion: {:.1} h\n\
          - Total losses: policy 1 = {:.0} J, policy 2 = {:.0} J\n",
-        table::render(
-            &[
-                "Hour",
-                "Device energy (J)",
-                "Policy 1 losses (J)",
-                "Policy 2 losses (J)"
-            ],
-            &rows
-        ),
         fmt_event(p1.li_ion_empty_s),
         fmt_event(p1.bendable_empty_s),
         p1.life_s / 3600.0,
@@ -60,7 +54,14 @@ pub(crate) fn render_fig13() -> String {
         (p2.life_s - p1.life_s) / 3600.0,
         p1.total_loss_j,
         p2.total_loss_j,
-    )
+    );
+    Figure {
+        notes,
+        ..Figure::new(
+            "Figure 13: Watch day — hourly energy (J) and per-policy losses (J)",
+            table,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -81,7 +82,7 @@ mod tests {
 
     #[test]
     fn render_includes_events() {
-        let out = render_fig13();
+        let out = fig13().text();
         assert!(out.contains("Li-ion discharged completely"));
         assert!(out.contains("Battery-life gain"));
     }

@@ -1,6 +1,6 @@
 //! Figure 14: 2-in-1 battery management.
 
-use crate::table;
+use crate::table::{Figure, Table};
 use sdb_core::scenarios::two_in_one::{two_in_one_comparison, TwoInOneRow};
 
 /// Seed used by the published figure.
@@ -12,33 +12,35 @@ pub fn fig14_rows() -> Vec<TwoInOneRow> {
     two_in_one_comparison(SEED)
 }
 
-/// Renders Figure 14.
+/// Figure 14, with the maximum improvement as a note.
 #[must_use]
-pub(crate) fn render_fig14() -> String {
-    let rows_data = fig14_rows();
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.to_owned(),
-                table::f(r.simultaneous_life_s / 3600.0, 2),
-                table::f(r.charge_through_life_s / 3600.0, 2),
-                table::f(r.improvement_pct(), 1),
-            ]
-        })
-        .collect();
-    let max = rows_data
+pub(crate) fn fig14() -> Figure {
+    let rows = fig14_rows();
+    let mut table = Table::new([
+        ("Workload", 0),
+        ("Simultaneous (h)", 2),
+        ("Charge-through (h)", 2),
+        ("Improvement (%)", 1),
+    ]);
+    for r in &rows {
+        table.push(vec![
+            r.workload.into(),
+            (r.simultaneous_life_s / 3600.0).into(),
+            (r.charge_through_life_s / 3600.0).into(),
+            r.improvement_pct().into(),
+        ]);
+    }
+    let max = rows
         .iter()
         .map(TwoInOneRow::improvement_pct)
         .fold(f64::NEG_INFINITY, f64::max);
-    format!(
-        "Figure 14: Battery-life improvement of simultaneous draw over charge-through\n\n{}\nMaximum improvement: {:.1}% (paper reports up to 22%)\n",
-        table::render(
-            &["Workload", "Simultaneous (h)", "Charge-through (h)", "Improvement (%)"],
-            &rows
-        ),
-        max
-    )
+    Figure {
+        notes: format!("\nMaximum improvement: {max:.1}% (paper reports up to 22%)\n"),
+        ..Figure::new(
+            "Figure 14: Battery-life improvement of simultaneous draw over charge-through",
+            table,
+        )
+    }
 }
 
 #[cfg(test)]

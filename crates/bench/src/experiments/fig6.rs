@@ -1,6 +1,6 @@
 //! Figure 6: SDB hardware microbenchmarks.
 
-use crate::table;
+use crate::table::{Figure, Table};
 use sdb_power_electronics::circuits::{
     ChargeCircuit, ChargeTopology, DischargeCircuit, DischargeTopology,
 };
@@ -25,16 +25,13 @@ pub(crate) fn fig6a_series() -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Renders Figure 6(a).
+/// Figure 6(a).
 #[must_use]
-pub fn render_fig6a() -> String {
-    let rows: Vec<Vec<String>> = fig6a_series()
-        .iter()
-        .map(|(w, pct)| vec![table::f(*w, 1), table::f(*pct, 2)])
-        .collect();
-    format!(
-        "Figure 6(a): Discharge circuit power loss (%) vs discharge power (W)\n\n{}",
-        table::render(&["Power (W)", "Loss (%)"], &rows)
+pub fn fig6a() -> Figure {
+    pairs(
+        "Figure 6(a): Discharge circuit power loss (%) vs discharge power (W)",
+        [("Power (W)", 1), ("Loss (%)", 2)],
+        &fig6a_series(),
     )
 }
 
@@ -49,16 +46,13 @@ pub(crate) fn fig6b_series() -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Renders Figure 6(b).
+/// Figure 6(b).
 #[must_use]
-pub fn render_fig6b() -> String {
-    let rows: Vec<Vec<String>> = fig6b_series()
-        .iter()
-        .map(|(p, e)| vec![table::f(*p, 0), table::f(*e, 3)])
-        .collect();
-    format!(
-        "Figure 6(b): Share setpoint error (%) vs proportion setting (%)\n\n{}",
-        table::render(&["Setting (%)", "Error (%)"], &rows)
+pub fn fig6b() -> Figure {
+    pairs(
+        "Figure 6(b): Share setpoint error (%) vs proportion setting (%)",
+        [("Setting (%)", 0), ("Error (%)", 3)],
+        &fig6b_series(),
     )
 }
 
@@ -81,16 +75,13 @@ pub(crate) fn fig6c_series() -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Renders Figure 6(c).
+/// Figure 6(c).
 #[must_use]
-pub fn render_fig6c() -> String {
-    let rows: Vec<Vec<String>> = fig6c_series()
-        .iter()
-        .map(|(i, pct)| vec![table::f(*i, 1), table::f(*pct, 1)])
-        .collect();
-    format!(
-        "Figure 6(c): Charging efficiency (% of chip typical) vs charging current (A)\n\n{}",
-        table::render(&["Current (A)", "Efficiency (%)"], &rows)
+pub fn fig6c() -> Figure {
+    pairs(
+        "Figure 6(c): Charging efficiency (% of chip typical) vs charging current (A)",
+        [("Current (A)", 1), ("Efficiency (%)", 1)],
+        &fig6c_series(),
     )
 }
 
@@ -107,17 +98,23 @@ pub(crate) fn fig6d_series() -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Renders Figure 6(d).
+/// Figure 6(d).
 #[must_use]
-pub fn render_fig6d() -> String {
-    let rows: Vec<Vec<String>> = fig6d_series()
-        .iter()
-        .map(|(i, e)| vec![table::f(*i, 1), table::f(*e, 3)])
-        .collect();
-    format!(
-        "Figure 6(d): Charging current setpoint error (%) vs charging current (A)\n\n{}",
-        table::render(&["Current (A)", "Error (%)"], &rows)
+pub fn fig6d() -> Figure {
+    pairs(
+        "Figure 6(d): Charging current setpoint error (%) vs charging current (A)",
+        [("Current (A)", 1), ("Error (%)", 3)],
+        &fig6d_series(),
     )
+}
+
+/// A two-column figure of `(x, y)` points.
+fn pairs(caption: &str, header: [(&str, usize); 2], series: &[(f64, f64)]) -> Figure {
+    let mut table = Table::new(header);
+    for &(x, y) in series {
+        table.push(vec![x.into(), y.into()]);
+    }
+    Figure::new(caption, table)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Figure 8: the battery emulator's characteristic curves.
 
-use crate::table;
+use crate::table::{Figure, Table};
 use sdb_battery_model::library::paper_library;
 use sdb_battery_model::spec::BatterySpec;
 
@@ -22,61 +22,39 @@ pub(crate) fn fig8c_batteries() -> Vec<BatterySpec> {
         .collect()
 }
 
-/// SoC grid used by both panels.
-fn soc_grid() -> Vec<f64> {
-    (0..=10).map(|k| k as f64 / 10.0).collect()
-}
-
 /// Figure 8(b): open-circuit potential vs SoC for five batteries.
 #[must_use]
-pub fn render_fig8b() -> String {
-    let batteries = fig8b_batteries();
-    let mut header = vec!["SoC (%)".to_owned()];
-    header.extend(
-        batteries
-            .iter()
-            .enumerate()
-            .map(|(i, _)| format!("Battery {}", i + 1)),
-    );
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = soc_grid()
-        .iter()
-        .map(|&soc| {
-            let mut row = vec![table::f(soc * 100.0, 0)];
-            row.extend(batteries.iter().map(|b| table::f(b.ocp.eval(soc), 3)));
-            row
-        })
-        .collect();
-    format!(
-        "Figure 8(b): Open circuit potential (V) vs state of charge\n\n{}",
-        table::render(&header_refs, &rows)
+pub fn fig8b() -> Figure {
+    panel(
+        "Figure 8(b): Open circuit potential (V) vs state of charge",
+        &fig8b_batteries(),
+        |b, soc| b.ocp.eval(soc),
     )
 }
 
 /// Figure 8(c): internal resistance vs SoC for eight batteries.
 #[must_use]
-pub fn render_fig8c() -> String {
-    let batteries = fig8c_batteries();
-    let mut header = vec!["SoC (%)".to_owned()];
-    header.extend(
-        batteries
-            .iter()
-            .enumerate()
-            .map(|(i, _)| format!("Battery {}", i + 1)),
-    );
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = soc_grid()
-        .iter()
-        .map(|&soc| {
-            let mut row = vec![table::f(soc * 100.0, 0)];
-            row.extend(batteries.iter().map(|b| table::f(b.dcir.eval(soc), 3)));
-            row
-        })
-        .collect();
-    format!(
-        "Figure 8(c): Internal resistance (ohm) vs state of charge\n\n{}",
-        table::render(&header_refs, &rows)
+pub fn fig8c() -> Figure {
+    panel(
+        "Figure 8(c): Internal resistance (ohm) vs state of charge",
+        &fig8c_batteries(),
+        |b, soc| b.dcir.eval(soc),
     )
+}
+
+/// One curve per battery, sampled every 10 % of SoC.
+fn panel(caption: &str, batteries: &[BatterySpec], curve: fn(&BatterySpec, f64) -> f64) -> Figure {
+    let mut table = Table::new(
+        std::iter::once(("SoC (%)".to_owned(), 0))
+            .chain((1..=batteries.len()).map(|i| (format!("Battery {i}"), 3))),
+    );
+    for k in 0..=10 {
+        let pct = f64::from(k) * 10.0;
+        let mut row = vec![pct.into()];
+        row.extend(batteries.iter().map(|b| curve(b, pct / 100.0).into()));
+        table.push(row);
+    }
+    Figure::new(caption, table)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! One module per paper table/figure; each recomputes its artifact from
-//! the live system and renders text rows.
+//! the live system, as a [`Figure`](crate::Figure) for data figures or as
+//! text for the prose tables and the ablations.
 
 pub mod ablations;
-pub mod csv_export;
 pub mod fig1;
 pub mod fig10;
 pub mod fig11;

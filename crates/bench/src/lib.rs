@@ -1,19 +1,32 @@
 //! Benchmark and figure-regeneration harness for the SDB reproduction.
 //!
 //! Every table and figure in the paper's evaluation has a module under
-//! [`experiments`] that recomputes its rows/series from the live system and
-//! renders them as text. The `figures` binary prints any (or all) of them;
-//! the benches in `benches/` (driven by the in-repo [`harness`]) measure
-//! the performance of the underlying machinery and the fleet engine's
-//! thread scaling; `EXPERIMENTS.md` is generated from the same code
-//! by the `paper` binary, so the document can never drift from the code.
+//! [`experiments`] that recomputes it from the live system. A data figure
+//! is a [`Figure`] whose one [`Table`] gives both its text and its CSV; the
+//! prose tables and the ablations are text only. The `figures` binary
+//! prints the whole report (`figures all`, the data behind
+//! `EXPERIMENTS.md`), one experiment, or one figure's CSV, so neither
+//! document can drift from the code. The benches in `benches/` (driven by
+//! the in-repo [`harness`]) measure the underlying machinery and the fleet
+//! engine's thread scaling.
 
 pub mod experiments;
 pub mod harness;
 pub mod output;
 mod table;
 
+pub use table::{Cell, Figure, Table};
+
 use experiments::*;
+
+/// What an experiment regenerates.
+#[derive(Clone, Copy)]
+pub enum Artifact {
+    /// A data figure: its text and CSV come from the same table.
+    Figure(fn() -> Figure),
+    /// A prose table or the ablations: text only, no CSV.
+    Prose(fn() -> String),
+}
 
 /// One regenerable experiment.
 pub struct Experiment {
@@ -21,116 +34,86 @@ pub struct Experiment {
     pub id: &'static str,
     /// What the paper's artifact shows.
     pub title: &'static str,
-    /// Renders the regenerated rows as text.
-    pub render: fn() -> String,
+    /// Recomputes the artifact.
+    pub artifact: Artifact,
 }
 
-/// Every table and figure in the paper, in paper order.
-#[must_use]
-pub fn all_experiments() -> Vec<Experiment> {
-    vec![
-        Experiment {
-            id: "table1",
-            title: "Battery characteristics",
-            render: tables::render_table1,
-        },
-        Experiment {
-            id: "fig1a",
-            title: "Li-ion chemistry comparison (radar axes)",
-            render: fig1::render_fig1a,
-        },
-        Experiment {
-            id: "fig1b",
-            title: "Charging rate affects longevity",
-            render: fig1::render_fig1b,
-        },
-        Experiment {
-            id: "fig1c",
-            title: "Discharging rate vs lost energy",
-            render: fig1::render_fig1c,
-        },
-        Experiment {
-            id: "table2",
-            title: "Tradeoffs impacting SDB policies",
-            render: tables::render_table2,
-        },
-        Experiment {
-            id: "fig6a",
-            title: "Discharge circuit power loss",
-            render: fig6::render_fig6a,
-        },
-        Experiment {
-            id: "fig6b",
-            title: "Discharge proportion error",
-            render: fig6::render_fig6b,
-        },
-        Experiment {
-            id: "fig6c",
-            title: "Charging circuit efficiency",
-            render: fig6::render_fig6c,
-        },
-        Experiment {
-            id: "fig6d",
-            title: "Charging current error",
-            render: fig6::render_fig6d,
-        },
-        Experiment {
-            id: "fig8b",
-            title: "Open circuit potential vs SoC",
-            render: fig8::render_fig8b,
-        },
-        Experiment {
-            id: "fig8c",
-            title: "Internal resistance vs SoC",
-            render: fig8::render_fig8c,
-        },
-        Experiment {
-            id: "fig10",
-            title: "Model validation vs reference cell",
-            render: fig10::render_fig10,
-        },
-        Experiment {
-            id: "fig11a",
-            title: "Energy density comparison",
-            render: fig11::render_fig11a,
-        },
-        Experiment {
-            id: "fig11b",
-            title: "Charge time comparison",
-            render: fig11::render_fig11b,
-        },
-        Experiment {
-            id: "fig11c",
-            title: "Longevity comparison",
-            render: fig11::render_fig11c,
-        },
-        Experiment {
-            id: "fig12",
-            title: "Performance priority levels",
-            render: fig12::render_fig12,
-        },
-        Experiment {
-            id: "fig13",
-            title: "Watch day: policies compared",
-            render: fig13::render_fig13,
-        },
-        Experiment {
-            id: "fig14",
-            title: "2-in-1 battery life improvement",
-            render: fig14::render_fig14,
-        },
-        Experiment {
-            id: "ablations",
-            title: "Design-choice ablations (extension)",
-            render: ablations::render_ablations,
-        },
-    ]
+impl Experiment {
+    const fn figure(id: &'static str, title: &'static str, f: fn() -> Figure) -> Self {
+        Self {
+            id,
+            title,
+            artifact: Artifact::Figure(f),
+        }
+    }
+
+    const fn prose(id: &'static str, title: &'static str, f: fn() -> String) -> Self {
+        Self {
+            id,
+            title,
+            artifact: Artifact::Prose(f),
+        }
+    }
+
+    /// The regenerated artifact as text.
+    #[must_use]
+    pub fn render(&self) -> String {
+        match self.artifact {
+            Artifact::Figure(f) => f().text(),
+            Artifact::Prose(f) => f(),
+        }
+    }
+
+    /// The figure's table as CSV, or `None` for a prose artifact.
+    #[must_use]
+    pub fn csv(&self) -> Option<String> {
+        match self.artifact {
+            Artifact::Figure(f) => Some(f().table.csv()),
+            Artifact::Prose(_) => None,
+        }
+    }
 }
+
+/// Every table and figure in the paper, in paper order, then the
+/// ablations.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment::prose("table1", "Battery characteristics", tables::render_table1),
+    Experiment::figure(
+        "fig1a",
+        "Li-ion chemistry comparison (radar axes)",
+        fig1::fig1a,
+    ),
+    Experiment::figure("fig1b", "Charging rate affects longevity", fig1::fig1b),
+    Experiment::figure("fig1c", "Discharging rate vs lost energy", fig1::fig1c),
+    Experiment::prose(
+        "table2",
+        "Tradeoffs impacting SDB policies",
+        tables::render_table2,
+    ),
+    Experiment::figure("fig6a", "Discharge circuit power loss", fig6::fig6a),
+    Experiment::figure("fig6b", "Discharge proportion error", fig6::fig6b),
+    Experiment::figure("fig6c", "Charging circuit efficiency", fig6::fig6c),
+    Experiment::figure("fig6d", "Charging current error", fig6::fig6d),
+    Experiment::figure("fig8b", "Open circuit potential vs SoC", fig8::fig8b),
+    Experiment::figure("fig8c", "Internal resistance vs SoC", fig8::fig8c),
+    Experiment::figure("fig10", "Model validation vs reference cell", fig10::fig10),
+    Experiment::figure("fig11a", "Energy density comparison", fig11::fig11a),
+    Experiment::figure("fig11b", "Charge time comparison", fig11::fig11b),
+    Experiment::figure("fig11c", "Longevity comparison", fig11::fig11c),
+    Experiment::figure("fig12", "Performance priority levels", fig12::fig12),
+    Experiment::figure("fig13", "Watch day: policies compared", fig13::fig13),
+    Experiment::figure("fig14", "2-in-1 battery life improvement", fig14::fig14),
+    Experiment::prose(
+        "ablations",
+        "Design-choice ablations (extension)",
+        ablations::render_ablations,
+    ),
+];
 
 /// Looks up one experiment by id.
 #[must_use]
-pub fn experiment(id: &str) -> Option<Experiment> {
-    all_experiments().into_iter().find(|e| e.id == id)
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
 #[cfg(test)]
@@ -139,7 +122,7 @@ mod tests {
 
     #[test]
     fn every_paper_artifact_has_an_experiment() {
-        let ids: Vec<&str> = all_experiments().iter().map(|e| e.id).collect();
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         for required in [
             "table1", "table2", "fig1a", "fig1b", "fig1c", "fig6a", "fig6b", "fig6c", "fig6d",
             "fig8b", "fig8c", "fig10", "fig11a", "fig11b", "fig11c", "fig12", "fig13", "fig14",
@@ -152,5 +135,45 @@ mod tests {
     fn lookup_works() {
         assert!(experiment("fig11b").is_some());
         assert!(experiment("fig99").is_none());
+    }
+
+    #[test]
+    fn quick_experiments_have_csv() {
+        for id in [
+            "fig1a", "fig1b", "fig1c", "fig6a", "fig6b", "fig6c", "fig6d", "fig8b", "fig8c",
+            "fig11a", "fig11c",
+        ] {
+            let csv = experiment(id)
+                .and_then(Experiment::csv)
+                .unwrap_or_else(|| panic!("{id} missing csv"));
+            let lines: Vec<&str> = csv.lines().collect();
+            assert!(lines.len() >= 3, "{id} too short");
+            // Column check on unquoted lines only (quoted labels may
+            // legitimately contain commas).
+            let unquoted: Vec<&&str> = lines.iter().filter(|l| !l.contains('"')).collect();
+            if let Some(first) = unquoted.first() {
+                let cols = first.split(',').count();
+                for line in &unquoted {
+                    assert_eq!(line.split(',').count(), cols, "{id}: ragged row {line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prose_artifacts_have_no_csv() {
+        for id in ["table1", "table2", "ablations"] {
+            assert!(experiment(id).expect(id).csv().is_none(), "{id}");
+        }
+    }
+
+    #[test]
+    fn fig1b_csv_parses_numerically() {
+        let csv = experiment("fig1b").and_then(Experiment::csv).unwrap();
+        for line in csv.lines().skip(1) {
+            for field in line.split(',') {
+                assert!(field.parse::<f64>().is_ok(), "bad field {field}");
+            }
+        }
     }
 }

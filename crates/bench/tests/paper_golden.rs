@@ -1,5 +1,5 @@
-//! Golden snapshot of the `paper` report: every regenerated table and
-//! figure of the reproduction, byte for byte.
+//! Golden snapshot of the `figures all` report: every regenerated table
+//! and figure of the reproduction, byte for byte.
 //!
 //! The report is deterministic (seeded workloads, no wall clock), and
 //! debug and release builds print the same bytes, so a drifting snapshot
@@ -15,12 +15,13 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn paper_report_matches_golden_snapshot() {
-    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg("all")
         .output()
-        .expect("paper runs");
+        .expect("figures runs");
     assert!(
         out.status.success(),
-        "paper exited with {:?}:\n{}",
+        "figures all exited with {:?}:\n{}",
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
@@ -52,17 +53,17 @@ fn paper_report_matches_golden_snapshot() {
             |(i, (g, w))| format!("line {}: got {g:?}, want {w:?}", i + 1),
         );
     panic!(
-        "paper report drifted from its golden snapshot \
+        "figures all report drifted from its golden snapshot \
          (SDB_REGEN_GOLDEN=1 to regenerate intentionally): {first_diff}"
     );
 }
 
 #[test]
 fn a_flag_is_an_error_not_an_output_path() {
-    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(["--metrics-out", "m.prom"])
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["all", "--metrics-out", "m.prom"])
         .output()
-        .expect("paper runs");
+        .expect("figures runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("unknown flag `--metrics-out`"), "{stderr}");

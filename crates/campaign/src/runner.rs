@@ -31,7 +31,7 @@ use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
 use sdb_fleet::EngineKind;
-use sdb_policy::{warmup_seeds, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
+use sdb_policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
 use sdb_rng::derive_seed;
 use sdb_workloads::WorkloadSpec;
 use std::collections::{HashMap, HashSet};
@@ -406,7 +406,7 @@ pub fn run_cell_device(
     let mut micro = pack_of(cell, &scenario)?;
     let n = micro.battery_count();
     let mut runtime = SdbRuntime::new(n);
-    let history = warmup_seeds(seed, WARMUP_DAYS, WARMUP_SALT).map(|d| workload.build(d));
+    let history = warmup_seeds(seed, WARMUP_DAYS).map(|d| workload.build(d));
     let mut planner =
         policy_of(cell).install(&mut runtime, scenario.update_period_s, &trace, history);
     let runs = trace.runs(sim.max_dt_s);

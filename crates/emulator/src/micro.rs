@@ -987,7 +987,7 @@ impl Microcontroller {
                 let power_w = power_w.min(accept_w / eta_est);
                 if let Ok((out_from, src_time_frac, src_power_frac)) = {
                     let scaled = power_w * (run_s / dt_s);
-                    self.try_discharge_raw(t.from, scaled, dt_s, &mut scratch.events)
+                    self.try_discharge(t.from, scaled, dt_s, &mut scratch.events)
                 } {
                     // The source may empty mid-step: only the fraction it
                     // actually supplied moves across.
@@ -1108,16 +1108,6 @@ impl Microcontroller {
     /// simulated (< 1 when the cell emptied mid-step) and the fraction of
     /// the requested power deliverable under the current cap.
     fn try_discharge(
-        &mut self,
-        i: usize,
-        power_w: f64,
-        dt_s: f64,
-        staged: &mut Vec<(f64, ObsEvent)>,
-    ) -> Result<(BatteryStepInfo, f64, f64), BatteryError> {
-        self.try_discharge_raw(i, power_w, dt_s, staged)
-    }
-
-    fn try_discharge_raw(
         &mut self,
         i: usize,
         power_w: f64,

@@ -17,7 +17,7 @@ use sdb_core::scheduler::{drive, Hooks};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::SoaCohort;
 use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer};
-use sdb_policy::{warmup_seeds, WARMUP_DAYS, WARMUP_SALT};
+use sdb_policy::{warmup_seeds, WARMUP_DAYS};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -86,7 +86,7 @@ pub(crate) fn run_device(
     // modes need it (the oracle plans over it, and both planners only
     // make sense relative to a concrete workload).
     let trace = cohort.workload.build(seed);
-    let history = warmup_seeds(seed, WARMUP_DAYS, WARMUP_SALT).map(|d| cohort.workload.build(d));
+    let history = warmup_seeds(seed, WARMUP_DAYS).map(|d| cohort.workload.build(d));
     let mut planner = cohort
         .policy
         .install(&mut runtime, cohort.update_period_s, &trace, history);

@@ -14,7 +14,7 @@
 //! comparison across runs and thread counts is meaningful.
 
 use crate::planner::Planner;
-use crate::spec::{warmup_seeds, PolicyMode, WARMUP_SALT};
+use crate::spec::{warmup_seeds, PolicyMode};
 use sdb_core::metrics::ccb;
 use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
@@ -132,7 +132,7 @@ pub(crate) fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutc
     // under derived seeds. It never sees the evaluated day itself — its
     // forecast is the user's habit, not the answer key (that is the
     // oracle's job).
-    let history = warmup_seeds(seed, CORPUS_WARMUP_DAYS, WARMUP_SALT).map(|d| s.build_trace(d));
+    let history = warmup_seeds(seed, CORPUS_WARMUP_DAYS).map(|d| s.build_trace(d));
     // Re-plan every 30 minutes; re-evaluate every 60 s, the runtime's
     // default.
     let mut planner = mode

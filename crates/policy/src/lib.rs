@@ -43,4 +43,4 @@ mod tuner;
 pub use corpus::{corpus, run_head_to_head, HeadToHead, RunOutcome, Scenario};
 pub use forecast::{Forecaster, HistoryForecaster};
 pub use planner::{Planner, PlannerConfig};
-pub use spec::{warmup_seeds, PolicyMode, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
+pub use spec::{warmup_seeds, PolicyMode, PolicySpec, WARMUP_DAYS};

@@ -23,12 +23,12 @@ pub const WARMUP_DAYS: u64 = 7;
 /// Seed offset separating a planner's warm-up days from the evaluated
 /// trace, so it trains on the device's *habit*, never on the day being
 /// judged.
-pub const WARMUP_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+const WARMUP_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The seeds of a device's warm-up days: `seed + k·salt` for
+/// The seeds of a device's warm-up days: `seed + k·WARMUP_SALT` for
 /// `k = 1..=days`, in that order.
-pub fn warmup_seeds(seed: u64, days: u64, salt: u64) -> impl Iterator<Item = u64> {
-    (1..=days).map(move |k| seed.wrapping_add(k.wrapping_mul(salt)))
+pub fn warmup_seeds(seed: u64, days: u64) -> impl Iterator<Item = u64> {
+    (1..=days).map(move |k| seed.wrapping_add(k.wrapping_mul(WARMUP_SALT)))
 }
 
 /// The policy a device's runtime applies.
@@ -211,8 +211,12 @@ mod tests {
 
     #[test]
     fn warmup_seeds_step_by_the_salt() {
-        let seeds: Vec<u64> = warmup_seeds(10, 3, 5).collect();
-        assert_eq!(seeds, [15, 20, 25]);
-        assert_eq!(warmup_seeds(u64::MAX, 1, 2).next(), Some(1));
+        let seeds: Vec<u64> = warmup_seeds(10, 3).collect();
+        assert_eq!(seeds.len(), 3);
+        assert_eq!(seeds[0], 10 + WARMUP_SALT);
+        for w in seeds.windows(2) {
+            assert_eq!(w[1].wrapping_sub(w[0]), WARMUP_SALT);
+        }
+        assert_eq!(warmup_seeds(u64::MAX, 1).next(), Some(WARMUP_SALT - 1));
     }
 }

@@ -30,4 +30,4 @@ mod writer;
 
 pub use analyze::{analyze, analyze_jsonl, AnalysisReport, TraceSummary};
 pub use rules::{HealthFinding, RuleReport};
-pub use writer::{from_jsonl_line, to_chrome, to_jsonl, to_jsonl_line};
+pub use writer::{to_chrome, to_jsonl};

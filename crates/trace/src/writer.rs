@@ -60,7 +60,7 @@ fn f64_list(out: &mut String, key: &str, values: &[f64]) {
 
 /// Serializes one event as a single JSONL line (no trailing newline).
 #[must_use]
-pub fn to_jsonl_line(e: &DeviceEvent) -> String {
+pub(crate) fn to_jsonl_line(e: &DeviceEvent) -> String {
     let mut out = String::with_capacity(96);
     let _ = write!(
         out,
@@ -280,7 +280,7 @@ fn need_f64_list(v: &Value, key: &str) -> Result<Vec<f64>, String> {
 /// # Errors
 ///
 /// Returns a description of the first malformed or missing field.
-pub fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
+pub(crate) fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
     let v = json::parse(line)?;
     let event = match need_str(&v, "kind")? {
         "ratio_push" => ObsEvent::RatioPush {

@@ -14,7 +14,7 @@ use sdb::core::scheduler::{drive, run_charge_session, Hooks, SimOptions, SimResu
 use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
 use sdb::observe::{DeviceEvent, Observer};
-use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS, WARMUP_SALT};
+use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
 use sdb::prof::Snapshot;
 use sdb::trace as sdbtrace;
 use sdb::workloads::{Trace, WorkloadSpec};
@@ -318,7 +318,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     } else {
         1
     };
-    let history = warmup_seeds(seed, days, WARMUP_SALT).map(|d| workload.build(d));
+    let history = warmup_seeds(seed, days).map(|d| workload.build(d));
     // 60 s is the runtime's default re-evaluation period.
     let mut planner = sim_policy_flag(flags).install(&mut runtime, 60.0, &trace, history);
     let opts = SimOptions::default();
@@ -512,16 +512,9 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let engine = flags.get("engine").map_or(fleet::EngineKind::Scalar, |s| {
         fleet::EngineKind::parse(s).unwrap_or_else(|e| usage_error(&e))
     });
-    let capture_events = flags.contains_key("trace-out");
-    if capture_events && engine == fleet::EngineKind::Soa {
-        return Err(
-            "--trace-out requires --engine scalar (fast-forwarded ticks emit no step events)"
-                .to_owned(),
-        );
-    }
     let opts = fleet::RunOptions {
         engine,
-        capture_events,
+        capture_events: flags.contains_key("trace-out"),
         ..fleet::RunOptions::new(threads)
     };
     let (report, stats, events) =
@@ -610,7 +603,21 @@ fn axis_list(flags: &HashMap<String, String>, key: &str, default: &[String]) -> 
 /// command), 3 interrupted by `--stop-after` (resume with the same
 /// `--checkpoint`).
 fn cmd_campaign(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    use sdb::campaign::{self, CampaignOptions, CampaignRun, CampaignSpec};
+    use sdb::campaign::{self, CampaignOptions, CampaignReport, CampaignRun, CampaignSpec};
+
+    let render: fn(&CampaignReport) -> String =
+        match flags.get("format").map_or("text", String::as_str) {
+            "text" => CampaignReport::render_text,
+            "json" => |r| r.to_json() + "\n",
+            "html" => CampaignReport::render_html,
+            other => return Err(format!("unknown --format `{other}` (want text|json|html)")),
+        };
+    let baseline_path = flags.get("baseline");
+    if baseline_path.is_none()
+        && (flags.contains_key("write-baseline") || flags.contains_key("inject-divergence"))
+    {
+        return Err("--write-baseline / --inject-divergence require --baseline <path>".into());
+    }
 
     let default = CampaignSpec::default();
     let spec = CampaignSpec {
@@ -666,18 +673,9 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
         }
     };
 
-    let body = match flags.get("format").map_or("text", String::as_str) {
-        "text" => report.render_text(),
-        "json" => report.to_json() + "\n",
-        "html" => report.render_html(),
-        other => return Err(format!("unknown --format `{other}` (want text|json|html)")),
-    };
-    write_out(flags, &body, "campaign report")?;
+    write_out(flags, &render(&report), "campaign report")?;
 
-    let Some(baseline_path) = flags.get("baseline") else {
-        if flags.contains_key("write-baseline") || flags.contains_key("inject-divergence") {
-            return Err("--write-baseline / --inject-divergence require --baseline <path>".into());
-        }
+    let Some(baseline_path) = baseline_path else {
         return violations_exit(&report);
     };
 

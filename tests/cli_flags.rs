@@ -184,6 +184,66 @@ fn retired_flags_are_usage_errors_naming_them() {
     }
 }
 
+/// A campaign's usage errors are found before the matrix runs: the
+/// checkpoint a run would append to is never created.
+#[test]
+fn campaign_usage_errors_stop_before_any_unit_runs() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (tag, extra, needle) in [
+        (
+            "format",
+            &["--format", "bogus"][..],
+            "unknown --format `bogus`",
+        ),
+        (
+            "write-baseline",
+            &["--write-baseline"],
+            "require --baseline",
+        ),
+        (
+            "inject-divergence",
+            &["--inject-divergence", "x"],
+            "require --baseline",
+        ),
+    ] {
+        let ck = dir.join(format!("usage-{tag}.ckpt"));
+        let _ = std::fs::remove_file(&ck);
+        let ck_arg = ck.to_str().expect("utf-8 path");
+        let base = ["campaign", "--faults", "none", "--devices-per-cell", "1"];
+        assert_usage_error(
+            &[&base[..], &["--checkpoint", ck_arg], extra].concat(),
+            needle,
+        );
+        assert!(!ck.exists(), "{tag}: the campaign ran before refusing");
+    }
+}
+
+/// `fleet --trace-out --engine soa` is refused once, by the fleet
+/// engine, before any device runs or any file is written.
+#[test]
+fn fleet_refuses_trace_capture_on_the_soa_engine() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("soa-trace.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let args = [
+        "fleet",
+        "--devices",
+        "2",
+        "--hours",
+        "0.1",
+        "--engine",
+        "soa",
+    ];
+    assert_usage_error(
+        &[
+            &args[..],
+            &["--trace-out", path.to_str().expect("utf-8 path")],
+        ]
+        .concat(),
+        "event capture requires the scalar engine (--engine scalar)",
+    );
+    assert!(!path.exists());
+}
+
 #[test]
 fn analyze_refuses_a_deeply_nested_trace() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep.jsonl");

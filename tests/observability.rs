@@ -292,7 +292,13 @@ fn every_profile_name_round_trips_through_a_trace() {
                 to: kind.name(),
             },
         };
-        let line = sdb::trace::to_jsonl_line(&event);
-        assert_eq!(sdb::trace::from_jsonl_line(&line), Ok(event), "{line}");
+        let text = sdb::trace::to_jsonl(&[event]);
+        let report = sdb::trace::analyze_jsonl(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        let rendered = report.render_text(0);
+        assert!(
+            rendered.starts_with("trace: 1 events, 1 devices"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("profile_transition"), "{rendered}");
     }
 }
