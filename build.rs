@@ -26,7 +26,12 @@ fn main() {
         .unwrap_or_else(|| "unknown".to_owned());
     println!("cargo:rustc-env=SDB_GIT_HASH={git_hash}");
     println!("cargo:rustc-env=SDB_RUSTC_VERSION={rustc}");
-    // Re-run when HEAD moves so the embedded hash stays honest.
-    println!("cargo:rerun-if-changed=.git/HEAD");
+    // Re-run when HEAD moves so the embedded hash stays honest. A
+    // checkout without `.git` declares only this script: a missing
+    // rerun path would make cargo re-run it, and re-link the binaries,
+    // on every build.
+    if std::path::Path::new(".git/HEAD").exists() {
+        println!("cargo:rerun-if-changed=.git/HEAD");
+    }
     println!("cargo:rerun-if-changed=build.rs");
 }

@@ -147,6 +147,10 @@ pub struct AgingState {
     /// resistance lookup in the hot loop but only changes when
     /// `capacity_fraction` does (at cycle completions).
     res_mult: f64,
+    /// Whether discharge steps feed `crate_accum` / `crate_weight`
+    /// (configuration, outside [`AgingStateSnapshot`]; see
+    /// [`AgingState::set_discharge_rate_tracking`]).
+    track_discharge_rate: bool,
 }
 
 /// DCIR growth for a given remaining-capacity fraction: resistance rises
@@ -167,7 +171,20 @@ impl AgingState {
             crate_accum: 0.0,
             crate_weight: 0.0,
             res_mult: resistance_multiplier_for(1.0),
+            track_discharge_rate: true,
         }
+    }
+
+    /// Turns the discharge side of the C-rate accumulators on (the
+    /// default) or off. The accumulators are read only when a charge
+    /// cycle completes, so a cell that is only discharged until its
+    /// state is restored from a snapshot (or discarded) evolves
+    /// bit-identically either way: cycles, capacity and resistance
+    /// change only at a completion. Only for such a disposable cell (the
+    /// planner's rollout scratch, on a forecast that never charges).
+    /// [`AgingState::import_state`] leaves the setting alone.
+    pub(crate) fn set_discharge_rate_tracking(&mut self, on: bool) {
+        self.track_discharge_rate = on;
     }
 
     /// Records one simulation step.
@@ -177,6 +194,9 @@ impl AgingState {
     /// number of cycles completed by this step.
     pub(crate) fn step(&mut self, current_a: f64, dt_s: f64, capacity_ah: f64) -> u32 {
         debug_assert!(dt_s >= 0.0 && capacity_ah > 0.0);
+        if current_a > 0.0 && !self.track_discharge_rate {
+            return 0;
+        }
         let c_rate = current_a.abs() / capacity_ah;
         let moved_frac = current_a.abs() * dt_s / 3600.0 / (capacity_ah * self.capacity_fraction);
         // Both charge and discharge stress the electrodes; weight the mean

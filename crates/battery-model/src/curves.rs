@@ -326,6 +326,85 @@ impl Curve {
         (value, slope)
     }
 
+    /// The smallest and largest value [`Curve::eval`] (and so
+    /// [`Curve::eval_cached`]) returns at any `x` in `[lo, hi]`
+    /// (`lo <= hi`, both finite).
+    ///
+    /// Inside a segment the value is `y0 + (y1 − y0)·(x − x0)/(x1 − x0)`,
+    /// a chain of correctly rounded operations that are each monotone in
+    /// `x`, so the computed value is monotone in `x` as well: over the
+    /// part of a segment inside the interval it is extremal at that
+    /// part's ends. At the lower knot the formula returns `y0` exactly.
+    /// At the upper knot it need not return `y1`: the rounding of `y1 −
+    /// y0` and of the product leaves the formula's end value an ulp or so
+    /// off `y1`, and the points just below the knot approach that end
+    /// value, not `y1`. So the bounds take `f(lo)`, `f(hi)`, and for every
+    /// knot in `(lo, hi]` both its `y` and the formula's value there from
+    /// the segment below.
+    #[must_use]
+    pub(crate) fn bounds(&self, lo: f64, hi: f64) -> (f64, f64) {
+        let pts = &self.points;
+        // `eval` at `x`, given the first knot `k` above it.
+        let at = |x: f64, k: usize| {
+            if k == 0 {
+                return pts[0].1;
+            }
+            let (x0, y0) = pts[k - 1];
+            match pts.get(k) {
+                Some(&(x1, y1)) if x != x0 => y0 + (y1 - y0) * (x - x0) / (x1 - x0),
+                _ => y0,
+            }
+        };
+        let mut k = pts.partition_point(|&(x, _)| x <= lo);
+        let y_lo = at(lo, k);
+        let (mut min, mut max) = (y_lo, y_lo);
+        while let Some(&(x1, y1)) = pts.get(k) {
+            if x1 > hi {
+                break;
+            }
+            let end = match k.checked_sub(1) {
+                Some(j) => {
+                    let (x0, y0) = pts[j];
+                    y0 + (y1 - y0) * (x1 - x0) / (x1 - x0)
+                }
+                None => y1,
+            };
+            min = min.min(y1).min(end);
+            max = max.max(y1).max(end);
+            k += 1;
+        }
+        let y_hi = at(hi, k);
+        (min.min(y_hi), max.max(y_hi))
+    }
+
+    /// The smallest and largest slope [`Curve::slope`] (and so the slope
+    /// of [`Curve::value_and_slope_cached`]) returns at any `x` in `[lo,
+    /// hi]` (`lo <= hi`, both finite): the slopes of every segment whose
+    /// closed span meets the interval, and 0 if the interval reaches
+    /// outside the knots.
+    #[must_use]
+    pub(crate) fn slope_bounds(&self, lo: f64, hi: f64) -> (f64, f64) {
+        let pts = &self.points;
+        let outside = lo < pts[0].0 || hi > pts[pts.len() - 1].0;
+        let (mut min, mut max) = if outside {
+            (0.0, 0.0)
+        } else {
+            (f64::INFINITY, f64::NEG_INFINITY)
+        };
+        // The first segment whose upper knot reaches `lo`.
+        let first = pts.partition_point(|&(x, _)| x < lo).max(1);
+        for w in pts[first - 1..].windows(2) {
+            let ((x0, y0), (x1, y1)) = (w[0], w[1]);
+            if x0 > hi {
+                break;
+            }
+            let slope = (y1 - y0) / (x1 - x0);
+            min = min.min(slope);
+            max = max.max(slope);
+        }
+        (min, max)
+    }
+
     /// Returns a new curve with every y multiplied by `factor`.
     ///
     /// Used, e.g., to derive an aged DCIR curve (resistance grows with age)
@@ -863,5 +942,184 @@ mod tests {
         assert_eq!(c.x_min(), 0.0);
         assert_eq!(c.x_max(), 1.0);
         assert_eq!(c.eval(0.5), 3.5);
+    }
+
+    /// The interval bounds the no-push certificate reads
+    /// ([`Curve::bounds`], [`Curve::slope_bounds`],
+    /// [`TheveninCell::view_bounds`]) contain every value the plain and
+    /// the cursor-cached queries return anywhere in the interval, the
+    /// points an ulp or a few either side of each knot included.
+    mod bounds {
+        use crate::chemistry::Chemistry;
+        use crate::curves::{Curve, CurveCursor};
+        use crate::spec::BatterySpec;
+        use crate::thermal::ThermalModel;
+        use crate::thevenin::TheveninCell;
+        use sdb_testkit::{check, Gen};
+
+        /// A random curve with 2..=16 knots whose neighbouring values often differ
+        /// by orders of magnitude, so that the interpolation's rounding near a
+        /// knot shows.
+        fn random_curve(g: &mut Gen) -> Curve {
+            let n = g.usize_range(2, 17);
+            let mut x = g.f64_range(-1.0, 1.0);
+            let mut pts = Vec::with_capacity(n);
+            for _ in 0..n {
+                let y = g.pick(&[1e-3, 1.0, 3.7, 1e3]) * g.f64_range(-1.0, 1.0);
+                pts.push((x, y));
+                x += g.pick(&[1e-9, 1e-3, 0.1, 1.0]) * g.f64_range(0.5, 1.5);
+            }
+            Curve::new(pts).expect("valid curve")
+        }
+
+        /// `x` moved by `k` ulps (negative: down).
+        fn ulps(x: f64, k: i64) -> f64 {
+            if x == 0.0 {
+                return f64::from_bits(k.unsigned_abs()) * k.signum() as f64;
+            }
+            let bits = x.to_bits() as i64;
+            let step = if x > 0.0 { k } else { -k };
+            f64::from_bits((bits + step) as u64)
+        }
+
+        /// An interval over the curve's domain: ends at knots, near knots, inside
+        /// segments or beyond the ends.
+        fn random_interval(g: &mut Gen, curve: &Curve) -> (f64, f64) {
+            let pts = curve.points();
+            let (first, last) = (pts[0].0, pts[pts.len() - 1].0);
+            let end = |g: &mut Gen| match g.below(4) {
+                0 => pts[g.usize_range(0, pts.len())].0,
+                1 => ulps(
+                    pts[g.usize_range(0, pts.len())].0,
+                    g.usize_range(0, 7) as i64 - 3,
+                ),
+                2 => g.f64_range(first - 0.1, last + 0.1),
+                _ => g.f64_range(first, last),
+            };
+            let (a, b) = (end(g), end(g));
+            (a.min(b), a.max(b))
+        }
+
+        /// Query points in `[lo, hi]`: the ends, every knot inside and the few
+        /// ulps around it, and uniform draws.
+        fn probes(g: &mut Gen, curve: &Curve, lo: f64, hi: f64) -> Vec<f64> {
+            let mut xs = vec![lo, hi];
+            for &(x, _) in curve.points() {
+                for k in -4..=4 {
+                    xs.push(ulps(x, k));
+                }
+            }
+            for _ in 0..32 {
+                xs.push(g.f64_range(lo, hi));
+            }
+            xs.retain(|x| (lo..=hi).contains(x));
+            xs
+        }
+
+        #[test]
+        fn interval_bounds_contain_every_value_in_the_interval() {
+            let mut probed = 0u64;
+            check(4000, 0xB0_0DED, |g: &mut Gen| {
+                let curve = random_curve(g);
+                let (lo, hi) = random_interval(g, &curve);
+                let (y_lo, y_hi) = curve.bounds(lo, hi);
+                let (s_lo, s_hi) = curve.slope_bounds(lo, hi);
+                let cursor = CurveCursor::new();
+                for x in probes(g, &curve, lo, hi) {
+                    let (v, s) = curve.value_and_slope_cached(&cursor, x);
+                    for y in [curve.eval(x), curve.eval_cached(&CurveCursor::new(), x), v] {
+                        assert!(
+                            y_lo <= y && y <= y_hi,
+                            "f({x:e}) = {y:e} outside [{y_lo:e}, {y_hi:e}] over [{lo:e}, {hi:e}] of {curve:?}"
+                        );
+                    }
+                    assert!(
+                        s_lo <= s && s <= s_hi,
+                        "slope({x:e}) = {s:e} outside [{s_lo:e}, {s_hi:e}] over [{lo:e}, {hi:e}]"
+                    );
+                    probed += 1;
+                }
+            });
+            assert!(probed > 100_000, "only {probed} probes");
+        }
+
+        /// The interpolation's value an ulp below a knot can pass the knot's own
+        /// value: a bound from the knots and the ends alone would miss it.
+        #[test]
+        fn values_just_below_a_knot_can_pass_the_knot() {
+            let mut passed = 0u32;
+            check(4000, 0xB0_0DED, |g: &mut Gen| {
+                let curve = random_curve(g);
+                let pts = curve.points();
+                for w in pts.windows(2) {
+                    let ((x0, y0), (x1, y1)) = (w[0], w[1]);
+                    let x = ulps(x1, -1);
+                    if x <= x0 {
+                        continue;
+                    }
+                    let y = curve.eval(x);
+                    if y > y0.max(y1) || y < y0.min(y1) {
+                        passed += 1;
+                    }
+                }
+            });
+            assert!(passed > 0, "no value just below a knot passed it");
+        }
+
+        #[test]
+        fn cell_view_bounds_contain_the_views_of_every_soc_in_the_interval() {
+            let chems = [
+                Chemistry::Type1LfpPower,
+                Chemistry::Type2CoStandard,
+                Chemistry::Type3CoPower,
+                Chemistry::Type4Bendable,
+                Chemistry::OtherNmc,
+                Chemistry::OtherLto,
+            ];
+            check(1500, 0x5_0CB0, |g: &mut Gen| {
+                let spec = BatterySpec::from_chemistry("c", g.pick(&chems), g.f64_range(0.2, 4.0));
+                let a = g.f64_range(0.0, 1.0);
+                let b =
+                    (a - g.pick(&[0.0, 1e-6, 1e-3, 0.05, 0.5]) * g.f64_range(0.0, 1.0)).max(0.0);
+                let (lo, hi) = (b, a);
+                let fault = if g.chance(0.5) {
+                    1.0
+                } else {
+                    g.f64_range(1.0, 5.0)
+                };
+                let thermal = g
+                    .chance(0.3)
+                    .then(|| ThermalModel::for_capacity_at(spec.capacity_ah, 5.0));
+                let build = |soc: f64| {
+                    let mut cell = TheveninCell::with_soc(spec.clone(), soc);
+                    cell.set_fault_resistance_mult(fault);
+                    match thermal {
+                        Some(t) => cell.with_thermal(t),
+                        None => cell,
+                    }
+                };
+                let bounds = build(hi).view_bounds(lo, hi);
+                let mut socs = vec![lo, hi];
+                for &(x, _) in spec.ocp.points().iter().chain(spec.dcir.points()) {
+                    socs.extend((-2..=2).map(|k| ulps(x, k)));
+                }
+                socs.extend((0..16).map(|_| g.f64_range(lo, hi)));
+                socs.retain(|s| (lo..=hi).contains(s));
+                for soc in socs {
+                    let cell = build(soc);
+                    let (r, slope) = cell.resistance_and_dcir_slope();
+                    for (name, v, [v_lo, v_hi]) in [
+                        ("ocv", cell.ocv(), bounds.ocv_v),
+                        ("resistance", r, bounds.resistance_ohm),
+                        ("|dcir slope|", slope.abs(), bounds.dcir_slope),
+                    ] {
+                        assert!(
+                            v_lo <= v && v <= v_hi,
+                            "{name} {v:e} at soc {soc:e} outside [{v_lo:e}, {v_hi:e}] over [{lo:e}, {hi:e}]"
+                        );
+                    }
+                }
+            });
+        }
     }
 }

@@ -257,6 +257,45 @@ impl TheveninCell {
         )
     }
 
+    /// Bounds on what [`TheveninCell::ocv`] and
+    /// [`TheveninCell::resistance_and_dcir_slope`] return at any SoC in
+    /// `[soc_lo, soc_hi]`, every other part of the state held (aging,
+    /// temperature, fault multiplier). Each bound is the curve's interval
+    /// bound (`Curve::bounds`, `Curve::slope_bounds`) carried through the
+    /// same positive multipliers in the same order: rounded
+    /// multiplication by a positive factor is monotone. The slope bound
+    /// is on its magnitude, which the policies read.
+    #[must_use]
+    pub fn view_bounds(&self, soc_lo: f64, soc_hi: f64) -> ViewBounds {
+        let temp_mult = self
+            .thermal
+            .as_ref()
+            .map_or(1.0, |t| resistance_multiplier_at(t.temperature_c()));
+        let age = self.aging.resistance_multiplier();
+        let (r_lo, r_hi) = self.spec.dcir.bounds(soc_lo, soc_hi);
+        let (s_lo, s_hi) = self.spec.dcir.slope_bounds(soc_lo, soc_hi);
+        let (s_lo, s_hi) = (
+            s_lo * age * self.fault_r_mult,
+            s_hi * age * self.fault_r_mult,
+        );
+        let slope_abs = if s_lo >= 0.0 {
+            [s_lo, s_hi]
+        } else if s_hi <= 0.0 {
+            [-s_hi, -s_lo]
+        } else {
+            [0.0, s_hi.max(-s_lo)]
+        };
+        let (v_lo, v_hi) = self.spec.ocp.bounds(soc_lo, soc_hi);
+        ViewBounds {
+            ocv_v: [v_lo, v_hi],
+            resistance_ohm: [
+                r_lo * age * temp_mult * self.fault_r_mult,
+                r_hi * age * temp_mult * self.fault_r_mult,
+            ],
+            dcir_slope: slope_abs,
+        }
+    }
+
     /// Present usable capacity in amp-hours (rated capacity × fade).
     #[must_use]
     pub(crate) fn effective_capacity_ah(&self) -> f64 {
@@ -328,6 +367,15 @@ impl TheveninCell {
     #[must_use]
     pub fn aging(&self) -> &AgingState {
         &self.aging
+    }
+
+    /// Turns the discharge-side C-rate accumulators of the aging model on
+    /// (the default) or off; see the aging model's
+    /// `set_discharge_rate_tracking`. Off is exact only for a cell that
+    /// completes no charge cycle before its state is restored or
+    /// discarded. [`TheveninCell::import_state`] leaves the setting alone.
+    pub fn set_discharge_rate_tracking(&mut self, on: bool) {
+        self.aging.set_discharge_rate_tracking(on);
     }
 
     /// Completed charge cycles.
@@ -576,6 +624,20 @@ impl TheveninCell {
             thermal.step(0.0, dt_s.max(0.0));
         }
     }
+}
+
+/// Bounds, `[lo, hi]`, on a cell's policy view over an SoC interval
+/// (see [`TheveninCell::view_bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ViewBounds {
+    /// Open-circuit voltage, volts.
+    pub ocv_v: [f64; 2],
+    /// Ohmic resistance, ohms: the first value of
+    /// [`TheveninCell::resistance_and_dcir_slope`].
+    pub resistance_ohm: [f64; 2],
+    /// Magnitude of the scaled DCIR slope: the second value of
+    /// [`TheveninCell::resistance_and_dcir_slope`], unsigned.
+    pub dcir_slope: [f64; 2],
 }
 
 /// Plain-data capture of one cell's mutable state (see

@@ -14,6 +14,7 @@
 //! resistive loss for the instantaneous load.
 
 use crate::error::SdbError;
+use sdb_battery_model::thevenin::TheveninCell;
 use sdb_emulator::micro::Microcontroller;
 
 /// Per-battery view the policies consume. Built either from ground truth
@@ -44,6 +45,30 @@ pub struct BatteryView {
     pub full: bool,
 }
 
+impl BatteryView {
+    /// The ground-truth view of `cell`, attached when `present`, given
+    /// its charge acceptance.
+    pub(crate) fn of_cell(cell: &TheveninCell, present: bool, charge_acceptance_a: f64) -> Self {
+        // One curve walk yields both the DCIR value and its slope.
+        let (r0, dcir_slope) = cell.resistance_and_dcir_slope();
+        Self {
+            soc: cell.soc(),
+            ocv_v: cell.ocv(),
+            resistance_ohm: r0 + cell.spec().concentration_r_ohm,
+            dcir_slope: dcir_slope.abs(),
+            wear: cell.wear_ratio(),
+            capacity_ah: cell.spec().capacity_ah,
+            max_discharge_a: cell.spec().max_discharge_a,
+            charge_acceptance_a,
+            // An absent battery (detached pack) is unusable in both
+            // directions: report it empty and full so no policy routes
+            // power to it.
+            empty: cell.is_empty() || !present,
+            full: cell.is_full() || !present,
+        }
+    }
+}
+
 /// Input snapshot for one policy decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyInput {
@@ -65,38 +90,30 @@ impl PolicyInput {
             load_w: 0.0,
             external_w: 0.0,
         };
-        input.refill_from_micro(micro);
+        input.refill_from_micro(micro, true);
         input
     }
 
     /// Rebuilds the snapshot in place from `micro`, reusing the battery
     /// buffer (no allocation once capacity is established) — the rollout
     /// hot path. Load and external power are reset to zero, as in
-    /// [`PolicyInput::from_micro`].
-    pub(crate) fn refill_from_micro(&mut self, micro: &Microcontroller) {
+    /// [`PolicyInput::from_micro`]. Without `charge_acceptance` every
+    /// view's `charge_acceptance_a` is 0: only the charge policies (and
+    /// the charge side's guard-band widening) read it, so a runtime with
+    /// charge evaluation off (`SdbRuntime::set_charge_evaluation`) never
+    /// sees the difference.
+    pub(crate) fn refill_from_micro(&mut self, micro: &Microcontroller, charge_acceptance: bool) {
         self.load_w = 0.0;
         self.external_w = 0.0;
         self.batteries.clear();
         self.batteries
             .extend(micro.cells().iter().enumerate().map(|(i, cell)| {
-                // An absent battery (detached pack) is unusable in both
-                // directions: report it empty and full so no policy routes
-                // power to it.
-                let present = micro.battery_present(i);
-                // One curve walk yields both the DCIR value and its slope.
-                let (r0, dcir_slope) = cell.resistance_and_dcir_slope();
-                BatteryView {
-                    soc: cell.soc(),
-                    ocv_v: cell.ocv(),
-                    resistance_ohm: r0 + cell.spec().concentration_r_ohm,
-                    dcir_slope: dcir_slope.abs(),
-                    wear: cell.wear_ratio(),
-                    capacity_ah: cell.spec().capacity_ah,
-                    max_discharge_a: cell.spec().max_discharge_a,
-                    charge_acceptance_a: micro.charge_acceptance_a(i),
-                    empty: cell.is_empty() || !present,
-                    full: cell.is_full() || !present,
-                }
+                let acceptance = if charge_acceptance {
+                    micro.charge_acceptance_a(i)
+                } else {
+                    0.0
+                };
+                BatteryView::of_cell(cell, micro.battery_present(i), acceptance)
             }));
     }
 
@@ -162,16 +179,65 @@ pub(crate) struct PolicyScratch {
 }
 
 /// One cell's part of the no-push certificate: its share of the blend's
-/// CCB-Discharge term, its `δ'`, and the box around its RBL-Discharge
-/// weight, with the next pass's box.
+/// CCB-Discharge term, the bounds on its `δ'`, and the box around its
+/// RBL-Discharge weight, with the next pass's box.
 #[derive(Debug, Clone, Copy, Default)]
 struct CellBound {
     ccb: f64,
-    delta: f64,
+    delta: [f64; 2],
     lo: f64,
     hi: f64,
     next_lo: f64,
     next_hi: f64,
+}
+
+/// Bounds on one battery's discharge-policy view over a box of pack
+/// states: the view fields that vary with state of charge as `[lo, hi]`
+/// intervals, the fields a box holds fixed as values. A single
+/// [`BatteryView`] is the box of width 0 ([`ViewBox::point`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ViewBox {
+    ocv_v: [f64; 2],
+    resistance_ohm: [f64; 2],
+    dcir_slope: [f64; 2],
+    wear: f64,
+    capacity_ah: f64,
+    max_discharge_a: f64,
+    empty: bool,
+}
+
+impl ViewBox {
+    /// The box of width 0 at `b`.
+    pub(crate) fn point(b: &BatteryView) -> Self {
+        Self {
+            ocv_v: [b.ocv_v; 2],
+            resistance_ohm: [b.resistance_ohm; 2],
+            dcir_slope: [b.dcir_slope; 2],
+            wear: b.wear,
+            capacity_ah: b.capacity_ah,
+            max_discharge_a: b.max_discharge_a,
+            empty: b.empty,
+        }
+    }
+
+    /// Bounds on the view [`PolicyInput::from_micro`] builds of `cell`
+    /// (attached when `present`) at any state of charge in `[soc_lo,
+    /// soc_hi]`, the rest of its state as it is now. The caller keeps
+    /// the interval on one side of the empty threshold, so `empty` is the
+    /// flag of every state in the box.
+    pub(crate) fn over(cell: &TheveninCell, present: bool, soc_lo: f64, soc_hi: f64) -> Self {
+        let b = cell.view_bounds(soc_lo, soc_hi);
+        let conc = cell.spec().concentration_r_ohm;
+        Self {
+            ocv_v: b.ocv_v,
+            resistance_ohm: [b.resistance_ohm[0] + conc, b.resistance_ohm[1] + conc],
+            dcir_slope: b.dcir_slope,
+            wear: cell.wear_ratio(),
+            capacity_ah: cell.spec().capacity_ah,
+            max_discharge_a: cell.spec().max_discharge_a,
+            empty: cell.is_empty() || !present,
+        }
+    }
 }
 
 impl PolicyScratch {
@@ -222,7 +288,12 @@ pub(crate) fn ccb_discharge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Res
         .map(|b| b.wear)
         .fold(f64::NEG_INFINITY, f64::max);
     out.clear();
-    out.extend(input.batteries.iter().map(|b| ccb_weight(b, max_wear)));
+    out.extend(
+        input
+            .batteries
+            .iter()
+            .map(|b| ccb_weight(b.empty, b.wear, max_wear)),
+    );
     if normalize_in_place(out) {
         Ok(())
     } else {
@@ -232,13 +303,13 @@ pub(crate) fn ccb_discharge_into(input: &PolicyInput, out: &mut Vec<f64>) -> Res
 
 /// A battery's CCB-Discharge weight before normalization, given the
 /// highest wear among the usable batteries.
-fn ccb_weight(b: &BatteryView, max_wear: f64) -> f64 {
-    if b.empty {
+fn ccb_weight(empty: bool, wear: f64, max_wear: f64) -> f64 {
+    if empty {
         0.0
     } else {
         // Strictly positive for usable batteries; the lead term biases
         // toward the least worn.
-        (max_wear - b.wear) + 0.02
+        (max_wear - wear) + 0.02
     }
 }
 
@@ -325,9 +396,16 @@ pub(crate) fn rbl_discharge_into(
     currents: &mut Vec<f64>,
 ) -> Result<(), SdbError> {
     let n = input.batteries.len();
-    let total_i = pack_current(input).ok_or(SdbError::Infeasible("all batteries empty"))?;
+    let usable_ocv = input.batteries.iter().filter(|b| !b.empty).map(|b| b.ocv_v);
+    let total_i = pack_current(input.load_w, usable_ocv)
+        .ok_or(SdbError::Infeasible("all batteries empty"))?;
     delta.clear();
-    delta.extend(input.batteries.iter().map(delta_prime));
+    delta.extend(
+        input
+            .batteries
+            .iter()
+            .map(|b| delta_prime(b.dcir_slope, b.capacity_ah)),
+    );
     currents.clear();
     currents.resize(n, 0.0);
     // Initialize `out` with the parallel-resistor split weights.
@@ -356,7 +434,8 @@ pub(crate) fn rbl_discharge_into(
             let new = if input.batteries[i].empty {
                 0.0
             } else {
-                rbl_weight(&input.batteries[i], delta[i], currents[i])
+                let b = &input.batteries[i];
+                rbl_weight(b.ocv_v, b.resistance_ohm, delta[i], currents[i])
             };
             moved |= new.to_bits() != out[i].to_bits();
             out[i] = new;
@@ -400,7 +479,8 @@ pub(crate) fn rbl_discharge_into(
         // renormalization would push capped batteries back over their
         // limits; fall back to a cap-proportional split instead (the
         // hardware re-checks feasibility and reports any true shortfall).
-        let total_cap = usable_cap_total(input);
+        let total_cap =
+            usable_cap_total(input.batteries.iter().map(|b| (b.empty, b.max_discharge_a)));
         if total_i > total_cap && total_cap > 0.0 {
             for (r, b) in ratios.iter_mut().zip(&input.batteries) {
                 *r = if b.empty {
@@ -420,50 +500,46 @@ pub(crate) fn rbl_discharge_into(
 }
 
 /// The pack current RBL-Discharge splits: the load over the usable cells'
-/// mean OCV, not below 0. `None` when every battery is empty.
-fn pack_current(input: &PolicyInput) -> Option<f64> {
-    let (usable, v_sum) = input
-        .batteries
-        .iter()
-        .filter(|b| !b.empty)
-        .fold((0usize, 0.0f64), |(k, s), b| (k + 1, s + b.ocv_v));
+/// mean OCV (`usable_ocv`, in pack order), not below 0. `None` when every
+/// battery is empty. For a load `>= 0` it is non-increasing in every OCV:
+/// the sum, the mean and the division are each monotone.
+fn pack_current(load_w: f64, usable_ocv: impl Iterator<Item = f64>) -> Option<f64> {
+    let (usable, v_sum) = usable_ocv.fold((0usize, 0.0f64), |(k, s), v| (k + 1, s + v));
     if usable == 0 {
         return None;
     }
     let mean_v = v_sum / usable as f64;
-    Some((input.load_w / mean_v).max(0.0))
+    Some((load_w / mean_v).max(0.0))
 }
 
 /// `δ'i`: the ohms a cell's effective resistance gains per amp drawn for
-/// `RBL_HORIZON_H` hours.
-fn delta_prime(b: &BatteryView) -> f64 {
-    b.dcir_slope * RBL_HORIZON_H / b.capacity_ah.max(1e-9)
+/// `RBL_HORIZON_H` hours, from its DCIR slope magnitude; monotone in it.
+fn delta_prime(dcir_slope: f64, capacity_ah: f64) -> f64 {
+    dcir_slope * RBL_HORIZON_H / capacity_ah.max(1e-9)
 }
 
-/// The summed current caps of the usable cells: above it, RBL-Discharge
-/// falls back to a cap-proportional split.
-fn usable_cap_total(input: &PolicyInput) -> f64 {
-    input
-        .batteries
-        .iter()
-        .map(|b| if b.empty { 0.0 } else { b.max_discharge_a })
-        .sum()
+/// The summed current caps of the usable cells, from each battery's
+/// `(empty, max_discharge_a)`: above it, RBL-Discharge falls back to a
+/// cap-proportional split.
+fn usable_cap_total(caps: impl Iterator<Item = (bool, f64)>) -> f64 {
+    caps.map(|(empty, cap)| if empty { 0.0 } else { cap }).sum()
 }
 
-/// One RBL-Discharge fixed-point weight: the cell's OCV over its
-/// effective resistance at `current_a` amps of draw (`delta` is `δ'i`).
-/// For `delta >= 0` it is non-increasing in `current_a`: each rounded
-/// operation is monotone, so bounds on the current bound the weight.
-fn rbl_weight(b: &BatteryView, delta: f64, current_a: f64) -> f64 {
-    let r_eff = b.resistance_ohm + delta * current_a;
-    b.ocv_v / r_eff.max(1e-6)
+/// One RBL-Discharge fixed-point weight: the cell's OCV `v` over its
+/// effective resistance `r + δ'·current_a` (`delta` is `δ'i`). For `v >
+/// 0` and `delta >= 0` it is non-decreasing in `v` and non-increasing in
+/// `r`, `delta` and `current_a`: each rounded operation is monotone, so
+/// bounds on the inputs bound the weight.
+fn rbl_weight(v: f64, r: f64, delta: f64, current_a: f64) -> f64 {
+    let r_eff = r + delta * current_a;
+    v / r_eff.max(1e-6)
 }
 
 /// [`rbl_weight`] at `current_a = num / den` with one division: for
 /// `den > 0`, `V / max(R + δ·num/den, 1e-6)` equals
 /// `V·den / max(R·den + δ·num, 1e-6·den)`.
-fn rbl_weight_at_share(b: &BatteryView, delta: f64, num: f64, den: f64) -> f64 {
-    b.ocv_v * den / (b.resistance_ohm * den + delta * num).max(1e-6 * den)
+fn rbl_weight_at_share(v: f64, r: f64, delta: f64, num: f64, den: f64) -> f64 {
+    v * den / (r * den + delta * num).max(1e-6 * den)
 }
 
 /// Over every weight vector `w` in the cells' box, the share `w_i / Σ w`
@@ -584,43 +660,50 @@ impl DischargeDirective {
         blend_into(self.0, &scratch.ccb, &scratch.rbl, &mut scratch.out)
     }
 
-    /// Whether [`DischargeDirective::ratios_into`] on `input` provably
-    /// returns ratios no farther than the push threshold (0.01) from
-    /// `last`, the split in force: a runtime tick that holds this
+    /// Whether [`DischargeDirective::ratios_into`], on every input whose
+    /// batteries' views lie in `views` and whose load is `load_w`,
+    /// provably returns ratios no farther than the push threshold (0.01)
+    /// from `last`, the split in force: a runtime tick that holds this
     /// certificate can skip the evaluation, since it could not push.
-    /// `false` means only that the bound cannot prove it.
+    /// `false` means only that the bound cannot prove it. One input is
+    /// the box of width 0 ([`ViewBox::point`]); a wider box certifies
+    /// every tick whose views stay inside it.
     ///
     /// Every pass of RBL-Discharge's fixed point sets `w_i = V_i /
     /// max(R_i + δ'_i·c_i, 1e-6)`, where `c_i ∈ [0, I]` is a share of the
     /// pack current, so every iterate lies in the box `[V_i / max(R_i +
-    /// δ'_i·I, 1e-6), V_i / max(R_i, 1e-6)]`. One more pass through the
-    /// same formula, at the extreme shares that box allows, gives a tighter
-    /// box holding every iterate from the first pass on, the solver's
-    /// result included. Up to three such passes run, until the ratio box
-    /// the weight box implies, blended with the CCB-Discharge split, stays
+    /// δ'_i·I, 1e-6), V_i / max(R_i, 1e-6)]`, taken at the ends of the
+    /// view intervals that make it widest. One more pass through the same
+    /// formula, at the extreme shares that box allows, gives a tighter box
+    /// holding every iterate from the first pass on, the solver's result
+    /// included. Up to three such passes run, until the ratio box the
+    /// weight box implies, blended with the CCB-Discharge split, stays
     /// within `0.01 − 1e-9` of `last` in every component (DESIGN.md §9).
     ///
     /// Holds when CCB-Discharge is infeasible, as when every battery is
     /// empty, since the evaluation then fails.
     /// Declines when `last` does not match the pack; when a usable cell's
-    /// OCV is not positive and finite, or a resistance or DCIR slope is not
-    /// finite; and when a per-battery current cap or the pack-current
-    /// fallback could bind. Touches none of `scratch`'s other buffers, so
-    /// [`PolicyScratch::ratios`] still holds the last evaluation.
+    /// OCV bounds are not positive and finite, or a resistance or DCIR
+    /// slope bound is not finite; and when a per-battery current cap or
+    /// the pack-current fallback could bind. Touches none of `scratch`'s
+    /// other buffers, so [`PolicyScratch::ratios`] still holds the last
+    /// evaluation.
     pub(crate) fn cannot_push(
         self,
-        input: &PolicyInput,
+        views: &[ViewBox],
+        load_w: f64,
         last: &[f64],
         scratch: &mut PolicyScratch,
     ) -> bool {
-        let batteries = &input.batteries;
-        if last.len() != batteries.len() {
+        if last.len() != views.len() {
             return false;
         }
         // The CCB-Discharge weights as `ccb_discharge_into` computes them.
         let mut max_wear = f64::NEG_INFINITY;
-        for b in batteries.iter().filter(|b| !b.empty) {
-            if !(b.ocv_v.is_finite() && b.ocv_v > 0.0 && b.resistance_ohm.is_finite()) {
+        for b in views.iter().filter(|b| !b.empty) {
+            let [v_lo, v_hi] = b.ocv_v;
+            let [r_lo, r_hi] = b.resistance_ohm;
+            if !(v_lo > 0.0 && [v_lo, v_hi, r_lo, r_hi].iter().all(|x| x.is_finite())) {
                 return false;
             }
             max_wear = max_wear.max(b.wear);
@@ -628,14 +711,14 @@ impl DischargeDirective {
         let cells = &mut scratch.bounds;
         cells.clear();
         let mut ccb_sum = 0.0;
-        for b in batteries {
-            let ccb = ccb_weight(b, max_wear);
+        for b in views {
+            let ccb = ccb_weight(b.empty, b.wear, max_wear);
             if ccb.is_finite() && ccb > 0.0 {
                 ccb_sum += ccb;
             }
             cells.push(CellBound {
                 ccb,
-                delta: delta_prime(b),
+                delta: b.dcir_slope.map(|s| delta_prime(s, b.capacity_ah)),
                 ..CellBound::default()
             });
         }
@@ -643,43 +726,50 @@ impl DischargeDirective {
         if ccb_sum <= 0.0 {
             return true;
         }
+        // The pack current over the box: it falls as the OCVs rise.
         // `ratios_into` also fails, pushing nothing, where RBL-Discharge
         // finds no usable cell.
-        let Some(total_i) = pack_current(input) else {
+        let usable = || views.iter().filter(|b| !b.empty);
+        let (Some(i_lo), Some(i_hi)) = (
+            pack_current(load_w, usable().map(|b| b.ocv_v[1])),
+            pack_current(load_w, usable().map(|b| b.ocv_v[0])),
+        ) else {
             return true;
         };
-        let total_cap = usable_cap_total(input);
-        if !total_i.is_finite() || (total_i > total_cap && total_cap > 0.0) {
+        let total_cap = usable_cap_total(views.iter().map(|b| (b.empty, b.max_discharge_a)));
+        if !i_hi.is_finite() || (i_hi > total_cap && total_cap > 0.0) {
             return false;
         }
         // The blend's CCB term, and the a-priori box around every
         // iterate: shares in [0, I].
         let ccb_scale = (1.0 - self.0) / ccb_sum;
-        for (c, b) in cells.iter_mut().zip(batteries) {
+        for (c, b) in cells.iter_mut().zip(views) {
             c.ccb = if c.ccb > 0.0 { c.ccb * ccb_scale } else { 0.0 };
             if b.empty {
                 continue;
             }
-            if !(c.delta.is_finite() && c.delta >= 0.0) {
+            let [d_lo, d_hi] = c.delta;
+            if !(d_lo.is_finite() && d_hi.is_finite() && d_lo >= 0.0) {
                 return false;
             }
-            c.lo = rbl_weight(b, c.delta, total_i);
-            c.hi = rbl_weight(b, c.delta, 0.0);
+            c.lo = rbl_weight(b.ocv_v[0], b.resistance_ohm[1], d_hi, i_hi);
+            c.hi = rbl_weight(b.ocv_v[1], b.resistance_ohm[0], d_lo, 0.0);
         }
         let reach = PUSH_THRESHOLD - CERTIFICATE_MARGIN;
         for _ in 0..REFINEMENTS {
             // One more pass at the box's extreme shares tightens it: a
             // cell's share is at most `hi_i / top` and at least
             // `lo_i / bottom`.
-            for (i, b) in batteries.iter().enumerate() {
+            for (i, b) in views.iter().enumerate() {
                 let (bottom, top) = share_denominators(cells, i);
                 let c = &cells[i];
                 let (lo, hi) = if b.empty {
                     (0.0, 0.0)
                 } else {
+                    let (v, r, d) = (b.ocv_v, b.resistance_ohm, c.delta);
                     (
-                        rbl_weight_at_share(b, c.delta, total_i * c.hi, top),
-                        rbl_weight_at_share(b, c.delta, total_i * c.lo, bottom),
+                        rbl_weight_at_share(v[0], r[1], d[1], i_hi * c.hi, top),
+                        rbl_weight_at_share(v[1], r[0], d[0], i_lo * c.lo, bottom),
                     )
                 };
                 cells[i].next_lo = lo;
@@ -693,11 +783,11 @@ impl DischargeDirective {
             // compared multiplied out by the positive denominators. Every
             // comparison is written so that a NaN declines.
             let d = self.0;
-            let certified = batteries.iter().enumerate().all(|(i, b)| {
+            let certified = views.iter().enumerate().all(|(i, b)| {
                 let (bottom, top) = share_denominators(cells, i);
                 let c = &cells[i];
-                let under_cap = total_i == 0.0
-                    || c.hi * total_i <= b.max_discharge_a * (1.0 - CERTIFICATE_MARGIN) * top;
+                let under_cap = i_hi == 0.0
+                    || c.hi * i_hi <= b.max_discharge_a * (1.0 - CERTIFICATE_MARGIN) * top;
                 under_cap
                     && d * c.hi <= (reach + last[i] - c.ccb) * top
                     && (last[i] - c.ccb - reach) * bottom <= d * c.lo
@@ -1253,6 +1343,17 @@ mod tests {
         assert!(full > 0, "no case needed all 12 passes");
     }
 
+    /// The no-push certificate on `inp` alone (the box of width 0).
+    fn point_certified(
+        d: DischargeDirective,
+        inp: &PolicyInput,
+        last: &[f64],
+        scratch: &mut PolicyScratch,
+    ) -> bool {
+        let views: Vec<ViewBox> = inp.batteries.iter().map(ViewBox::point).collect();
+        d.cannot_push(&views, inp.load_w, last, scratch)
+    }
+
     /// `last` moved off `truth` so that some components sit near the push
     /// threshold: each is unmoved, moved less than the threshold, or moved
     /// 0.01 ± 1e-12…1e-6 either way.
@@ -1275,11 +1376,24 @@ mod tests {
     }
 
     /// The no-push certificate is sound: whenever it holds, the full
-    /// evaluation fails or lands within the push threshold of `last`. The
-    /// packs have 1–8 cells, empty cells, resistances below the 1e-6
-    /// clamp, DCIR slopes up to 5, zero loads and loads past the per-cell
-    /// and pack current caps, usable cells with OCV ≤ 0, and directives 0
-    /// and 1 among the blends; `last` probes the threshold.
+    /// evaluation fails or lands within the push threshold of `last`.
+    ///
+    /// At single inputs, the packs have 1–8 cells, empty cells,
+    /// resistances below the 1e-6 clamp, DCIR slopes up to 5, zero loads
+    /// and loads past the per-cell and pack current caps, usable cells
+    /// with OCV ≤ 0, and directives 0 and 1 among the blends; `last`
+    /// probes the threshold.
+    ///
+    /// Over boxes of pack states, it holds for every state inside: packs
+    /// of 1–8 cells of every chemistry, worn, faulted, warm or cold,
+    /// empty or detached; boxes from a point up to a fifth of the charge
+    /// wide; loads up to past the pack's current cap. Half the `last`
+    /// come from the split at a state in the box, moved near the
+    /// threshold; the other half put one component a hair past or short
+    /// of the threshold from the split at the box's low corner (every
+    /// cell at the bottom of its interval), on the side of the high
+    /// corner. Every certified box is evaluated at both corners and at
+    /// six states drawn inside.
     #[test]
     fn certified_evaluations_never_push() {
         let (mut scratch, mut eval) = (PolicyScratch::new(), PolicyScratch::new());
@@ -1334,7 +1448,7 @@ mod tests {
                 Ok(truth) => last_near(g, &truth),
                 Err(_) => (0..n).map(|_| g.f64_range(0.0, 1.0)).collect(),
             };
-            if !directive.cannot_push(&inp, &last, &mut scratch) {
+            if !point_certified(directive, &inp, &last, &mut scratch) {
                 declined += 1;
                 return;
             }
@@ -1356,6 +1470,153 @@ mod tests {
             "only {at_edge} certified within 1e-4 of the threshold"
         );
         assert!(declined > 500, "only {declined} declined");
+
+        // Over boxes of pack states.
+        let (mut certified, mut cornered, mut declined, mut at_edge) = (0u32, 0u32, 0u32, 0u32);
+        sdb_testkit::check(8000, 0xB0C5_F1ED, |g| {
+            let cells: Vec<BoxedCell> = (0..g.usize_range(1, 9))
+                .map(|_| arb_boxed_cell(g))
+                .collect();
+            let cap_w: f64 = cells
+                .iter()
+                .map(|c| c.top.spec().max_discharge_a * c.top.ocv())
+                .sum();
+            let load_w = g.pick(&[0.0, 0.01, 0.1, 0.5, 1.0, 1.6]) * g.f64_range(0.0, 1.0) * cap_w;
+            let at = |socs: &mut dyn FnMut(&BoxedCell) -> f64| {
+                let batteries = cells
+                    .iter()
+                    .map(|c| BatteryView::of_cell(&c.at(socs(c)), c.present, 0.0))
+                    .collect();
+                input(batteries, load_w)
+            };
+            let corners = [at(&mut |c| c.soc[0]), at(&mut |c| c.soc[1])];
+            let blend = g.f64_range(0.0, 1.0);
+            let directive = DischargeDirective::new(g.pick(&[0.0, 1.0, blend]));
+            let low = directive.ratios(&corners[0]);
+            let high = directive.ratios(&corners[1]);
+            let corner_last = g.chance(0.5);
+            let last = match (low, high) {
+                (Ok(low), Ok(high)) if corner_last => {
+                    let k = g.usize_range(0, low.len());
+                    let mut last: Vec<f64> =
+                        low.iter().zip(&high).map(|(a, b)| 0.5 * (a + b)).collect();
+                    let toward = if high[k] >= low[k] { 1.0 } else { -1.0 };
+                    let edge = if g.chance(0.5) { 1.0 } else { -1.0 };
+                    let off = PUSH_THRESHOLD + edge * 10f64.powf(g.f64_range(-12.0, -4.0));
+                    last[k] = low[k] + toward * off;
+                    last
+                }
+                _ => match directive.ratios(&at(&mut |c| c.draw(g))) {
+                    Ok(truth) => last_near(g, &truth),
+                    Err(_) => (0..cells.len()).map(|_| g.f64_range(0.0, 1.0)).collect(),
+                },
+            };
+            let views: Vec<ViewBox> = cells
+                .iter()
+                .map(|c| ViewBox::over(&c.top, c.present, c.soc[0], c.soc[1]))
+                .collect();
+            if !directive.cannot_push(&views, load_w, &last, &mut scratch) {
+                declined += 1;
+                return;
+            }
+            certified += 1;
+            cornered += u32::from(corner_last);
+            let inside: Vec<PolicyInput> = (0..6).map(|_| at(&mut |c| c.draw(g))).collect();
+            for inp in corners.iter().chain(&inside) {
+                if directive.ratios_into(inp, &mut eval).is_ok() {
+                    let out = eval.ratios();
+                    assert!(
+                        !materially_different(out, &last),
+                        "certified box, yet {out:?} moved past {last:?} on {inp:?} at {directive:?}"
+                    );
+                    if out.iter().zip(&last).any(|(x, y)| (x - y).abs() > 0.0099) {
+                        at_edge += 1;
+                    }
+                }
+            }
+        });
+        assert!(certified > 1000, "only {certified} certified");
+        assert!(
+            cornered > 300,
+            "only {cornered} certified at a corner's edge"
+        );
+        assert!(declined > 1000, "only {declined} declined");
+        assert!(
+            at_edge > 300,
+            "only {at_edge} states within 1e-4 of the threshold"
+        );
+    }
+
+    /// One cell of a drawn box: the cell at the box's top, its box, and
+    /// whether it is attached.
+    struct BoxedCell {
+        top: TheveninCell,
+        soc: [f64; 2],
+        present: bool,
+    }
+
+    impl BoxedCell {
+        /// The cell at `soc`, the rest of its state as at the top.
+        fn at(&self, soc: f64) -> TheveninCell {
+            let mut state = self.top.export_state();
+            state.soc = soc;
+            let mut cell = self.top.clone();
+            cell.import_state(&state);
+            cell
+        }
+
+        /// A state of charge in the box: an end, or drawn inside.
+        fn draw(&self, g: &mut sdb_testkit::Gen) -> f64 {
+            let [lo, hi] = self.soc;
+            match g.below(4) {
+                0 => lo,
+                1 => hi,
+                _ => g.f64_range(lo, hi).clamp(lo, hi),
+            }
+        }
+    }
+
+    /// A cell of a drawn chemistry, capacity, wear, fault multiplier and
+    /// temperature, with a box of SoC below its charge level that is a
+    /// point, a few ulps, or up to a fifth of the charge wide; some cells
+    /// are empty (boxed below the empty threshold) or detached.
+    fn arb_boxed_cell(g: &mut sdb_testkit::Gen) -> BoxedCell {
+        use sdb_battery_model::chemistry::Chemistry;
+        use sdb_battery_model::spec::BatterySpec;
+        use sdb_battery_model::thermal::ThermalModel;
+        let chems = [
+            Chemistry::Type1LfpPower,
+            Chemistry::Type2CoStandard,
+            Chemistry::Type3CoPower,
+            Chemistry::Type4Bendable,
+            Chemistry::OtherNmc,
+            Chemistry::OtherLto,
+        ];
+        let spec = BatterySpec::from_chemistry("b", g.pick(&chems), g.f64_range(0.2, 4.0));
+        let empty = g.chance(0.1);
+        let hi = if empty { 0.0 } else { g.f64_range(0.02, 1.0) };
+        let width = g.pick(&[0.0, 1e-15, 1e-6, 1e-3, 0.02, 0.2]) * g.f64_range(0.0, 1.0);
+        let lo = if empty { 0.0 } else { (hi - width).max(2e-9) };
+        let mut top = TheveninCell::with_soc(spec, hi);
+        if g.chance(0.3) {
+            top.set_fault_resistance_mult(g.f64_range(1.0, 4.0));
+        }
+        if g.chance(0.2) {
+            let capacity_ah = top.spec().capacity_ah;
+            top = top.with_thermal(ThermalModel::for_capacity_at(
+                capacity_ah,
+                g.f64_range(0.0, 40.0),
+            ));
+        }
+        let mut state = top.export_state();
+        state.aging.cycles = g.u32_range(0, 400);
+        state.aging.capacity_fraction = g.f64_range(0.8, 1.0);
+        top.import_state(&state);
+        BoxedCell {
+            top,
+            soc: [lo, hi],
+            present: !g.chance(0.05),
+        }
     }
 
     #[test]
@@ -1365,18 +1626,21 @@ mod tests {
         let mut scratch = PolicyScratch::new();
         let inp = input(pack(), 3.0);
         let truth = d.ratios(&inp).unwrap();
-        assert!(d.cannot_push(&inp, &truth, &mut scratch), "steady tick");
+        assert!(
+            point_certified(d, &inp, &truth, &mut scratch),
+            "steady tick"
+        );
         // The certificate leaves the last evaluation's result alone.
         d.ratios_into(&inp, &mut scratch).unwrap();
         let before = scratch.ratios().to_vec();
-        assert!(d.cannot_push(&inp, &truth, &mut scratch));
+        assert!(point_certified(d, &inp, &truth, &mut scratch));
         assert_eq!(scratch.ratios(), &before[..]);
         // First tick: nothing in force.
-        assert!(!d.cannot_push(&inp, &[], &mut scratch));
-        assert!(!d.cannot_push(&inp, &truth[..1], &mut scratch));
+        assert!(!point_certified(d, &inp, &[], &mut scratch));
+        assert!(!point_certified(d, &inp, &truth[..1], &mut scratch));
         // A ratio that would move by a percentage point.
         let moved = [truth[0] + 0.01, truth[1] - 0.01];
-        assert!(!d.cannot_push(&inp, &moved, &mut scratch));
+        assert!(!point_certified(d, &inp, &moved, &mut scratch));
         // A usable dead cell, a non-finite resistance or slope.
         for spoil in [
             |b: &mut BatteryView| b.ocv_v = 0.0,
@@ -1385,7 +1649,12 @@ mod tests {
         ] {
             let mut batteries = pack();
             spoil(&mut batteries[1]);
-            assert!(!d.cannot_push(&input(batteries, 3.0), &truth, &mut scratch));
+            assert!(!point_certified(
+                d,
+                &input(batteries, 3.0),
+                &truth,
+                &mut scratch
+            ));
         }
         // A per-battery cap that binds, even with `last` at the split the
         // cap changes; and the pack-current fallback.
@@ -1394,13 +1663,13 @@ mod tests {
         let inp = input(capped, 3.0);
         let uncapped = d.ratios(&input(pack(), 3.0)).unwrap();
         assert!(materially_different(&d.ratios(&inp).unwrap(), &uncapped));
-        assert!(!d.cannot_push(&inp, &uncapped, &mut scratch));
+        assert!(!point_certified(d, &inp, &uncapped, &mut scratch));
         let inp = input(pack(), 100.0);
         let truth = d.ratios(&inp).unwrap();
-        assert!(!d.cannot_push(&inp, &truth, &mut scratch));
+        assert!(!point_certified(d, &inp, &truth, &mut scratch));
         // Every cell empty: the evaluation fails, so it cannot push.
         let dead = input(vec![view(0.0, 0.05, 0.1)], 3.0);
         assert!(d.ratios(&dead).is_err());
-        assert!(d.cannot_push(&dead, &[1.0], &mut scratch));
+        assert!(point_certified(d, &dead, &[1.0], &mut scratch));
     }
 }

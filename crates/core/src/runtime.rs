@@ -10,9 +10,11 @@ use crate::api::SdbApi;
 use crate::error::SdbError;
 use crate::policy::{
     materially_different, BatteryView, ChargeDirective, DischargeDirective, PolicyInput,
-    PolicyScratch, PreservePolicy,
+    PolicyScratch, PreservePolicy, ViewBox,
 };
+use sdb_battery_model::thevenin::TheveninCell;
 use sdb_emulator::link::Response;
+use sdb_emulator::micro::Microcontroller;
 use sdb_fuel_gauge::gauge::BatteryStatus;
 use sdb_observe::{Counter, ObsEvent, Observer};
 use sdb_prof::Phase;
@@ -82,6 +84,63 @@ impl ResilienceState {
     }
 }
 
+/// The first SoC above the empty threshold (`TheveninCell::is_empty`):
+/// a box whose intervals start here holds no empty cell.
+const NON_EMPTY_SOC: f64 = f64::from_bits(1e-9f64.to_bits() + 1);
+
+/// Bounds on how many ticks a new certified box is sized to last.
+const BOX_REACH_TICKS: [f64; 2] = [2.0, 1024.0];
+
+/// Ticks after a box fails to certify before the next attempt: near a
+/// push, where boxes fail, the ticks certify their own inputs instead.
+const BOX_RETRY_TICKS: u32 = 4;
+
+/// The last box of pack states the no-push certificate covered, kept by
+/// the runtime between ticks (DESIGN.md §9). A tick at the box's load,
+/// with the directive and discharge split of its certificate still in
+/// force, whose pack lies inside the box, cannot push: its evaluation
+/// and its certificate are skipped, and `drive` skips the input refill.
+#[derive(Debug, Clone)]
+struct CertifiedBox {
+    /// Whether `cells` holds a certified box.
+    valid: bool,
+    /// The load the box was certified at, as bits.
+    load_bits: u64,
+    /// Per cell, its SoC interval and the state the box holds fixed.
+    cells: Vec<BoxedCell>,
+    /// How many ticks a new box is sized to last: doubled after the pack
+    /// drains out of a box at its load, halved after a box fails to
+    /// certify.
+    reach_ticks: f64,
+    /// Ticks left before the next box may be certified.
+    retry_in: u32,
+    /// Whether the tick about to run lies inside the box.
+    covers_tick: bool,
+}
+
+/// One cell of a [`CertifiedBox`]: inside while its SoC lies in `soc`
+/// and the rest of what its view depends on is as certified. Wear,
+/// capacity fade and the aging resistance multiplier change only when a
+/// charge cycle completes, so an unchanged cycle count fixes all three.
+#[derive(Debug, Clone, Copy)]
+struct BoxedCell {
+    soc: [f64; 2],
+    present: bool,
+    cycles: u32,
+    fault_bits: u64,
+}
+
+impl BoxedCell {
+    fn holds(&self, cell: &TheveninCell, present: bool) -> bool {
+        let soc = cell.soc();
+        self.soc[0] <= soc
+            && soc <= self.soc[1]
+            && self.present == present
+            && self.cycles == cell.cycle_count()
+            && self.fault_bits == cell.fault_resistance_mult().to_bits()
+    }
+}
+
 /// Metric handles the tick path updates without touching the registry
 /// lock (registered once in [`SdbRuntime::set_observer`]).
 #[derive(Debug, Clone)]
@@ -118,6 +177,10 @@ pub struct SdbRuntime {
     scratch: PolicyScratch,
     /// Whether [`SdbRuntime::tick`] evaluates and pushes charge ratios.
     charge_evaluation: bool,
+    /// Per-battery views the discharge certificate bounds.
+    views: Vec<ViewBox>,
+    /// The last certified box of pack states.
+    cert_box: CertifiedBox,
 }
 
 impl SdbRuntime {
@@ -145,6 +208,15 @@ impl SdbRuntime {
             resilience: None,
             scratch: PolicyScratch::new(),
             charge_evaluation: true,
+            views: Vec::with_capacity(n),
+            cert_box: CertifiedBox {
+                valid: false,
+                load_bits: 0,
+                cells: Vec::with_capacity(n),
+                reach_ticks: 16.0,
+                retry_in: 0,
+                covers_tick: false,
+            },
         }
     }
 
@@ -174,11 +246,13 @@ impl SdbRuntime {
     /// maximize instantaneous battery life).
     pub fn set_discharge_directive(&mut self, d: DischargeDirective) {
         self.discharge_directive = d;
+        self.forget_box();
     }
 
     /// Installs (or clears) the workload-aware preserve policy.
     pub fn set_preserve(&mut self, p: Option<PreservePolicy>) {
         self.preserve = p;
+        self.forget_box();
     }
 
     /// Sets the policy re-evaluation period. With `f64::INFINITY` the
@@ -206,6 +280,12 @@ impl SdbRuntime {
         self.charge_evaluation = on;
     }
 
+    /// Whether [`SdbRuntime::tick`] evaluates the charge side.
+    #[must_use]
+    pub(crate) fn charge_evaluation(&self) -> bool {
+        self.charge_evaluation
+    }
+
     /// The discharging directive currently in force.
     #[must_use]
     pub fn discharge_directive(&self) -> DischargeDirective {
@@ -227,6 +307,118 @@ impl SdbRuntime {
         self.since_update_s = f64::INFINITY;
         self.last_discharge.clear();
         self.last_charge.clear();
+        self.forget_box();
+    }
+
+    /// Drops the certified box: the next tick certifies from its input.
+    /// Every change to what a box certificate assumed (the directive, the
+    /// policy, a cleared split in force, the pack driven) calls it. A push
+    /// needs none: it comes from a tick outside the box, and
+    /// [`SdbRuntime::enter_box`] has dropped a box the pack left.
+    pub(crate) fn forget_box(&mut self) {
+        self.cert_box.valid = false;
+        self.cert_box.covers_tick = false;
+    }
+
+    /// Called by `drive` before the tick of `dt_s` at `load_w` over
+    /// `micro`, with `run_left` more points at this load to follow:
+    /// whether that tick lies inside the certified box, so that its
+    /// discharge evaluation cannot push. If the pack has left the box (or
+    /// there is none) and the run is long enough to reuse one, certifies
+    /// a new box that reaches from each cell's SoC down to where the
+    /// split in force would take it in a few ticks. The box's reach adapts
+    /// within the run's own sequence of ticks, so it is deterministic.
+    ///
+    /// Boxes are used only by a tick that evaluates the discharge policy
+    /// under the certificate's conditions: no preserve policy, no
+    /// resilience layer (whose guard-band widening and forced refreshes
+    /// happen inside the tick), a split in force, and no thermal model
+    /// (temperature moves the resistance every step).
+    pub(crate) fn enter_box(
+        &mut self,
+        micro: &Microcontroller,
+        load_w: f64,
+        dt_s: f64,
+        run_left: usize,
+    ) -> bool {
+        let n = micro.battery_count();
+        let bx = &mut self.cert_box;
+        bx.covers_tick = false;
+        let due = self.since_update_s + dt_s >= self.update_period_s;
+        if !due
+            || self.preserve.is_some()
+            || self.resilience.is_some()
+            || self.last_discharge.len() != n
+        {
+            return false;
+        }
+        let cells = micro.cells();
+        let same_load = bx.valid && bx.load_bits == load_w.to_bits();
+        if same_load
+            && (bx.cells.iter().zip(cells).enumerate())
+                .all(|(i, (b, cell))| b.holds(cell, micro.battery_present(i)))
+        {
+            bx.covers_tick = true;
+            return true;
+        }
+        let [min_reach, max_reach] = BOX_REACH_TICKS;
+        if same_load {
+            // The pack drained out of the box at its load: size the next
+            // one to last longer.
+            bx.reach_ticks = (bx.reach_ticks * 2.0).min(max_reach);
+        }
+        bx.valid = false;
+        if bx.retry_in > 0 {
+            bx.retry_in -= 1;
+            return false;
+        }
+        if run_left < 2 || cells.iter().any(|c| c.temperature_c().is_some()) {
+            return false;
+        }
+        let reach = bx.reach_ticks.min(run_left as f64 + 1.0);
+        bx.cells.clear();
+        self.views.clear();
+        for (i, cell) in cells.iter().enumerate() {
+            let present = micro.battery_present(i);
+            let soc = cell.soc();
+            let interval = if !present {
+                [f64::NEG_INFINITY, f64::INFINITY]
+            } else if cell.is_empty() {
+                [f64::NEG_INFINITY, 1e-9]
+            } else {
+                // The SoC the split in force drains per tick (the load
+                // over the rest voltage, with a quarter for sag and
+                // circuit loss) plus self-discharge, over `reach` ticks.
+                let capacity_as =
+                    3600.0 * cell.spec().capacity_ah * cell.aging().capacity_fraction();
+                let drain = self.last_discharge[i] * load_w * 1.25 / (cell.ocv() * capacity_as)
+                    + soc * TheveninCell::SELF_DISCHARGE_PER_S;
+                [(soc - reach * dt_s * drain).max(NON_EMPTY_SOC), soc]
+            };
+            bx.cells.push(BoxedCell {
+                soc: interval,
+                present,
+                cycles: cell.cycle_count(),
+                fault_bits: cell.fault_resistance_mult().to_bits(),
+            });
+            let [lo, hi] = if present { interval } else { [soc, soc] };
+            self.views
+                .push(ViewBox::over(cell, present, lo.max(0.0), hi));
+        }
+        let certified = self.discharge_directive.cannot_push(
+            &self.views,
+            load_w,
+            &self.last_discharge,
+            &mut self.scratch,
+        );
+        if !certified {
+            bx.reach_ticks = (bx.reach_ticks / 2.0).max(min_reach);
+            bx.retry_in = BOX_RETRY_TICKS;
+        }
+        bx.valid = certified;
+        bx.load_bits = load_w.to_bits();
+        bx.covers_tick = certified;
+        certified
     }
 
     /// Applies a plan committed by a [`crate::lookahead::LookaheadPolicy`]:
@@ -256,6 +448,7 @@ impl SdbRuntime {
     /// stuck-gauge detection that widens the policy guard bands.
     pub fn enable_resilience(&mut self) {
         self.resilience = Some(ResilienceState::new(self.n));
+        self.forget_box();
     }
 
     /// Whether the link watchdog is currently engaged (safe uniform
@@ -438,6 +631,7 @@ impl SdbRuntime {
         input: &PolicyInput,
         dt_s: f64,
     ) -> Result<bool, SdbError> {
+        let covered = std::mem::take(&mut self.cert_box.covers_tick);
         self.since_update_s += dt_s;
         if self.since_update_s < self.update_period_s {
             return Ok(false);
@@ -464,13 +658,17 @@ impl SdbRuntime {
         // Both directions evaluate into the reusable scratch buffers and
         // copy into `last_*` on push, so a steady-state tick (and every
         // planner rollout tick) allocates nothing. A discharge evaluation
-        // the certificate proves could not push is skipped; debug builds
-        // run it anyway and check that it would not have pushed.
-        let certified = self.preserve.is_none()
-            && widen.is_none()
-            && self
-                .discharge_directive
-                .cannot_push(input, &self.last_discharge, &mut self.scratch);
+        // the certificate proves could not push is skipped: on a tick
+        // inside the certified box without even certifying its input
+        // (which `drive` then need not refill). Debug builds check that a
+        // covered tick's input certifies too, and run the evaluation on
+        // every skipped tick to check that it would not have pushed.
+        debug_assert!(
+            !covered || self.point_certified(input),
+            "a tick inside the certified box failed its own certificate"
+        );
+        let certified =
+            covered || (self.preserve.is_none() && widen.is_none() && self.point_certified(input));
         debug_assert!(
             !certified
                 || !self.evaluate_discharge(input)
@@ -528,12 +726,27 @@ impl SdbRuntime {
                 pushed = true;
             }
         }
-        self.observer.emit(ObsEvent::PolicyEvaluation {
-            pushed,
-            charge_directive: self.charge_directive.value(),
-            discharge_directive: self.discharge_directive.value(),
-        });
+        if self.observer.wants_events() {
+            self.observer.emit(ObsEvent::PolicyEvaluation {
+                pushed,
+                charge_directive: self.charge_directive.value(),
+                discharge_directive: self.discharge_directive.value(),
+            });
+        }
         Ok(pushed)
+    }
+
+    /// The no-push certificate on `input` alone (the box of width 0).
+    fn point_certified(&mut self, input: &PolicyInput) -> bool {
+        self.views.clear();
+        self.views
+            .extend(input.batteries.iter().map(ViewBox::point));
+        self.discharge_directive.cannot_push(
+            &self.views,
+            input.load_w,
+            &self.last_discharge,
+            &mut self.scratch,
+        )
     }
 
     /// Evaluates the discharge policy in force into the scratch buffers;
@@ -881,12 +1094,14 @@ mod tests {
             let mut probe = PolicyScratch::new();
             for &(p, n) in &runs {
                 for _ in 0..n {
-                    input.refill_from_micro(&m);
+                    input.refill_from_micro(&m, true);
                     input.load_w = p.load_w;
                     input.external_w = p.external_w;
                     evals += 1;
+                    let views: Vec<ViewBox> = input.batteries.iter().map(ViewBox::point).collect();
                     let last = &rt.last_discharge;
-                    if rt.discharge_directive.cannot_push(&input, last, &mut probe) {
+                    let dir = rt.discharge_directive;
+                    if dir.cannot_push(&views, input.load_w, last, &mut probe) {
                         certified += 1;
                     }
                     rt.tick(&mut m, &input, p.dur_s).unwrap();
@@ -897,6 +1112,49 @@ mod tests {
         assert_eq!(evals, 3 * 1440);
         let share = f64::from(certified) / f64::from(evals);
         assert!(share > 0.95, "certified {certified} of {evals} evaluations");
+    }
+
+    /// Through a phone's day in hourly means (the shape of a history
+    /// forecast), driven the way a planner rollout drives it (charge side
+    /// off, each point told how many repeats follow), the certified box
+    /// covers most ticks, which then skip the refill and the certificate.
+    /// In debug builds each covered tick checks that its own input
+    /// certifies and that its evaluation would not push.
+    #[test]
+    fn certified_boxes_cover_most_ticks_of_a_phone_day() {
+        use sdb_emulator::pack::PackTemplate;
+        use sdb_workloads::traces::{phone_day, Trace};
+        let mut hourly = Trace::new();
+        let mut energy_j = [0.0; 24];
+        let mut t = 0.0;
+        for p in phone_day(7).points() {
+            energy_j[((t / 3600.0) as usize).min(23)] += p.load_w * p.dur_s;
+            t += p.dur_s;
+        }
+        for e in energy_j {
+            hourly.push(e / 3600.0, 0.0, 3600.0);
+        }
+        let runs = hourly.runs(60.0);
+        let (mut ticks, mut covered) = (0u32, 0u32);
+        for d in [0.0, 0.5, 1.0] {
+            let mut m = PackTemplate::named("phone", 1.0).unwrap().instantiate();
+            let mut rt = SdbRuntime::new(m.battery_count());
+            rt.set_discharge_directive(DischargeDirective::new(d));
+            rt.set_charge_evaluation(false);
+            let mut input = PolicyInput::from_micro(&m);
+            for &(p, n) in runs.iter().filter(|(p, _)| p.external_w == 0.0) {
+                for left in (0..n).rev() {
+                    ticks += 1;
+                    covered += u32::from(rt.enter_box(&m, p.load_w, p.dur_s, left));
+                    input.refill_from_micro(&m, false);
+                    input.load_w = p.load_w;
+                    rt.tick(&mut m, &input, p.dur_s).unwrap();
+                    m.step(p.load_w, 0.0, p.dur_s);
+                }
+            }
+        }
+        let share = f64::from(covered) / f64::from(ticks);
+        assert!(share > 0.75, "boxes covered {covered} of {ticks} ticks");
     }
 
     #[test]

@@ -375,6 +375,8 @@ where
         Phase::TraceStep
     };
     let mut books = R::open(transport.micro());
+    // A certified box belongs to the pack it was certified on.
+    runtime.forget_box();
     let mut first_brownout = None;
     let mut elapsed = 0.0f64;
     'runs: for &(p, n) in runs {
@@ -387,7 +389,14 @@ where
             // hot/cold decision.
             let prof = sdb_prof::step(step_phase);
             pre_step(elapsed, transport);
-            input.refill_from_micro(transport.micro());
+            // A tick inside the runtime's certified box reads no view of
+            // the discharge side; the charge side, a planner and debug
+            // builds' shadow checks still read the input.
+            let boxed = hooks.policy.is_none()
+                && runtime.enter_box(transport.micro(), p.load_w, p.dur_s, left);
+            if !boxed || runtime.charge_evaluation() || cfg!(debug_assertions) {
+                input.refill_from_micro(transport.micro(), runtime.charge_evaluation());
+            }
             input.load_w = p.load_w;
             input.external_w = p.external_w;
             if let Some(policy) = hooks.policy.as_deref_mut() {

@@ -115,24 +115,18 @@ impl BatterySteps {
         heat_w: 0.0,
     };
 
-    /// Copies `items` into an inline (or, beyond [`BatterySteps::INLINE`]
-    /// entries, heap-spilled) buffer.
+    /// `n` zeroed entries, inline up to [`BatterySteps::INLINE`] and
+    /// spilled to one heap allocation beyond.
     #[must_use]
-    pub(crate) fn from_slice(items: &[BatteryStepInfo]) -> Self {
-        let mut inline = [Self::EMPTY; Self::INLINE];
-        if items.len() <= Self::INLINE {
-            inline[..items.len()].copy_from_slice(items);
-            Self {
-                len: items.len(),
-                inline,
-                spill: Vec::new(),
-            }
-        } else {
-            Self {
-                len: items.len(),
-                inline,
-                spill: items.to_vec(),
-            }
+    fn zeroed(n: usize) -> Self {
+        Self {
+            len: n,
+            inline: [Self::EMPTY; Self::INLINE],
+            spill: if n > Self::INLINE {
+                vec![Self::EMPTY; n]
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -197,40 +191,33 @@ impl<'a> IntoIterator for &'a mut BatterySteps {
     }
 }
 
-/// Preallocated working buffers for [`Microcontroller::step`].
+/// Per-battery working buffers for [`Microcontroller::step`], sized to
+/// the pack once at construction.
 ///
 /// The step loop is the simulation's innermost hot path (one call per
-/// device per trace point across a whole fleet); these buffers are
-/// allocated once at pack construction and reused so a steady-state step
-/// performs zero heap allocations. `step` moves the scratch out of `self`
-/// (`mem::take` of empty vectors — no allocation) so the buffers can be
-/// borrowed alongside `&mut self` helper calls, and moves it back before
-/// returning.
-#[derive(Debug, Clone, Default)]
-struct StepScratch {
-    /// Per-battery outcome being assembled (becomes the report).
-    info: Vec<BatteryStepInfo>,
+/// device per trace point across a whole fleet, and ~99% of a planned
+/// fleet's steps run inside planner rollouts). A step overwrites every
+/// entry it reads, so the buffers are never cleared, resized or moved,
+/// and a steady-state step performs zero heap allocations.
+#[derive(Debug, Clone)]
+struct StepBuffers {
     /// Per-battery deliverable-power ceiling for the planning pass.
-    p_max: Vec<f64>,
+    p_max: Box<[f64]>,
     /// Per-battery planned power allocation.
-    alloc: Vec<f64>,
+    alloc: Box<[f64]>,
     /// Working copy of the discharge ratios (zeroed as cells saturate).
-    shares: Vec<f64>,
+    shares: Box<[f64]>,
     /// Whether each battery served its full allotment (top-up pass).
-    full_served: Vec<bool>,
-    /// Events staged during the step, flushed in one batch.
-    events: Vec<(f64, ObsEvent)>,
+    full_served: Box<[bool]>,
 }
 
-impl StepScratch {
-    fn with_capacity(n: usize) -> Self {
+impl StepBuffers {
+    fn new(n: usize) -> Self {
         Self {
-            info: Vec::with_capacity(n),
-            p_max: Vec::with_capacity(n),
-            alloc: Vec::with_capacity(n),
-            shares: Vec::with_capacity(n),
-            full_served: Vec::with_capacity(n),
-            events: Vec::with_capacity(2 * n + 4),
+            p_max: vec![0.0; n].into(),
+            alloc: vec![0.0; n].into(),
+            shares: vec![0.0; n].into(),
+            full_served: vec![false; n].into(),
         }
     }
 }
@@ -264,8 +251,10 @@ pub struct Microcontroller {
     /// Cached metric handles (present only when the observer has a
     /// registry).
     metrics: Option<MicroMetrics>,
-    /// Reusable step working buffers (see [`StepScratch`]).
-    scratch: StepScratch,
+    /// Per-battery step working buffers (see [`StepBuffers`]).
+    buffers: StepBuffers,
+    /// Events staged during a step, flushed in one batch.
+    staged: Vec<(f64, ObsEvent)>,
     /// Whether each step samples the fuel gauges (configuration, like the
     /// observer: kept by `clone`, outside [`PackSnapshot`]).
     gauge_sampling: bool,
@@ -328,7 +317,8 @@ impl Microcontroller {
             external_in_j: 0.0,
             observer: Observer::disabled(),
             metrics: None,
-            scratch: StepScratch::with_capacity(n),
+            buffers: StepBuffers::new(n),
+            staged: Vec::with_capacity(2 * n + 4),
             gauge_sampling: true,
         }
     }
@@ -367,6 +357,19 @@ impl Microcontroller {
     /// [`Microcontroller::restore_from`] leaves the setting alone.
     pub fn set_gauge_sampling(&mut self, on: bool) {
         self.gauge_sampling = on;
+    }
+
+    /// Turns the cells' discharge-side C-rate accumulators on (the
+    /// default) or off. They are read only when a charge cycle completes,
+    /// so a pack that completes none (no external power, no transfer)
+    /// before it is restored from a [`PackSnapshot`] evolves
+    /// bit-identically either way. For the planner's rollout scratch,
+    /// like [`Microcontroller::set_gauge_sampling`];
+    /// [`Microcontroller::restore_from`] leaves the setting alone.
+    pub fn set_discharge_rate_tracking(&mut self, on: bool) {
+        for cell in &mut self.cells {
+            cell.set_discharge_rate_tracking(on);
+        }
     }
 
     /// Number of batteries in the pack.
@@ -716,12 +719,18 @@ impl Microcontroller {
     /// redistributed to the others; anything still unserved is reported as
     /// unmet.
     ///
+    /// The per-battery report is written in place from zeroed entries:
+    /// every cell's entry is set by its discharge, its charge or, when it
+    /// carried no current, its rest. The discharge phase works on the
+    /// fixed `StepBuffers`; a discharge-only step (no surplus external
+    /// power, no transfer) touches nothing else.
+    ///
     /// # Panics
     ///
     /// Panics if `dt_s`, `load_w` or `external_w` are negative or
     /// non-finite.
-    // Index loops are deliberate: each iteration calls `&mut self` helpers,
-    // which rules out holding iterator borrows over the fields.
+    // Index loops are deliberate: the discharge phase walks several
+    // per-battery buffers in step with the cells.
     #[allow(clippy::needless_range_loop)]
     pub fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport {
         assert!(dt_s.is_finite() && dt_s > 0.0, "bad dt: {dt_s}");
@@ -739,25 +748,13 @@ impl Microcontroller {
         let prof_step = sdb_prof::step(sdb_prof::Phase::MicroStep);
 
         let n = self.cells.len();
-        // Move the scratch buffers out of `self` (a take of empty vectors,
-        // no allocation) so they can be borrowed alongside `&mut self`
-        // helper calls; they are moved back before returning.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.events.clear();
         // Firmware housekeeping: refresh the thermal-throttle latches.
-        for i in 0..n {
-            self.update_throttle_latch(i, &mut scratch.events);
+        if self.thermal_throttle.is_some() {
+            for i in 0..n {
+                self.update_throttle_latch(i);
+            }
         }
-        scratch.info.clear();
-        scratch
-            .info
-            .extend(self.cells.iter().map(|c| BatteryStepInfo {
-                current_a: 0.0,
-                terminal_v: c.terminal_voltage(0.0),
-                soc: c.soc(),
-                heat_w: 0.0,
-            }));
-        let info = &mut scratch.info;
+        let mut info = BatterySteps::zeroed(n);
 
         let mut circuit_loss_w = 0.0;
         let mut cell_heat_w = 0.0;
@@ -775,26 +772,41 @@ impl Microcontroller {
 
         // 2. Battery discharge for the remaining load.
         if battery_load_w > 0.0 {
+            let Self {
+                cells,
+                present,
+                discharge_ratios,
+                discharge_circuit,
+                buffers,
+                staged,
+                metrics,
+                observer,
+                ..
+            } = self;
+            let StepBuffers {
+                p_max,
+                alloc,
+                shares,
+                full_served,
+            } = buffers;
+            let metrics = metrics.as_ref();
             let prof_curve = prof_step.hot_sub(sdb_prof::Phase::CurveEval);
-            // Mean loaded terminal voltage across non-empty cells (for the
-            // circuit loss estimate), reusing the voltages just computed
-            // into `info` — nothing has mutated the cells since, so this
-            // is bit-identical to recomputing them.
+            // Mean rest terminal voltage across non-empty cells (for the
+            // circuit loss estimate).
             let mean_v = {
-                let (sum, count) = self
-                    .cells
+                let (sum, count) = cells
                     .iter()
-                    .zip(info.iter())
-                    .filter(|(c, _)| !c.is_empty())
-                    .fold((0.0, 0usize), |(s, k), (_, b)| (s + b.terminal_v, k + 1));
+                    .filter(|c| !c.is_empty())
+                    .fold((0.0, 0usize), |(s, k), c| {
+                        (s + c.terminal_voltage(0.0), k + 1)
+                    });
                 if count == 0 {
                     3.7
                 } else {
                     sum / count as f64
                 }
             };
-            let loss_w = self
-                .discharge_circuit
+            let loss_w = discharge_circuit
                 .loss_w(battery_load_w, mean_v)
                 .unwrap_or(0.0);
             let total_draw_w = battery_load_w + loss_w;
@@ -806,29 +818,25 @@ impl Microcontroller {
             // Each cell is then stepped exactly once, so gauges, thermal
             // state, and per-cell current limits all see the real combined
             // draw.
-            scratch.p_max.clear();
-            scratch.p_max.extend((0..n).map(|i| {
-                if !self.present[i] || self.cells[i].is_empty() {
-                    return 0.0;
-                }
-                // Current-cap, quadratic, and remaining-energy bounds in
-                // one query (one OCV/DCIR lookup instead of five).
-                self.cells[i].plan_discharge_cap_w(dt_s)
-            }));
-            let p_max = &scratch.p_max;
+            for i in 0..n {
+                p_max[i] = if !present[i] || cells[i].is_empty() {
+                    0.0
+                } else {
+                    // Current-cap, quadratic, and remaining-energy bounds
+                    // in one query (one OCV/DCIR lookup instead of five).
+                    cells[i].plan_discharge_cap_w(dt_s)
+                };
+            }
             drop(prof_curve);
             let prof_rc = prof_step.hot_sub(sdb_prof::Phase::RcState);
 
-            scratch.alloc.clear();
-            scratch.alloc.resize(n, 0.0);
-            let alloc = &mut scratch.alloc;
-            scratch.shares.clear();
-            scratch.shares.extend_from_slice(&self.discharge_ratios);
-            let shares = &mut scratch.shares;
-            for (i, share) in shares.iter_mut().enumerate() {
-                if p_max[i] <= 0.0 {
-                    *share = 0.0;
-                }
+            for i in 0..n {
+                alloc[i] = 0.0;
+                shares[i] = if p_max[i] <= 0.0 {
+                    0.0
+                } else {
+                    discharge_ratios[i]
+                };
             }
             let mut remaining_w = total_draw_w;
             for _round in 0..n {
@@ -860,14 +868,12 @@ impl Microcontroller {
 
             // Apply: one step per allocated battery.
             let mut served = 0.0f64;
-            scratch.full_served.clear();
-            scratch.full_served.resize(n, false);
-            let full_served = &mut scratch.full_served;
             for i in 0..n {
+                full_served[i] = false;
                 if alloc[i] <= 0.0 {
                     continue;
                 }
-                match self.try_discharge(i, alloc[i], dt_s, &mut scratch.events) {
+                match discharge_cell(&mut cells[i], i, alloc[i], dt_s, metrics, observer, staged) {
                     Ok((out, time_frac, power_frac)) => {
                         info[i] = out;
                         // Heat is a rate over the time actually simulated.
@@ -901,7 +907,7 @@ impl Microcontroller {
                         continue;
                     }
                     if let Ok((out, time_frac, power_frac)) =
-                        self.try_discharge(i, extra, dt_s, &mut scratch.events)
+                        discharge_cell(&mut cells[i], i, extra, dt_s, metrics, observer, staged)
                     {
                         cell_heat_w += out.heat_w * time_frac;
                         let got = extra * time_frac * power_frac;
@@ -943,7 +949,7 @@ impl Microcontroller {
                     .external_charge_w(allotted_w, v_batt)
                     .unwrap_or(0.0);
                 let (used_w, into_cell_w, heat, outcome) =
-                    self.try_charge(i, after_reg_w, dt_s, allotted_w, &mut scratch.events);
+                    self.try_charge(i, after_reg_w, dt_s, allotted_w);
                 external_used_w += used_w;
                 // Regulator loss is what left the supply but never reached
                 // the cell's terminals (cell-internal heat is part of the
@@ -985,10 +991,16 @@ impl Microcontroller {
                     / power_w.max(0.1))
                 .clamp(0.1, 1.0);
                 let power_w = power_w.min(accept_w / eta_est);
-                if let Ok((out_from, src_time_frac, src_power_frac)) = {
-                    let scaled = power_w * (run_s / dt_s);
-                    self.try_discharge(t.from, scaled, dt_s, &mut scratch.events)
-                } {
+                let scaled = power_w * (run_s / dt_s);
+                if let Ok((out_from, src_time_frac, src_power_frac)) = discharge_cell(
+                    &mut self.cells[t.from],
+                    t.from,
+                    scaled,
+                    dt_s,
+                    self.metrics.as_ref(),
+                    &self.observer,
+                    &mut self.staged,
+                ) {
                     // The source may empty mid-step: only the fraction it
                     // actually supplied moves across.
                     let src_frac = src_time_frac * src_power_frac;
@@ -1006,7 +1018,7 @@ impl Microcontroller {
                         .battery_to_battery_w(moved_w, v_src, v_dst)
                         .unwrap_or(0.0);
                     let (_, into_cell_w, heat, outcome) =
-                        self.try_charge(t.to, reachable_w, dt_s, reachable_w, &mut scratch.events);
+                        self.try_charge(t.to, reachable_w, dt_s, reachable_w);
                     // Conversion loss: source terminal power that never
                     // reached the destination's terminals (both cells'
                     // internal heats are booked separately).
@@ -1035,23 +1047,23 @@ impl Microcontroller {
         // their original timestamps. This must happen before the gauges
         // sample: gauges emit recalibration events directly, and the trace
         // byte-order must match per-slot emission.
-        if !scratch.events.is_empty() {
+        if !self.staged.is_empty() {
             let _prof_emit = prof_step.hot_sub(sdb_prof::Phase::ObserverEmit);
-            self.observer.emit_staged(&mut scratch.events);
+            self.observer.emit_staged(&mut self.staged);
         }
 
         // 5. Idle cells relax; gauges sample every cell (unless sampling
         // is off).
         {
             let _prof_gauge = prof_step.hot_sub(sdb_prof::Phase::GaugeUpdate);
-            for i in 0..n {
-                if info[i].current_a == 0.0 {
+            for (i, b) in info.iter_mut().enumerate() {
+                if b.current_a == 0.0 {
                     self.cells[i].rest(dt_s);
-                    info[i].terminal_v = self.cells[i].terminal_voltage(0.0);
-                    info[i].soc = self.cells[i].soc();
+                    b.terminal_v = self.cells[i].terminal_voltage(0.0);
+                    b.soc = self.cells[i].soc();
                 }
                 if self.gauge_sampling {
-                    self.gauges[i].sample(info[i].terminal_v, info[i].current_a, dt_s);
+                    self.gauges[i].sample(b.terminal_v, b.current_a, dt_s);
                 }
             }
         }
@@ -1086,9 +1098,6 @@ impl Microcontroller {
             );
         }
 
-        let batteries = BatterySteps::from_slice(&scratch.info);
-        self.scratch = scratch;
-
         StepReport {
             time_s: self.time_s,
             load_w,
@@ -1098,71 +1107,13 @@ impl Microcontroller {
             cell_heat_w,
             external_used_w,
             charged_w,
-            batteries,
+            batteries: info,
         }
-    }
-
-    /// Attempts to discharge battery `i` at `power_w` for `dt_s`, capping
-    /// at the cell's current limit. Returns the step info plus
-    /// `(time_frac, power_frac)`: the fraction of the step actually
-    /// simulated (< 1 when the cell emptied mid-step) and the fraction of
-    /// the requested power deliverable under the current cap.
-    fn try_discharge(
-        &mut self,
-        i: usize,
-        power_w: f64,
-        dt_s: f64,
-        staged: &mut Vec<(f64, ObsEvent)>,
-    ) -> Result<(BatteryStepInfo, f64, f64), BatteryError> {
-        let cell = &mut self.cells[i];
-        let current = cell.current_for_power(power_w)?;
-        let capped = current.min(cell.spec().max_discharge_a);
-        if capped < current * (1.0 - 1e-9) {
-            if let Some(m) = &self.metrics {
-                m.safety_clamps.inc();
-            }
-            Self::stage_event(
-                &self.observer,
-                staged,
-                ObsEvent::SafetyClamp {
-                    battery: i,
-                    flow: Flow::Discharge,
-                    requested_a: current,
-                    applied_a: capped,
-                },
-            );
-        }
-        let out = cell.step_current(capped, dt_s)?;
-        // Fraction of the requested energy actually served: the step may
-        // truncate at empty, and the current limit may cap power below the
-        // request. Only a genuinely binding current limit counts as a
-        // shortfall (long steps sag slightly below the request as the cell
-        // drains; that drift is not redistributable power).
-        let time_frac = if dt_s > 0.0 {
-            out.dt_used_s / dt_s
-        } else {
-            1.0
-        };
-        let power_frac = if power_w > 0.0 && capped < current * (1.0 - 1e-9) {
-            (out.delivered_w / power_w).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        Ok((
-            BatteryStepInfo {
-                current_a: out.current_a,
-                terminal_v: out.terminal_v,
-                soc: out.soc,
-                heat_w: out.heat_w,
-            },
-            time_frac,
-            power_frac,
-        ))
     }
 
     /// Updates the per-battery thermal-throttle latch from the cell's
     /// present temperature.
-    fn update_throttle_latch(&mut self, i: usize, staged: &mut Vec<(f64, ObsEvent)>) {
+    fn update_throttle_latch(&mut self, i: usize) {
         let Some(throttle) = self.thermal_throttle else {
             return;
         };
@@ -1172,44 +1123,27 @@ impl Microcontroller {
         if self.throttled[i] {
             if temp < throttle.resume_c {
                 self.throttled[i] = false;
-                self.note_throttle_transition(i, false, temp, staged);
+                self.note_throttle_transition(i, false, temp);
             }
         } else if temp > throttle.limit_c {
             self.throttled[i] = true;
-            self.note_throttle_transition(i, true, temp, staged);
+            self.note_throttle_transition(i, true, temp);
         }
     }
 
-    fn note_throttle_transition(
-        &self,
-        battery: usize,
-        engaged: bool,
-        temperature_c: f64,
-        staged: &mut Vec<(f64, ObsEvent)>,
-    ) {
+    fn note_throttle_transition(&mut self, battery: usize, engaged: bool, temperature_c: f64) {
         if let Some(m) = &self.metrics {
             m.throttle_transitions.inc();
         }
-        Self::stage_event(
+        stage_event(
             &self.observer,
-            staged,
+            &mut self.staged,
             ObsEvent::ThermalThrottle {
                 battery,
                 engaged,
                 temperature_c,
             },
         );
-    }
-
-    /// Stages an event for the end-of-step batched flush, stamped with the
-    /// observer's current clock (identical to what a direct `emit` would
-    /// have stamped — the step clock is constant across phases 1–4).
-    /// Events are dropped when the observer does not capture, exactly like
-    /// `emit`.
-    fn stage_event(observer: &Observer, staged: &mut Vec<(f64, ObsEvent)>, event: ObsEvent) {
-        if observer.wants_events() {
-            staged.push((observer.clock_s(), event));
-        }
     }
 
     /// Attempts to push `power_w` into battery `i`'s terminals for `dt_s`,
@@ -1222,7 +1156,6 @@ impl Microcontroller {
         power_w: f64,
         dt_s: f64,
         allotted_w: f64,
-        staged: &mut Vec<(f64, ObsEvent)>,
     ) -> (f64, f64, f64, Option<BatteryStepInfo>) {
         if power_w <= 0.0 {
             return (0.0, 0.0, 0.0, None);
@@ -1250,9 +1183,9 @@ impl Microcontroller {
             if let Some(m) = &self.metrics {
                 m.safety_clamps.inc();
             }
-            Self::stage_event(
+            stage_event(
                 &self.observer,
-                staged,
+                &mut self.staged,
                 ObsEvent::SafetyClamp {
                     battery: i,
                     flow: Flow::Charge,
@@ -1286,6 +1219,76 @@ impl Microcontroller {
             }
             Err(_) => (0.0, 0.0, 0.0, None),
         }
+    }
+}
+
+/// Attempts to discharge `cell` (battery `i`) at `power_w` for `dt_s`,
+/// capping at the cell's current limit. Returns the step info plus
+/// `(time_frac, power_frac)`: the fraction of the step actually
+/// simulated (< 1 when the cell emptied mid-step) and the fraction of
+/// the requested power deliverable under the current cap.
+fn discharge_cell(
+    cell: &mut TheveninCell,
+    i: usize,
+    power_w: f64,
+    dt_s: f64,
+    metrics: Option<&MicroMetrics>,
+    observer: &Observer,
+    staged: &mut Vec<(f64, ObsEvent)>,
+) -> Result<(BatteryStepInfo, f64, f64), BatteryError> {
+    let current = cell.current_for_power(power_w)?;
+    let capped = current.min(cell.spec().max_discharge_a);
+    if capped < current * (1.0 - 1e-9) {
+        if let Some(m) = metrics {
+            m.safety_clamps.inc();
+        }
+        stage_event(
+            observer,
+            staged,
+            ObsEvent::SafetyClamp {
+                battery: i,
+                flow: Flow::Discharge,
+                requested_a: current,
+                applied_a: capped,
+            },
+        );
+    }
+    let out = cell.step_current(capped, dt_s)?;
+    // Fraction of the requested energy actually served: the step may
+    // truncate at empty, and the current limit may cap power below the
+    // request. Only a genuinely binding current limit counts as a
+    // shortfall (long steps sag slightly below the request as the cell
+    // drains; that drift is not redistributable power).
+    let time_frac = if dt_s > 0.0 {
+        out.dt_used_s / dt_s
+    } else {
+        1.0
+    };
+    let power_frac = if power_w > 0.0 && capped < current * (1.0 - 1e-9) {
+        (out.delivered_w / power_w).clamp(0.0, 1.0)
+    } else {
+        1.0
+    };
+    Ok((
+        BatteryStepInfo {
+            current_a: out.current_a,
+            terminal_v: out.terminal_v,
+            soc: out.soc,
+            heat_w: out.heat_w,
+        },
+        time_frac,
+        power_frac,
+    ))
+}
+
+/// Stages an event for the end-of-step batched flush, stamped with the
+/// observer's current clock (identical to what a direct `emit` would
+/// have stamped — the step clock is constant across phases 1–4).
+/// Events are dropped when the observer does not capture, exactly like
+/// `emit`.
+fn stage_event(observer: &Observer, staged: &mut Vec<(f64, ObsEvent)>, event: ObsEvent) {
+    if observer.wants_events() {
+        staged.push((observer.clock_s(), event));
     }
 }
 

@@ -110,12 +110,27 @@ fn loss_tol(loss_j: f64) -> f64 {
 /// per-candidate pack clone. After the first rollout warms the buffers,
 /// a full candidate sweep performs zero heap allocations.
 ///
-/// A rollout computes only what its [`Score`] reads: the scratch pack
-/// does not sample its fuel gauges (every rollout reloads them from the
-/// live snapshot, and nothing inside a rollout reads them), and the
-/// scratch runtime skips the charge side of each tick when the forecast
-/// carries no external power (the pack then never reads charge ratios).
-/// Both cuts leave every score bit-identical.
+/// A rollout computes only what its [`Score`] reads. Each cut leaves every
+/// score bit-identical:
+///
+/// - The scratch pack does not sample its fuel gauges: every rollout
+///   reloads them from the live snapshot, and nothing inside a rollout
+///   reads them.
+/// - When the forecast carries no external power, the scratch runtime
+///   skips the charge side of each tick, and the input refill skips each
+///   cell's charge acceptance: the pack reads charge ratios only while
+///   external power exceeds the load, and only the charge side reads
+///   acceptance.
+/// - When, besides, no transfer is in flight, no cell can charge, so no
+///   charge cycle completes, and the cells stop their discharge-side
+///   C-rate accumulators: only a cycle completion reads them, and the
+///   next rollout restores them from the snapshot.
+/// - A tick inside the runtime's last certified box of pack states skips
+///   its discharge evaluation, its no-push certificate and the input
+///   refill: the box's certificate proves the evaluation could not push.
+///
+/// A transfer can only come from the live pack: a rollout's runtime
+/// never orders one.
 struct RolloutScratch {
     micro: Microcontroller,
     runtime: SdbRuntime,
@@ -140,12 +155,13 @@ impl RolloutScratch {
     }
 
     /// Prepares one re-plan: captures the live pack, which every
-    /// candidate's rollout restores, and evaluates the charge side only
-    /// if some forecast point brings external power.
+    /// candidate's rollout restores, and turns on the charge side and the
+    /// C-rate accumulators only if the rollouts can charge a cell.
     fn load(&mut self, live: &Microcontroller, runs: &[(TracePoint, usize)]) {
         live.snapshot_into(&mut self.snap);
-        self.runtime
-            .set_charge_evaluation(runs.iter().any(|(p, _)| p.external_w > 0.0));
+        let (external, charging) = may_charge(live, runs);
+        self.runtime.set_charge_evaluation(external);
+        self.micro.set_discharge_rate_tracking(charging);
     }
 
     /// Rolls the forecast's `runs` forward from the loaded
@@ -189,6 +205,13 @@ impl RolloutScratch {
             loss_j: res.total_loss_j(),
         }
     }
+}
+
+/// Whether rollouts of `runs` from `live` can charge a cell: `(by
+/// external power, by external power or by the transfer in flight)`.
+fn may_charge(live: &Microcontroller, runs: &[(TracePoint, usize)]) -> (bool, bool) {
+    let external = runs.iter().any(|(p, _)| p.external_w > 0.0);
+    (external, external || live.transfer_active())
 }
 
 /// Scores every candidate directive over a forecast's runs.
@@ -375,6 +398,7 @@ impl LookaheadPolicy for Planner {
 mod tests {
     use super::*;
     use crate::forecast::HistoryForecaster;
+    use sdb_battery_model::aging::CYCLE_CHARGE_THRESHOLD;
     use sdb_battery_model::{BatterySpec, Chemistry};
     use sdb_core::scheduler::SimResult;
     use sdb_emulator::{PackBuilder, ProfileKind};
@@ -462,14 +486,15 @@ mod tests {
     }
 
     /// Scores candidate `d` the way a per-candidate clone would, with
-    /// gauge sampling and charge evaluation both on: the reference every
-    /// scratch rollout must match bit for bit.
+    /// gauge sampling, charge evaluation and the C-rate accumulators all
+    /// on: the reference every scratch rollout must match bit for bit.
+    /// Also returns the charge cycles the rollout completed.
     fn reference_rollout(
         cfg: &PlannerConfig,
         live: &Microcontroller,
         d: f64,
         runs: &[(TracePoint, usize)],
-    ) -> Score {
+    ) -> (Score, u32) {
         let mut micro = live.clone();
         micro.set_observer(Observer::disabled());
         let mut rt = SdbRuntime::new(micro.battery_count());
@@ -489,11 +514,13 @@ mod tests {
             |_, _| {},
             |_, _, _| ControlFlow::Continue(()),
         );
-        Score {
+        let cycles = |m: &Microcontroller| m.cells().iter().map(|c| c.cycle_count()).sum::<u32>();
+        let score = Score {
             life_s: res.battery_life_s(),
             unmet_j: res.unmet_j,
             loss_j: res.total_loss_j(),
-        }
+        };
+        (score, cycles(&micro) - cycles(live))
     }
 
     fn reference_scores(
@@ -504,7 +531,7 @@ mod tests {
     ) -> Vec<Score> {
         cands
             .iter()
-            .map(|&d| reference_rollout(&planner.cfg, live, d, runs))
+            .map(|&d| reference_rollout(&planner.cfg, live, d, runs).0)
             .collect()
     }
 
@@ -576,10 +603,31 @@ mod tests {
         t
     }
 
+    /// `live` with every cell's cycle counter a hair short of its next
+    /// cycle: the first charge a rollout moves into a cell completes one,
+    /// which reads the C-rate accumulators and fades the cell.
+    fn on_the_verge_of_a_cycle(live: &Microcontroller) -> Microcontroller {
+        let mut snap = live.snapshot();
+        for cell in &mut snap.cells {
+            cell.aging.cumulative_frac = CYCLE_CHARGE_THRESHOLD - 1e-9;
+        }
+        let mut verge = live.clone();
+        verge.restore_from(&snap).expect("same pack");
+        verge
+    }
+
+    /// The scratch skips work only where the reference, which keeps
+    /// gauges, the charge side and the C-rate accumulators on, shows the
+    /// same scores: on history forecasts (no external power) the charge
+    /// side is off, and so are the accumulators unless a transfer is in
+    /// flight; rollouts that complete a charge cycle, by external power
+    /// or by a live transfer, keep them on.
     #[test]
     fn scratch_scores_match_reference_rollouts_bit_for_bit() {
+        let (mut by_external, mut by_transfer, mut skipped) = (0u32, 0u32, 0u32);
         check(24, 0xD0_0101, |g| {
             let live = arb_live_pack(g);
+            let verge = on_the_verge_of_a_cycle(&live);
             let cfg = PlannerConfig {
                 horizon_s: 4.0 * 3600.0,
                 ..PlannerConfig::default()
@@ -595,13 +643,39 @@ mod tests {
             let mut planner = Planner::new(cfg, Box::new(forecaster));
             let cands: Vec<f64> = (0..9).map(|i| f64::from(i) / 8.0).collect();
             // History, oracle, then history again through one scratch: the
-            // charge side switches off, on and off between re-plans.
-            for runs in [&history, &oracle, &history] {
-                let fast = planner.scratch_scores(&live, &cands, runs);
-                let reference = reference_scores(&mut planner, &live, &cands, runs);
+            // charge side switches off, on and off between re-plans; then
+            // both again from the pack on the verge of a cycle.
+            for (pack, runs) in [
+                (&live, &history),
+                (&live, &oracle),
+                (&live, &history),
+                (&verge, &oracle),
+                (&verge, &history),
+            ] {
+                let (external, charging) = may_charge(pack, runs);
+                assert!(!external || runs == &oracle, "a history forecast charges");
+                assert_eq!(charging, external || pack.transfer_active());
+                skipped += u32::from(!charging);
+                let fast = planner.scratch_scores(pack, &cands, runs);
+                let reference = reference_scores(&mut planner, pack, &cands, runs);
                 assert_eq!(bits(&fast), bits(&reference));
+                let cycles = reference_rollout(&planner.cfg, pack, 0.5, runs).1;
+                if cycles > 0 && external {
+                    by_external += 1;
+                } else if cycles > 0 {
+                    by_transfer += 1;
+                }
             }
         });
+        assert!(skipped > 0, "no rollout skipped the accumulators");
+        assert!(
+            by_external > 0,
+            "no rollout completed a cycle on external power"
+        );
+        assert!(
+            by_transfer > 0,
+            "no rollout completed a cycle by a transfer"
+        );
     }
 
     /// A recording planner: commits the same way as [`Planner`], scoring

@@ -4,6 +4,14 @@
 //! for byte the same at `--threads 1` and `--threads 4`, on the default,
 //! SoA (an hour and a day) and planned fleets.
 //!
+//! The `sdb` these tests run is the test profile's build, with debug
+//! assertions on: every runtime tick that the no-push certificate lets
+//! skip its discharge evaluation (or that lies inside a certified box)
+//! still runs the evaluation and asserts that it would not have pushed.
+//! A full planned day runs under that shadow check and must print the
+//! bytes a release build printed, and so must a faulted campaign day
+//! hold every invariant.
+//!
 //! Also checks that the phase profiler's sampled `micro_step` timer times
 //! as many steps as its per-device gate allows, no more and no fewer.
 
@@ -125,6 +133,44 @@ fn wide_planned_fleet_files_are_byte_identical_and_record_plan_commits() {
     assert!(
         trace.lines().any(|line| line.contains("plan_commit")),
         "the planned fleet's trace holds no plan_commit event"
+    );
+}
+
+/// A whole planned day re-plans from every kind of pack state (charged,
+/// draining, empty cells), not just the first hour's. Its report is
+/// byte-identical at 1 and 4 threads, and to the committed golden a
+/// release build wrote (regenerate on purpose with `sdb fleet --devices
+/// 16 --hours 24 --seed 7 --policy planned --json --out
+/// tests/golden/fleet_planned_day.json` from a release build).
+#[test]
+fn full_day_planned_fleet_matches_across_threads_and_the_release_golden() {
+    let dir = fleet_files_match_across_threads(
+        "fleet-planned-day",
+        &["--devices", "16", "--hours", "24", "--policy", "planned"],
+        false,
+    );
+    let report = std::fs::read(dir.join("report.json")).expect("report written");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_planned_day.json");
+    let golden = std::fs::read(golden).expect("golden committed");
+    assert!(
+        report == golden,
+        "the planned day differs from the release build's golden"
+    );
+}
+
+/// A faulted campaign day under the shadow check: every cell holds
+/// every invariant (`sdb campaign` would also exit 1 on a violation).
+#[test]
+fn faulted_campaign_day_holds_every_invariant() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sdb"))
+        .args(["campaign", "--faults", "none,heavy", "--hours", "24"])
+        .output()
+        .expect("run sdb");
+    assert!(out.status.success(), "sdb campaign: {out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(
+        text.lines().any(|l| l.starts_with("violations: 0 ")),
+        "no `violations: 0` totals line:\n{text}"
     );
 }
 

@@ -357,3 +357,35 @@ fn paper_scenarios_replay_through_the_profiled_trace_loop() {
         .expect("85 % reached");
     assert_eq!(steps, (last_min * 60.0 / 15.0).round() as u64);
 }
+
+/// The commands whose exact work counts `tests/golden/work.counts` pins.
+const WORK_COMMANDS: [&str; 1] =
+    ["fleet --devices 8 --hours 24 --seed 7 --policy planned --threads 1"];
+
+/// The work golden: the `--format counts` profile of each of
+/// [`WORK_COMMANDS`], byte for byte. Counts are exact in one run, so a
+/// change that saves time by doing less work (fewer steps, rollouts,
+/// solves) shows here, and one that only makes each step cheaper leaves
+/// the file alone. Regenerate on purpose with `SDB_REGEN_GOLDEN=1 cargo
+/// test --test profile work_counts` and explain every moved line.
+#[test]
+fn work_counts_match_the_golden() {
+    let mut text = String::new();
+    for (i, cmd) in WORK_COMMANDS.iter().enumerate() {
+        let (child, path) = spawn_profile(&format!("work-{i}"), cmd);
+        stdout_of(child);
+        text.push_str(&format!("$ sdb profile --format counts {cmd}\n"));
+        text.push_str(&std::fs::read_to_string(path).expect("profile written"));
+    }
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/work.counts");
+    if std::env::var_os("SDB_REGEN_GOLDEN").is_some() {
+        std::fs::write(&golden, &text).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden).expect("golden committed");
+    assert!(
+        want == text,
+        "work counts drifted from {}:\n{text}",
+        golden.display()
+    );
+}
