@@ -225,33 +225,6 @@ impl Curve {
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     }
 
-    /// [`Curve::slope`] with a [`CurveCursor`] memo. Bit-identical results
-    /// (same segment-selection semantics: right segment at interior knots,
-    /// left segment at the last knot, 0 outside the range).
-    #[must_use]
-    pub fn slope_cached(&self, cursor: &CurveCursor, x: f64) -> f64 {
-        let pts = &self.points;
-        let last = pts.len() - 1;
-        if x == pts[last].0 {
-            let (x0, y0) = pts[last - 1];
-            let (x1, y1) = pts[last];
-            return (y1 - y0) / (x1 - x0);
-        }
-        if x < pts[0].0 || x > pts[last].0 {
-            return 0.0;
-        }
-        // `locate` finds a closed-interval segment; `slope` wants the
-        // half-open one (right segment at interior knots), so shift right
-        // when x sits exactly on the located segment's upper knot.
-        let mut i = self.locate(cursor, x);
-        if x == pts[i].0 {
-            i += 1;
-        }
-        let (x0, y0) = pts[i - 1];
-        let (x1, y1) = pts[i];
-        (y1 - y0) / (x1 - x0)
-    }
-
     /// Evaluates the curve and the slope of the surrounding segment in one
     /// segment search.
     ///
@@ -798,7 +771,8 @@ mod tests {
             0.1, 0.12, 0.14, 0.9, 0.3, 0.5, 0.0, 1.0, -0.5, 1.5, 0.29, 0.31, 0.30,
         ] {
             assert_eq!(c.eval_cached(&cur, x).to_bits(), c.eval(x).to_bits());
-            assert_eq!(c.slope_cached(&cur, x).to_bits(), c.slope(x).to_bits());
+            let (_, slope) = c.value_and_slope_cached(&cur, x);
+            assert_eq!(slope.to_bits(), c.slope(x).to_bits());
         }
     }
 

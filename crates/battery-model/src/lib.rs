@@ -30,10 +30,12 @@
 //! # Example
 //!
 //! ```
-//! use sdb_battery_model::library;
+//! use sdb_battery_model::thevenin::TheveninCell;
+//! use sdb_battery_model::{BatterySpec, Chemistry};
 //!
-//! // A standard high-energy-density phone cell (paper Type 2).
-//! let mut cell = library::type2_standard(3.0); // 3.0 Ah
+//! // A standard high-energy-density phone cell (paper Type 2), 3.0 Ah.
+//! let spec = BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 3.0);
+//! let mut cell = TheveninCell::new(spec);
 //! assert!((cell.soc() - 1.0).abs() < 1e-12);
 //!
 //! // Discharge at 1C for one minute.

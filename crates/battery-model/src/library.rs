@@ -51,16 +51,6 @@ pub fn paper_library() -> Vec<BatterySpec> {
     specs
 }
 
-/// A fresh Type 2 (standard high-energy-density) cell.
-#[must_use]
-pub fn type2_standard(capacity_ah: f64) -> TheveninCell {
-    TheveninCell::new(BatterySpec::from_chemistry(
-        "Type 2 standard cell",
-        Chemistry::Type2CoStandard,
-        capacity_ah,
-    ))
-}
-
 /// The smart-watch scenario's rigid cell: a 200 mAh Type 2 (Section 5.2).
 #[must_use]
 pub fn watch_li_ion() -> TheveninCell {

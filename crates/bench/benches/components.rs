@@ -1,6 +1,6 @@
 #![allow(missing_docs)]
 //! Microbenchmarks of the hot paths: cell stepping, policy allocation,
-//! packet scheduling, and full emulator steps.
+//! and full emulator steps.
 
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
@@ -11,7 +11,6 @@ use sdb_core::runtime::SdbRuntime;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
 use sdb_observe::QuantileSketch;
-use sdb_power_electronics::switch::PacketScheduler;
 use std::hint::black_box;
 
 fn pack() -> Microcontroller {
@@ -60,17 +59,6 @@ fn main() {
     h.bench("policy_input_from_micro", || {
         black_box(PolicyInput::from_micro(black_box(&micro)))
     });
-
-    h.bench_batched(
-        "packet_scheduler_10k_packets",
-        || PacketScheduler::new(&[0.3, 0.5, 0.2], 16_384).expect("valid"),
-        |mut s| {
-            for _ in 0..10_000 {
-                black_box(s.next_packet());
-            }
-            s
-        },
-    );
 
     h.bench_batched(
         "quantile_sketch_insert_x1000",

@@ -63,42 +63,73 @@ fn allocs_per_step(n: usize) -> f64 {
 /// Pack size the profiler-overhead pair runs on (the largest inline
 /// size).
 const PROF_PACK: usize = 8;
-/// Steps per timed run: enough to amortize warmup and cover ~15 hot
-/// (sampled) profiler ticks per run.
+/// Packs per timed run, each warmed from the template and then stepped
+/// `PROF_STEPS` times: one run times `PROF_PACKS * PROF_STEPS` steps
+/// (several ms, so a scheduler hiccup is a small share of it) over the
+/// states of a full pack; one pack stepped that many times in a row
+/// would near empty and step differently.
+const PROF_PACKS: usize = 4;
+/// Steps per pack per timed run, covering ~15 hot (sampled) profiler
+/// ticks.
 const PROF_STEPS: u64 = 2000;
-/// Interleaved repetitions per mode; min-of-reps on both sides.
-const PROF_REPS: usize = 7;
+/// Interleaved disabled/enabled pairs; the overhead is the median of
+/// the pairs' time ratios.
+const PROF_REPS: usize = 51;
 
-/// One warmed, timed run of `PROF_STEPS` steps, returning ns/step.
+/// One timed run over `PROF_PACKS` warmed packs, returning ns/step.
 fn prof_timed_run(template: &Microcontroller, load: f64) -> f64 {
-    let mut micro = template.clone();
-    for _ in 0..50 {
-        black_box(micro.step(load, 0.0, 1.0));
-    }
+    let mut packs: Vec<Microcontroller> = (0..PROF_PACKS)
+        .map(|_| {
+            let mut micro = template.clone();
+            for _ in 0..50 {
+                black_box(micro.step(load, 0.0, 1.0));
+            }
+            micro
+        })
+        .collect();
     let t0 = std::time::Instant::now();
-    for _ in 0..PROF_STEPS {
-        black_box(micro.step(load, 0.0, 1.0));
+    for micro in &mut packs {
+        for _ in 0..PROF_STEPS {
+            black_box(micro.step(load, 0.0, 1.0));
+        }
     }
-    t0.elapsed().as_nanos() as f64 / PROF_STEPS as f64
+    t0.elapsed().as_nanos() as f64 / (PROF_PACKS as u64 * PROF_STEPS) as f64
 }
 
-/// Measures the profiler's cost on the hot loop: interleaved
-/// disabled/enabled repetitions (min-of-reps each) on the 8-battery
-/// pack, plus a steady-state allocation count and the per-phase
-/// self-time shares of the micro step. Returns
+/// Measures the profiler's cost on the hot loop: the median time ratio
+/// of interleaved enabled/disabled run pairs on the 8-battery pack, plus
+/// a steady-state allocation count and the per-phase self-time shares of
+/// the micro step. Returns
 /// `(overhead_pct, profiled_allocs_per_step, phase shares %)`.
 fn prof_overhead() -> (f64, f64, Vec<(&'static str, f64)>) {
     let template = pack_of(PROF_PACK);
     let load = 3.0 * PROF_PACK as f64;
-    let mut min_disabled = f64::INFINITY;
-    let mut min_enabled = f64::INFINITY;
-    for _ in 0..PROF_REPS {
-        sdb_prof::disable();
-        min_disabled = min_disabled.min(prof_timed_run(&template, load));
-        sdb_prof::enable();
-        min_enabled = min_enabled.min(prof_timed_run(&template, load));
-    }
-    let overhead_pct = ((min_enabled - min_disabled) / min_disabled * 100.0).max(0.0);
+    // The two runs of a pair are adjacent in time, so a slowdown of the
+    // shared host that spans both cancels in their ratio; the order
+    // alternates so that a drift within a pair favours neither mode.
+    let timed = |enabled: bool| {
+        if enabled {
+            sdb_prof::enable();
+        } else {
+            sdb_prof::disable();
+        }
+        prof_timed_run(&template, load)
+    };
+    let mut ratios: Vec<f64> = (0..PROF_REPS)
+        .map(|rep| {
+            let enabled_first = rep % 2 == 1;
+            let first = timed(enabled_first);
+            let second = timed(!enabled_first);
+            if enabled_first {
+                first / second
+            } else {
+                second / first
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let overhead_pct = ((ratios[PROF_REPS / 2] - 1.0) * 100.0).max(0.0);
+    sdb_prof::enable();
 
     // Steady-state allocations with the profiler recording: the slot
     // table and prewarmed sketches were created during the runs above,

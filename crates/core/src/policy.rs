@@ -535,6 +535,17 @@ fn rbl_weight(v: f64, r: f64, delta: f64, current_a: f64) -> f64 {
     v / r_eff.max(1e-6)
 }
 
+/// The a-priori box `[lo, hi]` around every RBL-Discharge weight iterate
+/// of a usable cell whose view lies in `b`, whose `δ'` lies in `delta`
+/// and whose current lies in `[0, i_hi]`: [`rbl_weight`] at the ends of
+/// each interval that make it smallest and largest.
+fn prior_weight_box(b: &ViewBox, delta: [f64; 2], i_hi: f64) -> [f64; 2] {
+    [
+        rbl_weight(b.ocv_v[0], b.resistance_ohm[1], delta[1], i_hi),
+        rbl_weight(b.ocv_v[1], b.resistance_ohm[0], delta[0], 0.0),
+    ]
+}
+
 /// [`rbl_weight`] at `current_a = num / den` with one division: for
 /// `den > 0`, `V / max(R + δ·num/den, 1e-6)` equals
 /// `V·den / max(R·den + δ·num, 1e-6·den)`.
@@ -752,8 +763,7 @@ impl DischargeDirective {
             if !(d_lo.is_finite() && d_hi.is_finite() && d_lo >= 0.0) {
                 return false;
             }
-            c.lo = rbl_weight(b.ocv_v[0], b.resistance_ohm[1], d_hi, i_hi);
-            c.hi = rbl_weight(b.ocv_v[1], b.resistance_ohm[0], d_lo, 0.0);
+            [c.lo, c.hi] = prior_weight_box(b, c.delta, i_hi);
         }
         let reach = PUSH_THRESHOLD - CERTIFICATE_MARGIN;
         for _ in 0..REFINEMENTS {
@@ -1545,6 +1555,70 @@ mod tests {
             at_edge > 300,
             "only {at_edge} states within 1e-4 of the threshold"
         );
+    }
+
+    /// The a-priori weight box of every usable cell holds each
+    /// RBL-Discharge iterate at every probed state of a drawn box: the
+    /// weight at a state spans `[w(I), w(0)]` as the cell's current runs
+    /// over `[0, I]`, `I` the state's pack current. The refinement passes
+    /// of `cannot_push` start from this box, so a box that misses a weight
+    /// could certify a tick that pushes.
+    #[test]
+    fn prior_weight_box_holds_every_iterate_of_a_drawn_box() {
+        let mut probed = 0u32;
+        sdb_testkit::check(3000, 0xA921_0B0C, |g| {
+            let cells: Vec<BoxedCell> = (0..g.usize_range(1, 9))
+                .map(|_| arb_boxed_cell(g))
+                .collect();
+            let cap_w: f64 = cells
+                .iter()
+                .map(|c| c.top.spec().max_discharge_a * c.top.ocv())
+                .sum();
+            let load_w = g.pick(&[0.0, 0.01, 0.1, 0.5, 1.0, 1.6]) * g.f64_range(0.0, 1.0) * cap_w;
+            let views: Vec<ViewBox> = cells
+                .iter()
+                .map(|c| ViewBox::over(&c.top, c.present, c.soc[0], c.soc[1]))
+                .collect();
+            let usable = || views.iter().filter(|b| !b.empty);
+            let Some(i_hi) = pack_current(load_w, usable().map(|b| b.ocv_v[0])) else {
+                return;
+            };
+            let boxes: Vec<Option<[f64; 2]>> = views
+                .iter()
+                .map(|b| {
+                    let delta = b.dcir_slope.map(|s| delta_prime(s, b.capacity_ah));
+                    (!b.empty && b.ocv_v[0] > 0.0).then(|| prior_weight_box(b, delta, i_hi))
+                })
+                .collect();
+            let mut states: Vec<Vec<f64>> = vec![
+                cells.iter().map(|c| c.soc[0]).collect(),
+                cells.iter().map(|c| c.soc[1]).collect(),
+            ];
+            states.extend((0..6).map(|_| cells.iter().map(|c| c.draw(g)).collect()));
+            for socs in states {
+                let batteries: Vec<BatteryView> = cells
+                    .iter()
+                    .zip(&socs)
+                    .map(|(c, &soc)| BatteryView::of_cell(&c.at(soc), c.present, 0.0))
+                    .collect();
+                let usable_ocv = batteries.iter().filter(|b| !b.empty).map(|b| b.ocv_v);
+                let i_pt = pack_current(load_w, usable_ocv).expect("the box has a usable cell");
+                for (b, bounds) in batteries.iter().zip(&boxes) {
+                    let Some([lo, hi]) = *bounds else { continue };
+                    let delta = delta_prime(b.dcir_slope, b.capacity_ah);
+                    let (w_lo, w_hi) = (
+                        rbl_weight(b.ocv_v, b.resistance_ohm, delta, i_pt),
+                        rbl_weight(b.ocv_v, b.resistance_ohm, delta, 0.0),
+                    );
+                    assert!(
+                        lo <= w_lo && w_hi <= hi,
+                        "weights [{w_lo}, {w_hi}] outside the prior box [{lo}, {hi}] at {b:?}"
+                    );
+                    probed += 1;
+                }
+            }
+        });
+        assert!(probed > 20_000, "only {probed} weights probed");
     }
 
     /// One cell of a drawn box: the cell at the box's top, its box, and

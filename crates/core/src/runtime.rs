@@ -16,7 +16,7 @@ use sdb_battery_model::thevenin::TheveninCell;
 use sdb_emulator::link::Response;
 use sdb_emulator::micro::Microcontroller;
 use sdb_fuel_gauge::gauge::BatteryStatus;
-use sdb_observe::{Counter, ObsEvent, Observer};
+use sdb_observe::{Counter, Flow, ObsEvent, Observer};
 use sdb_prof::Phase;
 
 // Settings of the graceful-degradation layer (`enable_resilience`).
@@ -685,20 +685,7 @@ impl SdbRuntime {
             if let Some(g) = widen {
                 widen_toward_uniform(self.scratch.ratios_mut(), &input.batteries, |b| !b.empty, g);
             }
-            if materially_different(self.scratch.ratios(), &self.last_discharge) {
-                api.discharge(self.scratch.ratios())?;
-                self.last_discharge.clear();
-                self.last_discharge.extend_from_slice(self.scratch.ratios());
-                self.pushes += 1;
-                if let Some(m) = &self.metrics {
-                    m.pushes.inc();
-                }
-                if let Some(r) = &mut self.resilience {
-                    r.outstanding += 1;
-                    r.since_send_s = 0.0;
-                }
-                pushed = true;
-            }
+            pushed |= self.push_if_changed(api, Flow::Discharge)?;
         }
 
         if self.charge_evaluation
@@ -711,20 +698,7 @@ impl SdbRuntime {
                 let usable = |b: &BatteryView| !b.full && b.charge_acceptance_a > 0.0;
                 widen_toward_uniform(self.scratch.ratios_mut(), &input.batteries, usable, g);
             }
-            if materially_different(self.scratch.ratios(), &self.last_charge) {
-                api.charge(self.scratch.ratios())?;
-                self.last_charge.clear();
-                self.last_charge.extend_from_slice(self.scratch.ratios());
-                self.pushes += 1;
-                if let Some(m) = &self.metrics {
-                    m.pushes.inc();
-                }
-                if let Some(r) = &mut self.resilience {
-                    r.outstanding += 1;
-                    r.since_send_s = 0.0;
-                }
-                pushed = true;
-            }
+            pushed |= self.push_if_changed(api, Flow::Charge)?;
         }
         if self.observer.wants_events() {
             self.observer.emit(ObsEvent::PolicyEvaluation {
@@ -734,6 +708,41 @@ impl SdbRuntime {
             });
         }
         Ok(pushed)
+    }
+
+    /// Pushes the scratch ratios for `flow` through `api` when they differ
+    /// materially from the last ones pushed, and books the push: the copy
+    /// into `last_*`, the push count and metric, and the resilience
+    /// layer's outstanding command and send clock. Returns whether it
+    /// pushed.
+    fn push_if_changed<A: SdbApi + ?Sized>(
+        &mut self,
+        api: &mut A,
+        flow: Flow,
+    ) -> Result<bool, SdbError> {
+        let ratios = self.scratch.ratios();
+        let last = match flow {
+            Flow::Discharge => &mut self.last_discharge,
+            Flow::Charge => &mut self.last_charge,
+        };
+        if !materially_different(ratios, last) {
+            return Ok(false);
+        }
+        match flow {
+            Flow::Discharge => api.discharge(ratios)?,
+            Flow::Charge => api.charge(ratios)?,
+        }
+        last.clear();
+        last.extend_from_slice(ratios);
+        self.pushes += 1;
+        if let Some(m) = &self.metrics {
+            m.pushes.inc();
+        }
+        if let Some(r) = &mut self.resilience {
+            r.outstanding += 1;
+            r.since_send_s = 0.0;
+        }
+        Ok(true)
     }
 
     /// The no-push certificate on `input` alone (the box of width 0).

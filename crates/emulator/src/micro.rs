@@ -15,7 +15,9 @@ use sdb_battery_model::error::BatteryError;
 use sdb_battery_model::thevenin::TheveninCell;
 use sdb_fuel_gauge::gauge::{BatteryStatus, FuelGauge};
 use sdb_observe::{Counter, Flow, ObsEvent, Observer};
-use sdb_power_electronics::circuits::{ChargeCircuit, DischargeCircuit};
+use sdb_power_electronics::circuits::{
+    ChargeCircuit, ChargeTopology, DischargeCircuit, DischargeTopology,
+};
 use sdb_power_electronics::error::{check_ratios, PowerError};
 use sdb_power_electronics::measurement::ShareChain;
 
@@ -302,8 +304,12 @@ impl Microcontroller {
             profiles,
             discharge_ratios: vec![1.0 / n as f64; n],
             charge_ratios: vec![1.0 / n as f64; n],
-            discharge_circuit: DischargeCircuit::new(config.discharge_topology, n),
-            charge_circuit: ChargeCircuit::new(config.charge_topology, n, max_charge_a.max(1.0)),
+            discharge_circuit: DischargeCircuit::new(DischargeTopology::SdbIntegrated, n),
+            charge_circuit: ChargeCircuit::new(
+                ChargeTopology::SdbReversible,
+                n,
+                max_charge_a.max(1.0),
+            ),
             share_chain: ShareChain::prototype(),
             transfer: None,
             present: vec![true; n],
@@ -587,16 +593,6 @@ impl Microcontroller {
         self.thermal_throttle
     }
 
-    /// Cell temperature in °C (`None` when thermal simulation is off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `battery` is out of range.
-    #[must_use]
-    pub fn cell_temperature_c(&self, battery: usize) -> Option<f64> {
-        self.cells[battery].temperature_c()
-    }
-
     /// Whether a battery-to-battery transfer is in flight.
     #[must_use]
     pub fn transfer_active(&self) -> bool {
@@ -616,34 +612,6 @@ impl Microcontroller {
                 s
             })
             .collect()
-    }
-
-    /// Selects a charging profile for one battery.
-    ///
-    /// # Errors
-    ///
-    /// [`PowerError::InvalidParameter`] for a bad index.
-    pub fn select_profile(&mut self, battery: usize, kind: ProfileKind) -> Result<(), PowerError> {
-        let cell = self
-            .cells
-            .get(battery)
-            .ok_or(PowerError::InvalidParameter {
-                name: "battery index",
-                value: battery as f64,
-            })?;
-        // Build the profile while the immutable borrow is live; no spec
-        // clone needed.
-        let new_profile = ChargingProfile::for_spec(kind, cell.spec());
-        let from = self.profiles[battery].kind;
-        self.profiles[battery] = new_profile;
-        if from != kind {
-            self.observer.emit(ObsEvent::ProfileTransition {
-                battery,
-                from: from.name(),
-                to: kind.name(),
-            });
-        }
-        Ok(())
     }
 
     /// The charge current battery `battery` can currently accept under its
@@ -1639,13 +1607,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_selection_applies() {
-        let mut m = two_battery_pack();
-        m.select_profile(0, ProfileKind::Gentle).unwrap();
-        assert!(m.select_profile(9, ProfileKind::Fast).is_err());
-    }
-
-    #[test]
     fn absent_battery_supplies_nothing() {
         let mut m = two_battery_pack();
         m.set_battery_present(1, false).unwrap();
@@ -1737,15 +1698,15 @@ mod tests {
                 break;
             }
         }
-        assert!(throttled_seen, "temp = {:?}", m.cell_temperature_c(0));
+        assert!(throttled_seen, "temp = {:?}", m.cells()[0].temperature_c());
         // Resting (no charging) cools it below the resume point, and the
         // latch releases.
         for _ in 0..240 {
             m.step(0.0, 0.0, 60.0);
         }
-        assert!(m.cell_temperature_c(0).unwrap() < 36.0);
+        assert!(m.cells()[0].temperature_c().unwrap() < 36.0);
         m.step(0.0, 30.0, 30.0);
-        assert!(!m.throttled[0], "temp = {:?}", m.cell_temperature_c(0));
+        assert!(!m.throttled[0], "temp = {:?}", m.cells()[0].temperature_c());
     }
 
     #[test]

@@ -11,7 +11,6 @@ use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::library;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_fuel_gauge::gauge::GaugeConfig;
-use sdb_power_electronics::circuits::{ChargeTopology, DischargeTopology};
 use std::sync::Arc;
 
 /// One battery slot in the pack.
@@ -31,10 +30,6 @@ pub(crate) struct SlotConfig {
 pub(crate) struct PackConfig {
     /// Battery slots.
     pub(crate) slots: Vec<SlotConfig>,
-    /// Discharge circuit topology.
-    pub(crate) discharge_topology: DischargeTopology,
-    /// Charge circuit topology.
-    pub(crate) charge_topology: ChargeTopology,
     /// Fuel-gauge configuration shared by all slots.
     pub(crate) gauge: GaugeConfig,
     /// Ambient temperature, °C: when set, every cell gets a lumped thermal
@@ -46,21 +41,17 @@ pub(crate) struct PackConfig {
 #[derive(Debug, Clone)]
 pub struct PackBuilder {
     slots: Vec<SlotConfig>,
-    discharge_topology: DischargeTopology,
-    charge_topology: ChargeTopology,
     gauge: GaugeConfig,
     ambient_c: Option<f64>,
 }
 
 impl PackBuilder {
-    /// Starts an empty pack with the SDB (integrated/reversible)
-    /// topologies.
+    /// Starts an empty pack. Every pack is built on the SDB
+    /// (integrated/reversible) circuits.
     #[must_use]
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
-            discharge_topology: DischargeTopology::SdbIntegrated,
-            charge_topology: ChargeTopology::SdbReversible,
             gauge: GaugeConfig::default(),
             ambient_c: None,
         }
@@ -107,14 +98,6 @@ impl PackBuilder {
         self
     }
 
-    /// Uses the naive circuit topologies (for ablation benches).
-    #[must_use]
-    pub fn naive_topologies(mut self) -> Self {
-        self.discharge_topology = DischargeTopology::NaiveSwitch;
-        self.charge_topology = ChargeTopology::NaiveMatrix;
-        self
-    }
-
     /// Overrides the gauge configuration.
     #[must_use]
     pub fn gauge(mut self, gauge: GaugeConfig) -> Self {
@@ -132,8 +115,6 @@ impl PackBuilder {
         assert!(!self.slots.is_empty(), "a pack needs at least one battery");
         Microcontroller::new(PackConfig {
             slots: self.slots,
-            discharge_topology: self.discharge_topology,
-            charge_topology: self.charge_topology,
             gauge: self.gauge,
             ambient_c: self.ambient_c,
         })

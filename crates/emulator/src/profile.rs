@@ -3,12 +3,13 @@
 //! "An example charging profile looks like: the battery is charged at a
 //! constant high current until SoC reaches 80 % ..., and the charging is
 //! limited to a trickle charge or low current after" (Section 2.2). SDB
-//! instruments each regulator with *multiple* charging profiles and lets
-//! the microcontroller select among them dynamically (Section 3.2.2).
+//! instruments each regulator with *multiple* charging profiles
+//! (Section 3.2.2). Here a pack template fixes each slot's profile, and
+//! the firmware's thermal throttle derates it while a cell runs hot.
 
 use sdb_battery_model::spec::BatterySpec;
 
-/// Named profile classes the microcontroller can select among.
+/// Named profile classes a pack slot can be built with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfileKind {
     /// Standard CC-CV: rated charge current to 80 %, tapering after.
@@ -19,18 +20,6 @@ pub enum ProfileKind {
     /// Longevity-preserving: reduced current, early taper. For overnight
     /// charging.
     Gentle,
-}
-
-impl ProfileKind {
-    /// Stable lowercase name (used in observability events and CLI args).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfileKind::Standard => "standard",
-            ProfileKind::Fast => "fast",
-            ProfileKind::Gentle => "gentle",
-        }
-    }
 }
 
 /// A piecewise-constant-current charging profile with a CV taper.

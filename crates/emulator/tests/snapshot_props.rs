@@ -4,12 +4,12 @@
 //! Three contracts:
 //!
 //! * **Byte round-trip**: `PackSnapshot::from_bytes(to_bytes(s)) == s`
-//!   bit-for-bit, over arbitrary packs, mutations (ratios, profiles,
-//!   throttles, faults, transfers), and step sequences.
+//!   bit-for-bit, over arbitrary packs and charging profiles, mutations
+//!   (ratios, throttles, faults, transfers), and step sequences.
 //! * **Resume equivalence**: restoring a snapshot into a fresh pack of
-//!   the same shape and replaying an identical step sequence produces
-//!   bit-identical state to the original — the planner's
-//!   snapshot/restore rollouts depend on this.
+//!   the same shape (its charging profiles drawn anew) and replaying an
+//!   identical step sequence produces bit-identical state to the
+//!   original — the planner's snapshot/restore rollouts depend on this.
 //! * **Adaptive-timestep bound**: a closed-form multi-tick
 //!   [`SoaCohort::advance`] stays within the documented error bound of
 //!   the same ticks run through the scalar `Microcontroller::step` path.
@@ -31,21 +31,46 @@ fn arb_chemistry(g: &mut Gen) -> Chemistry {
     ])
 }
 
-fn arb_pack(g: &mut Gen) -> Microcontroller {
-    let n = g.usize_range(1, 4);
-    let mut b = PackBuilder::new();
-    for i in 0..n {
-        b = b.battery_at(
-            BatterySpec::from_chemistry(&format!("p{i}"), arb_chemistry(g), g.f64_range(1.0, 3.0)),
-            g.f64_range(0.3, 1.0),
-            g.pick(&[ProfileKind::Standard, ProfileKind::Fast]),
-        );
-    }
-    b.build()
+fn arb_profile(g: &mut Gen) -> ProfileKind {
+    g.pick(&[
+        ProfileKind::Standard,
+        ProfileKind::Fast,
+        ProfileKind::Gentle,
+    ])
 }
 
-/// Random state mutations touching every snapshot field family: ratios,
-/// charging profiles, gauge faults, cell fault resistance, and transfers.
+/// Random pack slots: spec, initial SoC and charging profile.
+fn arb_slots(g: &mut Gen) -> Vec<(BatterySpec, f64, ProfileKind)> {
+    (0..g.usize_range(1, 4))
+        .map(|i| {
+            (
+                BatterySpec::from_chemistry(
+                    &format!("p{i}"),
+                    arb_chemistry(g),
+                    g.f64_range(1.0, 3.0),
+                ),
+                g.f64_range(0.3, 1.0),
+                arb_profile(g),
+            )
+        })
+        .collect()
+}
+
+fn build(slots: Vec<(BatterySpec, f64, ProfileKind)>) -> Microcontroller {
+    slots
+        .into_iter()
+        .fold(PackBuilder::new(), |b, (spec, soc, profile)| {
+            b.battery_at(spec, soc, profile)
+        })
+        .build()
+}
+
+fn arb_pack(g: &mut Gen) -> Microcontroller {
+    build(arb_slots(g))
+}
+
+/// Random state mutations touching the snapshot field families a running
+/// pack changes: ratios, cell fault resistance, and transfers.
 fn mutate(g: &mut Gen, m: &mut Microcontroller) {
     let n = m.battery_count();
     if g.chance(0.5) {
@@ -55,10 +80,6 @@ fn mutate(g: &mut Gen, m: &mut Microcontroller) {
             ratios.iter_mut().for_each(|r| *r /= sum);
             let _ = m.set_discharge_ratios(&ratios);
         }
-    }
-    if g.chance(0.3) {
-        let b = g.usize_range(0, n);
-        let _ = m.select_profile(b, g.pick(&[ProfileKind::Standard, ProfileKind::Fast]));
     }
     if g.chance(0.2) {
         let b = g.usize_range(0, n);
@@ -106,8 +127,16 @@ fn snapshot_bytes_round_trip_bit_exactly() {
 #[test]
 fn snapshot_restore_resumes_bit_exactly() {
     check(48, 0x5A_0002, |g| {
-        let mut live = arb_pack(g);
-        let mut fresh = live.clone();
+        let slots = arb_slots(g);
+        // The same cells under independently drawn charging profiles, so
+        // the restore must also rebuild every profile that differs.
+        let mut fresh = build(
+            slots
+                .iter()
+                .map(|(spec, soc, _)| (spec.clone(), *soc, arb_profile(g)))
+                .collect(),
+        );
+        let mut live = build(slots);
         mutate(g, &mut live);
         for (load, ext, dt) in arb_steps(g) {
             live.step(load, ext, dt);

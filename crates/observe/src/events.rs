@@ -35,15 +35,6 @@ pub enum ObsEvent {
         /// The realized per-battery ratios.
         ratios: Vec<f64>,
     },
-    /// A battery's charging profile changed (dynamic profile selection).
-    ProfileTransition {
-        /// Battery index.
-        battery: usize,
-        /// Previous profile name.
-        from: &'static str,
-        /// New profile name.
-        to: &'static str,
-    },
     /// A battery's thermal charge-throttle latched or released.
     ThermalThrottle {
         /// Battery index.
@@ -148,9 +139,6 @@ impl fmt::Display for ObsEvent {
         match self {
             ObsEvent::RatioPush { flow, ratios } => {
                 write!(f, "ratio-push {flow} {ratios:?}")
-            }
-            ObsEvent::ProfileTransition { battery, from, to } => {
-                write!(f, "profile-transition battery={battery} {from}->{to}")
             }
             ObsEvent::ThermalThrottle {
                 battery,

@@ -8,8 +8,8 @@
 //! * `metrics` — a zero-dependency registry of exact counters, with
 //!   Prometheus-text and JSON exporters (`sdb fleet --metrics-out`).
 //! * `events` — the structured event vocabulary, [`ObsEvent`] (ratio
-//!   pushes, profile transitions, thermal throttling, gauge
-//!   recalibrations, policy evaluations, fault injections, safety clamps),
+//!   pushes, thermal throttling, gauge recalibrations, policy
+//!   evaluations, fault injections, safety clamps, …),
 //!   and the device-tagged capture a capturing observer keeps.
 //!
 //! Values that change over a run (directives, forecast error) travel in

@@ -10,14 +10,14 @@
 //! * [`regulator`] — switched-mode regulator efficiency/loss models (buck,
 //!   buck-boost, synchronous reversible buck) and charging-efficiency
 //!   curves (Figure 6c).
-//! * [`switch`] — the FET/ideal-diode switch path and the weighted
-//!   round-robin packet scheduler that implements fine-grained battery
-//!   sharing (Figures 4a/4c), with duty-ratio quantization.
 //! * [`circuits`] — the naive and SDB discharge/charge circuit topologies,
-//!   their loss curves (Figure 6a) and charge-side regulator counts
+//!   their loss curves (Figure 6a, over the crate-private `switch` module's
+//!   FET/ideal-diode conduction paths) and charge-side regulator counts
 //!   (`O(N²)` vs `O(N)`).
 //! * [`measurement`] — sense-resistor/ADC/DAC quantization models producing
-//!   the setpoint-vs-measured errors of Figures 6b and 6d.
+//!   the setpoint-vs-measured errors of Figures 6b and 6d; its
+//!   [`ShareChain`](measurement::ShareChain) is the duty-cycled battery
+//!   switch that realizes fine-grained battery sharing (Figures 4a/4c).
 //!
 //! Units follow the workspace convention: volts `_v`, amps `_a`, ohms
 //! `_ohm`, watts `_w`, seconds `_s`.
@@ -25,15 +25,15 @@
 //! # Example
 //!
 //! ```
-//! use sdb_power_electronics::{PacketScheduler, Regulator, RegulatorKind};
+//! use sdb_power_electronics::measurement::ShareChain;
+//! use sdb_power_electronics::{Regulator, RegulatorKind};
 //!
-//! // The SDB discharge trick: energy packets drawn from batteries in a
-//! // weighted round-robin.
-//! let mut sched = PacketScheduler::new(&[0.25, 0.75], 16_384).unwrap();
-//! for _ in 0..10_000 {
-//!     sched.next_packet();
-//! }
-//! assert!(sched.max_share_error() < 1e-3);
+//! // The SDB discharge trick: the switch's duty cycle sets the share of the
+//! // load current each battery supplies, to within its timer grid and
+//! // sensor mismatch.
+//! let switch = ShareChain::prototype();
+//! let share = switch.realized_share(0.25).unwrap();
+//! assert!((share - 0.25).abs() < 1e-3);
 //!
 //! // The reversible buck that collapses the charging matrix to O(N).
 //! let reg = Regulator::typical(RegulatorKind::SynchronousReversibleBuck, 3.0);
@@ -44,7 +44,6 @@ pub mod circuits;
 pub mod error;
 pub mod measurement;
 pub mod regulator;
-pub mod switch;
+mod switch;
 
 pub use regulator::{Regulator, RegulatorKind};
-pub use switch::PacketScheduler;

@@ -4,7 +4,6 @@
 use sdb_power_electronics::circuits::{DischargeCircuit, DischargeTopology};
 use sdb_power_electronics::measurement::{SenseChain, ShareChain};
 use sdb_power_electronics::regulator::{Regulator, RegulatorKind};
-use sdb_power_electronics::switch::PacketScheduler;
 use sdb_testkit::{check, Gen};
 
 fn arb_kind(g: &mut Gen) -> RegulatorKind {
@@ -43,35 +42,6 @@ fn transfer_is_lossy() {
         ) {
             assert!(out < p);
             assert!(out >= 0.0);
-        }
-    });
-}
-
-/// Packet scheduler realized shares converge to the (quantized) setpoint
-/// for any share vector.
-#[test]
-fn scheduler_converges() {
-    check(64, 0x9E_0003, |g| {
-        let raw = g.vec_f64(0.01, 1.0, 2..6);
-        let sum: f64 = raw.iter().sum();
-        let shares: Vec<f64> = raw.iter().map(|r| r / sum).collect();
-        let mut s = PacketScheduler::new(&shares, 16_384).unwrap();
-        for _ in 0..20_000 {
-            s.next_packet();
-        }
-        assert!(s.max_share_error() < 2e-3, "err = {}", s.max_share_error());
-    });
-}
-
-/// Scheduler never picks a zero-share battery.
-#[test]
-fn zero_share_never_picked() {
-    check(64, 0x9E_0004, |g| {
-        let weight = g.f64_range(0.1, 1.0);
-        let shares = [0.0, weight, 1.0 - weight];
-        let mut s = PacketScheduler::new(&shares, 16_384).unwrap();
-        for _ in 0..5_000 {
-            assert!(s.next_packet() != 0);
         }
     });
 }

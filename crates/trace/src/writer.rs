@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 pub(crate) fn event_kind(event: &ObsEvent) -> &'static str {
     match event {
         ObsEvent::RatioPush { .. } => "ratio_push",
-        ObsEvent::ProfileTransition { .. } => "profile_transition",
         ObsEvent::ThermalThrottle { .. } => "thermal_throttle",
         ObsEvent::GaugeRecalibration { .. } => "gauge_recalibration",
         ObsEvent::PolicyEvaluation { .. } => "policy_evaluation",
@@ -74,14 +73,6 @@ pub(crate) fn to_jsonl_line(e: &DeviceEvent) -> String {
         ObsEvent::RatioPush { flow, ratios } => {
             let _ = write!(out, ",\"flow\":\"{flow}\"");
             f64_list(&mut out, "ratios", ratios);
-        }
-        ObsEvent::ProfileTransition { battery, from, to } => {
-            let _ = write!(
-                out,
-                ",\"battery\":{battery},\"from\":\"{}\",\"to\":\"{}\"",
-                esc(from),
-                esc(to)
-            );
         }
         ObsEvent::ThermalThrottle {
             battery,
@@ -210,10 +201,6 @@ pub fn to_jsonl(events: &[DeviceEvent]) -> String {
     out
 }
 
-/// The charging-profile names the emulator emits in `from` and `to`
-/// (`ProfileKind::name` in `sdb-emulator`).
-const PROFILE_NAMES: &[&str] = &["standard", "fast", "gentle"];
-
 /// The reasons the runtime emits in a `gauge_degraded` event.
 const DEGRADED_REASONS: &[&str] = &["stuck-soc"];
 
@@ -286,11 +273,6 @@ pub(crate) fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
         "ratio_push" => ObsEvent::RatioPush {
             flow: parse_flow(v.get("flow").ok_or("missing `flow`")?)?,
             ratios: need_f64_list(&v, "ratios")?,
-        },
-        "profile_transition" => ObsEvent::ProfileTransition {
-            battery: need_usize(&v, "battery")?,
-            from: need_name(&v, "from", PROFILE_NAMES)?,
-            to: need_name(&v, "to", PROFILE_NAMES)?,
         },
         "thermal_throttle" => ObsEvent::ThermalThrottle {
             battery: need_usize(&v, "battery")?,
@@ -481,10 +463,10 @@ mod tests {
                 device: 1,
                 seq: 0,
                 t_s: 120.5,
-                event: ObsEvent::ProfileTransition {
+                event: ObsEvent::ThermalThrottle {
                     battery: 1,
-                    from: "standard",
-                    to: "fast",
+                    engaged: false,
+                    temperature_c: 38.5,
                 },
             },
             DeviceEvent {
@@ -588,22 +570,17 @@ mod tests {
 
     #[test]
     fn names_outside_the_emitted_vocabulary_are_rejected() {
-        let line = |from: &str, reason: &str| {
-            let profile = format!(
-                "{{\"device\":0,\"seq\":0,\"t_s\":1.0,\"kind\":\"profile_transition\",\
-                 \"battery\":0,\"from\":\"{from}\",\"to\":\"fast\"}}"
-            );
-            let degraded = format!(
+        let line = |reason: &str| {
+            from_jsonl_line(&format!(
                 "{{\"device\":0,\"seq\":1,\"t_s\":1.0,\"kind\":\"gauge_degraded\",\
                  \"battery\":0,\"degraded\":true,\"reason\":\"{reason}\"}}"
-            );
-            (from_jsonl_line(&profile), from_jsonl_line(&degraded))
+            ))
         };
-        let (profile, degraded) = line("standard", "stuck-soc");
-        assert!(profile.is_ok() && degraded.is_ok());
-        let (profile, degraded) = line("turbo", "bored");
-        assert_eq!(profile.unwrap_err(), "unknown `from` value \"turbo\"");
-        assert_eq!(degraded.unwrap_err(), "unknown `reason` value \"bored\"");
+        assert!(line("stuck-soc").is_ok());
+        assert_eq!(
+            line("bored").unwrap_err(),
+            "unknown `reason` value \"bored\""
+        );
     }
 
     #[test]

@@ -255,6 +255,36 @@ fn analyze_refuses_a_deeply_nested_trace() {
     assert!(out.stdout.is_empty());
 }
 
+/// A trace line of a kind the system does not emit, a retired one such
+/// as `profile_transition` included, is an error naming the line and the
+/// kind: no panic, no report.
+#[test]
+fn analyze_refuses_an_unknown_event_kind_naming_the_line() {
+    let good = r#"{"device":0,"seq":0,"t_s":60.0,"kind":"ratio_push","flow":"discharge","ratios":[0.5,0.5]}"#;
+    for kind in ["profile_transition", "mystery"] {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{kind}.jsonl"));
+        let bad = format!(
+            r#"{{"device":0,"seq":1,"t_s":60.0,"kind":"{kind}","battery":1,"from":"standard","to":"fast"}}"#
+        );
+        std::fs::write(&path, format!("{good}\n\n{bad}\n")).expect("write trace");
+        for json in [false, true] {
+            let mut args = vec!["analyze", "--trace", path.to_str().expect("utf-8 path")];
+            if json {
+                args.push("--json");
+            }
+            let out = sdb(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("trace line 3: unknown event kind `{kind}`")),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        }
+    }
+}
+
 #[test]
 fn retired_subcommands_print_the_usage_and_exit_1() {
     for cmd in ["serve", "perf", "chaos"] {

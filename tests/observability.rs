@@ -10,7 +10,7 @@ use sdb::core::scheduler::SimOptions;
 use sdb::emulator::micro::ThermalThrottle;
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::fuel_gauge::gauge::GaugeConfig;
-use sdb::observe::{DeviceEvent, ObsEvent, Observer};
+use sdb::observe::{ObsEvent, Observer};
 use sdb::workloads::Trace;
 
 fn hybrid_pack() -> Microcontroller {
@@ -137,14 +137,9 @@ fn prometheus_export_parses_line_by_line() {
     );
 }
 
-/// A fault-injection run (thermal stress + drifting gauge, as in
-/// `faults.rs`) leaves throttle and recalibration events in the capture
-/// for post-mortem analysis.
-#[test]
-fn fault_injection_run_records_throttle_and_recalibration() {
-    let obs = Observer::capturing();
-
-    // Thermal stress: sustained fast charge in a warm environment.
+/// Thermal stress, recorded by `obs`: two hours of sustained fast charge
+/// in a warm environment, under a throttle that latches.
+fn overheat(obs: &Observer) -> Microcontroller {
     let mut hot = PackBuilder::new()
         .battery_at(
             BatterySpec::from_chemistry("fast", Chemistry::Type3CoPower, 3.0),
@@ -162,6 +157,16 @@ fn fault_injection_run_records_throttle_and_recalibration() {
     for _ in 0..240 {
         hot.step(0.0, 30.0, 30.0);
     }
+    hot
+}
+
+/// A fault-injection run (thermal stress + drifting gauge, as in
+/// `faults.rs`) leaves throttle and recalibration events in the capture
+/// for post-mortem analysis.
+#[test]
+fn fault_injection_run_records_throttle_and_recalibration() {
+    let obs = Observer::capturing();
+    overheat(&obs);
 
     // Gauge drift: a large current offset integrates into SoC error under
     // light load, then an hour of rest triggers OCV recalibration.
@@ -267,38 +272,40 @@ fn observability_does_not_perturb_simulation() {
     assert_eq!(run(false), run(true));
 }
 
-/// Every charging-profile name the emulator can emit survives a trace
-/// round trip, so `sdb analyze` replays any recorded profile transition.
+/// The events a run captures survive a trace round trip: `sdb analyze`
+/// on the JSONL file reports exactly what the live capture holds. The
+/// run emits a thermal throttle from the firmware and a stuck-gauge flag
+/// (with its named reason) from the runtime.
 #[test]
-fn every_profile_name_round_trips_through_a_trace() {
-    let kinds = [
-        ProfileKind::Standard,
-        ProfileKind::Fast,
-        ProfileKind::Gentle,
-    ];
-    for kind in kinds {
-        // A new variant stops this match from compiling until it joins
-        // `kinds` (and the trace reader's vocabulary).
-        match kind {
-            ProfileKind::Standard | ProfileKind::Fast | ProfileKind::Gentle => {}
-        }
-        let event = DeviceEvent {
-            device: 3,
-            seq: 0,
-            t_s: 60.0,
-            event: ObsEvent::ProfileTransition {
-                battery: 1,
-                from: kind.name(),
-                to: kind.name(),
-            },
-        };
-        let text = sdb::trace::to_jsonl(&[event]);
-        let report = sdb::trace::analyze_jsonl(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
-        let rendered = report.render_text(0);
-        assert!(
-            rendered.starts_with("trace: 1 events, 1 devices"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("profile_transition"), "{rendered}");
+fn captured_events_round_trip_through_a_trace() {
+    let obs = Observer::capturing();
+    let hot = overheat(&obs);
+    let mut runtime = SdbRuntime::new(1);
+    runtime.set_observer(obs.clone());
+    runtime.enable_resilience();
+    // A frozen SoC estimate under load flags the gauge; a moving one
+    // clears it.
+    let mut row = hot.query_battery_status()[0];
+    row.current_a = 1.0;
+    for _ in 0..6 {
+        runtime.observe_status(&[row]);
     }
+    row.soc -= 0.01;
+    runtime.observe_status(&[row]);
+
+    let events = obs.drain_events();
+    let live = sdb::trace::analyze(&events).render_text(usize::MAX);
+    let text = sdb::trace::to_jsonl(&events);
+    let replayed = sdb::trace::analyze_jsonl(&text)
+        .unwrap_or_else(|e| panic!("{e}: {text}"))
+        .render_text(usize::MAX);
+    assert_eq!(replayed, live);
+    for kind in ["thermal_throttle", "gauge_degraded"] {
+        assert!(live.contains(kind), "no {kind} in {live}");
+    }
+    assert_eq!(
+        text.matches("\"reason\":\"stuck-soc\"").count(),
+        2,
+        "{text}"
+    );
 }
