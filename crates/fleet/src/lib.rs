@@ -20,7 +20,8 @@
 //!   thread count**.
 //!
 //! The engine can also capture the full device-tagged event stream
-//! ([`RunOptions::capture_events`]) for serialization by `sdb-trace`.
+//! ([`RunOptions::capture_events`]) for serialization by
+//! `sdb_observe::to_jsonl`.
 //!
 //! Determinism contract: `FleetReport` (and its JSON rendering) is a pure
 //! function of `(FleetSpec, master seed)`. Wall-clock facts — thread

@@ -11,7 +11,7 @@
 
 use crate::engine::DeviceOutcome;
 use crate::spec::FleetSpec;
-use sdb_observe::MetricsRegistry;
+use sdb_observe::{json_escape, MetricsRegistry};
 use std::fmt::Write as _;
 
 /// Summary statistics of one per-device quantity.
@@ -216,7 +216,7 @@ impl FleetReport {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"devices\":{},\"brownout_rate\":{},\"life_s\":{},\"circuit_loss_j\":{},\"wear_ccb\":{}}}",
-                c.name.replace('\\', "\\\\").replace('"', "\\\""),
+                json_escape(&c.name),
                 c.devices,
                 fmt(c.brownout_rate),
                 c.life_s.to_json(),
@@ -349,5 +349,19 @@ mod tests {
         }
         assert_eq!(fmt(f64::NAN), "\"NaN\"");
         assert_eq!(fmt(f64::INFINITY), "\"+Inf\"");
+    }
+
+    #[test]
+    fn cohort_names_are_escaped() {
+        let name = "a \"quoted\" back\\slash\nnew line \u{1}";
+        let mut spec = FleetSpec::default_population(1, 7);
+        spec.cohorts[0].name = name.to_owned();
+        let json = FleetReport::from_outcomes(&spec, &[], &MetricsRegistry::new()).to_json();
+        // JSON forbids raw control characters in strings; the reader is
+        // lenient about them, so check the bytes too.
+        assert!(!json.contains(char::is_control), "{json}");
+        let report = sdb_observe::json::parse(&json).expect("report is valid JSON");
+        let cohorts = report.get("cohorts").and_then(|c| c.as_arr()).unwrap();
+        assert_eq!(cohorts[0].get("name").and_then(|n| n.as_str()), Some(name));
     }
 }

@@ -1,8 +1,8 @@
-//! End-to-end contract between the fleet engine and `sdb-trace`: the
-//! serialized trace of a captured fleet run is byte-identical across
-//! thread counts, replaying the JSONL reproduces the analysis exactly,
-//! and the health-rule engine surfaces brownout and imbalance findings on
-//! a population that is actually failing.
+//! End-to-end contract between the fleet engine and the trace views of
+//! `sdb-observe`: the serialized trace of a captured fleet run is
+//! byte-identical across thread counts, replaying the JSONL reproduces
+//! the analysis exactly, and the health-rule engine surfaces brownout and
+//! imbalance findings on a population that is actually failing.
 
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
@@ -10,7 +10,7 @@ use sdb_core::scheduler::SimOptions;
 use sdb_emulator::profile::ProfileKind;
 use sdb_fleet::spec::{CohortSpec, FleetSpec, PackTemplate, PolicySpec, WorkloadSpec};
 use sdb_fleet::{run_fleet, RunOptions};
-use sdb_trace::{analyze, analyze_jsonl, to_chrome, to_jsonl};
+use sdb_observe::{analyze, analyze_jsonl, to_chrome, to_jsonl};
 use sdb_workloads::traces::Trace;
 use std::sync::Arc;
 

@@ -5,8 +5,6 @@
 //! [`DeviceEvent`], stamped with the simulation time and the device being
 //! simulated.
 
-use std::fmt;
-
 /// Direction of a power flow (ratio pushes, safety clamps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
@@ -16,12 +14,13 @@ pub enum Flow {
     Discharge,
 }
 
-impl fmt::Display for Flow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Flow {
+    /// The flow's name in a trace (`charge`, `discharge`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             Flow::Charge => "charge",
             Flow::Discharge => "discharge",
-        })
+        }
     }
 }
 
@@ -134,84 +133,126 @@ pub enum ObsEvent {
     },
 }
 
-impl fmt::Display for ObsEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// One payload field of an [`ObsEvent`], as the trace views render it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Field<'a> {
+    Int(u64),
+    Bool(bool),
+    Num(f64),
+    Str(&'a str),
+    Nums(&'a [f64]),
+}
+
+impl ObsEvent {
+    /// The event's kind: the `kind` of its JSONL line, the name of its
+    /// Chrome instant and its row in `sdb analyze`'s summary.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            ObsEvent::RatioPush { .. } => "ratio_push",
+            ObsEvent::ThermalThrottle { .. } => "thermal_throttle",
+            ObsEvent::GaugeRecalibration { .. } => "gauge_recalibration",
+            ObsEvent::PolicyEvaluation { .. } => "policy_evaluation",
+            ObsEvent::FaultInjection { .. } => "fault_injection",
+            ObsEvent::SafetyClamp { .. } => "safety_clamp",
+            ObsEvent::StepSample { .. } => "step_sample",
+            ObsEvent::BatteryPresence { .. } => "battery_presence",
+            ObsEvent::CommandRetry { .. } => "command_retry",
+            ObsEvent::WatchdogTransition { .. } => "watchdog_transition",
+            ObsEvent::GaugeDegraded { .. } => "gauge_degraded",
+            ObsEvent::PlanCommit { .. } => "plan_commit",
+        }
+    }
+
+    /// The event's payload as `(name, value)` pairs, in the order a JSONL
+    /// line writes them. The JSONL line and the `args` of a Chrome instant
+    /// both read this list.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Field<'_>)> {
+        use Field::{Bool, Int, Num, Nums, Str};
         match self {
             ObsEvent::RatioPush { flow, ratios } => {
-                write!(f, "ratio-push {flow} {ratios:?}")
+                vec![("flow", Str(flow.name())), ("ratios", Nums(ratios))]
             }
             ObsEvent::ThermalThrottle {
                 battery,
                 engaged,
                 temperature_c,
-            } => write!(
-                f,
-                "thermal-throttle battery={battery} {} at {temperature_c:.2} C",
-                if *engaged { "engaged" } else { "released" }
-            ),
+            } => vec![
+                ("battery", Int(*battery as u64)),
+                ("engaged", Bool(*engaged)),
+                ("temperature_c", Num(*temperature_c)),
+            ],
             ObsEvent::GaugeRecalibration {
                 battery,
                 soc_before,
                 soc_after,
-            } => write!(
-                f,
-                "gauge-recalibration battery={battery} soc {soc_before:.4} -> {soc_after:.4}"
-            ),
+            } => vec![
+                ("battery", Int(*battery as u64)),
+                ("soc_before", Num(*soc_before)),
+                ("soc_after", Num(*soc_after)),
+            ],
             ObsEvent::PolicyEvaluation {
                 pushed,
                 charge_directive,
                 discharge_directive,
-            } => write!(
-                f,
-                "policy-evaluation pushed={pushed} charge={charge_directive:.3} discharge={discharge_directive:.3}"
-            ),
-            ObsEvent::FaultInjection { description } => {
-                write!(f, "fault-injection {description}")
-            }
+            } => vec![
+                ("pushed", Bool(*pushed)),
+                ("charge_directive", Num(*charge_directive)),
+                ("discharge_directive", Num(*discharge_directive)),
+            ],
+            ObsEvent::FaultInjection { description } => vec![("description", Str(description))],
             ObsEvent::SafetyClamp {
                 battery,
                 flow,
                 requested_a,
                 applied_a,
-            } => write!(
-                f,
-                "safety-clamp battery={battery} {flow} {requested_a:.3} A -> {applied_a:.3} A"
-            ),
+            } => vec![
+                ("battery", Int(*battery as u64)),
+                ("flow", Str(flow.name())),
+                ("requested_a", Num(*requested_a)),
+                ("applied_a", Num(*applied_a)),
+            ],
             ObsEvent::StepSample {
-                load_w, supplied_w, ..
-            } => write!(f, "step load={load_w:.3} W supplied={supplied_w:.3} W"),
-            ObsEvent::BatteryPresence { battery, present } => {
-                write!(
-                    f,
-                    "battery-presence battery={battery} {}",
-                    if *present { "attached" } else { "detached" }
-                )
+                load_w,
+                supplied_w,
+                loss_w,
+                soc,
+                current_a,
+            } => vec![
+                ("load_w", Num(*load_w)),
+                ("supplied_w", Num(*supplied_w)),
+                ("loss_w", Num(*loss_w)),
+                ("soc", Nums(soc)),
+                ("current_a", Nums(current_a)),
+            ],
+            ObsEvent::BatteryPresence { battery, present } => vec![
+                ("battery", Int(*battery as u64)),
+                ("present", Bool(*present)),
+            ],
+            ObsEvent::CommandRetry { attempt, backoff_s } => vec![
+                ("attempt", Int(u64::from(*attempt))),
+                ("backoff_s", Num(*backoff_s)),
+            ],
+            ObsEvent::WatchdogTransition { engaged, silent_s } => {
+                vec![("engaged", Bool(*engaged)), ("silent_s", Num(*silent_s))]
             }
-            ObsEvent::CommandRetry { attempt, backoff_s } => {
-                write!(f, "command-retry attempt={attempt} after {backoff_s:.3} s")
-            }
-            ObsEvent::WatchdogTransition { engaged, silent_s } => write!(
-                f,
-                "watchdog {} after {silent_s:.1} s silent",
-                if *engaged { "engaged" } else { "recovered" }
-            ),
             ObsEvent::GaugeDegraded {
                 battery,
                 degraded,
                 reason,
-            } => write!(
-                f,
-                "gauge-degraded battery={battery} {} ({reason})",
-                if *degraded { "flagged" } else { "cleared" }
-            ),
+            } => vec![
+                ("battery", Int(*battery as u64)),
+                ("degraded", Bool(*degraded)),
+                ("reason", Str(reason)),
+            ],
             ObsEvent::PlanCommit {
                 discharge_directive,
                 horizon_s,
                 forecast_mae_w,
-            } => write!(
-                f,
-                "plan-commit discharge={discharge_directive:.3} horizon={horizon_s:.0} s mae={forecast_mae_w:.3} W"
-            ),
+            } => vec![
+                ("discharge_directive", Num(*discharge_directive)),
+                ("horizon_s", Num(*horizon_s)),
+                ("forecast_mae_w", Num(*forecast_mae_w)),
+            ],
         }
     }
 }
@@ -300,15 +341,20 @@ mod tests {
     }
 
     #[test]
-    fn event_display_is_stable() {
+    fn kind_and_fields_are_stable() {
         let e = ObsEvent::ThermalThrottle {
             battery: 1,
             engaged: true,
             temperature_c: 45.25,
         };
+        assert_eq!(e.kind(), "thermal_throttle");
         assert_eq!(
-            e.to_string(),
-            "thermal-throttle battery=1 engaged at 45.25 C"
+            e.fields(),
+            [
+                ("battery", Field::Int(1)),
+                ("engaged", Field::Bool(true)),
+                ("temperature_c", Field::Num(45.25)),
+            ]
         );
     }
 }

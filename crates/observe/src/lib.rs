@@ -9,8 +9,15 @@
 //!   Prometheus-text and JSON exporters (`sdb fleet --metrics-out`).
 //! * `events` — the structured event vocabulary, [`ObsEvent`] (ratio
 //!   pushes, thermal throttling, gauge recalibrations, policy
-//!   evaluations, fault injections, safety clamps, …),
-//!   and the device-tagged capture a capturing observer keeps.
+//!   evaluations, fault injections, safety clamps, …), each kind's name
+//!   and payload fields, and the device-tagged capture.
+//! * `writer` — the views of a captured trace, which all read those
+//!   fields: replayable JSONL ([`to_jsonl`]) and its replay parser, and
+//!   the Perfetto-loadable Chrome export ([`to_chrome`]).
+//! * [`json`] — a minimal zero-dependency JSON reader.
+//! * `rules` and `analyze` — the fixed health-rule set and the one-pass
+//!   trace analysis behind `sdb analyze` ([`analyze()`],
+//!   [`analyze_jsonl`]).
 //!
 //! Values that change over a run (directives, forecast error) travel in
 //! the events, and wall-clock timings in `sdb-prof`'s phase tree (`sdb
@@ -38,14 +45,21 @@
 //! println!("{}", obs.registry().unwrap().to_prometheus_text());
 //! ```
 
+mod analyze;
 mod events;
+pub mod json;
 mod metrics;
+mod rules;
 mod sketch;
+mod writer;
 
+pub use analyze::{analyze, analyze_jsonl, AnalysisReport, TraceSummary};
 use events::TraceCollector;
 pub use events::{DeviceEvent, Flow, ObsEvent};
 pub use metrics::{json_escape, Counter, MetricsRegistry};
+pub use rules::{HealthFinding, RuleReport};
 pub use sketch::QuantileSketch;
+pub use writer::{to_chrome, to_jsonl};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -13,10 +13,9 @@ use sdb::core::runtime::SdbRuntime;
 use sdb::core::scheduler::{drive, run_charge_session, Hooks, SimOptions, SimResult};
 use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
-use sdb::observe::{DeviceEvent, Observer};
+use sdb::observe::{analyze_jsonl, to_chrome, to_jsonl, DeviceEvent, Observer};
 use sdb::policy::{warmup_seeds, PolicySpec, WARMUP_DAYS};
 use sdb::prof::Snapshot;
-use sdb::trace as sdbtrace;
 use sdb::workloads::{Trace, WorkloadSpec};
 use std::collections::HashMap;
 use std::fmt::{Display, Write as _};
@@ -279,8 +278,8 @@ fn write_trace(path: &str, events: &[DeviceEvent]) -> Result<(), String> {
         None => format!("{path}.chrome.json"),
     };
     let what = format!("trace ({} events)", events.len());
-    write_file(path, &sdbtrace::to_jsonl(events), &what)?;
-    write_file(&chrome, &sdbtrace::to_chrome(events), "Chrome trace")
+    write_file(path, &to_jsonl(events), &what)?;
+    write_file(&chrome, &to_chrome(events), "Chrome trace")
 }
 
 fn cmd_sim(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
@@ -560,8 +559,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
-    let analysis =
-        sdbtrace::analyze_jsonl(&text).map_err(|e| format!("cannot parse trace `{path}`: {e}"))?;
+    let analysis = analyze_jsonl(&text).map_err(|e| format!("cannot parse trace `{path}`: {e}"))?;
     let body = if flags.contains_key("json") {
         analysis.to_json() + "\n"
     } else {

@@ -90,5 +90,4 @@ pub use sdb_fuel_gauge as fuel_gauge;
 pub use sdb_observe as observe;
 pub use sdb_policy as policy;
 pub use sdb_prof as prof;
-pub use sdb_trace as trace;
 pub use sdb_workloads as workloads;

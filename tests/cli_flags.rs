@@ -262,26 +262,66 @@ fn analyze_refuses_a_deeply_nested_trace() {
 fn analyze_refuses_an_unknown_event_kind_naming_the_line() {
     let good = r#"{"device":0,"seq":0,"t_s":60.0,"kind":"ratio_push","flow":"discharge","ratios":[0.5,0.5]}"#;
     for kind in ["profile_transition", "mystery"] {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{kind}.jsonl"));
         let bad = format!(
             r#"{{"device":0,"seq":1,"t_s":60.0,"kind":"{kind}","battery":1,"from":"standard","to":"fast"}}"#
         );
-        std::fs::write(&path, format!("{good}\n\n{bad}\n")).expect("write trace");
-        for json in [false, true] {
-            let mut args = vec!["analyze", "--trace", path.to_str().expect("utf-8 path")];
-            if json {
-                args.push("--json");
-            }
-            let out = sdb(&args);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-            assert!(
-                stderr.contains(&format!("trace line 3: unknown event kind `{kind}`")),
-                "{args:?}: {stderr}"
-            );
-            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-            assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert_analyze_refuses(
+            kind,
+            &format!("{good}\n\n{bad}\n"),
+            &format!("trace line 3: unknown event kind `{kind}`"),
+        );
+    }
+}
+
+/// A trace the writer never writes is refused with the line it breaks
+/// on: a non-finite number (`1e999` is the writer's token for +inf), or
+/// a device whose clock runs backwards along its `seq`, which would
+/// corrupt the health rules' windows.
+#[test]
+fn analyze_refuses_non_finite_numbers_and_backwards_clocks() {
+    let line = |seq: u64, t_s: &str| {
+        format!(
+            r#"{{"device":2,"seq":{seq},"t_s":{t_s},"kind":"policy_evaluation","pushed":true,"charge_directive":0.5,"discharge_directive":0.5}}"#
+        )
+    };
+    let (good, inf) = (line(1, "60.0"), line(0, "1e999"));
+    assert_analyze_refuses(
+        "inf",
+        &format!("{good}\n{inf}\n"),
+        "trace line 2: field `t_s` is not a finite number",
+    );
+    let nan =
+        r#"{"device":0,"seq":0,"t_s":0.0,"kind":"ratio_push","flow":"charge","ratios":[null]}"#;
+    assert_analyze_refuses(
+        "nan",
+        &format!("{nan}\n"),
+        "trace line 1: field `ratios` is not an array of finite numbers",
+    );
+    // Seq 1 is written first, but at a time before seq 0's.
+    let (early, late) = (line(1, "60.0"), line(0, "120.0"));
+    assert_analyze_refuses(
+        "backwards",
+        &format!("{early}\n{late}\n"),
+        "trace line 1: device 2 goes back in time",
+    );
+}
+
+/// `sdb analyze` on `trace`, as text and as `--json`, exits 1 with
+/// `needle` on stderr and prints no report.
+fn assert_analyze_refuses(label: &str, trace: &str, needle: &str) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{label}.jsonl"));
+    std::fs::write(&path, trace).expect("write trace");
+    for json in [false, true] {
+        let mut args = vec!["analyze", "--trace", path.to_str().expect("utf-8 path")];
+        if json {
+            args.push("--json");
         }
+        let out = sdb(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
 

@@ -36,8 +36,8 @@ fn dir(label: &str) -> PathBuf {
 }
 
 /// Runs `sdb fleet <fleet> --seed 7` at 1 and 4 threads, writing every
-/// output file, and asserts each pair is byte-identical. Returns the
-/// 1-thread run's directory.
+/// output file, and asserts each pair is byte-identical and that `sdb
+/// analyze` replays the trace. Returns the 1-thread run's directory.
 fn fleet_files_match_across_threads(label: &str, fleet: &[&str], traced: bool) -> PathBuf {
     let mut files = vec!["report.json", "metrics.json"];
     if traced {
@@ -70,6 +70,10 @@ fn fleet_files_match_across_threads(label: &str, fleet: &[&str], traced: bool) -
         metrics.matches("\"name\":").count(),
         "{label}: --metrics-out holds a non-counter:\n{metrics}"
     );
+    if traced {
+        let trace = one.join("trace.jsonl");
+        sdb(&["analyze", "--trace", trace.to_str().expect("utf-8 path")]);
+    }
     one
 }
 
@@ -176,12 +180,12 @@ fn faulted_campaign_day_holds_every_invariant() {
 
 /// `(count, timed)` summed over every `phase` node of a profile's wall
 /// forest.
-fn count_and_timed(nodes: &sdb::trace::json::Value, phase: &str) -> (u64, u64) {
+fn count_and_timed(nodes: &sdb::observe::json::Value, phase: &str) -> (u64, u64) {
     let mut sum = (0, 0);
     for node in nodes.as_arr().expect("phase list") {
         let field = |k: &str| {
             node.get(k)
-                .and_then(sdb::trace::json::Value::as_u64)
+                .and_then(sdb::observe::json::Value::as_u64)
                 .expect(k)
         };
         if node.get("phase").and_then(|v| v.as_str()) == Some(phase) {
@@ -219,7 +223,7 @@ fn profiled_micro_steps_are_a_per_device_sample() {
         "4",
     ]);
     let json = std::fs::read_to_string(out).expect("profile written");
-    let profile = sdb::trace::json::parse(&json).expect("profile json parses");
+    let profile = sdb::observe::json::parse(&json).expect("profile json parses");
     let wall = profile
         .get("wall")
         .and_then(|w| w.get("phases"))

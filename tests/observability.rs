@@ -294,9 +294,9 @@ fn captured_events_round_trip_through_a_trace() {
     runtime.observe_status(&[row]);
 
     let events = obs.drain_events();
-    let live = sdb::trace::analyze(&events).render_text(usize::MAX);
-    let text = sdb::trace::to_jsonl(&events);
-    let replayed = sdb::trace::analyze_jsonl(&text)
+    let live = sdb::observe::analyze(&events).render_text(usize::MAX);
+    let text = sdb::observe::to_jsonl(&events);
+    let replayed = sdb::observe::analyze_jsonl(&text)
         .unwrap_or_else(|e| panic!("{e}: {text}"))
         .render_text(usize::MAX);
     assert_eq!(replayed, live);

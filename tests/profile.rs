@@ -54,7 +54,7 @@ fn profile_counts_are_byte_identical_across_thread_counts() {
     // The JSON's `deterministic` section must match too; `wall` holds
     // quarantined timings and may differ. Compare the sections directly.
     let det = |json: &str| {
-        let v = sdb::trace::json::parse(json).expect("profile json parses");
+        let v = sdb::observe::json::parse(json).expect("profile json parses");
         format!(
             "{:?}",
             v.get("deterministic").expect("deterministic section")
@@ -358,9 +358,16 @@ fn paper_scenarios_replay_through_the_profiled_trace_loop() {
     assert_eq!(steps, (last_min * 60.0 / 15.0).round() as u64);
 }
 
-/// The commands whose exact work counts `tests/golden/work.counts` pins.
-const WORK_COMMANDS: [&str; 1] =
-    ["fleet --devices 8 --hours 24 --seed 7 --policy planned --threads 1"];
+/// The commands whose exact work counts `tests/golden/work.counts` pins:
+/// small copies of the benchmark's workload shapes (a planned fleet, the
+/// default fleet on each engine, a faulted campaign on both engines).
+const WORK_COMMANDS: [&str; 4] = [
+    "fleet --devices 8 --hours 24 --seed 7 --policy planned --threads 1",
+    "fleet --devices 8 --hours 24 --seed 7 --threads 1",
+    "fleet --devices 8 --hours 24 --seed 7 --threads 1 --engine soa",
+    "campaign --scenarios standby,phone-day --chemistries co --faults none,heavy \
+     --policies greedy --engines scalar,soa --hours 6 --threads 1",
+];
 
 /// The work golden: the `--format counts` profile of each of
 /// [`WORK_COMMANDS`], byte for byte. Counts are exact in one run, so a
