@@ -229,7 +229,7 @@ fn soa_step_ns() -> (f64, f64) {
                     "lane re-entry after a sync tick must succeed on a standby pack"
                 );
             } else {
-                black_box(soa.advance(0, load, dt, k));
+                soa.advance(0, load, dt, k);
                 ticks += u64::from(k);
                 ff += u64::from(k);
             }

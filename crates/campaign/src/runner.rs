@@ -354,7 +354,7 @@ fn record_from(
     ff_ticks: u64,
 ) -> DeviceRecord {
     let tally = checker.finish();
-    let n = result.final_soc.len().max(1) as f64;
+    let n = micro.battery_count().max(1) as f64;
     DeviceRecord {
         cell: cell.index,
         device,
@@ -362,7 +362,7 @@ fn record_from(
         supplied_j: result.supplied_j,
         unmet_j: result.unmet_j,
         loss_j: result.total_loss_j(),
-        mean_final_soc: result.final_soc.iter().sum::<f64>() / n,
+        mean_final_soc: micro.cells().iter().map(|c| c.soc()).sum::<f64>() / n,
         browned_out: result.first_brownout_s.is_some(),
         violations: tally.violation_count,
         faults_injected,
@@ -452,7 +452,7 @@ pub fn run_cell_device(
                 soa: Some(&mut soa),
                 ..hooks
             };
-            let result: SimResult = drive(
+            let result = drive(
                 &mut micro,
                 &mut runtime,
                 &runs,
@@ -472,7 +472,7 @@ pub fn run_cell_device(
         }
         Driver::Scalar => {
             let mut checker = InvariantChecker::for_micro(&micro);
-            let result: SimResult = drive(
+            let result = drive(
                 &mut micro,
                 &mut runtime,
                 &runs,

@@ -28,7 +28,7 @@ pub fn checked_run_trace(
 ) -> SimResult {
     let mut checker = InvariantChecker::for_micro(micro);
     let runs = trace.runs(opts.max_dt_s);
-    let result: SimResult = drive(
+    let result = drive(
         micro,
         runtime,
         &runs,
@@ -63,7 +63,7 @@ pub fn checked_run_charge_session(
 ) -> Vec<Option<f64>> {
     let mut checker = InvariantChecker::for_micro(micro);
     let mut session = ChargeTargets::new(micro, targets);
-    let _: SimResult = drive(
+    let _ = drive(
         micro,
         runtime,
         &[charging_session(external_w, max_s, dt_s)],

@@ -324,7 +324,7 @@ mod tests {
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
     use sdb_core::runtime::SdbRuntime;
-    use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
+    use sdb_core::scheduler::{drive, Hooks, SimOptions};
     use sdb_emulator::pack::PackBuilder;
     use sdb_workloads::traces::Trace;
     use std::ops::ControlFlow;
@@ -350,7 +350,7 @@ mod tests {
         let mut rt = SdbRuntime::new(2);
         let mut checker = InvariantChecker::for_micro(&m);
         let runs = Trace::constant(4.0, 3600.0).runs(60.0);
-        let _: SimResult = drive(
+        let _ = drive(
             &mut m,
             &mut rt,
             &runs,

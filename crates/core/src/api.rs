@@ -165,7 +165,8 @@ mod tests {
         api.discharge(&[0.9, 0.9]).unwrap();
         api.discharge(&[1.0, 0.0]).unwrap();
         link.step(2.0, 0.0, 60.0);
-        let responses = link.take_responses();
+        let mut responses = Vec::new();
+        link.drain_responses_into(&mut responses);
         assert_eq!(responses.len(), 2);
     }
 }

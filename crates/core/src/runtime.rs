@@ -952,9 +952,12 @@ mod tests {
         let input = PolicyInput::from_micro(link.micro()).with_load(4.0);
         rt.tick(&mut link, &input, 1.0).unwrap();
         assert!(rt.pushes() >= 1);
+        let mut responses = Vec::new();
         for _ in 0..(WATCHDOG_TIMEOUT_S as usize + 10) {
             link.step(1.0, 2.0, 60.0);
-            rt.observe_responses(&link.take_responses());
+            responses.clear();
+            link.drain_responses_into(&mut responses);
+            rt.observe_responses(&responses);
             rt.supervise(&mut link, 1.0).unwrap();
         }
         assert!(
@@ -967,7 +970,9 @@ mod tests {
         for _ in 0..(2 * ACK_TIMEOUT_S as usize) {
             rt.supervise(&mut link, 1.0).unwrap();
             link.step(1.0, 2.0, 60.0);
-            rt.observe_responses(&link.take_responses());
+            responses.clear();
+            link.drain_responses_into(&mut responses);
+            rt.observe_responses(&responses);
         }
         assert!(
             !rt.watchdog_engaged(),

@@ -11,7 +11,7 @@
 
 use crate::policy::DischargeDirective;
 use crate::runtime::SdbRuntime;
-use crate::scheduler::{drive, Hooks, SimOptions, SimResult};
+use crate::scheduler::{drive, Hooks, SimOptions};
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_emulator::micro::Microcontroller;
@@ -141,7 +141,7 @@ pub(crate) fn fly(micro: &mut Microcontroller, profile: &Trace) -> FlightOutcome
         flight_time_s: 0.0,
         losses_j: 0.0,
     };
-    let _: SimResult = drive(
+    let _ = drive(
         micro,
         &mut runtime,
         &runs,

@@ -30,6 +30,7 @@ mod tests {
     use super::two_in_one::{
         battery_life_s, battery_life_with_detach, two_in_one_comparison, Strategy,
     };
+    use super::watch::{watch_scenario, WatchPolicy};
     use sdb_workloads::device::Activity;
     use sdb_workloads::traces::tablet_session;
 
@@ -137,9 +138,181 @@ mod tests {
         0x4044400000000000,
     ];
 
-    /// Every number behind Figures 14 and 11b, the 2-in-1 unit tests and
-    /// the drone flights, as `f64` bits. The figure renders round to two
-    /// decimals, so only the bits show that a change to the trace loop
+    /// Figure 13 (run at hour 9, seed 13), per `WatchPolicy`: life,
+    /// Li-ion and bendable empty times (`u64::MAX` = never), total loss,
+    /// then the count and bits of the hourly losses and of the hourly
+    /// load energies.
+    const FIG13: [u64; 162] = [
+        // Policy 1.
+        0x40e0d10000000000,
+        0x40e0950000000000,
+        0xffffffffffffffff,
+        0x4084be93589c4ce5,
+        0x18,
+        0x400239f5bde77268,
+        0x40041f302f3d3740,
+        0x4004d8e0419320dd,
+        0x4003e67e6edead49,
+        0x4002736ae86d876a,
+        0x400370615af50e47,
+        0x40060e84679020f5,
+        0x400496fd86256f2f,
+        0x4005528685dca100,
+        0x40837730b9fa96af,
+        0x4031ed795cbc345a,
+        0x3fd7ea66210d4b2b,
+        0x3f63fcbce49ef9e9,
+        0x3f16f19320564b80,
+        0x3eb1c5a96b4ff8c8,
+        0x3e541376f164c012,
+        0x3e081894aa35959a,
+        0x3daa5df2c4345019,
+        0x3d4ab3126610a74c,
+        0x3d2394eed21ace64,
+        0x3d2304bde940a37b,
+        0x3d2304bdf3e7aed7,
+        0x3d239e7a8089b6a5,
+        0x3d23519c3a38b814,
+        0x18,
+        0x406f90cda284f0f8,
+        0x4072048e0d2fe181,
+        0x4072be4dac1fe1a4,
+        0x40707aea0d8d9aa8,
+        0x406bc2e9d1317901,
+        0x406d6c3cc7784b9f,
+        0x40706f2de1c3d8cc,
+        0x406b1e053a9a9e14,
+        0x406ad1e8077acfbd,
+        0x40a103f7a01d3da8,
+        0x406c144eda4bd9e2,
+        0x4072a2b13359ff53,
+        0x4073231c724643fd,
+        0x406e1d583482246a,
+        0x406c48e6ce7d35bb,
+        0x40721580f416de51,
+        0x4049ddb22d0e55ff,
+        0x4049ddb22d0e55ff,
+        0x404e21cac0831268,
+        0x4045999999999995,
+        0x404e21cac0831268,
+        0x404e21cac0831266,
+        0x4045999999999995,
+        0x4049ddb22d0e5600,
+        // Policy 2.
+        0x40e3830000000000,
+        0x40e3830000000000,
+        0xffffffffffffffff,
+        0x406a27ec395538e8,
+        0x18,
+        0x402663e832c515b7,
+        0x402dad90ffca4461,
+        0x402ff99180c1b135,
+        0x402dbe4ed3e299c5,
+        0x40290f6d9fddf3c4,
+        0x402dd8c9edd53476,
+        0x40352b1ab032e339,
+        0x4033d782ca766614,
+        0x40138580e9b68c0e,
+        0x4051c2588c7e9a0f,
+        0x401b1f2824f424ce,
+        0x3ff316f4c5dfdfa2,
+        0x3e8b4d714909cf40,
+        0x3e3ff2025d672a5d,
+        0x3dd8bf8c15e534f0,
+        0x3d7be5ca96199258,
+        0x3d332b58b08d2111,
+        0x3d23513ee91d1b90,
+        0x3d2304bdf37f7db2,
+        0x3d239e7a8089b619,
+        0x3d2304bdf3e7b983,
+        0x3d2304bdf3e7b983,
+        0x3d239e7a8089b6a5,
+        0x3d23519c3a38b814,
+        0x18,
+        0x406f90cda284f0f8,
+        0x4072048e0d2fe181,
+        0x4072be4dac1fe1a4,
+        0x40707aea0d8d9aa8,
+        0x406bc2e9d1317901,
+        0x406d6c3cc7784b9f,
+        0x40706f2de1c3d8cc,
+        0x406b1e053a9a9e14,
+        0x406ad1e8077acfbd,
+        0x40a103f7a01d3da8,
+        0x406c144eda4bd9e2,
+        0x4072a2b13359ff53,
+        0x4073231c724643fd,
+        0x406e1d583482246a,
+        0x406c48e6ce7d35bb,
+        0x40721580f416de51,
+        0x4049ddb22d0e55ff,
+        0x4049ddb22d0e55ff,
+        0x404e21cac0831268,
+        0x4045999999999995,
+        0x404e21cac0831268,
+        0x404e21cac0831266,
+        0x4045999999999995,
+        0x4049ddb22d0e5600,
+        // Oracle.
+        0x40e3830000000000,
+        0x40e3830000000000,
+        0xffffffffffffffff,
+        0x406a27ec395538e9,
+        0x18,
+        0x402663e832c515b7,
+        0x402dad90ffca4461,
+        0x402ff99180c1b135,
+        0x402dbe4ed3e299c5,
+        0x40290f6d9fddf3c4,
+        0x402dd8c9edd53476,
+        0x40352b1ab032e339,
+        0x4033d782ca766614,
+        0x40138580e9b68c0e,
+        0x4051c2588c7e9a0f,
+        0x401b1f2824f424d0,
+        0x3ff316f4c5dfdf9c,
+        0x3e8b4d714909cf40,
+        0x3e3ff2025d672a5d,
+        0x3dd8bf8c15e534f0,
+        0x3d7be5ca96199258,
+        0x3d332b58b08d2111,
+        0x3d23513ee91d1b90,
+        0x3d2304bdf37f7db2,
+        0x3d239e7a8089b619,
+        0x3d2304bdf3e7b983,
+        0x3d2304bdf3e7b983,
+        0x3d239e7a8089b6a5,
+        0x3d23519c3a38b814,
+        0x18,
+        0x406f90cda284f0f8,
+        0x4072048e0d2fe181,
+        0x4072be4dac1fe1a4,
+        0x40707aea0d8d9aa8,
+        0x406bc2e9d1317901,
+        0x406d6c3cc7784b9f,
+        0x40706f2de1c3d8cc,
+        0x406b1e053a9a9e14,
+        0x406ad1e8077acfbd,
+        0x40a103f7a01d3da8,
+        0x406c144eda4bd9e2,
+        0x4072a2b13359ff53,
+        0x4073231c724643fd,
+        0x406e1d583482246a,
+        0x406c48e6ce7d35bb,
+        0x40721580f416de51,
+        0x4049ddb22d0e55ff,
+        0x4049ddb22d0e55ff,
+        0x404e21cac0831268,
+        0x4045999999999995,
+        0x404e21cac0831268,
+        0x404e21cac0831266,
+        0x4045999999999995,
+        0x4049ddb22d0e5600,
+    ];
+
+    /// Every number behind Figures 14, 13 and 11b, the 2-in-1 unit tests
+    /// and the drone flights, as `f64` bits. The figure renders round to at
+    /// most two decimals, so only the bits show that a change to the trace loop
     /// left these results exact.
     #[test]
     fn paper_scenarios_keep_their_bits() {
@@ -181,5 +354,29 @@ mod tests {
             .map(|m| m.map_or(u64::MAX, f64::to_bits))
             .collect();
         assert_eq!(fig11b, FIG11B);
+
+        let fig13: Vec<u64> = [
+            WatchPolicy::MinimizeInstantaneousLosses,
+            WatchPolicy::PreserveLiIon,
+            WatchPolicy::Oracle,
+        ]
+        .into_iter()
+        .flat_map(|policy| {
+            let o = watch_scenario(policy, Some(9.0), 13);
+            let never = |t: Option<f64>| t.map_or(u64::MAX, f64::to_bits);
+            let mut bits = vec![
+                o.life_s.to_bits(),
+                never(o.li_ion_empty_s),
+                never(o.bendable_empty_s),
+                o.total_loss_j.to_bits(),
+            ];
+            for hourly in [&o.hourly_loss_j, &o.hourly_load_j] {
+                bits.push(hourly.len() as u64);
+                bits.extend(hourly.iter().map(|j| j.to_bits()));
+            }
+            bits
+        })
+        .collect();
+        assert_eq!(fig13, FIG13);
     }
 }

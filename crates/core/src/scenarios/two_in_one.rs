@@ -10,7 +10,7 @@
 
 use crate::policy::DischargeDirective;
 use crate::runtime::SdbRuntime;
-use crate::scheduler::{drive, Hooks, SimOptions, SimResult};
+use crate::scheduler::{drive, Hooks, SimOptions};
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackTemplate;
 use sdb_workloads::traces::{two_in_one_workloads, Trace};
@@ -109,7 +109,7 @@ pub(crate) fn battery_life_with_detach(
     let repeats = (cap_s / duration_s).ceil() as usize + 1;
     let runs = runs.repeat(repeats);
     let period = docked_s + undocked_s;
-    let result: SimResult = drive(
+    let result = drive(
         &mut micro,
         &mut runtime,
         &runs,

@@ -17,11 +17,12 @@
 
 use crate::policy::{DischargeDirective, PreservePolicy};
 use crate::runtime::SdbRuntime;
-use crate::scheduler::{run_trace, SimOptions, SimResult};
-use sdb_emulator::micro::Microcontroller;
+use crate::scheduler::{drive, EmptyTimes, Hooks, SimOptions, SimResult};
+use sdb_emulator::micro::{Microcontroller, StepReport};
 use sdb_emulator::pack::PackTemplate;
 use sdb_workloads::device::{Activity, DeviceClass, DevicePower};
-use sdb_workloads::traces::watch_day;
+use sdb_workloads::traces::{watch_day, Trace};
+use std::ops::ControlFlow;
 
 /// Battery index of the Li-ion cell in the watch pack.
 pub(crate) const LI_ION: usize = 0;
@@ -73,8 +74,77 @@ pub struct WatchOutcome {
     pub hourly_load_j: Vec<f64>,
     /// Total losses over the run, joules.
     pub total_loss_j: f64,
-    /// Raw simulation result.
-    pub(crate) sim: SimResult,
+}
+
+/// Figure 13's books over one or more back-to-back [`drive`] runs, noted
+/// in `post_step`: per-hour losses and load, and when each cell emptied.
+struct DayBooks {
+    /// Where the current run starts on the day's timeline, seconds.
+    start_s: f64,
+    /// The end of the last step noted, from the current run's start.
+    last_s: f64,
+    hourly_loss_j: Vec<f64>,
+    hourly_load_j: Vec<f64>,
+    empty: EmptyTimes,
+}
+
+impl DayBooks {
+    fn new(micro: &Microcontroller) -> Self {
+        Self {
+            start_s: 0.0,
+            last_s: 0.0,
+            hourly_loss_j: Vec::new(),
+            hourly_load_j: Vec::new(),
+            empty: EmptyTimes::new(micro),
+        }
+    }
+
+    /// Runs `trace` where the last run ended, booking every step.
+    fn run(
+        &mut self,
+        micro: &mut Microcontroller,
+        runtime: &mut SdbRuntime,
+        trace: &Trace,
+        opts: &SimOptions,
+    ) -> SimResult {
+        self.last_s = 0.0;
+        let result = drive(
+            micro,
+            runtime,
+            &trace.runs(opts.max_dt_s),
+            opts,
+            Hooks::default(),
+            |_, _| {},
+            |t, micro, report| {
+                self.note(t, micro, report);
+                ControlFlow::Continue(())
+            },
+        );
+        self.start_s += result.simulated_s;
+        result
+    }
+
+    /// Apportions the step ending at `t_s` across the hour buckets it
+    /// straddles, then notes the cells empty at its end.
+    fn note(&mut self, t_s: f64, micro: &Microcontroller, report: &StepReport) {
+        let loss_w = report.circuit_loss_w + report.cell_heat_w;
+        let mut t = self.start_s + self.last_s;
+        let mut remaining = t_s - self.last_s;
+        while remaining > 1e-9 {
+            let hour = (t / 3600.0) as usize;
+            let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
+            if self.hourly_loss_j.len() <= hour {
+                self.hourly_loss_j.resize(hour + 1, 0.0);
+                self.hourly_load_j.resize(hour + 1, 0.0);
+            }
+            self.hourly_loss_j[hour] += loss_w * take;
+            self.hourly_load_j[hour] += report.load_w * take;
+            t += take;
+            remaining -= take;
+        }
+        self.last_s = t_s;
+        self.empty.note(self.start_s + t_s, micro);
+    }
 }
 
 /// Builds the catalog watch pack at full charge: 200 mAh Li-ion + 200
@@ -107,10 +177,11 @@ pub fn watch_scenario(policy: WatchPolicy, run_hour: Option<f64>, seed: u64) -> 
     };
     let trace = watch_day(seed, run_hour);
 
+    let mut books = DayBooks::new(&micro);
     let sim = match policy {
         WatchPolicy::MinimizeInstantaneousLosses => {
             runtime.set_discharge_directive(DischargeDirective::new(1.0));
-            run_trace(&mut micro, &mut runtime, &trace, &opts)
+            books.run(&mut micro, &mut runtime, &trace, &opts)
         }
         WatchPolicy::PreserveLiIon => {
             runtime.set_preserve(Some(PreservePolicy::new(
@@ -118,7 +189,7 @@ pub fn watch_scenario(policy: WatchPolicy, run_hour: Option<f64>, seed: u64) -> 
                 BENDABLE,
                 high_power_threshold_w(),
             )));
-            run_trace(&mut micro, &mut runtime, &trace, &opts)
+            books.run(&mut micro, &mut runtime, &trace, &opts)
         }
         WatchPolicy::Oracle => {
             // Exact future knowledge: preserve only until the run is over
@@ -126,7 +197,7 @@ pub fn watch_scenario(policy: WatchPolicy, run_hour: Option<f64>, seed: u64) -> 
             match run_hour {
                 None => {
                     runtime.set_discharge_directive(DischargeDirective::new(1.0));
-                    run_trace(&mut micro, &mut runtime, &trace, &opts)
+                    books.run(&mut micro, &mut runtime, &trace, &opts)
                 }
                 Some(rh) => {
                     let switch_s = (rh + 1.0) * 3600.0;
@@ -136,10 +207,10 @@ pub fn watch_scenario(policy: WatchPolicy, run_hour: Option<f64>, seed: u64) -> 
                         BENDABLE,
                         high_power_threshold_w(),
                     )));
-                    let first = run_trace(&mut micro, &mut runtime, &before, &opts);
+                    let first = books.run(&mut micro, &mut runtime, &before, &opts);
                     runtime.set_preserve(None);
                     runtime.set_discharge_directive(DischargeDirective::new(1.0));
-                    let second = run_trace(&mut micro, &mut runtime, &after, &opts);
+                    let second = books.run(&mut micro, &mut runtime, &after, &opts);
                     merge_sims(first, second)
                 }
             }
@@ -148,22 +219,18 @@ pub fn watch_scenario(policy: WatchPolicy, run_hour: Option<f64>, seed: u64) -> 
     WatchOutcome {
         policy,
         life_s: sim.battery_life_s(),
-        li_ion_empty_s: sim.battery_empty_s[LI_ION],
-        bendable_empty_s: sim.battery_empty_s[BENDABLE],
-        hourly_loss_j: sim.hourly_loss_j.clone(),
-        hourly_load_j: sim.hourly_load_j.clone(),
+        li_ion_empty_s: books.empty.at_s[LI_ION],
+        bendable_empty_s: books.empty.at_s[BENDABLE],
+        hourly_loss_j: books.hourly_loss_j,
+        hourly_load_j: books.hourly_load_j,
         total_loss_j: sim.total_loss_j(),
-        sim,
     }
 }
 
 /// Splits a trace at `at_s` into (before, after).
-fn split_trace(
-    trace: &sdb_workloads::traces::Trace,
-    at_s: f64,
-) -> (sdb_workloads::traces::Trace, sdb_workloads::traces::Trace) {
-    let mut before = sdb_workloads::traces::Trace::new();
-    let mut after = sdb_workloads::traces::Trace::new();
+fn split_trace(trace: &Trace, at_s: f64) -> (Trace, Trace) {
+    let mut before = Trace::new();
+    let mut after = Trace::new();
     let mut t = 0.0;
     for p in trace.points() {
         if t + p.dur_s <= at_s + 1e-9 {
@@ -182,26 +249,6 @@ fn split_trace(
 
 /// Merges two back-to-back simulation results into one timeline.
 fn merge_sims(first: SimResult, second: SimResult) -> SimResult {
-    let offset = first.simulated_s;
-    let shift = |t: Option<f64>| t.map(|v| v + offset);
-    let mut hourly_loss = first.hourly_loss_j.clone();
-    let mut hourly_load = first.hourly_load_j.clone();
-    // The split is hour-aligned in practice; append with index offset.
-    let hour_offset = (offset / 3600.0).round() as usize;
-    for (k, (&loss, &load)) in second
-        .hourly_loss_j
-        .iter()
-        .zip(&second.hourly_load_j)
-        .enumerate()
-    {
-        let idx = hour_offset + k;
-        if hourly_loss.len() <= idx {
-            hourly_loss.resize(idx + 1, 0.0);
-            hourly_load.resize(idx + 1, 0.0);
-        }
-        hourly_loss[idx] += loss;
-        hourly_load[idx] += load;
-    }
     SimResult {
         simulated_s: first.simulated_s + second.simulated_s,
         supplied_j: first.supplied_j + second.supplied_j,
@@ -211,16 +258,7 @@ fn merge_sims(first: SimResult, second: SimResult) -> SimResult {
         external_j: first.external_j + second.external_j,
         first_brownout_s: first
             .first_brownout_s
-            .or_else(|| shift(second.first_brownout_s)),
-        battery_empty_s: first
-            .battery_empty_s
-            .iter()
-            .zip(&second.battery_empty_s)
-            .map(|(&a, &b)| a.or_else(|| shift(b)))
-            .collect(),
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: second.final_soc,
+            .or_else(|| second.first_brownout_s.map(|t| t + first.simulated_s)),
     }
 }
 
@@ -317,6 +355,24 @@ mod tests {
         let p1_norun = watch_scenario(WatchPolicy::MinimizeInstantaneousLosses, None, SEED);
         let oracle_norun = watch_scenario(WatchPolicy::Oracle, None, SEED);
         assert_eq!(oracle_norun.total_loss_j, p1_norun.total_loss_j);
+    }
+
+    #[test]
+    fn hourly_bookkeeping_sums_to_totals() {
+        let mut micro = build_pack();
+        let mut runtime = SdbRuntime::new(2);
+        let mut books = DayBooks::new(&micro);
+        let trace = Trace::constant(0.05, 2.5 * 3600.0);
+        let result = books.run(&mut micro, &mut runtime, &trace, &SimOptions::default());
+        assert_eq!(books.hourly_load_j.len(), 3);
+        let hourly_sum: f64 = books.hourly_loss_j.iter().sum();
+        assert!((hourly_sum - result.total_loss_j()).abs() / result.total_loss_j() < 0.01);
+        let load_sum: f64 = books.hourly_load_j.iter().sum();
+        assert!((load_sum - 0.05 * 2.5 * 3600.0).abs() < 1e-9);
+        // A second run books on from where the first ended.
+        let _ = books.run(&mut micro, &mut runtime, &trace, &SimOptions::default());
+        assert_eq!(books.hourly_load_j.len(), 5);
+        assert!((books.hourly_load_j[2] - 0.05 * 3600.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! This is the equivalent of the paper's emulator harness (Section 4.3):
 //! measured power traces are fed into the battery emulation while the SDB
-//! Runtime adjusts ratios, and the driver books energy, losses, and
-//! depletion times for the Section 5 analyses.
+//! Runtime adjusts ratios, and the driver books energy and losses for the
+//! Section 5 analyses.
 //!
 //! One loop, [`drive`], replays every trace, over either [`Transport`]:
-//! the firmware itself or the lossy [`Link`] ([`Linked`]). Step hooks,
-//! [`Hooks`] and the result type ([`Bookkeeping`]) pick the rest.
+//! the firmware itself or the lossy [`Link`] ([`Linked`]). Step hooks
+//! and [`Hooks`] pick the rest: what a caller books beyond the energy
+//! totals of [`SimResult`], it notes in `post_step` ([`ChargeTargets`],
+//! [`EmptyTimes`]).
 
 use crate::lookahead::LookaheadPolicy;
 use crate::policy::PolicyInput;
@@ -37,8 +39,9 @@ impl Default for SimOptions {
     }
 }
 
-/// Result of a simulation run.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Result of a simulation run: the energy totals and the first
+/// brownout. `Copy`, so a [`drive`] returns without heap allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimResult {
     /// Wall-clock simulated, seconds.
     pub simulated_s: f64,
@@ -54,14 +57,6 @@ pub struct SimResult {
     pub external_j: f64,
     /// Time of first unserved load, if any, seconds.
     pub first_brownout_s: Option<f64>,
-    /// Per-battery time of first emptiness, seconds.
-    pub battery_empty_s: Vec<Option<f64>>,
-    /// Per-hour total losses (circuit + cell heat), joules.
-    pub hourly_loss_j: Vec<f64>,
-    /// Per-hour load energy, joules.
-    pub(crate) hourly_load_j: Vec<f64>,
-    /// Final per-battery SoC.
-    pub final_soc: Vec<f64>,
 }
 
 impl SimResult {
@@ -76,112 +71,6 @@ impl SimResult {
     #[must_use]
     pub fn battery_life_s(&self) -> f64 {
         self.first_brownout_s.unwrap_or(self.simulated_s)
-    }
-}
-
-/// The scalar subset of [`SimResult`] that rollout scoring consumes —
-/// `Copy`, so a [`drive`] into it returns without heap allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PreparedResult {
-    /// Wall-clock simulated, seconds.
-    pub(crate) simulated_s: f64,
-    /// Energy delivered to the load, joules.
-    pub(crate) supplied_j: f64,
-    /// Load energy that went unserved, joules.
-    pub unmet_j: f64,
-    /// Circuit losses, joules.
-    pub(crate) circuit_loss_j: f64,
-    /// Cell resistive heat, joules.
-    pub(crate) cell_heat_j: f64,
-    /// External energy consumed, joules.
-    pub(crate) external_j: f64,
-    /// Time of first unserved load, if any, seconds.
-    pub(crate) first_brownout_s: Option<f64>,
-}
-
-impl PreparedResult {
-    /// Total losses, joules.
-    #[must_use]
-    pub fn total_loss_j(&self) -> f64 {
-        self.circuit_loss_j + self.cell_heat_j
-    }
-
-    /// As [`SimResult::battery_life_s`].
-    #[must_use]
-    pub fn battery_life_s(&self) -> f64 {
-        self.first_brownout_s.unwrap_or(self.simulated_s)
-    }
-}
-
-/// What a [`drive`] run books besides the energy totals, picked by its
-/// result type. [`SimResult`] books hour buckets and per-battery empty
-/// times. The `Copy` [`PreparedResult`] books nothing: the planner
-/// rollout mode, which allocates nothing.
-pub trait Bookkeeping: Default {
-    /// The empty record for a run over `micro`.
-    fn open(_micro: &Microcontroller) -> Self {
-        Self::default()
-    }
-    /// Books `dur_s` seconds from `start_s` at constant power.
-    fn book(&mut self, _start_s: f64, _dur_s: f64, _loss_w: f64, _load_w: f64) {}
-    /// Notes the batteries of `micro` that are empty at `t_s`.
-    fn note_empty(&mut self, _t_s: f64, _micro: &Microcontroller) {}
-    /// The finished record, from the run's `totals` and final `micro`.
-    fn close(self, totals: PreparedResult, micro: &Microcontroller) -> Self;
-}
-
-impl Bookkeeping for SimResult {
-    fn open(micro: &Microcontroller) -> Self {
-        Self {
-            battery_empty_s: vec![None; micro.battery_count()],
-            ..Self::default()
-        }
-    }
-
-    /// Apportions the span's energy across the hour buckets it straddles.
-    fn book(&mut self, start_s: f64, dur_s: f64, loss_w: f64, load_w: f64) {
-        let mut t = start_s;
-        let mut remaining = dur_s;
-        while remaining > 1e-9 {
-            let hour = (t / 3600.0) as usize;
-            let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-            if self.hourly_loss_j.len() <= hour {
-                self.hourly_loss_j.resize(hour + 1, 0.0);
-                self.hourly_load_j.resize(hour + 1, 0.0);
-            }
-            self.hourly_loss_j[hour] += loss_w * take;
-            self.hourly_load_j[hour] += load_w * take;
-            t += take;
-            remaining -= take;
-        }
-    }
-
-    fn note_empty(&mut self, t_s: f64, micro: &Microcontroller) {
-        for (empty_s, cell) in self.battery_empty_s.iter_mut().zip(micro.cells()) {
-            if empty_s.is_none() && cell.is_empty() {
-                *empty_s = Some(t_s);
-            }
-        }
-    }
-
-    fn close(self, t: PreparedResult, micro: &Microcontroller) -> Self {
-        Self {
-            simulated_s: t.simulated_s,
-            supplied_j: t.supplied_j,
-            unmet_j: t.unmet_j,
-            circuit_loss_j: t.circuit_loss_j,
-            cell_heat_j: t.cell_heat_j,
-            external_j: t.external_j,
-            first_brownout_s: t.first_brownout_s,
-            final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
-            ..self
-        }
-    }
-}
-
-impl Bookkeeping for PreparedResult {
-    fn close(self, totals: PreparedResult, _micro: &Microcontroller) -> Self {
-        totals
     }
 }
 
@@ -334,9 +223,9 @@ pub fn run_trace(
 /// point with the number of times it repeats) against the pack behind
 /// `transport`. Per replayed point: `pre_step` with mutable transport
 /// access (fault plans), input refill, planner, runtime tick, step,
-/// planner feedback, bookkeeping, `post_step` with the elapsed time, the
-/// transport and the step report (telemetry, invariant checks, running
-/// sums); then, with an SoA cohort, fast-forward over the rest of the
+/// planner feedback, `post_step` with the elapsed time, the transport and
+/// the step report (telemetry, invariant checks, running sums, empty
+/// times); then, with an SoA cohort, fast-forward over the rest of the
 /// run. Stops at the first brownout when `opts.stop_on_brownout`, and
 /// after any point whose `post_step` returns [`ControlFlow::Break`].
 /// Unused step hooks are no-op closures, which compile to nothing.
@@ -347,7 +236,7 @@ pub fn run_trace(
 /// # Panics
 ///
 /// Panics if the transport's tick fails (see [`Transport::tick`]).
-pub fn drive<T, R, Pre, Post>(
+pub fn drive<T, Pre, Post>(
     transport: &mut T,
     runtime: &mut SdbRuntime,
     runs: &[(TracePoint, usize)],
@@ -355,10 +244,9 @@ pub fn drive<T, R, Pre, Post>(
     mut hooks: Hooks<'_>,
     mut pre_step: Pre,
     mut post_step: Post,
-) -> R
+) -> SimResult
 where
     T: Transport,
-    R: Bookkeeping,
     Pre: FnMut(f64, &mut T),
     Post: FnMut(f64, &T, &StepReport) -> ControlFlow<()>,
 {
@@ -374,7 +262,6 @@ where
     } else {
         Phase::TraceStep
     };
-    let mut books = R::open(transport.micro());
     // A certified box belongs to the pack it was certified on.
     runtime.forget_box();
     let mut first_brownout = None;
@@ -410,11 +297,8 @@ where
             if let Some(policy) = hooks.policy.as_deref_mut() {
                 policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
             }
-            let loss_w = report.circuit_loss_w + report.cell_heat_w;
-            books.book(elapsed, p.dur_s, loss_w, report.load_w);
             elapsed += p.dur_s;
             let flow = post_step(elapsed, transport, &report);
-            books.note_empty(elapsed, transport.micro());
             if report.unmet_w > 1e-9 && first_brownout.is_none() {
                 first_brownout = Some(elapsed);
                 if opts.stop_on_brownout {
@@ -447,14 +331,11 @@ where
                 if k == 0 {
                     break;
                 }
-                let totals = {
+                {
                     let _prof = sdb_prof::step(Phase::FastForward);
-                    soa.advance(0, p.load_w, p.dur_s, k)
-                };
-                let span_s = f64::from(k) * p.dur_s;
-                let loss_w = (totals.circuit_loss_j + totals.cell_heat_j) / span_s;
-                books.book(elapsed, span_s, loss_w, p.load_w);
-                elapsed += span_s;
+                    soa.advance(0, p.load_w, p.dur_s, k);
+                }
+                elapsed += f64::from(k) * p.dur_s;
                 runtime.note_fast_forward(p.dur_s, u64::from(k));
                 skipped += u64::from(k);
                 remaining -= k;
@@ -470,7 +351,7 @@ where
 
     let micro = transport.micro();
     let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
-    let totals = PreparedResult {
+    SimResult {
         simulated_s: micro.time_s() - start,
         supplied_j: d1 - d0,
         unmet_j: u1 - u0,
@@ -478,8 +359,7 @@ where
         cell_heat_j: ch1 - ch0,
         external_j: e1 - e0,
         first_brownout_s: first_brownout,
-    };
-    books.close(totals, micro)
+    }
 }
 
 /// Minimum run of identical upcoming trace points worth the
@@ -505,7 +385,7 @@ pub fn run_charge_session(
     dt_s: f64,
 ) -> Vec<Option<f64>> {
     let mut session = ChargeTargets::new(micro, targets);
-    let _: SimResult = drive(
+    let _ = drive(
         micro,
         runtime,
         &[charging_session(external_w, max_s, dt_s)],
@@ -561,6 +441,33 @@ impl<'a> ChargeTargets<'a> {
     }
 }
 
+/// When each battery of a pack first read empty, noted by a [`drive`]
+/// `post_step`.
+#[derive(Debug)]
+pub struct EmptyTimes {
+    /// Per battery, when it first read empty (`None`: not yet).
+    pub at_s: Vec<Option<f64>>,
+}
+
+impl EmptyTimes {
+    /// No battery of `micro` noted empty yet.
+    #[must_use]
+    pub fn new(micro: &Microcontroller) -> Self {
+        Self {
+            at_s: vec![None; micro.battery_count()],
+        }
+    }
+
+    /// Notes the batteries of `micro` that are empty at `t_s`.
+    pub fn note(&mut self, t_s: f64, micro: &Microcontroller) {
+        for (at_s, cell) in self.at_s.iter_mut().zip(micro.cells()) {
+            if at_s.is_none() && cell.is_empty() {
+                *at_s = Some(t_s);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,6 +492,10 @@ mod tests {
             .build()
     }
 
+    fn soc(m: &Microcontroller) -> Vec<f64> {
+        m.cells().iter().map(|c| c.soc()).collect()
+    }
+
     #[test]
     fn constant_load_served() {
         let mut m = pack(1.0);
@@ -599,7 +510,6 @@ mod tests {
         assert!(result.unmet_j < 1e-6);
         assert!((result.supplied_j - 4.0 * 3600.0).abs() / (4.0 * 3600.0) < 0.01);
         assert!(result.first_brownout_s.is_none());
-        assert_eq!(result.hourly_load_j.len(), 1);
     }
 
     #[test]
@@ -620,11 +530,7 @@ mod tests {
         // Brownout occurs when the pack can no longer *supply the power*,
         // which can precede exact coulomb-emptiness; both cells must be
         // nearly drained though.
-        assert!(
-            result.final_soc.iter().all(|&s| s < 0.10),
-            "{:?}",
-            result.final_soc
-        );
+        assert!(m.cells().iter().all(|c| c.soc() < 0.10), "{:?}", soc(&m));
         assert!(result.unmet_j > 0.0);
     }
 
@@ -643,21 +549,6 @@ mod tests {
         );
         assert!(result.simulated_s < 3600.0);
         assert!(result.first_brownout_s.is_some());
-    }
-
-    #[test]
-    fn hourly_bookkeeping_sums_to_totals() {
-        let mut m = pack(1.0);
-        let mut rt = SdbRuntime::new(2);
-        let result = run_trace(
-            &mut m,
-            &mut rt,
-            &Trace::constant(5.0, 2.5 * 3600.0),
-            &SimOptions::default(),
-        );
-        assert_eq!(result.hourly_load_j.len(), 3);
-        let hourly_sum: f64 = result.hourly_loss_j.iter().sum();
-        assert!((hourly_sum - result.total_loss_j()).abs() / result.total_loss_j() < 0.01);
     }
 
     #[test]
@@ -698,80 +589,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prepared_matches_run_trace_bit_exactly() {
-        // Full bookkeeping and the rollout mode must agree bit for bit over
-        // varied traces: segment lengths off the `max_dt_s` grid, external
-        // power, and a closing overload that browns the pack out, with and
-        // without stopping there.
-        sdb_testkit::check(48, 0x5db_0b17, |g| {
-            let max_dt_s = g.pick(&[60.0, 45.0, 7.5]);
-            let mut trace = Trace::new();
-            for _ in 0..g.usize_range(1, 8) {
-                let load_w = g.pick(&[0.3, 2.0, 6.0, 12.0]);
-                let external_w = if g.chance(0.25) {
-                    g.f64_range(1.0, 15.0)
-                } else {
-                    0.0
-                };
-                let whole = g.usize_range(0, 20) as f64;
-                trace.push(
-                    load_w,
-                    external_w,
-                    whole * max_dt_s + g.f64_range(0.5, max_dt_s),
-                );
-            }
-            trace.push(40.0, 0.0, 2.0 * 3600.0);
-            let opts = SimOptions {
-                max_dt_s,
-                stop_on_brownout: g.chance(0.5),
-            };
-            let soc = g.f64_range(0.2, 0.9);
-
-            let mut m1 = pack(soc);
-            let mut rt1 = SdbRuntime::new(2);
-            let full = run_trace(&mut m1, &mut rt1, &trace, &opts);
-            assert!(
-                full.first_brownout_s.is_some(),
-                "the overload must brown out"
-            );
-
-            let mut m2 = pack(soc);
-            let mut rt2 = SdbRuntime::new(2);
-            let runs = trace.runs(opts.max_dt_s);
-            let mut input = PolicyInput::from_micro(&m2);
-            let hooks = Hooks {
-                input: Some(&mut input),
-                ..Hooks::default()
-            };
-            let lean: PreparedResult = drive(
-                &mut m2,
-                &mut rt2,
-                &runs,
-                &opts,
-                hooks,
-                |_, _| {},
-                |_, _, _| ControlFlow::Continue(()),
-            );
-
-            assert_eq!(full.simulated_s.to_bits(), lean.simulated_s.to_bits());
-            assert_eq!(full.supplied_j.to_bits(), lean.supplied_j.to_bits());
-            assert_eq!(full.unmet_j.to_bits(), lean.unmet_j.to_bits());
-            assert_eq!(full.circuit_loss_j.to_bits(), lean.circuit_loss_j.to_bits());
-            assert_eq!(full.cell_heat_j.to_bits(), lean.cell_heat_j.to_bits());
-            assert_eq!(full.external_j.to_bits(), lean.external_j.to_bits());
-            assert_eq!(full.first_brownout_s, lean.first_brownout_s);
-            // The packs themselves evolved identically.
-            let soc_bits = |m: &Microcontroller| {
-                m.cells()
-                    .iter()
-                    .map(|c| c.soc().to_bits())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(soc_bits(&m1), soc_bits(&m2));
-        });
-    }
-
     /// `trace` over an ideal-or-lossy `link`, heartbeat every 30 s.
     fn run_linked(
         link: &mut Link,
@@ -809,7 +626,7 @@ mod tests {
         // the firmware directly.
         assert!((direct.supplied_j - linked.supplied_j).abs() < 1e-9);
         assert!((direct.total_loss_j() - linked.total_loss_j()).abs() < 1e-9);
-        assert_eq!(direct.final_soc, linked.final_soc);
+        assert_eq!(soc(&m), soc(link.micro()));
     }
 
     #[test]

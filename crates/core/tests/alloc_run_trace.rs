@@ -12,7 +12,7 @@
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{drive, run_trace, Hooks, Linked, SimOptions, SimResult};
+use sdb_core::scheduler::{drive, run_trace, Hooks, Linked, SimOptions};
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
 use sdb_emulator::pack::PackBuilder;
@@ -103,7 +103,7 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
             soa: Some(&mut cohort),
             ..Hooks::default()
         };
-        let result: SimResult = drive(
+        drive(
             &mut micro,
             &mut runtime,
             &trace.runs(max_dt_s),
@@ -111,8 +111,7 @@ fn allocs_of_run(trace: &Trace, max_dt_s: f64, mode: Mode) -> u64 {
             hooks,
             |_, _| {},
             |_, _, _| ControlFlow::Continue(()),
-        );
-        result
+        )
     } else {
         run_trace(&mut micro, &mut runtime, trace, &opts)
     };

@@ -58,4 +58,4 @@ pub use micro::Microcontroller;
 pub use pack::{PackBuilder, PackTemplate};
 pub use profile::ProfileKind;
 pub use snapshot::{fnv1a_64, PackSnapshot};
-pub use soa::{AdvanceTotals, QuiescenceConfig, SoaCohort};
+pub use soa::{QuiescenceConfig, SoaCohort};

@@ -8,7 +8,6 @@
 //! failure-injection tests can exercise the runtime's robustness.
 
 use crate::micro::Microcontroller;
-use sdb_battery_model::thevenin::TheveninCell;
 use sdb_fuel_gauge::gauge::BatteryStatus;
 use sdb_power_electronics::error::PowerError;
 use std::collections::VecDeque;
@@ -76,7 +75,7 @@ struct LinkFaults {
     drop_per_mille: u32,
     /// Per-mille probability of duplicating each sent command.
     dup_per_mille: u32,
-    /// Delivery-latency override in ticks while a latency fault is active.
+    /// Delivery latency in ticks while a latency fault is active.
     latency_override: Option<u32>,
     /// Frozen status snapshot served for `QueryBatteryStatus` while a
     /// stale-status fault is active.
@@ -95,17 +94,14 @@ impl LinkFaults {
     }
 }
 
-/// A lossy, delaying link wrapping the microcontroller.
+/// A link wrapping the microcontroller: lossless and without latency
+/// until seeded faults ([`Link::seed_faults`], `set_fault_*`) drop,
+/// duplicate or delay commands or freeze status replies.
 #[derive(Debug)]
 pub struct Link {
     micro: Microcontroller,
     /// Commands in flight: `(remaining delay steps, command)`.
     in_flight: VecDeque<(u32, Command)>,
-    /// Fixed delivery latency in ticks.
-    latency_ticks: u32,
-    /// Drop one command in every `drop_period` (0 = lossless).
-    drop_period: u32,
-    counter: u64,
     stats: LinkStats,
     /// Responses produced by delivered commands, in order.
     responses: VecDeque<Response>,
@@ -117,19 +113,9 @@ impl Link {
     /// Wraps a microcontroller in a lossless zero-latency link.
     #[must_use]
     pub fn ideal(micro: Microcontroller) -> Self {
-        Self::new(micro, 0, 0)
-    }
-
-    /// Wraps a microcontroller with `latency_ticks` delivery delay and a
-    /// deterministic drop of every `drop_period`-th command (0 = lossless).
-    #[must_use]
-    pub fn new(micro: Microcontroller, latency_ticks: u32, drop_period: u32) -> Self {
         Self {
             micro,
             in_flight: VecDeque::new(),
-            latency_ticks,
-            drop_period,
-            counter: 0,
             stats: LinkStats::default(),
             responses: VecDeque::new(),
             faults: LinkFaults::new(0),
@@ -166,8 +152,8 @@ impl Link {
         self.faults.dup_per_mille = per_mille;
     }
 
-    /// Overrides the delivery latency while a latency fault is active
-    /// (`None` restores the base latency).
+    /// Delays delivery by `ticks` steps while a latency fault is active
+    /// (`None` restores immediate delivery).
     pub fn set_fault_latency(&mut self, ticks: Option<u32>) {
         self.faults.latency_override = ticks;
     }
@@ -230,36 +216,27 @@ impl Link {
         }
     }
 
-    /// Sends a command; it is delivered after the configured latency,
-    /// unless it falls on a drop slot or an injected fault eats it.
+    /// Sends a command; it is delivered after the active latency fault's
+    /// delay, unless an injected drop fault eats it.
     pub fn send(&mut self, cmd: Command) {
-        self.counter += 1;
         self.stats.sent += 1;
-        // Legacy deterministic periodic drop.
-        if self.drop_period > 0 && self.counter.is_multiple_of(u64::from(self.drop_period)) {
-            let n = self.counter;
-            Self::record_fault(&mut self.stats.dropped, &self.micro, || {
-                format!("link dropped command #{n}")
-            });
-            return;
-        }
         // Chaos probabilistic drop. RNG draws happen only while the fault
         // is active, so clean runs stay bit-identical.
         if self.faults.drop_per_mille > 0
             && self.faults.rng.below(1000) < u64::from(self.faults.drop_per_mille)
         {
-            let n = self.counter;
+            let n = self.stats.sent;
             Self::record_fault(&mut self.stats.dropped, &self.micro, || {
                 format!("link dropped command #{n} (chaos)")
             });
             return;
         }
-        let latency = self.faults.latency_override.unwrap_or(self.latency_ticks);
+        let latency = self.faults.latency_override.unwrap_or(0);
         // Chaos duplication: the command arrives twice.
         if self.faults.dup_per_mille > 0
             && self.faults.rng.below(1000) < u64::from(self.faults.dup_per_mille)
         {
-            let n = self.counter;
+            let n = self.stats.sent;
             Self::record_fault(&mut self.stats.duplicated, &self.micro, || {
                 format!("link duplicated command #{n} (chaos)")
             });
@@ -322,11 +299,6 @@ impl Link {
         self.micro.query_battery_status()
     }
 
-    /// Drains pending responses.
-    pub fn take_responses(&mut self) -> Vec<Response> {
-        self.responses.drain(..).collect()
-    }
-
     /// Drains pending responses onto the end of `out`, in order. A caller
     /// that clears and reuses one buffer drains without allocating once
     /// the buffer has grown to its working size.
@@ -349,12 +321,6 @@ impl Link {
     /// Mutable access for scenario setup.
     pub fn micro_mut(&mut self) -> &mut Microcontroller {
         &mut self.micro
-    }
-
-    /// Convenience: ground-truth cells.
-    #[must_use]
-    pub fn cells(&self) -> &[TheveninCell] {
-        self.micro.cells()
     }
 }
 
@@ -380,14 +346,21 @@ mod tests {
             .build()
     }
 
+    /// The responses pending on `link`, drained.
+    fn take(link: &mut Link) -> Vec<Response> {
+        let mut out = Vec::new();
+        link.drain_responses_into(&mut out);
+        out
+    }
+
     #[test]
     fn ideal_link_applies_immediately() {
         let mut link = Link::ideal(pack());
         link.send(Command::Discharge(vec![1.0, 0.0]));
         link.step(3.0, 0.0, 60.0);
-        assert!(link.cells()[1].is_full());
-        assert!(link.cells()[0].soc() < 1.0);
-        assert_eq!(link.take_responses(), vec![Response::Ack]);
+        assert!(link.micro().cells()[1].is_full());
+        assert!(link.micro().cells()[0].soc() < 1.0);
+        assert_eq!(take(&mut link), vec![Response::Ack]);
     }
 
     #[test]
@@ -406,32 +379,44 @@ mod tests {
 
     #[test]
     fn latency_delays_application() {
-        let mut link = Link::new(pack(), 2, 0);
+        let mut link = Link::ideal(pack());
+        link.set_fault_latency(Some(2));
         link.send(Command::Discharge(vec![1.0, 0.0]));
         // For two steps the default 50/50 split still applies.
         link.step(3.0, 0.0, 60.0);
         link.step(3.0, 0.0, 60.0);
-        assert!(link.cells()[1].soc() < 1.0, "default split still active");
-        let soc1_before = link.cells()[1].soc();
+        assert!(
+            link.micro().cells()[1].soc() < 1.0,
+            "default split still active"
+        );
+        let soc1_before = link.micro().cells()[1].soc();
         link.step(3.0, 0.0, 60.0);
         link.step(3.0, 0.0, 60.0);
         // After delivery battery 1 is no longer discharged (only
         // negligible self-discharge while idle).
-        assert!((link.cells()[1].soc() - soc1_before).abs() < 1e-5);
+        assert!((link.micro().cells()[1].soc() - soc1_before).abs() < 1e-5);
     }
 
     #[test]
     fn drops_lose_commands_deterministically() {
-        let mut link = Link::new(pack(), 0, 2);
-        link.send(Command::QueryBatteryStatus); // 1st: kept
-        link.send(Command::QueryBatteryStatus); // 2nd: dropped
-        link.send(Command::QueryBatteryStatus); // 3rd: kept
-        link.step(0.1, 0.0, 1.0);
-        let stats = link.stats();
-        assert_eq!(stats.sent, 3);
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.delivered, 2);
-        assert_eq!(link.take_responses().len(), 2);
+        // A coin-flip drop fault, seeded: the same commands are lost on
+        // every replay (at seed 14, the second of three).
+        for _ in 0..2 {
+            let mut link = Link::ideal(pack());
+            link.seed_faults(14);
+            link.set_fault_drop_per_mille(500);
+            link.send(Command::QueryBatteryStatus); // 1st: kept
+            assert_eq!(link.stats().dropped, 0);
+            link.send(Command::QueryBatteryStatus); // 2nd: dropped
+            assert_eq!(link.stats().dropped, 1);
+            link.send(Command::QueryBatteryStatus); // 3rd: kept
+            link.step(0.1, 0.0, 1.0);
+            let stats = link.stats();
+            assert_eq!(stats.sent, 3);
+            assert_eq!(stats.dropped, 1);
+            assert_eq!(stats.delivered, 2);
+            assert_eq!(take(&mut link).len(), 2);
+        }
     }
 
     #[test]
@@ -439,7 +424,7 @@ mod tests {
         let mut link = Link::ideal(pack());
         link.send(Command::Discharge(vec![0.9, 0.9]));
         link.step(0.1, 0.0, 1.0);
-        match &link.take_responses()[0] {
+        match &take(&mut link)[0] {
             Response::Nack(msg) => assert!(msg.contains("sum")),
             other => panic!("expected Nack, got {other:?}"),
         }
@@ -450,7 +435,7 @@ mod tests {
         let mut link = Link::ideal(pack());
         link.send(Command::QueryBatteryStatus);
         link.step(0.1, 0.0, 1.0);
-        match &link.take_responses()[0] {
+        match &take(&mut link)[0] {
             Response::Status(rows) => assert_eq!(rows.len(), 2),
             other => panic!("expected Status, got {other:?}"),
         }
@@ -469,12 +454,12 @@ mod tests {
         assert_eq!(stats.sent, 10);
         assert_eq!(stats.dropped, 10);
         assert_eq!(stats.delivered, 0);
-        assert!(link.take_responses().is_empty());
+        assert!(take(&mut link).is_empty());
         // Restoring the link resumes delivery.
         link.set_fault_drop_per_mille(0);
         link.send(Command::QueryBatteryStatus);
         link.step(0.1, 0.0, 1.0);
-        assert_eq!(link.take_responses().len(), 1);
+        assert_eq!(take(&mut link).len(), 1);
     }
 
     #[test]
@@ -488,7 +473,7 @@ mod tests {
         assert_eq!(stats.sent, 1);
         assert_eq!(stats.duplicated, 1);
         assert_eq!(stats.delivered, 2);
-        assert_eq!(link.take_responses().len(), 2);
+        assert_eq!(take(&mut link).len(), 2);
     }
 
     #[test]
@@ -497,16 +482,16 @@ mod tests {
         link.set_fault_latency(Some(3));
         link.send(Command::QueryBatteryStatus);
         link.step(0.1, 0.0, 1.0);
-        assert!(link.take_responses().is_empty(), "still in flight");
+        assert!(take(&mut link).is_empty(), "still in flight");
         link.step(0.1, 0.0, 1.0);
         link.step(0.1, 0.0, 1.0);
         link.step(0.1, 0.0, 1.0);
-        assert_eq!(link.take_responses().len(), 1);
+        assert_eq!(take(&mut link).len(), 1);
         // Clearing the fault restores immediate delivery.
         link.set_fault_latency(None);
         link.send(Command::QueryBatteryStatus);
         link.step(0.1, 0.0, 1.0);
-        assert_eq!(link.take_responses().len(), 1);
+        assert_eq!(take(&mut link).len(), 1);
     }
 
     #[test]
@@ -520,7 +505,7 @@ mod tests {
         }
         link.send(Command::QueryBatteryStatus);
         link.step(0.1, 0.0, 1.0);
-        match &link.take_responses()[0] {
+        match &take(&mut link)[0] {
             Response::Status(rows) => {
                 assert!(rows[0].soc > 0.95, "stale soc {}", rows[0].soc);
             }
@@ -537,7 +522,7 @@ mod tests {
         link.set_fault_stale_status(false);
         link.send(Command::QueryBatteryStatus);
         link.step(0.1, 0.0, 1.0);
-        match &link.take_responses()[0] {
+        match &take(&mut link)[0] {
             Response::Status(rows) => assert!(rows[0].soc < 0.9),
             other => panic!("expected Status, got {other:?}"),
         }
@@ -549,8 +534,9 @@ mod tests {
         // site, not inside the observer-gated emit branch. The packs here
         // have no observer attached (Observer::disabled() default), yet
         // every fault class must still count.
-        let mut link = Link::new(pack(), 0, 2); // periodic drop every 2nd
-        link.seed_faults(3);
+        let mut link = Link::ideal(pack());
+        link.seed_faults(5); // drops the 1st and 3rd of 4
+        link.set_fault_drop_per_mille(500);
         link.set_fault_dup_per_mille(1000);
         link.set_fault_stale_status(true);
         for _ in 0..4 {
@@ -559,16 +545,10 @@ mod tests {
         link.step(0.1, 0.0, 1.0);
         let stats = link.stats();
         assert_eq!(stats.sent, 4);
-        assert_eq!(stats.dropped, 2, "periodic drops counted unobserved");
+        assert_eq!(stats.dropped, 2, "drops counted unobserved");
         assert_eq!(stats.duplicated, 2, "duplications counted unobserved");
         assert_eq!(stats.delivered, 4);
         assert_eq!(stats.stale_served, 4, "stale serves counted unobserved");
-        // And chaos drops too.
-        let mut link = Link::ideal(pack());
-        link.seed_faults(5);
-        link.set_fault_drop_per_mille(1000);
-        link.send(Command::QueryBatteryStatus);
-        assert_eq!(link.stats().dropped, 1);
     }
 
     #[test]
@@ -578,7 +558,7 @@ mod tests {
         link.send(Command::Discharge(vec![0.0, 1.0]));
         link.step(3.0, 0.0, 60.0);
         // Last command wins: battery 1 discharges.
-        assert!(link.cells()[0].is_full());
-        assert!(link.cells()[1].soc() < 1.0);
+        assert!(link.micro().cells()[0].is_full());
+        assert!(link.micro().cells()[1].soc() < 1.0);
     }
 }

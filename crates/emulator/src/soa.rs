@@ -65,20 +65,6 @@ const MAX_STRETCH_TICKS: u32 = 60;
 /// SoC floor: devices wake before any cell could approach empty.
 const MIN_SOC: f64 = 0.05;
 
-/// Aggregates returned by one [`SoaCohort::advance`] call, for the
-/// driver's per-hour bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AdvanceTotals {
-    /// Ticks fast-forwarded.
-    pub(crate) ticks: u32,
-    /// Load energy served, joules.
-    pub(crate) load_j: f64,
-    /// Circuit losses, joules.
-    pub circuit_loss_j: f64,
-    /// Cell heat, joules.
-    pub cell_heat_j: f64,
-}
-
 /// Structure-of-arrays state for one parked device.
 ///
 /// All per-cell state is stored flat, one slot per cell, so the kernel
@@ -424,7 +410,7 @@ impl SoaCohort {
     /// # Panics
     ///
     /// Panics if `lane != 0`, the cohort holds no device or `ticks == 0`.
-    pub fn advance(&mut self, lane: usize, load_w: f64, dt_s: f64, ticks: u32) -> AdvanceTotals {
+    pub fn advance(&mut self, lane: usize, load_w: f64, dt_s: f64, ticks: u32) {
         check_lane(lane);
         assert!(ticks > 0, "advance needs at least one tick");
         assert!(self.occupied, "cohort holds no device");
@@ -513,12 +499,6 @@ impl SoaCohort {
         self.delivered_j += load_w * span_s;
         self.circuit_loss_j += loss_w * span_s;
         self.cell_heat_j += heat_w_sum * span_s;
-        AdvanceTotals {
-            ticks,
-            load_j: load_w * span_s,
-            circuit_loss_j: loss_w * span_s,
-            cell_heat_j: heat_w_sum * span_s,
-        }
     }
 
     /// Re-materializes the parked device into `micro` (which must be the same

@@ -102,7 +102,7 @@ mod tests {
     use sdb_battery_model::spec::BatterySpec;
     use sdb_core::policy::DischargeDirective;
     use sdb_core::runtime::SdbRuntime;
-    use sdb_core::scheduler::{drive, run_trace, Hooks, SimOptions, SimResult};
+    use sdb_core::scheduler::{drive, run_trace, Hooks, SimOptions};
     use sdb_emulator::profile::ProfileKind;
     use sdb_workloads::traces::Trace;
     use std::ops::ControlFlow;
@@ -264,7 +264,7 @@ mod tests {
             ..Hooks::default()
         };
         let runs = trace.runs(opts.max_dt_s);
-        let hybrid: SimResult = drive(
+        let hybrid = drive(
             &mut m2,
             &mut rt2,
             &runs,

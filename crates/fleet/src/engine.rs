@@ -127,7 +127,7 @@ fn outcome_from(
     let specs: Vec<&sdb_battery_model::spec::BatterySpec> =
         micro.cells().iter().map(|c| c.spec()).collect();
     let wear = wear_ratios(&cycle_counts, &specs);
-    let n = result.final_soc.len().max(1) as f64;
+    let n = specs.len().max(1) as f64;
 
     DeviceOutcome {
         device,
@@ -140,7 +140,7 @@ fn outcome_from(
         circuit_loss_j: result.circuit_loss_j,
         cell_heat_j: result.cell_heat_j,
         wear_ccb: ccb(&wear),
-        mean_final_soc: result.final_soc.iter().sum::<f64>() / n,
+        mean_final_soc: micro.cells().iter().map(|c| c.soc()).sum::<f64>() / n,
     }
 }
 

@@ -357,8 +357,7 @@ mod tests {
         let mut spec = FleetSpec::default_population(1, 7);
         spec.cohorts[0].name = name.to_owned();
         let json = FleetReport::from_outcomes(&spec, &[], &MetricsRegistry::new()).to_json();
-        // JSON forbids raw control characters in strings; the reader is
-        // lenient about them, so check the bytes too.
+        // JSON forbids raw control characters in strings.
         assert!(!json.contains(char::is_control), "{json}");
         let report = sdb_observe::json::parse(&json).expect("report is valid JSON");
         let cohorts = report.get("cohorts").and_then(|c| c.as_arr()).unwrap();

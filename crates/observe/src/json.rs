@@ -267,6 +267,12 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!(
+                        "raw control character {b:#04x} in a string at byte {}",
+                        self.pos
+                    ))
+                }
                 Some(_) => {
                     // Consume one UTF-8 scalar (bytes are valid UTF-8: the
                     // input came from a &str).
@@ -321,6 +327,19 @@ mod tests {
     fn unescapes_strings() {
         let v = parse(r#"{"s":"a\"b\\c\ndA"}"#).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\ndA"));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        let err = parse("\"a\nb\"").unwrap_err();
+        assert_eq!(err, "raw control character 0x0a in a string at byte 2");
+        assert!(parse("{\"k\":\"\u{1f}\"}").is_err());
+        // Escaped, they are fine; DEL and above are not control bytes here.
+        assert_eq!(
+            parse(r#""a\nb\u001f""#).unwrap().as_str(),
+            Some("a\nb\u{1f}")
+        );
+        assert_eq!(parse("\"\u{7f}\"").unwrap().as_str(), Some("\u{7f}"));
     }
 
     #[test]

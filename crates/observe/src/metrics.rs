@@ -361,8 +361,15 @@ mod tests {
             json.contains(r#""v":"a\"b\\c\nd\te\u0001f""#),
             "got: {json}"
         );
-        // No raw control characters may survive into the JSON text.
+        // No raw control characters may survive into the JSON text, which
+        // the strict parser reads back to the label value.
         assert!(!json.chars().any(|c| (c as u32) < 0x20 && c != ' '));
+        let v = crate::json::parse(&json).unwrap();
+        let labels = v.as_arr().unwrap()[0].get("labels").unwrap();
+        assert_eq!(
+            labels.get("v").unwrap().as_str(),
+            Some("a\"b\\c\nd\te\u{1}f")
+        );
     }
 
     #[test]

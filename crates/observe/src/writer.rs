@@ -201,10 +201,11 @@ pub(crate) fn from_jsonl_line(line: &str) -> Result<DeviceEvent, String> {
 ///
 /// # Errors
 ///
-/// Returns the first malformed line with its 1-based line number, or the
-/// line of an event whose time is earlier than that of its device's
-/// previous event: the rule engine's windows need each device's clock to
-/// run forward.
+/// Returns the first malformed line with its 1-based line number, the
+/// two lines of a repeated `(device, seq)` (the writer numbers each
+/// device's events once), or the line of an event whose time is earlier
+/// than that of its device's previous event: the rule engine's windows
+/// need each device's clock to run forward.
 pub(crate) fn from_jsonl(text: &str) -> Result<Vec<DeviceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -214,9 +215,16 @@ pub(crate) fn from_jsonl(text: &str) -> Result<Vec<DeviceEvent>, String> {
         let e = from_jsonl_line(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
         events.push((e, i + 1));
     }
+    // Stable: of two lines with one `(device, seq)`, the earlier stays first.
     events.sort_by_key(|(e, _)| (e.device, e.seq));
     for pair in events.windows(2) {
-        let ((prev, _), (e, line)) = (&pair[0], &pair[1]);
+        let ((prev, prev_line), (e, line)) = (&pair[0], &pair[1]);
+        if (e.device, e.seq) == (prev.device, prev.seq) {
+            return Err(format!(
+                "trace line {line}: device {} repeats seq {} of line {prev_line}",
+                e.device, e.seq
+            ));
+        }
         if e.device == prev.device && e.t_s < prev.t_s {
             return Err(format!(
                 "trace line {line}: device {} goes back in time: seq {} at t_s {:?} after seq {} at t_s {:?}",
@@ -471,6 +479,18 @@ mod tests {
         // Equal times are fine, and devices do not share a clock.
         events[4].t_s = 130.0;
         events[2].t_s = 0.0;
+        assert!(from_jsonl(&to_jsonl(&events)).is_ok());
+    }
+
+    #[test]
+    fn a_repeated_device_seq_is_rejected_naming_both_lines() {
+        // Three copies of one watchdog line would replay as three events.
+        let line = to_jsonl(&sample_events()[10..11]);
+        let err = from_jsonl(&line.repeat(3)).unwrap_err();
+        assert_eq!(err, "trace line 2: device 1 repeats seq 8 of line 1");
+        // Seq 8 of another device is another event.
+        let mut events = sample_events();
+        events[1].seq = 8;
         assert!(from_jsonl(&to_jsonl(&events)).is_ok());
     }
 

@@ -17,7 +17,7 @@ use crate::planner::Planner;
 use crate::spec::{warmup_seeds, PolicyMode};
 use sdb_core::metrics::ccb;
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{drive, Hooks, SimOptions, SimResult};
+use sdb_core::scheduler::{drive, Hooks, SimOptions};
 use sdb_emulator::PackTemplate;
 use sdb_workloads::{Trace, WorkloadSpec};
 use std::fmt::Write as _;
@@ -143,7 +143,7 @@ pub(crate) fn run_scenario(s: &Scenario, mode: PolicyMode, seed: u64) -> RunOutc
         policy: planner.as_mut().map(|p| p as _),
         ..Hooks::default()
     };
-    let result: SimResult = drive(
+    let result = drive(
         &mut micro,
         &mut runtime,
         &runs,

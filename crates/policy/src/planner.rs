@@ -22,7 +22,7 @@ use crate::forecast::{Forecaster, OracleForecaster};
 use crate::tuner::{forecast_stats, tuned_directive};
 use sdb_core::policy::{DischargeDirective, PolicyInput};
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{drive, Hooks, PreparedResult, SimOptions};
+use sdb_core::scheduler::{drive, Hooks, SimOptions};
 use sdb_core::{LookaheadPolicy, PlanUpdate};
 use sdb_emulator::{Microcontroller, PackSnapshot};
 use sdb_observe::Observer;
@@ -190,7 +190,7 @@ impl RolloutScratch {
             input: Some(&mut self.input),
             ..Hooks::default()
         };
-        let res: PreparedResult = drive(
+        let res = drive(
             &mut self.micro,
             &mut self.runtime,
             runs,
@@ -505,7 +505,7 @@ mod tests {
             max_dt_s: PLAN_DT_S,
             stop_on_brownout: true,
         };
-        let res: PreparedResult = drive(
+        let res = drive(
             &mut micro,
             &mut rt,
             runs,

@@ -10,7 +10,7 @@
 
 use sdb::core::policy::{ChargeDirective, DischargeDirective};
 use sdb::core::runtime::SdbRuntime;
-use sdb::core::scheduler::{drive, run_charge_session, Hooks, SimOptions, SimResult};
+use sdb::core::scheduler::{drive, run_charge_session, EmptyTimes, Hooks, SimOptions};
 use sdb::emulator::{acpi, Microcontroller, PackTemplate};
 use sdb::fleet;
 use sdb::observe::{analyze_jsonl, to_chrome, to_jsonl, DeviceEvent, Observer};
@@ -325,14 +325,18 @@ fn cmd_sim(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
         policy: planner.as_mut().map(|p| p as _),
         ..Hooks::default()
     };
-    let result: SimResult = drive(
+    let mut empty = EmptyTimes::new(&micro);
+    let result = drive(
         &mut micro,
         &mut runtime,
         &trace.runs(opts.max_dt_s),
         &opts,
         hooks,
         |_, _| {},
-        |_, _, _| ControlFlow::Continue(()),
+        |t, micro, _| {
+            empty.note(t, micro);
+            ControlFlow::Continue(())
+        },
     );
     if let Some((path, obs)) = trace_out {
         write_trace(path, &obs.drain_events())?;
@@ -367,7 +371,7 @@ fn cmd_sim(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             p.forecast_mae_w()
         );
     }
-    for (i, (t, cell)) in result.battery_empty_s.iter().zip(micro.cells()).enumerate() {
+    for (i, (t, cell)) in empty.at_s.iter().zip(micro.cells()).enumerate() {
         match t {
             Some(s) => {
                 let _ = writeln!(

@@ -21,17 +21,16 @@
 //! * [`core`] — the SDB Runtime: CCB/RBL metrics and policies, directive
 //!   parameters, the scheduler, and the Section 5 scenarios.
 //! * [`observe`] — flight-recorder observability: a registry of exact
-//!   counters with Prometheus/JSON exporters, and the structured event
-//!   bus every layer emits into.
+//!   counters with Prometheus/JSON exporters, the structured event bus
+//!   every layer emits into, and trace capture and analysis: JSONL and
+//!   Chrome `trace_event` (Perfetto) export of the event stream, trace
+//!   replay, and the declarative health-rule engine behind `sdb analyze`.
 //! * [`fleet`] — the sharded multi-device fleet simulation engine:
 //!   deterministic population sampling, parallelism through
 //!   [`prof::shard_map`], and fleet reports that are bit-identical for
 //!   any thread count.
 //! * [`chaos`] — deterministic fault injection: seeded fault plans, the
 //!   step-hooked invariant checker, and invariant-checked runs.
-//! * [`trace`] — causal trace capture and analysis: JSONL and Chrome
-//!   `trace_event` (Perfetto) export of the event stream, trace replay,
-//!   and a declarative anomaly/health-rule engine behind `sdb analyze`.
 //! * [`policy`] — plan-based lookahead policies: load forecasting over
 //!   the behavior models, a receding-horizon directive planner, the
 //!   perfect-forecast oracle upper bound, and the greedy / planned /

@@ -21,6 +21,13 @@ fn pack() -> Microcontroller {
         .build()
 }
 
+/// The responses pending on `link`, drained.
+fn take(link: &mut Link) -> Vec<Response> {
+    let mut out = Vec::new();
+    link.drain_responses_into(&mut out);
+    out
+}
+
 #[test]
 fn four_apis_roundtrip_through_ideal_link() {
     let mut link = Link::ideal(pack());
@@ -28,7 +35,7 @@ fn four_apis_roundtrip_through_ideal_link() {
     link.send(Command::Charge(vec![0.5, 0.5]));
     link.send(Command::QueryBatteryStatus);
     link.step(4.0, 0.0, 60.0);
-    let responses = link.take_responses();
+    let responses = take(&mut link);
     assert_eq!(responses.len(), 3);
     assert_eq!(responses[0], Response::Ack);
     assert_eq!(responses[1], Response::Ack);
@@ -74,24 +81,30 @@ fn charge_one_from_another_through_link() {
         checker.check_micro(f64::from(i + 1) * 60.0, link.micro());
     }
     assert!(checker.is_clean(), "{:?}", checker.violations());
-    assert!(link.cells()[1].soc() > 0.3, "destination gained charge");
-    assert!(link.cells()[0].soc() < 1.0, "source paid for it");
+    assert!(
+        link.micro().cells()[1].soc() > 0.3,
+        "destination gained charge"
+    );
+    assert!(link.micro().cells()[0].soc() < 1.0, "source paid for it");
 }
 
 #[test]
 fn dropped_commands_leave_previous_policy_in_force() {
-    // Drop every 2nd command: the first Discharge survives, the second is
-    // lost, so battery 0 keeps carrying everything.
-    let mut link = Link::new(pack(), 0, 2);
+    // A seeded coin-flip drop fault: at seed 14 the first Discharge
+    // survives and the second is lost, so battery 0 keeps carrying
+    // everything.
+    let mut link = Link::ideal(pack());
+    link.seed_faults(14);
+    link.set_fault_drop_per_mille(500);
     link.send(Command::Discharge(vec![1.0, 0.0])); // delivered
     link.send(Command::Discharge(vec![0.0, 1.0])); // dropped
     for _ in 0..10 {
         link.step(3.0, 0.0, 60.0);
     }
-    assert!(link.cells()[0].soc() < 0.99);
+    assert!(link.micro().cells()[0].soc() < 0.99);
     // Battery 1 only self-discharges (the dropped command never arrived).
     assert!(
-        link.cells()[1].soc() > 0.9999,
+        link.micro().cells()[1].soc() > 0.9999,
         "dropped command must not take effect"
     );
     let stats = link.stats();
@@ -100,7 +113,8 @@ fn dropped_commands_leave_previous_policy_in_force() {
 
 #[test]
 fn latency_does_not_reorder_commands() {
-    let mut link = Link::new(pack(), 3, 0);
+    let mut link = Link::ideal(pack());
+    link.set_fault_latency(Some(3));
     link.send(Command::Discharge(vec![1.0, 0.0]));
     link.send(Command::Discharge(vec![0.3, 0.7]));
     for _ in 0..6 {
@@ -124,7 +138,7 @@ fn malformed_commands_nack_without_corrupting_state() {
         duration_s: 1.0,
     });
     link.step(2.0, 0.0, 30.0);
-    let responses = link.take_responses();
+    let responses = take(&mut link);
     assert_eq!(responses[0], Response::Ack);
     assert!(matches!(responses[1], Response::Nack(_)));
     assert!(matches!(responses[2], Response::Nack(_)));

@@ -8,7 +8,7 @@ use sdb::campaign::{run_campaign, CampaignOptions, CampaignReport, CampaignRun, 
 use sdb::chaos::InvariantChecker;
 use sdb::core::policy::DischargeDirective;
 use sdb::core::runtime::SdbRuntime;
-use sdb::core::scheduler::{drive, Hooks, Linked, SimOptions, SimResult};
+use sdb::core::scheduler::{drive, Hooks, Linked, SimOptions};
 use sdb::emulator::link::{Command, Link};
 use sdb::emulator::{Microcontroller, PackBuilder, ProfileKind};
 use sdb::observe::{Flow, ObsEvent, Observer};
@@ -111,7 +111,7 @@ fn watchdog_falls_back_to_uniform_and_recovers_through_scheduler() {
     let run_linked = |link: &mut Link, runtime: &mut SdbRuntime, secs: f64| {
         let opts = SimOptions::default();
         let runs = Trace::constant(8.0, secs).runs(opts.max_dt_s);
-        let _: SimResult = drive(
+        let _ = drive(
             &mut Linked::new(link, 30.0),
             runtime,
             &runs,
@@ -202,8 +202,8 @@ fn charge_one_from_another_accounts_energy_under_clean_and_chaos_links() {
             link.set_fault_dup_per_mille(600);
         }
         let mut checker = InvariantChecker::for_micro(link.micro());
-        let src_before: f64 = link.cells()[0].energy_out_j();
-        let dst_before: f64 = link.cells()[1].energy_in_j();
+        let src_before: f64 = link.micro().cells()[0].energy_out_j();
+        let dst_before: f64 = link.micro().cells()[1].energy_in_j();
         link.send(Command::ChargeOneFromAnother {
             from: 0,
             to: 1,
@@ -217,8 +217,8 @@ fn charge_one_from_another_accounts_energy_under_clean_and_chaos_links() {
             checker.check_micro(t, link.micro());
         }
         assert!(checker.is_clean(), "{:?}", checker.violations());
-        let moved = link.cells()[1].energy_in_j() - dst_before;
-        let paid = link.cells()[0].energy_out_j() - src_before;
+        let moved = link.micro().cells()[1].energy_in_j() - dst_before;
+        let paid = link.micro().cells()[0].energy_out_j() - src_before;
         (moved, paid)
     };
 

@@ -306,6 +306,16 @@ fn analyze_refuses_non_finite_numbers_and_backwards_clocks() {
     );
 }
 
+#[test]
+fn analyze_refuses_a_repeated_device_seq_naming_both_lines() {
+    let line = r#"{"device":1,"seq":4,"t_s":60.0,"kind":"watchdog_transition","engaged":true,"silent_s":30.0}"#;
+    assert_analyze_refuses(
+        "repeated",
+        &format!("{line}\n{line}\n{line}\n"),
+        "trace line 2: device 1 repeats seq 4 of line 1",
+    );
+}
+
 /// `sdb analyze` on `trace`, as text and as `--json`, exits 1 with
 /// `needle` on stderr and prints no report.
 fn assert_analyze_refuses(label: &str, trace: &str, needle: &str) {

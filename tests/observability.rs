@@ -225,8 +225,10 @@ fn lossy_link_records_fault_injections() {
     let obs = Observer::capturing();
     let mut micro = hybrid_pack();
     micro.set_observer(obs.clone());
-    // Drop every 2nd command.
-    let mut link = Link::new(micro, 0, 2);
+    // Drop about every 2nd command.
+    let mut link = Link::ideal(micro);
+    link.seed_faults(14);
+    link.set_fault_drop_per_mille(500);
     let mut runtime = SdbRuntime::new(2);
     runtime.set_observer(obs.clone());
     runtime.set_update_period(60.0);
